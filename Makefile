@@ -15,6 +15,11 @@
 # `make nosleep` greps tests for time.Sleep — deterministic tests drive
 # time through injected clocks and hooks (internal/clockwork,
 # faultinject.SetSleep, the Sleep hooks on configs), never the wall clock.
+# `make race` runs the whole module under the race detector — no package
+# list to keep, so a package a PR touches is never left out (≈2 minutes
+# on two cores). `make benchsmoke` builds and tests bench/, the
+# end-to-end benchmark: it is a module of its own that compiles against
+# this one's types, and tier-1 neither builds nor tests it.
 
 GO ?= go
 
@@ -25,7 +30,7 @@ SHELL := /bin/bash
 
 BENCH_RECORD := BENCH_PR10.json
 
-.PHONY: verify build test vet bench benchcmp race chaos fuzz nosleep cover bench.out
+.PHONY: verify build test vet bench benchcmp benchsmoke race chaos fuzz nosleep cover bench.out
 
 verify: vet build test nosleep
 
@@ -55,7 +60,10 @@ cover:
 	$(GO) tool cover -func=cover.out | tee cover.txt
 
 race:
-	$(GO) test -race ./internal/pipeline/ ./internal/spsc/ ./internal/logfmt/ ./internal/mitigate/ ./internal/statecodec/ ./internal/sessions/ ./internal/stream/ ./internal/metrics/ ./internal/iprep/ ./internal/checkpoint/ ./internal/faultinject/ ./internal/cluster/ ./internal/trajectory/ ./httpguard/
+	$(GO) test -race ./...
+
+benchsmoke:
+	cd bench && $(GO) test ./...
 
 # The chaos suite under -race: injected detector panics, overload stalls,
 # torn/ENOSPC checkpoint writes, follower read errors, kill-and-restore,

@@ -105,8 +105,10 @@ func (c *Composite) Score(raw map[string]float64) (float64, []Contribution) {
 // negative and NaN values contribute nothing), and scratch is a
 // caller-owned contribution buffer reused across calls (its length is
 // ignored; its capacity should be at least NumFeatures to stay
-// allocation-free). The returned contributions alias scratch's backing
-// array and are ordered exactly as Score orders them.
+// allocation-free). The sum is bit-identical to Score's. The returned
+// contributions alias scratch's backing array and are left in declaration
+// order: explanations are read only when a request alerts, so the caller
+// Ranks them there instead of paying the ordering on every request.
 func (c *Composite) ScoreVec(raw []float64, scratch []Contribution) (float64, []Contribution) {
 	var sum float64
 	contribs := scratch[:0]
@@ -121,15 +123,18 @@ func (c *Composite) ScoreVec(raw []float64, scratch []Contribution) (float64, []
 		sum += w
 		contribs = append(contribs, Contribution{Name: f.Name, Raw: x, Weighted: w})
 	}
-	// Insertion sort (descending weight, name tie-break): tiny inputs, no
-	// closure allocation, and the same total order sort.Slice produces in
-	// Score.
+	return sum, contribs
+}
+
+// Rank orders contributions in place as Score orders them: descending
+// weighted share, name as the tie-break. Insertion sort — tiny inputs, no
+// closure allocation, and the same total order sort.Slice produces.
+func Rank(contribs []Contribution) {
 	for i := 1; i < len(contribs); i++ {
 		for j := i; j > 0 && contribLess(contribs[j], contribs[j-1]); j-- {
 			contribs[j], contribs[j-1] = contribs[j-1], contribs[j]
 		}
 	}
-	return sum, contribs
 }
 
 func contribLess(a, b Contribution) bool {

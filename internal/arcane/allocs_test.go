@@ -6,7 +6,6 @@ import (
 
 	"divscrape/internal/detector"
 	"divscrape/internal/logfmt"
-	"divscrape/internal/uaparse"
 )
 
 // Inspect reuses the flat feature vector and contribution scratch, so
@@ -21,16 +20,12 @@ func TestInspectAllocGuard(t *testing.T) {
 	}
 	ua := "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0"
 	base := time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC)
-	req := detector.Request{
-		Entry: logfmt.Entry{
-			RemoteAddr: "10.1.2.3", Identity: "-", AuthUser: "-",
-			Method: "GET", Path: "/static/app.css", Proto: "HTTP/1.1",
-			Status: 200, Bytes: 900, Referer: "/",
-			UserAgent: ua,
-		},
-		UA: uaparse.Parse(ua),
-		IP: 0x0a010203,
-	}
+	req := detector.NewEnricher(nil).Enrich(logfmt.Entry{
+		RemoteAddr: "10.1.2.3", Identity: "-", AuthUser: "-",
+		Method: "GET", Path: "/static/app.css", Proto: "HTTP/1.1",
+		Status: 200, Bytes: 900, Referer: "/",
+		UserAgent: ua,
+	})
 	// Warm past the behavioural warm-up so the scorer actually runs.
 	for i := 0; i < 50; i++ {
 		req.Entry.Time = base.Add(time.Duration(i*7) * time.Second)

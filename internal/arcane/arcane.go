@@ -286,7 +286,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	}
 
 	now := req.Entry.Time
-	st, fresh := d.store.Touch(sessions.KeyFor(req.IP, req.Entry.UserAgent), now)
+	st, fresh := d.store.Touch(req.SessionKey(), now)
 	d.observe(st, req, now, fresh)
 
 	if st.count < uint64(d.cfg.WarmupRequests) {
@@ -299,9 +299,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	out.Score = score
 	if score >= d.cfg.AlertThreshold {
 		out.Alert = true
-		for i := range contribs {
-			out.Reasons.Append(contribs[i].Name)
-		}
+		detector.Explain(&out.Reasons, contribs)
 	}
 }
 
@@ -317,7 +315,7 @@ func (d *Detector) observe(st *session, req *detector.Request, now time.Time, fr
 	st.rate.Observe(now)
 	st.claims = req.UA.Class
 
-	info := sitemodel.ClassifyPath(req.Entry.Path)
+	info := &req.Target
 	switch {
 	case info.Kind == sitemodel.KindStatic:
 		st.assets++
@@ -330,7 +328,7 @@ func (d *Detector) observe(st *session, req *detector.Request, now time.Time, fr
 	if req.Entry.Status == 404 {
 		st.notFound++
 	}
-	if sitemodel.DisallowedByRobots(req.Entry.PathOnly()) {
+	if req.RobotsDisallowed {
 		st.robotsViol++
 	}
 	// Referer discipline applies to in-site page navigation: browsers

@@ -9,30 +9,27 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/sitemodel"
-	"divscrape/internal/uaparse"
 )
 
 var base = time.Date(2018, 3, 12, 10, 0, 0, 0, time.UTC)
 
 const cleanChrome = "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/64.0.3282.186 Safari/537.36"
 
+// enricher derives the test requests the way the pipeline does: a Request
+// is only valid as a detector input once enrichment has filled it.
+var enricher = detector.NewEnricher(iprep.BuildFeed())
+
 func mkReq(t *testing.T, ip, ua, path, referer string, status int, at time.Time) *detector.Request {
 	t.Helper()
-	addr, err := iprep.ParseIPv4(ip)
-	if err != nil {
+	if _, err := iprep.ParseIPv4(ip); err != nil {
 		t.Fatal(err)
 	}
-	cat, _ := iprep.BuildFeed().Lookup(addr)
-	return &detector.Request{
-		Entry: logfmt.Entry{
-			RemoteAddr: ip, Identity: "-", AuthUser: "-",
-			Time: at, Method: "GET", Path: path, Proto: "HTTP/1.1",
-			Status: status, Bytes: 1000, Referer: referer, UserAgent: ua,
-		},
-		UA:    uaparse.Parse(ua),
-		IP:    addr,
-		IPCat: cat,
-	}
+	req := enricher.Enrich(logfmt.Entry{
+		RemoteAddr: ip, Identity: "-", AuthUser: "-",
+		Time: at, Method: "GET", Path: path, Proto: "HTTP/1.1",
+		Status: status, Bytes: 1000, Referer: referer, UserAgent: ua,
+	})
+	return &req
 }
 
 func newDet(t *testing.T) *Detector {
@@ -253,22 +250,18 @@ func BenchmarkInspect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	addr, _ := iprep.ParseIPv4("172.16.0.9")
-	ua := uaparse.Parse("python-requests/2.18.4")
 	now := base
+	var req detector.Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now = now.Add(time.Second)
-		req := &detector.Request{
-			Entry: logfmt.Entry{
-				RemoteAddr: "172.16.0.9", Time: now,
-				Method: "GET", Path: "/api/price/" + strconv.Itoa(i%10000),
-				Proto:  "HTTP/1.1",
-				Status: 200, Bytes: 400, Referer: "-",
-				UserAgent: "python-requests/2.18.4",
-			},
-			UA: ua, IP: addr, IPCat: iprep.Datacenter,
-		}
-		d.Inspect(req)
+		enricher.EnrichInto(&req, logfmt.Entry{
+			RemoteAddr: "172.16.0.9", Time: now,
+			Method: "GET", Path: "/api/price/" + strconv.Itoa(i%10000),
+			Proto:  "HTTP/1.1",
+			Status: 200, Bytes: 400, Referer: "-",
+			UserAgent: "python-requests/2.18.4",
+		})
+		d.Inspect(&req)
 	}
 }

@@ -321,7 +321,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 		return
 	}
 	now := req.Entry.Time
-	st, fresh := d.store.Touch(sessions.KeyFor(req.IP, req.Entry.UserAgent), now)
+	st, fresh := d.store.Touch(req.SessionKey(), now)
 	observe(st, req, now, fresh)
 	if st.count < uint64(d.cfg.WarmupRequests) {
 		return
@@ -346,7 +346,7 @@ func observe(st *session, req *detector.Request, now time.Time, fresh bool) {
 	st.count++
 	st.declared = req.UA.IsAutomated() || req.UA.Class == uaparse.ClassEmpty
 
-	info := sitemodel.ClassifyPath(req.Entry.Path)
+	info := &req.Target
 	switch {
 	case info.Kind == sitemodel.KindStatic:
 		st.assets++

@@ -77,7 +77,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	err = gen.Run(func(ev workload.Event) error {
 		req := enricher.Enrich(ev.Entry)
 		now := ev.Entry.Time
-		ts, fresh := store.Touch(sessions.KeyFor(req.IP, ev.Entry.UserAgent), now)
+		ts, fresh := store.Touch(req.SessionKey(), now)
 		ts.malicious = ev.Label.Malicious()
 		observe(&ts.session, &req, now, fresh)
 		if ts.count%uint64(cfg.SampleEvery) == 0 {

@@ -6,37 +6,48 @@ import (
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/sitemodel"
 )
 
 // Enrichment is on the parse+enrich hot path and must be allocation-free
-// in steady state: UA and IP parses are cached, and EnrichInto writes into
-// a caller-owned Request.
+// in steady state for both enrichers: UA and IP facts are cached, the path
+// facts are pure arithmetic on the target string, and EnrichInto writes
+// into a caller-owned Request.
 func TestEnrichZeroAllocsSteadyState(t *testing.T) {
-	e := NewEnricher(iprep.BuildFeed())
 	entry := logfmt.Entry{
 		RemoteAddr: "10.1.2.3", Identity: "-", AuthUser: "-",
 		Time:   time.Date(2018, 3, 11, 6, 25, 14, 0, time.UTC),
-		Method: "GET", Path: "/product/17", Proto: "HTTP/1.1",
+		Method: "GET", Path: "/category/3?sort=asc&page=2", Proto: "HTTP/1.1",
 		Status: 200, Bytes: 52344, Referer: "/category/3",
 		UserAgent: "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0",
 	}
-	var req Request
-	// Warm the UA and IP caches.
-	e.EnrichInto(&req, entry)
-
-	allocs := testing.AllocsPerRun(200, func() {
-		e.EnrichInto(&req, entry)
-	})
-	if allocs != 0 {
-		t.Errorf("EnrichInto allocates %.1f/op in steady state, want 0", allocs)
+	plain, shared := NewEnricher(iprep.BuildFeed()), NewSharedEnricher(iprep.BuildFeed())
+	for name, enrichInto := range map[string]func(*Request, logfmt.Entry){
+		"Enricher":       plain.EnrichInto,
+		"SharedEnricher": shared.EnrichInto,
+	} {
+		var req Request
+		// Warm the UA and IP caches.
+		enrichInto(&req, entry)
+		allocs := testing.AllocsPerRun(200, func() {
+			enrichInto(&req, entry)
+		})
+		if allocs != 0 {
+			t.Errorf("%s.EnrichInto allocates %.1f/op in steady state, want 0", name, allocs)
+		}
+		// The run above must have derived, not skipped, the path facts.
+		if req.UAHash == 0 || req.Target.Kind != sitemodel.KindCategory || req.Target.Page != 2 {
+			t.Errorf("%s left derived fields unset: %+v", name, req)
+		}
 	}
 
 	// The by-value variant must stay allocation-free too (the Request
 	// does not escape).
-	allocs = testing.AllocsPerRun(200, func() {
-		req = e.Enrich(entry)
+	var req Request
+	allocs := testing.AllocsPerRun(200, func() {
+		req = plain.Enrich(entry)
 	})
-	if allocs != 0 {
-		t.Errorf("Enrich allocates %.1f/op in steady state, want 0", allocs)
+	if allocs != 0 || req.Target.Kind != sitemodel.KindCategory {
+		t.Errorf("Enrich allocates %.1f/op in steady state, want 0 (request %+v)", allocs, req)
 	}
 }

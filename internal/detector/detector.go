@@ -1,9 +1,10 @@
 // Package detector defines the contract shared by all scraping detectors:
 // the enriched per-request view, the verdict they emit, and the ground
 // truth labels the synthetic workload attaches. Concrete detectors live in
-// internal/sentinel (commercial-style) and internal/arcane (behavioural,
-// in-house-style); adjudication over several detectors lives in
-// internal/ensemble.
+// internal/sentinel (commercial-style), internal/arcane (behavioural,
+// in-house-style), internal/trajectory (navigation-shape) and
+// internal/bayes (the learned baseline); adjudication over several
+// detectors lives in internal/ensemble.
 package detector
 
 import (
@@ -12,6 +13,8 @@ import (
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/sessions"
+	"divscrape/internal/sitemodel"
 	"divscrape/internal/uaparse"
 )
 
@@ -19,6 +22,12 @@ import (
 // detector needs. The pipeline builds it once per record and hands the
 // same value to each detector, mirroring how the paper's two tools
 // monitored "the same application layer interactions".
+//
+// Everything below Entry is derived from it, and only enrichment
+// (Enricher, SharedEnricher) derives it: detectors read these fields
+// instead of re-hashing the User-Agent or re-classifying the path, so a
+// Request assembled by hand — derived fields left zero — is not a valid
+// detector input. Build one with an Enricher.
 type Request struct {
 	// Seq is the zero-based position of the record in the stream; verdict
 	// streams from different detectors align on it.
@@ -32,6 +41,20 @@ type Request struct {
 	// IPCat is the reputation category of IP; iprep.Unknown when no feed
 	// covers it.
 	IPCat iprep.Category
+	// UAHash is the FNV-1a 64 hash of Entry.UserAgent — the UAHash of
+	// sessions.KeyFor(IP, Entry.UserAgent).
+	UAHash uint64
+	// Target is sitemodel.ClassifyPath(Entry.Path).
+	Target sitemodel.PathInfo
+	// RobotsDisallowed is sitemodel.DisallowedByRobots(Entry.PathOnly()).
+	RobotsDisallowed bool
+}
+
+// SessionKey is the (IP, User-Agent) key per-session detectors keep their
+// state under; it equals sessions.KeyFor(IP, Entry.UserAgent) without
+// hashing the User-Agent again.
+func (r *Request) SessionKey() sessions.Key {
+	return sessions.Key{IP: r.IP, UAHash: r.UAHash}
 }
 
 // MaxReasons is the number of explanation slots a Verdict carries inline.

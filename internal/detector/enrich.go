@@ -3,6 +3,8 @@ package detector
 import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/sessions"
+	"divscrape/internal/sitemodel"
 	"divscrape/internal/uaparse"
 )
 
@@ -12,9 +14,21 @@ import (
 // Enricher is not safe for concurrent use; the pipeline owns one.
 type Enricher struct {
 	rep     *iprep.DB
-	uaCache map[string]uaparse.Info
+	uaCache map[string]uaFacts
 	ipCache map[string]ipInfo
 	seq     uint64
+}
+
+// uaFacts is everything enrichment derives from a User-Agent string. The
+// UA caches hold one per distinct string, so the parse and the session-key
+// hash are paid once per agent, not once per request per detector.
+type uaFacts struct {
+	info uaparse.Info
+	hash uint64
+}
+
+func deriveUA(ua string) uaFacts {
+	return uaFacts{info: uaparse.Parse(ua), hash: sessions.KeyFor(0, ua).UAHash}
 }
 
 type ipInfo struct {
@@ -22,12 +36,47 @@ type ipInfo struct {
 	cat iprep.Category
 }
 
+// deriveIP resolves a client address; an unparsable one keeps the zero
+// address and category.
+func deriveIP(rep *iprep.DB, addr string) ipInfo {
+	var info ipInfo
+	if ip, err := iprep.ParseIPv4(addr); err == nil {
+		info.ip = ip
+		if rep != nil {
+			info.cat, _ = rep.Lookup(ip)
+		}
+	}
+	return info
+}
+
+// derive is the one place a Request is assembled. Both enrichers resolve
+// the per-agent and per-address facts through their own caches and hand
+// them here, so they cannot drift apart in what they fill; the path facts
+// are computed here, once, for every detector. Every field of *req is
+// overwritten.
+func derive(req *Request, seq uint64, entry *logfmt.Entry, ua *uaFacts, ip ipInfo) {
+	req.Seq = seq
+	req.Entry = *entry
+	req.UA = ua.info
+	req.UAHash = ua.hash
+	req.IP = ip.ip
+	req.IPCat = ip.cat
+	req.Target = sitemodel.ClassifyPath(entry.Path)
+	req.RobotsDisallowed = sitemodel.DisallowedByRobots(entry.PathOnly())
+}
+
+// Cache bounds shared by both enrichers.
+const (
+	maxCachedUAs = 1 << 16
+	maxCachedIPs = 1 << 20
+)
+
 // NewEnricher returns an enricher resolving reputation against rep, which
 // may be nil to disable reputation enrichment.
 func NewEnricher(rep *iprep.DB) *Enricher {
 	return &Enricher{
 		rep:     rep,
-		uaCache: make(map[string]uaparse.Info, 1024),
+		uaCache: make(map[string]uaFacts, 1024),
 		ipCache: make(map[string]ipInfo, 4096),
 	}
 }
@@ -43,34 +92,23 @@ func (e *Enricher) Enrich(entry logfmt.Entry) Request {
 // reuse one Request (or a pooled one) instead of allocating per record.
 // Every field of *req is overwritten.
 func (e *Enricher) EnrichInto(req *Request, entry logfmt.Entry) {
-	req.Seq = e.seq
-	req.Entry = entry
-	e.seq++
-
 	ua, ok := e.uaCache[entry.UserAgent]
 	if !ok {
-		ua = uaparse.Parse(entry.UserAgent)
+		ua = deriveUA(entry.UserAgent)
 		// Bound the cache against adversarial UA churn.
-		if len(e.uaCache) < 1<<16 {
+		if len(e.uaCache) < maxCachedUAs {
 			e.uaCache[entry.UserAgent] = ua
 		}
 	}
-	req.UA = ua
-
 	info, ok := e.ipCache[entry.RemoteAddr]
 	if !ok {
-		if ip, err := iprep.ParseIPv4(entry.RemoteAddr); err == nil {
-			info.ip = ip
-			if e.rep != nil {
-				info.cat, _ = e.rep.Lookup(ip)
-			}
-		}
-		if len(e.ipCache) < 1<<20 {
+		info = deriveIP(e.rep, entry.RemoteAddr)
+		if len(e.ipCache) < maxCachedIPs {
 			e.ipCache[entry.RemoteAddr] = info
 		}
 	}
-	req.IP = info.ip
-	req.IPCat = info.cat
+	derive(req, e.seq, &entry, &ua, info)
+	e.seq++
 }
 
 // Seq returns the number of entries enriched so far.

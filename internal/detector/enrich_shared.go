@@ -6,7 +6,6 @@ import (
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
-	"divscrape/internal/uaparse"
 )
 
 // SharedEnricher is the concurrency-safe counterpart of Enricher, built
@@ -22,7 +21,7 @@ type SharedEnricher struct {
 	seq atomic.Uint64
 
 	mu      sync.RWMutex
-	uaCache map[string]uaparse.Info
+	uaCache map[string]uaFacts
 	ipCache map[string]ipInfo
 }
 
@@ -31,7 +30,7 @@ type SharedEnricher struct {
 func NewSharedEnricher(rep *iprep.DB) *SharedEnricher {
 	return &SharedEnricher{
 		rep:     rep,
-		uaCache: make(map[string]uaparse.Info, 1024),
+		uaCache: make(map[string]uaFacts, 1024),
 		ipCache: make(map[string]ipInfo, 4096),
 	}
 }
@@ -41,40 +40,29 @@ func NewSharedEnricher(rep *iprep.DB) *SharedEnricher {
 // but, unlike Enricher's, not guaranteed to match arrival order under
 // concurrency.
 func (e *SharedEnricher) EnrichInto(req *Request, entry logfmt.Entry) {
-	req.Seq = e.seq.Add(1) - 1
-	req.Entry = entry
-
 	e.mu.RLock()
 	ua, uaHit := e.uaCache[entry.UserAgent]
 	info, ipHit := e.ipCache[entry.RemoteAddr]
 	e.mu.RUnlock()
 
 	if !uaHit {
-		ua = uaparse.Parse(entry.UserAgent)
+		ua = deriveUA(entry.UserAgent)
 		e.mu.Lock()
 		// Bound the cache against adversarial UA churn.
-		if len(e.uaCache) < 1<<16 {
+		if len(e.uaCache) < maxCachedUAs {
 			e.uaCache[entry.UserAgent] = ua
 		}
 		e.mu.Unlock()
 	}
-	req.UA = ua
-
 	if !ipHit {
-		if ip, err := iprep.ParseIPv4(entry.RemoteAddr); err == nil {
-			info.ip = ip
-			if e.rep != nil {
-				info.cat, _ = e.rep.Lookup(ip)
-			}
-		}
+		info = deriveIP(e.rep, entry.RemoteAddr)
 		e.mu.Lock()
-		if len(e.ipCache) < 1<<20 {
+		if len(e.ipCache) < maxCachedIPs {
 			e.ipCache[entry.RemoteAddr] = info
 		}
 		e.mu.Unlock()
 	}
-	req.IP = info.ip
-	req.IPCat = info.cat
+	derive(req, e.seq.Add(1)-1, &entry, &ua, info)
 }
 
 // Reset clears the caches in place and restarts the sequence counter.

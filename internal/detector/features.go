@@ -1,6 +1,10 @@
 package detector
 
-import "fmt"
+import (
+	"fmt"
+
+	"divscrape/internal/anomaly"
+)
 
 // FeatureIndex is an ordered, immutable name→slot table shared between a
 // detector and its composite scorer, so both sides agree on the layout of
@@ -53,3 +57,15 @@ func (fi *FeatureIndex) Index(name string) int {
 
 // NewVector allocates a zeroed vector matching the index layout.
 func (fi *FeatureIndex) NewVector() []float64 { return make([]float64, len(fi.names)) }
+
+// Explain records why a request alerted: contribs (a ScoreVec result, in
+// declaration order) are ranked in place, most significant first, and
+// their interned feature names appended to out, which caps the depth.
+// Detectors call it on the alert branch only: reasons are read nowhere
+// else, so requests that do not alert never pay for the ordering.
+func Explain(out *ReasonList, contribs []anomaly.Contribution) {
+	anomaly.Rank(contribs)
+	for i := range contribs {
+		out.Append(contribs[i].Name)
+	}
+}

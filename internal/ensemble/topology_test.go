@@ -54,13 +54,12 @@ func contains(s, sub string) bool {
 }
 
 func req(path string, seq int) *detector.Request {
-	return &detector.Request{
-		Seq: uint64(seq),
-		Entry: logfmt.Entry{
-			Path: path,
-			Time: time.Date(2018, 3, 11, 0, 0, seq, 0, time.UTC),
-		},
-	}
+	r := detector.NewEnricher(nil).Enrich(logfmt.Entry{
+		Path: path,
+		Time: time.Date(2018, 3, 11, 0, 0, seq, 0, time.UTC),
+	})
+	r.Seq = uint64(seq)
+	return &r
 }
 
 func TestParallelValidation(t *testing.T) {

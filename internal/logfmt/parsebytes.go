@@ -14,14 +14,28 @@ import (
 // plain allocation without caching, which bounds memory under adversarial
 // churn (e.g. random query strings).
 //
+// Fields that hardly vary never reach the table: "-", the common methods
+// and the HTTP protocol versions come back as constants.
+//
 // An Interner also caches *time.Location values per numeric zone offset,
-// removing the per-line allocation time.Parse performs for non-UTC zones.
+// removing the per-line allocation time.Parse performs for non-UTC zones,
+// and remembers the last date and zone it decoded: logs are time-ordered,
+// so nearly every line falls on the same day as the one before it and its
+// timestamp costs an addition to that day's midnight, not a calendar
+// computation.
 //
 // Interner is not safe for concurrent use; each Reader owns one.
 type Interner struct {
 	m    map[string]string
 	max  int
 	locs map[int]*time.Location
+
+	// day and dayZone are the "02/Jan/2006" and "-0700" bytes of the last
+	// calendar-valid timestamp decoded, midnight that day's 00:00:00 in
+	// that zone. The zero value matches no line ('\x00' is not a digit).
+	day      [11]byte
+	dayZone  [5]byte
+	midnight time.Time
 }
 
 // NewInterner returns an interner holding at most max distinct strings
@@ -37,13 +51,38 @@ func NewInterner(max int) *Interner {
 	}
 }
 
-// Intern returns a string equal to b, reusing a previously interned copy
-// when possible. A nil receiver simply allocates.
+// Intern returns a string equal to b: a constant for the few tokens nearly
+// every line repeats, otherwise a previously interned copy when possible.
+// A nil receiver allocates what is not a constant.
 func (in *Interner) Intern(b []byte) string {
+	switch string(b) { // compiler elides the conversion
+	case "-":
+		return "-"
+	case "GET":
+		return "GET"
+	case "POST":
+		return "POST"
+	case "HEAD":
+		return "HEAD"
+	case "PUT":
+		return "PUT"
+	case "DELETE":
+		return "DELETE"
+	case "OPTIONS":
+		return "OPTIONS"
+	case "PATCH":
+		return "PATCH"
+	case "HTTP/1.1":
+		return "HTTP/1.1"
+	case "HTTP/1.0":
+		return "HTTP/1.0"
+	case "HTTP/2.0":
+		return "HTTP/2.0"
+	}
 	if in == nil {
 		return string(b)
 	}
-	if s, ok := in.m[string(b)]; ok { // compiler elides the conversion
+	if s, ok := in.m[string(b)]; ok {
 		return s
 	}
 	s := string(b)
@@ -271,26 +310,46 @@ func (p *bparser) parseApacheTime(b []byte) (time.Time, bool) {
 		b[14] != ':' || b[17] != ':' || b[20] != ' ' {
 		return time.Time{}, false
 	}
-	day, ok1 := atoi(b[0:2])
-	year, ok2 := atoi(b[7:11])
-	hour, ok3 := atoi(b[12:14])
-	min, ok4 := atoi(b[15:17])
-	sec, ok5 := atoi(b[18:20])
-	if !(ok1 && ok2 && ok3 && ok4 && ok5) {
+	hour, ok1 := atoi(b[12:14])
+	min, ok2 := atoi(b[15:17])
+	sec, ok3 := atoi(b[18:20])
+	if !(ok1 && ok2 && ok3) || hour > 23 || min > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	midnight, ok := p.in.dayStart(b[0:11], b[21:26])
+	if !ok {
+		return time.Time{}, false
+	}
+	// Zones are fixed offsets, so the day has no gaps: midnight plus the
+	// time of day is the instant time.Date would have built.
+	return midnight.Add(time.Duration(hour*3600+min*60+sec) * time.Second), true
+}
+
+// dayStart returns 00:00:00 of date ("02/Jan/2006") in zone ("-0700"). A
+// repeat of the last date and zone decoded is answered from memory; only
+// calendar-valid days are remembered, so a rejected date neither hits nor
+// replaces the memo. A nil receiver decodes every time.
+func (in *Interner) dayStart(date, zone []byte) (time.Time, bool) {
+	if in != nil && [11]byte(date) == in.day && [5]byte(zone) == in.dayZone {
+		return in.midnight, true
+	}
+	day, ok1 := atoi(date[0:2])
+	year, ok2 := atoi(date[7:11])
+	if !(ok1 && ok2) {
 		return time.Time{}, false
 	}
 	month := 0
 	for i, m := range &monthDays {
-		if b[3] == m[0] && b[4] == m[1] && b[5] == m[2] {
+		if date[3] == m[0] && date[4] == m[1] && date[5] == m[2] {
 			month = i + 1
 			break
 		}
 	}
-	if month == 0 || day < 1 || day > 31 || hour > 23 || min > 59 || sec > 59 {
+	if month == 0 || day < 1 || day > 31 {
 		return time.Time{}, false
 	}
 	sign := 0
-	switch b[21] {
+	switch zone[0] {
 	case '+':
 		sign = 1
 	case '-':
@@ -298,18 +357,21 @@ func (p *bparser) parseApacheTime(b []byte) (time.Time, bool) {
 	default:
 		return time.Time{}, false
 	}
-	zh, ok6 := atoi(b[22:24])
-	zm, ok7 := atoi(b[24:26])
-	if !ok6 || !ok7 || zh > 23 || zm > 59 {
+	zh, ok3 := atoi(zone[1:3])
+	zm, ok4 := atoi(zone[3:5])
+	if !ok3 || !ok4 || zh > 23 || zm > 59 {
 		return time.Time{}, false
 	}
 	offset := sign * (zh*3600 + zm*60)
-	t := time.Date(year, time.Month(month), day, hour, min, sec, 0, p.in.location(offset))
+	t := time.Date(year, time.Month(month), day, 0, 0, 0, 0, in.location(offset))
 	// time.Date normalizes calendar-invalid dates (31/Feb → 3/Mar); the
 	// string parser's time.Parse rejects them, so reject here too. Only
-	// the day can overflow — every other component is range-checked above.
+	// the day can overflow — every other component is range-checked.
 	if t.Day() != day {
 		return time.Time{}, false
+	}
+	if in != nil {
+		in.day, in.dayZone, in.midnight = [11]byte(date), [5]byte(zone), t
 	}
 	return t, true
 }

@@ -6,7 +6,6 @@ import (
 
 	"divscrape/internal/detector"
 	"divscrape/internal/logfmt"
-	"divscrape/internal/uaparse"
 )
 
 // Inspect reuses a flat feature vector, a contribution scratch buffer and
@@ -20,16 +19,12 @@ func TestInspectAllocGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC)
-	req := detector.Request{
-		Entry: logfmt.Entry{
-			RemoteAddr: "10.1.2.3", Identity: "-", AuthUser: "-",
-			Method: "GET", Path: "/static/app.css", Proto: "HTTP/1.1",
-			Status: 200, Bytes: 900, Referer: "/",
-			UserAgent: "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0",
-		},
-		UA: uaparse.Parse("Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0"),
-		IP: 0x0a010203,
-	}
+	req := detector.NewEnricher(nil).Enrich(logfmt.Entry{
+		RemoteAddr: "10.1.2.3", Identity: "-", AuthUser: "-",
+		Method: "GET", Path: "/static/app.css", Proto: "HTTP/1.1",
+		Status: 200, Bytes: 900, Referer: "/",
+		UserAgent: "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0",
+	})
 	// Warm: create the per-IP session and settle the rate limiter.
 	for i := 0; i < 50; i++ {
 		req.Entry.Time = base.Add(time.Duration(i) * time.Second)

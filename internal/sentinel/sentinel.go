@@ -250,7 +250,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	st.requests++
 	st.uaSeen.Add(req.Entry.UserAgent)
 
-	info := sitemodel.ClassifyPath(req.Entry.Path)
+	info := &req.Target
 	if info.Kind == sitemodel.KindChallengeVerify && req.Entry.Method == "POST" {
 		st.challengeSolved = true
 		st.pagesNoSolve = 0
@@ -317,7 +317,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	out.Score = score
 	if score >= d.cfg.AlertThreshold {
 		out.Alert = true
-		appendReasons(&out.Reasons, contribs)
+		detector.Explain(&out.Reasons, contribs)
 	}
 }
 
@@ -365,14 +365,6 @@ func violationSeverity(v uaparse.Violation) float64 {
 		return 2.0
 	default:
 		return 1.0
-	}
-}
-
-// appendReasons records the top contributions as interned feature-name
-// constants; ReasonList caps the depth, so no slice is ever built.
-func appendReasons(r *detector.ReasonList, contribs []anomaly.Contribution) {
-	for i := range contribs {
-		r.Append(contribs[i].Name)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/sitemodel"
-	"divscrape/internal/uaparse"
 )
 
 var base = time.Date(2018, 3, 12, 10, 0, 0, 0, time.UTC)
@@ -18,29 +17,27 @@ const (
 	staleChrome = "Mozilla/5.0 (Windows NT 6.1; WOW64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/41.0.2228.0 Safari/537.36"
 )
 
+// enricher derives the test requests the way the pipeline does: a Request
+// is only valid as a detector input once enrichment has filled it.
+var enricher = detector.NewEnricher(iprep.BuildFeed())
+
 // mkReq builds an enriched request without the pipeline.
 func mkReq(t *testing.T, seq uint64, ip, ua, path string, at time.Time) *detector.Request {
 	t.Helper()
-	addr, err := iprep.ParseIPv4(ip)
-	if err != nil {
+	if _, err := iprep.ParseIPv4(ip); err != nil {
 		t.Fatal(err)
 	}
-	cat, _ := iprep.BuildFeed().Lookup(addr)
 	method := "GET"
 	if path == sitemodel.ChallengeVerifyPath {
 		method = "POST"
 	}
-	return &detector.Request{
-		Seq: seq,
-		Entry: logfmt.Entry{
-			RemoteAddr: ip, Identity: "-", AuthUser: "-",
-			Time: at, Method: method, Path: path, Proto: "HTTP/1.1",
-			Status: 200, Bytes: 1000, Referer: "-", UserAgent: ua,
-		},
-		UA:    uaparse.Parse(ua),
-		IP:    addr,
-		IPCat: cat,
-	}
+	req := enricher.Enrich(logfmt.Entry{
+		RemoteAddr: ip, Identity: "-", AuthUser: "-",
+		Time: at, Method: method, Path: path, Proto: "HTTP/1.1",
+		Status: 200, Bytes: 1000, Referer: "-", UserAgent: ua,
+	})
+	req.Seq = seq
+	return &req
 }
 
 func newDet(t *testing.T) *Detector {
@@ -259,23 +256,15 @@ func BenchmarkInspect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	feed := iprep.BuildFeed()
-	addr, _ := iprep.ParseIPv4("172.16.0.9")
-	cat, _ := feed.Lookup(addr)
-	req := &detector.Request{
-		Entry: logfmt.Entry{
-			RemoteAddr: "172.16.0.9", Time: base,
-			Method: "GET", Path: "/api/price/42", Proto: "HTTP/1.1",
-			Status: 200, Bytes: 400, Referer: "-",
-			UserAgent: "python-requests/2.18.4",
-		},
-		UA:    uaparse.Parse("python-requests/2.18.4"),
-		IP:    addr,
-		IPCat: cat,
-	}
+	req := enricher.Enrich(logfmt.Entry{
+		RemoteAddr: "172.16.0.9", Time: base,
+		Method: "GET", Path: "/api/price/42", Proto: "HTTP/1.1",
+		Status: 200, Bytes: 400, Referer: "-",
+		UserAgent: "python-requests/2.18.4",
+	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		req.Entry.Time = req.Entry.Time.Add(time.Second)
-		d.Inspect(req)
+		d.Inspect(&req)
 	}
 }

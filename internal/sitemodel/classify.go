@@ -6,8 +6,9 @@ import (
 )
 
 // PageKind is the coarse type of a request target within the site's URL
-// space. Detectors classify paths to reason about behaviour (pages vs
-// assets vs API) without string-matching in their hot loops.
+// space. Enrichment classifies each request's path once, and the detectors
+// reason about behaviour (pages vs assets vs API) from the kind without
+// string-matching in their hot loops.
 type PageKind int
 
 const (
@@ -177,8 +178,8 @@ func ClassifyPath(target string) PathInfo {
 }
 
 // pageFromQuery scans the query string for a page= parameter without
-// splitting it into an allocated slice — ClassifyPath sits inside both
-// detectors' per-request loops.
+// splitting it into an allocated slice — ClassifyPath runs once per
+// request, in the enricher (detector.Request.Target).
 func pageFromQuery(query string) int {
 	for len(query) > 0 {
 		kv := query

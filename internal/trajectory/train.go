@@ -88,8 +88,8 @@ func Train(cfg TrainConfig) (*Model, error) {
 		if req.UA.Class == uaparse.ClassSearchBot && req.IPCat == iprep.SearchEngine {
 			return nil
 		}
-		kind := sitemodel.ClassifyPath(req.Entry.Path).Kind
-		ts, _ := store.Touch(sessions.KeyFor(req.IP, ev.Entry.UserAgent), ev.Entry.Time)
+		kind := req.Target.Kind
+		ts, _ := store.Touch(req.SessionKey(), ev.Entry.Time)
 		if ts.prev >= 0 {
 			acc.trans[ts.prev][kind]++
 		}

@@ -277,7 +277,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	}
 
 	now := req.Entry.Time
-	st, _ := d.store.Touch(sessions.KeyFor(req.IP, req.Entry.UserAgent), now)
+	st, _ := d.store.Touch(req.SessionKey(), now)
 	d.observe(st, req)
 
 	if st.count < uint64(d.cfg.WarmupRequests) {
@@ -290,9 +290,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	out.Score = score
 	if score >= d.cfg.AlertThreshold {
 		out.Alert = true
-		for i := range contribs {
-			out.Reasons.Append(contribs[i].Name)
-		}
+		detector.Explain(&out.Reasons, contribs)
 	}
 }
 
@@ -300,7 +298,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 // clock-free: the walk's shape, not its speed, is this detector's signal
 // (speed belongs to the behavioural detector).
 func (d *Detector) observe(st *session, req *detector.Request) {
-	info := sitemodel.ClassifyPath(req.Entry.Path)
+	info := &req.Target
 	kind := info.Kind
 	if st.prevKind >= 0 {
 		prev := sitemodel.PageKind(st.prevKind)

@@ -8,7 +8,6 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/sitemodel"
-	"divscrape/internal/uaparse"
 	"divscrape/internal/workload"
 )
 
@@ -17,23 +16,21 @@ var base = time.Date(2018, 3, 12, 10, 0, 0, 0, time.UTC)
 const cleanChrome = "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/64.0.3282.186 Safari/537.36"
 const googlebot = "Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)"
 
+// enricher derives the test requests the way the pipeline does: a Request
+// is only valid as a detector input once enrichment has filled it.
+var enricher = detector.NewEnricher(iprep.BuildFeed())
+
 func mkReq(t *testing.T, ip, ua, path string, at time.Time) *detector.Request {
 	t.Helper()
-	addr, err := iprep.ParseIPv4(ip)
-	if err != nil {
+	if _, err := iprep.ParseIPv4(ip); err != nil {
 		t.Fatal(err)
 	}
-	cat, _ := iprep.BuildFeed().Lookup(addr)
-	return &detector.Request{
-		Entry: logfmt.Entry{
-			RemoteAddr: ip, Identity: "-", AuthUser: "-",
-			Time: at, Method: "GET", Path: path, Proto: "HTTP/1.1",
-			Status: 200, Bytes: 1000, Referer: "-", UserAgent: ua,
-		},
-		UA:    uaparse.Parse(ua),
-		IP:    addr,
-		IPCat: cat,
-	}
+	req := enricher.Enrich(logfmt.Entry{
+		RemoteAddr: ip, Identity: "-", AuthUser: "-",
+		Time: at, Method: "GET", Path: path, Proto: "HTTP/1.1",
+		Status: 200, Bytes: 1000, Referer: "-", UserAgent: ua,
+	})
+	return &req
 }
 
 func newDet(t *testing.T) *Detector {
