@@ -4,7 +4,7 @@
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR10.json so the performance
 # trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
-# targets for a short bounded pass.
+# targets, and the id set against its map model, for a short bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
 # checked-in record: non-zero exit when req/s regresses >20% or allocs/op
 # rises on any shared benchmark. Both targets share the bench.out recipe,
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats/ -run xxx -fuzz FuzzIDSet -fuzztime $(FUZZTIME)
 
 bench.out:
 	@rm -f bench.out

@@ -140,7 +140,7 @@ type session struct {
 	robotsViol      uint64
 	refererMiss     uint64
 	refererEligible uint64
-	products        map[int]struct{}
+	products        stats.IDSet
 	lastProduct     int
 	seqRuns         uint64 // consecutive-ID product/price accesses
 	lastCategory    int
@@ -148,8 +148,18 @@ type session struct {
 	pageRuns        uint64 // consecutive pagination steps
 	lastTime        time.Time
 	interarrival    stats.Welford
-	rate            *stats.DecayRate
+	rate            stats.DecayRate
 	claims          uaparse.Class
+}
+
+// freshSession is a session nothing has been observed in.
+func freshSession() session {
+	return session{
+		lastProduct:  -1,
+		lastCategory: -1,
+		lastPage:     -1,
+		rate:         stats.NewDecayRate(2 * time.Minute),
+	}
 }
 
 // Detector is the behavioural detector. Not safe for concurrent use.
@@ -207,29 +217,13 @@ func newStore(cfg Config) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: cfg.IdleTimeout,
 		New: func(time.Time) *session {
-			return &session{
-				products:     make(map[int]struct{}, 16),
-				lastProduct:  -1,
-				lastCategory: -1,
-				lastPage:     -1,
-				rate:         stats.NewDecayRate(2 * time.Minute),
-			}
+			st := freshSession()
+			return &st
 		},
-		// Recycle resets an ended session in place — the product map keeps
-		// its buckets, the decay-rate tracker its configuration — so
-		// session churn does not allocate in steady state.
-		Recycle: func(st *session) {
-			products, rate := st.products, st.rate
-			clear(products)
-			rate.Reset()
-			*st = session{
-				products:     products,
-				lastProduct:  -1,
-				lastCategory: -1,
-				lastPage:     -1,
-				rate:         rate,
-			}
-		},
+		// Recycle overwrites an ended session's record, so session churn
+		// does not allocate in steady state; a product table the old
+		// session grew is let go, not kept for the next client.
+		Recycle:  func(st *session) { *st = freshSession() },
 		Snapshot: snapshotSession,
 		Restore:  restoreSession,
 	})
@@ -341,7 +335,7 @@ func (d *Detector) observe(st *session, req *detector.Request, now time.Time, fr
 	}
 	// Sequential-ID enumeration across product pages and the price API.
 	if id := info.ProductID; id >= 0 {
-		st.products[id] = struct{}{}
+		st.products.Add(id)
 		if st.lastProduct >= 0 && (id == st.lastProduct+1 || id == st.lastProduct+2) {
 			st.seqRuns++
 		}
@@ -378,7 +372,7 @@ func (d *Detector) fillFeatures(st *session, now time.Time) {
 		vec[idxEnumeration] = float64(st.seqRuns) / float64(contentReqs) * 2
 		vec[idxNotFound] = float64(st.notFound) / float64(contentReqs) * 2
 	}
-	vec[idxCoverage] = float64(len(st.products)) / d.cfg.CoverageKnee
+	vec[idxCoverage] = float64(st.products.Len()) / d.cfg.CoverageKnee
 	if st.pages > 0 {
 		vec[idxPagination] = float64(st.pageRuns) / float64(st.pages) * 2
 	}

@@ -2,7 +2,6 @@ package arcane
 
 import (
 	"fmt"
-	"sort"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/sessions"
@@ -16,8 +15,7 @@ const tagArcane uint16 = 0x4A01
 var _ detector.ShardedSnapshotter = (*Detector)(nil)
 
 // snapshotSession and restoreSession are the sessions value hooks; they
-// must stay symmetric field for field. The product-ID set is written in
-// ascending order so equal sessions always serialise to equal bytes.
+// must stay symmetric field for field.
 func snapshotSession(w *statecodec.Writer, st *session) {
 	w.Uint64(st.count)
 	w.Uint64(st.pages)
@@ -27,15 +25,7 @@ func snapshotSession(w *statecodec.Writer, st *session) {
 	w.Uint64(st.robotsViol)
 	w.Uint64(st.refererMiss)
 	w.Uint64(st.refererEligible)
-	ids := make([]int, 0, len(st.products))
-	for id := range st.products {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Uint32(uint32(len(ids)))
-	for _, id := range ids {
-		w.Int(id)
-	}
+	st.products.SnapshotInto(w)
 	w.Int(st.lastProduct)
 	w.Uint64(st.seqRuns)
 	w.Int(st.lastCategory)
@@ -56,9 +46,8 @@ func restoreSession(r *statecodec.Reader, st *session) error {
 	st.robotsViol = r.Uint64()
 	st.refererMiss = r.Uint64()
 	st.refererEligible = r.Uint64()
-	n := r.Count(8)
-	for i := 0; i < n; i++ {
-		st.products[r.Int()] = struct{}{}
+	if err := st.products.RestoreFrom(r); err != nil {
+		return err
 	}
 	st.lastProduct = r.Int()
 	st.seqRuns = r.Uint64()

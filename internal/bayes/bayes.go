@@ -171,7 +171,7 @@ type session struct {
 	errors4xx    uint64
 	refererMiss  uint64
 	refererElig  uint64
-	products     map[int]struct{}
+	products     stats.IDSet
 	lastTime     time.Time
 	first        time.Time
 	interarrival stats.Welford
@@ -203,7 +203,7 @@ func (s *session) vector() FeatureVector {
 	v[featAPIRatio] = binThresholds(apiRatio, 0.1, 0.4, 0.75)
 	errRatio := float64(s.errors4xx) / float64(s.count)
 	v[featErrorRatio] = binThresholds(errRatio, 0.01, 0.05, 0.2)
-	v[featCoverage] = binThresholds(float64(len(s.products)), 10, 40, 150)
+	v[featCoverage] = binThresholds(float64(s.products.Len()), 10, 40, 150)
 	return v
 }
 
@@ -280,7 +280,7 @@ func newStore(idle time.Duration) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: idle,
 		New: func(now time.Time) *session {
-			return &session{products: make(map[int]struct{}, 8), first: now}
+			return &session{first: now}
 		},
 		Snapshot: snapshotSession,
 		Restore:  restoreSession,
@@ -364,7 +364,5 @@ func observe(st *session, req *detector.Request, now time.Time, fresh bool) {
 	if req.Entry.Status >= 400 && req.Entry.Status < 500 {
 		st.errors4xx++
 	}
-	if info.ProductID >= 0 {
-		st.products[info.ProductID] = struct{}{}
-	}
+	st.products.Add(info.ProductID)
 }

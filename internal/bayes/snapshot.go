@@ -2,7 +2,6 @@ package bayes
 
 import (
 	"fmt"
-	"sort"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/sessions"
@@ -57,15 +56,7 @@ func snapshotSession(w *statecodec.Writer, st *session) {
 	w.Uint64(st.errors4xx)
 	w.Uint64(st.refererMiss)
 	w.Uint64(st.refererElig)
-	ids := make([]int, 0, len(st.products))
-	for id := range st.products {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Uint32(uint32(len(ids)))
-	for _, id := range ids {
-		w.Int(id)
-	}
+	st.products.SnapshotInto(w)
 	w.Time(st.lastTime)
 	w.Time(st.first)
 	st.interarrival.SnapshotInto(w)
@@ -80,9 +71,8 @@ func restoreSession(r *statecodec.Reader, st *session) error {
 	st.errors4xx = r.Uint64()
 	st.refererMiss = r.Uint64()
 	st.refererElig = r.Uint64()
-	n := r.Count(8)
-	for i := 0; i < n; i++ {
-		st.products[r.Int()] = struct{}{}
+	if err := st.products.RestoreFrom(r); err != nil {
+		return err
 	}
 	st.lastTime = r.Time()
 	st.first = r.Time()

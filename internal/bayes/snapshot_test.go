@@ -6,7 +6,9 @@ import (
 
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
+	"divscrape/internal/logfmt"
 	"divscrape/internal/statecodec"
+	"divscrape/internal/statecodec/codectest"
 	"divscrape/internal/workload"
 )
 
@@ -135,4 +137,30 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+
+	// A product-id list no writer emits is corrupt too, not silently taken.
+	m3 := *trainedModel(t)
+	one, err := New(Config{Model: &m3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range []string{"/product/70001", "/product/70009"} {
+		req := enr.Enrich(logfmt.Entry{
+			RemoteAddr: "10.9.8.7", Identity: "-", AuthUser: "-",
+			Time: time.Date(2018, 3, 12, 10, 0, i, 0, time.UTC), Method: "GET", Path: path,
+			Proto: "HTTP/1.1", Status: 200, Bytes: 1000, Referer: "-", UserAgent: "Mozilla/5.0",
+		})
+		one.Inspect(&req)
+	}
+	w.Reset()
+	one.SnapshotInto(w)
+	find, rewrites := codectest.BadIDLists(70001, 70009)
+	codectest.RejectRewrites(t, w.Bytes(), func(p []byte) error {
+		m4 := *trainedModel(t)
+		fresh, err := New(Config{Model: &m4})
+		if err != nil {
+			return err
+		}
+		return fresh.RestoreFrom(statecodec.NewReader(p))
+	}, find, rewrites)
 }

@@ -59,7 +59,6 @@ func Train(cfg TrainConfig) (*Model, error) {
 		IdleTimeout: cfg.IdleTimeout,
 		New: func(now time.Time) *trainSession {
 			ts := &trainSession{}
-			ts.products = make(map[int]struct{}, 8)
 			ts.first = now
 			return ts
 		},

@@ -1,9 +1,10 @@
 // Package ratelimit implements clock-injectable rate measurement and
-// admission primitives: token bucket, sliding-window counters and GCRA.
-// The commercial-style detector uses them to judge per-client request
-// rates; the workload generator uses them in tests to validate actor
-// pacing. All types take explicit time.Time arguments — there is no hidden
-// wall clock — so simulated traces replay deterministically.
+// admission primitives: sliding-window counters and GCRA. The
+// commercial-style detector uses them to judge per-client request rates.
+// Both are plain values with no pointers inside, so a per-client record
+// embeds them and stays one allocation. All methods take explicit
+// time.Time arguments — there is no hidden wall clock — so simulated traces
+// replay deterministically.
 package ratelimit
 
 import (
@@ -11,94 +12,34 @@ import (
 	"time"
 )
 
-// TokenBucket admits events at a sustained rate with a configurable burst.
-// The zero value is unusable; construct with NewTokenBucket.
-type TokenBucket struct {
-	rate   float64 // tokens per second
-	burst  float64 // bucket capacity
-	tokens float64
-	last   time.Time
-	seen   bool
-}
-
-// NewTokenBucket returns a bucket admitting rate events/second with the
-// given burst capacity. The bucket starts full.
-func NewTokenBucket(rate, burst float64) (*TokenBucket, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("ratelimit: rate must be positive, got %g", rate)
-	}
-	if burst < 1 {
-		return nil, fmt.Errorf("ratelimit: burst must be at least 1, got %g", burst)
-	}
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst}, nil
-}
-
-// Allow reports whether one event at time now conforms, consuming a token
-// if so.
-func (b *TokenBucket) Allow(now time.Time) bool {
-	return b.AllowN(now, 1)
-}
-
-// AllowN reports whether n simultaneous events conform.
-func (b *TokenBucket) AllowN(now time.Time, n float64) bool {
-	b.refill(now)
-	if b.tokens < n {
-		return false
-	}
-	b.tokens -= n
-	return true
-}
-
-// Tokens returns the available tokens as of now, without consuming.
-func (b *TokenBucket) Tokens(now time.Time) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
-func (b *TokenBucket) refill(now time.Time) {
-	if !b.seen {
-		b.seen = true
-		b.last = now
-		return
-	}
-	dt := now.Sub(b.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	b.tokens += dt * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-}
-
 // SlidingWindow counts events over a trailing window using fixed sub-bucket
 // rotation, giving an O(1) approximate count with bounded memory. With k
 // sub-buckets the count error is at most one sub-bucket's worth of events.
 type SlidingWindow struct {
 	window  time.Duration
 	slot    time.Duration
-	buckets []uint64
+	buckets [maxSlots]uint64 // the first slots are in use
+	slots   int
 	head    int       // index of the bucket covering slotStart
 	start   time.Time // start of the head slot
 	seen    bool
 	total   uint64
 }
 
+// maxSlots is the bucket array's fixed length: the window lives inside its
+// owner's record, and the one owner (sentinel, per client address) uses 6.
+const maxSlots = 6
+
 // NewSlidingWindow returns a counter over the given window split into slots
-// sub-buckets (minimum 2).
-func NewSlidingWindow(window time.Duration, slots int) (*SlidingWindow, error) {
+// sub-buckets (2 to 6).
+func NewSlidingWindow(window time.Duration, slots int) (SlidingWindow, error) {
 	if window <= 0 {
-		return nil, fmt.Errorf("ratelimit: window must be positive, got %v", window)
+		return SlidingWindow{}, fmt.Errorf("ratelimit: window must be positive, got %v", window)
 	}
-	if slots < 2 {
-		return nil, fmt.Errorf("ratelimit: need at least 2 slots, got %d", slots)
+	if slots < 2 || slots > maxSlots {
+		return SlidingWindow{}, fmt.Errorf("ratelimit: need 2 to %d slots, got %d", maxSlots, slots)
 	}
-	return &SlidingWindow{
-		window:  window,
-		slot:    window / time.Duration(slots),
-		buckets: make([]uint64, slots),
-	}, nil
+	return SlidingWindow{window: window, slot: window / time.Duration(slots), slots: slots}, nil
 }
 
 // Observe counts one event at time now and returns the windowed count
@@ -122,15 +63,6 @@ func (w *SlidingWindow) Rate(now time.Time) float64 {
 	return float64(w.Count(now)) / w.window.Seconds()
 }
 
-// Reset clears the window in place, keeping the bucket array, so recycled
-// per-client state can back a fresh session without allocating.
-func (w *SlidingWindow) Reset() {
-	for i := range w.buckets {
-		w.buckets[i] = 0
-	}
-	w.head, w.start, w.seen, w.total = 0, time.Time{}, false, 0
-}
-
 func (w *SlidingWindow) advance(now time.Time) {
 	if !w.seen {
 		w.seen = true
@@ -141,17 +73,15 @@ func (w *SlidingWindow) advance(now time.Time) {
 	if steps <= 0 {
 		return
 	}
-	if steps >= len(w.buckets) {
-		for i := range w.buckets {
-			w.buckets[i] = 0
-		}
+	if steps >= w.slots {
+		w.buckets = [maxSlots]uint64{}
 		w.total = 0
 		w.head = 0
 		w.start = now.Truncate(w.slot)
 		return
 	}
 	for i := 0; i < steps; i++ {
-		w.head = (w.head + 1) % len(w.buckets)
+		w.head = (w.head + 1) % w.slots
 		w.total -= w.buckets[w.head]
 		w.buckets[w.head] = 0
 	}
@@ -172,24 +102,18 @@ type GCRA struct {
 
 // NewGCRA returns a limiter admitting rate events/second with a burst of
 // approximately burst events.
-func NewGCRA(rate float64, burst float64) (*GCRA, error) {
+func NewGCRA(rate float64, burst float64) (GCRA, error) {
 	if rate <= 0 {
-		return nil, fmt.Errorf("ratelimit: rate must be positive, got %g", rate)
+		return GCRA{}, fmt.Errorf("ratelimit: rate must be positive, got %g", rate)
 	}
 	if burst < 1 {
-		return nil, fmt.Errorf("ratelimit: burst must be at least 1, got %g", burst)
+		return GCRA{}, fmt.Errorf("ratelimit: burst must be at least 1, got %g", burst)
 	}
 	inc := time.Duration(float64(time.Second) / rate)
-	return &GCRA{
+	return GCRA{
 		increment: inc,
 		tolerance: time.Duration(float64(inc) * (burst - 1)),
 	}, nil
-}
-
-// Reset returns the limiter to its just-constructed state (rate and burst
-// are kept), so recycled per-client state can back a fresh session.
-func (g *GCRA) Reset() {
-	g.tat, g.seen = time.Time{}, false
 }
 
 // Allow reports whether an event at time now conforms.

@@ -8,96 +8,26 @@ import (
 
 var base = time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
 
-func TestTokenBucketValidation(t *testing.T) {
-	if _, err := NewTokenBucket(0, 10); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewTokenBucket(1, 0); err == nil {
-		t.Error("zero burst accepted")
-	}
+// refBucket is the textbook token bucket, kept here as the reference the
+// GCRA is checked against: tokens refill at rate per second up to burst,
+// an event takes one.
+type refBucket struct {
+	rate, burst, tokens float64
+	last                time.Time
+	seen                bool
 }
 
-func TestTokenBucketBurstThenRefill(t *testing.T) {
-	b, err := NewTokenBucket(1, 5)
-	if err != nil {
-		t.Fatal(err)
+func (b *refBucket) Allow(now time.Time) bool {
+	if !b.seen {
+		b.seen, b.last, b.tokens = true, now, b.burst
+	} else if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens, b.last = min(b.tokens+dt*b.rate, b.burst), now
 	}
-	now := base
-	// The bucket starts full: five instant events pass, the sixth fails.
-	for i := 0; i < 5; i++ {
-		if !b.Allow(now) {
-			t.Fatalf("event %d rejected within burst", i)
-		}
+	if b.tokens < 1 {
+		return false
 	}
-	if b.Allow(now) {
-		t.Error("burst exceeded but event admitted")
-	}
-	// After two seconds, two tokens return.
-	now = now.Add(2 * time.Second)
-	if !b.Allow(now) || !b.Allow(now) {
-		t.Error("refilled tokens not granted")
-	}
-	if b.Allow(now) {
-		t.Error("admitted more than the refill")
-	}
-}
-
-func TestTokenBucketConformanceProperty(t *testing.T) {
-	// Over any event pattern, admissions in a window never exceed
-	// burst + rate*window.
-	f := func(gapsMs []uint16) bool {
-		b, err := NewTokenBucket(2, 10)
-		if err != nil {
-			return false
-		}
-		now := base
-		admitted := 0
-		var elapsed time.Duration
-		for _, g := range gapsMs {
-			gap := time.Duration(g%2000) * time.Millisecond
-			now = now.Add(gap)
-			elapsed += gap
-			if b.Allow(now) {
-				admitted++
-			}
-		}
-		bound := 10 + int(elapsed.Seconds()*2) + 1
-		return admitted <= bound
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTokenBucketTokensReadOnly(t *testing.T) {
-	b, err := NewTokenBucket(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Tokens(base); got != 3 {
-		t.Errorf("fresh bucket has %g tokens, want 3", got)
-	}
-	b.AllowN(base, 2)
-	if got := b.Tokens(base); got != 1 {
-		t.Errorf("after AllowN(2): %g tokens, want 1", got)
-	}
-	if b.AllowN(base, 2) {
-		t.Error("AllowN exceeded available tokens")
-	}
-}
-
-func TestTokenBucketClockBackwards(t *testing.T) {
-	b, err := NewTokenBucket(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Allow(base) {
-		t.Fatal("first event rejected")
-	}
-	// Time going backwards must not mint tokens.
-	if b.Allow(base.Add(-time.Hour)) {
-		t.Error("backwards clock minted tokens")
-	}
+	b.tokens--
+	return true
 }
 
 func TestSlidingWindowValidation(t *testing.T) {
@@ -106,6 +36,13 @@ func TestSlidingWindowValidation(t *testing.T) {
 	}
 	if _, err := NewSlidingWindow(time.Minute, 1); err == nil {
 		t.Error("single slot accepted")
+	}
+	// The buckets are a fixed array inside the value.
+	if _, err := NewSlidingWindow(time.Minute, maxSlots); err != nil {
+		t.Errorf("%d slots rejected: %v", maxSlots, err)
+	}
+	if _, err := NewSlidingWindow(time.Minute, maxSlots+1); err == nil {
+		t.Errorf("%d slots accepted, the array holds %d", maxSlots+1, maxSlots)
 	}
 }
 
@@ -161,6 +98,26 @@ func TestSlidingWindowRate(t *testing.T) {
 	}
 }
 
+// A window is a plain value: a copy is a second, independent counter, which
+// is what lets sentinel start every client from one template record.
+func TestSlidingWindowCopyIsIndependent(t *testing.T) {
+	a, err := NewSlidingWindow(time.Minute, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Observe(base)
+	b := a
+	for i := 1; i <= 5; i++ {
+		b.Observe(base.Add(time.Duration(i) * 11 * time.Second))
+	}
+	if got := a.Count(base); got != 1 {
+		t.Errorf("original counts %d after its copy observed 5 more, want 1", got)
+	}
+	if got := b.Count(base.Add(55 * time.Second)); got != 6 {
+		t.Errorf("copy counts %d, want 6", got)
+	}
+}
+
 func TestGCRAValidation(t *testing.T) {
 	if _, err := NewGCRA(0, 5); err == nil {
 		t.Error("zero rate accepted")
@@ -205,15 +162,15 @@ func TestGCRABurstAndSustained(t *testing.T) {
 	}
 }
 
-// GCRA and TokenBucket implement the same conformance law; over a steady
-// stream their admission counts agree within one burst.
+// GCRA and a token bucket implement the same conformance law; over a
+// steady stream their admission counts agree within one burst.
 func TestGCRATokenBucketAgreementProperty(t *testing.T) {
 	f := func(gapsMs []uint16) bool {
-		g, err1 := NewGCRA(2, 8)
-		b, err2 := NewTokenBucket(2, 8)
-		if err1 != nil || err2 != nil {
+		g, err := NewGCRA(2, 8)
+		if err != nil {
 			return false
 		}
+		b := refBucket{rate: 2, burst: 8}
 		now := base
 		ga, ba := 0, 0
 		for _, gap := range gapsMs {

@@ -7,42 +7,22 @@ import (
 )
 
 // Snapshot support: the limiters serialise only their dynamic state
-// (tokens, timestamps, window counts); rates, bursts and window shapes
+// (timestamps, window counts); rates, bursts and window shapes
 // are configuration and must match between the snapshotting and the
 // restoring instance. SlidingWindow verifies the bucket count and rejects
 // a mismatched snapshot rather than silently reinterpreting it.
 
 // Section tags.
 const (
-	tagTokenBucket   uint16 = 0x5201
 	tagSlidingWindow uint16 = 0x5202
 	tagGCRA          uint16 = 0x5203
 )
 
 // SnapshotInto implements statecodec.Snapshotter.
-func (b *TokenBucket) SnapshotInto(w *statecodec.Writer) {
-	w.Tag(tagTokenBucket)
-	w.Float64(b.tokens)
-	w.Time(b.last)
-	w.Bool(b.seen)
-}
-
-// RestoreFrom implements statecodec.Snapshotter.
-func (b *TokenBucket) RestoreFrom(r *statecodec.Reader) error {
-	if err := r.Expect(tagTokenBucket); err != nil {
-		return err
-	}
-	b.tokens = r.Float64()
-	b.last = r.Time()
-	b.seen = r.Bool()
-	return r.Err()
-}
-
-// SnapshotInto implements statecodec.Snapshotter.
 func (w *SlidingWindow) SnapshotInto(sw *statecodec.Writer) {
 	sw.Tag(tagSlidingWindow)
-	sw.Uint32(uint32(len(w.buckets)))
-	for _, c := range w.buckets {
+	sw.Uint32(uint32(w.slots))
+	for _, c := range w.buckets[:w.slots] {
 		sw.Uint64(c)
 	}
 	sw.Int(w.head)
@@ -62,9 +42,9 @@ func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n != len(w.buckets) {
+	if n != w.slots {
 		return fmt.Errorf("%w: sliding window has %d slots, snapshot has %d",
-			statecodec.ErrCorrupt, len(w.buckets), n)
+			statecodec.ErrCorrupt, w.slots, n)
 	}
 	w.total = 0
 	for i := 0; i < n; i++ {
@@ -77,7 +57,7 @@ func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if w.head < 0 || w.head >= len(w.buckets) {
+	if w.head < 0 || w.head >= w.slots {
 		return fmt.Errorf("%w: sliding window head %d out of range", statecodec.ErrCorrupt, w.head)
 	}
 	return nil

@@ -14,29 +14,22 @@ var snapBase = time.Date(2018, 3, 11, 9, 0, 0, 0, time.UTC)
 // original.
 func TestSnapshotRoundTripEquivalence(t *testing.T) {
 	g1, _ := NewGCRA(2, 5)
-	b1, _ := NewTokenBucket(2, 5)
 	w1, _ := NewSlidingWindow(time.Minute, 6)
 	now := snapBase
 	for i := 0; i < 40; i++ {
 		now = now.Add(time.Duration(100+i*37) * time.Millisecond)
 		g1.Allow(now)
-		b1.Allow(now)
 		w1.Observe(now)
 	}
 
 	w := statecodec.NewWriter()
 	g1.SnapshotInto(w)
-	b1.SnapshotInto(w)
 	w1.SnapshotInto(w)
 
 	g2, _ := NewGCRA(2, 5)
-	b2, _ := NewTokenBucket(2, 5)
 	w2, _ := NewSlidingWindow(time.Minute, 6)
 	r := statecodec.NewReader(w.Bytes())
 	if err := g2.RestoreFrom(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.RestoreFrom(r); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.RestoreFrom(r); err != nil {
@@ -50,9 +43,6 @@ func TestSnapshotRoundTripEquivalence(t *testing.T) {
 		now = now.Add(time.Duration(80+i*13) * time.Millisecond)
 		if g1.Allow(now) != g2.Allow(now) {
 			t.Fatalf("GCRA diverged at step %d", i)
-		}
-		if b1.Allow(now) != b2.Allow(now) {
-			t.Fatalf("TokenBucket diverged at step %d", i)
 		}
 		if w1.Observe(now) != w2.Observe(now) {
 			t.Fatalf("SlidingWindow diverged at step %d", i)

@@ -120,11 +120,12 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// ipState is the per-client-address memory.
+// ipState is the per-client-address memory: plain values, so one tracked
+// address is one allocation.
 type ipState struct {
-	limiter         *ratelimit.GCRA
-	window          *ratelimit.SlidingWindow
-	uaSeen          *stats.CountSet
+	limiter         ratelimit.GCRA
+	window          ratelimit.SlidingWindow
+	uaSeen          stats.CountSet
 	challengeSolved bool
 	pagesNoSolve    int
 	violations      uint64
@@ -180,43 +181,32 @@ func New(cfg Config) (*Detector, error) {
 		contribs: make([]anomaly.Contribution, 0, featIndex.Len()),
 		viols:    make([]uaparse.Violation, 0, 4),
 	}
+	// fresh is what every new client starts from: the configured limiter
+	// and window, nothing observed.
+	var fresh ipState
+	if fresh.limiter, err = ratelimit.NewGCRA(cfg.SustainedRate, cfg.BurstSize); err != nil {
+		return nil, fmt.Errorf("sentinel: rate limiter: %w", err)
+	}
+	if fresh.window, err = ratelimit.NewSlidingWindow(time.Minute, 6); err != nil {
+		return nil, fmt.Errorf("sentinel: rate window: %w", err)
+	}
 	d.store, err = sessions.NewStore(sessions.Config[ipState]{
 		IdleTimeout: cfg.IdleTimeout,
-		New:         func(time.Time) *ipState { return newIPState(cfg) },
-		Recycle:     recycleIPState,
-		Snapshot:    snapshotIPState,
-		Restore:     restoreIPState,
+		New: func(time.Time) *ipState {
+			st := fresh
+			return &st
+		},
+		// Recycle overwrites an evicted client's record, so the store hands
+		// it to the next new client without allocating and it keeps no
+		// User-Agent of the old one.
+		Recycle:  func(st *ipState) { *st = fresh },
+		Snapshot: snapshotIPState,
+		Restore:  restoreIPState,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sentinel: build store: %w", err)
 	}
 	return d, nil
-}
-
-func newIPState(cfg Config) *ipState {
-	limiter, err := ratelimit.NewGCRA(cfg.SustainedRate, cfg.BurstSize)
-	if err != nil {
-		// Config was validated by applyDefaults; rates are positive.
-		panic(fmt.Sprintf("sentinel: impossible limiter config: %v", err))
-	}
-	window, err := ratelimit.NewSlidingWindow(time.Minute, 6)
-	if err != nil {
-		panic(fmt.Sprintf("sentinel: impossible window config: %v", err))
-	}
-	return &ipState{limiter: limiter, window: window, uaSeen: stats.NewCountSet()}
-}
-
-// recycleIPState resets an evicted client's state in place so the session
-// store can hand it to the next new client without allocating: the
-// limiter, window and UA set keep their backing storage.
-func recycleIPState(st *ipState) {
-	st.limiter.Reset()
-	st.window.Reset()
-	st.uaSeen.Reset()
-	st.challengeSolved = false
-	st.pagesNoSolve = 0
-	st.violations = 0
-	st.requests = 0
 }
 
 // Name implements detector.Detector.

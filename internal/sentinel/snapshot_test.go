@@ -7,6 +7,7 @@ import (
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
 	"divscrape/internal/statecodec"
+	"divscrape/internal/statecodec/codectest"
 	"divscrape/internal/workload"
 )
 
@@ -156,4 +157,28 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 			t.Fatalf("failed restore left %d clients", fresh.Clients())
 		}
 	}
+
+	// A User-Agent count list no writer emits — a repeated key (once counted
+	// twice into the total), unsorted keys, a zero count — is corrupt too.
+	one, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Inspect(mkReq(t, 0, "10.9.8.7", "agent-aa/1.0", "/", base))
+	one.Inspect(mkReq(t, 1, "10.9.8.7", "agent-zz/1.0", "/", base.Add(time.Second)))
+	one.Inspect(mkReq(t, 2, "10.9.8.7", "agent-zz/1.0", "/", base.Add(2*time.Second)))
+	w.Reset()
+	one.SnapshotInto(w)
+	entries := codectest.StringCounts
+	codectest.RejectRewrites(t, w.Bytes(), func(p []byte) error {
+		fresh, err := New(Config{})
+		if err != nil {
+			return err
+		}
+		return fresh.RestoreFrom(statecodec.NewReader(p))
+	}, entries("agent-aa/1.0", 1, "agent-zz/1.0", 2), map[string][]byte{
+		"repeated key":    entries("agent-aa/1.0", 1, "agent-aa/1.0", 2),
+		"descending keys": entries("agent-zz/1.0", 2, "agent-aa/1.0", 1),
+		"zero count":      entries("agent-aa/1.0", 1, "agent-zz/1.0", 0),
+	})
 }

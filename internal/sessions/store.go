@@ -1,7 +1,7 @@
 // Package sessions provides streaming sessionization: per-client state
 // keyed by (IP, User-Agent) with idle-timeout eviction, the standard way
-// web analytics reconstructs sessions from access logs. Both detectors
-// build on Store to bound their memory while processing arbitrarily long
+// web analytics reconstructs sessions from access logs. Every detector
+// builds on Store to bound its memory while processing arbitrarily long
 // logs; eviction order is maintained in an intrusive LRU list so the
 // amortised cost per request is O(1).
 //
@@ -87,7 +87,9 @@ type Config[T any] struct {
 	// session churn (eviction + fresh client) allocation-free in steady
 	// state. Recycle runs after OnEvict and must return the value to the
 	// state New would have produced, minus anything New derives from its
-	// timestamp argument.
+	// timestamp argument. The detectors' records are plain values and
+	// Recycle overwrites them whole, so a free-list record holds nothing
+	// of the client it served: no map, no table, no User-Agent string.
 	Recycle func(*T)
 	// Snapshot, if set, serialises one session value into a snapshot; see
 	// SnapshotInto. Restore must read back exactly what Snapshot wrote.

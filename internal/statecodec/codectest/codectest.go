@@ -1,0 +1,63 @@
+// Package codectest holds the corrupt-payload check that the tests of the
+// stateful packages share: take a real snapshot, rewrite one known stretch
+// of it into something no writer emits, and require the restore to refuse
+// it as corrupt rather than take it silently.
+package codectest
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"divscrape/internal/statecodec"
+)
+
+// Ints encodes ids as consecutive Writer.Int values.
+func Ints(ids ...int) []byte {
+	w := statecodec.NewWriter()
+	for _, id := range ids {
+		w.Int(id)
+	}
+	return w.Bytes()
+}
+
+// StringCounts encodes two (key, count) entries as a string-keyed count list
+// holds them: Writer.String then Writer.Uint64, twice.
+func StringCounts(k1 string, c1 uint64, k2 string, c2 uint64) []byte {
+	w := statecodec.NewWriter()
+	w.String(k1)
+	w.Uint64(c1)
+	w.String(k2)
+	w.Uint64(c2)
+	return w.Bytes()
+}
+
+// RejectRewrites requires find to occur exactly once in payload and the
+// untouched payload to restore; then, for every named rewrite, it replaces
+// find with the rewrite and requires restore to fail with
+// statecodec.ErrCorrupt. A rewrite may differ from find in length.
+func RejectRewrites(t *testing.T, payload []byte, restore func(payload []byte) error, find []byte, rewrites map[string][]byte) {
+	t.Helper()
+	if n := bytes.Count(payload, find); n != 1 {
+		t.Fatalf("the stretch to rewrite occurs %d times in the payload, want once", n)
+	}
+	if err := restore(payload); err != nil {
+		t.Fatalf("untouched payload: %v", err)
+	}
+	for name, rewrite := range rewrites {
+		bad := bytes.Replace(payload, find, rewrite, 1)
+		if err := restore(bad); !errors.Is(err, statecodec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// BadIDLists are rewrites of the ascending id pair (a, b) as it sits in a
+// snapshot: each is a list an id set never writes.
+func BadIDLists(a, b int) (find []byte, rewrites map[string][]byte) {
+	return Ints(a, b), map[string][]byte{
+		"negative id":    Ints(-a, b),
+		"repeated id":    Ints(a, a),
+		"descending ids": Ints(b, a),
+	}
+}

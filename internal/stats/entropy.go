@@ -2,82 +2,52 @@ package stats
 
 import "math"
 
-// CountSet tracks frequencies of string categories and computes their
-// Shannon entropy. The behavioural detector uses it for path-diversity and
-// query-parameter features: scripted crawlers tend to concentrate on very
-// few URL shapes (low entropy) or to sweep an ID space uniformly (entropy
-// close to the maximum), while human browsing lies in between.
+// CountSet counts occurrences of string categories; the commercial-style
+// detector keeps one per client address to notice User-Agent rotation.
+// Nearly every address sends one agent, so the first category is held in
+// the struct itself and a map is built only for a second: the common Add is
+// a string compare — which stops at the pointer when the strings are
+// interned — not a hash of a hundred-byte User-Agent. The zero value is an
+// empty counter.
 type CountSet struct {
-	counts map[string]uint64
-	total  uint64
-}
-
-// NewCountSet returns an empty category counter.
-func NewCountSet() *CountSet {
-	return &CountSet{counts: make(map[string]uint64)}
+	first      string // the first category seen; in use when firstCount > 0
+	firstCount uint64
+	more       map[string]uint64 // every other category
+	total      uint64
 }
 
 // Add counts one occurrence of category c.
-func (s *CountSet) Add(c string) {
-	s.counts[c]++
-	s.total++
+func (s *CountSet) Add(c string) { s.add(c, 1) }
+
+func (s *CountSet) add(c string, n uint64) {
+	s.total += n
+	switch {
+	case s.firstCount == 0:
+		s.first, s.firstCount = c, n
+	case c == s.first:
+		s.firstCount += n
+	default:
+		if s.more == nil {
+			s.more = make(map[string]uint64)
+		}
+		s.more[c] += n
+	}
 }
 
 // Total returns the number of observations.
 func (s *CountSet) Total() uint64 { return s.total }
 
 // Distinct returns the number of distinct categories seen.
-func (s *CountSet) Distinct() int { return len(s.counts) }
-
-// Count returns the frequency of category c.
-func (s *CountSet) Count(c string) uint64 { return s.counts[c] }
-
-// Entropy returns the Shannon entropy in bits.
-func (s *CountSet) Entropy() float64 {
-	if s.total == 0 {
+func (s *CountSet) Distinct() int {
+	if s.firstCount == 0 {
 		return 0
 	}
-	var h float64
-	n := float64(s.total)
-	for _, c := range s.counts {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
+	return 1 + len(s.more)
 }
 
-// NormalizedEntropy returns entropy divided by the maximum possible entropy
-// for the observed number of categories, in [0, 1]. Returns 0 when fewer
-// than two categories have been seen.
-func (s *CountSet) NormalizedEntropy() float64 {
-	k := len(s.counts)
-	if k < 2 {
-		return 0
-	}
-	return s.Entropy() / math.Log2(float64(k))
-}
-
-// TopShare returns the fraction of observations held by the most frequent
-// category; 1.0 means perfectly concentrated traffic.
-func (s *CountSet) TopShare() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	var max uint64
-	for _, c := range s.counts {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) / float64(s.total)
-}
-
-// Reset clears all counts in place: the map's buckets stay allocated, so a
-// recycled counter's next session re-populates without re-growing it.
-func (s *CountSet) Reset() {
-	clear(s.counts)
-	s.total = 0
-}
+// Reset empties the counter and lets go of its strings and map, so a
+// recycled client record pins no User-Agent of the client before it.
+func (s *CountSet) Reset() { *s = CountSet{} }
 
 // EntropyOfCounts computes Shannon entropy (bits) of an arbitrary count
 // vector without building a CountSet.

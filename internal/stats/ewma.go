@@ -60,11 +60,11 @@ type DecayRate struct {
 // NewDecayRate returns an estimator with the given half-life (how long it
 // takes a historical burst to lose half its weight). Non-positive half-life
 // defaults to one minute.
-func NewDecayRate(halfLife time.Duration) *DecayRate {
+func NewDecayRate(halfLife time.Duration) DecayRate {
 	if halfLife <= 0 {
 		halfLife = time.Minute
 	}
-	return &DecayRate{halfLife: halfLife}
+	return DecayRate{halfLife: halfLife}
 }
 
 // Observe records one event at time now and returns the decayed rate

@@ -1,7 +1,10 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"math/bits"
+	"slices"
 
 	"divscrape/internal/statecodec"
 )
@@ -46,35 +49,88 @@ func (w *Welford) RestoreFrom(r *statecodec.Reader) error {
 // regardless of map iteration order.
 func (s *CountSet) SnapshotInto(w *statecodec.Writer) {
 	w.Tag(tagCountSet)
-	keys := make([]string, 0, len(s.counts))
-	for k := range s.counts {
+	keys := make([]string, 0, s.Distinct())
+	if s.firstCount > 0 {
+		keys = append(keys, s.first)
+	}
+	for k := range s.more {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	w.Uint32(uint32(len(keys)))
 	for _, k := range keys {
+		c, ok := s.more[k]
+		if !ok {
+			c = s.firstCount
+		}
 		w.String(k)
-		w.Uint64(s.counts[k])
+		w.Uint64(c)
 	}
 }
 
 // RestoreFrom implements statecodec.Snapshotter, replacing the current
-// contents. The total is recomputed from the restored counts, so the
-// count/total invariant holds even against a corrupt payload.
+// contents. Only what SnapshotInto can have written is accepted — keys
+// strictly ascending, no zero counts — and the total is recomputed from
+// the restored counts, so the count/total invariant holds even against a
+// corrupt payload.
 func (s *CountSet) RestoreFrom(r *statecodec.Reader) error {
 	if err := r.Expect(tagCountSet); err != nil {
 		return err
 	}
 	s.Reset()
 	n := r.Count(4 + 8) // min bytes per entry: empty string + count
+	prev := ""
 	for i := 0; i < n; i++ {
 		k := r.String()
 		c := r.Uint64()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		s.counts[k] = c
-		s.total += c
+		if c == 0 || (i > 0 && k <= prev) {
+			return fmt.Errorf("%w: count set entry %d: key %q (after %q) with count %d", statecodec.ErrCorrupt, i, k, prev, c)
+		}
+		s.add(k, c)
+		prev = k
+	}
+	return r.Err()
+}
+
+// SnapshotInto writes the id count and then every id in ascending order,
+// so equal sets serialise to equal bytes. It writes no section tag: the set
+// is always a field inside a session record, and this is the encoding those
+// records had when the field was a map.
+func (s *IDSet) SnapshotInto(w *statecodec.Writer) {
+	blocks := make([]idBlock, 0, s.used)
+	for _, b := range s.slots() {
+		if b.bits != 0 {
+			blocks = append(blocks, b)
+		}
+	}
+	slices.SortFunc(blocks, func(a, b idBlock) int { return cmp.Compare(a.key, b.key) })
+	w.Uint32(uint32(s.n))
+	for _, b := range blocks {
+		for rest := b.bits; rest != 0; rest &= rest - 1 {
+			w.Int(int(b.key<<6) | bits.TrailingZeros64(rest))
+		}
+	}
+}
+
+// RestoreFrom replaces the set with what SnapshotInto wrote. Ids must be
+// non-negative and strictly ascending: no writer emits anything else.
+func (s *IDSet) RestoreFrom(r *statecodec.Reader) error {
+	s.Reset()
+	n := r.Count(8)
+	prev := -1
+	for i := 0; i < n; i++ {
+		id := r.Int()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if id <= prev {
+			return fmt.Errorf("%w: id set entry %d is %d after %d", statecodec.ErrCorrupt, i, id, prev)
+		}
+		s.Add(id)
+		prev = id
 	}
 	return r.Err()
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestWelfordSnapshotRoundTrip(t *testing.T) {
 
 func TestCountSetSnapshotDeterministicAndRoundTrips(t *testing.T) {
 	build := func(order []int) []byte {
-		s := NewCountSet()
+		var s CountSet
 		for _, i := range order {
 			for j := 0; j <= i%5; j++ {
 				s.Add(fmt.Sprintf("ua-%d", i))
@@ -53,29 +54,81 @@ func TestCountSetSnapshotDeterministicAndRoundTrips(t *testing.T) {
 		t.Error("insertion order leaked into snapshot bytes")
 	}
 
-	s := NewCountSet()
+	var s CountSet
+	s.Add("stale") // RestoreFrom replaces, it does not merge
 	if err := s.RestoreFrom(statecodec.NewReader(a)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Distinct() != 50 {
 		t.Errorf("Distinct = %d", s.Distinct())
 	}
-	if s.Count("ua-7") != 3 {
-		t.Errorf("Count(ua-7) = %d", s.Count("ua-7"))
+	if want := uint64(10 * (1 + 2 + 3 + 4 + 5)); s.Total() != want {
+		t.Errorf("Total = %d, want %d", s.Total(), want)
 	}
-	orig := NewCountSet()
-	for _, i := range fwd {
-		for j := 0; j <= i%5; j++ {
-			orig.Add(fmt.Sprintf("ua-%d", i))
+	// Every count survived: the restored set writes the same bytes, and
+	// keeps counting from them.
+	w := statecodec.NewWriter()
+	s.SnapshotInto(w)
+	if string(w.Bytes()) != string(a) {
+		t.Error("restored set snapshots to different bytes")
+	}
+	s.Add("ua-7")
+	s.Add("ua-0")
+	if s.Distinct() != 50 || s.more["ua-7"] != 4 || s.firstCount != 2 {
+		t.Errorf("counts after restore: ua-7 %d, ua-0 %d, distinct %d", s.more["ua-7"], s.firstCount, s.Distinct())
+	}
+
+	// The empty and the one-category sets round-trip without a map.
+	for _, adds := range []int{0, 3} {
+		var one, back CountSet
+		for i := 0; i < adds; i++ {
+			one.Add("only")
+		}
+		w := statecodec.NewWriter()
+		one.SnapshotInto(w)
+		if err := back.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if back.more != nil || back.Total() != uint64(adds) || back.Distinct() != one.Distinct() {
+			t.Errorf("%d adds of one category restored as %+v", adds, back)
 		}
 	}
-	if s.Total() != orig.Total() || s.TopShare() != orig.TopShare() {
-		t.Error("totals diverged after restore")
+}
+
+// TestCountSetRestoreRejectsWhatNoWriterEmits: a repeated key used to be
+// counted twice into the total; unsorted keys and zero counts are equally
+// impossible output. All are corrupt.
+func TestCountSetRestoreRejectsWhatNoWriterEmits(t *testing.T) {
+	type entry struct {
+		k string
+		c uint64
 	}
-	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("ua-%d", i)
-		if s.Count(k) != orig.Count(k) {
-			t.Errorf("count %q diverged", k)
+	payload := func(entries ...entry) []byte {
+		w := statecodec.NewWriter()
+		w.Tag(tagCountSet)
+		w.Uint32(uint32(len(entries)))
+		for _, e := range entries {
+			w.String(e.k)
+			w.Uint64(e.c)
+		}
+		return w.Bytes()
+	}
+	var ok CountSet
+	if err := ok.RestoreFrom(statecodec.NewReader(payload(entry{"", 1}, entry{"a", 2}, entry{"b", 3}))); err != nil || ok.Total() != 6 || ok.Distinct() != 3 {
+		t.Fatalf("well-formed payload: err %v, %+v", err, ok)
+	}
+	for name, bad := range map[string][]byte{
+		"repeated key":       payload(entry{"a", 2}, entry{"a", 3}),
+		"repeated later key": payload(entry{"a", 2}, entry{"b", 1}, entry{"b", 1}),
+		"descending keys":    payload(entry{"b", 2}, entry{"a", 3}),
+		"zero count":         payload(entry{"a", 2}, entry{"b", 0}),
+		"zero first count":   payload(entry{"a", 0}),
+		"repeated empty key": payload(entry{"", 1}, entry{"", 1}),
+	} {
+		var s CountSet
+		err := s.RestoreFrom(statecodec.NewReader(bad))
+		if !errors.Is(err, statecodec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }

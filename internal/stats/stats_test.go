@@ -296,29 +296,50 @@ func TestHistogramValidation(t *testing.T) {
 }
 
 func TestCountSetEntropy(t *testing.T) {
-	s := NewCountSet()
-	if s.Entropy() != 0 || s.NormalizedEntropy() != 0 || s.TopShare() != 0 {
+	var s CountSet
+	if s.Distinct() != 0 || s.Total() != 0 {
 		t.Error("empty set should report zeros")
 	}
-	// Uniform over 4 categories: entropy = 2 bits, normalized = 1.
-	for _, c := range []string{"a", "b", "c", "d"} {
+	for _, c := range []string{"a", "b", "c", "d", "a"} {
 		s.Add(c)
 	}
-	if !almost(s.Entropy(), 2, 1e-9) {
-		t.Errorf("entropy = %g, want 2", s.Entropy())
-	}
-	if !almost(s.NormalizedEntropy(), 1, 1e-9) {
-		t.Errorf("normalized = %g, want 1", s.NormalizedEntropy())
-	}
-	if !almost(s.TopShare(), 0.25, 1e-9) {
-		t.Errorf("top share = %g, want 0.25", s.TopShare())
-	}
-	if s.Distinct() != 4 || s.Total() != 4 || s.Count("a") != 1 {
-		t.Error("counting wrong")
+	if s.Distinct() != 4 || s.Total() != 5 {
+		t.Errorf("counting wrong: %d distinct of %d", s.Distinct(), s.Total())
 	}
 	s.Reset()
-	if s.Total() != 0 {
+	if s.Total() != 0 || s.Distinct() != 0 {
 		t.Error("Reset did not clear")
+	}
+}
+
+// The first category lives in the struct and only a second one builds a
+// map: one-agent addresses — nearly all of them — allocate nothing, and a
+// Reset record keeps neither the map nor the old string alive.
+func TestCountSetFirstCategoryInline(t *testing.T) {
+	var s CountSet
+	ua := "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0"
+	if n := testing.AllocsPerRun(100, func() { s.Add(ua) }); n != 0 {
+		t.Errorf("Add of the one category allocates %.1f/op", n)
+	}
+	if s.more != nil || s.Distinct() != 1 || s.Total() != 101 {
+		t.Fatalf("one category: map %v, distinct %d, total %d", s.more, s.Distinct(), s.Total())
+	}
+	s.Add("curl/7.58.0")
+	s.Add(ua)
+	if s.Distinct() != 2 || s.Total() != 103 || s.firstCount != 102 || s.more["curl/7.58.0"] != 1 {
+		t.Fatalf("two categories: %+v", s)
+	}
+	// An empty string is a category like any other, also as the first.
+	var e CountSet
+	e.Add("")
+	e.Add("")
+	e.Add("x")
+	if e.Distinct() != 2 || e.Total() != 3 {
+		t.Errorf("empty-string category: distinct %d total %d", e.Distinct(), e.Total())
+	}
+	s.Reset()
+	if s.first != "" || s.firstCount != 0 || s.more != nil || s.total != 0 {
+		t.Errorf("Reset left %+v: a recycled record would pin the old User-Agent", s)
 	}
 }
 
@@ -340,18 +361,18 @@ func TestEntropyOfCounts(t *testing.T) {
 
 // Entropy property: concentration never exceeds the uniform bound.
 func TestEntropyBoundProperty(t *testing.T) {
-	f := func(counts []uint16) bool {
-		s := NewCountSet()
-		for i, c := range counts {
-			for j := 0; j < int(c%50); j++ {
-				s.Add(string(rune('a' + i%26)))
+	f := func(raw []uint16) bool {
+		counts := make([]uint64, 0, len(raw))
+		for _, c := range raw {
+			if c%50 > 0 {
+				counts = append(counts, uint64(c%50))
 			}
 		}
-		if s.Distinct() < 2 {
-			return s.NormalizedEntropy() == 0
+		h := EntropyOfCounts(counts)
+		if len(counts) < 2 {
+			return h == 0
 		}
-		h := s.NormalizedEntropy()
-		return h >= 0 && h <= 1+1e-9
+		return h >= 0 && h <= math.Log2(float64(len(counts)))+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -2,7 +2,6 @@ package trajectory
 
 import (
 	"fmt"
-	"sort"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/sessions"
@@ -16,9 +15,7 @@ const tagTrajectory uint16 = 0x544A
 var _ detector.ShardedSnapshotter = (*Detector)(nil)
 
 // snapshotSession and restoreSession are the sessions value hooks; they
-// must stay symmetric field for field. The product-ID set is written in
-// ascending order so equal sessions always serialise to equal bytes. The
-// model itself is NOT part of the state: it is training-time configuration,
+// must stay symmetric field for field. The model itself is NOT part of the state: it is training-time configuration,
 // and restore legitimately pairs a checkpoint with the same model the
 // writer used (the seed convention guarantees it).
 func snapshotSession(w *statecodec.Writer, st *session) {
@@ -31,15 +28,7 @@ func snapshotSession(w *statecodec.Writer, st *session) {
 	w.Float64(st.surprise)
 	w.Uint8(uint8(st.prevKind + 1)) // -1 (none) shifts to 0
 	w.Uint64(st.views)
-	ids := make([]int, 0, len(st.products))
-	for id := range st.products {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Uint32(uint32(len(ids)))
-	for _, id := range ids {
-		w.Int(id)
-	}
+	st.products.SnapshotInto(w)
 	w.Uint32(uint32(len(st.kinds)))
 	for _, n := range st.kinds {
 		w.Uint32(n)
@@ -56,9 +45,8 @@ func restoreSession(r *statecodec.Reader, st *session) error {
 	st.surprise = r.Float64()
 	prev := r.Uint8()
 	st.views = r.Uint64()
-	n := r.Count(8)
-	for i := 0; i < n; i++ {
-		st.products[r.Int()] = struct{}{}
+	if err := st.products.RestoreFrom(r); err != nil {
+		return err
 	}
 	nk := r.Count(4)
 	if r.Err() != nil {

@@ -7,6 +7,7 @@ import (
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
 	"divscrape/internal/statecodec"
+	"divscrape/internal/statecodec/codectest"
 	"divscrape/internal/workload"
 )
 
@@ -144,4 +145,15 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 			t.Fatalf("failed restore left %d sessions", fresh.Sessions())
 		}
 	}
+
+	// A product-id list no writer emits is corrupt too, not silently taken.
+	one := newDet(t)
+	one.Inspect(mkReq(t, "10.9.8.7", cleanChrome, "/product/70001", base))
+	one.Inspect(mkReq(t, "10.9.8.7", cleanChrome, "/product/70009", base.Add(time.Second)))
+	w.Reset()
+	one.SnapshotInto(w)
+	find, rewrites := codectest.BadIDLists(70001, 70009)
+	codectest.RejectRewrites(t, w.Bytes(), func(p []byte) error {
+		return newDet(t).RestoreFrom(statecodec.NewReader(p))
+	}, find, rewrites)
 }

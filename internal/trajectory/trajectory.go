@@ -9,6 +9,7 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/sessions"
 	"divscrape/internal/sitemodel"
+	"divscrape/internal/stats"
 	"divscrape/internal/uaparse"
 )
 
@@ -133,7 +134,7 @@ type session struct {
 	surprise    float64
 	prevKind    int8 // previous PageKind, -1 before the first request
 	views       uint64
-	products    map[int]struct{}
+	products    stats.IDSet
 	kinds       [sitemodel.KindCount]uint32
 }
 
@@ -199,22 +200,11 @@ func New(cfg Config) (*Detector, error) {
 func newStore(cfg Config) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: cfg.IdleTimeout,
-		New: func(time.Time) *session {
-			return &session{
-				products: make(map[int]struct{}, 16),
-				prevKind: -1,
-			}
-		},
-		// Recycle resets an ended session in place — the product map keeps
-		// its buckets — so session churn does not allocate in steady state.
-		Recycle: func(st *session) {
-			products := st.products
-			clear(products)
-			*st = session{
-				products: products,
-				prevKind: -1,
-			}
-		},
+		New:         func(time.Time) *session { return &session{prevKind: -1} },
+		// Recycle overwrites an ended session's record, so session churn
+		// does not allocate in steady state; a product table the old
+		// session grew is let go, not kept for the next client.
+		Recycle:  func(st *session) { *st = session{prevKind: -1} },
 		Snapshot: snapshotSession,
 		Restore:  restoreSession,
 	})
@@ -321,7 +311,7 @@ func (d *Detector) observe(st *session, req *detector.Request) {
 	}
 	if id := info.ProductID; id >= 0 {
 		st.views++
-		st.products[id] = struct{}{}
+		st.products.Add(id)
 	}
 }
 
@@ -363,7 +353,7 @@ func (d *Detector) fillFeatures(st *session) {
 	// their ratio sags. Deliberately modest weight — marathon bargain
 	// hunters sweep too, a documented false-positive trade-off.
 	if st.views >= uint64(d.cfg.SweepMinViews) {
-		uniq := float64(len(st.products)) / float64(st.views)
+		uniq := float64(st.products.Len()) / float64(st.views)
 		if uniq > 0.85 {
 			vec[idxSweep] = (uniq - 0.85) / 0.15
 		}

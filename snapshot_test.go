@@ -8,6 +8,7 @@ import (
 
 	"divscrape"
 	"divscrape/internal/statecodec"
+	"divscrape/internal/statecodec/codectest"
 )
 
 // TestSnapshotResumePair proves the facade's durability contract: stop a
@@ -105,6 +106,48 @@ func TestResumeRejectsDamage(t *testing.T) {
 	if _, err := divscrape.Resume(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage resumed")
 	}
+
+	// Well-framed payloads holding what no writer emits: a product-id list
+	// with a negative, repeated or out-of-order id, and a User-Agent count
+	// list with a repeated key, unsorted keys or a zero count.
+	at := time.Date(2018, 3, 13, 9, 0, 0, 0, time.UTC)
+	for i, req := range []struct{ ua, path string }{
+		{"agent-aa/1.0", "/product/70001"},
+		{"agent-aa/1.0", "/product/70009"},
+		{"agent-zz/1.0", "/"},
+		{"agent-zz/1.0", "/"},
+	} {
+		pair.Inspect(divscrape.Entry{
+			RemoteAddr: "10.9.8.7", Identity: "-", AuthUser: "-",
+			Time: at.Add(time.Duration(i) * time.Second), Method: "GET", Path: req.path,
+			Proto: "HTTP/1.1", Status: 200, Bytes: 1000, Referer: "-", UserAgent: req.ua,
+		})
+	}
+	state.Reset()
+	if err := divscrape.Snapshot(&state, pair); err != nil {
+		t.Fatal(err)
+	}
+	payload := state.Bytes()[14 : state.Len()-8] // between the header and the checksum
+	resume := func(p []byte) error {
+		w := statecodec.NewWriter()
+		for _, b := range p {
+			w.Uint8(b)
+		}
+		var framed bytes.Buffer
+		if err := statecodec.Encode(&framed, w); err != nil {
+			return err
+		}
+		_, err := divscrape.Resume(&framed)
+		return err
+	}
+	find, rewrites := codectest.BadIDLists(70001, 70009)
+	codectest.RejectRewrites(t, payload, resume, find, rewrites)
+	uaCounts := codectest.StringCounts
+	codectest.RejectRewrites(t, payload, resume, uaCounts("agent-aa/1.0", 2, "agent-zz/1.0", 2), map[string][]byte{
+		"repeated key":    uaCounts("agent-aa/1.0", 2, "agent-aa/1.0", 2),
+		"descending keys": uaCounts("agent-zz/1.0", 2, "agent-aa/1.0", 2),
+		"zero count":      uaCounts("agent-aa/1.0", 2, "agent-zz/1.0", 0),
+	})
 }
 
 // TestFailedRestoreLeavesPairReset: a pair whose RestoreFrom fails must
