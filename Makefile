@@ -1,8 +1,9 @@
 # Developer entry points. `make verify` is the tier-1 gate CI runs on every
-# push; `make bench` smoke-runs the pipeline, guard, state-plane and
+# push (vet, gofmt over the tracked .go files, build, test, the no-sleep
+# grep); `make bench` smoke-runs the pipeline, guard, state-plane and
 # streaming-ingest benchmarks (five iterations each, enough to catch
 # regressions in wiring and to average out single-run jitter) and records
-# the results machine-readably in BENCH_PR10.json so the performance
+# the results machine-readably in BENCH_PR18.json so the performance
 # trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
 # targets, and the id set against its map model, for a short bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
@@ -28,14 +29,20 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-BENCH_RECORD := BENCH_PR10.json
+BENCH_RECORD := BENCH_PR18.json
 
-.PHONY: verify build test vet bench benchcmp benchsmoke race chaos fuzz nosleep cover bench.out
+.PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke race chaos fuzz nosleep cover bench.out
 
-verify: vet build test nosleep
+verify: vet fmtcheck build test nosleep
 
 vet:
 	$(GO) vet ./...
+
+# gofmt prints the files it would rewrite; any name is a failure.
+fmtcheck:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then \
+		echo "error: gofmt would rewrite:"; echo "$$out"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

@@ -298,7 +298,7 @@ func pipelineBenchEvents(b *testing.B) []workload.Event {
 	return benchEvents.events
 }
 
-func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int) {
+func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int, relaxed bool) {
 	events := pipelineBenchEvents(b)
 	pipe, err := pipeline.New(pipeline.Config{
 		Factories: []detector.Factory{
@@ -327,10 +327,10 @@ func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int) {
 			return e, nil
 		}
 		var err error
-		if mode == pipeline.ShardedRelaxed {
-			// Independent per-shard sinks — the mode's whole point is that
-			// no merge (and no shared sink lock) stands between a shard
-			// and its output.
+		if relaxed {
+			// Independent per-shard sinks — the delivery's whole point is
+			// that no emitter (and no shared sink lock) stands between a
+			// shard and its output.
 			sinks := make([]pipeline.Sink, pipe.Shards())
 			for s := range sinks {
 				sinks[s] = func(pipeline.Decision) error { return nil }
@@ -348,7 +348,7 @@ func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(len(events)*b.N)/elapsed.Seconds(), "req/s")
 	}
-	if mode == pipeline.Sharded || mode == pipeline.ShardedRelaxed {
+	if mode == pipeline.Sharded {
 		// Report the worker count the pipeline actually ran with (the
 		// configured count after defaulting), not GOMAXPROCS: recorded
 		// results must say what executed, whatever machine ran them.
@@ -356,43 +356,42 @@ func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int) {
 	}
 }
 
-func BenchmarkPipelineSequential(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sequential, 0) }
-func BenchmarkPipelineConcurrent(b *testing.B) { benchmarkPipelineMode(b, pipeline.Concurrent, 0) }
-func BenchmarkPipelineSharded(b *testing.B)    { benchmarkPipelineMode(b, pipeline.Sharded, 0) }
-func BenchmarkPipelineRelaxed(b *testing.B) {
-	benchmarkPipelineMode(b, pipeline.ShardedRelaxed, 0)
+func BenchmarkPipelineSequential(b *testing.B) {
+	benchmarkPipelineMode(b, pipeline.Sequential, 0, false)
 }
+func BenchmarkPipelineSharded(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sharded, 0, false) }
+func BenchmarkPipelineRelaxed(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sharded, 0, true) }
 
 // BenchmarkPipelineShardedMulti pins explicit shard counts, so the
-// trajectory of the sharded mode is interpretable on any machine
+// trajectory of the sharded engine's ordered delivery is interpretable on any machine
 // regardless of its GOMAXPROCS (the default the bare bench uses).
 func BenchmarkPipelineShardedMulti(b *testing.B) {
-	b.Run("shards=4", func(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sharded, 4) })
+	b.Run("shards=4", func(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sharded, 4, false) })
 }
 
-// BenchmarkPipelineRelaxedMulti records the relaxed mode's shard scaling
-// curve. On a multi-core host the curve should rise toward GOMAXPROCS;
-// on a single-core host it is flat (all modes do identical per-request
-// work and there is no second core to win), which is itself the honest
-// measurement — the structural claim (no merge wall: zero merge stalls,
-// zero merge spans) is pinned by the pipeline's relaxed test suite, not
-// by this number.
+// BenchmarkPipelineRelaxedMulti records per-shard delivery's shard
+// scaling curve. On a multi-core host the curve should rise toward
+// GOMAXPROCS; on a single-core host it is flat (both engines do identical
+// per-request work and there is no second core to win), which is itself
+// the honest measurement — the structural claim (no emitter: zero merge
+// stalls, zero merge spans) is pinned by the pipeline's relaxed test
+// suite, not by this number.
 func BenchmarkPipelineRelaxedMulti(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		b.Run(benchName("shards", shards), func(b *testing.B) {
-			benchmarkPipelineMode(b, pipeline.ShardedRelaxed, shards)
+			benchmarkPipelineMode(b, pipeline.Sharded, shards, true)
 		})
 	}
 }
 
 // BenchmarkPipelineStages replays the stream through the sharded
-// pipeline with the tracing plane armed (spans on, flight-record capture
-// off) and reports each stage's mean span in nanoseconds plus the
-// merge-stall count. This is the observability the ROADMAP's scaling
-// item needs: the per-stage breakdown shows where the sharded mode's
-// serial section — the sequence-ordered merger — eats the parallel
-// speedup, and merge-stalls counts how often completed batches waited on
-// an earlier sequence number.
+// pipeline's ordered delivery with the tracing plane armed (spans on,
+// flight-record capture off) and reports each stage's mean span in
+// nanoseconds plus the merge-stall count. This is the observability the
+// ROADMAP's scaling item needs: the per-stage breakdown shows what total
+// order costs — merge is a worker parking a decision for the emitter,
+// backpressure included — and merge-stalls counts how often the emitter
+// waited on a decision still being judged.
 func BenchmarkPipelineStages(b *testing.B) {
 	events := pipelineBenchEvents(b)
 	const shards = 4

@@ -79,13 +79,15 @@ func TestGoldenSummaryWithMitigation(t *testing.T) {
 
 // The sharded pipeline must render byte-identically to the sequential
 // golden below the timing header — the golden file therefore also pins
-// cross-mode equivalence at the CLI level.
+// cross-mode equivalence at the CLI level. (-out makes this the ordered
+// delivery; the per-shard one is the next test's.)
 func TestGoldenShardedMatchesSequential(t *testing.T) {
 	var sb strings.Builder
 	err := run(&sb, []string{
 		"-log", "testdata/access.log",
 		"-labels", "testdata/labels.csv",
 		"-parallel", "3",
+		"-out", filepath.Join(t.TempDir(), "verdicts.csv"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,19 +101,20 @@ func TestGoldenShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// The relaxed pipeline abandons cross-client delivery order, but every
-// summary table is an order-free count — so below the timing header the
-// output must still match the sequential golden byte for byte, at any
-// shard count and with the parallel parser in front.
+// With no ordered output asked for, shard mode delivers per shard and
+// abandons cross-client delivery order, but every summary table is an
+// order-free count — so below the timing header the output must still
+// match the sequential golden byte for byte, at any shard count and with
+// the parallel parser in front.
 func TestGoldenRelaxedMatchesSequential(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "summary.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{
-		{"-mode", "relaxed", "-parallel", "1"},
-		{"-mode", "relaxed", "-parallel", "3"},
-		{"-mode", "relaxed", "-parallel", "8", "-parse-workers", "2"},
+		{"-mode", "shard", "-parallel", "1"},
+		{"-mode", "shard", "-parallel", "3"},
+		{"-mode", "shard", "-parallel", "8", "-parse-workers", "2"},
 	} {
 		var sb strings.Builder
 		err := run(&sb, append([]string{
@@ -122,7 +125,7 @@ func TestGoldenRelaxedMatchesSequential(t *testing.T) {
 			t.Fatalf("%v: %v", args, err)
 		}
 		if tablesOf(scrubTiming(sb.String())) != tablesOf(string(want)) {
-			t.Errorf("%v: relaxed tables differ from sequential golden:\n%s", args, sb.String())
+			t.Errorf("%v: per-shard tables differ from sequential golden:\n%s", args, sb.String())
 		}
 	}
 }

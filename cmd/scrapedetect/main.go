@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	scrapedetect -log access.log [-detectors sentinel,arcane,trajectory] [-labels labels.csv] [-parallel N] [-mode seq|conc|shard|relaxed] [-parse-workers N] [-out verdicts.csv] [-mitigate observe|tag|block|graduated] [-save-state f] [-load-state f] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	scrapedetect -log access.log [-detectors sentinel,arcane,trajectory] [-labels labels.csv] [-parallel N] [-mode seq|shard] [-parse-workers N] [-out verdicts.csv] [-mitigate observe|tag|block|graduated] [-save-state f] [-load-state f] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	scrapedetect -follow -log access.log [-metrics-addr :9090] [-window 2h] [-checkpoint state.bin -checkpoint-every 100000] [-mitigate graduated]
 //
 // -detectors picks which detectors judge the stream (default the paper's
@@ -17,17 +17,16 @@
 // records — follows the selected set.
 //
 // By default the log is partitioned by client IP across GOMAXPROCS worker
-// shards (-parallel); pass -parallel 0 (or 1) for the single-threaded
-// reference pipeline. seq, conc and shard produce byte-identical verdict
-// streams; -mode relaxed drops the stream-order merge — every request
-// still gets the identical verdict and per-client order is preserved, but
-// cross-client interleaving is not, so the summary tables (all
-// order-free counts) match exactly while order-dependent outputs
-// (-out, -mitigate, -trace-out, -explain, -checkpoint) are refused.
-// conc is deprecated: it models the paper's deployment shape (both
-// detectors judging the same request in parallel) and adds hand-off
-// overhead that usually exceeds the detector work; for parallel
-// throughput use -mode relaxed, for ordered parallelism -mode shard.
+// shards (-parallel, or -mode shard); pass -parallel 0 (or 1, or -mode
+// seq) for the single-threaded reference pipeline. Both judge every
+// request identically. How the sharded pipeline delivers its decisions
+// follows from what was asked of it: -mitigate, -out and -trace-out each
+// consume one in-order stream, so with any of them the decisions are
+// restored to stream order and those outputs are byte-identical to the
+// sequential run's; without them every shard counts into its own partial
+// tables, merged at the end — per-client order is all that is kept, and
+// every summary table is an order-free count, so they match exactly too.
+// -explain and -checkpoint need the sequential pipeline.
 // -parse-workers additionally fans the replay's log parsing across
 // goroutines (chunked on newline boundaries, order preserved) — useful
 // on multi-core hosts where ingest, not detection, is the wall.
@@ -51,11 +50,9 @@
 // -follow turns the replay into a long-running service: the log is
 // tailed through rotation and truncation, ingestion is backpressure-aware
 // (the pipeline pulls, the file buffers), and the pipeline defaults to
-// sequential — a live tail is latency-bound, not throughput-bound, and
-// the sharded producer's count-paced batching could hold verdicts behind
-// a partial batch on a quiet log (pass -parallel N explicitly to opt
-// in). Windowed eviction (-window,
-// default two hours) bounds every stateful layer — detector session
+// sequential — a live tail is latency-bound, not throughput-bound (pass
+// -parallel N explicitly to opt in). Windowed eviction (-window, default
+// two hours) bounds every stateful layer — detector session
 // stores, and the -mitigate engine via the event-time sweeper — so
 // steady-state memory is O(clients active in the window) over days of
 // uptime. -metrics-addr serves /debug/divscrape/metrics (Prometheus
@@ -69,8 +66,8 @@
 // # Tracing and provenance
 //
 // -trace records per-stage latency histograms (parse, enrich, per-detector
-// detect, ensemble, sink — plus merge and per-shard occupancy in shard
-// mode) into the metrics registry and samples decisions into a bounded
+// detect, ensemble, sink — plus per-shard ring occupancy in shard mode,
+// and merge when its delivery is ordered) into the metrics registry and samples decisions into a bounded
 // flight recorder served at /debug/divscrape/trace and
 // /debug/divscrape/explain. -trace-out writes every captured record as
 // JSON lines to a file (an audit stream); -explain CLIENT always captures
@@ -102,8 +99,8 @@ import (
 	"syscall"
 	"time"
 
+	"divscrape"
 	"divscrape/internal/alertlog"
-	"divscrape/internal/arcane"
 	"divscrape/internal/checkpoint"
 	"divscrape/internal/detector"
 	"divscrape/internal/evaluate"
@@ -113,55 +110,39 @@ import (
 	"divscrape/internal/mitigate"
 	"divscrape/internal/pipeline"
 	"divscrape/internal/report"
-	"divscrape/internal/sentinel"
 	"divscrape/internal/sitemodel"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/stream"
 	"divscrape/internal/trace"
-	"divscrape/internal/trajectory"
 	"divscrape/internal/workload"
 )
 
-// buildDetectors resolves the -detectors list into live detectors plus
-// the factories the sharded pipeline clones per-shard state from. The
-// trajectory factory hands every shard the same trained model — the
-// model is immutable after training, so sharing it is what keeps shard
-// verdicts identical to the sequential run's.
+// buildDetectors resolves the -detectors list through the facade's
+// registry into live detectors plus the factories the sharded pipeline
+// clones per-shard state from. (The trajectory factory hands every shard
+// the same trained model — the model is immutable after training, so
+// sharing it is what keeps shard verdicts identical to the sequential
+// run's.)
 func buildDetectors(names []string) ([]detector.Detector, []detector.Factory, error) {
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("-detectors must name at least one detector")
 	}
-	dets := make([]detector.Detector, 0, len(names))
-	facts := make([]detector.Factory, 0, len(names))
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
 		if seen[name] {
 			return nil, nil, fmt.Errorf("duplicate detector %q in -detectors", name)
 		}
 		seen[name] = true
-		var f detector.Factory
-		switch name {
-		case "sentinel":
-			f = func() (detector.Detector, error) { return sentinel.New(sentinel.Config{}) }
-		case "arcane":
-			f = func() (detector.Detector, error) { return arcane.New(arcane.Config{}) }
-		case "trajectory":
-			f = func() (detector.Detector, error) {
-				model, err := trajectory.DefaultModel()
-				if err != nil {
-					return nil, err
-				}
-				return trajectory.New(trajectory.Config{Model: model})
-			}
-		default:
-			return nil, nil, fmt.Errorf("unknown detector %q (want sentinel, arcane or trajectory)", name)
-		}
-		d, err := f()
-		if err != nil {
+	}
+	facts, err := divscrape.FactoriesFor(names...)
+	if err != nil {
+		return nil, nil, err
+	}
+	dets := make([]detector.Detector, len(facts))
+	for i, f := range facts {
+		if dets[i], err = f(); err != nil {
 			return nil, nil, err
 		}
-		dets = append(dets, d)
-		facts = append(facts, f)
 	}
 	return dets, facts, nil
 }
@@ -220,18 +201,33 @@ func (a *alertAgreement) merge(o *alertAgreement) {
 	}
 }
 
+// tally is what one decision sink counts. Every field is a commutative
+// count, so the tallies of a per-shard run merge into exactly the totals
+// an ordered run counts.
+type tally struct {
+	agree *alertAgreement
+	confs []evaluate.Confusion
+	total uint64
+}
+
+func newTally(detectors int) *tally {
+	return &tally{agree: newAlertAgreement(detectors), confs: make([]evaluate.Confusion, detectors)}
+}
+
+func (t *tally) merge(o *tally) {
+	t.agree.merge(o.agree)
+	for i := range t.confs {
+		t.confs[i].Merge(o.confs[i])
+	}
+	t.total += o.total
+}
+
 // modeNameOf names a pipeline mode for the summary header.
 func modeNameOf(m pipeline.Mode) string {
-	switch m {
-	case pipeline.Concurrent:
-		return "conc"
-	case pipeline.Sharded:
+	if m == pipeline.Sharded {
 		return "shard"
-	case pipeline.ShardedRelaxed:
-		return "relaxed"
-	default:
-		return "seq"
 	}
+	return "seq"
 }
 
 // mitigationPolicy resolves the -mitigate flag.
@@ -319,8 +315,8 @@ func run(w io.Writer, args []string) error {
 	logPath := fs.String("log", "access.log", "access log to analyse")
 	detectorsFlag := fs.String("detectors", "sentinel,arcane", "comma-separated detectors to run: sentinel, arcane, trajectory")
 	labelPath := fs.String("labels", "", "optional label sidecar for sensitivity/specificity")
-	mode := fs.String("mode", "", "pipeline mode: seq, conc (deprecated), shard or relaxed (default derived from -parallel)")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker shards for shard/relaxed modes; 0 or 1 runs sequentially (conc is deprecated: prefer -mode relaxed for parallel throughput)")
+	mode := fs.String("mode", "", "pipeline mode: seq or shard (default derived from -parallel)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker shards for shard mode; 0 or 1 runs sequentially")
 	parseWorkers := fs.Int("parse-workers", 1, "parallel log-parse workers for replays (chunked on line boundaries, entry order preserved); 0 selects GOMAXPROCS, incompatible with -follow")
 	outPath := fs.String("out", "", "optional per-request verdict CSV output")
 	mitigateName := fs.String("mitigate", "", "replay a response policy over the decisions: observe, tag, block or graduated")
@@ -440,10 +436,9 @@ func run(w io.Writer, args []string) error {
 	// -mode wins when given; otherwise -parallel picks between the
 	// sequential reference and the sharded pipeline. Follow mode defaults
 	// to sequential unless parallelism was explicitly requested: a live
-	// tail is latency-sensitive (the sharded producer batches hand-offs
-	// by request count, so on a quiet log a partial batch can hold
-	// verdicts back for hours of wall time), and the sequential pipeline
-	// already sustains >1M req/s — far beyond any single log file.
+	// tail is latency-bound, not throughput-bound, and the sequential
+	// pipeline already sustains >1M req/s — far beyond any single log
+	// file.
 	parallelSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "parallel" {
@@ -454,12 +449,10 @@ func run(w io.Writer, args []string) error {
 	switch *mode {
 	case "seq":
 		pmode = pipeline.Sequential
-	case "conc":
-		pmode = pipeline.Concurrent
 	case "shard":
 		pmode = pipeline.Sharded
-	case "relaxed":
-		pmode = pipeline.ShardedRelaxed
+	case "conc", "relaxed":
+		return fmt.Errorf("-mode %s is gone; use -mode shard, which restores stream order only for the outputs that consume it (-mitigate, -out, -trace-out)", *mode)
 	case "":
 		switch {
 		case *follow && !parallelSet:
@@ -475,29 +468,14 @@ func run(w io.Writer, args []string) error {
 			pmode = pipeline.Sequential
 		}
 	default:
-		return fmt.Errorf("invalid -mode %q (want seq, conc, shard or relaxed)", *mode)
+		return fmt.Errorf("invalid -mode %q (want seq or shard)", *mode)
 	}
-	if pmode == pipeline.ShardedRelaxed {
-		// Relaxed mode trades the stream-order merge away, so everything
-		// that depends on a single in-order decision stream is refused
-		// up front rather than silently degraded: the verdict CSV is
-		// written by sequence into a dense table, the mitigation ladder
-		// is stateful across clients, the flight recorder's audit stream
-		// and explain timelines snapshot features synchronously, and the
-		// periodic checkpoint quiesces only the sequential pipeline.
-		switch {
-		case *mitigateName != "":
-			return fmt.Errorf("-mitigate requires an ordered pipeline (-mode seq or shard)")
-		case *outPath != "":
-			return fmt.Errorf("-out requires an ordered pipeline (-mode seq or shard)")
-		case *traceOut != "":
-			return fmt.Errorf("-trace-out requires the sequential pipeline (-mode seq)")
-		case *explainClient != "":
-			return fmt.Errorf("-explain requires the sequential pipeline (-mode seq)")
-		case *checkpointPath != "":
-			return fmt.Errorf("-checkpoint requires the sequential pipeline (-mode seq)")
-		}
-	}
+	// The sharded pipeline delivers per shard unless something consumes
+	// one in-order decision stream: the verdict CSV is written by sequence
+	// into a dense table, the mitigation ladder is stateful across
+	// clients, and the flight recorder's audit stream is one file. Every
+	// summary table is an order-free count and needs no order.
+	perShard := pmode == pipeline.Sharded && *mitigateName == "" && *outPath == "" && *traceOut == ""
 	if *parseWorkers < 0 {
 		return fmt.Errorf("invalid -parse-workers %d (want >= 0)", *parseWorkers)
 	}
@@ -505,8 +483,8 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("-parse-workers applies to replays; -follow tails a live log line by line")
 	}
 	if *checkpointPath != "" && pmode != pipeline.Sequential {
-		// Quiescing for a periodic checkpoint aborts a concurrent/sharded
-		// run mid-window: entries already pulled from the source but not
+		// Quiescing for a periodic checkpoint aborts a sharded run
+		// mid-window: entries already pulled from the source but not
 		// yet sinked would be dropped, silently desynchronising the
 		// checkpoint from the verdict stream. Only the sequential
 		// pipeline stops exactly at the sink.
@@ -521,7 +499,7 @@ func run(w io.Writer, args []string) error {
 	if shards <= 1 {
 		shards = 1
 	}
-	if pmode != pipeline.Sharded && pmode != pipeline.ShardedRelaxed {
+	if pmode != pipeline.Sharded {
 		shards = 1
 	}
 
@@ -561,14 +539,14 @@ func run(w io.Writer, args []string) error {
 			recCfg.Sink = func(r trace.Record) { _ = enc.Encode(r) }
 		}
 		tshards := 0
-		if pmode == pipeline.Sharded || pmode == pipeline.ShardedRelaxed {
+		if pmode == pipeline.Sharded {
 			tshards = shards
 		}
 		tracer = trace.New(trace.Config{
 			Registry:  reg,
 			Detectors: detNames,
 			Shards:    tshards,
-			Relaxed:   pmode == pipeline.ShardedRelaxed,
+			Relaxed:   perShard,
 			Recorder:  recCfg,
 		})
 	}
@@ -736,13 +714,11 @@ func run(w io.Writer, args []string) error {
 	}
 
 	var (
-		agree       = newAlertAgreement(len(dets))
-		confs       = make([]evaluate.Confusion, len(dets))
-		total       uint64
 		tagged      uint64
 		passed      uint64
 		checkpoints uint64
 		segment     int
+		processed   atomic.Uint64 // the -max-events bound, counted across sinks
 	)
 	// Sentinels steering the run loop: a due checkpoint quiesces the
 	// (sequential) pipeline so the state plane can serialise it, then the
@@ -764,158 +740,121 @@ func run(w io.Writer, args []string) error {
 			}
 		}
 	}
-	sink := func(d pipeline.Decision) error {
-		votes := agree.add(d.Verdicts)
-		live.events.Inc()
-		for i := range d.Verdicts {
-			if d.Verdicts[i].Alert {
-				live.alerts[i].Inc()
-			}
-		}
-		if sweeper != nil {
-			sweeper.Observe(d.Req.Entry.Time)
-		}
-		var dec mitigate.Decision
-		var rungBefore mitigate.Action
-		judged := false
-		if engine != nil {
-			// With the cluster plane wired, peer merges reach the engine on
-			// HTTP goroutines; the sink's accesses serialise on the same
-			// lock. A nil backend makes both calls no-ops.
-			clusterBE.lockEngine()
-			e := &d.Req.Entry
-			// The challenge flow itself is exempt, mirroring httpguard and
-			// the closed-loop experiments: script fetches never count
-			// against the client, beacons mark the challenge solved.
-			switch {
-			case challengeFlow && e.Path == sitemodel.ChallengeScriptPath:
-			case challengeFlow && e.Path == sitemodel.ChallengeVerifyPath && e.Method == "POST":
-				engine.ChallengePassed(e.RemoteAddr, e.Time)
-				passed++
-			default:
-				if tracer != nil {
-					rungBefore = engine.Level(e.RemoteAddr)
-				}
-				ts := tracer.Now()
-				var scoreSum float64
-				for i := range d.Verdicts {
-					scoreSum += d.Verdicts[i].Score
-				}
-				dec = engine.Apply(e.RemoteAddr, e.Time, mitigate.Assessment{
-					Alerted:   votes > 0,
-					Confirmed: votes >= confirmVotes,
-					Score:     scoreSum / float64(len(d.Verdicts)),
-				})
-				tracer.Lap(trace.StageEnsemble, ts)
-				judged = true
-				if dec.Tagged {
-					tagged++
-					live.tagged.Inc()
-				}
-			}
-			clusterBE.unlockEngine()
-		}
-		if tracer != nil {
-			captureDecision(tracer, detNames, &d, judged, dec, rungBefore, explainers)
-		}
-		if verdictOut != nil {
-			if err := verdictOut.WriteAt(d.Req.Seq, d.Verdicts); err != nil {
-				return err
-			}
-		}
-		if labels != nil {
-			if d.Req.Seq >= uint64(len(labels)) {
-				return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
-			}
-			malicious := labels[d.Req.Seq].Malicious()
+	// newSink builds a decision sink counting into t: the one sink of an
+	// ordered run, or one of a per-shard run's — the live metrics and the
+	// flight recorder it shares with its peers are concurrency-safe.
+	// Everything here that is not safe from several goroutines exists only
+	// in an ordered run: the engine (and its sweeper) needs -mitigate, the
+	// CSV writer -out, and periodic checkpoints the sequential pipeline.
+	// The watchdog poll is the exception, so exactly one sink polls.
+	newSink := func(t *tally, polls bool) pipeline.Sink {
+		return func(d pipeline.Decision) error {
+			votes := t.agree.add(d.Verdicts)
+			live.events.Inc()
 			for i := range d.Verdicts {
-				confs[i].Add(d.Verdicts[i].Alert, malicious)
+				if d.Verdicts[i].Alert {
+					live.alerts[i].Inc()
+				}
 			}
-		}
-		total++
-		if total%watchdogEvery == 0 {
-			wd.poll()
-		}
-		if *maxEvents > 0 && total >= *maxEvents {
-			if follower != nil {
-				follower.Stop()
+			if sweeper != nil {
+				sweeper.Observe(d.Req.Entry.Time)
 			}
-			return errMaxEvents
-		}
-		if *checkpointPath != "" {
-			if segment++; segment >= *checkpointEvery {
-				segment = 0
-				return errCheckpointDue
+			var dec mitigate.Decision
+			var rungBefore mitigate.Action
+			judged := false
+			if engine != nil {
+				// With the cluster plane wired, peer merges reach the engine on
+				// HTTP goroutines; the sink's accesses serialise on the same
+				// lock. A nil backend makes both calls no-ops.
+				clusterBE.lockEngine()
+				e := &d.Req.Entry
+				// The challenge flow itself is exempt, mirroring httpguard and
+				// the closed-loop experiments: script fetches never count
+				// against the client, beacons mark the challenge solved.
+				switch {
+				case challengeFlow && e.Path == sitemodel.ChallengeScriptPath:
+				case challengeFlow && e.Path == sitemodel.ChallengeVerifyPath && e.Method == "POST":
+					engine.ChallengePassed(e.RemoteAddr, e.Time)
+					passed++
+				default:
+					if tracer != nil {
+						rungBefore = engine.Level(e.RemoteAddr)
+					}
+					ts := tracer.Now()
+					var scoreSum float64
+					for i := range d.Verdicts {
+						scoreSum += d.Verdicts[i].Score
+					}
+					dec = engine.Apply(e.RemoteAddr, e.Time, mitigate.Assessment{
+						Alerted:   votes > 0,
+						Confirmed: votes >= confirmVotes,
+						Score:     scoreSum / float64(len(d.Verdicts)),
+					})
+					tracer.Lap(trace.StageEnsemble, ts)
+					judged = true
+					if dec.Tagged {
+						tagged++
+						live.tagged.Inc()
+					}
+				}
+				clusterBE.unlockEngine()
 			}
+			if tracer != nil {
+				captureDecision(tracer, detNames, &d, judged, dec, rungBefore, explainers)
+			}
+			if verdictOut != nil {
+				if err := verdictOut.WriteAt(d.Req.Seq, d.Verdicts); err != nil {
+					return err
+				}
+			}
+			if labels != nil {
+				if d.Req.Seq >= uint64(len(labels)) {
+					return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
+				}
+				malicious := labels[d.Req.Seq].Malicious()
+				for i := range d.Verdicts {
+					t.confs[i].Add(d.Verdicts[i].Alert, malicious)
+				}
+			}
+			t.total++
+			if polls && t.total%watchdogEvery == 0 {
+				wd.poll()
+			}
+			if *maxEvents > 0 && processed.Add(1) >= *maxEvents {
+				if follower != nil {
+					follower.Stop()
+				}
+				return errMaxEvents
+			}
+			if *checkpointPath != "" {
+				if segment++; segment >= *checkpointEvery {
+					segment = 0
+					return errCheckpointDue
+				}
+			}
+			return nil
 		}
-		return nil
 	}
+	sum := newTally(len(dets))
 	started := time.Now()
-	if pmode == pipeline.ShardedRelaxed {
-		// Shards deliver independently into private partial tables (every
-		// table is a commutative count, so the merged totals are identical
-		// to an ordered run's); the live metrics and the flight recorder
-		// are concurrency-safe and shared. The watchdog has nothing to
-		// poll here — periodic checkpoints are refused in this mode and a
-		// follower read failure already terminates the run as the source
-		// error.
-		type relaxedAgg struct {
-			agree *alertAgreement
-			confs []evaluate.Confusion
-			total uint64
-		}
-		aggs := make([]relaxedAgg, pipe.Shards())
-		sinks := make([]pipeline.Sink, pipe.Shards())
-		var processed atomic.Uint64
+	if perShard {
+		// Shards deliver independently into private tallies, merged below;
+		// shard 0's sink is the one that polls the watchdog.
+		parts := make([]*tally, pipe.Shards())
+		sinks := make([]pipeline.Sink, len(parts))
 		for i := range sinks {
-			agg := &aggs[i]
-			agg.agree = newAlertAgreement(len(dets))
-			agg.confs = make([]evaluate.Confusion, len(dets))
-			sinks[i] = func(d pipeline.Decision) error {
-				agg.agree.add(d.Verdicts)
-				live.events.Inc()
-				for j := range d.Verdicts {
-					if d.Verdicts[j].Alert {
-						live.alerts[j].Inc()
-					}
-				}
-				if tracer != nil {
-					captureDecision(tracer, detNames, &d, false, mitigate.Decision{}, 0, nil)
-				}
-				if labels != nil {
-					if d.Req.Seq >= uint64(len(labels)) {
-						return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
-					}
-					malicious := labels[d.Req.Seq].Malicious()
-					for j := range d.Verdicts {
-						agg.confs[j].Add(d.Verdicts[j].Alert, malicious)
-					}
-				}
-				agg.total++
-				if *maxEvents > 0 && processed.Add(1) >= *maxEvents {
-					if follower != nil {
-						follower.Stop()
-					}
-					return errMaxEvents
-				}
-				return nil
-			}
+			parts[i] = newTally(len(dets))
+			sinks[i] = newSink(parts[i], i == 0)
 		}
 		err = pipe.RunRelaxed(context.Background(), src, sinks)
-		if errors.Is(err, errMaxEvents) {
-			err = nil
+		for _, part := range parts {
+			sum.merge(part)
 		}
-		if err != nil {
+		if err != nil && !errors.Is(err, errMaxEvents) {
 			return err
 		}
-		for i := range aggs {
-			agree.merge(aggs[i].agree)
-			for j := range confs {
-				confs[j].Merge(aggs[i].confs[j])
-			}
-			total += aggs[i].total
-		}
 	} else {
+		sink := newSink(sum, true)
 		for {
 			err = pipe.Run(context.Background(), src, sink)
 			switch {
@@ -940,6 +879,7 @@ func run(w io.Writer, args []string) error {
 			break
 		}
 	}
+	agree, confs, total := sum.agree, sum.confs, sum.total
 	if verdictOut != nil {
 		if err := verdictOut.Flush(); err != nil {
 			return err

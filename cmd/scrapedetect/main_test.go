@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -41,7 +42,7 @@ func TestRunEndToEnd(t *testing.T) {
 	logPath, labelPath := writeDataset(t, dir)
 	outPath := filepath.Join(dir, "verdicts.csv")
 
-	for _, mode := range []string{"seq", "conc"} {
+	for _, mode := range []string{"seq", "shard"} {
 		var sb strings.Builder
 		err := run(&sb, []string{
 			"-log", logPath, "-labels", labelPath, "-mode", mode, "-out", outPath,
@@ -208,22 +209,26 @@ func TestRunErrors(t *testing.T) {
 		t.Error("truncated label sidecar accepted")
 	}
 
-	// Relaxed mode refuses every output that depends on a single in-order
-	// decision stream, and the truncated sidecar is caught there too.
+	// The two retired modes are rejected by name; shard mode refuses the
+	// two outputs only the sequential pipeline can serve, and catches the
+	// truncated sidecar under per-shard delivery too.
+	for _, mode := range []string{"conc", "relaxed"} {
+		err := run(&sb, []string{"-log", logPath, "-mode", mode})
+		if err == nil || !strings.Contains(err.Error(), "-mode shard") {
+			t.Errorf("-mode %s: error = %v, want a pointer to -mode shard", mode, err)
+		}
+	}
 	for _, extra := range [][]string{
-		{"-mitigate", "graduated"},
-		{"-out", filepath.Join(dir, "v.csv")},
-		{"-trace-out", filepath.Join(dir, "t.jsonl")},
 		{"-explain", "10.0.0.1"},
 		{"-checkpoint", filepath.Join(dir, "ck.bin")},
 	} {
-		args := append([]string{"-log", logPath, "-mode", "relaxed"}, extra...)
+		args := append([]string{"-log", logPath, "-mode", "shard"}, extra...)
 		if err := run(&sb, args); err == nil {
-			t.Errorf("relaxed mode accepted %v", extra)
+			t.Errorf("shard mode accepted %v", extra)
 		}
 	}
-	if err := run(&sb, []string{"-log", logPath, "-mode", "relaxed", "-labels", short}); err == nil {
-		t.Error("relaxed run accepted truncated label sidecar")
+	if err := run(&sb, []string{"-log", logPath, "-mode", "shard", "-parallel", "3", "-labels", short}); err == nil {
+		t.Error("per-shard run accepted truncated label sidecar")
 	}
 	if err := run(&sb, []string{"-log", logPath, "-parse-workers", "-1"}); err == nil {
 		t.Error("negative -parse-workers accepted")
@@ -275,10 +280,10 @@ func TestRunDetectorsFlag(t *testing.T) {
 		t.Errorf("verdict header = %q, want %q", header, want)
 	}
 
-	// Sharded and relaxed runs must print the identical tables (headers
-	// aside): every aggregate is an order-free count. The baseline is a
-	// plain sequential run — mitigation and the CSV are ordered-only
-	// extras the parallel modes don't print.
+	// A sharded run must print the identical tables (headers aside)
+	// under either delivery — per shard when only the order-free tables
+	// are asked for, ordered when the CSV and the ladder are — and the
+	// ordered extras must equal the sequential run's byte for byte.
 	tablesOf := func(s string) string {
 		i := strings.Index(s, "Alert diversity")
 		if i < 0 {
@@ -294,19 +299,38 @@ func TestRunDetectorsFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"shard", "relaxed"} {
-		var sb strings.Builder
-		err := run(&sb, []string{
-			"-log", logPath, "-labels", labelPath,
-			"-detectors", "sentinel,arcane,trajectory",
-			"-mode", mode, "-parallel", "3",
-		})
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		if got, want := tablesOf(sb.String()), tablesOf(plain.String()); got != want {
-			t.Errorf("mode %s tables differ from sequential:\n got:\n%s\n want:\n%s", mode, got, want)
-		}
+	var perShard strings.Builder
+	err = run(&perShard, []string{
+		"-log", logPath, "-labels", labelPath,
+		"-detectors", "sentinel,arcane,trajectory",
+		"-mode", "shard", "-parallel", "3",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tablesOf(perShard.String()), tablesOf(plain.String()); got != want {
+		t.Errorf("per-shard tables differ from sequential:\n got:\n%s\n want:\n%s", got, want)
+	}
+	shardOut := filepath.Join(dir, "verdicts3-shard.csv")
+	var ordered strings.Builder
+	err = run(&ordered, []string{
+		"-log", logPath, "-labels", labelPath,
+		"-detectors", "sentinel,arcane,trajectory",
+		"-mode", "shard", "-parallel", "3", "-out", shardOut, "-mitigate", "graduated",
+		"-trace-out", filepath.Join(dir, "trace3.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tablesOf(ordered.String()), tablesOf(seq.String()); got != want {
+		t.Errorf("ordered shard tables differ from sequential:\n got:\n%s\n want:\n%s", got, want)
+	}
+	shardVerdicts, err := os.ReadFile(shardOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shardVerdicts, verdicts) {
+		t.Error("ordered shard verdict CSV differs from the sequential run's")
 	}
 
 	var sb strings.Builder

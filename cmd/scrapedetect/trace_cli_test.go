@@ -131,8 +131,8 @@ func TestRunExplainRequiresSequential(t *testing.T) {
 	dir := t.TempDir()
 	logPath, _ := writeDataset(t, dir)
 	var sb strings.Builder
-	if err := run(&sb, []string{"-log", logPath, "-mode", "conc", "-explain", "10.0.0.1"}); err == nil {
-		t.Error("-explain accepted with the concurrent pipeline")
+	if err := run(&sb, []string{"-log", logPath, "-mode", "shard", "-explain", "10.0.0.1"}); err == nil {
+		t.Error("-explain accepted with -mode shard")
 	}
 	if err := run(&sb, []string{"-log", logPath, "-parallel", "4", "-explain", "10.0.0.1"}); err == nil {
 		t.Error("-explain accepted with the sharded pipeline")

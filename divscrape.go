@@ -29,21 +29,19 @@
 //	gen, _ := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 1, Duration: 6 * time.Hour})
 //	summary, _ := divscrape.AnalyzeSharded(gen, 0) // 0 → GOMAXPROCS shards
 //
-// The detection pipeline offers four execution modes. Sequential runs on
-// one goroutine and is the reference; pick it for debugging and
-// single-core replays. Concurrent gives each detector its own goroutine;
-// it is kept as a model of the paper's deployment shape, not a
-// throughput choice. Sharded partitions traffic by client IP across
-// GOMAXPROCS worker shards with private detector instances and restores
-// stream order on output — byte-identical to Sequential. ShardedRelaxed
-// drops that final reorder: shards deliver independently, preserving
-// per-client order and the whole-stream verdict multiset but not the
-// cross-client interleaving — the highest-throughput mode, and every
-// aggregate the paper reports is order-free, so AnalyzeShardedRelaxed
-// still reproduces Analyze's tables exactly. Because all per-client
-// state follows the client onto one shard, every mode judges every
-// request identically — the modes trade delivery-order guarantees for
-// throughput, never accuracy.
+// The detection pipeline has two engines. Sequential runs on one
+// goroutine and is the reference; pick it for debugging and single-core
+// replays. Sharded partitions traffic by client IP across GOMAXPROCS
+// worker shards with private detector instances, and delivers in one of
+// two ways: restored to stream order in front of one sink —
+// byte-identical to Sequential — or straight off every shard into a sink
+// of its own, preserving per-client order and the whole-stream verdict
+// multiset but not the cross-client interleaving. The second is the
+// faster one, and every aggregate the paper reports is order-free, so it
+// is what the AnalyzeSharded family uses: it reproduces Analyze's tables
+// exactly. Because all per-client state follows the client onto one
+// shard, every engine and delivery judges every request identically —
+// they trade delivery-order guarantees for throughput, never accuracy.
 package divscrape
 
 import (
@@ -638,37 +636,60 @@ func DefaultFactories() []Factory {
 	return fs
 }
 
-// newShardedPipeline builds the named detectors as a sharded pipeline.
-func newShardedPipeline(shards int, names []string) (*pipeline.Pipeline, error) {
+// analyzeSharded runs src through a sharded pipeline of the named
+// detectors with per-shard delivery: every shard records into a private
+// partial summary and the partials are folded together at the end. Every
+// accumulated quantity is a commutative count, so the result equals the
+// one an in-order pass accumulates — delivery order trades away only the
+// cross-client interleaving, which no table depends on. malicious joins
+// ground truth back by sequence number; nil leaves the summary unlabelled.
+func analyzeSharded(shards int, names []string, src pipeline.EntrySource, malicious func(seq uint64) bool) (*Summary, error) {
 	factories, err := FactoriesFor(names...)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.New(pipeline.Config{
+	pipe, err := pipeline.New(pipeline.Config{
 		Factories:  factories,
 		Reputation: iprep.BuildFeed(),
 		Mode:       pipeline.Sharded,
 		Shards:     shards,
 	})
+	if err != nil {
+		return nil, err
+	}
+	labelled := malicious != nil
+	partials := make([]*Summary, pipe.Shards())
+	sinks := make([]pipeline.Sink, pipe.Shards())
+	for i := range sinks {
+		part := newSummary(pipe.Detectors(), labelled)
+		partials[i] = part
+		sinks[i] = func(d pipeline.Decision) error {
+			part.record(d.Verdicts, labelled && malicious(d.Req.Seq))
+			return nil
+		}
+	}
+	if err := pipe.RunRelaxed(context.Background(), src, sinks); err != nil {
+		return nil, err
+	}
+	s := newSummary(pipe.Detectors(), labelled)
+	for _, part := range partials {
+		s.Merge(part)
+	}
+	return s, nil
 }
 
 // AnalyzeShardedSet is AnalyzeSet on the sharded pipeline: the generated
 // stream is partitioned by client IP across shards (0 selects
 // GOMAXPROCS), each with private instances of the named detectors (none
-// selects DefaultDetectors), and merged back into stream order — the
-// summary is identical to AnalyzeSet's, only faster on multi-core hosts.
-// The events are materialised first so ground-truth labels can be joined
-// back by sequence number.
+// selects DefaultDetectors) and a partial summary of its own — the
+// merged summary is identical to AnalyzeSet's, only faster on multi-core
+// hosts. The events are materialised first so ground-truth labels can be
+// joined back by sequence number.
 func AnalyzeShardedSet(gen *Generator, shards int, names ...string) (*Summary, error) {
 	events, err := gen.Generate()
 	if err != nil {
 		return nil, fmt.Errorf("divscrape: analyze sharded: generate: %w", err)
 	}
-	pipe, err := newShardedPipeline(shards, names)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze sharded: %w", err)
-	}
-	s := newSummary(pipe.Detectors(), true)
 	i := 0
 	src := func() (Entry, error) {
 		if i >= len(events) {
@@ -678,10 +699,7 @@ func AnalyzeShardedSet(gen *Generator, shards int, names ...string) (*Summary, e
 		i++
 		return e, nil
 	}
-	err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
-		s.record(d.Verdicts, events[d.Req.Seq].Label.Malicious())
-		return nil
-	})
+	s, err := analyzeSharded(shards, names, src, func(seq uint64) bool { return events[seq].Label.Malicious() })
 	if err != nil {
 		return nil, fmt.Errorf("divscrape: analyze sharded: %w", err)
 	}
@@ -693,20 +711,21 @@ func AnalyzeSharded(gen *Generator, shards int) (*Summary, error) {
 	return AnalyzeShardedSet(gen, shards)
 }
 
-// AnalyzeLogShardedSet is AnalyzeLogSet on the sharded pipeline (0 shards
-// selects GOMAXPROCS, no names selects DefaultDetectors). Malformed
-// lines are skipped; the contingency table is identical to
-// AnalyzeLogSet's.
+// AnalyzeLogShardedSet is AnalyzeLogSet end to end on the parallel plane
+// (0 shards selects GOMAXPROCS, no names selects DefaultDetectors): a
+// chunked ParallelReader fans the parse across cores (malformed lines
+// skipped), the sharded pipeline fans detection across shards, and
+// per-shard partial summaries merge at the end. The contingency table is
+// identical to AnalyzeLogSet's.
 func AnalyzeLogShardedSet(r io.Reader, shards int, names ...string) (*Summary, error) {
-	pipe, err := newShardedPipeline(shards, names)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze log sharded: %w", err)
+	lr := logfmt.NewParallelReader(r, logfmt.ParallelConfig{Policy: logfmt.Skip})
+	defer lr.Close()
+	src := func() (Entry, error) {
+		var e Entry
+		err := lr.NextInto(&e)
+		return e, err
 	}
-	s := newSummary(pipe.Detectors(), false)
-	err = pipe.RunReader(context.Background(), r, logfmt.Skip, func(d pipeline.Decision) error {
-		s.record(d.Verdicts, false)
-		return nil
-	})
+	s, err := analyzeSharded(shards, names, src, nil)
 	if err != nil {
 		return nil, fmt.Errorf("divscrape: analyze log sharded: %w", err)
 	}
@@ -716,115 +735,6 @@ func AnalyzeLogShardedSet(r io.Reader, shards int, names ...string) (*Summary, e
 // AnalyzeLogSharded is AnalyzeLogShardedSet on the paper's pair.
 func AnalyzeLogSharded(r io.Reader, shards int) (*Summary, error) {
 	return AnalyzeLogShardedSet(r, shards)
-}
-
-// newRelaxedPipeline builds the named detectors as a relaxed sharded
-// pipeline: per-client total order, no global merge.
-func newRelaxedPipeline(shards int, names []string) (*pipeline.Pipeline, error) {
-	factories, err := FactoriesFor(names...)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.New(pipeline.Config{
-		Factories:  factories,
-		Reputation: iprep.BuildFeed(),
-		Mode:       pipeline.ShardedRelaxed,
-		Shards:     shards,
-	})
-}
-
-// AnalyzeShardedRelaxedSet is AnalyzeShardedSet without the stream-order
-// merge: shards drain into private partial summaries that are folded
-// together at the end. Every accumulated quantity is a commutative count
-// keyed by the event's sequence number, so the summary is identical to
-// AnalyzeSet's and AnalyzeShardedSet's — relaxing delivery order trades
-// away only the cross-client interleaving, which no table depends on.
-// This is the highest-throughput analysis entry point on multi-core
-// hosts.
-func AnalyzeShardedRelaxedSet(gen *Generator, shards int, names ...string) (*Summary, error) {
-	events, err := gen.Generate()
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze relaxed: generate: %w", err)
-	}
-	pipe, err := newRelaxedPipeline(shards, names)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze relaxed: %w", err)
-	}
-	partials := make([]*Summary, pipe.Shards())
-	sinks := make([]pipeline.Sink, pipe.Shards())
-	for i := range sinks {
-		part := newSummary(pipe.Detectors(), true)
-		partials[i] = part
-		sinks[i] = func(d pipeline.Decision) error {
-			part.record(d.Verdicts, events[d.Req.Seq].Label.Malicious())
-			return nil
-		}
-	}
-	i := 0
-	src := func() (Entry, error) {
-		if i >= len(events) {
-			return Entry{}, io.EOF
-		}
-		e := events[i].Entry
-		i++
-		return e, nil
-	}
-	if err := pipe.RunRelaxed(context.Background(), src, sinks); err != nil {
-		return nil, fmt.Errorf("divscrape: analyze relaxed: %w", err)
-	}
-	s := newSummary(pipe.Detectors(), true)
-	for i := range partials {
-		s.Merge(partials[i])
-	}
-	return s, nil
-}
-
-// AnalyzeShardedRelaxed is AnalyzeShardedRelaxedSet on the paper's pair.
-func AnalyzeShardedRelaxed(gen *Generator, shards int) (*Summary, error) {
-	return AnalyzeShardedRelaxedSet(gen, shards)
-}
-
-// AnalyzeLogShardedRelaxedSet is AnalyzeLogSet end to end on the
-// parallel plane: a chunked ParallelReader fans the parse across cores
-// (malformed lines skipped), the relaxed pipeline fans detection across
-// shards, and per-shard partial summaries merge at the end. The
-// contingency table is identical to AnalyzeLogSet's.
-func AnalyzeLogShardedRelaxedSet(r io.Reader, shards int, names ...string) (*Summary, error) {
-	pipe, err := newRelaxedPipeline(shards, names)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze log relaxed: %w", err)
-	}
-	partials := make([]*Summary, pipe.Shards())
-	sinks := make([]pipeline.Sink, pipe.Shards())
-	for i := range sinks {
-		part := newSummary(pipe.Detectors(), false)
-		partials[i] = part
-		sinks[i] = func(d pipeline.Decision) error {
-			part.record(d.Verdicts, false)
-			return nil
-		}
-	}
-	lr := logfmt.NewParallelReader(r, logfmt.ParallelConfig{Policy: logfmt.Skip})
-	defer lr.Close()
-	src := func() (Entry, error) {
-		var e Entry
-		err := lr.NextInto(&e)
-		return e, err
-	}
-	if err := pipe.RunRelaxed(context.Background(), src, sinks); err != nil {
-		return nil, fmt.Errorf("divscrape: analyze log relaxed: %w", err)
-	}
-	s := newSummary(pipe.Detectors(), false)
-	for i := range partials {
-		s.Merge(partials[i])
-	}
-	return s, nil
-}
-
-// AnalyzeLogShardedRelaxed is AnalyzeLogShardedRelaxedSet on the paper's
-// pair.
-func AnalyzeLogShardedRelaxed(r io.Reader, shards int) (*Summary, error) {
-	return AnalyzeLogShardedRelaxedSet(r, shards)
 }
 
 // WriteDataset streams a generation run to an access log and label

@@ -20,15 +20,15 @@
 // are single-threaded by design (per-client state machines), so the guard
 // partitions traffic by client IP across Config.Shards internal shards,
 // each with its own detector pair, enricher, mitigation engine and mutex —
-// the same key-partitioning the offline pipeline's Sharded and
-// ShardedRelaxed modes use. A client's requests always hash to the same
+// the same key-partitioning the offline pipeline's Sharded mode uses. A
+// client's requests always hash to the same
 // shard, so per-client detection and enforcement state is exactly what a
 // single serialised pair would hold, while unrelated clients no longer
-// contend on one lock. Note the guard's topology is the relaxed one:
-// responses leave in whatever order shards finish, stats, tracing and
-// eviction are shard-local, and nothing ever merges the streams back
-// into arrival order — pipeline.ShardedRelaxed is this deployment shape
-// replayed offline, and the facts proven for it (per-client total order,
+// contend on one lock. Note the guard delivers per shard: responses
+// leave in whatever order shards finish, stats, tracing and eviction are
+// shard-local, and nothing ever merges the streams back into arrival
+// order — pipeline.RunRelaxed is this deployment shape replayed offline,
+// and the facts proven for it (per-client total order,
 // order-free aggregate equality) are what make the guard's inline
 // judgements equivalent to the paper's offline analysis.
 //

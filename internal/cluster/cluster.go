@@ -208,12 +208,12 @@ type peerLink struct {
 type Node struct {
 	cfg Config
 
-	mu      sync.Mutex
-	fd      *FailureDetector
-	peers   map[string]*peerLink
-	ring    *Ring
-	avoid   map[string]bool // peers routed around (suspect or dead)
-	skipFn  func(string) bool
+	mu        sync.Mutex
+	fd        *FailureDetector
+	peers     map[string]*peerLink
+	ring      *Ring
+	avoid     map[string]bool // peers routed around (suspect or dead)
+	skipFn    func(string) bool
 	seq       uint64
 	started   bool
 	lastBuild time.Time

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"divscrape/internal/arcane"
@@ -111,17 +110,10 @@ type Options struct {
 	WeightedThreshold float64
 	// Shards, when positive, runs the measurement pass through the
 	// sharded detection pipeline with that many workers instead of
-	// inspecting inline. Results are identical (the pipeline's merge
-	// restores stream order and per-client state is shard-local); only
-	// wall-clock changes.
+	// inspecting inline. Results are identical (the pipeline's ordered
+	// delivery restores stream order and per-client state is
+	// shard-local); only wall-clock changes.
 	Shards int
-	// Relaxed runs the pass through the ShardedRelaxed pipeline — no
-	// stream-order merge; shards deliver independently and a mutex
-	// serialises the accumulators. Every accumulator is a commutative
-	// per-request add keyed by the event's sequence number, so the tables
-	// are still identical to the inline pass. Implies a sharded pass;
-	// Shards 0 selects GOMAXPROCS.
-	Relaxed bool
 }
 
 // Execute runs the full single-pass measurement at the given scale.
@@ -169,7 +161,7 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 		run.ROCB.Add(vb.Score, malicious)
 	}
 
-	if opts.Shards > 0 || opts.Relaxed {
+	if opts.Shards > 0 {
 		return executeSharded(gen, run, opts, accumulate)
 	}
 
@@ -198,19 +190,12 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 
 // executeSharded runs the measurement pass through the key-partitioned
 // pipeline. Events are materialised so labels can be joined back by the
-// enricher's sequence number — after the order-restoring merge in
-// Sharded mode, or straight off each shard in Relaxed mode (where a
-// mutex serialises the accumulators; the joined-by-sequence adds are
-// commutative, so delivery order cannot change any table).
+// enricher's sequence number.
 func executeSharded(gen *workload.Generator, run *Run, opts Options,
 	accumulate func(*workload.Event, detector.Verdict, detector.Verdict)) (*Run, error) {
 	events, err := gen.Generate()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generate: %w", err)
-	}
-	mode := pipeline.Sharded
-	if opts.Relaxed {
-		mode = pipeline.ShardedRelaxed
 	}
 	pipe, err := pipeline.New(pipeline.Config{
 		Factories: []detector.Factory{
@@ -218,7 +203,7 @@ func executeSharded(gen *workload.Generator, run *Run, opts Options,
 			func() (detector.Detector, error) { return arcane.New(opts.Arcane) },
 		},
 		Reputation: iprep.BuildFeed(),
-		Mode:       mode,
+		Mode:       pipeline.Sharded,
 		Shards:     opts.Shards,
 	})
 	if err != nil {
@@ -235,24 +220,10 @@ func executeSharded(gen *workload.Generator, run *Run, opts Options,
 		i++
 		return e, nil
 	}
-	if opts.Relaxed {
-		var mu sync.Mutex
-		sinks := make([]pipeline.Sink, pipe.Shards())
-		for s := range sinks {
-			sinks[s] = func(d pipeline.Decision) error {
-				mu.Lock()
-				accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
-				mu.Unlock()
-				return nil
-			}
-		}
-		err = pipe.RunRelaxed(context.Background(), src, sinks)
-	} else {
-		err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
-			accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
-			return nil
-		})
-	}
+	err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
+		accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sharded run: %w", err)
 	}

@@ -260,78 +260,44 @@ func TestExecuteThreeWay(t *testing.T) {
 	}
 }
 
-// The sharded measurement pass must reproduce the sequential pass exactly:
-// every accumulator the tables are built from is order-sensitive only
-// through detector state, which the key-partitioned pipeline preserves.
+// The sharded measurement pass must reproduce the sequential pass exactly
+// at any shard count, across the full accumulator set (status/archetype
+// breakdowns and ROC grids included, which the facade's Summary does not
+// carry): every accumulator the tables are built from is order-sensitive
+// only through detector state, which the key-partitioned pipeline
+// preserves.
 func TestExecuteShardedMatchesSequential(t *testing.T) {
 	seq, err := Execute(BenchScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := ExecuteOpts(BenchScale, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shard.Total != seq.Total {
-		t.Fatalf("totals differ: sharded %d, sequential %d", shard.Total, seq.Total)
-	}
-	if shard.Cont != seq.Cont {
-		t.Errorf("contingency differs: %+v vs %+v", shard.Cont, seq.Cont)
-	}
-	if shard.ConfA != seq.ConfA || shard.ConfB != seq.ConfB {
-		t.Error("per-tool confusion matrices differ")
-	}
-	if shard.Conf1oo2 != seq.Conf1oo2 || shard.Conf2oo2 != seq.Conf2oo2 || shard.ConfWeighted != seq.ConfWeighted {
-		t.Error("adjudicated confusion matrices differ")
-	}
-	if shard.Corr != seq.Corr {
-		t.Error("correctness-agreement table differs")
-	}
-	if shard.ROCA.AUC() != seq.ROCA.AUC() || shard.ROCB.AUC() != seq.ROCB.AUC() {
-		t.Error("ROC accumulators differ")
-	}
-}
-
-// The relaxed measurement pass — no stream-order merge, shards delivering
-// straight into the mutex-guarded accumulators — must also reproduce the
-// sequential tables exactly: every accumulator add is commutative and
-// joined to ground truth by sequence number, not arrival order. This is
-// the experiments-level face of the pipeline's relaxed-equivalence proof,
-// across the full accumulator set (status/archetype breakdowns, ROC
-// grids) that the facade's Summary does not carry.
-func TestExecuteRelaxedMatchesSequential(t *testing.T) {
-	seq, err := Execute(BenchScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3} {
-		relaxed, err := ExecuteOpts(BenchScale, Options{Shards: shards, Relaxed: true})
+	for _, shards := range []int{1, 3, 4} {
+		shard, err := ExecuteOpts(BenchScale, Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if relaxed.Total != seq.Total {
-			t.Fatalf("shards=%d: totals differ: relaxed %d, sequential %d",
-				shards, relaxed.Total, seq.Total)
+		if shard.Total != seq.Total {
+			t.Fatalf("shards=%d: totals differ: sharded %d, sequential %d", shards, shard.Total, seq.Total)
 		}
-		if relaxed.Cont != seq.Cont {
-			t.Errorf("shards=%d: contingency differs: %+v vs %+v", shards, relaxed.Cont, seq.Cont)
+		if shard.Cont != seq.Cont {
+			t.Errorf("shards=%d: contingency differs: %+v vs %+v", shards, shard.Cont, seq.Cont)
 		}
-		if !reflect.DeepEqual(relaxed.Status, seq.Status) {
+		if !reflect.DeepEqual(shard.Status, seq.Status) {
 			t.Errorf("shards=%d: status breakdown differs", shards)
 		}
-		if !reflect.DeepEqual(relaxed.ByArch, seq.ByArch) {
+		if !reflect.DeepEqual(shard.ByArch, seq.ByArch) {
 			t.Errorf("shards=%d: archetype breakdown differs", shards)
 		}
-		if relaxed.ConfA != seq.ConfA || relaxed.ConfB != seq.ConfB {
+		if shard.ConfA != seq.ConfA || shard.ConfB != seq.ConfB {
 			t.Errorf("shards=%d: per-tool confusion matrices differ", shards)
 		}
-		if relaxed.Conf1oo2 != seq.Conf1oo2 || relaxed.Conf2oo2 != seq.Conf2oo2 || relaxed.ConfWeighted != seq.ConfWeighted {
+		if shard.Conf1oo2 != seq.Conf1oo2 || shard.Conf2oo2 != seq.Conf2oo2 || shard.ConfWeighted != seq.ConfWeighted {
 			t.Errorf("shards=%d: adjudicated confusion matrices differ", shards)
 		}
-		if relaxed.Corr != seq.Corr {
+		if shard.Corr != seq.Corr {
 			t.Errorf("shards=%d: correctness-agreement table differs", shards)
 		}
-		if relaxed.ROCA.AUC() != seq.ROCA.AUC() || relaxed.ROCB.AUC() != seq.ROCB.AUC() {
+		if shard.ROCA.AUC() != seq.ROCA.AUC() || shard.ROCB.AUC() != seq.ROCB.AUC() {
 			t.Errorf("shards=%d: ROC accumulators differ", shards)
 		}
 	}

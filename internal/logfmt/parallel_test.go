@@ -64,16 +64,16 @@ func drain(src entrySource) (entries []Entry, skipped, lines int, err error) {
 // error are indistinguishable from Reader's.
 func TestParallelReaderEquivalence(t *testing.T) {
 	inputs := map[string]string{
-		"clean":              buildLog(600, false),
-		"with-bad-lines":     buildLog(600, true),
-		"empty":              "",
-		"only-empty-lines":   "\n\n\r\n\n",
-		"single-line-no-nl":  combinedLine(1),
-		"final-line-no-nl":   strings.TrimSuffix(buildLog(50, false), "\n"),
-		"bad-final-line":     buildLog(50, false) + "garbage with no newline",
-		"bad-first-line":     "garbage\n" + buildLog(20, false),
-		"all-bad":            "junk one\njunk two\njunk three\n",
-		"crlf-final-line":    combinedLine(2) + "\r",
+		"clean":             buildLog(600, false),
+		"with-bad-lines":    buildLog(600, true),
+		"empty":             "",
+		"only-empty-lines":  "\n\n\r\n\n",
+		"single-line-no-nl": combinedLine(1),
+		"final-line-no-nl":  strings.TrimSuffix(buildLog(50, false), "\n"),
+		"bad-final-line":    buildLog(50, false) + "garbage with no newline",
+		"bad-first-line":    "garbage\n" + buildLog(20, false),
+		"all-bad":           "junk one\njunk two\njunk three\n",
+		"crlf-final-line":   combinedLine(2) + "\r",
 	}
 	for name, input := range inputs {
 		for _, policy := range []ErrPolicy{Strict, Skip} {

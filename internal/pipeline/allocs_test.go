@@ -75,7 +75,6 @@ func TestShardedPooledVerdictsNotAliased(t *testing.T) {
 		Reputation: iprep.BuildFeed(),
 		Mode:       Sharded,
 		Shards:     4,
-		Batch:      16, // small batches force heavy pool churn
 		Buffer:     64,
 	})
 	if err != nil {

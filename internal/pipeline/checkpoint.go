@@ -85,7 +85,7 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 	}
 	shards := len(p.shardDets)
 	part := func(ip uint32) int { return 0 }
-	if p.cfg.Mode.shardedTopology() {
+	if p.cfg.Mode == Sharded {
 		part = func(ip uint32) int { return shardOf(ip, shards) }
 	}
 	for j, role := range roles {
@@ -122,7 +122,7 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 // slice per registered detector, holding that detector's instance on
 // every shard (a single instance outside Sharded mode).
 func (p *Pipeline) detectorRoles() [][]detector.Detector {
-	if p.cfg.Mode.shardedTopology() {
+	if p.cfg.Mode == Sharded {
 		nd := len(p.shardDets[0])
 		roles := make([][]detector.Detector, nd)
 		for j := 0; j < nd; j++ {

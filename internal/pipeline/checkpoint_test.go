@@ -102,7 +102,6 @@ func TestCheckpointResumeEquivalenceLargeStream(t *testing.T) {
 			Reputation: iprep.BuildFeed(),
 			Mode:       mode,
 			Shards:     shards,
-			Batch:      32,
 			Buffer:     64,
 		})
 		if err != nil {
@@ -119,7 +118,6 @@ func TestCheckpointResumeEquivalenceLargeStream(t *testing.T) {
 		{"seq→shard4", build(Sequential, 0), build(Sharded, 4)},
 		{"shard3→seq", build(Sharded, 3), build(Sequential, 0)},
 		{"shard3→shard8", build(Sharded, 3), build(Sharded, 8)},
-		{"conc→shard2", build(Concurrent, 0), build(Sharded, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

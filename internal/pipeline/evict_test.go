@@ -92,8 +92,8 @@ func cleanRequests(events []workload.Event, window time.Duration) (clean []bool,
 
 // Metamorphic eviction-equivalence: for any event stream, replaying with
 // windowed eviction enabled produces verdicts identical to a no-eviction
-// reference for every non-expired client, across Sequential, Concurrent
-// and Sharded modes — and identical to a reference run where expired
+// reference for every non-expired client, across Sequential and
+// Sharded modes — and identical to a reference run where expired
 // clients are manually removed between requests. The window is set well
 // below the detectors' idle timeouts so the sweeps genuinely evict
 // mid-stream state (with a window at or above the idle timeouts the
@@ -165,13 +165,12 @@ func TestEvictionEquivalenceMetamorphic(t *testing.T) {
 	}
 	compare("manual removal", manual)
 
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
+	for _, mode := range []Mode{Sequential, Sharded} {
 		p, err := New(Config{
 			Factories:   pairFactories(),
 			Reputation:  iprep.BuildFeed(),
 			Mode:        mode,
 			Shards:      3,
-			Batch:       32,
 			Buffer:      64,
 			EvictWindow: window,
 			EvictEvery:  every,
@@ -198,7 +197,7 @@ func TestEvictionEquivalenceMetamorphic(t *testing.T) {
 func TestEvictionNeutralAtIdleWindow(t *testing.T) {
 	events := generate(t, 6)
 	reference := collectDecisions(t, newPipe(t, Sequential), sourceFrom(events), nil)
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
+	for _, mode := range []Mode{Sequential, Sharded} {
 		p, err := New(Config{
 			Factories:   pairFactories(),
 			Reputation:  iprep.BuildFeed(),
@@ -219,6 +218,35 @@ func TestEvictionNeutralAtIdleWindow(t *testing.T) {
 				t.Fatalf("mode %d: idle-window eviction changed decision %d:\n  evicted   %+v\n  reference %+v",
 					mode, i, got[i], reference[i])
 			}
+		}
+	}
+}
+
+// ResetDetectors starts an independent dataset, which may begin before the
+// last one ended: the sweep cadence must restart with it. Replaying one
+// stream twice has to sweep as often the second time as the first — in
+// Sequential mode the anchor lives on the Pipeline, and one left behind by
+// the first run would hold every sweep of the second off.
+func TestEvictionCadenceRestartsAfterReset(t *testing.T) {
+	events := generate(t, 6)
+	for _, mode := range []Mode{Sequential, Sharded} {
+		p, err := New(Config{
+			Factories:   pairFactories(),
+			Reputation:  iprep.BuildFeed(),
+			Mode:        mode,
+			Shards:      3,
+			EvictWindow: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectDecisions(t, p, sourceFrom(events), nil)
+		first, _ := p.EvictionStats()
+		p.ResetDetectors()
+		collectDecisions(t, p, sourceFrom(events), nil)
+		total, _ := p.EvictionStats()
+		if first == 0 || total-first != first {
+			t.Errorf("mode %d: %d sweeps on the first replay, %d on the second", mode, first, total-first)
 		}
 	}
 }

@@ -1,51 +1,42 @@
 // Package pipeline wires the detection system together as a streaming
-// dataflow: parse → enrich → detect → collect. It offers four execution
-// modes:
+// dataflow: parse → enrich → detect → collect. It has two engines:
 //
 //   - Sequential runs everything on the caller's goroutine. It is the
 //     reference implementation: byte-for-byte deterministic, zero
 //     coordination overhead, and allocation-free in steady state (one
 //     reused Request, flat feature vectors inside the detectors). Pick it
-//     for single-core replays, debugging, and as the equivalence oracle.
-//
-//   - Concurrent gives each detector its own goroutine with bounded
-//     channels and zips the verdict streams back in order — mirroring how
-//     the paper's two tools monitored the same traffic independently and
-//     in parallel. Throughput is capped at the slowest single detector
-//     plus the per-request channel synchronisation, which in practice
-//     makes it slower than Sequential (~34% in the recorded benchmarks).
-//     Deprecated: kept as a faithful model of the paper's deployment
-//     shape and as a second equivalence witness; for parallel throughput
-//     use ShardedRelaxed, for parallel + total order use Sharded.
+//     for single-core replays, live tails, debugging, and as the
+//     equivalence oracle.
 //
 //   - Sharded partitions the enriched stream by client IP (FNV-1a) across
 //     N worker shards, each owning a private instance of every detector
-//     built from detector.Factory values. Because both detectors key all
-//     state by client (sentinel per IP, arcane per IP+User-Agent), and
-//     session expiry is decidable from a key's own touch times alone, a
-//     client's verdicts are identical whichever shard serves it — so after
-//     the order-restoring merge (keyed by the enricher's sequence number)
-//     the Decision stream is byte-identical to Sequential. Requests travel
-//     in pooled batches, so the steady-state hot path performs no
-//     allocations. The merge is a serial section: it caps throughput near
-//     Sequential's regardless of shard count, which is the price of total
-//     order.
+//     built from detector.Factory values. Requests stream through one
+//     bounded SPSC ring per shard (internal/spsc) from pooled Requests, so
+//     the steady-state hot path performs no allocations. Because every
+//     detector keys all state by client (sentinel per IP, arcane per
+//     IP+User-Agent), and session expiry is decidable from a key's own
+//     touch times alone, a client's verdicts are identical whichever
+//     shard serves it. See relaxed.go.
 //
-//   - ShardedRelaxed partitions identically but removes the merge:
-//     requests stream through one bounded SPSC ring per shard
-//     (internal/spsc) and every shard drains into its own sink on its own
-//     goroutine. Only per-client order is guaranteed — each client's
-//     decision sequence is byte-identical to Sequential, and the union of
-//     all shards' decisions is multiset-equal to the sequential stream —
-//     which is all the detectors, session stores and the mitigation
-//     ladder require. This is the mode whose throughput scales with
-//     GOMAXPROCS. See relaxed.go.
+// The sharded engine delivers its decisions in one of two ways, chosen by
+// the method called rather than by a mode. RunRelaxed takes one sink per
+// shard and every shard drains straight into its own: only per-client
+// order is guaranteed — each client's decision sequence is byte-identical
+// to Sequential, and the union of all shards' decisions is multiset-equal
+// to the sequential stream — which is all the detectors, session stores
+// and the mitigation ladder require, and it is the delivery whose
+// throughput scales with GOMAXPROCS. Run takes one sink and restores
+// stream order in front of it (ordered.go): the shards park their
+// finished decisions and one emitter replays them in input order, so the
+// sink sees a Decision stream byte-identical to Sequential's, from one
+// goroutine at a time. That emitter is a serial section; it is the price
+// of total order.
 //
-// Determinism guarantee: for the same input stream, the three total-order
-// modes invoke the sink with identical Decision contents in identical
-// order; ShardedRelaxed invokes its per-shard sinks with the same
-// decisions in a per-client-preserving permutation of that order. Only
-// the internal schedule differs.
+// Determinism guarantee: for the same input stream, Run invokes its sink
+// with identical Decision contents in identical order on either engine;
+// RunRelaxed invokes its per-shard sinks with the same decisions in a
+// per-client-preserving permutation of that order. Only the internal
+// schedule differs.
 //
 // Pipelines are also durable: Checkpoint serialises the enricher position
 // and every detector's per-client state in a canonical, shard-agnostic
@@ -83,60 +74,43 @@ type Decision struct {
 	Verdicts []detector.Verdict
 }
 
-// Mode selects the execution strategy.
+// Mode selects the execution engine.
 type Mode int
 
 const (
 	// Sequential runs everything on the caller's goroutine; byte-for-byte
 	// deterministic and allocation-light. The default.
 	Sequential Mode = iota + 1
-	// Concurrent fans each request out to one goroutine per detector and
-	// zips the verdict streams back in order. Decision *contents* are
-	// identical to Sequential (detectors are order-preserving); only the
-	// schedule differs.
-	Concurrent
 	// Sharded partitions the stream by client IP across worker shards,
-	// each owning private detector instances built from Config.Factories,
-	// and restores stream order before the sink. Decision contents are
-	// identical to Sequential; throughput scales with Config.Shards.
+	// each owning private detector instances built from Config.Factories
+	// and fed through a bounded SPSC ring. Run restores stream order
+	// before its one sink (Decision stream identical to Sequential);
+	// RunRelaxed drains every shard into a sink of its own and guarantees
+	// per-client order only.
 	Sharded
-	// ShardedRelaxed partitions like Sharded but drops the order-restoring
-	// merge: requests travel through one bounded SPSC ring per shard and
-	// each shard drains straight into its own sink, guaranteeing per-client
-	// order only (all any detector, session store or the mitigation ladder
-	// depends on). The whole-stream Decision multiset equals Sequential's;
-	// the interleaving across clients does not. This is the mode that
-	// removes the merge wall — see relaxed.go and RunRelaxed.
-	ShardedRelaxed
+	// ShardedRelaxed is Sharded under the name it had while per-shard
+	// delivery was a mode of its own.
+	ShardedRelaxed = Sharded
 )
-
-// shardedTopology reports whether the mode builds per-shard detector
-// instances from factories (Sharded and ShardedRelaxed share partitioning,
-// checkpoint grouping and state-restore semantics).
-func (m Mode) shardedTopology() bool { return m == Sharded || m == ShardedRelaxed }
 
 // Config parameterises New.
 type Config struct {
-	// Detectors is the ordered detector list. Required for Sequential and
-	// Concurrent modes unless Factories is set, in which case a prototype
-	// list is built from the factories.
+	// Detectors is the ordered detector list. Required for Sequential mode
+	// unless Factories is set, in which case the list is built from the
+	// factories.
 	Detectors []detector.Detector
 	// Factories builds private detector instances per shard, in the same
 	// order as Detectors. Required for Sharded mode.
 	Factories []detector.Factory
 	// Reputation enriches requests with IP categories; nil disables.
 	Reputation *iprep.DB
-	// Mode selects Sequential (default), Concurrent or Sharded execution.
+	// Mode selects Sequential (default) or Sharded execution.
 	Mode Mode
-	// Buffer is the per-stage channel depth, counted in requests.
-	// Default 256.
+	// Buffer is the depth of each shard's hand-off ring in Sharded mode,
+	// counted in requests (rounded up to a power of two). Default 256.
 	Buffer int
 	// Shards is the worker count in Sharded mode. Default GOMAXPROCS.
 	Shards int
-	// Batch is the number of requests handed to a shard per channel send
-	// in Sharded mode (batching amortises channel synchronisation).
-	// Default 128.
-	Batch int
 	// EvictWindow, when positive, enables windowed eviction: as stream
 	// (event) time advances, detector state untouched for longer than the
 	// window is proactively dropped via detector.Evictable, so
@@ -152,13 +126,13 @@ type Config struct {
 	EvictEvery time.Duration
 	// Trace, when non-nil, records per-stage spans (parse, enrich, one
 	// detect span per detector, merge, sink) and — in Sharded mode — the
-	// per-shard queue-depth/in-flight gauges and merge-stall counters that
-	// localise the serial merge. Tracing is observation only: the Decision
-	// stream and checkpoint bytes are identical with Trace set or nil
-	// (pinned by the tracing equivalence test), and a nil Trace costs one
-	// nil check per span point, keeping the hot path allocation-free.
-	// Build with trace.New, passing Shards matching this config's (post-
-	// default) shard count when Mode is Sharded.
+	// per-shard ring-depth gauges plus, under Run's ordered delivery, the
+	// emitter's pending/stall instruments. Tracing is observation only:
+	// the Decision stream and checkpoint bytes are identical with Trace
+	// set or nil (pinned by the tracing equivalence test), and a nil Trace
+	// costs one nil check per span point, keeping the hot path
+	// allocation-free. Build with trace.New, passing Shards matching this
+	// config's (post-default) shard count when Mode is Sharded.
 	Trace *trace.Tracer
 }
 
@@ -169,29 +143,27 @@ type Config struct {
 type Pipeline struct {
 	cfg      Config
 	enricher *detector.Enricher
-	// shardDets holds each shard's private detector instances in Sharded
-	// mode (built once at New, so detector state persists across Run calls
-	// exactly as it does in the other modes).
-	shardDets [][]detector.Detector
-	// reqPool and rbPool recycle the Requests and result batches the
-	// sharded mode streams between its stages. They live on the Pipeline —
-	// not the run — so repeated Run calls share one warmed pool instead of
-	// re-allocating their working set every run.
-	reqPool sync.Pool
-	rbPool  sync.Pool
 	// seqVerdicts is the sequential mode's reused verdict slab.
 	seqVerdicts []detector.Verdict
-	// rings and relaxedVerdicts are the ShardedRelaxed working set: one
-	// SPSC hand-off ring and one reused verdict slab per shard, allocated
-	// once at New and reused across runs.
+	// shardDets holds each shard's private detector instances in Sharded
+	// mode (built once at New, so detector state persists across runs
+	// exactly as it does in Sequential mode).
+	shardDets [][]detector.Detector
+	// rings, relaxedVerdicts and reqPool are the Sharded working set: one
+	// SPSC hand-off ring and one reused verdict slab per shard, and the
+	// pool the Requests travelling through the rings recycle into. They
+	// live on the Pipeline — not the run — so repeated runs share one
+	// warmed set instead of re-allocating it.
 	rings           []*relaxedRing
 	relaxedVerdicts [][]detector.Verdict
-	// pending is the sharded merger's reorder buffer, kept across runs so
-	// its buckets allocate once.
-	pending map[uint64]pendingItem
-	// seqEvictLast is the sequential mode's sweep cadence anchor; the
-	// other modes keep per-worker anchors on the run's goroutines. sweeps
-	// and evicted are atomics because sharded workers update them.
+	reqPool         sync.Pool
+	// ordered is Run's total-order delivery over the shards, built by the
+	// first Run that asks for it: a pipeline only ever driven through
+	// RunRelaxed never pays for its slabs.
+	ordered *orderedDelivery
+	// seqEvictLast is the sequential mode's sweep cadence anchor; shard
+	// workers keep their own on the run's goroutines. sweeps and evicted
+	// are atomics because those workers update them.
 	seqEvictLast time.Time
 	sweeps       atomic.Uint64
 	evicted      atomic.Uint64
@@ -212,7 +184,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = Sequential
 	}
-	if cfg.Mode != Sequential && cfg.Mode != Concurrent && !cfg.Mode.shardedTopology() {
+	if cfg.Mode != Sequential && cfg.Mode != Sharded {
 		return nil, fmt.Errorf("pipeline: invalid mode %d", int(cfg.Mode))
 	}
 	if cfg.Buffer <= 0 {
@@ -220,9 +192,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 128
 	}
 	if cfg.EvictWindow < 0 {
 		return nil, fmt.Errorf("pipeline: EvictWindow must be non-negative, got %v", cfg.EvictWindow)
@@ -233,83 +202,52 @@ func New(cfg Config) (*Pipeline, error) {
 			cfg.EvictEvery = time.Second
 		}
 	}
-	if !cfg.Mode.shardedTopology() && len(cfg.Detectors) == 0 && len(cfg.Factories) > 0 {
-		dets, err := buildDetectors(cfg.Factories)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Detectors = dets
-	}
-	if !cfg.Mode.shardedTopology() && len(cfg.Detectors) == 0 {
-		return nil, fmt.Errorf("pipeline: need at least one detector")
-	}
 	p := &Pipeline{cfg: cfg, enricher: detector.NewEnricher(cfg.Reputation)}
-	p.reqPool.New = func() any { return new(detector.Request) }
-	nd := len(cfg.Detectors)
-	if nd == 0 {
-		nd = len(cfg.Factories)
-	}
-	batch := cfg.Batch
-	p.rbPool.New = func() any {
-		return &resultBatch{
-			reqs:     make([]*detector.Request, 0, batch),
-			verdicts: make([]detector.Verdict, 0, batch*nd),
-		}
-	}
-	if cfg.Mode.shardedTopology() {
-		if len(cfg.Factories) == 0 {
-			return nil, fmt.Errorf("pipeline: mode %d requires Factories", int(cfg.Mode))
-		}
-		if len(cfg.Detectors) > 0 && len(cfg.Factories) != len(cfg.Detectors) {
-			return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
-				len(cfg.Factories), len(cfg.Detectors))
-		}
-		// No prototype set is built here: shard 0's instances serve for
-		// names, and Run never touches cfg.Detectors in these modes.
-		p.shardDets = make([][]detector.Detector, cfg.Shards)
-		for i := range p.shardDets {
+	if cfg.Mode == Sequential {
+		if len(cfg.Detectors) == 0 && len(cfg.Factories) > 0 {
 			dets, err := buildDetectors(cfg.Factories)
 			if err != nil {
-				return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
+				return nil, err
 			}
-			p.shardDets[i] = dets
+			p.cfg.Detectors = dets
 		}
+		if len(p.cfg.Detectors) == 0 {
+			return nil, fmt.Errorf("pipeline: need at least one detector")
+		}
+		return p, nil
 	}
-	switch cfg.Mode {
-	case Sharded:
-		// The maximum in-flight working set is fixed by the channel depths,
-		// so pre-fill the pools and pre-size the reorder buffer here: even
-		// the pipeline's very first run streams without allocating its
-		// plumbing mid-flight.
-		depth := cfg.Buffer / cfg.Batch
-		if depth < 1 {
-			depth = 1
+	if len(cfg.Factories) == 0 {
+		return nil, fmt.Errorf("pipeline: mode %d requires Factories", int(cfg.Mode))
+	}
+	if len(cfg.Detectors) > 0 && len(cfg.Factories) != len(cfg.Detectors) {
+		return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
+			len(cfg.Factories), len(cfg.Detectors))
+	}
+	// No prototype set is built here: shard 0's instances serve for
+	// names, and no run touches cfg.Detectors in this mode.
+	//
+	// One ring per shard, Buffer requests deep (spsc rounds up to a power
+	// of two), plus one reused verdict slab per shard. The maximum
+	// in-flight Request count is the sum of ring capacities plus one per
+	// worker and one at the producer; pre-fill the pool to that bound so
+	// the first run streams without allocating.
+	p.reqPool.New = func() any { return new(detector.Request) }
+	p.shardDets = make([][]detector.Detector, cfg.Shards)
+	p.rings = make([]*relaxedRing, cfg.Shards)
+	p.relaxedVerdicts = make([][]detector.Verdict, cfg.Shards)
+	inflight := cfg.Shards + 1
+	for i := range p.shardDets {
+		dets, err := buildDetectors(cfg.Factories)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
-		inflight := cfg.Shards*(2*depth+2) + 4
-		for i := 0; i < inflight; i++ {
-			p.rbPool.Put(p.rbPool.New())
-		}
-		for i := 0; i < inflight*cfg.Batch; i++ {
-			p.reqPool.Put(new(detector.Request))
-		}
-		p.pending = make(map[uint64]pendingItem, cfg.Shards*depth*cfg.Batch)
-	case ShardedRelaxed:
-		// One ring per shard, Buffer requests deep (spsc rounds up to a
-		// power of two), plus one reused verdict slab per shard. The
-		// maximum in-flight Request count is the sum of ring capacities
-		// plus one per worker and one at the producer; pre-fill the pool
-		// to that bound so the first run streams without allocating.
-		p.rings = make([]*relaxedRing, cfg.Shards)
-		p.relaxedVerdicts = make([][]detector.Verdict, cfg.Shards)
-		inflight := cfg.Shards + 1
-		for i := range p.rings {
-			p.rings[i] = spsc.New[*detector.Request](cfg.Buffer)
-			p.relaxedVerdicts[i] = make([]detector.Verdict, len(cfg.Factories))
-			inflight += p.rings[i].Cap()
-		}
-		for i := 0; i < inflight; i++ {
-			p.reqPool.Put(new(detector.Request))
-		}
+		p.shardDets[i] = dets
+		p.rings[i] = spsc.New[*detector.Request](cfg.Buffer)
+		p.relaxedVerdicts[i] = make([]detector.Verdict, len(cfg.Factories))
+		inflight += p.rings[i].Cap()
+	}
+	for i := 0; i < inflight; i++ {
+		p.reqPool.Put(new(detector.Request))
 	}
 	return p, nil
 }
@@ -333,7 +271,7 @@ func buildDetectors(factories []detector.Factory) ([]detector.Detector, error) {
 // defaulted) count in Sharded mode, 1 otherwise. Benchmarks report it so
 // recorded results stay interpretable across machines.
 func (p *Pipeline) Shards() int {
-	if p.cfg.Mode.shardedTopology() {
+	if p.cfg.Mode == Sharded {
 		return len(p.shardDets)
 	}
 	return 1
@@ -364,6 +302,10 @@ func (p *Pipeline) ResetDetectors() {
 		}
 	}
 	p.enricher.Reset()
+	// The next dataset may start earlier than this one ended; an anchor
+	// left in its future would hold every sweep off until event time
+	// passed it again.
+	p.seqEvictLast = time.Time{}
 }
 
 // maybeEvict advances one worker's sweep cadence to now (event time) and,
@@ -430,22 +372,16 @@ type EntrySource func() (logfmt.Entry, error)
 // run.
 type Sink func(Decision) error
 
-// Run streams src through the detectors into sink. In ShardedRelaxed
-// mode every shard drains into the one sink concurrently, so it must be
-// safe for concurrent use (and receives decisions in per-client order
-// only); order-sensitive relaxed consumers should use RunRelaxed with
-// one sink per shard instead.
+// Run streams src through the detectors into sink, which is called from
+// one goroutine at a time with the decisions in stream order — in Sharded
+// mode through the ordered delivery of ordered.go. A consumer that only
+// needs per-client order should use RunRelaxed with one sink per shard
+// instead, which skips the serial emitter.
 func (p *Pipeline) Run(ctx context.Context, src EntrySource, sink Sink) error {
-	switch p.cfg.Mode {
-	case Concurrent:
-		return p.runConcurrent(ctx, src, sink)
-	case Sharded:
-		return p.runSharded(ctx, src, sink)
-	case ShardedRelaxed:
-		return p.runRelaxedShared(ctx, src, sink)
-	default:
-		return p.runSequential(ctx, src, sink)
+	if p.cfg.Mode == Sharded {
+		return p.runRelaxed(ctx, src, nil, sink)
 	}
+	return p.runSequential(ctx, src, sink)
 }
 
 // RunReader streams an access log in Combined Log Format through the
@@ -495,138 +431,4 @@ func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink
 		tr.Lap(trace.StageSink, ts)
 		n++
 	}
-}
-
-func (p *Pipeline) runConcurrent(ctx context.Context, src EntrySource, sink Sink) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	nd := len(p.cfg.Detectors)
-	reqCh := make(chan *detector.Request, p.cfg.Buffer)
-	ins := make([]chan *detector.Request, nd)
-	outs := make([]chan detector.Verdict, nd)
-	for i := range ins {
-		ins[i] = make(chan *detector.Request, p.cfg.Buffer)
-		outs[i] = make(chan detector.Verdict, p.cfg.Buffer)
-	}
-
-	var wg sync.WaitGroup
-	srcErr := make(chan error, 1)
-	tr := p.cfg.Trace
-
-	// Producer: parse + enrich, fan out.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(reqCh)
-		defer func() {
-			for _, in := range ins {
-				close(in)
-			}
-		}()
-		for {
-			ts := tr.Now()
-			entry, err := src()
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				srcErr <- fmt.Errorf("pipeline: source: %w", err)
-				cancel()
-				return
-			}
-			ts = tr.Lap(trace.StageParse, ts)
-			req := p.reqPool.Get().(*detector.Request)
-			p.enricher.EnrichInto(req, entry)
-			tr.Lap(trace.StageEnrich, ts)
-			select {
-			case reqCh <- req:
-			case <-ctx.Done():
-				return
-			}
-			for _, in := range ins {
-				select {
-				case in <- req:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// One goroutine per detector: order-preserving map over its input.
-	// Each goroutine sweeps its own detector on the event-time cadence —
-	// eviction is verdict-neutral, so per-detector cadence drift cannot
-	// desynchronise the zipped verdict streams.
-	for i, d := range p.cfg.Detectors {
-		wg.Add(1)
-		go func(di int, in <-chan *detector.Request, out chan<- detector.Verdict, d detector.Detector) {
-			defer wg.Done()
-			defer close(out)
-			own := []detector.Detector{d}
-			var evictLast time.Time
-			for req := range in {
-				p.maybeEvict(&evictLast, req.Entry.Time, own)
-				ts := tr.Now()
-				v := d.Inspect(req)
-				tr.LapDetector(di, ts)
-				select {
-				case out <- v:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(i, ins[i], outs[i], d)
-	}
-
-	// Collector (caller's goroutine): zip verdict streams by position. One
-	// verdict slab is reused across decisions — the sink contract already
-	// requires callers to copy what they keep — and drained requests go
-	// back to the pool. Requests abandoned in channels on a cancelled run
-	// are simply dropped; the pool re-allocates on demand.
-	verdicts := make([]detector.Verdict, nd)
-	var runErr error
-collect:
-	for req := range reqCh {
-		for i := range outs {
-			v, ok := <-outs[i]
-			if !ok {
-				// Detector exited early (cancellation); stop collecting.
-				break collect
-			}
-			verdicts[i] = v
-		}
-		ts := tr.Now()
-		err := sink(Decision{Req: req, Verdicts: verdicts})
-		tr.Lap(trace.StageSink, ts)
-		p.reqPool.Put(req)
-		if err != nil {
-			runErr = fmt.Errorf("pipeline: sink: %w", err)
-			cancel()
-			break
-		}
-	}
-	// Drain to unblock stages, then wait for goroutine exit.
-	cancel()
-	for range reqCh {
-	}
-	for i := range outs {
-		for range outs[i] {
-		}
-	}
-	wg.Wait()
-
-	select {
-	case err := <-srcErr:
-		if runErr == nil {
-			runErr = err
-		}
-	default:
-	}
-	if runErr == nil {
-		if err := ctx.Err(); err != nil && !errors.Is(err, context.Canceled) {
-			runErr = err
-		}
-	}
-	return runErr
 }

@@ -89,9 +89,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// The concurrent pipeline must produce byte-identical decisions to the
-// sequential one: detectors are order-preserving, so only the schedule
-// may differ.
+// The engine that runs shards concurrently must produce byte-identical
+// decisions to the sequential one: detectors are order-preserving, so
+// only the schedule may differ.
 func TestSequentialConcurrentEquivalence(t *testing.T) {
 	events := generate(t, 2)
 
@@ -116,7 +116,7 @@ func TestSequentialConcurrentEquivalence(t *testing.T) {
 	}
 
 	seq := collect(Sequential)
-	for _, mode := range []Mode{Concurrent, Sharded} {
+	for _, mode := range []Mode{Sharded} {
 		got := collect(mode)
 		if len(seq) != len(got) {
 			t.Fatalf("mode %d: decision counts differ: %d vs %d", mode, len(seq), len(got))
@@ -134,8 +134,8 @@ func TestSequentialConcurrentEquivalence(t *testing.T) {
 
 // The sharded pipeline must produce byte-identical Decision streams to the
 // sequential reference over a large stream (≥50k events), across several
-// shard counts and with small batches so partial-batch flushes, reordering
-// and pooling all get exercised. Scores, alerts, sequence numbers and
+// shard counts and with small rings so parking, reordering and pooling
+// all get exercised. Scores, alerts, sequence numbers and
 // reason lists are all compared.
 func TestShardedEquivalenceLargeStream(t *testing.T) {
 	if testing.Short() {
@@ -178,7 +178,6 @@ func TestShardedEquivalenceLargeStream(t *testing.T) {
 			Reputation: iprep.BuildFeed(),
 			Mode:       Sharded,
 			Shards:     shards,
-			Batch:      32,
 			Buffer:     64,
 		})
 		if err != nil {
@@ -238,7 +237,7 @@ func TestRunReaderSkipsMalformed(t *testing.T) {
 func TestSinkErrorStopsRun(t *testing.T) {
 	events := generate(t, 1)
 	boom := errors.New("boom")
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
+	for _, mode := range []Mode{Sequential, Sharded} {
 		p := newPipe(t, mode)
 		var n int
 		err := p.Run(context.Background(), sourceFrom(events), func(Decision) error {
@@ -259,7 +258,7 @@ func TestSinkErrorStopsRun(t *testing.T) {
 
 func TestSourceErrorPropagates(t *testing.T) {
 	bad := errors.New("disk on fire")
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
+	for _, mode := range []Mode{Sequential, Sharded} {
 		p := newPipe(t, mode)
 		calls := 0
 		base := time.Date(2018, 3, 11, 6, 0, 0, 0, time.UTC)
@@ -283,7 +282,7 @@ func TestSourceErrorPropagates(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	events := generate(t, 2)
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
+	for _, mode := range []Mode{Sequential, Sharded} {
 		p := newPipe(t, mode)
 		ctx, cancel := context.WithCancel(context.Background())
 		var n int
@@ -295,7 +294,7 @@ func TestContextCancellation(t *testing.T) {
 			return nil
 		})
 		cancel()
-		// Sequential surfaces ctx.Err; concurrent may finish in-flight
+		// Sequential surfaces ctx.Err; the shards may finish in-flight
 		// work first, but must stop well before the full stream.
 		if mode == Sequential && !errors.Is(err, context.Canceled) {
 			t.Errorf("sequential: err = %v, want context.Canceled", err)
@@ -339,7 +338,7 @@ func TestDetectors(t *testing.T) {
 }
 
 // stallDetector blocks inside Inspect until released; used to verify the
-// concurrent pipeline respects cancellation while a stage is busy —
+// sharded pipeline respects cancellation while a stage is busy —
 // without any test-side sleeping, the stall and its release are explicit
 // channel handshakes.
 type stallDetector struct {
@@ -362,8 +361,9 @@ func (s *stallDetector) InspectInto(req *detector.Request, out *detector.Verdict
 func TestConcurrentCancellationWithSlowStage(t *testing.T) {
 	stall := &stallDetector{stalled: make(chan struct{}), release: make(chan struct{})}
 	p, err := New(Config{
-		Detectors: []detector.Detector{stall},
-		Mode:      Concurrent,
+		Factories: []detector.Factory{func() (detector.Detector, error) { return stall, nil }},
+		Mode:      Sharded,
+		Shards:    2,
 		Buffer:    4,
 	})
 	if err != nil {
@@ -402,22 +402,18 @@ func TestConcurrentCancellationWithSlowStage(t *testing.T) {
 }
 
 func BenchmarkPipelineSequential(b *testing.B) {
-	benchmarkPipeline(b, Sequential)
-}
-
-func BenchmarkPipelineConcurrent(b *testing.B) {
-	benchmarkPipeline(b, Concurrent)
+	benchmarkPipeline(b, Sequential, false)
 }
 
 func BenchmarkPipelineSharded(b *testing.B) {
-	benchmarkPipeline(b, Sharded)
+	benchmarkPipeline(b, Sharded, false)
 }
 
 func BenchmarkPipelineRelaxed(b *testing.B) {
-	benchmarkPipeline(b, ShardedRelaxed)
+	benchmarkPipeline(b, Sharded, true)
 }
 
-func benchmarkPipeline(b *testing.B, mode Mode) {
+func benchmarkPipeline(b *testing.B, mode Mode, relaxed bool) {
 	events := generate(b, 2)
 	// SetBytes reports the Combined-Log-Format size of the stream, so the
 	// MB/s column means "access log bytes per second" — the unit a log
@@ -435,7 +431,7 @@ func benchmarkPipeline(b *testing.B, mode Mode) {
 	for i := 0; i < b.N; i++ {
 		p.ResetDetectors()
 		var err error
-		if mode == ShardedRelaxed {
+		if relaxed {
 			sinks := make([]Sink, p.Shards())
 			for s := range sinks {
 				sinks[s] = func(Decision) error { return nil }
@@ -451,14 +447,14 @@ func benchmarkPipeline(b *testing.B, mode Mode) {
 	b.SetBytes(logBytes)
 }
 
-// The concurrent pipeline must not leak goroutines on any exit path:
+// The sharded pipeline must not leak goroutines on any exit path:
 // normal completion, sink error, or cancellation.
 func TestNoGoroutineLeaks(t *testing.T) {
 	events := generate(t, 1)
 	before := runtime.NumGoroutine()
 
 	for round := 0; round < 3; round++ {
-		for _, mode := range []Mode{Concurrent, Sharded} {
+		for _, mode := range []Mode{Sharded} {
 			// Normal completion.
 			p := newPipe(t, mode)
 			if err := p.Run(context.Background(), sourceFrom(events), func(Decision) error { return nil }); err != nil {

@@ -9,21 +9,17 @@ import (
 	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/fnvhash"
 	"divscrape/internal/spsc"
 	"divscrape/internal/trace"
 )
 
-// Relaxed-ordering sharded execution. The total-order Sharded mode pays
-// for its byte-identical stream with a global sequence-ordered merge:
-// every decision funnels back through one goroutine and one reorder map,
-// which BENCH_PR7's stage spans pin as the wall (merge ≈19µs/decision
-// while every other stage sits under 0.6µs). ShardedRelaxed removes the
-// funnel instead of optimising it. The producer still parses and
-// enriches on one goroutine — sequence numbers stay in input order — and
-// still partitions by client IP, but requests travel one at a time
-// through a bounded SPSC ring per shard, and each shard drains straight
-// into its own sink. No reorder map, no merge stage, no cross-shard
-// synchronisation after the hand-off.
+// The sharded engine. The producer parses and enriches on one goroutine —
+// sequence numbers stay in input order — and partitions by client IP;
+// requests travel one at a time through a bounded SPSC ring per shard,
+// and each shard judges them on private detector instances and drains
+// straight into its own sink. No batches, no cross-shard synchronisation
+// after the hand-off.
 //
 // Ordering contract: all requests from one client hash to one shard
 // (shardOf), the producer enriches in input order, and the ring is FIFO,
@@ -31,25 +27,44 @@ import (
 // which is the only order the detectors, sessions and the mitigation
 // ladder depend on. Across clients, the interleaving is a permutation of
 // the sequential stream: the union of all shards' decisions is multiset-
-// equal to Sequential (every decision carries its enricher sequence
-// number, so callers that need total order can sort — or should use
-// Sharded). Both guarantees are pinned by the metamorphic equivalence
-// suite in relaxed_test.go at ≥50k events.
+// equal to Sequential. That is what RunRelaxed delivers; Run rebuilds the
+// total order on top of it (ordered.go). Both guarantees are pinned by
+// the metamorphic equivalence suites at ≥50k events.
 
 // relaxedRing is the per-shard hand-off queue. Requests come from the
-// pipeline's reqPool and return to it on the shard worker after the sink
-// call, so the steady-state stream performs no allocations.
+// pipeline's reqPool and return to it after the sink call, so the
+// steady-state stream performs no allocations.
 type relaxedRing = spsc.Ring[*detector.Request]
 
-// RunRelaxed streams src through the detectors in ShardedRelaxed mode,
-// draining shard i's decisions into sinks[i]. len(sinks) must equal the
-// pipeline's shard count. Each sink is called from exactly one goroutine
-// (no sink needs to be concurrency-safe), in that shard's stream order;
-// across sinks there is no ordering. The usual Decision contract holds
-// per call: Req and Verdicts are only valid during the call.
+// shardOf hashes a client address onto a shard with FNV-1a over the four
+// bytes of the numeric IP. All requests from one client land on one shard,
+// which is what keeps per-client detector state shard-local and every
+// client's verdicts identical to Sequential's.
+func shardOf(ip uint32, shards int) int {
+	return int(fnvhash.IP32(ip) % uint32(shards))
+}
+
+// reopen empties a ring whose two sides are quiescent and readies it for
+// another stream. What it drops — Requests an aborted run left queued —
+// the pool replaces on demand.
+func reopen[T any](r *spsc.Ring[T]) {
+	for {
+		if _, ok := r.TryPop(); !ok {
+			break
+		}
+	}
+	r.Reopen()
+}
+
+// RunRelaxed streams src through the sharded engine, draining shard i's
+// decisions into sinks[i]. len(sinks) must equal the pipeline's shard
+// count. Each sink is called from exactly one goroutine (no sink needs to
+// be concurrency-safe), in that shard's stream order; across sinks there
+// is no ordering. The usual Decision contract holds per call: Req and
+// Verdicts are only valid during the call.
 func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink) error {
-	if p.cfg.Mode != ShardedRelaxed {
-		return fmt.Errorf("pipeline: RunRelaxed requires ShardedRelaxed mode (have mode %d)", int(p.cfg.Mode))
+	if p.cfg.Mode != Sharded {
+		return fmt.Errorf("pipeline: RunRelaxed requires Sharded mode (have mode %d)", int(p.cfg.Mode))
 	}
 	if len(sinks) != len(p.shardDets) {
 		return fmt.Errorf("pipeline: RunRelaxed needs one sink per shard: %d sinks for %d shards",
@@ -60,23 +75,14 @@ func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 			return fmt.Errorf("pipeline: RunRelaxed sink %d is nil", i)
 		}
 	}
-	return p.runRelaxed(ctx, src, sinks)
+	return p.runRelaxed(ctx, src, sinks, nil)
 }
 
-// runRelaxedShared adapts the single-sink Run entry point: every shard
-// drains into the same sink, which therefore must be safe for concurrent
-// use. The facade and experiments use this with commutative accumulators
-// behind a mutex; order-sensitive consumers should call RunRelaxed with
-// per-shard sinks or pick the Sharded mode.
-func (p *Pipeline) runRelaxedShared(ctx context.Context, src EntrySource, sink Sink) error {
-	sinks := make([]Sink, len(p.shardDets))
-	for i := range sinks {
-		sinks[i] = sink
-	}
-	return p.runRelaxed(ctx, src, sinks)
-}
-
-func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink) error {
+// runRelaxed is the one sharded run loop. With total nil, shard i drains
+// into sinks[i]; with total set, the shards' sinks are the ordered
+// delivery's parks and an emitter goroutine replays them into total in
+// stream order.
+func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink, total Sink) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := ctx.Done()
@@ -87,23 +93,34 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 
 	// Rings persist on the Pipeline across runs (allocated in New) and are
 	// closed at the end of every run; an aborted run may additionally
-	// leave items queued. Drain and reopen them here — between runs the
+	// leave items queued. Empty and reopen them here — between runs the
 	// caller owns the pipeline, so both sides are quiescent.
 	rings := p.rings
 	for _, r := range rings {
-		for {
-			req, ok := r.TryPop()
-			if !ok {
-				break
-			}
-			reqPool.Put(req)
-		}
-		r.Reopen()
+		reopen(r)
 	}
 
 	sinkErrs := make([]error, shards)
-	var srcErr error
+	var srcErr, emitErr error
 	var wg sync.WaitGroup
+
+	// Under ordered delivery a worker's "sink" parks the decision for the
+	// emitter, which is a hand-off, not the caller's sink: its span is
+	// recorded as the merge stage and the emitter records the sink's.
+	sinkStage := trace.StageSink
+	var ord *orderedDelivery
+	if total != nil {
+		ord = p.orderedDelivery()
+		sinks = ord.parks(done)
+		sinkStage = trace.StageMerge
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if emitErr = ord.emit(done, tr, reqPool, total); emitErr != nil {
+				cancel()
+			}
+		}()
+	}
 
 	// Shard workers: private detector instances, a private reused verdict
 	// slab, a private sink. Each worker also paces its own windowed
@@ -126,10 +143,14 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 					d.InspectInto(req, &verdicts[di])
 					ts = tr.LapDetector(di, ts)
 				}
+				now := req.Entry.Time
 				err := sink(Decision{Req: req, Verdicts: verdicts})
-				tr.Lap(trace.StageSink, ts)
-				p.maybeEvict(&evictLast, req.Entry.Time, dets)
-				reqPool.Put(req)
+				tr.Lap(sinkStage, ts)
+				p.maybeEvict(&evictLast, now, dets)
+				if ord == nil {
+					// (A park keeps the Request; the emitter recycles it.)
+					reqPool.Put(req)
+				}
 				if err != nil {
 					sinkErrs[i] = fmt.Errorf("pipeline: sink: %w", err)
 					cancel()
@@ -141,10 +162,11 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 
 	// Producer on the caller's goroutine: parse + enrich in input order
 	// (the enricher owns the sequence counter), route by client hash,
-	// push into the shard's ring. A full ring blocks the producer — that
-	// is the backpressure path; the ring parks on a wake channel rather
-	// than spinning, so a saturated shard never starves its peers of the
-	// core they share.
+	// push into the shard's ring — and, under ordered delivery, append the
+	// shard to the routing record the emitter replays. A full ring blocks
+	// the producer — that is the backpressure path; the ring parks on a
+	// wake channel rather than spinning, so a saturated shard never
+	// starves its peers of the core they share.
 	for {
 		ts := tr.Now()
 		entry, err := src()
@@ -168,19 +190,27 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 			break
 		}
 		tr.RingDepth(s, rings[s].Len())
+		if ord != nil && !ord.route.Push(done, int32(s)) {
+			break
+		}
 	}
 
 	// End of stream (or abort): close every ring so workers drain what is
 	// queued and exit, then collect the first error by shard order. (The
-	// next run's drain-and-reopen reclaims anything a cancelled worker
-	// left queued.)
+	// next run's reopen drops anything a cancelled worker left queued.)
 	for _, r := range rings {
 		r.Close()
+	}
+	if ord != nil {
+		ord.route.Close()
 	}
 	wg.Wait()
 
 	if srcErr != nil {
 		return srcErr
+	}
+	if emitErr != nil {
+		return emitErr
 	}
 	for _, err := range sinkErrs {
 		if err != nil {

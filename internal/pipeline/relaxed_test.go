@@ -10,7 +10,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +76,16 @@ func runRelaxedCollect(t *testing.T, p *Pipeline, src EntrySource) [][]rxDecisio
 		t.Fatal(err)
 	}
 	return out
+}
+
+// everyShard hands every shard the same sink, which the shards then call
+// concurrently: it must be safe for that.
+func everyShard(p *Pipeline, sink Sink) []Sink {
+	sinks := make([]Sink, p.Shards())
+	for i := range sinks {
+		sinks[i] = sink
+	}
+	return sinks
 }
 
 // perClient groups a decision stream by client, preserving order.
@@ -170,49 +179,6 @@ func TestRelaxedEquivalenceLargeStream(t *testing.T) {
 						shards, ip, i, want[i], got[i])
 				}
 			}
-		}
-	}
-}
-
-// TestRelaxedSharedSinkMultiset covers the single-sink Run entry point
-// (the facade/experiments shape): a mutex-guarded shared sink sees every
-// decision exactly once with sequential-identical contents.
-func TestRelaxedSharedSinkMultiset(t *testing.T) {
-	events := generate(t, 2)
-
-	ref := make([]rxDecision, 0, len(events))
-	err := newPipe(t, Sequential).Run(context.Background(), sourceFrom(events), func(d Decision) error {
-		ref = append(ref, flatten(d))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := newRelaxed(t, 4, 64)
-	var mu sync.Mutex
-	got := make([]rxDecision, len(events))
-	filled := make([]bool, len(events))
-	err = p.Run(context.Background(), sourceFrom(events), func(d Decision) error {
-		f := flatten(d)
-		mu.Lock()
-		defer mu.Unlock()
-		if f.seq >= uint64(len(events)) || filled[f.seq] {
-			return fmt.Errorf("sequence %d out of range or duplicated", f.seq)
-		}
-		filled[f.seq] = true
-		got[f.seq] = f
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if !filled[i] {
-			t.Fatalf("decision seq=%d never delivered", i)
-		}
-		if got[i] != ref[i] {
-			t.Fatalf("decision seq=%d differs:\n  seq     %+v\n  relaxed %+v", i, ref[i], got[i])
 		}
 	}
 }
@@ -469,15 +435,15 @@ func TestRelaxedSinkErrorStopsRun(t *testing.T) {
 		t.Errorf("sink error did not stop the run: %d calls for %d events", got, len(events))
 	}
 
-	// Shared-sink Run path.
+	// One sink shared by every shard.
 	p2 := newRelaxed(t, 4, 64)
 	var n2 atomic.Uint64
-	err = p2.Run(context.Background(), sourceFrom(events), func(Decision) error {
+	err = p2.RunRelaxed(context.Background(), sourceFrom(events), everyShard(p2, func(Decision) error {
 		if n2.Add(1) == 50 {
 			return boom
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Errorf("shared sink error = %v, want boom", err)
 	}
@@ -499,7 +465,7 @@ func TestRelaxedSourceErrorPropagates(t *testing.T) {
 			Status: 200, Bytes: 1, Referer: "-", UserAgent: "x",
 		}, nil
 	}
-	err := p.Run(context.Background(), src, func(Decision) error { return nil })
+	err := p.RunRelaxed(context.Background(), src, everyShard(p, func(Decision) error { return nil }))
 	if !errors.Is(err, bad) {
 		t.Errorf("error = %v, want source error", err)
 	}
@@ -511,12 +477,12 @@ func TestRelaxedContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n atomic.Uint64
-	err := p.Run(ctx, sourceFrom(events), func(Decision) error {
+	err := p.RunRelaxed(ctx, sourceFrom(events), everyShard(p, func(Decision) error {
 		if n.Add(1) == 100 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
 	}
@@ -527,7 +493,7 @@ func TestRelaxedContextCancellation(t *testing.T) {
 	// and reopened): a fresh full run still delivers everything.
 	p.ResetDetectors()
 	var m atomic.Uint64
-	if err := p.Run(context.Background(), sourceFrom(events), func(Decision) error { m.Add(1); return nil }); err != nil {
+	if err := p.RunRelaxed(context.Background(), sourceFrom(events), everyShard(p, func(Decision) error { m.Add(1); return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Load(); got != uint64(len(events)) {
@@ -541,23 +507,23 @@ func TestRelaxedNoGoroutineLeaks(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		// Normal completion.
 		p := newRelaxed(t, 4, 64)
-		if err := p.Run(context.Background(), sourceFrom(events), func(Decision) error { return nil }); err != nil {
+		if err := p.RunRelaxed(context.Background(), sourceFrom(events), everyShard(p, func(Decision) error { return nil })); err != nil {
 			t.Fatal(err)
 		}
 		// Sink error.
 		p2 := newRelaxed(t, 4, 64)
 		boom := errors.New("x")
-		_ = p2.Run(context.Background(), sourceFrom(events), func(Decision) error { return boom })
+		_ = p2.RunRelaxed(context.Background(), sourceFrom(events), everyShard(p2, func(Decision) error { return boom }))
 		// Cancellation.
 		ctx, cancel := context.WithCancel(context.Background())
 		p3 := newRelaxed(t, 4, 64)
 		var n atomic.Uint64
-		_ = p3.Run(ctx, sourceFrom(events), func(Decision) error {
+		_ = p3.RunRelaxed(ctx, sourceFrom(events), everyShard(p3, func(Decision) error {
 			if n.Add(1) == 10 {
 				cancel()
 			}
 			return nil
-		})
+		}))
 		cancel()
 	}
 	for i := 0; i < 100_000; i++ {
@@ -583,7 +549,7 @@ func TestRelaxedRunValidation(t *testing.T) {
 	if err := p.RunRelaxed(context.Background(), sourceFrom(nil), []Sink{noop, nil, noop, noop}); err == nil {
 		t.Error("RunRelaxed accepted a nil sink")
 	}
-	// New demands factories for the relaxed topology.
+	// New demands factories for the sharded topology.
 	if _, err := New(Config{Mode: ShardedRelaxed}); err == nil {
 		t.Error("ShardedRelaxed without factories accepted")
 	}
@@ -610,7 +576,7 @@ func TestRelaxedTracingEquivalence50k(t *testing.T) {
 	fingerprint := func(p *Pipeline) (stream uint64, ckpt []byte, n uint64) {
 		t.Helper()
 		var sum, count atomic.Uint64
-		err := p.Run(context.Background(), cyclingSource(events, total), func(d Decision) error {
+		err := p.RunRelaxed(context.Background(), cyclingSource(events, total), everyShard(p, func(d Decision) error {
 			h := fnv.New64a()
 			var buf [8]byte
 			binary.LittleEndian.PutUint64(buf[:], d.Req.Seq)
@@ -628,7 +594,7 @@ func TestRelaxedTracingEquivalence50k(t *testing.T) {
 			sum.Add(h.Sum64())
 			count.Add(1)
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

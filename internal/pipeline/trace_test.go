@@ -82,9 +82,9 @@ func TestTracingEquivalence50k(t *testing.T) {
 	const total = 50_000
 	events := generate(t, 2)
 
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
+	for _, mode := range []Mode{Sequential, Sharded} {
 		mode := mode
-		t.Run(map[Mode]string{Sequential: "seq", Concurrent: "conc", Sharded: "shard"}[mode], func(t *testing.T) {
+		t.Run(map[Mode]string{Sequential: "seq", Sharded: "shard"}[mode], func(t *testing.T) {
 			baseHash, baseCkpt, n := runFingerprint(t, newPipe(t, mode), cyclingSource(events, total))
 			if n != total {
 				t.Fatalf("untraced run sinked %d decisions, want %d", n, total)

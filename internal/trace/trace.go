@@ -44,10 +44,10 @@ const (
 	StageDetect
 	// StageEnsemble covers adjudication plus the mitigation ladder step.
 	StageEnsemble
-	// StageMerge covers the sharded merger's handling of one result batch:
-	// reorder bookkeeping plus any decisions it emits (StageSink spans are
-	// nested inside it in sharded mode — the merger is the serial section,
-	// so its span deliberately includes the sink work it serialises).
+	// StageMerge covers a shard worker parking one finished decision for
+	// the sharded pipeline's ordered delivery, including any wait for a
+	// free slot — the emitter's backpressure, which is what total order
+	// costs the shards. Per-shard delivery records none.
 	StageMerge
 	// StageSink covers the caller's sink callback for one decision.
 	StageSink
@@ -84,16 +84,15 @@ type Config struct {
 	// records into the histogram labelled Detectors[i]. Required if
 	// LapDetector will be used.
 	Detectors []string
-	// Shards, when > 0, registers per-shard queue-depth and in-flight
-	// batch gauges plus the merge-stall instruments (sharded pipeline
-	// topology). Leave 0 for sequential/concurrent modes and httpguard.
+	// Shards, when > 0, registers the sharded pipeline's instruments:
+	// per-shard SPSC ring occupancy gauges (divscrape_shard_ring_depth)
+	// plus the ordered delivery's emitter instruments (merge pending,
+	// merge stalls). Leave 0 for the sequential pipeline and httpguard.
 	Shards int
-	// Relaxed marks a ShardedRelaxed pipeline topology: with Shards > 0 it
-	// swaps the batch/merge instruments (queue depth, in-flight batches,
-	// merge pending, merge stalls — none of which exist without a merger)
-	// for per-shard SPSC ring occupancy gauges
-	// (divscrape_shard_ring_depth), so a relaxed pipeline's metrics page
-	// never shows dead merge families frozen at zero.
+	// Relaxed marks a sharded pipeline driven through RunRelaxed — per-
+	// shard delivery, no emitter: with Shards > 0 it leaves the emitter
+	// instruments out, so that pipeline's metrics page never shows dead
+	// merge families frozen at zero.
 	Relaxed bool
 	// Now supplies timestamps for spans and flight records; nil means
 	// time.Now. Tests inject deterministic clocks here.
@@ -115,8 +114,6 @@ type Tracer struct {
 	detect      []*metrics.Histogram
 	detectNames []string
 
-	queue     []*metrics.Gauge
-	inflight  []*metrics.Gauge
 	ring      []*metrics.Gauge
 	mergePend *metrics.Gauge
 	stalls    *metrics.Counter
@@ -127,12 +124,10 @@ type Tracer struct {
 //
 //	divscrape_stage_seconds{stage=...}            per-stage span histograms
 //	divscrape_stage_seconds{stage="detect",detector=...}
-//	divscrape_shard_queue_batches{shard=...}      input queue depth at hand-off
-//	divscrape_shard_inflight_batches{shard=...}   batches between producer and recycle
-//	divscrape_merge_pending_decisions             decisions parked in the reorder map
-//	divscrape_merge_stalls_total                  batches that emitted nothing
-//	divscrape_shard_ring_depth{shard=...}         relaxed-mode SPSC ring occupancy
-//	                                              (replaces the four above when Relaxed)
+//	divscrape_shard_ring_depth{shard=...}         SPSC hand-off ring occupancy
+//	divscrape_merge_pending_decisions             decisions parked behind the emitter
+//	divscrape_merge_stalls_total                  emitter waits on an unfinished decision
+//	                                              (the two merge families: not when Relaxed)
 //	divscrape_trace_decisions_total               decisions offered to the recorder
 //	divscrape_trace_records_total                 flight records captured
 //	divscrape_trace_record_drops_total            ring overwrites of unread records
@@ -165,28 +160,17 @@ func New(cfg Config) *Tracer {
 			metrics.Label{Key: "detector", Value: name})
 	}
 
-	switch {
-	case cfg.Shards > 0 && cfg.Relaxed:
-		t.ring = make([]*metrics.Gauge, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			t.ring[i] = reg.MustGauge("divscrape_shard_ring_depth",
-				"Requests queued in each shard's SPSC hand-off ring, observed at producer push.",
-				metrics.Label{Key: "shard", Value: strconv.Itoa(i)})
-		}
-	case cfg.Shards > 0:
-		t.queue = make([]*metrics.Gauge, cfg.Shards)
-		t.inflight = make([]*metrics.Gauge, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			lbl := metrics.Label{Key: "shard", Value: strconv.Itoa(i)}
-			t.queue[i] = reg.MustGauge("divscrape_shard_queue_batches",
-				"Input queue depth observed at each batch hand-off, per shard.", lbl)
-			t.inflight[i] = reg.MustGauge("divscrape_shard_inflight_batches",
-				"Result batches between producer hand-off and merger recycle, per shard.", lbl)
-		}
+	t.ring = make([]*metrics.Gauge, cfg.Shards)
+	for i := range t.ring {
+		t.ring[i] = reg.MustGauge("divscrape_shard_ring_depth",
+			"Requests queued in each shard's SPSC hand-off ring, observed at producer push.",
+			metrics.Label{Key: "shard", Value: strconv.Itoa(i)})
+	}
+	if cfg.Shards > 0 && !cfg.Relaxed {
 		t.mergePend = reg.MustGauge("divscrape_merge_pending_decisions",
-			"Decisions parked in the merger's reorder map awaiting the next sequence number.")
+			"Finished decisions parked in the shard FIFOs, observed when the ordered delivery's emitter stalls.")
 		t.stalls = reg.MustCounter("divscrape_merge_stalls_total",
-			"Result batches whose arrival emitted no decisions (merger blocked on an earlier sequence).")
+			"Times the ordered delivery's emitter had to wait for the decision next in stream order.")
 	}
 
 	reg.MustCounterFunc("divscrape_trace_decisions_total",
@@ -254,27 +238,8 @@ func (t *Tracer) LapDetector(i int, prev time.Time) time.Time {
 	return now
 }
 
-// QueueDepth records the input queue depth observed when handing a batch
-// to shard. Out-of-range shards are ignored.
-func (t *Tracer) QueueDepth(shard, depth int) {
-	if t == nil || shard >= len(t.queue) {
-		return
-	}
-	t.queue[shard].Set(int64(depth))
-}
-
-// Occupancy moves shard's in-flight batch gauge by delta (+1 at producer
-// hand-off, −1 when the merger recycles the batch).
-func (t *Tracer) Occupancy(shard, delta int) {
-	if t == nil || shard >= len(t.inflight) {
-		return
-	}
-	t.inflight[shard].Add(int64(delta))
-}
-
-// RingDepth records shard's SPSC ring occupancy, observed by the
-// relaxed-mode producer after a push. Out-of-range shards (and tracers
-// built without Relaxed) are ignored.
+// RingDepth records shard's SPSC ring occupancy, observed by the sharded
+// pipeline's producer after a push. Out-of-range shards are ignored.
 func (t *Tracer) RingDepth(shard, depth int) {
 	if t == nil || shard >= len(t.ring) {
 		return
@@ -282,8 +247,8 @@ func (t *Tracer) RingDepth(shard, depth int) {
 	t.ring[shard].Set(int64(depth))
 }
 
-// MergePending records the size of the merger's reorder map after
-// processing a batch.
+// MergePending records how many finished decisions sit parked in the
+// shard FIFOs, observed by the ordered delivery's emitter when it stalls.
 func (t *Tracer) MergePending(n int) {
 	if t == nil || t.mergePend == nil {
 		return
@@ -291,10 +256,10 @@ func (t *Tracer) MergePending(n int) {
 	t.mergePend.Set(int64(n))
 }
 
-// MergeStall counts a batch whose arrival emitted no decisions: the
-// merger is holding completed work hostage to an earlier sequence number
-// still in flight — the serialisation the ROADMAP's scaling item is
-// chasing, made countable.
+// MergeStall counts one wait of the ordered delivery's emitter: the
+// decision next in stream order is still being judged, and completed work
+// from the other shards is held behind it — the serialisation total order
+// costs, made countable.
 func (t *Tracer) MergeStall() {
 	if t == nil || t.stalls == nil {
 		return

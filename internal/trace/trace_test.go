@@ -25,8 +25,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	ts = tr.Lap(StageParse, ts)
 	ts = tr.LapDetector(0, ts)
 	_ = ts
-	tr.QueueDepth(0, 5)
-	tr.Occupancy(0, 1)
+	tr.RingDepth(0, 5)
 	tr.MergePending(3)
 	tr.MergeStall()
 	if tr.MergeStalls() != 0 {
@@ -54,8 +53,7 @@ func TestNilTracerSpanPathAllocs(t *testing.T) {
 		ts = tr.LapDetector(0, ts)
 		ts = tr.LapDetector(1, ts)
 		tr.Lap(StageSink, ts)
-		tr.QueueDepth(0, 1)
-		tr.Occupancy(0, 1)
+		tr.RingDepth(0, 1)
 		tr.MergeStall()
 		if tr.Recorder().Sample() != SampleNone {
 			t.Fatal("nil recorder sampled")
@@ -123,10 +121,8 @@ func TestLapZeroPrevRecordsNothing(t *testing.T) {
 
 func TestShardInstruments(t *testing.T) {
 	tr := New(Config{Shards: 2})
-	tr.QueueDepth(0, 7)
-	tr.Occupancy(1, 1)
-	tr.Occupancy(1, 1)
-	tr.Occupancy(1, -1)
+	tr.RingDepth(0, 7)
+	tr.RingDepth(1, 1)
 	tr.MergePending(3)
 	tr.MergeStall()
 	tr.MergeStall()
@@ -134,13 +130,12 @@ func TestShardInstruments(t *testing.T) {
 		t.Errorf("MergeStalls = %d, want 2", got)
 	}
 	// Out-of-range shards must be ignored, not panic.
-	tr.QueueDepth(9, 1)
-	tr.Occupancy(9, 1)
+	tr.RingDepth(9, 1)
 
 	page := string(tr.Registry().AppendPrometheus(nil))
 	for _, want := range []string{
-		`divscrape_shard_queue_batches{shard="0"} 7`,
-		`divscrape_shard_inflight_batches{shard="1"} 1`,
+		`divscrape_shard_ring_depth{shard="0"} 7`,
+		`divscrape_shard_ring_depth{shard="1"} 1`,
 		"divscrape_merge_pending_decisions 3",
 		"divscrape_merge_stalls_total 2",
 	} {
@@ -150,19 +145,17 @@ func TestShardInstruments(t *testing.T) {
 	}
 }
 
-// Relaxed-mode tracers swap the batch/merge instruments for SPSC ring
-// occupancy gauges: the merge families would be dead weight (the mode
-// has no merger), and frozen-at-zero metrics on a live pipeline's page
-// read as a stuck merger, not an absent one.
+// Relaxed tracers keep the SPSC ring occupancy gauges and leave the merge
+// instruments out: the families would be dead weight (per-shard delivery
+// has no emitter), and frozen-at-zero metrics on a live pipeline's page
+// read as a stuck emitter, not an absent one.
 func TestRelaxedTracerInstruments(t *testing.T) {
 	tr := New(Config{Shards: 2, Relaxed: true})
 	tr.RingDepth(0, 5)
 	tr.RingDepth(1, 2)
 	// Out-of-range shards must be ignored, not panic.
 	tr.RingDepth(9, 1)
-	// Merge/batch setters degrade to no-ops in relaxed topology.
-	tr.QueueDepth(0, 7)
-	tr.Occupancy(0, 1)
+	// Merge setters degrade to no-ops under per-shard delivery.
 	tr.MergePending(3)
 	tr.MergeStall()
 	if tr.MergeStalls() != 0 {
@@ -177,21 +170,8 @@ func TestRelaxedTracerInstruments(t *testing.T) {
 			t.Errorf("relaxed registry page missing %q:\n%s", want, page)
 		}
 	}
-	for _, absent := range []string{
-		"divscrape_shard_queue_batches",
-		"divscrape_shard_inflight_batches",
-		"divscrape_merge_pending_decisions",
-		"divscrape_merge_stalls_total",
-	} {
-		if strings.Contains(page, absent) {
-			t.Errorf("relaxed registry page still exposes merge-era family %q:\n%s", absent, page)
-		}
-	}
-	// And the inverse: a total-order tracer has no ring gauges.
-	ordered := New(Config{Shards: 2})
-	ordered.RingDepth(0, 5)
-	if page := string(ordered.Registry().AppendPrometheus(nil)); strings.Contains(page, "divscrape_shard_ring_depth") {
-		t.Errorf("total-order registry page exposes ring gauges:\n%s", page)
+	if strings.Contains(page, "divscrape_merge_") {
+		t.Errorf("relaxed registry page exposes the emitter's families:\n%s", page)
 	}
 }
 
@@ -199,8 +179,7 @@ func TestRelaxedTracerInstruments(t *testing.T) {
 // shard gauges, and the merge setters must degrade to no-ops.
 func TestUnshardedTracerHasNoShardInstruments(t *testing.T) {
 	tr := New(Config{})
-	tr.QueueDepth(0, 5)
-	tr.Occupancy(0, 1)
+	tr.RingDepth(0, 5)
 	tr.MergePending(3)
 	tr.MergeStall()
 	if tr.MergeStalls() != 0 {
