@@ -5,7 +5,8 @@
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR18.json so the performance
 # trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
-# targets, and the id set against its map model, for a short bounded pass.
+# targets, the id set against its map model, and the byte log parser
+# against the string one, for a short bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
 # checked-in record: non-zero exit when req/s regresses >20% or allocs/op
 # rises on any shared benchmark. Both targets share the bench.out recipe,
@@ -20,7 +21,11 @@
 # list to keep, so a package a PR touches is never left out (≈2 minutes
 # on two cores). `make benchsmoke` builds and tests bench/, the
 # end-to-end benchmark: it is a module of its own that compiles against
-# this one's types, and tier-1 neither builds nor tests it.
+# this one's types, and tier-1 neither builds nor tests it. `make profile`
+# CPU-profiles BenchmarkE2EReplay — log bytes on disk through detection,
+# the path bench/ times but cannot profile — and prints the cumulative
+# top 30 with input generation left out; the profile and test binary stay
+# under .bench_build/.
 
 GO ?= go
 
@@ -31,7 +36,7 @@ SHELL := /bin/bash
 
 BENCH_RECORD := BENCH_PR18.json
 
-.PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke race chaos fuzz nosleep cover bench.out
+.PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke profile race chaos fuzz nosleep cover bench.out
 
 verify: vet fmtcheck build test nosleep
 
@@ -72,6 +77,14 @@ race:
 benchsmoke:
 	cd bench && $(GO) test ./...
 
+# PROFILE_BENCH narrows the profile to one path: E2EReplay/paper or /wide.
+PROFILE_BENCH ?= E2EReplay
+
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 20x -cpuprofile .bench_build/e2e.prof -o .bench_build/e2e.test .
+	$(GO) tool pprof -top -cum -nodecount 30 -ignore e2eMix .bench_build/e2e.test .bench_build/e2e.prof
+
 # The chaos suite under -race: injected detector panics, overload stalls,
 # torn/ENOSPC checkpoint writes, follower read errors, kill-and-restore,
 # dropped/delayed/exhausted cluster delta frames and mid-rebalance faults.
@@ -87,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats/ -run xxx -fuzz FuzzIDSet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfmt/ -run xxx -fuzz FuzzParseCombinedBytes -fuzztime $(FUZZTIME)
 
 bench.out:
 	@rm -f bench.out

@@ -10,6 +10,9 @@ package divscrape_test
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +25,7 @@ import (
 	"divscrape/internal/pipeline"
 	"divscrape/internal/sentinel"
 	"divscrape/internal/statecodec"
+	"divscrape/internal/stream"
 	"divscrape/internal/trace"
 	"divscrape/internal/trajectory"
 	"divscrape/internal/workload"
@@ -382,6 +386,125 @@ func BenchmarkPipelineRelaxedMulti(b *testing.B) {
 			benchmarkPipelineMode(b, pipeline.Sharded, shards, true)
 		})
 	}
+}
+
+// e2eMix is one traffic mix of BenchmarkE2EReplay, rendered to Combined
+// Log Format once per process.
+type e2eMix struct {
+	visitors, bots int // non-zero: replace the calibrated profile's humans and stealth bots
+	duration       time.Duration
+	once           sync.Once
+	log            []byte
+	lines          int
+}
+
+// The two mixes the end-to-end benchmark in bench/ replays at seed 1: the
+// paper's (1.2k clients, a few scrapers make most lines) and the wide one
+// (12k churning clients).
+var (
+	e2ePaper = e2eMix{duration: 24 * time.Hour}
+	e2eWide  = e2eMix{visitors: 40000, bots: 2000, duration: 6 * time.Hour}
+)
+
+// file renders the mix on first use and writes it to a fresh file.
+func (m *e2eMix) file(b *testing.B) string {
+	b.Helper()
+	m.once.Do(func() {
+		p := workload.CalibratedProfile(1)
+		if m.visitors > 0 {
+			p.HumanVisitors, p.StealthBots = m.visitors, m.bots
+		}
+		gen, err := workload.NewGenerator(workload.Config{Seed: 1, Duration: m.duration, Profile: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		events, err := gen.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range events {
+			m.log = append(logfmt.AppendCombined(m.log, &events[i].Entry), '\n')
+		}
+		m.lines = len(events)
+	})
+	if m.lines == 0 {
+		b.Fatal("no events generated")
+	}
+	path := filepath.Join(b.TempDir(), "access.log")
+	if err := os.WriteFile(path, m.log, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkE2EReplay takes log bytes on disk through detection — the path
+// scrapedetect runs, in-process — so `make profile` shows where a replay
+// spends its time without a hand-written harness. Every iteration builds
+// a fresh pipeline and a fresh source and counts decisions into a sink:
+// /paper is file → logfmt.Reader → Sequential sentinel+arcane, /wide is a
+// stream.Follower draining the file as a backlog → three detectors with a
+// 2 h eviction window.
+func BenchmarkE2EReplay(b *testing.B) {
+	trio := []detector.Factory{
+		func() (detector.Detector, error) { return sentinel.New(sentinel.Config{}) },
+		func() (detector.Detector, error) { return arcane.New(arcane.Config{}) },
+		func() (detector.Detector, error) { return trajectory.New(trajectory.Config{}) },
+	}
+	run := func(b *testing.B, mix *e2eMix, cfg pipeline.Config, open func(path string) (pipeline.EntrySource, func() error)) {
+		path := mix.file(b)
+		cfg.Reputation, cfg.Mode = iprep.BuildFeed(), pipeline.Sequential
+		var mem [2]runtime.MemStats
+		runtime.ReadMemStats(&mem[0])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pipe, err := pipeline.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src, done := open(path)
+			decisions := 0
+			err = pipe.Run(context.Background(), src, func(pipeline.Decision) error {
+				decisions++
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := done(); err != nil {
+				b.Fatal(err)
+			}
+			if decisions != mix.lines {
+				b.Fatalf("%d decisions for %d lines", decisions, mix.lines)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&mem[1])
+		lines := float64(mix.lines) * float64(b.N)
+		b.SetBytes(int64(len(mix.log)))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines, "ns/line")
+		b.ReportMetric(float64(mem[1].Mallocs-mem[0].Mallocs)/lines, "allocs/line")
+	}
+	b.Run("paper", func(b *testing.B) {
+		run(b, &e2ePaper, pipeline.Config{Factories: trio[:2]}, func(path string) (pipeline.EntrySource, func() error) {
+			f, err := os.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return logfmt.NewReader(f, logfmt.ReaderConfig{Policy: logfmt.Skip}).Next, f.Close
+		})
+	})
+	b.Run("wide", func(b *testing.B) {
+		run(b, &e2eWide, pipeline.Config{Factories: trio, EvictWindow: 2 * time.Hour}, func(path string) (pipeline.EntrySource, func() error) {
+			// A backlog already on disk with Stop set: the follower reads
+			// to the end and reports EOF, as a restarted -follow catches up.
+			fol, err := stream.NewFollower(stream.FollowerConfig{Path: path})
+			if err != nil {
+				b.Fatal(err)
+			}
+			fol.Stop()
+			return fol.Next, fol.Close
+		})
+	})
 }
 
 // BenchmarkPipelineStages replays the stream through the sharded

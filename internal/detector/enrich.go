@@ -71,6 +71,17 @@ const (
 	maxCachedIPs = 1 << 20
 )
 
+// admit caches v under key, starting the cache over when it holds max
+// entries: the bound holds against adversarial churn, and a cache that
+// stopped admitting instead would leave every client arriving after one
+// flood uncached — a full User-Agent parse per line — for good.
+func admit[V any](cache map[string]V, max int, key string, v V) {
+	if len(cache) >= max {
+		clear(cache)
+	}
+	cache[key] = v
+}
+
 // NewEnricher returns an enricher resolving reputation against rep, which
 // may be nil to disable reputation enrichment.
 func NewEnricher(rep *iprep.DB) *Enricher {
@@ -95,17 +106,12 @@ func (e *Enricher) EnrichInto(req *Request, entry logfmt.Entry) {
 	ua, ok := e.uaCache[entry.UserAgent]
 	if !ok {
 		ua = deriveUA(entry.UserAgent)
-		// Bound the cache against adversarial UA churn.
-		if len(e.uaCache) < maxCachedUAs {
-			e.uaCache[entry.UserAgent] = ua
-		}
+		admit(e.uaCache, maxCachedUAs, entry.UserAgent, ua)
 	}
 	info, ok := e.ipCache[entry.RemoteAddr]
 	if !ok {
 		info = deriveIP(e.rep, entry.RemoteAddr)
-		if len(e.ipCache) < maxCachedIPs {
-			e.ipCache[entry.RemoteAddr] = info
-		}
+		admit(e.ipCache, maxCachedIPs, entry.RemoteAddr, info)
 	}
 	derive(req, e.seq, &entry, &ua, info)
 	e.seq++

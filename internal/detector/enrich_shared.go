@@ -48,18 +48,13 @@ func (e *SharedEnricher) EnrichInto(req *Request, entry logfmt.Entry) {
 	if !uaHit {
 		ua = deriveUA(entry.UserAgent)
 		e.mu.Lock()
-		// Bound the cache against adversarial UA churn.
-		if len(e.uaCache) < maxCachedUAs {
-			e.uaCache[entry.UserAgent] = ua
-		}
+		admit(e.uaCache, maxCachedUAs, entry.UserAgent, ua)
 		e.mu.Unlock()
 	}
 	if !ipHit {
 		info = deriveIP(e.rep, entry.RemoteAddr)
 		e.mu.Lock()
-		if len(e.ipCache) < maxCachedIPs {
-			e.ipCache[entry.RemoteAddr] = info
-		}
+		admit(e.ipCache, maxCachedIPs, entry.RemoteAddr, info)
 		e.mu.Unlock()
 	}
 	derive(req, e.seq.Add(1)-1, &entry, &ua, info)

@@ -5,7 +5,10 @@
 // set of Apache access logs for an e-commerce application.
 //
 // The package is allocation-conscious: parsing works on byte slices without
-// regular expressions, and formatting appends to caller-provided buffers.
+// regular expressions, string fields get storage that matches how long
+// they are kept (see Interner: addresses and User-Agents are interned,
+// request paths are carved from shared chunks), and formatting appends to
+// caller-provided buffers.
 package logfmt
 
 import (
@@ -20,6 +23,12 @@ const ApacheTime = "02/Jan/2006:15:04:05 -0700"
 
 // Entry is a single access-log record. The zero value is not a valid record;
 // construct entries explicitly or via Parse functions.
+//
+// In an entry from a Reader (or any parse through an Interner) RemoteAddr
+// and UserAgent are interned — one copy per distinct value, safe to keep
+// and to key maps by — while Path, RawRequest and Referer are carved from
+// a chunk shared with neighbouring lines: valid forever, but strings.Clone
+// one you keep for long, or it pins up to 4 KiB.
 type Entry struct {
 	// RemoteAddr is the client IP address (the %h field).
 	RemoteAddr string

@@ -11,71 +11,74 @@ func fastPathLine(stamp, request string) string {
 	return fmt.Sprintf(`10.1.2.3 - - [%s] "%s" 200 512 "-" "UA/1.0"`, stamp, request)
 }
 
+const fastPathGet = "GET /product/17 HTTP/1.1"
+
+// fastPathCases are the lines TestFastPathsMatchStringParser feeds in order;
+// FuzzParseCombinedBytes starts from them too.
+var fastPathCases = []struct {
+	line  string
+	valid bool
+}{
+	// Same day, then across midnight, a month end and a leap day.
+	{fastPathLine("27/Feb/2024:23:59:58 +0000", fastPathGet), true},
+	{fastPathLine("27/Feb/2024:23:59:59 +0000", fastPathGet), true},
+	{fastPathLine("28/Feb/2024:00:00:00 +0000", fastPathGet), true},
+	{fastPathLine("28/Feb/2024:23:59:59 +0000", fastPathGet), true},
+	{fastPathLine("29/Feb/2024:00:00:01 +0000", fastPathGet), true},
+	{fastPathLine("29/Feb/2024:23:59:59 +0000", fastPathGet), true},
+	{fastPathLine("01/Mar/2024:00:00:00 +0000", fastPathGet), true},
+	{fastPathLine("31/Dec/2024:23:59:59 +0000", fastPathGet), true},
+	{fastPathLine("01/Jan/2025:00:00:00 +0000", fastPathGet), true},
+	// A zone change between two lines of the same date, and back.
+	{fastPathLine("01/Jan/2025:08:00:00 +0530", fastPathGet), true},
+	{fastPathLine("01/Jan/2025:08:00:01 -0800", fastPathGet), true},
+	{fastPathLine("01/Jan/2025:08:00:02 +0530", fastPathGet), true},
+	// Calendar-invalid days while the memo holds a valid February day:
+	// rejected, and the next valid line is unharmed.
+	{fastPathLine("28/Feb/2025:10:00:00 +0000", fastPathGet), true},
+	{fastPathLine("31/Feb/2025:10:00:00 +0000", fastPathGet), false},
+	{fastPathLine("31/Feb/2025:10:00:01 +0000", fastPathGet), false}, // a remembered reject would be accepted here
+	{fastPathLine("28/Feb/2025:10:00:01 +0000", fastPathGet), true},
+	{fastPathLine("30/Feb/2025:10:00:00 +0000", fastPathGet), false},
+	{fastPathLine("29/Feb/2025:10:00:00 +0000", fastPathGet), false}, // not a leap year
+	{fastPathLine("28/Feb/2025:10:00:02 +0000", fastPathGet), true},
+	// Out-of-range times of day on a remembered date.
+	{fastPathLine("28/Feb/2025:24:00:00 +0000", fastPathGet), false},
+	{fastPathLine("28/Feb/2025:10:60:00 +0000", fastPathGet), false},
+	{fastPathLine("28/Feb/2025:10:00:60 +0000", fastPathGet), false},
+	{fastPathLine("28/Feb/2025:1x:00:00 +0000", fastPathGet), false},
+	{fastPathLine("28/Feb/2025:10:00:03 +0000", fastPathGet), true},
+	// A bad zone on a remembered date, then the date again.
+	{fastPathLine("28/Feb/2025:10:00:04 +9900", fastPathGet), false},
+	{fastPathLine("28/Feb/2025:10:00:04 *0000", fastPathGet), false},
+	{fastPathLine("28/Feb/2025:10:00:05 +0000", fastPathGet), true},
+	// Every constant, and tokens one byte off them.
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "POST /__verify HTTP/1.0"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "HEAD / HTTP/2.0"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "PUT /cart HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "DELETE /cart HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "OPTIONS * HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "PATCH /cart HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GETX / HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GE / HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "get / HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET / HTTP/1.10"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET / HTTP/1."), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET / http/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET GET GET"), true},
+	{fastPathLine("28/Feb/2025:10:00:06 +0000", "-"), true},
+	{`- -- GET [28/Feb/2025:10:00:07 +0000] "GET - HTTP/1.1" 200 - "GET" "HTTP/1.1"`, true},
+}
+
 // The byte parser answers "-", the common methods and protocols from
 // constants, and a timestamp on the same day and zone as the previous line
 // from the remembered midnight. Lines are fed in order through ONE interner
 // (the memo is per-interner state) and, as a control, through none; every
 // result is checked against the string parser, which has neither shortcut.
 func TestFastPathsMatchStringParser(t *testing.T) {
-	const get = "GET /product/17 HTTP/1.1"
-	lines := []struct {
-		line  string
-		valid bool
-	}{
-		// Same day, then across midnight, a month end and a leap day.
-		{fastPathLine("27/Feb/2024:23:59:58 +0000", get), true},
-		{fastPathLine("27/Feb/2024:23:59:59 +0000", get), true},
-		{fastPathLine("28/Feb/2024:00:00:00 +0000", get), true},
-		{fastPathLine("28/Feb/2024:23:59:59 +0000", get), true},
-		{fastPathLine("29/Feb/2024:00:00:01 +0000", get), true},
-		{fastPathLine("29/Feb/2024:23:59:59 +0000", get), true},
-		{fastPathLine("01/Mar/2024:00:00:00 +0000", get), true},
-		{fastPathLine("31/Dec/2024:23:59:59 +0000", get), true},
-		{fastPathLine("01/Jan/2025:00:00:00 +0000", get), true},
-		// A zone change between two lines of the same date, and back.
-		{fastPathLine("01/Jan/2025:08:00:00 +0530", get), true},
-		{fastPathLine("01/Jan/2025:08:00:01 -0800", get), true},
-		{fastPathLine("01/Jan/2025:08:00:02 +0530", get), true},
-		// Calendar-invalid days while the memo holds a valid February day:
-		// rejected, and the next valid line is unharmed.
-		{fastPathLine("28/Feb/2025:10:00:00 +0000", get), true},
-		{fastPathLine("31/Feb/2025:10:00:00 +0000", get), false},
-		{fastPathLine("31/Feb/2025:10:00:01 +0000", get), false}, // a remembered reject would be accepted here
-		{fastPathLine("28/Feb/2025:10:00:01 +0000", get), true},
-		{fastPathLine("30/Feb/2025:10:00:00 +0000", get), false},
-		{fastPathLine("29/Feb/2025:10:00:00 +0000", get), false}, // not a leap year
-		{fastPathLine("28/Feb/2025:10:00:02 +0000", get), true},
-		// Out-of-range times of day on a remembered date.
-		{fastPathLine("28/Feb/2025:24:00:00 +0000", get), false},
-		{fastPathLine("28/Feb/2025:10:60:00 +0000", get), false},
-		{fastPathLine("28/Feb/2025:10:00:60 +0000", get), false},
-		{fastPathLine("28/Feb/2025:1x:00:00 +0000", get), false},
-		{fastPathLine("28/Feb/2025:10:00:03 +0000", get), true},
-		// A bad zone on a remembered date, then the date again.
-		{fastPathLine("28/Feb/2025:10:00:04 +9900", get), false},
-		{fastPathLine("28/Feb/2025:10:00:04 *0000", get), false},
-		{fastPathLine("28/Feb/2025:10:00:05 +0000", get), true},
-		// Every constant, and tokens one byte off them.
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "POST /__verify HTTP/1.0"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "HEAD / HTTP/2.0"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "PUT /cart HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "DELETE /cart HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "OPTIONS * HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "PATCH /cart HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "GETX / HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "GE / HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "get / HTTP/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET / HTTP/1.10"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET / HTTP/1."), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET / http/1.1"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET GET GET"), true},
-		{fastPathLine("28/Feb/2025:10:00:06 +0000", "-"), true},
-		{`- -- GET [28/Feb/2025:10:00:07 +0000] "GET - HTTP/1.1" 200 - "GET" "HTTP/1.1"`, true},
-	}
-
 	check := func(t *testing.T, in *Interner) {
 		t.Helper()
-		for i, tt := range lines {
+		for i, tt := range fastPathCases {
 			want, wantErr := ParseCombined(tt.line)
 			if (wantErr == nil) != tt.valid {
 				t.Fatalf("line %d %q: oracle error = %v, test expects valid=%v", i, tt.line, wantErr, tt.valid)

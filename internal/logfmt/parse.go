@@ -95,8 +95,10 @@ func (p *parser) common(e *Entry) error {
 	if err != nil {
 		return err
 	}
-	status, err := strconv.Atoi(statusTok)
-	if err != nil || status < 100 || status > 599 {
+	// Decimal fields are digits only, as in the byte parser: strconv would
+	// wave through a sign.
+	status, ok := atoi([]byte(statusTok))
+	if !ok || status < 100 || status > 599 {
 		return &ParseError{Offset: p.i, Reason: "invalid status code " + strconv.Quote(statusTok)}
 	}
 	e.Status = status
@@ -107,8 +109,8 @@ func (p *parser) common(e *Entry) error {
 	if sizeTok == "-" {
 		e.Bytes = -1
 	} else {
-		n, err := strconv.ParseInt(sizeTok, 10, 64)
-		if err != nil || n < 0 {
+		n, ok := atoi64([]byte(sizeTok))
+		if !ok {
 			return &ParseError{Offset: p.i, Reason: "invalid bytes field " + strconv.Quote(sizeTok)}
 		}
 		e.Bytes = n
@@ -187,7 +189,9 @@ func (p *parser) bracketedTime() (time.Time, error) {
 	}
 	raw := p.s[p.i : p.i+end]
 	t, err := time.Parse(ApacheTime, raw)
-	if err != nil {
+	// Apache's stamp is fixed-width; time.Parse also takes fractional
+	// seconds, any-case months and zones of 24 hours or 60 minutes.
+	if err != nil || len(raw) != len(ApacheTime) || raw[3:6] != t.Month().String()[:3] || raw[22:24] > "23" || raw[24] > '5' {
 		return time.Time{}, &ParseError{Offset: p.i, Reason: "invalid timestamp " + strconv.Quote(raw)}
 	}
 	p.i += end + 1

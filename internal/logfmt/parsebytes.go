@@ -3,19 +3,33 @@ package logfmt
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"time"
 )
 
-// Interner deduplicates the repeat-heavy string fields of access-log
-// records (addresses, User-Agents, methods, paths) so that steady-state
-// parsing performs no allocations: looking up a []byte key in a
-// map[string]string does not allocate, and on a hit the already-interned
-// string is returned. The table is bounded; once full, misses fall back to
-// plain allocation without caching, which bounds memory under adversarial
-// churn (e.g. random query strings).
+// Interner gives the string fields of access-log records storage that
+// matches how long they are kept, so that steady-state parsing allocates
+// once per chunkBytes of request text and nothing else.
 //
-// Fields that hardly vary never reach the table: "-", the common methods
-// and the HTTP protocol versions come back as constants.
+// Keyed, low-cardinality fields — RemoteAddr, UserAgent, Identity,
+// AuthUser, and the odd method or protocol — are deduplicated through one
+// bounded table: a []byte lookup in a map[string]string does not allocate,
+// and a hit returns the copy every earlier line with that value got, which
+// is what detectors, sinks and ladders hold on to and key their maps by. A
+// full table starts over: a table that stopped admitting would make every
+// client that arrives after one flood of distinct values pay an allocation
+// per field per line for the life of the process.
+//
+// Transient, high-cardinality fields — Path, RawRequest, a Referer other
+// than "-" — are copied into an append-only chunk instead. Nothing keeps
+// them past the decision, a table of them is mostly entries nobody asks
+// for twice, and a cache-busting query string per request would fill it.
+// A chunk is written front to back once and replaced when the next field
+// does not fit, never reset or rewritten, so every string carved from it
+// stays valid; one that is kept pins its chunk.
+//
+// Fields that hardly vary reach neither: "-", the common methods and the
+// HTTP protocol versions come back as constants.
 //
 // An Interner also caches *time.Location values per numeric zone offset,
 // removing the per-line allocation time.Parse performs for non-UTC zones,
@@ -30,6 +44,9 @@ type Interner struct {
 	max  int
 	locs map[int]*time.Location
 
+	// chunk is the transient-field chunk being filled.
+	chunk strings.Builder
+
 	// day and dayZone are the "02/Jan/2006" and "-0700" bytes of the last
 	// calendar-valid timestamp decoded, midnight that day's 00:00:00 in
 	// that zone. The zero value matches no line ('\x00' is not a digit).
@@ -38,8 +55,13 @@ type Interner struct {
 	midnight time.Time
 }
 
-// NewInterner returns an interner holding at most max distinct strings
-// (minimum 256).
+// chunkBytes is the size of a transient-field chunk. A field longer than a
+// quarter of it is allocated on its own, so a chunk is never abandoned
+// more than a quarter empty.
+const chunkBytes = 4096
+
+// NewInterner returns an interner whose table holds at most max distinct
+// strings (minimum 256).
 func NewInterner(max int) *Interner {
 	if max < 256 {
 		max = 256
@@ -52,8 +74,8 @@ func NewInterner(max int) *Interner {
 }
 
 // Intern returns a string equal to b: a constant for the few tokens nearly
-// every line repeats, otherwise a previously interned copy when possible.
-// A nil receiver allocates what is not a constant.
+// every line repeats, otherwise the table's copy, admitting b when it has
+// none. A nil receiver allocates what is not a constant.
 func (in *Interner) Intern(b []byte) string {
 	switch string(b) { // compiler elides the conversion
 	case "-":
@@ -86,10 +108,29 @@ func (in *Interner) Intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if len(in.m) < in.max {
-		in.m[s] = s
+	if len(in.m) >= in.max {
+		clear(in.m) // start over; strings already handed out stay valid
 	}
+	in.m[s] = s
 	return s
+}
+
+// transient returns a copy of b carved from the current chunk, "-" as the
+// constant. A nil receiver allocates.
+func (in *Interner) transient(b []byte) string {
+	switch {
+	case len(b) == 1 && b[0] == '-':
+		return "-"
+	case in == nil || len(b) > chunkBytes/4:
+		return string(b)
+	}
+	if in.chunk.Cap()-in.chunk.Len() < len(b) {
+		in.chunk = strings.Builder{}
+		in.chunk.Grow(chunkBytes)
+	}
+	start := in.chunk.Len()
+	in.chunk.Write(b)
+	return in.chunk.String()[start:]
 }
 
 // location returns a cached fixed-offset zone for the given offset in
@@ -111,8 +152,8 @@ func (in *Interner) location(offset int) *time.Location {
 
 // ParseCombinedBytes parses one Combined Log Format line into *e, the
 // allocation-free counterpart of ParseCombined: the timestamp is decoded
-// without time.Parse and string fields are deduplicated through in (which
-// may be nil to disable interning). On error the contents of *e are
+// without time.Parse and string fields get their storage from in (which
+// may be nil, to allocate each one). On error the contents of *e are
 // unspecified. Fields of *e left over from a previous record are fully
 // overwritten, so one Entry can be reused across calls.
 func ParseCombinedBytes(line []byte, e *Entry, in *Interner) error {
@@ -120,24 +161,24 @@ func ParseCombinedBytes(line []byte, e *Entry, in *Interner) error {
 	if err := p.common(e); err != nil {
 		return err
 	}
-	ref, err := p.quoted("referer")
+	ref, err := p.quotedRaw("referer")
 	if err != nil {
 		return err
 	}
-	e.Referer = ref
-	ua, err := p.quoted("user-agent")
+	ua, err := p.quotedRaw("user-agent")
 	if err != nil {
 		return err
 	}
-	e.UserAgent = ua
 	if !p.atEnd() {
 		return &ParseError{Offset: p.i, Reason: "trailing data after user-agent"}
 	}
+	e.Referer = in.transient(ref)
+	e.UserAgent = in.Intern(ua)
 	return nil
 }
 
-// bparser is the []byte twin of parser; it shares the grammar but interns
-// its string results and decodes the timestamp manually.
+// bparser is the []byte twin of parser; it shares the grammar but takes its
+// string results from an Interner and decodes the timestamp manually.
 type bparser struct {
 	s  []byte
 	i  int
@@ -188,27 +229,28 @@ func (p *bparser) common(e *Entry) error {
 	return nil
 }
 
-// splitRequest mirrors the string parser's request-line split, interning
-// the method/path/proto (or raw request) results.
+// splitRequest mirrors the string parser's request-line split. The path
+// (or the raw request) is transient; method and protocol are constants in
+// all but hand-made requests.
 func (p *bparser) splitRequest(req []byte, e *Entry) {
 	e.Method, e.Path, e.Proto, e.RawRequest = "", "", "", ""
 	sp1 := bytes.IndexByte(req, ' ')
 	if sp1 <= 0 {
-		e.RawRequest = p.in.Intern(req)
+		e.RawRequest = p.in.transient(req)
 		return
 	}
 	sp2 := bytes.LastIndexByte(req, ' ')
 	if sp2 == sp1 {
-		e.RawRequest = p.in.Intern(req)
+		e.RawRequest = p.in.transient(req)
 		return
 	}
 	method, path, proto := req[:sp1], req[sp1+1:sp2], req[sp2+1:]
 	if !validMethodBytes(method) || !hasHTTPPrefix(proto) || len(path) == 0 {
-		e.RawRequest = p.in.Intern(req)
+		e.RawRequest = p.in.transient(req)
 		return
 	}
 	e.Method = p.in.Intern(method)
-	e.Path = p.in.Intern(path)
+	e.Path = p.in.transient(path)
 	e.Proto = p.in.Intern(proto)
 }
 
@@ -385,17 +427,20 @@ func (p *bparser) quotedRaw(what string) ([]byte, error) {
 	}
 	p.i++
 	rest := p.s[p.i:]
-	// Fast path: closing quote before any escape.
-	for j := 0; j < len(rest); j++ {
-		switch rest[j] {
-		case '"':
-			p.i += j + 1
-			return rest[:j], nil
-		case '\\':
-			return p.quotedSlow(what)
-		}
+	// Fast path: no escape before the closing quote.
+	field := rest
+	end := bytes.IndexByte(rest, '"')
+	if end >= 0 {
+		field = rest[:end]
 	}
-	return nil, &ParseError{Offset: len(p.s), Reason: "unterminated " + what}
+	if bytes.IndexByte(field, '\\') >= 0 {
+		return p.quotedSlow(what)
+	}
+	if end < 0 {
+		return nil, &ParseError{Offset: len(p.s), Reason: "unterminated " + what}
+	}
+	p.i += end + 1
+	return field, nil
 }
 
 // quotedSlow handles backslash escapes; p.i points at the first byte after
@@ -430,12 +475,4 @@ func (p *bparser) quotedSlow(what string) ([]byte, error) {
 		}
 	}
 	return nil, &ParseError{Offset: p.i, Reason: "unterminated " + what}
-}
-
-func (p *bparser) quoted(what string) (string, error) {
-	b, err := p.quotedRaw(what)
-	if err != nil {
-		return "", err
-	}
-	return p.in.Intern(b), nil
 }

@@ -66,7 +66,8 @@ import (
 // one verdict per registered detector, in registration order.
 type Decision struct {
 	// Req is the enriched request. The pointer is owned by the pipeline
-	// and only valid during the sink call; copy what you keep.
+	// and only valid during the sink call; copy what you keep, and
+	// strings.Clone a kept Path, RawRequest or Referer (see logfmt.Entry).
 	Req *detector.Request
 	// Verdicts aligns with the pipeline's detector list. Like Req, the
 	// slice is owned by the pipeline and reused after the sink returns;

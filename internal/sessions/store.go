@@ -128,16 +128,22 @@ func NewStore[T any](cfg Config[T]) (*Store[T], error) {
 
 // Touch returns the state for key as of now, creating it if absent or if
 // the previous session expired. The second result reports whether a new
-// session started. Touch also expires any sessions idle at now.
+// session started. Touch also expires any sessions idle at now. A key that
+// is still the most recently touched one — scraping traffic comes in runs
+// of one client — is answered from the list's tail, without a map lookup.
 func (s *Store[T]) Touch(key Key, now time.Time) (*T, bool) {
 	s.expire(now)
 	s.touches++
-	if n, ok := s.m[key]; ok {
+	n := s.tail
+	if n == nil || n.key != key {
+		n = s.m[key]
+	}
+	if n != nil {
 		n.lastSeen = now
 		s.moveToTail(n)
 		return n.value, false
 	}
-	n := s.newNode()
+	n = s.newNode()
 	n.key, n.lastSeen = key, now
 	// A recycled node may carry a Recycle-reset value; reuse it instead of
 	// constructing a fresh one.

@@ -202,8 +202,9 @@ func (f *Follower) Next() (logfmt.Entry, error) {
 // NextInto decodes the next well-formed entry into *e, blocking (by
 // polling) until one is available. It returns io.EOF after Stop once the
 // buffered complete lines are drained, or the first parse error under the
-// Strict policy. Like logfmt.Reader.NextInto it is allocation-free in
-// steady state: the line buffer is reused and string fields are interned.
+// Strict policy. Like logfmt.Reader.NextInto it allocates in steady state
+// only a chunk per 4 KiB of request text: the line buffer is reused and
+// string fields take their storage from a logfmt.Interner.
 func (f *Follower) NextInto(e *logfmt.Entry) error {
 	if f.err != nil {
 		return f.err
