@@ -25,7 +25,10 @@
 # CPU-profiles BenchmarkE2EReplay — log bytes on disk through detection,
 # the path bench/ times but cannot profile — and prints the cumulative
 # top 30 with input generation left out; the profile and test binary stay
-# under .bench_build/.
+# under .bench_build/. `make lines` prints the tracked non-test Go lines
+# outside bench/, per package and in total — the figure a simplicity PR
+# reports before and after (stage new files first: it counts what git
+# tracks).
 
 GO ?= go
 
@@ -36,7 +39,7 @@ SHELL := /bin/bash
 
 BENCH_RECORD := BENCH_PR18.json
 
-.PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke profile race chaos fuzz nosleep cover bench.out
+.PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke profile race chaos fuzz nosleep lines cover bench.out
 
 verify: vet fmtcheck build test nosleep
 
@@ -55,15 +58,21 @@ build:
 test:
 	$(GO) test ./...
 
-# Flaky-test firewall: wall-clock sleeping in internal tests is the #1
-# source of order- and load-dependent flakes. Tests coordinate through
-# injected clocks/hooks instead (see internal/clockwork and the Sleep
-# hook on stream.FollowerConfig).
+# Flaky-test firewall: wall-clock sleeping in tests is the #1 source of
+# order- and load-dependent flakes. Tests coordinate through injected
+# clocks/hooks instead (see internal/clockwork and the Sleep hook on
+# stream.FollowerConfig). Every tracked test file outside bench/ is held
+# to it, the root package's included.
 nosleep:
-	@if grep -rn --include='*_test.go' -E '\btime\.Sleep\(' internal/ httpguard/ cmd/; then \
+	@if grep -n -E '\btime\.Sleep\(' $$(git ls-files '*_test.go' | grep -v '^bench/'); then \
 		echo "error: time.Sleep is forbidden in tests; inject a clock (internal/clockwork) or a sleep hook instead"; \
 		exit 1; \
 	fi
+
+lines:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Per-package coverage summary; CI publishes cover.out + the function
 # table as a workflow artifact.

@@ -103,6 +103,7 @@ import (
 	"divscrape/internal/alertlog"
 	"divscrape/internal/checkpoint"
 	"divscrape/internal/detector"
+	"divscrape/internal/ensemble"
 	"divscrape/internal/evaluate"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
@@ -138,13 +139,8 @@ func buildDetectors(names []string) ([]detector.Detector, []detector.Factory, er
 	if err != nil {
 		return nil, nil, err
 	}
-	dets := make([]detector.Detector, len(facts))
-	for i, f := range facts {
-		if dets[i], err = f(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return dets, facts, nil
+	dets, err := detector.Build(facts)
+	return dets, facts, err
 }
 
 // splitDetectorNames parses the -detectors flag value.
@@ -171,8 +167,8 @@ func newAlertAgreement(n int) *alertAgreement {
 	return &alertAgreement{only: make([]uint64, n)}
 }
 
-// add records one decision and returns the alert vote count.
-func (a *alertAgreement) add(verdicts []detector.Verdict) int {
+// add records one decision.
+func (a *alertAgreement) add(verdicts []detector.Verdict) {
 	votes, last := 0, -1
 	for i := range verdicts {
 		if verdicts[i].Alert {
@@ -189,7 +185,6 @@ func (a *alertAgreement) add(verdicts []detector.Verdict) int {
 	if votes == 1 {
 		a.only[last]++
 	}
-	return votes
 }
 
 // merge folds another agreement table (same detector set) into a.
@@ -511,11 +506,6 @@ func run(w io.Writer, args []string) error {
 	for i, d := range dets {
 		detNames[i] = d.Name()
 	}
-	// The mitigation quorum: a strict majority of the selected detectors
-	// confirms a request (both-of-two for the paper's pair, two-of-three
-	// with trajectory added).
-	confirmVotes := len(dets)/2 + 1
-
 	// The registry is created before the pipeline so the tracer's stage
 	// histograms and the sink counters share one scrape page; the tracer
 	// itself stays nil — the disabled plane — unless a trace mode asked
@@ -729,16 +719,9 @@ func run(w io.Writer, args []string) error {
 	// Feature snapshots are only coherent in sequential mode, where the
 	// sink runs on the same goroutine as InspectInto; elsewhere flight
 	// records carry verdicts and reasons but no vectors.
-	// explainers aligns index-for-index with the detector list (nil slots
-	// for detectors without an explainer surface).
-	var explainers []detector.Explainer
-	if tracer != nil && pmode == pipeline.Sequential {
-		explainers = make([]detector.Explainer, len(dets))
-		for i, d := range dets {
-			if ex, ok := d.(detector.Explainer); ok {
-				explainers[i] = ex
-			}
-		}
+	var explained []detector.Detector
+	if pmode == pipeline.Sequential {
+		explained = dets
 	}
 	// newSink builds a decision sink counting into t: the one sink of an
 	// ordered run, or one of a per-shard run's — the live metrics and the
@@ -749,7 +732,7 @@ func run(w io.Writer, args []string) error {
 	// The watchdog poll is the exception, so exactly one sink polls.
 	newSink := func(t *tally, polls bool) pipeline.Sink {
 		return func(d pipeline.Decision) error {
-			votes := t.agree.add(d.Verdicts)
+			t.agree.add(d.Verdicts)
 			live.events.Inc()
 			for i := range d.Verdicts {
 				if d.Verdicts[i].Alert {
@@ -759,9 +742,10 @@ func run(w io.Writer, args []string) error {
 			if sweeper != nil {
 				sweeper.Observe(d.Req.Entry.Time)
 			}
+			// ladder stays nil unless the engine judged the request.
 			var dec mitigate.Decision
+			var ladder *mitigate.Decision
 			var rungBefore mitigate.Action
-			judged := false
 			if engine != nil {
 				// With the cluster plane wired, peer merges reach the engine on
 				// HTTP goroutines; the sink's accesses serialise on the same
@@ -770,10 +754,13 @@ func run(w io.Writer, args []string) error {
 				e := &d.Req.Entry
 				// The challenge flow itself is exempt, mirroring httpguard and
 				// the closed-loop experiments: script fetches never count
-				// against the client, beacons mark the challenge solved.
+				// against the client, beacons mark the challenge solved. The
+				// enricher's path class decides, as it does for sentinel, so a
+				// query string cannot hide the beacon.
+				kind := d.Req.Target.Kind
 				switch {
-				case challengeFlow && e.Path == sitemodel.ChallengeScriptPath:
-				case challengeFlow && e.Path == sitemodel.ChallengeVerifyPath && e.Method == "POST":
+				case challengeFlow && kind == sitemodel.KindChallengeScript && e.Method == "GET":
+				case challengeFlow && kind == sitemodel.KindChallengeVerify && e.Method == "POST":
 					engine.ChallengePassed(e.RemoteAddr, e.Time)
 					passed++
 				default:
@@ -781,17 +768,9 @@ func run(w io.Writer, args []string) error {
 						rungBefore = engine.Level(e.RemoteAddr)
 					}
 					ts := tracer.Now()
-					var scoreSum float64
-					for i := range d.Verdicts {
-						scoreSum += d.Verdicts[i].Score
-					}
-					dec = engine.Apply(e.RemoteAddr, e.Time, mitigate.Assessment{
-						Alerted:   votes > 0,
-						Confirmed: votes >= confirmVotes,
-						Score:     scoreSum / float64(len(d.Verdicts)),
-					})
+					dec = engine.Apply(e.RemoteAddr, e.Time, ensemble.Assess(d.Verdicts))
 					tracer.Lap(trace.StageEnsemble, ts)
-					judged = true
+					ladder = &dec
 					if dec.Tagged {
 						tagged++
 						live.tagged.Inc()
@@ -800,7 +779,10 @@ func run(w io.Writer, args []string) error {
 				clusterBE.unlockEngine()
 			}
 			if tracer != nil {
-				captureDecision(tracer, detNames, &d, judged, dec, rungBefore, explainers)
+				tracer.Recorder().Capture(&trace.Judged{
+					Req: d.Req, Names: detNames, Verdicts: d.Verdicts, Detectors: explained,
+					Ladder: ladder, RungBefore: rungBefore,
+				})
 			}
 			if verdictOut != nil {
 				if err := verdictOut.WriteAt(d.Req.Seq, d.Verdicts); err != nil {

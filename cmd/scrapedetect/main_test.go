@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"divscrape/internal/sitemodel"
 	"divscrape/internal/workload"
 )
 
@@ -342,5 +345,47 @@ func TestRunDetectorsFlag(t *testing.T) {
 	}
 	if err := run(&sb, []string{"-log", logPath, "-detectors", " , "}); err == nil {
 		t.Error("empty detector list accepted")
+	}
+}
+
+// A query string on the challenge beacon must not hide it from the ladder:
+// the sink classifies by the enricher's path class, as sentinel does, so
+// POST /__verify?cb=1 is still a passed challenge and never reaches Apply.
+func TestRunMitigateSeesChallengeBeaconBehindQuery(t *testing.T) {
+	// Six hours from midnight: long enough for browsers to be challenged.
+	gen, err := workload.NewGenerator(workload.Config{Seed: 9, Duration: 6 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	if _, err := workload.WriteDataset(gen, &log, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	const beacon = "POST " + sitemodel.ChallengeVerifyPath + " HTTP"
+	if !strings.Contains(log.String(), beacon) {
+		t.Fatal("the dataset holds no challenge beacon to rewrite")
+	}
+	dir := t.TempDir()
+	logPath, queryPath := filepath.Join(dir, "access.log"), filepath.Join(dir, "query.log")
+	queryLog := strings.ReplaceAll(log.String(), beacon, "POST "+sitemodel.ChallengeVerifyPath+"?cb=1 HTTP")
+	for path, content := range map[string]string{logPath: log.String(), queryPath: queryLog} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := func(path string) string {
+		var sb strings.Builder
+		if err := run(&sb, []string{"-log", path, "-parallel", "0", "-mitigate", "graduated"}); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		return out[strings.Index(out, "Mitigation replay"):]
+	}
+	plain, query := table(logPath), table(queryPath)
+	if regexp.MustCompile(`Challenges passed\s+0\s`).MatchString(plain) {
+		t.Fatalf("the query-less run passed no challenge:\n%s", plain)
+	}
+	if query != plain {
+		t.Errorf("the mitigation table moved when the beacons grew a query string:\n%s\nwithout:\n%s", query, plain)
 	}
 }

@@ -6,73 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"divscrape/internal/detector"
-	"divscrape/internal/mitigate"
-	"divscrape/internal/pipeline"
 	"divscrape/internal/trace"
 )
-
-// The CLI side of the provenance plane. The pipeline records stage spans
-// itself; decision capture is the sink's job, mirroring httpguard's
-// judge-side capture: sample, upgrade for escalations and watched
-// clients, then copy the full record out of the pipeline's pooled
-// storage before the sink returns.
-
-// captureDecision offers one sinked decision to the flight recorder.
-// withEngine marks that dec/rungBefore carry a real mitigation outcome
-// (a challenge-exempt request or an engine-less replay leaves the
-// action/rung fields empty, matching Record's documented convention).
-// ex aligns with the detector list; entries are nil outside sequential
-// mode, where the sink is no longer synchronous with the scratch
-// vectors the feature snapshots alias.
-func captureDecision(tr *trace.Tracer, names []string, d *pipeline.Decision,
-	withEngine bool, dec mitigate.Decision, rungBefore mitigate.Action, ex []detector.Explainer) {
-	rec := tr.Recorder()
-	kind := rec.Sample()
-	if withEngine && dec.Level > rungBefore {
-		kind = trace.SampleEscalation
-	}
-	if kind == trace.SampleNone && rec.WantClient(d.Req.Entry.RemoteAddr) {
-		kind = trace.SampleClient
-	}
-	if kind == trace.SampleNone {
-		return
-	}
-	r := trace.Record{
-		Seq:       d.Req.Seq,
-		Time:      d.Req.Entry.Time,
-		Client:    d.Req.Entry.RemoteAddr,
-		Sampled:   kind.String(),
-		Confirmed: len(d.Verdicts) > 0,
-	}
-	var sum float64
-	for i := range d.Verdicts {
-		if d.Verdicts[i].Alert {
-			r.Alerted = true
-		} else {
-			r.Confirmed = false
-		}
-		sum += d.Verdicts[i].Score
-	}
-	if len(d.Verdicts) > 0 {
-		r.Suspicion = sum / float64(len(d.Verdicts))
-	}
-	if withEngine {
-		r.Action = dec.Action.String()
-		r.RungBefore = rungBefore.String()
-		r.RungAfter = dec.Level.String()
-		r.Suspicion = dec.Score
-	}
-	r.Detectors = make([]trace.DetectorRecord, len(d.Verdicts))
-	for i := range d.Verdicts {
-		var e detector.Explainer
-		if i < len(ex) {
-			e = ex[i]
-		}
-		r.Detectors[i] = trace.DetectorRecordOf(names[i], &d.Verdicts[i], e)
-	}
-	rec.Add(r)
-}
 
 // printExplain renders one client's provenance timeline as text: its
 // captured decision records interleaved chronologically with the

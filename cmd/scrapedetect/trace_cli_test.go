@@ -2,13 +2,22 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"divscrape/httpguard"
+	"divscrape/internal/logfmt"
+	"divscrape/internal/mitigate"
+	"divscrape/internal/sitemodel"
 	"divscrape/internal/trace"
+	"divscrape/internal/workload"
 )
 
 // readTraceRecords decodes a -trace-out JSONL file.
@@ -136,5 +145,125 @@ func TestRunExplainRequiresSequential(t *testing.T) {
 	}
 	if err := run(&sb, []string{"-log", logPath, "-parallel", "4", "-explain", "10.0.0.1"}); err == nil {
 		t.Error("-explain accepted with the sharded pipeline")
+	}
+}
+
+// The guard's shard and the CLI's sink assemble flight records through one
+// body (trace.Recorder.Capture) on one vote (ensemble.Assess), so the same
+// traffic judged by the same three detectors under the same ladder must
+// leave the same records in both — and a request two of the three alert on
+// is confirmed in both, where the CLI used to demand all three.
+func TestFlightRecordsEqualTheGuards(t *testing.T) {
+	gen, err := workload.NewGenerator(workload.Config{Seed: 9, Duration: 6 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sides must see one stream. The guard judges before the response
+	// exists — status 200, no size, no authenticated user — so the log says
+	// the same; and it is read back, so the guard's clock is the parsed
+	// timestamps the CLI sees.
+	dir := t.TempDir()
+	logPath, tracePath := filepath.Join(dir, "access.log"), filepath.Join(dir, "flight.jsonl")
+	var log bytes.Buffer
+	lw := logfmt.NewWriter(&log)
+	for i := range events {
+		e := events[i].Entry
+		e.Status, e.Bytes, e.AuthUser = http.StatusOK, 0, "-"
+		if err := lw.Write(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var entries []logfmt.Entry
+	for lr := logfmt.NewReader(&log, logfmt.ReaderConfig{}); ; {
+		e, err := lr.Next()
+		if err != nil {
+			break
+		}
+		e.Path, e.Referer = strings.Clone(e.Path), strings.Clone(e.Referer)
+		entries = append(entries, e)
+	}
+	if len(entries) != len(events) {
+		t.Fatalf("read back %d of %d lines", len(entries), len(events))
+	}
+
+	var sb strings.Builder
+	if err := run(&sb, []string{"-log", logPath, "-detectors", "sentinel,arcane,trajectory",
+		"-mode", "seq", "-mitigate", "graduated", "-trace-out", tracePath}); err != nil {
+		t.Fatal(err)
+	}
+	cli := readTraceRecords(t, tracePath)
+
+	var guard []trace.Record
+	policy := mitigate.Graduated()
+	next := 0
+	g, err := httpguard.New(httpguard.Config{
+		Policy:           &policy,
+		EnableTrajectory: true,
+		Shards:           3,
+		Now:              func() time.Time { return entries[min(next, len(entries)-1)].Time },
+		Sleep:            func(time.Duration) {},
+		Trace:            &trace.RecorderConfig{Sink: func(r trace.Record) { guard = append(guard, r) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	// The guard writes ladder fields for the challenge flow's own requests,
+	// which a replay leaves empty (no engine judged them): not compared.
+	exempt := map[uint64]bool{}
+	for i := range entries {
+		e := &entries[i]
+		next = i
+		req := httptest.NewRequest(e.Method, e.Path, nil)
+		req.RemoteAddr = e.RemoteAddr + ":40000"
+		req.Header.Set("User-Agent", e.UserAgent)
+		if e.Referer != "-" {
+			req.Header.Set("Referer", e.Referer)
+		}
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		if kind := sitemodel.ClassifyPath(e.Path).Kind; kind == sitemodel.KindChallengeScript || kind == sitemodel.KindChallengeVerify {
+			exempt[uint64(i)] = true
+		}
+	}
+
+	if len(guard) != len(cli) {
+		t.Fatalf("the guard captured %d records, the CLI %d", len(guard), len(cli))
+	}
+	twoOfThree := 0
+	for i := range cli {
+		if exempt[cli[i].Seq] {
+			continue
+		}
+		votes := 0
+		for _, dr := range cli[i].Detectors {
+			if dr.Alert {
+				votes++
+			}
+		}
+		if votes == 2 {
+			twoOfThree++
+			if !cli[i].Confirmed || !guard[i].Confirmed {
+				t.Fatalf("record %d (seq %d): two of three alert, confirmed cli=%v guard=%v",
+					i, cli[i].Seq, cli[i].Confirmed, guard[i].Confirmed)
+			}
+		}
+		want, _ := json.Marshal(guard[i])
+		got, _ := json.Marshal(cli[i])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d differs:\ncli   %s\nguard %s", i, got, want)
+		}
+	}
+	if twoOfThree == 0 {
+		t.Error("no captured record has exactly two alerting detectors")
 	}
 }

@@ -177,11 +177,9 @@ func NewDetectorSet(names ...string) (*DetectorSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	dets := make([]Detector, len(factories))
-	for i, f := range factories {
-		if dets[i], err = f(); err != nil {
-			return nil, fmt.Errorf("divscrape: build detector: %w", err)
-		}
+	dets, err := detector.Build(factories)
+	if err != nil {
+		return nil, fmt.Errorf("divscrape: %w", err)
 	}
 	return &DetectorSet{
 		Detectors: dets,
@@ -239,13 +237,7 @@ func (s *DetectorSet) Reset() {
 // Verdict-neutral while cutoff trails stream time by at least the
 // detectors' idle timeouts.
 func (s *DetectorSet) EvictBefore(cutoff time.Time) int {
-	n := 0
-	for _, d := range s.Detectors {
-		if ev, ok := d.(Evictable); ok {
-			n += ev.EvictBefore(cutoff)
-		}
-	}
-	return n
+	return detector.EvictBefore(s.Detectors, cutoff)
 }
 
 // SnapshotInto serialises the set's state through a statecodec.Writer.

@@ -63,23 +63,16 @@ func (g *Guard) MergeOverlayEntry(e iprep.TempEntry) bool {
 }
 
 // SessionDigestsSince streams detector-session digests for sessions
-// active at or after since, both detector sides, across every shard.
+// active at or after since, every detector side, across every shard.
 func (g *Guard) SessionDigestsSince(since time.Time, fn func(cluster.SessionDigest)) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for _, s := range g.shards {
 		s.mu.Lock()
-		s.sen.SessionsSince(since, func(k sessions.Key, last time.Time) {
-			fn(cluster.SessionDigest{Side: cluster.SideSentinel, IP: k.IP,
-				UAHash: k.UAHash, LastSeen: last.UnixNano()})
-		})
-		s.arc.SessionsSince(since, func(k sessions.Key, last time.Time) {
-			fn(cluster.SessionDigest{Side: cluster.SideArcane, IP: k.IP,
-				UAHash: k.UAHash, LastSeen: last.UnixNano()})
-		})
-		if s.traj != nil {
-			s.traj.SessionsSince(since, func(k sessions.Key, last time.Time) {
-				fn(cluster.SessionDigest{Side: cluster.SideTrajectory, IP: k.IP,
+		for i, d := range s.dets {
+			tag := g.sides[i].digest
+			d.(sessionHolder).SessionsSince(since, func(k sessions.Key, last time.Time) {
+				fn(cluster.SessionDigest{Side: tag, IP: k.IP,
 					UAHash: k.UAHash, LastSeen: last.UnixNano()})
 			})
 		}

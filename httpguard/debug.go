@@ -61,7 +61,7 @@ func (g *Guard) buildMetrics() {
 	r.MustCounterFunc("divscrape_guard_requests_total",
 		"Requests judged.", sumShards(func(s *guardShard) uint64 { return s.total.Load() }))
 	r.MustCounterFunc("divscrape_guard_alerted_total",
-		"Requests with a 1-out-of-2 alert.", sumShards(func(s *guardShard) uint64 { return s.alerted.Load() }))
+		"Requests any detector alerted on (1-out-of-N).", sumShards(func(s *guardShard) uint64 { return s.alerted.Load() }))
 	r.MustCounterFunc("divscrape_guard_challenges_passed_total",
 		"Solved challenge beacons.", sumShards(func(s *guardShard) uint64 { return s.passed.Load() }))
 	for _, a := range []struct {
@@ -88,13 +88,13 @@ func (g *Guard) buildMetrics() {
 		"Requests shed by admission control.", g.shed.Load)
 	r.MustCounterFunc("divscrape_guard_degraded_total",
 		"Requests judged with a quarantined detector sitting out.", g.degradedReqs.Load)
-	for side := detectorSide(0); side < detectorSide(g.numActiveSides()); side++ {
+	for i, name := range g.names {
 		r.MustCounterFunc("divscrape_guard_detector_panics_total",
-			"Detector panics caught at the shard barrier.", g.panics[side].Load,
-			metrics.Label{Key: "detector", Value: sideNames[side]})
+			"Detector panics caught at the shard barrier.", g.panics[i].Load,
+			metrics.Label{Key: "detector", Value: name})
 		r.MustCounterFunc("divscrape_guard_detector_restores_total",
-			"Quarantined detectors restored to service.", g.restores[side].Load,
-			metrics.Label{Key: "detector", Value: sideNames[side]})
+			"Quarantined detectors restored to service.", g.restores[i].Load,
+			metrics.Label{Key: "detector", Value: name})
 	}
 	r.MustGaugeFunc("divscrape_guard_quarantined_detectors",
 		"Detector slots currently quarantined across all shards.",
@@ -120,21 +120,17 @@ func (g *Guard) buildMetrics() {
 	r.MustGaugeFunc("divscrape_guard_engine_clients",
 		"Clients holding enforcement-ladder state.",
 		sumLocked(func(s *guardShard) int { return s.engine.Len() }))
-	r.MustGaugeFunc("divscrape_guard_detector_clients",
-		"Live per-client states by detector.",
-		sumLocked(func(s *guardShard) int { return s.sen.Clients() }),
-		metrics.Label{Key: "detector", Value: "sentinel"})
-	r.MustGaugeFunc("divscrape_guard_detector_clients",
-		"Live per-client states by detector.",
-		sumLocked(func(s *guardShard) int { return s.arc.Sessions() }),
-		metrics.Label{Key: "detector", Value: "arcane"})
-	if g.cfg.EnableTrajectory {
+	for i, name := range g.names {
 		r.MustGaugeFunc("divscrape_guard_detector_clients",
 			"Live per-client states by detector.",
-			sumLocked(func(s *guardShard) int { return s.traj.Sessions() }),
-			metrics.Label{Key: "detector", Value: "trajectory"})
+			sumLocked(func(s *guardShard) int { return s.sessions(i) }),
+			metrics.Label{Key: "detector", Value: name})
 	}
 }
+
+// sessions reports side i's live session count. Caller holds the shard
+// mutex. (newShards verified every side's detector is a sessionHolder.)
+func (s *guardShard) sessions(i int) int { return s.dets[i].(sessionHolder).Sessions() }
 
 // observeLatency records one request's wall time into the latency
 // histogram.
@@ -148,6 +144,8 @@ func (g *Guard) observeLatency(start time.Time) {
 func (g *Guard) Metrics() *metrics.Registry { return g.metrics }
 
 // ShardState is one shard's live-state snapshot in the state endpoint.
+// The three session counts are the sides' slots in side-list order, under
+// the names the documents have always used.
 type ShardState struct {
 	EngineClients   int `json:"engine_clients"`
 	SentinelClients int `json:"sentinel_clients"`
@@ -189,16 +187,18 @@ func (g *Guard) State() State {
 	defer g.mu.RUnlock()
 	st.Shards = len(g.shards)
 	for _, s := range g.shards {
+		var live [maxSides]int
 		s.mu.Lock()
-		ss := ShardState{
-			EngineClients:   s.engine.Len(),
-			SentinelClients: s.sen.Clients(),
-			ArcaneSessions:  s.arc.Sessions(),
-			Total:           s.total.Load(),
-			Alerted:         s.alerted.Load(),
+		for i := range s.dets {
+			live[i] = s.sessions(i)
 		}
-		if s.traj != nil {
-			ss.TrajectorySessions = s.traj.Sessions()
+		ss := ShardState{
+			EngineClients:      s.engine.Len(),
+			SentinelClients:    live[0],
+			ArcaneSessions:     live[1],
+			TrajectorySessions: live[2],
+			Total:              s.total.Load(),
+			Alerted:            s.alerted.Load(),
 		}
 		s.mu.Unlock()
 		ss.Actions = mitigate.ActionCounts{
@@ -226,8 +226,9 @@ type DetectorHealth struct {
 	HasSnapshot bool `json:"has_snapshot"`
 }
 
-// ShardHealth is one shard's failure-plane state. Trajectory is nil on
-// pair guards, keeping their health document shape unchanged.
+// ShardHealth is one shard's failure-plane state, one slot per side in
+// side-list order. Trajectory — the third slot — is nil on pair guards,
+// keeping their health document shape unchanged.
 type ShardHealth struct {
 	Shard      int             `json:"shard"`
 	InFlight   int64           `json:"in_flight"`
@@ -266,14 +267,10 @@ func (g *Guard) quarantinedCount() int {
 	n := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
-		if s.senHealth.quarantined {
-			n++
-		}
-		if s.arcHealth.quarantined {
-			n++
-		}
-		if s.trajHealth.quarantined {
-			n++
+		for i := range s.health {
+			if s.health[i].quarantined {
+				n++
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -290,40 +287,36 @@ func (g *Guard) Health() GuardHealth {
 		MaxInFlight:      g.cfg.MaxInFlight,
 		Shed:             g.shed.Load(),
 		DegradedRequests: g.degradedReqs.Load(),
-		Panics:           make(map[string]uint64, numSides),
-		Restores:         make(map[string]uint64, numSides),
+		Panics:           make(map[string]uint64, len(g.names)),
+		Restores:         make(map[string]uint64, len(g.names)),
 	}
-	for side := detectorSide(0); side < detectorSide(g.numActiveSides()); side++ {
-		h.Panics[sideNames[side]] = g.panics[side].Load()
-		h.Restores[sideNames[side]] = g.restores[side].Load()
+	for i, name := range g.names {
+		h.Panics[name] = g.panics[i].Load()
+		h.Restores[name] = g.restores[i].Load()
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for i, s := range g.shards {
-		sh := ShardHealth{Shard: i, InFlight: s.inflight.Load()}
+		var slots [maxSides]DetectorHealth
 		s.mu.Lock()
-		for side := detectorSide(0); side < detectorSide(g.numActiveSides()); side++ {
-			dh := s.health(side)
-			out := DetectorHealth{
+		for j := range s.health {
+			dh := &s.health[j]
+			slots[j] = DetectorHealth{
 				Quarantined: dh.quarantined,
 				Reason:      dh.reason,
 				HasSnapshot: dh.hasGood,
 			}
 			if dh.quarantined {
-				out.RetryAt = dh.retryAt
+				slots[j].RetryAt = dh.retryAt
 				h.Healthy = false
 				h.Quarantined++
 			}
-			switch side {
-			case sideSentinel:
-				sh.Sentinel = out
-			case sideArcane:
-				sh.Arcane = out
-			default:
-				sh.Trajectory = &out
-			}
 		}
 		s.mu.Unlock()
+		sh := ShardHealth{Shard: i, InFlight: s.inflight.Load(), Sentinel: slots[0], Arcane: slots[1]}
+		if len(s.health) == maxSides {
+			sh.Trajectory = &slots[2]
+		}
 		h.PerShard = append(h.PerShard, sh)
 	}
 	return h

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"divscrape/internal/arcane"
 	"divscrape/internal/detector"
 	"divscrape/internal/faultinject"
-	"divscrape/internal/sentinel"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/trace"
-	"divscrape/internal/trajectory"
 )
 
 // The guard's failure plane. Three mechanisms keep a production guard
@@ -33,15 +30,10 @@ import (
 // clock (request event time), so quarantine backoff is deterministic
 // under test and no code path here ever sleeps.
 
-// Fault points for the chaos suite: panics/stalls injected into each
-// detector's inspect path, and a clock-skew point on the guard's time
-// source. Disarmed they cost one atomic load per request each.
-var (
-	fiSentinel   = faultinject.At("httpguard.inspect.sentinel")
-	fiArcane     = faultinject.At("httpguard.inspect.arcane")
-	fiTrajectory = faultinject.At("httpguard.inspect.trajectory")
-	fiClock      = faultinject.At("httpguard.clock")
-)
+// fiClock is the chaos suite's clock-skew point on the guard's time
+// source; the panics and stalls it injects into a detector's inspect path
+// go through that side's own point (side.fault).
+var fiClock = faultinject.At("httpguard.clock")
 
 // DegradedMode selects what the guard does with a request it cannot
 // fully judge — one shed by admission control, or inspected while a
@@ -76,32 +68,6 @@ const (
 	failDegraded           // a quarantined detector sat out the ensemble
 )
 
-// detectorSide indexes a shard's detector slots. The trajectory slot
-// exists only on guards built with Config.EnableTrajectory; a pair guard
-// runs sides [0, pairSides).
-type detectorSide int
-
-const (
-	sideSentinel detectorSide = iota
-	sideArcane
-	sideTrajectory
-	numSides
-
-	// pairSides is the classic two-detector deployment's side count.
-	pairSides = int(sideTrajectory)
-)
-
-var sideNames = [numSides]string{"sentinel", "arcane", "trajectory"}
-
-// numActiveSides reports how many detector sides this guard runs: the
-// paper's pair, plus the semantic trajectory side when enabled.
-func (g *Guard) numActiveSides() int {
-	if g.cfg.EnableTrajectory {
-		return int(numSides)
-	}
-	return pairSides
-}
-
 // DegradedEvent describes one failure-plane transition, delivered to
 // Config.OnDegraded.
 type DegradedEvent struct {
@@ -132,64 +98,33 @@ type detectorHealth struct {
 // restore backoff.
 const maxQuarantineBackoffFactor = 32
 
-// health returns the shard's state for one detector side.
-func (s *guardShard) health(side detectorSide) *detectorHealth {
-	switch side {
-	case sideSentinel:
-		return &s.senHealth
-	case sideArcane:
-		return &s.arcHealth
-	default:
-		return &s.trajHealth
-	}
-}
-
-// runDetector runs one side's detector with the shard's panic barrier,
+// runDetector runs side i's detector with the shard's panic barrier,
 // attempting a quarantined side's restore first when its backoff has
-// elapsed. It reports whether a verdict was produced; a quarantined
-// side leaves the verdict zero. Caller holds the shard mutex.
-func (s *guardShard) runDetector(g *Guard, side detectorSide, req *detector.Request, v *detector.Verdict, now time.Time) bool {
-	h := s.health(side)
-	if h.quarantined {
-		if now.Before(h.retryAt) {
-			return false
-		}
-		if !s.restoreDetector(g, side, now) {
+// elapsed. It reports whether a verdict was produced in s.verdicts[i].
+// Caller holds the shard mutex.
+func (s *guardShard) runDetector(g *Guard, i int, now time.Time) bool {
+	if h := &s.health[i]; h.quarantined {
+		if now.Before(h.retryAt) || !s.restoreDetector(g, i, now) {
 			return false
 		}
 	}
-	return s.inspectGuarded(g, side, req, v, now)
+	return s.inspectGuarded(g, i, now)
 }
 
 // inspectGuarded is the panic barrier around one InspectInto call. A
-// panic — the detector's own or an injected one — quarantines the side
-// and zeroes the verdict; the request is still answered under the
-// degraded policy.
-func (s *guardShard) inspectGuarded(g *Guard, side detectorSide, req *detector.Request, v *detector.Verdict, now time.Time) (ok bool) {
+// panic — the detector's own or an injected one — quarantines the side;
+// the request is still answered under the degraded policy.
+func (s *guardShard) inspectGuarded(g *Guard, i int, now time.Time) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			*v = detector.Verdict{}
-			s.quarantine(g, side, r, now)
+			s.quarantine(g, i, r, now)
 			ok = false
 		}
 	}()
-	switch side {
-	case sideSentinel:
-		if err := fiSentinel.Fire(); err != nil {
-			panic(err)
-		}
-		s.sen.InspectInto(req, v)
-	case sideArcane:
-		if err := fiArcane.Fire(); err != nil {
-			panic(err)
-		}
-		s.arc.InspectInto(req, v)
-	default:
-		if err := fiTrajectory.Fire(); err != nil {
-			panic(err)
-		}
-		s.traj.InspectInto(req, v)
+	if err := g.sides[i].fault.Fire(); err != nil {
+		panic(err)
 	}
+	s.dets[i].InspectInto(&s.req, &s.verdicts[i])
 	return true
 }
 
@@ -200,8 +135,8 @@ func (s *guardShard) inspectGuarded(g *Guard, side detectorSide, req *detector.R
 // survives restore) double the backoff up to 32× the configured base,
 // so a persistently crashing detector converges to a slow retry loop
 // instead of a rebuild storm. Caller holds the shard mutex.
-func (s *guardShard) quarantine(g *Guard, side detectorSide, cause any, now time.Time) {
-	h := s.health(side)
+func (s *guardShard) quarantine(g *Guard, i int, cause any, now time.Time) {
+	h := &s.health[i]
 	h.quarantined = true
 	h.reason = fmt.Sprint(cause)
 	if h.backoff <= 0 {
@@ -210,45 +145,43 @@ func (s *guardShard) quarantine(g *Guard, side detectorSide, cause any, now time
 		h.backoff *= 2
 	}
 	h.retryAt = now.Add(h.backoff)
-	g.panics[side].Add(1)
+	g.panics[i].Add(1)
 	g.notifyDegraded(DegradedEvent{
 		Shard:    s.index,
-		Detector: sideNames[side],
+		Detector: g.sides[i].name,
 		Kind:     "quarantine",
 		Reason:   h.reason,
 		At:       now,
 	})
 }
 
-// restoreDetector rebuilds a quarantined side: a fresh detector,
-// restored from the shard's last good snapshot when one exists. A
-// snapshot that fails to restore is discarded and the side comes back
-// cold — session memory lost, but serving. Returns false (and pushes
-// the retry out by one backoff) only if the detector cannot even be
-// constructed. Caller holds the shard mutex.
-func (s *guardShard) restoreDetector(g *Guard, side detectorSide, now time.Time) bool {
-	h := s.health(side)
-	fresh, err := g.buildDetector(side)
+// restoreDetector rebuilds a quarantined side: a fresh detector from the
+// side's factory, restored from the shard's last good snapshot when one
+// exists. A snapshot that fails to restore is discarded and the side
+// comes back cold — session memory lost, but serving. Returns false (and
+// pushes the retry out by one backoff) only if the detector cannot even
+// be constructed. Caller holds the shard mutex.
+func (s *guardShard) restoreDetector(g *Guard, i int, now time.Time) bool {
+	h := &s.health[i]
+	fresh, err := g.sides[i].factory()
+	if err == nil && h.hasGood {
+		role := []detector.Detector{fresh}
+		if detector.RestoreRole(statecodec.NewReader(h.snapW.Bytes()), role, func(uint32) int { return 0 }) != nil {
+			h.hasGood = false
+			fresh, err = g.sides[i].factory()
+		}
+	}
 	if err != nil {
 		h.retryAt = now.Add(h.backoff)
 		return false
 	}
-	if h.hasGood {
-		if rerr := fresh.RestoreFrom(statecodec.NewReader(h.snapW.Bytes())); rerr != nil {
-			h.hasGood = false
-			if fresh, err = g.buildDetector(side); err != nil {
-				h.retryAt = now.Add(h.backoff)
-				return false
-			}
-		}
-	}
-	s.setDetector(side, fresh)
+	s.dets[i] = fresh
 	h.quarantined = false
 	h.reason = ""
-	g.restores[side].Add(1)
+	g.restores[i].Add(1)
 	g.notifyDegraded(DegradedEvent{
 		Shard:    s.index,
-		Detector: sideNames[side],
+		Detector: g.sides[i].name,
 		Kind:     "restore",
 		At:       now,
 	})
@@ -256,13 +189,13 @@ func (s *guardShard) restoreDetector(g *Guard, side detectorSide, now time.Time)
 }
 
 // refreshLastGood re-snapshots a healthy side into the shard's
-// last-good buffer. Runs in the shard's periodic sweep slot, so a
-// quarantined side restores to a state at most one sweep interval old.
-// Surviving to a snapshot point also retires the side's backoff: the
-// detector has proven itself stable again. Caller holds the shard
-// mutex.
-func (s *guardShard) refreshLastGood(side detectorSide) {
-	h := s.health(side)
+// last-good buffer — the role-of-one block of detector.SnapshotRole.
+// Runs in the shard's periodic sweep slot, so a quarantined side restores
+// to a state at most one sweep interval old. Surviving to a snapshot
+// point also retires the side's backoff: the detector has proven itself
+// stable again. Caller holds the shard mutex.
+func (s *guardShard) refreshLastGood(i int) {
+	h := &s.health[i]
 	if h.quarantined {
 		return
 	}
@@ -270,51 +203,11 @@ func (s *guardShard) refreshLastGood(side detectorSide) {
 		h.snapW = statecodec.NewWriter()
 	}
 	h.snapW.Reset()
-	s.snapshotter(side).SnapshotInto(h.snapW)
-	if h.snapW.Err() == nil {
-		h.hasGood = true
+	if err := detector.SnapshotRole(h.snapW, s.dets[i:i+1]); err != nil {
+		h.snapW.Fail(err)
+	}
+	if h.hasGood = h.snapW.Err() == nil; h.hasGood {
 		h.backoff = 0
-	} else {
-		h.hasGood = false
-	}
-}
-
-// snapshotter returns the live detector behind one side as its
-// snapshot capability.
-func (s *guardShard) snapshotter(side detectorSide) detector.Snapshotter {
-	switch side {
-	case sideSentinel:
-		return s.sen
-	case sideArcane:
-		return s.arc
-	default:
-		return s.traj
-	}
-}
-
-// buildDetector constructs a fresh, identically configured detector for
-// one side — the replacement instance a restore swaps in.
-func (g *Guard) buildDetector(side detectorSide) (detector.Snapshotter, error) {
-	switch side {
-	case sideSentinel:
-		return sentinel.New(g.cfg.Sentinel)
-	case sideArcane:
-		return arcane.New(g.cfg.Arcane)
-	default:
-		return trajectory.New(g.cfg.Trajectory)
-	}
-}
-
-// setDetector swaps one side's live detector. Caller holds the shard
-// mutex.
-func (s *guardShard) setDetector(side detectorSide, d detector.Snapshotter) {
-	switch side {
-	case sideSentinel:
-		s.sen = d.(*sentinel.Detector)
-	case sideArcane:
-		s.arc = d.(*arcane.Detector)
-	default:
-		s.traj = d.(*trajectory.Detector)
 	}
 }
 

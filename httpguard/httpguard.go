@@ -1,4 +1,4 @@
-// Package httpguard deploys the divscrape detector pair as live HTTP
+// Package httpguard deploys the divscrape detectors as live HTTP
 // middleware: every request through the wrapped handler is converted to
 // the access-log view the detectors consume, judged in real time, and
 // answered with a graduated enforcement action. This is the "operational"
@@ -19,12 +19,19 @@
 // so its log view matches what Apache would have written. The detectors
 // are single-threaded by design (per-client state machines), so the guard
 // partitions traffic by client IP across Config.Shards internal shards,
-// each with its own detector pair, enricher, mitigation engine and mutex —
-// the same key-partitioning the offline pipeline's Sharded mode uses. A
-// client's requests always hash to the same
-// shard, so per-client detection and enforcement state is exactly what a
-// single serialised pair would hold, while unrelated clients no longer
-// contend on one lock. Note the guard delivers per shard: responses
+// each with its own instance of every judging side, mitigation engine and
+// mutex — the same key-partitioning the offline pipeline's Sharded mode
+// uses — behind one enricher all shards share. A client's requests always
+// hash to the same shard, so per-client detection and enforcement state is
+// exactly what a single serialised detector set would hold, while
+// unrelated clients no longer contend on one lock.
+//
+// Which detectors judge is decided in one place: resolveSides turns Config
+// into the side list, every shard builds its []detector.Detector from that
+// list's factories, and everything else — the panic barrier, sweeps,
+// snapshots, metrics, health, flight records — loops over the list by
+// index (internal/detector holds what that shares with the pipeline's
+// shards). Note the guard delivers per shard: responses
 // leave in whatever order shards finish, stats, tracing and eviction are
 // shard-local, and nothing ever merges the streams back into arrival
 // order — pipeline.RunRelaxed is this deployment shape replayed offline,
@@ -48,13 +55,17 @@ import (
 	"time"
 
 	"divscrape/internal/arcane"
+	"divscrape/internal/cluster"
 	"divscrape/internal/detector"
+	"divscrape/internal/ensemble"
+	"divscrape/internal/faultinject"
 	"divscrape/internal/fnvhash"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/metrics"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/sentinel"
+	"divscrape/internal/sessions"
 	"divscrape/internal/sitemodel"
 	"divscrape/internal/trace"
 	"divscrape/internal/trajectory"
@@ -74,9 +85,11 @@ const (
 	Block
 )
 
-// Verdicts is the set of per-request judgements exposed to callbacks.
-// Trajectory stays zero on pair guards (Config.EnableTrajectory unset),
-// so the ensemble semantics below reduce to the classic pair schemes.
+// Verdicts is the set of per-request judgements exposed to callbacks, one
+// named slot per judging side in side-list order — which is why three
+// sides is the guard's ceiling. Trajectory stays zero on pair guards
+// (Config.EnableTrajectory unset), so the ensemble semantics below reduce
+// to the classic pair schemes.
 type Verdicts struct {
 	// Commercial is the fingerprint/reputation detector's verdict.
 	Commercial detector.Verdict
@@ -121,9 +134,10 @@ type Config struct {
 	// Action selects a legacy static policy. Default Observe. Ignored
 	// when Policy is set.
 	Action Action
-	// BlockOnConfirmedOnly, with Action Block, blocks only 2-out-of-2
-	// confirmed requests; single-tool alerts are tagged instead. This is
-	// the serial-confirmation deployment the paper sketches.
+	// BlockOnConfirmedOnly, with Action Block, blocks only confirmed
+	// requests — two sides alerting; single-tool alerts are tagged
+	// instead. This is the serial-confirmation deployment the paper
+	// sketches.
 	BlockOnConfirmedOnly bool
 	// Policy, when non-nil, selects the mitigation policy directly —
 	// typically mitigate.Graduated() for the full escalation ladder.
@@ -156,12 +170,12 @@ type Config struct {
 	// default benign-trained model.
 	Trajectory trajectory.Config
 	// Shards partitions detection state by client IP across this many
-	// independently locked detector pairs; clients never contend across
+	// independently locked detector sets; clients never contend across
 	// shards. Default GOMAXPROCS.
 	Shards int
 	// EvictWindow bounds how long idle per-client detector state survives:
 	// the periodic per-shard sweep drops sessions untouched for longer.
-	// Zero selects twice the larger detector idle timeout (verdict-neutral
+	// Zero selects twice the largest side's idle timeout (verdict-neutral
 	// by the eviction-equivalence argument); negative disables the
 	// detector sweep (the mitigation engine still sweeps by its IdleTTL).
 	EvictWindow time.Duration
@@ -206,18 +220,85 @@ type Config struct {
 	EnablePprof bool
 }
 
+// side is one judging slot of every shard, resolved once from Config by
+// resolveSides. Slot order is the order of Verdicts' fields and of the
+// ShardState / ShardHealth documents.
+type side struct {
+	// name labels the side in metrics, health, DegradedEvents and flight
+	// records.
+	name string
+	// factory builds one shard's instance, and the replacement a
+	// quarantined side comes back as.
+	factory detector.Factory
+	// idle is the side's effective idle timeout; the default EvictWindow
+	// is twice the largest.
+	idle time.Duration
+	// fault is the chaos suite's httpguard.inspect.<name> point on the
+	// side's inspect path; disarmed it costs one atomic load per request.
+	fault *faultinject.Point
+	// digest tags the side's session digests on the cluster plane.
+	digest uint8
+}
+
+// maxSides is the number of named slots Verdicts, ShardState and
+// ShardHealth have.
+const maxSides = 3
+
+func newSide(name string, digest uint8, idle, defaultIdle time.Duration, factory detector.Factory) side {
+	if idle <= 0 {
+		idle = defaultIdle
+	}
+	return side{name: name, factory: factory, idle: idle, digest: digest,
+		fault: faultinject.At("httpguard.inspect." + name)}
+}
+
+// resolveSides turns Config into the side list — the one place that knows
+// which detectors exist: the paper's pair, plus the semantic trajectory
+// side when enabled.
+func resolveSides(cfg Config) []side {
+	sides := []side{
+		newSide("sentinel", cluster.SideSentinel, cfg.Sentinel.IdleTimeout, sentinel.DefaultConfig().IdleTimeout,
+			func() (detector.Detector, error) { return sentinel.New(cfg.Sentinel) }),
+		newSide("arcane", cluster.SideArcane, cfg.Arcane.IdleTimeout, arcane.DefaultConfig().IdleTimeout,
+			func() (detector.Detector, error) { return arcane.New(cfg.Arcane) }),
+	}
+	if cfg.EnableTrajectory {
+		sides = append(sides, newSide("trajectory", cluster.SideTrajectory,
+			cfg.Trajectory.IdleTimeout, trajectory.DefaultConfig().IdleTimeout,
+			func() (detector.Detector, error) { return trajectory.New(cfg.Trajectory) }))
+	}
+	return sides
+}
+
+// sessionHolder is what the guard asks of a side's detector beyond
+// judging, snapshots and eviction: its live session count (gauges, State)
+// and its recent sessions (the cluster plane's digests).
+type sessionHolder interface {
+	Sessions() int
+	SessionsSince(since time.Time, fn func(key sessions.Key, lastSeen time.Time))
+}
+
 // guardShard is one key-partition of detection and enforcement state: a
-// private detector pair, mitigation engine and lock. The lock guards only
-// detector and engine mutation; counters are atomics updated outside it,
-// and enrichment happens before the lock is ever taken, so the critical
-// section is exactly the per-client state machines and nothing else.
+// private instance of every side, a mitigation engine and a lock. The lock
+// guards only detector and engine mutation; counters are atomics updated
+// outside it, and enrichment happens before the lock is ever taken, so the
+// critical section is exactly the per-client state machines and nothing
+// else.
 type guardShard struct {
-	mu  sync.Mutex
-	sen *sentinel.Detector
-	arc *arcane.Detector
-	// traj is the optional third side; nil unless EnableTrajectory.
-	traj   *trajectory.Detector
+	mu sync.Mutex
+	// dets holds the shard's detector per side; health, aligned with it,
+	// the failure-plane state of each slot (failure.go).
+	dets   []detector.Detector
+	health []detectorHealth
 	engine *mitigate.Engine
+
+	// Judging scratch, guarded by mu. The detectors are reached through an
+	// interface, so a request or verdict on judge's stack would escape to
+	// the heap on every call; the shard owns one of each instead. skipped
+	// marks the sides that sat out the request being judged.
+	req      detector.Request
+	verdicts [maxSides]detector.Verdict
+	skipped  [maxSides]bool
 
 	// index is the shard's position in the current topology, recorded so
 	// failure-plane events can name the shard without holding g.mu.
@@ -225,11 +306,6 @@ type guardShard struct {
 	// inflight is the admission-control gauge: incremented before the
 	// shard lock is taken, so the shed decision itself never queues.
 	inflight atomic.Int64
-	// senHealth, arcHealth and trajHealth are the failure-plane state of
-	// the detector slots (failure.go); guarded by mu.
-	senHealth  detectorHealth
-	arcHealth  detectorHealth
-	trajHealth detectorHealth
 
 	total      atomic.Uint64
 	alerted    atomic.Uint64
@@ -271,8 +347,12 @@ const (
 // Guard is the middleware instance. Create with New, wrap handlers with
 // Wrap.
 type Guard struct {
-	cfg      Config
-	policy   mitigate.Policy
+	cfg    Config
+	policy mitigate.Policy
+	// sides is the judging side list every shard is built from; names is
+	// its name column, shared with the tracer and every flight record.
+	sides    []side
+	names    []string
 	trusted  trustedNets
 	enricher *detector.SharedEnricher
 	recPool  sync.Pool // *statusRecorder
@@ -296,8 +376,8 @@ type Guard struct {
 	// per-shard so they survive Rebalance.
 	shed         atomic.Uint64
 	degradedReqs atomic.Uint64
-	panics       [numSides]atomic.Uint64
-	restores     [numSides]atomic.Uint64
+	panics       [maxSides]atomic.Uint64
+	restores     [maxSides]atomic.Uint64
 
 	// escFrozen mirrors the cluster plane's degraded fail-closed state at
 	// the guard level (cluster.go): it survives Rebalance, which rebuilds
@@ -313,9 +393,20 @@ type Guard struct {
 	shards []*guardShard
 }
 
-// New builds a guard with its own detector pairs, mitigation engines and
+// New builds a guard with its own detectors, mitigation engines and
 // reputation feed.
 func New(cfg Config) (*Guard, error) {
+	return newWithSides(cfg, resolveSides(cfg))
+}
+
+// newWithSides builds a guard judging with the given sides; nothing below
+// New knows which detectors they are. Two sides is the floor because
+// Verdicts.Confirmed means two alerts, three the ceiling because Verdicts
+// has three slots.
+func newWithSides(cfg Config, sides []side) (*Guard, error) {
+	if len(sides) < 2 || len(sides) > maxSides {
+		return nil, fmt.Errorf("httpguard: %d judging sides, need 2 to %d", len(sides), maxSides)
+	}
 	var policy mitigate.Policy
 	switch {
 	case cfg.Policy != nil:
@@ -348,49 +439,36 @@ func New(cfg Config) (*Guard, error) {
 	case cfg.MaxInFlight < 0:
 		cfg.MaxInFlight = 0 // gate disabled
 	}
+	names := make([]string, len(sides))
+	var maxIdle time.Duration
+	for i, sd := range sides {
+		names[i] = sd.name
+		maxIdle = max(maxIdle, sd.idle)
+	}
 	if cfg.EvictWindow == 0 {
-		// Twice the larger idle timeout: comfortably inside the
+		// Twice the largest idle timeout: comfortably inside the
 		// verdict-neutral regime even with sweeps landing mid-window.
-		senIdle := cfg.Sentinel.IdleTimeout
-		if senIdle <= 0 {
-			senIdle = sentinel.DefaultConfig().IdleTimeout
-		}
-		arcIdle := cfg.Arcane.IdleTimeout
-		if arcIdle <= 0 {
-			arcIdle = arcane.DefaultConfig().IdleTimeout
-		}
-		cfg.EvictWindow = 2 * max(senIdle, arcIdle)
-		if cfg.EnableTrajectory {
-			trajIdle := cfg.Trajectory.IdleTimeout
-			if trajIdle <= 0 {
-				trajIdle = trajectory.DefaultConfig().IdleTimeout
-			}
-			cfg.EvictWindow = max(cfg.EvictWindow, 2*trajIdle)
-		}
+		cfg.EvictWindow = 2 * maxIdle
 	}
 	g := &Guard{
 		cfg:     cfg,
 		policy:  policy,
+		sides:   sides,
+		names:   names,
 		trusted: trusted,
 		// One shared, concurrency-safe enricher: cache hits cost a read
 		// lock, and a UA parsed for one shard's client is a hit for all.
 		enricher: detector.NewSharedEnricher(iprep.BuildFeed()),
-		shards:   make([]*guardShard, cfg.Shards),
 	}
 	g.recPool.New = func() any { return new(statusRecorder) }
-	for i := range g.shards {
-		shard, err := g.newShard()
-		if err != nil {
-			return nil, err
-		}
-		shard.index = i
-		g.shards[i] = shard
+	if g.shards, err = g.newShards(cfg.Shards); err != nil {
+		return nil, err
 	}
 	g.buildMetrics()
 	if cfg.Trace != nil {
 		g.trace = trace.New(trace.Config{
 			Registry:  g.metrics,
-			Detectors: sideNames[:g.numActiveSides()],
+			Detectors: names,
 			Now:       cfg.Now,
 			Recorder:  *cfg.Trace,
 		})
@@ -398,28 +476,31 @@ func New(cfg Config) (*Guard, error) {
 	return g, nil
 }
 
-// newShard builds one key-partition: a private detector pair and
-// mitigation engine configured like every other shard's.
-func (g *Guard) newShard() (*guardShard, error) {
-	sen, err := sentinel.New(g.cfg.Sentinel)
-	if err != nil {
-		return nil, fmt.Errorf("httpguard: commercial detector: %w", err)
+// newShards builds a fresh shard set: per shard, one instance of every
+// side from its factory and a mitigation engine, all configured alike.
+func (g *Guard) newShards(n int) ([]*guardShard, error) {
+	factories := make([]detector.Factory, len(g.sides))
+	for i, sd := range g.sides {
+		factories[i] = sd.factory
 	}
-	arc, err := arcane.New(g.cfg.Arcane)
-	if err != nil {
-		return nil, fmt.Errorf("httpguard: behavioural detector: %w", err)
-	}
-	var traj *trajectory.Detector
-	if g.cfg.EnableTrajectory {
-		if traj, err = trajectory.New(g.cfg.Trajectory); err != nil {
-			return nil, fmt.Errorf("httpguard: trajectory detector: %w", err)
+	shards := make([]*guardShard, n)
+	for i := range shards {
+		dets, err := detector.Build(factories)
+		if err != nil {
+			return nil, fmt.Errorf("httpguard: %w", err)
 		}
+		for j, d := range dets {
+			if _, ok := d.(sessionHolder); !ok {
+				return nil, fmt.Errorf("httpguard: %s detector exposes no session view", g.sides[j].name)
+			}
+		}
+		engine, err := mitigate.New(g.policy)
+		if err != nil {
+			return nil, fmt.Errorf("httpguard: mitigation engine: %w", err)
+		}
+		shards[i] = &guardShard{dets: dets, health: make([]detectorHealth, len(dets)), engine: engine, index: i}
 	}
-	engine, err := mitigate.New(g.policy)
-	if err != nil {
-		return nil, fmt.Errorf("httpguard: mitigation engine: %w", err)
-	}
-	return &guardShard{sen: sen, arc: arc, traj: traj, engine: engine}, nil
+	return shards, nil
 }
 
 // Shards reports the number of detection-state partitions.
@@ -433,7 +514,7 @@ func (g *Guard) Shards() int {
 func (g *Guard) Policy() mitigate.Policy { return g.policy }
 
 // Stats reports lifetime counters summed across shards: requests seen,
-// requests alerted (1-out-of-2) and requests blocked.
+// requests alerted (by any side) and requests blocked.
 func (g *Guard) Stats() (total, alerted, blocked uint64) {
 	s := g.StatsDetail()
 	return s.Total, s.Alerted, s.Actions.Blocked
@@ -441,7 +522,8 @@ func (g *Guard) Stats() (total, alerted, blocked uint64) {
 
 // GuardStats is the lifetime counter snapshot across all shards.
 type GuardStats struct {
-	// Total and Alerted count requests seen and 1-out-of-2 alerts.
+	// Total and Alerted count requests seen and requests any side alerted
+	// on (1-out-of-N).
 	Total, Alerted uint64
 	// Actions tallies enforcement outcomes.
 	Actions mitigate.ActionCounts
@@ -599,7 +681,7 @@ func (g *Guard) flowFor(r *http.Request) challengeFlow {
 	return flowNone
 }
 
-// decide runs both detectors and the mitigation engine of the client's
+// decide runs every side and the mitigation engine of the client's
 // shard. Only detector-state and engine mutation sit inside the shard
 // lock: enrichment happens first through the shared read-mostly enricher,
 // and all counters are atomics updated outside the critical section.
@@ -643,7 +725,7 @@ func (g *Guard) decide(entry logfmt.Entry, flow challengeFlow) (Verdicts, mitiga
 	if gated {
 		defer s.inflight.Add(-1)
 	}
-	v, dec, fail := s.judge(g, &req, entry, flow, sweep)
+	v, dec, fail := s.judge(g, &req, flow, sweep)
 
 	if fail == failDegraded {
 		g.degradedReqs.Add(1)
@@ -664,26 +746,26 @@ func (g *Guard) decide(entry logfmt.Entry, flow challengeFlow) (Verdicts, mitiga
 // sweep or engine path — the same corrupted-state-machine failure, just
 // surfacing in Snapshot or Apply instead of Inspect — must not leave
 // the shard mutex held forever and the shard hung.
-func (s *guardShard) judge(g *Guard, req *detector.Request, entry logfmt.Entry, flow challengeFlow, sweep bool) (v Verdicts, dec mitigate.Decision, fail failState) {
+func (s *guardShard) judge(g *Guard, enriched *detector.Request, flow challengeFlow, sweep bool) (_ Verdicts, dec mitigate.Decision, fail failState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tr := g.trace
+	// Copied, not aliased: handing the caller's pointer to InspectInto
+	// would move its Request to the heap.
+	s.req = *enriched
+	entry := &s.req.Entry
 	// Each detector runs behind the shard's panic barrier: a quarantined
 	// side sits out (its verdict stays zero) and the ensemble degrades
 	// to whatever detection remains.
 	ts := tr.Now()
-	okSen := s.runDetector(g, sideSentinel, req, &v.Commercial, entry.Time)
-	ts = tr.LapDetector(int(sideSentinel), ts)
-	okArc := s.runDetector(g, sideArcane, req, &v.Behavioural, entry.Time)
-	ts = tr.LapDetector(int(sideArcane), ts)
-	okTraj := true
-	if s.traj != nil {
-		okTraj = s.runDetector(g, sideTrajectory, req, &v.Trajectory, entry.Time)
-		tr.LapDetector(int(sideTrajectory), ts)
+	for i := range s.dets {
+		if s.skipped[i] = !s.runDetector(g, i, entry.Time); s.skipped[i] {
+			s.verdicts[i] = detector.Verdict{}
+			fail = failDegraded
+		}
+		ts = tr.LapDetector(i, ts)
 	}
-	if !okSen || !okArc || !okTraj {
-		fail = failDegraded
-	}
+	verdicts := s.verdicts[:len(s.dets)]
 	// Periodic eviction bounds state growth: hostile traffic rotates
 	// through fresh addresses, and idle, decayed clients would otherwise
 	// accumulate forever. The same slot sweeps the shard's detector
@@ -694,17 +776,10 @@ func (s *guardShard) judge(g *Guard, req *detector.Request, entry logfmt.Entry, 
 	if sweep {
 		n := s.engine.Sweep(entry.Time)
 		if g.cfg.EvictWindow > 0 {
-			cutoff := entry.Time.Add(-g.cfg.EvictWindow)
-			n += s.sen.EvictBefore(cutoff)
-			n += s.arc.EvictBefore(cutoff)
-			if s.traj != nil {
-				n += s.traj.EvictBefore(cutoff)
-			}
+			n += detector.EvictBefore(s.dets, entry.Time.Add(-g.cfg.EvictWindow))
 		}
-		s.refreshLastGood(sideSentinel)
-		s.refreshLastGood(sideArcane)
-		if s.traj != nil {
-			s.refreshLastGood(sideTrajectory)
+		for i := range s.dets {
+			s.refreshLastGood(i)
 		}
 		g.sweeps.Add(1)
 		g.evicted.Add(uint64(n))
@@ -729,26 +804,19 @@ func (s *guardShard) judge(g *Guard, req *detector.Request, entry logfmt.Entry, 
 		// suspicion integral with verdicts one detector never cast.
 		dec = mitigate.Decision{Action: mitigate.Allow}
 	default:
-		score := v.Commercial.Score + v.Behavioural.Score
-		n := 2.0
-		if s.traj != nil {
-			score += v.Trajectory.Score
-			n = 3.0
-		}
-		dec = s.engine.Apply(entry.RemoteAddr, entry.Time, mitigate.Assessment{
-			Alerted:   v.Alerted(),
-			Confirmed: v.Confirmed(),
-			Score:     score / n,
-		})
+		dec = s.engine.Apply(entry.RemoteAddr, entry.Time, ensemble.Assess(verdicts))
 	}
 	tr.Lap(trace.StageEnsemble, ts)
 	if tr != nil {
 		// Captured under the shard lock: the feature snapshot aliases the
 		// detectors' scratch vectors, which the next request on this shard
 		// overwrites.
-		s.capture(tr, req, entry, &v, dec, rungBefore, okSen, okArc, okTraj)
+		tr.Recorder().Capture(&trace.Judged{
+			Req: &s.req, Names: g.names, Verdicts: verdicts, Detectors: s.dets,
+			Skipped: s.skipped[:len(s.dets)], Ladder: &dec, RungBefore: rungBefore,
+		})
 	}
-	return v, dec, fail
+	return Verdicts{s.verdicts[0], s.verdicts[1], s.verdicts[2]}, dec, fail
 }
 
 func (g *Guard) report(entry logfmt.Entry, v Verdicts) {

@@ -21,10 +21,10 @@ var (
 )
 
 // Live shard rebalancing and guard-level snapshot/restore. Both are built
-// on the same mechanism: every stateful component of the shard set — the
-// commercial and behavioural detectors' session stores and the mitigation
-// engines' client ladders — serialises to a canonical, partition-agnostic
-// form (detector.ShardedSnapshotter / mitigate.SnapshotMerged), and that
+// on the same mechanism: every stateful component of the shard set — each
+// side's session stores and the mitigation engines' client ladders —
+// serialises to a canonical, partition-agnostic form
+// (detector.SnapshotRole / mitigate.SnapshotMerged), and that
 // form redistributes across any shard count by rehashing each client's
 // key. Rebalance does snapshot → rehash → restore entirely in memory
 // under the topology lock; Snapshot/Restore expose the same bytes through
@@ -55,16 +55,6 @@ func (g *Guard) Rebalance(newShards int) error {
 		return nil
 	}
 
-	next := make([]*guardShard, newShards)
-	for i := range next {
-		shard, err := g.newShard()
-		if err != nil {
-			return err
-		}
-		shard.index = i
-		next[i] = shard
-	}
-
 	w := statecodec.NewWriter()
 	g.snapshotShardsLocked(w)
 	if err := fiRebalanceSnapshot.Fire(); err != nil {
@@ -73,21 +63,13 @@ func (g *Guard) Rebalance(newShards int) error {
 	if err := w.Err(); err != nil {
 		return fmt.Errorf("httpguard: rebalance snapshot: %w", err)
 	}
-	if err := fiRebalanceRestore.Fire(); err != nil {
+	err := fiRebalanceRestore.Fire()
+	if err == nil {
+		err = g.restoreLocked(statecodec.NewReader(w.Bytes()), newShards)
+	}
+	if err != nil {
 		return fmt.Errorf("httpguard: rebalance restore: %w", err)
 	}
-	if err := restoreShards(statecodec.NewReader(w.Bytes()), next, newShards, g.cfg.EnableTrajectory); err != nil {
-		return fmt.Errorf("httpguard: rebalance restore: %w", err)
-	}
-
-	// The cluster plane's fail-closed freeze is guard-level state; the
-	// rebuilt engines start thawed and must inherit it.
-	if g.escFrozen.Load() {
-		for _, s := range next {
-			s.engine.SetEscalationFrozen(true)
-		}
-	}
-	g.shards = next
 	return nil
 }
 
@@ -105,22 +87,27 @@ func (g *Guard) SnapshotInto(w *statecodec.Writer) {
 // clients across the guard's current shard count — which need not match
 // the count the snapshot was taken at. The guard's configuration
 // (detector tuning, mitigation policy) must match the snapshotting
-// guard's. On failure the shards are left fresh, never half-restored.
+// guard's. On failure the guard keeps the state it had, never a
+// half-restored set.
 func (g *Guard) RestoreFrom(r *statecodec.Reader) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	next := make([]*guardShard, len(g.shards))
-	for i := range next {
-		shard, err := g.newShard()
-		if err != nil {
-			return err
-		}
-		shard.index = i
-		next[i] = shard
-	}
-	if err := restoreShards(r, next, len(next), g.cfg.EnableTrajectory); err != nil {
+	return g.restoreLocked(r, len(g.shards))
+}
+
+// restoreLocked swaps in a fresh set of n shards holding the snapshot's
+// state; on any failure the serving set is untouched. Caller holds g.mu
+// exclusively.
+func (g *Guard) restoreLocked(r *statecodec.Reader, n int) error {
+	next, err := g.newShards(n)
+	if err != nil {
 		return err
 	}
+	if err := restoreShards(r, next); err != nil {
+		return err
+	}
+	// The cluster plane's fail-closed freeze is guard-level state; the
+	// rebuilt engines start thawed and must inherit it.
 	if g.escFrozen.Load() {
 		for _, s := range next {
 			s.engine.SetEscalationFrozen(true)
@@ -138,8 +125,7 @@ func (g *Guard) RestoreFrom(r *statecodec.Reader) error {
 func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 	w.Tag(tagGuard)
 	var total, alerted, passed, allowed, tarpitted, challenged, blocked uint64
-	sens := make([]detector.Detector, len(g.shards))
-	arcs := make([]detector.Detector, len(g.shards))
+	dets := make([][]detector.Detector, len(g.shards))
 	engines := make([]*mitigate.Engine, len(g.shards))
 	for i, s := range g.shards {
 		total += s.total.Load()
@@ -149,30 +135,17 @@ func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 		tarpitted += s.tarpitted.Load()
 		challenged += s.challenged.Load()
 		blocked += s.blocked.Load()
-		sens[i] = s.sen
-		arcs[i] = s.arc
+		dets[i] = s.dets
 		engines[i] = s.engine
 	}
 	for _, c := range []uint64{total, alerted, passed, allowed, tarpitted, challenged, blocked} {
 		w.Uint64(c)
 	}
-	if err := g.shards[0].sen.SnapshotShardsInto(w, sens); err != nil {
-		w.Fail(err)
-		return
-	}
-	if err := g.shards[0].arc.SnapshotShardsInto(w, arcs); err != nil {
-		w.Fail(err)
-		return
-	}
-	// The trajectory block exists only on trajectory-enabled guards, so a
-	// pair guard's snapshots keep their original layout; restore refuses a
-	// layout mismatch via the detectors' own tags.
-	if g.cfg.EnableTrajectory {
-		trajs := make([]detector.Detector, len(g.shards))
-		for i, s := range g.shards {
-			trajs[i] = s.traj
-		}
-		if err := g.shards[0].traj.SnapshotShardsInto(w, trajs); err != nil {
+	// One block per side, in side order and untagged by the guard: a pair
+	// guard's snapshots keep their original layout, and restore refuses a
+	// side-list mismatch via the detectors' own tags.
+	for _, role := range detector.Roles(dets) {
+		if err := detector.SnapshotRole(w, role); err != nil {
 			w.Fail(err)
 			return
 		}
@@ -180,10 +153,9 @@ func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 	mitigate.SnapshotMerged(w, engines)
 }
 
-// restoreShards distributes a guard snapshot across a fresh shard set.
-// withTraj must match the layout the snapshot was written with — i.e.
-// the snapshotting guard's EnableTrajectory.
-func restoreShards(r *statecodec.Reader, shards []*guardShard, n int, withTraj bool) error {
+// restoreShards distributes a guard snapshot across a fresh shard set,
+// which must be built from the side list the snapshot was written with.
+func restoreShards(r *statecodec.Reader, shards []*guardShard) error {
 	if err := r.Expect(tagGuard); err != nil {
 		return err
 	}
@@ -194,27 +166,16 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard, n int, withTraj b
 	if err := r.Err(); err != nil {
 		return err
 	}
-	part := func(ip uint32) int { return int(fnvhash.IP32(ip) % uint32(n)) }
-	sens := make([]detector.Detector, len(shards))
-	arcs := make([]detector.Detector, len(shards))
+	n := uint32(len(shards))
+	part := func(ip uint32) int { return int(fnvhash.IP32(ip) % n) }
+	dets := make([][]detector.Detector, len(shards))
 	engines := make([]*mitigate.Engine, len(shards))
 	for i, s := range shards {
-		sens[i] = s.sen
-		arcs[i] = s.arc
+		dets[i] = s.dets
 		engines[i] = s.engine
 	}
-	if err := shards[0].sen.RestoreShards(r, sens, part); err != nil {
-		return err
-	}
-	if err := shards[0].arc.RestoreShards(r, arcs, part); err != nil {
-		return err
-	}
-	if withTraj {
-		trajs := make([]detector.Detector, len(shards))
-		for i, s := range shards {
-			trajs[i] = s.traj
-		}
-		if err := shards[0].traj.RestoreShards(r, trajs, part); err != nil {
+	for _, role := range detector.Roles(dets) {
+		if err := detector.RestoreRole(r, role, part); err != nil {
 			return err
 		}
 	}

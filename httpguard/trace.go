@@ -1,19 +1,15 @@
 package httpguard
 
-import (
-	"divscrape/internal/detector"
-	"divscrape/internal/logfmt"
-	"divscrape/internal/mitigate"
-	"divscrape/internal/trace"
-)
+import "divscrape/internal/trace"
 
 // Provenance plane: when Config.Trace is set, every decision passes
 // through the flight recorder's sampler (one atomic add) and the sampled
 // ones — plus every escalation and every watched client — are captured
-// as complete trace.Records. Capture happens inside judge, under the
-// shard lock, because the feature snapshots alias the shard detectors'
-// reusable scratch vectors; the recorder mutex is a leaf below the shard
-// lock, so the ordering is acyclic.
+// as complete trace.Records (trace.Recorder.Capture, the body the CLI's
+// sink shares). Capture happens inside judge, under the shard lock,
+// because the feature snapshots alias the shard detectors' reusable
+// scratch vectors; the recorder mutex is a leaf below the shard lock, so
+// the ordering is acyclic.
 
 // FlightRecorder returns the guard's decision flight recorder, or nil
 // when tracing is disabled (Config.Trace nil). The nil recorder is safe
@@ -22,55 +18,3 @@ func (g *Guard) FlightRecorder() *trace.Recorder { return g.trace.Recorder() }
 
 // Tracer returns the guard's tracer, or nil when tracing is disabled.
 func (g *Guard) Tracer() *trace.Tracer { return g.trace }
-
-// capture builds and stores one flight record for a judged request.
-// Called under the shard lock, only when tracing is enabled.
-func (s *guardShard) capture(tr *trace.Tracer, req *detector.Request, entry logfmt.Entry,
-	v *Verdicts, dec mitigate.Decision, rungBefore mitigate.Action, okSen, okArc, okTraj bool) {
-	rec := tr.Recorder()
-	kind := rec.Sample()
-	if dec.Level > rungBefore {
-		kind = trace.SampleEscalation
-	}
-	if kind == trace.SampleNone && rec.WantClient(entry.RemoteAddr) {
-		kind = trace.SampleClient
-	}
-	if kind == trace.SampleNone {
-		return
-	}
-	r := trace.Record{
-		Seq:        req.Seq,
-		Time:       entry.Time,
-		Client:     entry.RemoteAddr,
-		Sampled:    kind.String(),
-		Alerted:    v.Alerted(),
-		Confirmed:  v.Confirmed(),
-		Action:     dec.Action.String(),
-		RungBefore: rungBefore.String(),
-		RungAfter:  dec.Level.String(),
-		Suspicion:  dec.Score,
-	}
-	// A side that did not run (quarantined) contributes no features and
-	// is marked skipped — its zero verdict is the degraded default, not a
-	// judgement.
-	sen := trace.DetectorRecordOf(sideNames[sideSentinel], &v.Commercial, explainerIf(okSen, s.sen))
-	sen.Skipped = !okSen
-	arc := trace.DetectorRecordOf(sideNames[sideArcane], &v.Behavioural, explainerIf(okArc, s.arc))
-	arc.Skipped = !okArc
-	r.Detectors = []trace.DetectorRecord{sen, arc}
-	if s.traj != nil {
-		traj := trace.DetectorRecordOf(sideNames[sideTrajectory], &v.Trajectory, explainerIf(okTraj, s.traj))
-		traj.Skipped = !okTraj
-		r.Detectors = append(r.Detectors, traj)
-	}
-	rec.Add(r)
-}
-
-// explainerIf gates a detector's feature snapshot on it having actually
-// judged the request.
-func explainerIf(ok bool, ex detector.Explainer) detector.Explainer {
-	if !ok {
-		return nil
-	}
-	return ex
-}

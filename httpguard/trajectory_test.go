@@ -59,8 +59,8 @@ func trajSessions(g *Guard) int {
 	n := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
-		if s.traj != nil {
-			n += s.traj.Sessions()
+		if len(s.dets) == maxSides {
+			n += s.sessions(maxSides - 1)
 		}
 		s.mu.Unlock()
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/mitigate"
 )
 
 // Adjudicator folds per-detector verdicts on one request into a final
@@ -144,4 +145,28 @@ func (w Weighted) Decide(verdicts []detector.Verdict) detector.Verdict {
 		}
 	}
 	return out
+}
+
+// Assess is the vote every deployment shape feeds its mitigation ladder
+// and writes into its flight records: alerted when any detector alerts,
+// confirmed on a strict majority (both of the paper's pair, two of
+// three), scored by the mean over all sides — a side that sat out counts
+// as its zero verdict, so confirmation never gets easier while degraded.
+func Assess(verdicts []detector.Verdict) mitigate.Assessment {
+	var votes int
+	var sum float64
+	for i := range verdicts {
+		if verdicts[i].Alert {
+			votes++
+		}
+		sum += verdicts[i].Score
+	}
+	if len(verdicts) == 0 {
+		return mitigate.Assessment{}
+	}
+	return mitigate.Assessment{
+		Alerted:   votes > 0,
+		Confirmed: votes > len(verdicts)/2,
+		Score:     sum / float64(len(verdicts)),
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/mitigate"
 )
 
 func v(alert bool, score float64, reasons ...string) detector.Verdict {
@@ -140,5 +141,30 @@ func TestWeighted(t *testing.T) {
 	d4 := Weighted{Threshold: 0.5}.Decide([]detector.Verdict{v(true, 1)})
 	if d4.Score != 0 {
 		t.Errorf("zero-weight score = %g", d4.Score)
+	}
+}
+
+func TestAssess(t *testing.T) {
+	alert := func(s float64) detector.Verdict { return detector.Verdict{Alert: true, Score: s} }
+	quiet := func(s float64) detector.Verdict { return detector.Verdict{Score: s} }
+	for _, tc := range []struct {
+		name     string
+		verdicts []detector.Verdict
+		want     mitigate.Assessment
+	}{
+		{"no detectors", nil, mitigate.Assessment{}},
+		{"pair, neither", []detector.Verdict{quiet(0.25), quiet(0.25)}, mitigate.Assessment{Score: 0.25}},
+		{"pair, one", []detector.Verdict{alert(1), quiet(0)}, mitigate.Assessment{Alerted: true, Score: 0.5}},
+		{"pair, both", []detector.Verdict{alert(1), alert(0.5)}, mitigate.Assessment{Alerted: true, Confirmed: true, Score: 0.75}},
+		{"triple, one", []detector.Verdict{quiet(0), alert(0.75), quiet(0)}, mitigate.Assessment{Alerted: true, Score: 0.25}},
+		{"triple, two", []detector.Verdict{alert(0.75), quiet(0), alert(0.75)}, mitigate.Assessment{Alerted: true, Confirmed: true, Score: 0.5}},
+		// A side that sat out is its zero verdict: it still counts in the
+		// quorum and the mean.
+		{"triple, two with one out", []detector.Verdict{alert(0.75), alert(0.75), {}}, mitigate.Assessment{Alerted: true, Confirmed: true, Score: 0.5}},
+		{"four, two is no majority", []detector.Verdict{alert(1), alert(1), quiet(0), quiet(0)}, mitigate.Assessment{Alerted: true, Score: 0.5}},
+	} {
+		if got := Assess(tc.verdicts); got != tc.want {
+			t.Errorf("%s: Assess = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

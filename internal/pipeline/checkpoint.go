@@ -32,24 +32,12 @@ const tagPipeline uint16 = 0x5043
 func (p *Pipeline) Checkpoint(w *statecodec.Writer) error {
 	w.Tag(tagPipeline)
 	p.enricher.SnapshotInto(w)
-	roles := p.detectorRoles()
+	roles := detector.Roles(p.shardDets)
 	w.Uint16(uint16(len(roles)))
 	for j, role := range roles {
 		w.String(role[0].Name())
-		ss, ok := role[0].(detector.ShardedSnapshotter)
-		if !ok {
-			if len(role) == 1 {
-				s, ok := role[0].(detector.Snapshotter)
-				if !ok {
-					return fmt.Errorf("pipeline: detector %d (%s) does not support snapshots", j, role[0].Name())
-				}
-				s.SnapshotInto(w)
-				continue
-			}
-			return fmt.Errorf("pipeline: detector %d (%s) does not support sharded snapshots", j, role[0].Name())
-		}
-		if err := ss.SnapshotShardsInto(w, role); err != nil {
-			return fmt.Errorf("pipeline: checkpoint detector %d (%s): %w", j, role[0].Name(), err)
+		if err := detector.SnapshotRole(w, role); err != nil {
+			return fmt.Errorf("pipeline: checkpoint detector %d: %w", j, err)
 		}
 	}
 	return w.Err()
@@ -75,7 +63,7 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 	if err := p.enricher.RestoreFrom(r); err != nil {
 		return err
 	}
-	roles := p.detectorRoles()
+	roles := detector.Roles(p.shardDets)
 	if got := int(r.Uint16()); got != len(roles) {
 		if err := r.Err(); err != nil {
 			return err
@@ -83,11 +71,9 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 		return fmt.Errorf("%w: checkpoint has %d detectors, pipeline has %d",
 			statecodec.ErrCorrupt, got, len(roles))
 	}
+	// Sequential mode is the one-shard case: every client hashes to 0.
 	shards := len(p.shardDets)
-	part := func(ip uint32) int { return 0 }
-	if p.cfg.Mode == Sharded {
-		part = func(ip uint32) int { return shardOf(ip, shards) }
-	}
+	part := func(ip uint32) int { return shardOf(ip, shards) }
 	for j, role := range roles {
 		name := r.String()
 		if err := r.Err(); err != nil {
@@ -97,46 +83,9 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 			return fmt.Errorf("%w: checkpoint detector %d is %q, pipeline has %q",
 				statecodec.ErrCorrupt, j, name, role[0].Name())
 		}
-		ss, ok := role[0].(detector.ShardedSnapshotter)
-		if !ok {
-			if len(role) == 1 {
-				s, sok := role[0].(detector.Snapshotter)
-				if !sok {
-					return fmt.Errorf("pipeline: detector %d (%s) does not support snapshots", j, name)
-				}
-				if err := s.RestoreFrom(r); err != nil {
-					return err
-				}
-				continue
-			}
-			return fmt.Errorf("pipeline: detector %d (%s) does not support sharded snapshots", j, name)
-		}
-		if err := ss.RestoreShards(r, role, part); err != nil {
+		if err := detector.RestoreRole(r, role, part); err != nil {
 			return err
 		}
 	}
 	return r.Err()
-}
-
-// detectorRoles groups the pipeline's detector instances by role: one
-// slice per registered detector, holding that detector's instance on
-// every shard (a single instance outside Sharded mode).
-func (p *Pipeline) detectorRoles() [][]detector.Detector {
-	if p.cfg.Mode == Sharded {
-		nd := len(p.shardDets[0])
-		roles := make([][]detector.Detector, nd)
-		for j := 0; j < nd; j++ {
-			role := make([]detector.Detector, len(p.shardDets))
-			for i := range p.shardDets {
-				role[i] = p.shardDets[i][j]
-			}
-			roles[j] = role
-		}
-		return roles
-	}
-	roles := make([][]detector.Detector, len(p.cfg.Detectors))
-	for j, d := range p.cfg.Detectors {
-		roles[j] = []detector.Detector{d}
-	}
-	return roles
 }

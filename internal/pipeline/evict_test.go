@@ -364,7 +364,7 @@ func TestSoakBoundedMemoryUnderEviction(t *testing.T) {
 		}
 		// The sink runs on the caller's goroutine with the detectors
 		// quiescent, so store sizes and the heap can be sampled mid-run.
-		if got := sen.Clients(); got > bound {
+		if got := sen.Sessions(); got > bound {
 			t.Errorf("event %d: sentinel holds %d clients, window bound %d", n, got, bound)
 		}
 		if got := arc.Sessions(); got > bound {
@@ -393,5 +393,5 @@ func TestSoakBoundedMemoryUnderEviction(t *testing.T) {
 		t.Fatalf("sweeps=%d evicted=%d; the soak never exercised eviction", sweeps, evicted)
 	}
 	t.Logf("soak: %d events, %d sweeps, %d evictions, final stores sen=%d arc=%d (bound %d)",
-		n, sweeps, evicted, sen.Clients(), arc.Sessions(), bound)
+		n, sweeps, evicted, sen.Sessions(), arc.Sessions(), bound)
 }

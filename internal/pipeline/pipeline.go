@@ -146,9 +146,9 @@ type Pipeline struct {
 	enricher *detector.Enricher
 	// seqVerdicts is the sequential mode's reused verdict slab.
 	seqVerdicts []detector.Verdict
-	// shardDets holds each shard's private detector instances in Sharded
-	// mode (built once at New, so detector state persists across runs
-	// exactly as it does in Sequential mode).
+	// shardDets holds each shard's private detector instances, built once
+	// at New so detector state persists across runs; Sequential mode is the
+	// one-shard case, its list Config.Detectors (or built from Factories).
 	shardDets [][]detector.Detector
 	// rings, relaxedVerdicts and reqPool are the Sharded working set: one
 	// SPSC hand-off ring and one reused verdict slab per shard, and the
@@ -172,11 +172,6 @@ type Pipeline struct {
 
 // New validates cfg and builds a pipeline.
 func New(cfg Config) (*Pipeline, error) {
-	for i, f := range cfg.Factories {
-		if f == nil {
-			return nil, fmt.Errorf("pipeline: factory %d is nil", i)
-		}
-	}
 	for i, d := range cfg.Detectors {
 		if d == nil {
 			return nil, fmt.Errorf("pipeline: detector %d is nil", i)
@@ -205,16 +200,17 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{cfg: cfg, enricher: detector.NewEnricher(cfg.Reputation)}
 	if cfg.Mode == Sequential {
-		if len(cfg.Detectors) == 0 && len(cfg.Factories) > 0 {
-			dets, err := buildDetectors(cfg.Factories)
-			if err != nil {
-				return nil, err
+		dets := cfg.Detectors
+		if len(dets) == 0 {
+			var err error
+			if dets, err = detector.Build(cfg.Factories); err != nil {
+				return nil, fmt.Errorf("pipeline: %w", err)
 			}
-			p.cfg.Detectors = dets
 		}
-		if len(p.cfg.Detectors) == 0 {
+		if len(dets) == 0 {
 			return nil, fmt.Errorf("pipeline: need at least one detector")
 		}
+		p.shardDets = [][]detector.Detector{dets}
 		return p, nil
 	}
 	if len(cfg.Factories) == 0 {
@@ -224,8 +220,8 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
 			len(cfg.Factories), len(cfg.Detectors))
 	}
-	// No prototype set is built here: shard 0's instances serve for
-	// names, and no run touches cfg.Detectors in this mode.
+	// No run touches cfg.Detectors in this mode: every shard judges on
+	// instances of its own.
 	//
 	// One ring per shard, Buffer requests deep (spsc rounds up to a power
 	// of two), plus one reused verdict slab per shard. The maximum
@@ -238,7 +234,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.relaxedVerdicts = make([][]detector.Verdict, cfg.Shards)
 	inflight := cfg.Shards + 1
 	for i := range p.shardDets {
-		dets, err := buildDetectors(cfg.Factories)
+		dets, err := detector.Build(cfg.Factories)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
@@ -253,39 +249,15 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-func buildDetectors(factories []detector.Factory) ([]detector.Detector, error) {
-	dets := make([]detector.Detector, len(factories))
-	for i, f := range factories {
-		d, err := f()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: build detector %d: %w", i, err)
-		}
-		if d == nil {
-			return nil, fmt.Errorf("pipeline: factory %d returned nil detector", i)
-		}
-		dets[i] = d
-	}
-	return dets, nil
-}
-
 // Shards returns the effective worker-shard count: the configured (or
 // defaulted) count in Sharded mode, 1 otherwise. Benchmarks report it so
 // recorded results stay interpretable across machines.
-func (p *Pipeline) Shards() int {
-	if p.cfg.Mode == Sharded {
-		return len(p.shardDets)
-	}
-	return 1
-}
+func (p *Pipeline) Shards() int { return len(p.shardDets) }
 
 // Detectors returns the registered detector names in order.
 func (p *Pipeline) Detectors() []string {
-	dets := p.cfg.Detectors
-	if len(dets) == 0 && len(p.shardDets) > 0 {
-		dets = p.shardDets[0]
-	}
-	names := make([]string, len(dets))
-	for i, d := range dets {
+	names := make([]string, len(p.shardDets[0]))
+	for i, d := range p.shardDets[0] {
 		names[i] = d.Name()
 	}
 	return names
@@ -294,9 +266,6 @@ func (p *Pipeline) Detectors() []string {
 // ResetDetectors clears all detector and enricher state, preparing the
 // pipeline for an independent dataset.
 func (p *Pipeline) ResetDetectors() {
-	for _, d := range p.cfg.Detectors {
-		d.Reset()
-	}
 	for _, shard := range p.shardDets {
 		for _, d := range shard {
 			d.Reset()
@@ -326,13 +295,7 @@ func (p *Pipeline) maybeEvict(last *time.Time, now time.Time, dets []detector.De
 		return
 	}
 	*last = now
-	cutoff := now.Add(-p.cfg.EvictWindow)
-	n := 0
-	for _, d := range dets {
-		if ev, ok := d.(detector.Evictable); ok {
-			n += ev.EvictBefore(cutoff)
-		}
-	}
+	n := detector.EvictBefore(dets, now.Add(-p.cfg.EvictWindow))
 	p.sweeps.Add(1)
 	p.evicted.Add(uint64(n))
 }
@@ -344,17 +307,8 @@ func (p *Pipeline) maybeEvict(last *time.Time, now time.Time, dets []detector.De
 // owns it (the same contract as Checkpoint).
 func (p *Pipeline) EvictBefore(cutoff time.Time) int {
 	n := 0
-	for _, d := range p.cfg.Detectors {
-		if ev, ok := d.(detector.Evictable); ok {
-			n += ev.EvictBefore(cutoff)
-		}
-	}
 	for _, shard := range p.shardDets {
-		for _, d := range shard {
-			if ev, ok := d.(detector.Evictable); ok {
-				n += ev.EvictBefore(cutoff)
-			}
-		}
+		n += detector.EvictBefore(shard, cutoff)
 	}
 	return n
 }
@@ -397,8 +351,9 @@ func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink
 	// runs): the sink contract says both are only valid during the call, so
 	// nothing outlives the loop and the steady-state decision path performs
 	// no allocations.
+	dets := p.shardDets[0]
 	if p.seqVerdicts == nil {
-		p.seqVerdicts = make([]detector.Verdict, len(p.cfg.Detectors))
+		p.seqVerdicts = make([]detector.Verdict, len(dets))
 	}
 	verdicts := p.seqVerdicts
 	var req detector.Request
@@ -420,9 +375,9 @@ func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink
 		}
 		ts = tr.Lap(trace.StageParse, ts)
 		p.enricher.EnrichInto(&req, entry)
-		p.maybeEvict(&p.seqEvictLast, req.Entry.Time, p.cfg.Detectors)
+		p.maybeEvict(&p.seqEvictLast, req.Entry.Time, dets)
 		ts = tr.Lap(trace.StageEnrich, ts) // span includes the eviction-cadence check
-		for i, d := range p.cfg.Detectors {
+		for i, d := range dets {
 			d.InspectInto(&req, &verdicts[i])
 			ts = tr.LapDetector(i, ts)
 		}

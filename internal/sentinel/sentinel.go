@@ -311,8 +311,8 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	}
 }
 
-// Clients reports the number of live per-IP states (for diagnostics).
-func (d *Detector) Clients() int { return d.store.Len() }
+// Sessions reports the number of live per-IP states (for diagnostics).
+func (d *Detector) Sessions() int { return d.store.Len() }
 
 // FeatureNames implements detector.Explainer: the feature vector's slot
 // names, in order. The returned slice is immutable.

@@ -221,11 +221,11 @@ func TestResetClearsState(t *testing.T) {
 		now = now.Add(50 * time.Millisecond)
 		d.Inspect(mkReq(t, uint64(i), "10.0.6.6", staleChrome, sitemodel.ProductPath(i), now))
 	}
-	if d.Clients() == 0 {
+	if d.Sessions() == 0 {
 		t.Fatal("expected live client state")
 	}
 	d.Reset()
-	if d.Clients() != 0 {
+	if d.Sessions() != 0 {
 		t.Error("Reset left client state")
 	}
 	// Post-reset, the first request scores like a fresh detector.

@@ -89,8 +89,8 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	if err := tail.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if tail.Clients() != head.Clients() {
-		t.Fatalf("restored %d clients, had %d", tail.Clients(), head.Clients())
+	if tail.Sessions() != head.Sessions() {
+		t.Fatalf("restored %d clients, had %d", tail.Sessions(), head.Sessions())
 	}
 	for i := k; i < len(events); i++ {
 		var req detector.Request
@@ -153,8 +153,8 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 		if err := fresh.RestoreFrom(statecodec.NewReader(w.Bytes()[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-		if fresh.Clients() != 0 {
-			t.Fatalf("failed restore left %d clients", fresh.Clients())
+		if fresh.Sessions() != 0 {
+			t.Fatalf("failed restore left %d clients", fresh.Sessions())
 		}
 	}
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/ensemble"
+	"divscrape/internal/mitigate"
 )
 
 // SampleKind says why a decision was captured into the flight recorder.
@@ -87,7 +89,8 @@ type Record struct {
 	// Sampled names the capture cause: head, rate, escalation or client.
 	Sampled   string           `json:"sampled"`
 	Detectors []DetectorRecord `json:"detectors"`
-	// Alerted / Confirmed are the ensemble's 1oo2 / 2oo2 votes.
+	// Alerted / Confirmed are the ensemble's any / strict-majority votes
+	// (ensemble.Assess).
 	Alerted   bool `json:"alerted"`
 	Confirmed bool `json:"confirmed"`
 	// Action is the mitigation decision ("" when no engine is attached);
@@ -205,10 +208,9 @@ func newRecorder(cfg RecorderConfig) *Recorder {
 }
 
 // Sample counts one decision and says whether the head/rate policy
-// selects it. Callers upgrade the result themselves for escalations
-// (SampleEscalation) and watched clients (WantClient → SampleClient) —
-// the recorder cannot know either without the decision in hand, and the
-// unsampled fast path must stay one atomic add.
+// selects it. Capture upgrades the result for escalations
+// (SampleEscalation) and watched clients (WantClient → SampleClient);
+// the unsampled fast path stays one atomic add.
 func (r *Recorder) Sample() SampleKind {
 	if r == nil {
 		return SampleNone
@@ -234,6 +236,76 @@ func (r *Recorder) WantClient(client string) bool {
 		}
 	}
 	return false
+}
+
+// Judged is one judged request as its host — a guard shard under its
+// lock, the CLI's sink — offers it to the recorder. The slices align
+// index for index with the host's detector list and are only read during
+// Capture.
+type Judged struct {
+	Req      *detector.Request
+	Names    []string
+	Verdicts []detector.Verdict
+	// Detectors are the instances that produced Verdicts, asked for their
+	// feature vectors through detector.Explainer. Nil when the caller is no
+	// longer synchronous with their scratch (any sink but the sequential
+	// pipeline's): records then carry verdicts and reasons only.
+	Detectors []detector.Detector
+	// Skipped marks sides that sat out (quarantined); nil means none did.
+	Skipped []bool
+	// Ladder is the mitigation outcome and RungBefore the client's rung
+	// before it; nil when no engine judged the request (none attached, or
+	// a challenge-exempt request in a replay).
+	Ladder     *mitigate.Decision
+	RungBefore mitigate.Action
+}
+
+// Capture offers one judged request to the recorder: it is kept when the
+// head/rate sampler selects it, when the ladder rung rose, or when the
+// client is watched, and then copied out of the host's reusable storage
+// into a complete Record.
+func (r *Recorder) Capture(j *Judged) {
+	kind := r.Sample()
+	if j.Ladder != nil && j.Ladder.Level > j.RungBefore {
+		kind = SampleEscalation
+	}
+	client := j.Req.Entry.RemoteAddr
+	if kind == SampleNone && r.WantClient(client) {
+		kind = SampleClient
+	}
+	if kind == SampleNone {
+		return
+	}
+	vote := ensemble.Assess(j.Verdicts)
+	rec := Record{
+		Seq:       j.Req.Seq,
+		Time:      j.Req.Entry.Time,
+		Client:    client,
+		Sampled:   kind.String(),
+		Detectors: make([]DetectorRecord, len(j.Verdicts)),
+		Alerted:   vote.Alerted,
+		Confirmed: vote.Confirmed,
+		Suspicion: vote.Score,
+	}
+	if j.Ladder != nil {
+		rec.Action = j.Ladder.Action.String()
+		rec.RungBefore = j.RungBefore.String()
+		rec.RungAfter = j.Ladder.Level.String()
+		rec.Suspicion = j.Ladder.Score
+	}
+	for i := range j.Verdicts {
+		// A side that did not run contributes no features and is marked
+		// skipped — its zero verdict is the degraded default, not a
+		// judgement.
+		skipped := j.Skipped != nil && j.Skipped[i]
+		var ex detector.Explainer
+		if !skipped && j.Detectors != nil {
+			ex, _ = j.Detectors[i].(detector.Explainer)
+		}
+		rec.Detectors[i] = DetectorRecordOf(j.Names[i], &j.Verdicts[i], ex)
+		rec.Detectors[i].Skipped = skipped
+	}
+	r.Add(rec)
 }
 
 // Add stores a captured record. rec.Sampled must be set (records with an

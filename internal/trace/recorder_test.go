@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/mitigate"
 )
 
 func rec(seq uint64, client, sampled, action string) Record {
@@ -215,6 +216,61 @@ func TestDetectorRecordOf(t *testing.T) {
 	ex.ok = false
 	if dr = DetectorRecordOf("sentinel", &v, ex); dr.Features != nil {
 		t.Errorf("short-circuited features = %+v", dr.Features)
+	}
+}
+
+// explaining is a detector.Detector whose only behaviour is its Explainer.
+type explaining struct {
+	detector.Detector
+	fakeExplainer
+}
+
+func TestCapture(t *testing.T) {
+	req := &detector.Request{Seq: 7}
+	req.Entry.RemoteAddr, req.Entry.Time = "alice", time.Unix(9, 0)
+	names := []string{"a", "b", "c"}
+	dets := []detector.Detector{
+		explaining{fakeExplainer: fakeExplainer{names: []string{"f"}, vals: []float64{1}, ok: true}},
+		nil, // no Explainer behind this slot
+		explaining{fakeExplainer: fakeExplainer{names: []string{"g"}, vals: []float64{2}, ok: true}},
+	}
+	twoOfThree := []detector.Verdict{{Alert: true, Score: 0.9}, {Score: 0.3}, {Alert: true, Score: 0.6}}
+	climbed := mitigate.Decision{Action: mitigate.Tarpit, Level: mitigate.Tarpit, Score: 1.5}
+
+	// Nothing selects it: sampling off, rung unchanged, client unwatched.
+	r := newRecorder(RecorderConfig{Head: -1, Rate: -1, Clients: []string{"bob"}})
+	r.Capture(&Judged{Req: req, Names: names, Verdicts: twoOfThree, Ladder: &mitigate.Decision{}})
+	if st := r.Stats(); st.Seen != 1 || st.Captured != 0 {
+		t.Fatalf("unsampled capture: %+v", st)
+	}
+
+	// A rung that rose is always kept. Two of three confirm; the side that
+	// sat out is marked and asked for no features.
+	r.Capture(&Judged{Req: req, Names: names, Verdicts: twoOfThree, Detectors: dets,
+		Skipped: []bool{false, false, true}, Ladder: &climbed, RungBefore: mitigate.Allow})
+	// A watched client is kept without a ladder: no action or rung, and the
+	// suspicion is the vote's mean score.
+	req.Entry.RemoteAddr = "bob"
+	r.Capture(&Judged{Req: req, Names: names, Verdicts: twoOfThree[:2]})
+	got := r.Recent(0, "", "")
+	if len(got) != 2 {
+		t.Fatalf("%d records captured, want 2", len(got))
+	}
+	watched, escalated := got[0], got[1]
+	if escalated.Sampled != "escalation" || escalated.Seq != 7 || escalated.Client != "alice" ||
+		!escalated.Alerted || !escalated.Confirmed || escalated.Action != "tarpit" ||
+		escalated.RungBefore != "allow" || escalated.RungAfter != "tarpit" || escalated.Suspicion != 1.5 {
+		t.Errorf("escalation record %+v", escalated)
+	}
+	d := escalated.Detectors
+	if len(d) != 3 || d[0].Detector != "a" || len(d[0].Features) != 1 || d[1].Features != nil ||
+		!d[2].Skipped || d[2].Features != nil || d[0].Skipped || !d[2].Alert {
+		t.Errorf("escalation detector records %+v", d)
+	}
+	if watched.Sampled != "client" || !watched.Alerted || watched.Confirmed || watched.Action != "" ||
+		watched.RungBefore != "" || watched.RungAfter != "" || watched.Suspicion != 0.6 ||
+		len(watched.Detectors) != 2 || watched.Detectors[0].Features != nil {
+		t.Errorf("watched-client record %+v", watched)
 	}
 }
 
