@@ -1,6 +1,6 @@
 # Developer entry points. `make verify` is the tier-1 gate CI runs on every
 # push (vet, gofmt over the tracked .go files, build, test, the no-sleep
-# grep); `make bench` smoke-runs the pipeline, guard, state-plane and
+# grep, and the bench/ smoke); `make bench` smoke-runs the pipeline, guard, state-plane and
 # streaming-ingest benchmarks (five iterations each, enough to catch
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR18.json so the performance
@@ -19,9 +19,12 @@
 # faultinject.SetSleep, the Sleep hooks on configs), never the wall clock.
 # `make race` runs the whole module under the race detector — no package
 # list to keep, so a package a PR touches is never left out (≈2 minutes
-# on two cores). `make benchsmoke` builds and tests bench/, the
-# end-to-end benchmark: it is a module of its own that compiles against
-# this one's types, and tier-1 neither builds nor tests it. `make profile`
+# on two cores). `make benchsmoke` vets and tests bench/, the end-to-end
+# benchmark: it is a module of its own that compiles against this one's
+# types (pipeline.Config/Decision/Sink, stream.Sweeper, mitigate.Engine,
+# httpguard.Config), `go build ./... && go test ./...` here never sees it,
+# and no code PR may edit it — so a change to those types is checked
+# against it on every verify (≈ 10 s). `make profile`
 # CPU-profiles BenchmarkE2EReplay — log bytes on disk through detection,
 # the path bench/ times but cannot profile — and prints the cumulative
 # top 30 with input generation left out; the profile and test binary stay
@@ -41,7 +44,7 @@ BENCH_RECORD := BENCH_PR18.json
 
 .PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke profile race chaos fuzz nosleep lines cover bench.out
 
-verify: vet fmtcheck build test nosleep
+verify: vet fmtcheck build test nosleep benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -84,7 +87,7 @@ race:
 	$(GO) test -race ./...
 
 benchsmoke:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # PROFILE_BENCH narrows the profile to one path: E2EReplay/paper or /wide.
 PROFILE_BENCH ?= E2EReplay

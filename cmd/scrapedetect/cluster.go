@@ -6,12 +6,9 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"divscrape/internal/cluster"
-	"divscrape/internal/iprep"
-	"divscrape/internal/mitigate"
 	"divscrape/internal/trace"
 )
 
@@ -20,83 +17,12 @@ import (
 // own log locally and ships periodic state deltas — mitigation ladder
 // digests and reputation-overlay entries — to its peers over HTTP, so a
 // client split across nodes (or re-routed after a node failure) is met
-// with the enforcement rung it already earned elsewhere. Detector session
-// stores stay node-local: they are confined to the pipeline goroutine and
-// rebuild organically from traffic (the embedded httpguard deployment
-// shape ships session digests too; see httpguard/cluster.go).
-
-// engineBackend adapts the follow pipeline's singleton response state —
-// the -mitigate engine and the reputation overlay — to the cluster
-// replication contract. The engine is single-threaded by design, so every
-// access from the cluster plane (peer merges arrive on HTTP serving
-// goroutines, outbound digests are collected on the tick goroutine) locks
-// mu; the sink goroutine takes the same lock around its engine calls. The
-// overlay is copy-on-write behind an atomic pointer and needs no locking.
-type engineBackend struct {
-	mu     sync.Mutex
-	engine *mitigate.Engine
-	rep    *iprep.DB
-}
-
-func newEngineBackend(engine *mitigate.Engine, rep *iprep.DB) *engineBackend {
-	return &engineBackend{engine: engine, rep: rep}
-}
-
-// lockEngine/unlockEngine bracket the sink's engine accesses. Both are
-// no-ops on a nil backend, so the sink stays branch-free about whether
-// the cluster plane is wired.
-func (b *engineBackend) lockEngine() {
-	if b != nil {
-		b.mu.Lock()
-	}
-}
-
-func (b *engineBackend) unlockEngine() {
-	if b != nil {
-		b.mu.Unlock()
-	}
-}
-
-func (b *engineBackend) LadderDigestsSince(since time.Time, fn func(mitigate.ClientDigest)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.engine.DigestsSince(since, fn)
-}
-
-func (b *engineBackend) MergeLadderDigest(d mitigate.ClientDigest) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.engine.MergeDigest(d)
-}
-
-func (b *engineBackend) OverlayEntries(fn func(iprep.TempEntry)) {
-	b.rep.TempEntries(fn)
-}
-
-func (b *engineBackend) MergeOverlayEntry(e iprep.TempEntry) bool {
-	return b.rep.MergeTemporary(e)
-}
-
-// SessionDigestsSince is deliberately empty: the CLI's detector session
-// stores are confined to the pipeline goroutine, so this deployment shape
-// replicates enforcement state only and lets sessions rebuild from
-// traffic after a failover.
-func (b *engineBackend) SessionDigestsSince(time.Time, func(cluster.SessionDigest)) {}
-
-func (b *engineBackend) SetEscalationFrozen(frozen bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.engine.SetEscalationFrozen(frozen)
-}
-
-// EvictBefore lets the windowed sweeper drive the engine through the
-// same lock the cluster plane uses, keeping eviction serialised with
-// peer merges.
-func (b *engineBackend) EvictBefore(cutoff time.Time) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.engine.EvictBefore(cutoff)
-}
+// with the enforcement rung it already earned elsewhere. What replicates is
+// the pipeline's own backend (pipeline.ClusterBackend: every shard's
+// ladder behind that shard's lock, plus the reputation overlay). Detector
+// session stores stay node-local: they rebuild organically from traffic
+// (the embedded httpguard deployment shape ships session digests too; see
+// httpguard/cluster.go).
 
 // degradedPolicyOf resolves the -cluster-degraded flag.
 func degradedPolicyOf(name string) (cluster.DegradedPolicy, error) {
@@ -167,7 +93,7 @@ type clusterRuntime struct {
 // node's identity — peers must name this node by exactly that string in
 // their own -cluster-peers.
 func startCluster(listen string, peers []string, pol cluster.DegradedPolicy,
-	be *engineBackend, rec *trace.Recorder, logf func(string, ...any)) (*clusterRuntime, error) {
+	be cluster.Backend, rec *trace.Recorder, logf func(string, ...any)) (*clusterRuntime, error) {
 	warnWildcardListen(listen, logf)
 	node, err := cluster.New(cluster.Config{
 		ID:        listen,

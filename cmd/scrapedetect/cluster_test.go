@@ -75,14 +75,31 @@ func TestWarnWildcardListen(t *testing.T) {
 	}
 }
 
-// newClusterEngine builds a graduated engine plus its locked backend.
-func newClusterEngine(t *testing.T) (*mitigate.Engine, *engineBackend) {
+// newClusterBackend builds a follower's pipeline under the graduated
+// policy and hands out its cluster backend, as run does for
+// -cluster-listen.
+func newClusterBackend(t *testing.T) cluster.Backend {
 	t.Helper()
-	eng, err := mitigate.New(mitigate.Graduated())
+	policy := mitigate.Graduated()
+	_, factories, err := buildDetectors([]string{"sentinel", "arcane"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, newEngineBackend(eng, iprep.BuildFeed())
+	pipe, err := pipeline.New(pipeline.Config{
+		Factories:  factories,
+		Reputation: iprep.BuildFeed(),
+		Mitigation: &policy,
+		Mode:       pipeline.Sharded,
+		Shards:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := pipe.ClusterBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return be
 }
 
 // TestClusterHTTPReplication proves the CLI deployment shape end to end:
@@ -97,8 +114,7 @@ func TestClusterHTTPReplication(t *testing.T) {
 	nowNS.Store(base.UnixNano())
 	nowFn := func() time.Time { return time.Unix(0, nowNS.Load()) }
 
-	eng1, be1 := newClusterEngine(t)
-	_, be2 := newClusterEngine(t)
+	be1, be2 := newClusterBackend(t), newClusterBackend(t)
 
 	ln1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -110,7 +126,7 @@ func TestClusterHTTPReplication(t *testing.T) {
 	}
 	addr1, addr2 := ln1.Addr().String(), ln2.Addr().String()
 
-	newNode := func(id, peer string, be *engineBackend) *cluster.Node {
+	newNode := func(id, peer string, be cluster.Backend) *cluster.Node {
 		n, err := cluster.New(cluster.Config{
 			ID:        id,
 			Peers:     []string{peer},
@@ -136,15 +152,12 @@ func TestClusterHTTPReplication(t *testing.T) {
 		shutdownServer(srv2, time.Second)
 	})
 
-	// Climb the ladder for one client on node 1 and learn an overlay
-	// entry there, through the same locked paths the sink uses.
+	// Put one client at the top of node 1's ladder and learn an overlay
+	// entry there, through the backend's own locked paths.
 	const client = "203.0.113.9"
-	be1.lockEngine()
-	for i := 0; i < 3; i++ {
-		eng1.Apply(client, nowFn().Add(time.Duration(i)*time.Millisecond),
-			mitigate.Assessment{Alerted: true, Confirmed: true, Score: 0.9})
+	if !be1.MergeLadderDigest(mitigate.ClientDigest{Key: client, Score: 2.7, Level: mitigate.Block, LastSeen: nowFn()}) {
+		t.Fatal("node 1 refused the ladder digest")
 	}
-	be1.unlockEngine()
 	be1.MergeOverlayEntry(iprep.TempEntry{
 		Prefix: iprep.Prefix{IP: 0xC6336407, Bits: 32},
 		Cat:    iprep.KnownScraper,
@@ -194,11 +207,10 @@ func TestHealthEndpointClusterSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, be := newClusterEngine(t)
 	node, err := cluster.New(cluster.Config{
 		ID:        "node-a:9301",
 		Peers:     []string{"node-b:9301"},
-		Backend:   be,
+		Backend:   newClusterBackend(t),
 		Transport: cluster.NewHTTPTransport(time.Second),
 		Now:       func() time.Time { return time.Unix(1520700000, 0) },
 	})
@@ -206,7 +218,7 @@ func TestHealthEndpointClusterSection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := newLiveMetrics(nil, pipe, nil, nil)
+	live := newLiveMetrics(nil, pipe, nil)
 	node.RegisterMetrics(live.reg)
 	live.wireCluster(node)
 	srv := httptest.NewServer(live.handler("seq", 1, true, time.Hour))

@@ -27,7 +27,7 @@ func TestLiveMetricsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := newLiveMetrics(nil, pipe, nil, nil)
+	live := newLiveMetrics(nil, pipe, nil)
 	live.events.Add(7)
 	live.alerts[0].Add(2)
 	h := live.handler("seq", 1, false, 2*time.Hour)

@@ -19,22 +19,21 @@
 // By default the log is partitioned by client IP across GOMAXPROCS worker
 // shards (-parallel, or -mode shard); pass -parallel 0 (or 1, or -mode
 // seq) for the single-threaded reference pipeline. Both judge every
-// request identically. How the sharded pipeline delivers its decisions
-// follows from what was asked of it: -mitigate, -out and -trace-out each
-// consume one in-order stream, so with any of them the decisions are
-// restored to stream order and those outputs are byte-identical to the
+// request identically, and both host every flag. How the sharded pipeline
+// delivers its decisions follows from what was asked of it: -out and
+// -trace-out each write one in-order file, so with either the decisions
+// are restored to stream order and those files are byte-identical to the
 // sequential run's; without them every shard counts into its own partial
-// tables, merged at the end — per-client order is all that is kept, and
-// every summary table is an order-free count, so they match exactly too.
-// -explain and -checkpoint need the sequential pipeline.
+// tables, merged at the end — per-client order is all that is kept, which
+// is all the ladder, a checkpoint and the -explain client need, and every
+// summary table is an order-free count, so they match exactly too.
 // -parse-workers additionally fans the replay's log parsing across
 // goroutines (chunked on newline boundaries, order preserved) — useful
 // on multi-core hosts where ingest, not detection, is the wall.
 //
-// -mitigate replays the decision stream through a response engine and
-// reports what each policy *would have done* to the recorded traffic — a
-// what-if: the logged clients never saw the enforcement, so they do not
-// react to it.
+// -mitigate gives every shard a response engine and reports what each
+// policy *would have done* to the recorded traffic — a what-if: the logged
+// clients never saw the enforcement, so they do not react to it.
 //
 // -save-state checkpoints every per-client detection history (and the
 // -mitigate engine's ladder state) after the replay; -load-state restores
@@ -52,14 +51,16 @@
 // (the pipeline pulls, the file buffers), and the pipeline defaults to
 // sequential — a live tail is latency-bound, not throughput-bound (pass
 // -parallel N explicitly to opt in). Windowed eviction (-window, default
-// two hours) bounds every stateful layer — detector session
-// stores, and the -mitigate engine via the event-time sweeper — so
+// two hours) bounds every stateful layer — detector session stores and
+// the -mitigate ladders, swept shard by shard on event time — so
 // steady-state memory is O(clients active in the window) over days of
 // uptime. -metrics-addr serves /debug/divscrape/metrics (Prometheus
 // text; ?format=json for JSON) and /debug/divscrape/state.
 // -checkpoint/-checkpoint-every persist the full detection state
-// periodically through the durable state plane, so a restarted follower
-// resumes with its session memory intact (-load-state the checkpoint).
+// periodically through the durable state plane (the stream is cut at the
+// source, so either pipeline drains to idle first), so a restarted
+// follower resumes with its session memory intact (-load-state the
+// checkpoint).
 // SIGINT/SIGTERM stop the tail, drain buffered lines, write a final
 // checkpoint and print the summary tables.
 //
@@ -67,14 +68,15 @@
 //
 // -trace records per-stage latency histograms (parse, enrich, per-detector
 // detect, ensemble, sink — plus per-shard ring occupancy in shard mode,
-// and merge when its delivery is ordered) into the metrics registry and samples decisions into a bounded
-// flight recorder served at /debug/divscrape/trace and
-// /debug/divscrape/explain. -trace-out writes every captured record as
-// JSON lines to a file (an audit stream); -explain CLIENT always captures
-// one client and prints its provenance timeline — per-detector verdicts,
-// feature vectors, mitigation rung transitions — after the replay. Both
-// imply -trace and default to the sequential pipeline, where feature
-// snapshots are coherent with the sink. -pprof additionally serves
+// and merge when its delivery is ordered) into the metrics registry and
+// samples decisions into a bounded flight recorder served at
+// /debug/divscrape/trace and /debug/divscrape/explain. -trace-out writes
+// every captured record as JSON lines to a file (an audit stream, in
+// stream order; it defaults to the sequential pipeline, the one that can
+// also put feature vectors in it); -explain CLIENT always captures one
+// client and prints its provenance timeline — per-detector verdicts,
+// feature vectors, mitigation rung transitions — after the replay, the
+// same in either mode. Both imply -trace. -pprof additionally serves
 // net/http/pprof under /debug/pprof/ on -metrics-addr;
 // -block-profile-rate and -mutex-profile-fraction arm the corresponding
 // runtime profiles for it.
@@ -103,7 +105,6 @@ import (
 	"divscrape/internal/alertlog"
 	"divscrape/internal/checkpoint"
 	"divscrape/internal/detector"
-	"divscrape/internal/ensemble"
 	"divscrape/internal/evaluate"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
@@ -111,7 +112,7 @@ import (
 	"divscrape/internal/mitigate"
 	"divscrape/internal/pipeline"
 	"divscrape/internal/report"
-	"divscrape/internal/sitemodel"
+	"divscrape/internal/shard"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/stream"
 	"divscrape/internal/trace"
@@ -203,6 +204,9 @@ type tally struct {
 	agree *alertAgreement
 	confs []evaluate.Confusion
 	total uint64
+	// tagged and passed are the mitigation table's two rows the engines do
+	// not tally themselves: requests the policy tagged, beacons verified.
+	tagged, passed uint64
 }
 
 func newTally(detectors int) *tally {
@@ -215,6 +219,8 @@ func (t *tally) merge(o *tally) {
 		t.confs[i].Merge(o.confs[i])
 	}
 	t.total += o.total
+	t.tagged += o.tagged
+	t.passed += o.passed
 }
 
 // modeNameOf names a pipeline mode for the summary header.
@@ -248,20 +254,21 @@ func main() {
 	}
 }
 
-// saveStateTo checkpoints the pipeline (and the -mitigate engine, when
-// present) through a crash-safe saver: the versioned, checksummed frame
-// is written to a temp file, fsynced and atomically renamed over the
-// newest generation, with the previous generations rotated down a slot
-// and transient write failures retried with backoff — a crash or a full
-// disk at any instant leaves every earlier generation intact.
-func saveStateTo(s *checkpoint.Saver, pipe *pipeline.Pipeline, engine *mitigate.Engine) error {
+// saveStateTo checkpoints the pipeline (and, when mitigating, its shards'
+// ladder state, merged) through a crash-safe saver: the versioned,
+// checksummed frame is written to a temp file, fsynced and atomically
+// renamed over the newest generation, with the previous generations
+// rotated down a slot and transient write failures retried with backoff —
+// a crash or a full disk at any instant leaves every earlier generation
+// intact.
+func saveStateTo(s *checkpoint.Saver, pipe *pipeline.Pipeline, mitigating bool) error {
 	w := statecodec.NewWriter()
 	if err := pipe.Checkpoint(w); err != nil {
 		return fmt.Errorf("save state: %w", err)
 	}
-	w.Bool(engine != nil)
-	if engine != nil {
-		engine.SnapshotInto(w)
+	w.Bool(mitigating)
+	if mitigating {
+		pipe.SnapshotLadder(w)
 	}
 	return s.Save(w)
 }
@@ -269,12 +276,12 @@ func saveStateTo(s *checkpoint.Saver, pipe *pipeline.Pipeline, engine *mitigate.
 // loadStateFile restores a checkpoint, falling back generation by
 // generation past damaged snapshots (a torn newest file after a crash
 // restores from the previous generation instead of failing the boot).
-// The pipeline must be configured like the saving run's (the shard
-// count may differ), and the presence of -mitigate must match — an
+// The pipeline must be configured like the saving run's (the mode and
+// shard count may differ), and the presence of -mitigate must match — an
 // engine's ladder state cannot be silently dropped or invented; that
 // mismatch aborts the walk rather than falling back, because an older
 // generation would mismatch identically.
-func loadStateFile(path string, pipe *pipeline.Pipeline, engine *mitigate.Engine) error {
+func loadStateFile(path string, pipe *pipeline.Pipeline, mitigating bool) error {
 	restore := func(r *statecodec.Reader) error {
 		if err := pipe.ResumeFrom(r); err != nil {
 			return err
@@ -284,14 +291,12 @@ func loadStateFile(path string, pipe *pipeline.Pipeline, engine *mitigate.Engine
 			return err
 		}
 		switch {
-		case hasEngine && engine == nil:
+		case hasEngine && !mitigating:
 			return fmt.Errorf("file carries mitigation state; pass the same -mitigate policy it was saved with")
-		case !hasEngine && engine != nil:
+		case !hasEngine && mitigating:
 			return fmt.Errorf("file carries no mitigation state; drop -mitigate or re-save with it")
 		case hasEngine:
-			if err := engine.RestoreFrom(r); err != nil {
-				return err
-			}
+			return pipe.RestoreLadder(r)
 		}
 		return nil
 	}
@@ -303,6 +308,29 @@ func loadStateFile(path string, pipe *pipeline.Pipeline, engine *mitigate.Engine
 		fmt.Fprintf(os.Stderr, "scrapedetect: newest checkpoint generation damaged; restored generation %d of %s\n", gen, path)
 	}
 	return nil
+}
+
+// segments cuts an entry source into runs of every entries: after that
+// many it reports end of stream once, so the pipeline — either engine —
+// drains and returns exactly as it does at the real end, the caller saves
+// a checkpoint, and the next Run continues on the same source. cut tells
+// the two ends apart.
+type segments struct {
+	src      pipeline.EntrySource
+	every, n int
+	cut      bool
+}
+
+func (s *segments) next() (logfmt.Entry, error) {
+	if s.n == s.every {
+		s.n, s.cut = 0, true
+		return logfmt.Entry{}, io.EOF
+	}
+	e, err := s.src()
+	if err == nil {
+		s.n++
+	}
+	return e, err
 }
 
 func run(w io.Writer, args []string) error {
@@ -401,28 +429,15 @@ func run(w io.Writer, args []string) error {
 			f.Close()
 		}()
 	}
-	var engine *mitigate.Engine
-	var challengeFlow bool
+	// The policy is the pipeline's to apply: every shard runs a ladder of
+	// its own for the clients that hash to it.
+	var policy *mitigate.Policy
 	if *mitigateName != "" {
-		policy, err := mitigationPolicy(*mitigateName)
+		p, err := mitigationPolicy(*mitigateName)
 		if err != nil {
 			return err
 		}
-		engine, err = mitigate.New(policy)
-		if err != nil {
-			return err
-		}
-		// Mirror httpguard: only a challenge-capable policy hosts (and
-		// therefore exempts) the challenge flow; under static policies
-		// those requests are ordinary traffic.
-		challengeFlow = policy.UsesChallenge()
-	}
-	// The reputation feed is hoisted out of the pipeline config so the
-	// cluster backend can replicate its dynamic overlay.
-	rep := iprep.BuildFeed()
-	var clusterBE *engineBackend
-	if *clusterListen != "" {
-		clusterBE = newEngineBackend(engine, rep)
+		policy = &p
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("invalid -parallel %d (want >= 0)", *parallel)
@@ -447,15 +462,15 @@ func run(w io.Writer, args []string) error {
 	case "shard":
 		pmode = pipeline.Sharded
 	case "conc", "relaxed":
-		return fmt.Errorf("-mode %s is gone; use -mode shard, which restores stream order only for the outputs that consume it (-mitigate, -out, -trace-out)", *mode)
+		return fmt.Errorf("-mode %s is gone; use -mode shard, which restores stream order only for the outputs that consume it (-out, -trace-out)", *mode)
 	case "":
 		switch {
 		case *follow && !parallelSet:
 			pmode = pipeline.Sequential
-		case (*traceOut != "" || *explainClient != "") && !parallelSet:
-			// The recorder modes default to sequential: feature snapshots
-			// alias the detectors' scratch vectors, which only stay valid
-			// while the sink runs synchronously with InspectInto.
+		case *traceOut != "" && !parallelSet:
+			// The audit stream defaults to sequential: one file is one
+			// in-order stream, and only the pipeline that judges in stream
+			// order can also put feature vectors in it.
 			pmode = pipeline.Sequential
 		case *parallel > 1:
 			pmode = pipeline.Sharded
@@ -467,35 +482,20 @@ func run(w io.Writer, args []string) error {
 	}
 	// The sharded pipeline delivers per shard unless something consumes
 	// one in-order decision stream: the verdict CSV is written by sequence
-	// into a dense table, the mitigation ladder is stateful across
-	// clients, and the flight recorder's audit stream is one file. Every
-	// summary table is an order-free count and needs no order.
-	perShard := pmode == pipeline.Sharded && *mitigateName == "" && *outPath == "" && *traceOut == ""
+	// into a dense table and the flight recorder's audit stream is one
+	// file. Everything else — the ladder, checkpoints, the -explain
+	// client's timeline, every summary table — needs per-client order at
+	// most, which every shard keeps.
+	perShard := pmode == pipeline.Sharded && *outPath == "" && *traceOut == ""
 	if *parseWorkers < 0 {
 		return fmt.Errorf("invalid -parse-workers %d (want >= 0)", *parseWorkers)
 	}
 	if *parseWorkers != 1 && *follow {
 		return fmt.Errorf("-parse-workers applies to replays; -follow tails a live log line by line")
 	}
-	if *checkpointPath != "" && pmode != pipeline.Sequential {
-		// Quiescing for a periodic checkpoint aborts a sharded run
-		// mid-window: entries already pulled from the source but not
-		// yet sinked would be dropped, silently desynchronising the
-		// checkpoint from the verdict stream. Only the sequential
-		// pipeline stops exactly at the sink.
-		return fmt.Errorf("-checkpoint requires the sequential pipeline (-parallel 0 or -mode seq)")
-	}
-	if *explainClient != "" && pmode != pipeline.Sequential {
-		// An explain timeline without feature vectors cannot answer "why";
-		// refuse the degraded form rather than serve it silently.
-		return fmt.Errorf("-explain requires the sequential pipeline (-parallel 0 or -mode seq)")
-	}
-	shards := *parallel
-	if shards <= 1 {
-		shards = 1
-	}
-	if pmode != pipeline.Sharded {
-		shards = 1
+	shards := 1
+	if pmode == pipeline.Sharded {
+		shards = max(*parallel, 1)
 	}
 
 	dets, factories, err := buildDetectors(splitDetectorNames(*detectorsFlag))
@@ -544,7 +544,8 @@ func run(w io.Writer, args []string) error {
 	pipe, err := pipeline.New(pipeline.Config{
 		Detectors:   dets,
 		Factories:   factories,
-		Reputation:  rep,
+		Reputation:  iprep.BuildFeed(),
+		Mitigation:  policy,
 		Mode:        pmode,
 		Shards:      shards,
 		EvictWindow: *window,
@@ -555,26 +556,8 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	// The event-time sweeper bounds the layers outside the pipeline — the
-	// mitigation engine's ladder state — on the same retention window the
-	// pipeline's internal sweeps use.
-	var sweeper *stream.Sweeper
-	if engine != nil && *window > 0 {
-		sweeper, err = stream.NewSweeper(*window, *evictEvery, nil)
-		if err != nil {
-			return err
-		}
-		if clusterBE != nil {
-			// Route eviction through the backend's lock so a sweep cannot
-			// race a peer merge arriving on an HTTP goroutine.
-			sweeper.Register("mitigate", clusterBE)
-		} else {
-			sweeper.Register("mitigate", engine)
-		}
-	}
-
 	if *loadState != "" {
-		if err := loadStateFile(*loadState, pipe, engine); err != nil {
+		if err := loadStateFile(*loadState, pipe, policy != nil); err != nil {
 			return err
 		}
 	}
@@ -659,12 +642,18 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(os.Stderr, "scrapedetect: watchdog: "+format+"\n", args...)
 	})
 
-	live := newLiveMetrics(reg, pipe, follower, sweeper)
+	live := newLiveMetrics(reg, pipe, follower)
 	live.wireFailurePlane(wd, ckSaver, *checkpointRetain)
 	live.wireTrace(tracer.Recorder(), *pprofHTTP)
-	if clusterBE != nil {
+	if *clusterListen != "" {
+		// From here on peer merges reach the shards' engines, and the
+		// judging loops take the shard locks.
+		backend, err := pipe.ClusterBackend()
+		if err != nil {
+			return err
+		}
 		peers := splitPeers(*clusterPeers, *clusterListen)
-		clu, err := startCluster(*clusterListen, peers, clusterPol, clusterBE, tracer.Recorder(),
+		clu, err := startCluster(*clusterListen, peers, clusterPol, backend, tracer.Recorder(),
 			func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "scrapedetect: "+format+"\n", args...)
 			})
@@ -704,32 +693,19 @@ func run(w io.Writer, args []string) error {
 	}
 
 	var (
-		tagged      uint64
-		passed      uint64
 		checkpoints uint64
-		segment     int
 		processed   atomic.Uint64 // the -max-events bound, counted across sinks
 	)
-	// Sentinels steering the run loop: a due checkpoint quiesces the
-	// (sequential) pipeline so the state plane can serialise it, then the
-	// same Run/source pair continues where it stopped; the event bound
-	// ends the run cleanly.
-	errCheckpointDue := errors.New("checkpoint due")
+	// The event bound ends the run cleanly from inside a sink.
 	errMaxEvents := errors.New("event bound reached")
-	// Feature snapshots are only coherent in sequential mode, where the
-	// sink runs on the same goroutine as InspectInto; elsewhere flight
-	// records carry verdicts and reasons but no vectors.
-	var explained []detector.Detector
-	if pmode == pipeline.Sequential {
-		explained = dets
-	}
-	// newSink builds a decision sink counting into t: the one sink of an
-	// ordered run, or one of a per-shard run's — the live metrics and the
-	// flight recorder it shares with its peers are concurrency-safe.
-	// Everything here that is not safe from several goroutines exists only
-	// in an ordered run: the engine (and its sweeper) needs -mitigate, the
-	// CSV writer -out, and periodic checkpoints the sequential pipeline.
-	// The watchdog poll is the exception, so exactly one sink polls.
+	// newSink builds a decision sink counting into t: the one sink of a
+	// sequential or ordered run, or one of a per-shard run's — the live
+	// metrics it shares with its peers are concurrency-safe, and the CSV
+	// writer, the one thing here that is not, exists only in an ordered
+	// run. What the ladder did to the request arrives in d.Outcome, and
+	// the flight record was captured upstream, by the shard that judged it
+	// or the ordered delivery's emitter. Exactly one sink polls the
+	// watchdog.
 	newSink := func(t *tally, polls bool) pipeline.Sink {
 		return func(d pipeline.Decision) error {
 			t.agree.add(d.Verdicts)
@@ -739,50 +715,12 @@ func run(w io.Writer, args []string) error {
 					live.alerts[i].Inc()
 				}
 			}
-			if sweeper != nil {
-				sweeper.Observe(d.Req.Entry.Time)
+			if d.Outcome.Flow == shard.FlowVerify {
+				t.passed++
 			}
-			// ladder stays nil unless the engine judged the request.
-			var dec mitigate.Decision
-			var ladder *mitigate.Decision
-			var rungBefore mitigate.Action
-			if engine != nil {
-				// With the cluster plane wired, peer merges reach the engine on
-				// HTTP goroutines; the sink's accesses serialise on the same
-				// lock. A nil backend makes both calls no-ops.
-				clusterBE.lockEngine()
-				e := &d.Req.Entry
-				// The challenge flow itself is exempt, mirroring httpguard and
-				// the closed-loop experiments: script fetches never count
-				// against the client, beacons mark the challenge solved. The
-				// enricher's path class decides, as it does for sentinel, so a
-				// query string cannot hide the beacon.
-				kind := d.Req.Target.Kind
-				switch {
-				case challengeFlow && kind == sitemodel.KindChallengeScript && e.Method == "GET":
-				case challengeFlow && kind == sitemodel.KindChallengeVerify && e.Method == "POST":
-					engine.ChallengePassed(e.RemoteAddr, e.Time)
-					passed++
-				default:
-					if tracer != nil {
-						rungBefore = engine.Level(e.RemoteAddr)
-					}
-					ts := tracer.Now()
-					dec = engine.Apply(e.RemoteAddr, e.Time, ensemble.Assess(d.Verdicts))
-					tracer.Lap(trace.StageEnsemble, ts)
-					ladder = &dec
-					if dec.Tagged {
-						tagged++
-						live.tagged.Inc()
-					}
-				}
-				clusterBE.unlockEngine()
-			}
-			if tracer != nil {
-				tracer.Recorder().Capture(&trace.Judged{
-					Req: d.Req, Names: detNames, Verdicts: d.Verdicts, Detectors: explained,
-					Ladder: ladder, RungBefore: rungBefore,
-				})
+			if d.Outcome.Ladder.Tagged {
+				t.tagged++
+				live.tagged.Inc()
 			}
 			if verdictOut != nil {
 				if err := verdictOut.WriteAt(d.Req.Seq, d.Verdicts); err != nil {
@@ -808,58 +746,57 @@ func run(w io.Writer, args []string) error {
 				}
 				return errMaxEvents
 			}
-			if *checkpointPath != "" {
-				if segment++; segment >= *checkpointEvery {
-					segment = 0
-					return errCheckpointDue
-				}
-			}
 			return nil
 		}
 	}
-	sum := newTally(len(dets))
-	started := time.Now()
+	// Periodic checkpoints cut the stream at the source: every
+	// -checkpoint-every entries the pipeline sees an end of stream, drains
+	// (every ring, in shard mode) and returns, the state plane serialises
+	// it idle, and the next run continues on the same source.
+	var seg *segments
+	if ckSaver != nil {
+		seg = &segments{src: src, every: *checkpointEvery}
+		src = seg.next
+	}
+	// Per-shard delivery counts into private tallies, merged below; shard
+	// 0's sink is the one that polls the watchdog.
+	parts := make([]*tally, 1)
 	if perShard {
-		// Shards deliver independently into private tallies, merged below;
-		// shard 0's sink is the one that polls the watchdog.
-		parts := make([]*tally, pipe.Shards())
-		sinks := make([]pipeline.Sink, len(parts))
-		for i := range sinks {
-			parts[i] = newTally(len(dets))
-			sinks[i] = newSink(parts[i], i == 0)
+		parts = make([]*tally, pipe.Shards())
+	}
+	sinks := make([]pipeline.Sink, len(parts))
+	for i := range sinks {
+		parts[i] = newTally(len(dets))
+		sinks[i] = newSink(parts[i], i == 0)
+	}
+	started := time.Now()
+	for {
+		if perShard {
+			err = pipe.RunRelaxed(context.Background(), src, sinks)
+		} else {
+			err = pipe.Run(context.Background(), src, sinks[0])
 		}
-		err = pipe.RunRelaxed(context.Background(), src, sinks)
-		for _, part := range parts {
-			sum.merge(part)
-		}
-		if err != nil && !errors.Is(err, errMaxEvents) {
-			return err
-		}
-	} else {
-		sink := newSink(sum, true)
-		for {
-			err = pipe.Run(context.Background(), src, sink)
-			switch {
-			case errors.Is(err, errCheckpointDue):
-				// A failed periodic checkpoint degrades durability, not
-				// detection: the run continues on the previous generations and
-				// the watchdog flags the process degraded until a save lands.
-				if err := saveStateTo(ckSaver, pipe, engine); err != nil {
-					fmt.Fprintf(os.Stderr, "scrapedetect: periodic checkpoint failed (state plane degraded, will retry): %v\n", err)
-				} else {
-					checkpoints++
-					live.checkpoints.Inc()
-				}
-				wd.poll()
-				continue
-			case errors.Is(err, errMaxEvents):
-				err = nil
-			}
-			if err != nil {
-				return err
-			}
+		if err != nil || seg == nil || !seg.cut {
 			break
 		}
+		seg.cut = false
+		// A failed periodic checkpoint degrades durability, not detection:
+		// the run continues on the previous generations and the watchdog
+		// flags the process degraded until a save lands.
+		if err := saveStateTo(ckSaver, pipe, policy != nil); err != nil {
+			fmt.Fprintf(os.Stderr, "scrapedetect: periodic checkpoint failed (state plane degraded, will retry): %v\n", err)
+		} else {
+			checkpoints++
+			live.checkpoints.Inc()
+		}
+		wd.poll()
+	}
+	if err != nil && !errors.Is(err, errMaxEvents) {
+		return err
+	}
+	sum := newTally(len(dets))
+	for _, part := range parts {
+		sum.merge(part)
 	}
 	agree, confs, total := sum.agree, sum.confs, sum.total
 	if verdictOut != nil {
@@ -876,7 +813,7 @@ func run(w io.Writer, args []string) error {
 	// run continues and retries later), an exit without durable state is
 	// exactly what -checkpoint/-save-state exist to prevent.
 	if ckSaver != nil {
-		if err := saveStateTo(ckSaver, pipe, engine); err != nil {
+		if err := saveStateTo(ckSaver, pipe, policy != nil); err != nil {
 			return err
 		}
 		checkpoints++
@@ -887,7 +824,7 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := saveStateTo(finalSaver, pipe, engine); err != nil {
+		if err := saveStateTo(finalSaver, pipe, policy != nil); err != nil {
 			return err
 		}
 	}
@@ -899,11 +836,6 @@ func run(w io.Writer, args []string) error {
 	if *follow {
 		fs := follower.Stats()
 		sweeps, evicted := pipe.EvictionStats()
-		if sweeper != nil {
-			s2, e2 := sweeper.Stats()
-			sweeps += s2
-			evicted += e2
-		}
 		fmt.Fprintf(w, "follow: rotations=%d truncations=%d skipped=%d sweeps=%d evicted=%d checkpoints=%d\n\n",
 			fs.Rotations, fs.Truncations, fs.Skipped, sweeps, evicted, checkpoints)
 	}
@@ -926,8 +858,8 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	if engine != nil {
-		counts := engine.Counts()
+	if policy != nil {
+		counts := pipe.LadderCounts()
 		denom := counts.Total()
 		fmt.Fprintln(w)
 		mt := &report.Table{
@@ -939,8 +871,8 @@ func run(w io.Writer, args []string) error {
 		mt.AddRow("Tarpit", report.Count(counts.Tarpitted), report.Percent(counts.Tarpitted, denom))
 		mt.AddRow("Challenge", report.Count(counts.Challenged), report.Percent(counts.Challenged, denom))
 		mt.AddRow("Block", report.Count(counts.Blocked), report.Percent(counts.Blocked, denom))
-		mt.AddRow("Tagged", report.Count(tagged), report.Percent(tagged, denom))
-		mt.AddRow("Challenges passed", report.Count(passed), "")
+		mt.AddRow("Tagged", report.Count(sum.tagged), report.Percent(sum.tagged, denom))
+		mt.AddRow("Challenges passed", report.Count(sum.passed), "")
 		if err := mt.Render(w); err != nil {
 			return err
 		}

@@ -212,22 +212,12 @@ func TestRunErrors(t *testing.T) {
 		t.Error("truncated label sidecar accepted")
 	}
 
-	// The two retired modes are rejected by name; shard mode refuses the
-	// two outputs only the sequential pipeline can serve, and catches the
-	// truncated sidecar under per-shard delivery too.
+	// The two retired modes are rejected by name, and shard mode catches
+	// the truncated sidecar under per-shard delivery too.
 	for _, mode := range []string{"conc", "relaxed"} {
 		err := run(&sb, []string{"-log", logPath, "-mode", mode})
 		if err == nil || !strings.Contains(err.Error(), "-mode shard") {
 			t.Errorf("-mode %s: error = %v, want a pointer to -mode shard", mode, err)
-		}
-	}
-	for _, extra := range [][]string{
-		{"-explain", "10.0.0.1"},
-		{"-checkpoint", filepath.Join(dir, "ck.bin")},
-	} {
-		args := append([]string{"-log", logPath, "-mode", "shard"}, extra...)
-		if err := run(&sb, args); err == nil {
-			t.Errorf("shard mode accepted %v", extra)
 		}
 	}
 	if err := run(&sb, []string{"-log", logPath, "-mode", "shard", "-parallel", "3", "-labels", short}); err == nil {

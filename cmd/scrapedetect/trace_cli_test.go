@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -134,22 +136,8 @@ func TestRunExplain(t *testing.T) {
 	}
 }
 
-// -explain without the sequential pipeline would serve feature-less
-// timelines; the CLI refuses the degraded form.
-func TestRunExplainRequiresSequential(t *testing.T) {
-	dir := t.TempDir()
-	logPath, _ := writeDataset(t, dir)
-	var sb strings.Builder
-	if err := run(&sb, []string{"-log", logPath, "-mode", "shard", "-explain", "10.0.0.1"}); err == nil {
-		t.Error("-explain accepted with -mode shard")
-	}
-	if err := run(&sb, []string{"-log", logPath, "-parallel", "4", "-explain", "10.0.0.1"}); err == nil {
-		t.Error("-explain accepted with the sharded pipeline")
-	}
-}
-
-// The guard's shard and the CLI's sink assemble flight records through one
-// body (trace.Recorder.Capture) on one vote (ensemble.Assess), so the same
+// The guard's shards and the CLI's pipeline run one decision step
+// (shard.Shard.Judge), so the same
 // traffic judged by the same three detectors under the same ladder must
 // leave the same records in both — and a request two of the three alert on
 // is confirmed in both, where the CLI used to demand all three.
@@ -170,8 +158,15 @@ func TestFlightRecordsEqualTheGuards(t *testing.T) {
 	logPath, tracePath := filepath.Join(dir, "access.log"), filepath.Join(dir, "flight.jsonl")
 	var log bytes.Buffer
 	lw := logfmt.NewWriter(&log)
+	// Two of the beacons are respelt: behind a query string one is still a
+	// beacon to both sides; percent-encoded the other is a beacon to neither
+	// (the guard used to decode it and pass the challenge on its own).
+	respelt := []string{sitemodel.ChallengeVerifyPath + "?x=1", "/__verif%79"}
 	for i := range events {
 		e := events[i].Entry
+		if e.Path == sitemodel.ChallengeVerifyPath && len(respelt) > 0 {
+			e.Path, respelt = respelt[0], respelt[1:]
+		}
 		e.Status, e.Bytes, e.AuthUser = http.StatusOK, 0, "-"
 		if err := lw.Write(&e); err != nil {
 			t.Fatal(err)
@@ -218,9 +213,6 @@ func TestFlightRecordsEqualTheGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := g.Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	// The guard writes ladder fields for the challenge flow's own requests,
-	// which a replay leaves empty (no engine judged them): not compared.
-	exempt := map[uint64]bool{}
 	for i := range entries {
 		e := &entries[i]
 		next = i
@@ -231,19 +223,17 @@ func TestFlightRecordsEqualTheGuards(t *testing.T) {
 			req.Header.Set("Referer", e.Referer)
 		}
 		h.ServeHTTP(httptest.NewRecorder(), req)
-		if kind := sitemodel.ClassifyPath(e.Path).Kind; kind == sitemodel.KindChallengeScript || kind == sitemodel.KindChallengeVerify {
-			exempt[uint64(i)] = true
-		}
 	}
 
 	if len(guard) != len(cli) {
 		t.Fatalf("the guard captured %d records, the CLI %d", len(guard), len(cli))
 	}
+	passed := regexp.MustCompile(`Challenges passed\s+(\d+)`).FindStringSubmatch(sb.String())
+	if want := strconv.FormatUint(g.StatsDetail().ChallengesPassed, 10); len(respelt) > 0 || passed == nil || passed[1] != want || want == "0" {
+		t.Errorf("the replay passed %v challenges, the guard %s (beacons left to respell: %d)", passed, want, len(respelt))
+	}
 	twoOfThree := 0
 	for i := range cli {
-		if exempt[cli[i].Seq] {
-			continue
-		}
 		votes := 0
 		for _, dr := range cli[i].Detectors {
 			if dr.Alert {

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"divscrape/internal/faultinject"
+	"divscrape/internal/logfmt"
+	"divscrape/internal/mitigate"
+	"divscrape/internal/trace"
 )
 
 // The guard's chaos suite: panics, stalls and clock skew injected into
@@ -141,6 +144,41 @@ func TestChaosFailClosedRefusesUntilRestore(t *testing.T) {
 	}
 	if rec := do(t, g.DebugHandler(), "10.9.9.9", browserUA, DebugHealthPath); rec.Code != http.StatusOK {
 		t.Fatalf("health endpoint %d for restored guard", rec.Code)
+	}
+}
+
+// A request refused under fail-closed never reached the engine, so its
+// flight record carries no ladder fields — it used to say the ladder
+// allowed it. OnDecision still hears the Allow the guard answers with.
+func TestChaosFailClosedRefusalRecordsNoLadder(t *testing.T) {
+	var recs []trace.Record
+	var decisions []mitigate.Decision
+	g, _ := chaosGuard(t, func(c *Config) {
+		c.Degraded = FailClosed
+		c.Trace = &trace.RecorderConfig{Sink: func(r trace.Record) { recs = append(recs, r) }}
+		c.OnDecision = func(_ logfmt.Entry, _ Verdicts, d mitigate.Decision) { decisions = append(decisions, d) }
+	})
+	h := g.Wrap(okHandler())
+	do(t, h, "10.1.1.1", browserUA, "/")
+	faultinject.Enable("httpguard.inspect.arcane", faultinject.Fault{Panic: "behavioural bug", Times: 1})
+	if rec := do(t, h, "10.1.1.1", browserUA, "/"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("fail-closed served %d during panic, want 503", rec.Code)
+	}
+	if len(recs) != 2 || len(decisions) != 2 {
+		t.Fatalf("%d records and %d decisions for 2 requests", len(recs), len(decisions))
+	}
+	if judged := recs[0]; judged.Action != "allow" || judged.RungBefore != "allow" || judged.RungAfter != "allow" {
+		t.Errorf("judged request recorded %q %q->%q", judged.Action, judged.RungBefore, judged.RungAfter)
+	}
+	refused := recs[1]
+	if refused.Action != "" || refused.RungBefore != "" || refused.RungAfter != "" {
+		t.Errorf("refused request recorded ladder fields %q %q->%q", refused.Action, refused.RungBefore, refused.RungAfter)
+	}
+	if !refused.Detectors[1].Skipped {
+		t.Error("refused request's record does not mark arcane skipped")
+	}
+	if decisions[1] != (mitigate.Decision{Action: mitigate.Allow}) {
+		t.Errorf("OnDecision heard %+v for the refused request, want the zero Allow", decisions[1])
 	}
 }
 

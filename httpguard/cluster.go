@@ -10,11 +10,13 @@ import (
 )
 
 // cluster.Backend implementation: the guard's replicable state plane.
-// Ladder digests live in the per-shard mitigation engines, overlay
-// entries in the shared reputation DB, session digests in the per-shard
-// detector stores. Every method composes the guard's existing locking —
-// g.mu shared for the topology, the shard mutex for per-client state —
-// so replication interleaves safely with serving and Rebalance.
+// Ladder digests live in the per-shard mitigation engines — the ladder
+// methods are shard.Set's, the ones the pipeline's backend serves too,
+// under the guard's topology lock — overlay entries in the shared
+// reputation DB, session digests in the per-shard detector stores. Every
+// method composes the guard's existing locking — g.mu shared for the
+// topology, the shard mutex for per-client state — so replication
+// interleaves safely with serving and Rebalance.
 
 // Compile-time check that Guard satisfies the cluster state plane.
 var _ cluster.Backend = (*Guard)(nil)
@@ -24,31 +26,16 @@ var _ cluster.Backend = (*Guard)(nil)
 func (g *Guard) LadderDigestsSince(since time.Time, fn func(mitigate.ClientDigest)) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, s := range g.shards {
-		s.mu.Lock()
-		s.engine.DigestsSince(since, fn)
-		s.mu.Unlock()
-	}
+	g.set.LadderDigestsSince(since, fn)
 }
 
 // MergeLadderDigest folds a replicated ladder digest into the shard that
 // owns the client, last-writer-wins. Digests whose key is not a parseable
 // client address are rejected — the shard route would be undefined.
 func (g *Guard) MergeLadderDigest(d mitigate.ClientDigest) bool {
-	ip, err := iprep.ParseIPv4(d.Key)
-	if err != nil {
-		return false
-	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if len(g.shards) == 0 {
-		return false
-	}
-	s := g.shards[g.shardIndex(ip, len(g.shards))]
-	s.mu.Lock()
-	ok := s.engine.MergeDigest(d)
-	s.mu.Unlock()
-	return ok
+	return g.set.MergeLadderDigest(d)
 }
 
 // OverlayEntries streams the live temporary reputation-overlay entries.
@@ -68,15 +55,15 @@ func (g *Guard) SessionDigestsSince(since time.Time, fn func(cluster.SessionDige
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for _, s := range g.shards {
-		s.mu.Lock()
-		for i, d := range s.dets {
+		s.Lock()
+		for i, d := range s.Dets {
 			tag := g.sides[i].digest
 			d.(sessionHolder).SessionsSince(since, func(k sessions.Key, last time.Time) {
 				fn(cluster.SessionDigest{Side: tag, IP: k.IP,
 					UAHash: k.UAHash, LastSeen: last.UnixNano()})
 			})
 		}
-		s.mu.Unlock()
+		s.Unlock()
 	}
 }
 
@@ -87,11 +74,7 @@ func (g *Guard) SetEscalationFrozen(frozen bool) {
 	g.escFrozen.Store(frozen)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, s := range g.shards {
-		s.mu.Lock()
-		s.engine.SetEscalationFrozen(frozen)
-		s.mu.Unlock()
-	}
+	g.set.SetEscalationFrozen(frozen)
 }
 
 // EscalationFrozen reports whether ladder escalation is currently frozen.

@@ -110,16 +110,16 @@ func (g *Guard) buildMetrics() {
 			defer g.mu.RUnlock()
 			var total int64
 			for _, s := range g.shards {
-				s.mu.Lock()
+				s.Lock()
 				total += int64(read(s))
-				s.mu.Unlock()
+				s.Unlock()
 			}
 			return total
 		}
 	}
 	r.MustGaugeFunc("divscrape_guard_engine_clients",
 		"Clients holding enforcement-ladder state.",
-		sumLocked(func(s *guardShard) int { return s.engine.Len() }))
+		sumLocked(func(s *guardShard) int { return s.Engine.Len() }))
 	for i, name := range g.names {
 		r.MustGaugeFunc("divscrape_guard_detector_clients",
 			"Live per-client states by detector.",
@@ -130,7 +130,7 @@ func (g *Guard) buildMetrics() {
 
 // sessions reports side i's live session count. Caller holds the shard
 // mutex. (newShards verified every side's detector is a sessionHolder.)
-func (s *guardShard) sessions(i int) int { return s.dets[i].(sessionHolder).Sessions() }
+func (s *guardShard) sessions(i int) int { return s.Dets[i].(sessionHolder).Sessions() }
 
 // observeLatency records one request's wall time into the latency
 // histogram.
@@ -188,19 +188,19 @@ func (g *Guard) State() State {
 	st.Shards = len(g.shards)
 	for _, s := range g.shards {
 		var live [maxSides]int
-		s.mu.Lock()
-		for i := range s.dets {
+		s.Lock()
+		for i := range s.Dets {
 			live[i] = s.sessions(i)
 		}
 		ss := ShardState{
-			EngineClients:      s.engine.Len(),
+			EngineClients:      s.Engine.Len(),
 			SentinelClients:    live[0],
 			ArcaneSessions:     live[1],
 			TrajectorySessions: live[2],
 			Total:              s.total.Load(),
 			Alerted:            s.alerted.Load(),
 		}
-		s.mu.Unlock()
+		s.Unlock()
 		ss.Actions = mitigate.ActionCounts{
 			Allowed:    s.allowed.Load(),
 			Tarpitted:  s.tarpitted.Load(),
@@ -266,13 +266,13 @@ func (g *Guard) quarantinedCount() int {
 	defer g.mu.RUnlock()
 	n := 0
 	for _, s := range g.shards {
-		s.mu.Lock()
+		s.Lock()
 		for i := range s.health {
 			if s.health[i].quarantined {
 				n++
 			}
 		}
-		s.mu.Unlock()
+		s.Unlock()
 	}
 	return n
 }
@@ -298,7 +298,7 @@ func (g *Guard) Health() GuardHealth {
 	defer g.mu.RUnlock()
 	for i, s := range g.shards {
 		var slots [maxSides]DetectorHealth
-		s.mu.Lock()
+		s.Lock()
 		for j := range s.health {
 			dh := &s.health[j]
 			slots[j] = DetectorHealth{
@@ -312,7 +312,7 @@ func (g *Guard) Health() GuardHealth {
 				h.Quarantined++
 			}
 		}
-		s.mu.Unlock()
+		s.Unlock()
 		sh := ShardHealth{Shard: i, InFlight: s.inflight.Load(), Sentinel: slots[0], Arcane: slots[1]}
 		if len(s.health) == maxSides {
 			sh.Trajectory = &slots[2]

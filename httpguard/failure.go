@@ -59,15 +59,6 @@ func (m DegradedMode) String() string {
 	return "fail-open"
 }
 
-// failState classifies how a request's judgement degraded, if at all.
-type failState uint8
-
-const (
-	failNone     failState = iota
-	failShed               // admission control refused full judgement
-	failDegraded           // a quarantined detector sat out the ensemble
-)
-
 // DegradedEvent describes one failure-plane transition, delivered to
 // Config.OnDegraded.
 type DegradedEvent struct {
@@ -98,33 +89,27 @@ type detectorHealth struct {
 // restore backoff.
 const maxQuarantineBackoffFactor = 32
 
-// runDetector runs side i's detector with the shard's panic barrier,
-// attempting a quarantined side's restore first when its backoff has
-// elapsed. It reports whether a verdict was produced in s.verdicts[i].
-// Caller holds the shard mutex.
-func (s *guardShard) runDetector(g *Guard, i int, now time.Time) bool {
-	if h := &s.health[i]; h.quarantined {
-		if now.Before(h.retryAt) || !s.restoreDetector(g, i, now) {
-			return false
-		}
+// runDetector is the shard's barrier round side i (shard.Shard.Barrier):
+// it runs the side's detector behind the panic barrier, attempting a
+// quarantined side's restore first when its backoff has elapsed, and
+// reports whether a verdict was produced in v. A panic — the detector's
+// own or an injected one — quarantines the side; the request is still
+// answered under the degraded policy. Caller holds the shard mutex.
+func (s *guardShard) runDetector(i int, req *detector.Request, v *detector.Verdict) (ok bool) {
+	now := req.Entry.Time
+	if h := &s.health[i]; h.quarantined && (now.Before(h.retryAt) || !s.restoreDetector(i, now)) {
+		return false
 	}
-	return s.inspectGuarded(g, i, now)
-}
-
-// inspectGuarded is the panic barrier around one InspectInto call. A
-// panic — the detector's own or an injected one — quarantines the side;
-// the request is still answered under the degraded policy.
-func (s *guardShard) inspectGuarded(g *Guard, i int, now time.Time) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.quarantine(g, i, r, now)
+			s.quarantine(i, r, now)
 			ok = false
 		}
 	}()
-	if err := g.sides[i].fault.Fire(); err != nil {
+	if err := s.g.sides[i].fault.Fire(); err != nil {
 		panic(err)
 	}
-	s.dets[i].InspectInto(&s.req, &s.verdicts[i])
+	s.Dets[i].InspectInto(req, v)
 	return true
 }
 
@@ -135,8 +120,8 @@ func (s *guardShard) inspectGuarded(g *Guard, i int, now time.Time) (ok bool) {
 // survives restore) double the backoff up to 32× the configured base,
 // so a persistently crashing detector converges to a slow retry loop
 // instead of a rebuild storm. Caller holds the shard mutex.
-func (s *guardShard) quarantine(g *Guard, i int, cause any, now time.Time) {
-	h := &s.health[i]
+func (s *guardShard) quarantine(i int, cause any, now time.Time) {
+	g, h := s.g, &s.health[i]
 	h.quarantined = true
 	h.reason = fmt.Sprint(cause)
 	if h.backoff <= 0 {
@@ -161,8 +146,8 @@ func (s *guardShard) quarantine(g *Guard, i int, cause any, now time.Time) {
 // comes back cold — session memory lost, but serving. Returns false (and
 // pushes the retry out by one backoff) only if the detector cannot even
 // be constructed. Caller holds the shard mutex.
-func (s *guardShard) restoreDetector(g *Guard, i int, now time.Time) bool {
-	h := &s.health[i]
+func (s *guardShard) restoreDetector(i int, now time.Time) bool {
+	g, h := s.g, &s.health[i]
 	fresh, err := g.sides[i].factory()
 	if err == nil && h.hasGood {
 		role := []detector.Detector{fresh}
@@ -175,7 +160,7 @@ func (s *guardShard) restoreDetector(g *Guard, i int, now time.Time) bool {
 		h.retryAt = now.Add(h.backoff)
 		return false
 	}
-	s.dets[i] = fresh
+	s.Dets[i] = fresh
 	h.quarantined = false
 	h.reason = ""
 	g.restores[i].Add(1)
@@ -203,7 +188,7 @@ func (s *guardShard) refreshLastGood(i int) {
 		h.snapW = statecodec.NewWriter()
 	}
 	h.snapW.Reset()
-	if err := detector.SnapshotRole(h.snapW, s.dets[i:i+1]); err != nil {
+	if err := detector.SnapshotRole(h.snapW, s.Dets[i:i+1]); err != nil {
 		h.snapW.Fail(err)
 	}
 	if h.hasGood = h.snapW.Err() == nil; h.hasGood {

@@ -18,26 +18,29 @@
 // The middleware observes the *response* status via a recording writer,
 // so its log view matches what Apache would have written. The detectors
 // are single-threaded by design (per-client state machines), so the guard
-// partitions traffic by client IP across Config.Shards internal shards,
-// each with its own instance of every judging side, mitigation engine and
-// mutex — the same key-partitioning the offline pipeline's Sharded mode
-// uses — behind one enricher all shards share. A client's requests always
-// hash to the same shard, so per-client detection and enforcement state is
-// exactly what a single serialised detector set would hold, while
-// unrelated clients no longer contend on one lock.
+// partitions traffic by client IP across Config.Shards internal shards —
+// the same key-partitioning, by the same function, as the offline
+// pipeline's Sharded mode — behind one enricher all shards share. Each
+// shard is an internal/shard decision core (its own instance of every
+// judging side, mitigation engine and mutex) running the one Judge step
+// the pipeline's shards run; the guard adds what only an inline host
+// needs: the panic barrier and quarantine round every side, last-good
+// snapshots, admission control, counters, and the answer on the wire. A
+// client's requests always hash to the same shard, so per-client detection
+// and enforcement state is exactly what a single serialised detector set
+// would hold, while unrelated clients no longer contend on one lock.
 //
 // Which detectors judge is decided in one place: resolveSides turns Config
 // into the side list, every shard builds its []detector.Detector from that
 // list's factories, and everything else — the panic barrier, sweeps,
 // snapshots, metrics, health, flight records — loops over the list by
-// index (internal/detector holds what that shares with the pipeline's
-// shards). Note the guard delivers per shard: responses
-// leave in whatever order shards finish, stats, tracing and eviction are
-// shard-local, and nothing ever merges the streams back into arrival
-// order — pipeline.RunRelaxed is this deployment shape replayed offline,
-// and the facts proven for it (per-client total order,
-// order-free aggregate equality) are what make the guard's inline
-// judgements equivalent to the paper's offline analysis.
+// index. Note the guard delivers per shard: responses leave in whatever
+// order shards finish, stats, tracing and eviction are shard-local, and
+// nothing ever merges the streams back into arrival order —
+// pipeline.RunRelaxed is this deployment shape replayed offline, and the
+// facts proven for it (per-client total order, order-free aggregate
+// equality) are what make the guard's inline judgements equivalent to the
+// paper's offline analysis.
 //
 // The shard count is a runtime tunable, not a boot-time constant:
 // Rebalance snapshots every client's state, rehashes it onto a new shard
@@ -57,15 +60,14 @@ import (
 	"divscrape/internal/arcane"
 	"divscrape/internal/cluster"
 	"divscrape/internal/detector"
-	"divscrape/internal/ensemble"
 	"divscrape/internal/faultinject"
-	"divscrape/internal/fnvhash"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/metrics"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/sentinel"
 	"divscrape/internal/sessions"
+	"divscrape/internal/shard"
 	"divscrape/internal/sitemodel"
 	"divscrape/internal/trace"
 	"divscrape/internal/trajectory"
@@ -278,27 +280,26 @@ type sessionHolder interface {
 	SessionsSince(since time.Time, fn func(key sessions.Key, lastSeen time.Time))
 }
 
-// guardShard is one key-partition of detection and enforcement state: a
-// private instance of every side, a mitigation engine and a lock. The lock
-// guards only detector and engine mutation; counters are atomics updated
-// outside it, and enrichment happens before the lock is ever taken, so the
-// critical section is exactly the per-client state machines and nothing
-// else.
+// guardShard is one key-partition of detection and enforcement state: the
+// decision core the pipeline's shards run too (internal/shard — a private
+// instance of every side, a mitigation engine, the judging step and its
+// lock) plus what only an inline deployment needs: the failure plane's
+// health and last-good snapshots, admission control and the counters. The
+// lock guards only detector and engine mutation; counters are atomics
+// updated outside it, and enrichment happens before the lock is ever
+// taken, so the critical section is exactly the per-client state machines
+// and nothing else.
 type guardShard struct {
-	mu sync.Mutex
-	// dets holds the shard's detector per side; health, aligned with it,
-	// the failure-plane state of each slot (failure.go).
-	dets   []detector.Detector
+	*shard.Shard
+	g *Guard
+	// health, aligned with Dets, is the failure-plane state of each side
+	// (failure.go).
 	health []detectorHealth
-	engine *mitigate.Engine
 
-	// Judging scratch, guarded by mu. The detectors are reached through an
-	// interface, so a request or verdict on judge's stack would escape to
-	// the heap on every call; the shard owns one of each instead. skipped
-	// marks the sides that sat out the request being judged.
-	req      detector.Request
-	verdicts [maxSides]detector.Verdict
-	skipped  [maxSides]bool
+	// req is judging scratch, guarded by the lock. The detectors are
+	// reached through an interface, so a request on judge's stack would
+	// escape to the heap on every call; the shard owns one instead.
+	req detector.Request
 
 	// index is the shard's position in the current topology, recorded so
 	// failure-plane events can name the shard without holding g.mu.
@@ -334,15 +335,6 @@ func (s *guardShard) countAction(a mitigate.Action) {
 // sweepEvery is the per-shard request period between enforcement-state
 // eviction sweeps.
 const sweepEvery = 4096
-
-// challengeFlow classifies a request's role in the challenge protocol.
-type challengeFlow int
-
-const (
-	flowNone challengeFlow = iota
-	flowScript
-	flowVerify
-)
 
 // Guard is the middleware instance. Create with New, wrap handlers with
 // Wrap.
@@ -388,9 +380,12 @@ type Guard struct {
 	// duration of a decision, Rebalance and state restore hold it
 	// exclusively while they swap or rewrite the set. The per-shard mutex
 	// below it still serialises per-client state; this lock only makes
-	// the shard *topology* safely mutable at runtime.
+	// the shard *topology* safely mutable at runtime. set is the same
+	// shards as their decision cores, the form the state codecs and the
+	// cluster plane work on; setShards assigns both.
 	mu     sync.RWMutex
 	shards []*guardShard
+	set    shard.Set
 }
 
 // New builds a guard with its own detectors, mitigation engines and
@@ -461,9 +456,8 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 		enricher: detector.NewSharedEnricher(iprep.BuildFeed()),
 	}
 	g.recPool.New = func() any { return new(statusRecorder) }
-	if g.shards, err = g.newShards(cfg.Shards); err != nil {
-		return nil, err
-	}
+	// The registry and the tracer come first: every shard's decision core
+	// is built holding the tracer.
 	g.buildMetrics()
 	if cfg.Trace != nil {
 		g.trace = trace.New(trace.Config{
@@ -473,11 +467,17 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 			Recorder:  *cfg.Trace,
 		})
 	}
+	shards, err := g.newShards(cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	g.setShards(shards)
 	return g, nil
 }
 
 // newShards builds a fresh shard set: per shard, one instance of every
-// side from its factory and a mitigation engine, all configured alike.
+// side from its factory and a mitigation engine, all configured alike,
+// with the failure plane as the barrier round every side.
 func (g *Guard) newShards(n int) ([]*guardShard, error) {
 	factories := make([]detector.Factory, len(g.sides))
 	for i, sd := range g.sides {
@@ -494,13 +494,31 @@ func (g *Guard) newShards(n int) ([]*guardShard, error) {
 				return nil, fmt.Errorf("httpguard: %s detector exposes no session view", g.sides[j].name)
 			}
 		}
-		engine, err := mitigate.New(g.policy)
+		core, err := shard.New(dets, &g.policy)
 		if err != nil {
-			return nil, fmt.Errorf("httpguard: mitigation engine: %w", err)
+			return nil, fmt.Errorf("httpguard: %w", err)
 		}
-		shards[i] = &guardShard{dets: dets, health: make([]detectorHealth, len(dets)), engine: engine, index: i}
+		s := &guardShard{Shard: core, g: g, health: make([]detectorHealth, len(dets)), index: i}
+		s.Names, s.Window, s.Tracer = g.names, g.cfg.EvictWindow, g.trace
+		s.Barrier, s.RefuseDegraded = s.runDetector, g.cfg.Degraded == FailClosed
+		shards[i] = s
 	}
 	return shards, nil
+}
+
+// setShards installs a shard set. The caller holds g.mu exclusively, or
+// is still building the guard.
+func (g *Guard) setShards(shards []*guardShard) {
+	g.shards, g.set = shards, coresOf(shards)
+}
+
+// coresOf is a shard set as its decision cores.
+func coresOf(shards []*guardShard) shard.Set {
+	set := make(shard.Set, len(shards))
+	for i, s := range shards {
+		set[i] = s.Shard
+	}
+	return set
 }
 
 // Shards reports the number of detection-state partitions.
@@ -552,17 +570,6 @@ func (g *Guard) StatsDetail() GuardStats {
 	return out
 }
 
-// shardIndex hashes a client's numeric address onto a shard with FNV-1a
-// — the same partition rule the offline pipeline's Sharded mode uses —
-// so one client's state always lives behind one lock, and resharding can
-// recompute every client's home from its session key alone. Addresses
-// that do not parse as IPv4 collapse to 0, exactly as enrichment does,
-// keeping routing and session keying consistent. The caller must hold
-// g.mu.
-func (g *Guard) shardIndex(ip uint32, shards int) int {
-	return int(fnvhash.IP32(ip) % uint32(shards))
-}
-
 // challengeBody is the interstitial served in place of content at the
 // Challenge rung; loading it in a browser runs the challenge script,
 // which posts the solution beacon.
@@ -594,101 +601,79 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 		// accurate session state. Products make the same compromise: the
 		// block/allow decision cannot wait for the response.
 		entry := g.entryFor(r, http.StatusOK, 0)
-		flow := g.flowFor(r)
-		verdicts, dec, fail := g.decide(entry, flow)
+		verdicts, out := g.decide(entry)
 		if g.cfg.OnDecision != nil {
-			g.cfg.OnDecision(entry, verdicts, dec)
+			g.cfg.OnDecision(entry, verdicts, out.Ladder)
 		}
-
-		// The challenge flow is hosted by the guard itself and always
-		// reachable — no client could otherwise solve its way back down
-		// the ladder, and a degraded guard still verifies beacons.
-		switch flow {
-		case flowScript:
-			w.Header().Set("Content-Type", "text/javascript; charset=utf-8")
-			w.Write(challengeScriptBytes)
-			g.report(entryWithStatus(entry, http.StatusOK), verdicts)
-			g.observeLatency(entry.Time)
-			return
-		case flowVerify:
-			w.WriteHeader(http.StatusNoContent)
-			g.report(entryWithStatus(entry, http.StatusNoContent), verdicts)
-			g.observeLatency(entry.Time)
-			return
+		entry.Status = g.answer(w, r, next, verdicts, out)
+		if g.cfg.OnVerdict != nil {
+			g.cfg.OnVerdict(entry, verdicts)
 		}
-
-		// Degraded judgement under FailClosed is refused with 503 — not
-		// 403, the client did nothing wrong; the guard is impaired. Under
-		// FailOpen (the default) execution falls through and the request
-		// is served on whatever judgement remained.
-		if fail != failNone && g.cfg.Degraded == FailClosed {
-			w.Header().Set("X-Scrape-Verdict", "degraded")
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "detection degraded, retry shortly", http.StatusServiceUnavailable)
-			g.report(entryWithStatus(entry, http.StatusServiceUnavailable), verdicts)
-			g.observeLatency(entry.Time)
-			return
-		}
-
-		switch dec.Action {
-		case mitigate.Block:
-			w.Header().Set("X-Scrape-Verdict", "blocked")
-			http.Error(w, "automated scraping detected", http.StatusForbidden)
-			g.report(entryWithStatus(entry, http.StatusForbidden), verdicts)
-			g.observeLatency(entry.Time)
-			return
-		case mitigate.Challenge:
-			w.Header().Set("X-Scrape-Verdict", "challenge")
-			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write(challengeBodyBytes)
-			g.report(entryWithStatus(entry, http.StatusServiceUnavailable), verdicts)
-			g.observeLatency(entry.Time)
-			return
-		case mitigate.Tarpit:
-			g.tarpit(r.Context(), dec.Delay)
-		}
-		if dec.Tagged {
-			w.Header().Set("X-Scrape-Verdict", verdictLabel(verdicts))
-		}
-
-		// The recorder is pooled: it is the only per-request heap object
-		// the guard would otherwise create on the allow path.
-		rec := g.recPool.Get().(*statusRecorder)
-		rec.ResponseWriter, rec.status = w, http.StatusOK
-		next.ServeHTTP(rec, r)
-		status := rec.status
-		rec.ResponseWriter = nil
-		g.recPool.Put(rec)
-		g.report(entryWithStatus(entry, status), verdicts)
 		g.observeLatency(entry.Time)
 	})
 }
 
-// flowFor classifies the request against the challenge protocol; only
-// meaningful when the policy can challenge.
-func (g *Guard) flowFor(r *http.Request) challengeFlow {
-	if !g.policy.UsesChallenge() {
-		return flowNone
-	}
+// answer writes the response the outcome calls for — reaching next only
+// for a request let through — and returns its status.
+func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler, verdicts Verdicts, out shard.Outcome) int {
+	dec := out.Ladder
 	switch {
-	case r.URL.Path == sitemodel.ChallengeScriptPath && r.Method == http.MethodGet:
-		return flowScript
-	case r.URL.Path == sitemodel.ChallengeVerifyPath && r.Method == http.MethodPost:
-		return flowVerify
+	// The challenge flow is hosted by the guard itself and always
+	// reachable — no client could otherwise solve its way back down the
+	// ladder, and a degraded guard still verifies beacons. Which requests
+	// those are is the shard's call (shard.FlowOf, the path class the
+	// detectors see), never a second reading of the URL here.
+	case out.Flow == shard.FlowScript:
+		w.Header().Set("Content-Type", "text/javascript; charset=utf-8")
+		w.Write(challengeScriptBytes)
+		return http.StatusOK
+	case out.Flow == shard.FlowVerify:
+		w.WriteHeader(http.StatusNoContent)
+		return http.StatusNoContent
+	// Degraded judgement under FailClosed is refused with 503 — not 403,
+	// the client did nothing wrong; the guard is impaired. Under FailOpen
+	// (the default) the request is served on whatever judgement remained.
+	case out.Degraded && g.cfg.Degraded == FailClosed:
+		w.Header().Set("X-Scrape-Verdict", "degraded")
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "detection degraded, retry shortly", http.StatusServiceUnavailable)
+		return http.StatusServiceUnavailable
+	case dec.Action == mitigate.Block:
+		w.Header().Set("X-Scrape-Verdict", "blocked")
+		http.Error(w, "automated scraping detected", http.StatusForbidden)
+		return http.StatusForbidden
+	case dec.Action == mitigate.Challenge:
+		w.Header().Set("X-Scrape-Verdict", "challenge")
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write(challengeBodyBytes)
+		return http.StatusServiceUnavailable
+	case dec.Action == mitigate.Tarpit:
+		g.tarpit(r.Context(), dec.Delay)
 	}
-	return flowNone
+	if dec.Tagged {
+		w.Header().Set("X-Scrape-Verdict", verdictLabel(verdicts))
+	}
+	// The recorder is pooled: it is the only per-request heap object the
+	// guard would otherwise create on the allow path.
+	rec := g.recPool.Get().(*statusRecorder)
+	rec.ResponseWriter, rec.status = w, http.StatusOK
+	next.ServeHTTP(rec, r)
+	status := rec.status
+	rec.ResponseWriter = nil
+	g.recPool.Put(rec)
+	return status
 }
 
-// decide runs every side and the mitigation engine of the client's
-// shard. Only detector-state and engine mutation sit inside the shard
-// lock: enrichment happens first through the shared read-mostly enricher,
-// and all counters are atomics updated outside the critical section.
-// Challenge-flow requests bypass the engine (they must stay reachable)
-// but still update detector state — the sentinel's own challenge tracking
-// depends on seeing the beacon.
-func (g *Guard) decide(entry logfmt.Entry, flow challengeFlow) (Verdicts, mitigate.Decision, failState) {
+// decide runs the decision step on the client's shard. Only detector-state
+// and engine mutation sit inside the shard lock: enrichment happens first
+// through the shared read-mostly enricher, and all counters are atomics
+// updated outside the critical section. An unjudged outcome — the
+// challenge flow's own requests, a fail-closed refusal, a request shed by
+// admission control (Degraded, like one a quarantined side sat out of) —
+// carries the zero Allow decision.
+func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 	var req detector.Request
 	ts := g.trace.Now()
 	g.enricher.EnrichInto(&req, entry)
@@ -699,18 +684,18 @@ func (g *Guard) decide(entry logfmt.Entry, flow challengeFlow) (Verdicts, mitiga
 	// never dropped, only briefly delayed while the swap runs.
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s := g.shards[g.shardIndex(req.IP, len(g.shards))]
+	s := g.shards[shard.Of(req.IP, len(g.shards))]
 
 	// Admission control: the in-flight gauge is checked before the shard
 	// lock is ever taken, so a shed decision costs two atomic ops and no
 	// queueing — the point of the gate is that overload never reaches
 	// the lock. Challenge-flow requests are exempt.
-	gated := flow == flowNone && g.cfg.MaxInFlight > 0
+	gated := g.cfg.MaxInFlight > 0 && s.FlowOf(&req) == shard.FlowNone
 	if gated && s.inflight.Add(1) > int64(g.cfg.MaxInFlight) {
 		s.inflight.Add(-1)
 		s.total.Add(1)
 		g.shed.Add(1)
-		return Verdicts{}, mitigate.Decision{Action: mitigate.Allow}, failShed
+		return Verdicts{}, shard.Outcome{Degraded: true}
 	}
 
 	// The count-based sweep cadence stays per-shard and deterministic
@@ -725,47 +710,36 @@ func (g *Guard) decide(entry logfmt.Entry, flow challengeFlow) (Verdicts, mitiga
 	if gated {
 		defer s.inflight.Add(-1)
 	}
-	v, dec, fail := s.judge(g, &req, flow, sweep)
+	v, out := s.judge(&req, sweep)
 
-	if fail == failDegraded {
+	if out.Degraded {
 		g.degradedReqs.Add(1)
 	}
 	if v.Alerted() {
 		s.alerted.Add(1)
 	}
-	if flow == flowVerify {
+	if out.Flow == shard.FlowVerify {
 		s.passed.Add(1)
 	}
-	s.countAction(dec.Action)
-	return v, dec, fail
+	s.countAction(out.Ladder.Action)
+	return v, out
 }
 
-// judge is the shard-locked portion of a decision: detectors, periodic
-// sweep, and mitigation engine. The unlock is deferred: the detector
-// calls sit behind their own panic barrier, but a panic escaping the
-// sweep or engine path — the same corrupted-state-machine failure, just
-// surfacing in Snapshot or Apply instead of Inspect — must not leave
-// the shard mutex held forever and the shard hung.
-func (s *guardShard) judge(g *Guard, enriched *detector.Request, flow challengeFlow, sweep bool) (_ Verdicts, dec mitigate.Decision, fail failState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tr := g.trace
+// judge is the shard-locked portion of a decision: the periodic sweep,
+// then the step itself. The unlock is deferred: the detector calls sit
+// behind their own panic barrier, but a panic escaping the sweep or
+// engine path — the same corrupted-state-machine failure, just surfacing
+// in Snapshot or Apply instead of Inspect — must not leave the shard
+// mutex held forever and the shard hung. The flight record is captured
+// inside the step, so under the lock: its feature snapshot aliases the
+// detectors' scratch vectors, which the next request on this shard
+// overwrites.
+func (s *guardShard) judge(enriched *detector.Request, sweep bool) (v Verdicts, out shard.Outcome) {
+	s.Lock()
+	defer s.Unlock()
 	// Copied, not aliased: handing the caller's pointer to InspectInto
 	// would move its Request to the heap.
 	s.req = *enriched
-	entry := &s.req.Entry
-	// Each detector runs behind the shard's panic barrier: a quarantined
-	// side sits out (its verdict stays zero) and the ensemble degrades
-	// to whatever detection remains.
-	ts := tr.Now()
-	for i := range s.dets {
-		if s.skipped[i] = !s.runDetector(g, i, entry.Time); s.skipped[i] {
-			s.verdicts[i] = detector.Verdict{}
-			fail = failDegraded
-		}
-		ts = tr.LapDetector(i, ts)
-	}
-	verdicts := s.verdicts[:len(s.dets)]
 	// Periodic eviction bounds state growth: hostile traffic rotates
 	// through fresh addresses, and idle, decayed clients would otherwise
 	// accumulate forever. The same slot sweeps the shard's detector
@@ -774,55 +748,20 @@ func (s *guardShard) judge(g *Guard, enriched *detector.Request, flow challengeF
 	// re-snapshots each healthy detector as its quarantine-restore
 	// point — the state a panicking side comes back from.
 	if sweep {
-		n := s.engine.Sweep(entry.Time)
-		if g.cfg.EvictWindow > 0 {
-			n += detector.EvictBefore(s.dets, entry.Time.Add(-g.cfg.EvictWindow))
-		}
-		for i := range s.dets {
+		n := s.Sweep(s.req.Entry.Time)
+		for i := range s.Dets {
 			s.refreshLastGood(i)
 		}
-		g.sweeps.Add(1)
-		g.evicted.Add(uint64(n))
+		s.g.sweeps.Add(1)
+		s.g.evicted.Add(uint64(n))
 	}
-	// The ladder rung before Apply is read only when tracing: the flight
-	// record reports rung-before → rung-after, and a rung increase is the
-	// always-capture escalation trigger.
-	var rungBefore mitigate.Action
-	if tr != nil {
-		rungBefore = s.engine.Level(entry.RemoteAddr)
+	s.Judge(&s.req, &out)
+	verdicts := s.Verdicts()
+	v.Commercial, v.Behavioural = verdicts[0], verdicts[1]
+	if len(verdicts) == maxSides {
+		v.Trajectory = verdicts[2]
 	}
-	ts = tr.Now() // re-anchor: sweep work must not pollute the ensemble span
-	switch {
-	case flow == flowScript:
-		dec = mitigate.Decision{Action: mitigate.Allow}
-	case flow == flowVerify:
-		s.engine.ChallengePassed(entry.RemoteAddr, entry.Time)
-		dec = mitigate.Decision{Action: mitigate.Allow}
-	case fail == failDegraded && g.cfg.Degraded == FailClosed:
-		// Fail-closed refuses the request in Wrap; feeding a partial
-		// assessment into the ladder would corrupt the client's
-		// suspicion integral with verdicts one detector never cast.
-		dec = mitigate.Decision{Action: mitigate.Allow}
-	default:
-		dec = s.engine.Apply(entry.RemoteAddr, entry.Time, ensemble.Assess(verdicts))
-	}
-	tr.Lap(trace.StageEnsemble, ts)
-	if tr != nil {
-		// Captured under the shard lock: the feature snapshot aliases the
-		// detectors' scratch vectors, which the next request on this shard
-		// overwrites.
-		tr.Recorder().Capture(&trace.Judged{
-			Req: &s.req, Names: g.names, Verdicts: verdicts, Detectors: s.dets,
-			Skipped: s.skipped[:len(s.dets)], Ladder: &dec, RungBefore: rungBefore,
-		})
-	}
-	return Verdicts{s.verdicts[0], s.verdicts[1], s.verdicts[2]}, dec, fail
-}
-
-func (g *Guard) report(entry logfmt.Entry, v Verdicts) {
-	if g.cfg.OnVerdict != nil {
-		g.cfg.OnVerdict(entry, v)
-	}
+	return v, out
 }
 
 // entryFor converts a live request into the Combined Log Format view,
@@ -852,11 +791,6 @@ func (g *Guard) entryFor(r *http.Request, status int, size int64) logfmt.Entry {
 		Referer:   headerOrDash(r, "Referer"),
 		UserAgent: headerOrDash(r, "User-Agent"),
 	}
-}
-
-func entryWithStatus(e logfmt.Entry, status int) logfmt.Entry {
-	e.Status = status
-	return e
 }
 
 func headerOrDash(r *http.Request, name string) string {

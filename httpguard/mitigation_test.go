@@ -130,6 +130,42 @@ func TestChallengeFlowOverHTTP(t *testing.T) {
 	}
 }
 
+// The challenge flow is whatever the detectors see as the challenge flow:
+// the guard classifies the request line it logs, not a decoded reading of
+// it. A path that merely percent-decodes to the beacon is ordinary traffic
+// — it used to be answered 204 and counted as a solved challenge while
+// sentinel, and a replay of the guard's own log, saw an unknown path — and
+// a query string does not hide the real one.
+func TestChallengeBeaconIsWhatTheDetectorsSee(t *testing.T) {
+	clock := newFakeClock()
+	g := newGuard(t, Config{
+		Policy: graduated(),
+		Now:    func() time.Time { return clock.tick(time.Second) },
+		Sleep:  func(time.Duration) {},
+	})
+	h := g.Wrap(okHandler())
+	post := func(target string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, target, nil)
+		req.RemoteAddr = "10.0.0.5:51234"
+		req.Header.Set("User-Agent", browserUA)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post("/__verif%79"); rec.Code != http.StatusOK || rec.Body.String() != "ok" {
+		t.Errorf("POST /__verif%%79 answered %d %q, want the application's 200", rec.Code, rec.Body.String())
+	}
+	if n := g.StatsDetail().ChallengesPassed; n != 0 {
+		t.Errorf("an encoded look-alike counted as %d solved challenges", n)
+	}
+	if rec := post("/__verify?x=1"); rec.Code != http.StatusNoContent {
+		t.Errorf("POST /__verify?x=1 answered %d, want 204", rec.Code)
+	}
+	if n := g.StatsDetail().ChallengesPassed; n != 1 {
+		t.Errorf("challenges passed = %d after the real beacon, want 1", n)
+	}
+}
+
 // TestStaticPoliciesServeNoChallengeFlow: without a graduated policy the
 // guard must not shadow the application's challenge endpoints.
 func TestStaticPoliciesServeNoChallengeFlow(t *testing.T) {

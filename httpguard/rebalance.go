@@ -5,9 +5,6 @@ import (
 
 	"divscrape/internal/detector"
 	"divscrape/internal/faultinject"
-	"divscrape/internal/fnvhash"
-	"divscrape/internal/iprep"
-	"divscrape/internal/mitigate"
 	"divscrape/internal/statecodec"
 )
 
@@ -24,9 +21,9 @@ var (
 // on the same mechanism: every stateful component of the shard set — each
 // side's session stores and the mitigation engines' client ladders —
 // serialises to a canonical, partition-agnostic form
-// (detector.SnapshotRole / mitigate.SnapshotMerged), and that
+// (detector.SnapshotRole / shard.Set.SnapshotLadder), and that
 // form redistributes across any shard count by rehashing each client's
-// key. Rebalance does snapshot → rehash → restore entirely in memory
+// key with the one partition function (shard.Of). Rebalance does snapshot → rehash → restore entirely in memory
 // under the topology lock; Snapshot/Restore expose the same bytes through
 // the state codec so a live guard survives a process restart.
 
@@ -106,14 +103,12 @@ func (g *Guard) restoreLocked(r *statecodec.Reader, n int) error {
 	if err := restoreShards(r, next); err != nil {
 		return err
 	}
+	g.setShards(next)
 	// The cluster plane's fail-closed freeze is guard-level state; the
 	// rebuilt engines start thawed and must inherit it.
 	if g.escFrozen.Load() {
-		for _, s := range next {
-			s.engine.SetEscalationFrozen(true)
-		}
+		g.set.SetEscalationFrozen(true)
 	}
-	g.shards = next
 	return nil
 }
 
@@ -125,9 +120,7 @@ func (g *Guard) restoreLocked(r *statecodec.Reader, n int) error {
 func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 	w.Tag(tagGuard)
 	var total, alerted, passed, allowed, tarpitted, challenged, blocked uint64
-	dets := make([][]detector.Detector, len(g.shards))
-	engines := make([]*mitigate.Engine, len(g.shards))
-	for i, s := range g.shards {
+	for _, s := range g.shards {
 		total += s.total.Load()
 		alerted += s.alerted.Load()
 		passed += s.passed.Load()
@@ -135,8 +128,6 @@ func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 		tarpitted += s.tarpitted.Load()
 		challenged += s.challenged.Load()
 		blocked += s.blocked.Load()
-		dets[i] = s.dets
-		engines[i] = s.engine
 	}
 	for _, c := range []uint64{total, alerted, passed, allowed, tarpitted, challenged, blocked} {
 		w.Uint64(c)
@@ -144,13 +135,13 @@ func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 	// One block per side, in side order and untagged by the guard: a pair
 	// guard's snapshots keep their original layout, and restore refuses a
 	// side-list mismatch via the detectors' own tags.
-	for _, role := range detector.Roles(dets) {
+	for _, role := range g.set.Roles() {
 		if err := detector.SnapshotRole(w, role); err != nil {
 			w.Fail(err)
 			return
 		}
 	}
-	mitigate.SnapshotMerged(w, engines)
+	g.set.SnapshotLadder(w)
 }
 
 // restoreShards distributes a guard snapshot across a fresh shard set,
@@ -166,30 +157,13 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	n := uint32(len(shards))
-	part := func(ip uint32) int { return int(fnvhash.IP32(ip) % n) }
-	dets := make([][]detector.Detector, len(shards))
-	engines := make([]*mitigate.Engine, len(shards))
-	for i, s := range shards {
-		dets[i] = s.dets
-		engines[i] = s.engine
-	}
-	for _, role := range detector.Roles(dets) {
-		if err := detector.RestoreRole(r, role, part); err != nil {
+	set := coresOf(shards)
+	for _, role := range set.Roles() {
+		if err := detector.RestoreRole(r, role, set.Part); err != nil {
 			return err
 		}
 	}
-	// Engines key clients by their derived address string; partition by
-	// parsing it back to the numeric form enrichment produced, so a
-	// client's engine state lands on the shard its requests route to.
-	err := mitigate.RestorePartitioned(r, engines, func(key string) int {
-		ip, perr := iprep.ParseIPv4(key)
-		if perr != nil {
-			ip = 0
-		}
-		return part(ip)
-	})
-	if err != nil {
+	if err := set.RestoreLadder(r); err != nil {
 		return err
 	}
 	// Fleet counter totals live on the first shard of the restored set.

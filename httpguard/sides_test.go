@@ -132,9 +132,9 @@ func liveSessions(g *Guard, slot int) int {
 	defer g.mu.RUnlock()
 	n := 0
 	for _, s := range g.shards {
-		s.mu.Lock()
+		s.Lock()
 		n += s.sessions(slot)
-		s.mu.Unlock()
+		s.Unlock()
 	}
 	return n
 }

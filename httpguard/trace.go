@@ -5,11 +5,9 @@ import "divscrape/internal/trace"
 // Provenance plane: when Config.Trace is set, every decision passes
 // through the flight recorder's sampler (one atomic add) and the sampled
 // ones — plus every escalation and every watched client — are captured
-// as complete trace.Records (trace.Recorder.Capture, the body the CLI's
-// sink shares). Capture happens inside judge, under the shard lock,
-// because the feature snapshots alias the shard detectors' reusable
-// scratch vectors; the recorder mutex is a leaf below the shard lock, so
-// the ordering is acyclic.
+// as complete trace.Records by the decision step itself (shard.Judge),
+// so under the shard lock: the recorder mutex is a leaf below it, and the
+// ordering is acyclic.
 
 // FlightRecorder returns the guard's decision flight recorder, or nil
 // when tracing is disabled (Config.Trace nil). The nil recorder is safe

@@ -58,11 +58,11 @@ func trajSessions(g *Guard) int {
 	defer g.mu.RUnlock()
 	n := 0
 	for _, s := range g.shards {
-		s.mu.Lock()
-		if len(s.dets) == maxSides {
+		s.Lock()
+		if len(s.Dets) == maxSides {
 			n += s.sessions(maxSides - 1)
 		}
-		s.mu.Unlock()
+		s.Unlock()
 	}
 	return n
 }

@@ -282,8 +282,6 @@ func newStore(idle time.Duration) (*sessions.Store[session], error) {
 		New: func(now time.Time) *session {
 			return &session{first: now}
 		},
-		Snapshot: snapshotSession,
-		Restore:  restoreSession,
 	})
 }
 

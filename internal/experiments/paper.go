@@ -1,8 +1,7 @@
 package experiments
 
 // Reference values from the paper (Marques et al., DSN 2018), used for
-// side-by-side comparison columns and the paper-vs-measured record in
-// EXPERIMENTS.md. The reproduction is judged on shape — who alerts more,
+// side-by-side comparison columns. The reproduction is judged on shape — who alerts more,
 // bucket ordering, rough factors — not on absolute counts, since the
 // substrate is a calibrated simulator rather than the Amadeus testbed.
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/mitigate"
 	"divscrape/internal/statecodec"
 )
 
@@ -32,7 +33,7 @@ const tagPipeline uint16 = 0x5043
 func (p *Pipeline) Checkpoint(w *statecodec.Writer) error {
 	w.Tag(tagPipeline)
 	p.enricher.SnapshotInto(w)
-	roles := detector.Roles(p.shardDets)
+	roles := p.shards.Roles()
 	w.Uint16(uint16(len(roles)))
 	for j, role := range roles {
 		w.String(role[0].Name())
@@ -63,7 +64,7 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 	if err := p.enricher.RestoreFrom(r); err != nil {
 		return err
 	}
-	roles := detector.Roles(p.shardDets)
+	roles := p.shards.Roles()
 	if got := int(r.Uint16()); got != len(roles) {
 		if err := r.Err(); err != nil {
 			return err
@@ -72,8 +73,6 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 			statecodec.ErrCorrupt, got, len(roles))
 	}
 	// Sequential mode is the one-shard case: every client hashes to 0.
-	shards := len(p.shardDets)
-	part := func(ip uint32) int { return shardOf(ip, shards) }
 	for j, role := range roles {
 		name := r.String()
 		if err := r.Err(); err != nil {
@@ -83,9 +82,22 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 			return fmt.Errorf("%w: checkpoint detector %d is %q, pipeline has %q",
 				statecodec.ErrCorrupt, j, name, role[0].Name())
 		}
-		if err := detector.RestoreRole(r, role, part); err != nil {
+		if err := detector.RestoreRole(r, role, p.shards.Part); err != nil {
 			return err
 		}
 	}
 	return r.Err()
 }
+
+// SnapshotLadder writes the mitigation engines' state — every shard's
+// merged into the canonical block one engine holding all clients would
+// write — and RestoreLadder distributes such a block over this pipeline's
+// shards, whatever shard count wrote it. They are separate from Checkpoint
+// so that its bytes are the same with and without Config.Mitigation, which
+// both require; the pipeline must be idle.
+func (p *Pipeline) SnapshotLadder(w *statecodec.Writer) { p.shards.SnapshotLadder(w) }
+
+func (p *Pipeline) RestoreLadder(r *statecodec.Reader) error { return p.shards.RestoreLadder(r) }
+
+// LadderCounts sums the engines' lifetime action tallies across shards.
+func (p *Pipeline) LadderCounts() mitigate.ActionCounts { return p.shards.Counts() }

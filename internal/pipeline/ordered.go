@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/shard"
 	"divscrape/internal/spsc"
 	"divscrape/internal/trace"
 )
@@ -28,10 +29,12 @@ import (
 // parked is one finished decision waiting for its turn at the sink. The
 // Request changes hands — the worker gives it up, the emitter returns it
 // to the pool after the sink call — and the verdicts are a copy, because
-// the worker's own slab is overwritten by its next request.
+// the worker's own slab is overwritten by its next request. The outcome
+// is a value.
 type parked struct {
 	req      *detector.Request
 	verdicts []detector.Verdict
+	out      shard.Outcome
 }
 
 // orderedDelivery is Run's working set on the sharded topology, kept on
@@ -55,7 +58,7 @@ type orderedDelivery struct {
 func (p *Pipeline) orderedDelivery() *orderedDelivery {
 	o := p.ordered
 	if o == nil {
-		shards, nd := len(p.shardDets), len(p.shardDets[0])
+		shards, nd := len(p.shards), len(p.names)
 		o = &orderedDelivery{
 			fifos:    make([]*spsc.Ring[parked], shards),
 			verdicts: make([][]detector.Verdict, shards),
@@ -102,7 +105,7 @@ func (o *orderedDelivery) parks(done <-chan struct{}) []Sink {
 			nd := len(d.Verdicts)
 			window := slab[k : k+nd : k+nd]
 			copy(window, d.Verdicts)
-			if fifo.Push(done, parked{req: d.Req, verdicts: window}) {
+			if fifo.Push(done, parked{req: d.Req, verdicts: window, out: d.Outcome}) {
 				if k += nd; k == len(slab) {
 					k = 0
 				}
@@ -115,8 +118,12 @@ func (o *orderedDelivery) parks(done <-chan struct{}) []Sink {
 
 // emit replays the routing record into sink until the record is closed
 // and drained (end of stream), the run is cancelled, or sink fails — in
-// which case the failing call is the last one made.
-func (o *orderedDelivery) emit(done <-chan struct{}, tr *trace.Tracer, reqPool *sync.Pool, sink Sink) error {
+// which case the failing call is the last one made. With tracing on it
+// also offers each decision to the flight recorder, here and not on the
+// shard, so that the audit stream and the head/rate sampling are the
+// sequential run's. The shard's feature scratch has moved on by now, so
+// these records carry no vectors.
+func (o *orderedDelivery) emit(done <-chan struct{}, tr *trace.Tracer, names []string, reqPool *sync.Pool, sink Sink) error {
 	for {
 		select {
 		case <-done:
@@ -145,8 +152,11 @@ func (o *orderedDelivery) emit(done <-chan struct{}, tr *trace.Tracer, reqPool *
 				return nil
 			}
 		}
+		if tr != nil {
+			shard.Capture(tr.Recorder(), names, next.req, next.verdicts, nil, nil, &next.out)
+		}
 		ts := tr.Now()
-		err := sink(Decision{Req: next.req, Verdicts: next.verdicts})
+		err := sink(Decision{Req: next.req, Verdicts: next.verdicts, Outcome: next.out})
 		tr.Lap(trace.StageSink, ts)
 		reqPool.Put(next.req)
 		if err != nil {

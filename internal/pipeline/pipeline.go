@@ -1,22 +1,26 @@
 // Package pipeline wires the detection system together as a streaming
-// dataflow: parse → enrich → detect → collect. It has two engines:
+// dataflow: parse → enrich → judge → collect. Judging is internal/shard's
+// step — every detector, then, with Config.Mitigation, the ladder, then the
+// flight record — and the pipeline is its host for replays and tails: it
+// owns the source, the enricher, the shard set and when each shard sweeps.
+// It has two engines:
 //
-//   - Sequential runs everything on the caller's goroutine. It is the
-//     reference implementation: byte-for-byte deterministic, zero
-//     coordination overhead, and allocation-free in steady state (one
-//     reused Request, flat feature vectors inside the detectors). Pick it
-//     for single-core replays, live tails, debugging, and as the
-//     equivalence oracle.
+//   - Sequential runs everything on the caller's goroutine over one
+//     shard. It is the reference implementation: byte-for-byte
+//     deterministic, zero coordination overhead, and allocation-free in
+//     steady state (one reused Request, flat feature vectors inside the
+//     detectors). Pick it for single-core replays, live tails, debugging,
+//     and as the equivalence oracle.
 //
-//   - Sharded partitions the enriched stream by client IP (FNV-1a) across
-//     N worker shards, each owning a private instance of every detector
-//     built from detector.Factory values. Requests stream through one
-//     bounded SPSC ring per shard (internal/spsc) from pooled Requests, so
-//     the steady-state hot path performs no allocations. Because every
-//     detector keys all state by client (sentinel per IP, arcane per
-//     IP+User-Agent), and session expiry is decidable from a key's own
-//     touch times alone, a client's verdicts are identical whichever
-//     shard serves it. See relaxed.go.
+//   - Sharded partitions the enriched stream by client IP (shard.Of)
+//     across N worker shards, each a private instance of every detector
+//     built from detector.Factory values, and of the engine. Requests
+//     stream through one bounded SPSC ring per shard (internal/spsc) from
+//     pooled Requests, so the steady-state hot path performs no
+//     allocations. Because every detector and the ladder key all state by
+//     client, and session expiry is decidable from a key's own touch
+//     times alone, a client's verdicts and actions are identical
+//     whichever shard serves it. See relaxed.go.
 //
 // The sharded engine delivers its decisions in one of two ways, chosen by
 // the method called rather than by a mode. RunRelaxed takes one sink per
@@ -30,7 +34,7 @@
 // finished decisions and one emitter replays them in input order, so the
 // sink sees a Decision stream byte-identical to Sequential's, from one
 // goroutine at a time. That emitter is a serial section; it is the price
-// of total order.
+// of total order, paid only by consumers of one in-order stream.
 //
 // Determinism guarantee: for the same input stream, Run invokes its sink
 // with identical Decision contents in identical order on either engine;
@@ -39,10 +43,11 @@
 // schedule differs.
 //
 // Pipelines are also durable: Checkpoint serialises the enricher position
-// and every detector's per-client state in a canonical, shard-agnostic
-// form, and ResumeFrom restores it into a fresh pipeline of any mode or
-// shard count, continuing the decision stream byte-identically — see
-// checkpoint.go and internal/statecodec.
+// and every detector's per-client state — SnapshotLadder the engines' —
+// in a canonical, shard-agnostic form, and ResumeFrom / RestoreLadder
+// restore it into a fresh pipeline of any mode or shard count, continuing
+// the decision stream byte-identically — see checkpoint.go and
+// internal/statecodec.
 package pipeline
 
 import (
@@ -58,12 +63,15 @@ import (
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/mitigate"
+	"divscrape/internal/shard"
 	"divscrape/internal/spsc"
 	"divscrape/internal/trace"
 )
 
-// Decision is the pipeline's per-request output: the enriched request and
-// one verdict per registered detector, in registration order.
+// Decision is the pipeline's per-request output: the enriched request,
+// one verdict per registered detector in registration order, and what the
+// shard that judged it decided beyond them.
 type Decision struct {
 	// Req is the enriched request. The pointer is owned by the pipeline
 	// and only valid during the sink call; copy what you keep, and
@@ -73,6 +81,9 @@ type Decision struct {
 	// slice is owned by the pipeline and reused after the sink returns;
 	// copy what you keep.
 	Verdicts []detector.Verdict
+	// Outcome is the challenge-flow role and, with Config.Mitigation, the
+	// ladder's decision. A value, valid after the sink returns.
+	Outcome shard.Outcome
 }
 
 // Mode selects the execution engine.
@@ -105,6 +116,11 @@ type Config struct {
 	Factories []detector.Factory
 	// Reputation enriches requests with IP categories; nil disables.
 	Reputation *iprep.DB
+	// Mitigation, when non-nil, gives every shard a mitigation engine
+	// under this policy: the shard that judges a request also applies the
+	// ladder to it — which needs only the per-client order every delivery
+	// keeps — and the sink reads the result in Decision.Outcome.
+	Mitigation *mitigate.Policy
 	// Mode selects Sequential (default) or Sharded execution.
 	Mode Mode
 	// Buffer is the depth of each shard's hand-off ring in Sharded mode,
@@ -114,9 +130,10 @@ type Config struct {
 	Shards int
 	// EvictWindow, when positive, enables windowed eviction: as stream
 	// (event) time advances, detector state untouched for longer than the
-	// window is proactively dropped via detector.Evictable, so
-	// steady-state memory over an unbounded stream is O(clients active in
-	// the window) instead of O(clients ever seen). Keep the window at or
+	// window is proactively dropped via detector.Evictable (and ladder
+	// state idle past its policy's IdleTTL with it), so steady-state memory
+	// over an unbounded stream is O(clients active in the window) instead
+	// of O(clients ever seen). Keep the window at or
 	// above every detector's idle timeout and eviction is verdict-neutral
 	// in every mode — proactive sweeps drop exactly the state lazy idle
 	// expiry would have dropped before its next read (pinned by the
@@ -126,9 +143,12 @@ type Config struct {
 	// EvictWindow/4 (at least one second).
 	EvictEvery time.Duration
 	// Trace, when non-nil, records per-stage spans (parse, enrich, one
-	// detect span per detector, merge, sink) and — in Sharded mode — the
-	// per-shard ring-depth gauges plus, under Run's ordered delivery, the
-	// emitter's pending/stall instruments. Tracing is observation only:
+	// detect span per detector, ensemble with Mitigation, merge, sink) and
+	// — in Sharded mode — the per-shard ring-depth gauges plus, under
+	// Run's ordered delivery, the emitter's pending/stall instruments; and
+	// every decision is offered to its flight recorder (by the shard that
+	// judged it, or by the ordered delivery's emitter). Tracing is
+	// observation only:
 	// the Decision stream and checkpoint bytes are identical with Trace
 	// set or nil (pinned by the tracing equivalence test), and a nil Trace
 	// costs one nil check per span point, keeping the hot path
@@ -144,30 +164,33 @@ type Config struct {
 type Pipeline struct {
 	cfg      Config
 	enricher *detector.Enricher
-	// seqVerdicts is the sequential mode's reused verdict slab.
-	seqVerdicts []detector.Verdict
-	// shardDets holds each shard's private detector instances, built once
-	// at New so detector state persists across runs; Sequential mode is the
-	// one-shard case, its list Config.Detectors (or built from Factories).
-	shardDets [][]detector.Detector
-	// rings, relaxedVerdicts and reqPool are the Sharded working set: one
-	// SPSC hand-off ring and one reused verdict slab per shard, and the
-	// pool the Requests travelling through the rings recycle into. They
-	// live on the Pipeline — not the run — so repeated runs share one
-	// warmed set instead of re-allocating it.
-	rings           []*relaxedRing
-	relaxedVerdicts [][]detector.Verdict
-	reqPool         sync.Pool
+	names    []string
+	// shards holds each shard's decision core — private detector
+	// instances and, with Config.Mitigation, a private engine — built once
+	// at New so state persists across runs; Sequential mode is the
+	// one-shard case, its detectors Config.Detectors (or built from
+	// Factories). evictLast is each shard's sweep-cadence anchor, kept
+	// here and not on the run so that a stream cut into segments (a
+	// periodic checkpoint ends one Run and starts the next) sweeps as
+	// often as the uncut one.
+	shards    shard.Set
+	evictLast []time.Time
+	// shared is set once the shard set has been handed out as a
+	// cluster.Backend (cluster.go); a plain replay never locks.
+	shared bool
+	// rings and reqPool are the Sharded working set: one SPSC hand-off
+	// ring per shard and the pool the Requests travelling through the
+	// rings recycle into. They live on the Pipeline — not the run — so
+	// repeated runs share one warmed set instead of re-allocating it.
+	rings   []*relaxedRing
+	reqPool sync.Pool
 	// ordered is Run's total-order delivery over the shards, built by the
 	// first Run that asks for it: a pipeline only ever driven through
 	// RunRelaxed never pays for its slabs.
 	ordered *orderedDelivery
-	// seqEvictLast is the sequential mode's sweep cadence anchor; shard
-	// workers keep their own on the run's goroutines. sweeps and evicted
-	// are atomics because those workers update them.
-	seqEvictLast time.Time
-	sweeps       atomic.Uint64
-	evicted      atomic.Uint64
+	// sweeps and evicted are atomics because shard workers update them.
+	sweeps  atomic.Uint64
+	evicted atomic.Uint64
 }
 
 // New validates cfg and builds a pipeline.
@@ -210,8 +233,7 @@ func New(cfg Config) (*Pipeline, error) {
 		if len(dets) == 0 {
 			return nil, fmt.Errorf("pipeline: need at least one detector")
 		}
-		p.shardDets = [][]detector.Detector{dets}
-		return p, nil
+		return p, p.addShard(dets)
 	}
 	if len(cfg.Factories) == 0 {
 		return nil, fmt.Errorf("pipeline: mode %d requires Factories", int(cfg.Mode))
@@ -224,23 +246,21 @@ func New(cfg Config) (*Pipeline, error) {
 	// instances of its own.
 	//
 	// One ring per shard, Buffer requests deep (spsc rounds up to a power
-	// of two), plus one reused verdict slab per shard. The maximum
-	// in-flight Request count is the sum of ring capacities plus one per
-	// worker and one at the producer; pre-fill the pool to that bound so
-	// the first run streams without allocating.
+	// of two). The maximum in-flight Request count is the sum of ring
+	// capacities plus one per worker and one at the producer; pre-fill the
+	// pool to that bound so the first run streams without allocating.
 	p.reqPool.New = func() any { return new(detector.Request) }
-	p.shardDets = make([][]detector.Detector, cfg.Shards)
 	p.rings = make([]*relaxedRing, cfg.Shards)
-	p.relaxedVerdicts = make([][]detector.Verdict, cfg.Shards)
 	inflight := cfg.Shards + 1
-	for i := range p.shardDets {
+	for i := range p.rings {
 		dets, err := detector.Build(cfg.Factories)
+		if err == nil {
+			err = p.addShard(dets)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
-		p.shardDets[i] = dets
 		p.rings[i] = spsc.New[*detector.Request](cfg.Buffer)
-		p.relaxedVerdicts[i] = make([]detector.Verdict, len(cfg.Factories))
 		inflight += p.rings[i].Cap()
 	}
 	for i := 0; i < inflight; i++ {
@@ -249,68 +269,73 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
+// addShard appends the decision core judging on dets.
+func (p *Pipeline) addShard(dets []detector.Detector) error {
+	if p.names == nil {
+		for _, d := range dets {
+			p.names = append(p.names, d.Name())
+		}
+	}
+	sh, err := shard.New(dets, p.cfg.Mitigation)
+	if err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	sh.Names, sh.Window, sh.Tracer = p.names, p.cfg.EvictWindow, p.cfg.Trace
+	p.shards = append(p.shards, sh)
+	p.evictLast = append(p.evictLast, time.Time{})
+	return nil
+}
+
 // Shards returns the effective worker-shard count: the configured (or
 // defaulted) count in Sharded mode, 1 otherwise. Benchmarks report it so
 // recorded results stay interpretable across machines.
-func (p *Pipeline) Shards() int { return len(p.shardDets) }
+func (p *Pipeline) Shards() int { return len(p.shards) }
 
 // Detectors returns the registered detector names in order.
-func (p *Pipeline) Detectors() []string {
-	names := make([]string, len(p.shardDets[0]))
-	for i, d := range p.shardDets[0] {
-		names[i] = d.Name()
-	}
-	return names
-}
+func (p *Pipeline) Detectors() []string { return append([]string(nil), p.names...) }
 
-// ResetDetectors clears all detector and enricher state, preparing the
-// pipeline for an independent dataset.
+// ResetDetectors clears all detector, ladder and enricher state,
+// preparing the pipeline for an independent dataset.
 func (p *Pipeline) ResetDetectors() {
-	for _, shard := range p.shardDets {
-		for _, d := range shard {
+	for i, sh := range p.shards {
+		for _, d := range sh.Dets {
 			d.Reset()
 		}
+		if sh.Engine != nil {
+			sh.Engine.Reset()
+		}
+		// The next dataset may start earlier than this one ended; an anchor
+		// left in its future would hold every sweep off until event time
+		// passed it again.
+		p.evictLast[i] = time.Time{}
 	}
 	p.enricher.Reset()
-	// The next dataset may start earlier than this one ended; an anchor
-	// left in its future would hold every sweep off until event time
-	// passed it again.
-	p.seqEvictLast = time.Time{}
 }
 
-// maybeEvict advances one worker's sweep cadence to now (event time) and,
-// when a full EvictEvery has elapsed, drops state older than the window
-// from the given detectors. Each worker sweeps only the detector
-// instances it owns, so no cross-goroutine coordination is needed; the
-// per-request cost when no sweep is due is a single time comparison.
-func (p *Pipeline) maybeEvict(last *time.Time, now time.Time, dets []detector.Detector) {
-	if p.cfg.EvictWindow <= 0 || now.IsZero() {
-		return
+// step is one request on shard i: the windowed sweep when the shard's
+// cadence says one is due, then the judgement. Each worker paces its own
+// sweeps on the event time of the requests it judges — a shard only holds
+// state for clients that hash to it, and sweeping is decision-neutral, so
+// per-shard cadence drift is invisible; the cost when no sweep is due is
+// one time comparison.
+func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
+	sh := p.shards[i]
+	if p.shared {
+		sh.Lock()
 	}
-	if last.IsZero() {
-		*last = now
-		return
+	if now := req.Entry.Time; p.cfg.EvictWindow > 0 && !now.IsZero() {
+		if last := &p.evictLast[i]; last.IsZero() {
+			*last = now
+		} else if now.Sub(*last) >= p.cfg.EvictEvery {
+			*last = now
+			p.sweeps.Add(1)
+			p.evicted.Add(uint64(sh.Sweep(now)))
+		}
 	}
-	if now.Sub(*last) < p.cfg.EvictEvery {
-		return
+	sh.Judge(req, out)
+	if p.shared {
+		sh.Unlock()
 	}
-	*last = now
-	n := detector.EvictBefore(dets, now.Add(-p.cfg.EvictWindow))
-	p.sweeps.Add(1)
-	p.evicted.Add(uint64(n))
-}
-
-// EvictBefore proactively drops detector state untouched since cutoff
-// across every detector instance (all shards in Sharded mode), returning
-// the total evicted. It must not be called while a Run is in flight —
-// detector state is owned by the run's workers; between runs the caller
-// owns it (the same contract as Checkpoint).
-func (p *Pipeline) EvictBefore(cutoff time.Time) int {
-	n := 0
-	for _, shard := range p.shardDets {
-		n += detector.EvictBefore(shard, cutoff)
-	}
-	return n
 }
 
 // EvictionStats reports how many windowed sweeps have run and how many
@@ -347,16 +372,12 @@ func (p *Pipeline) RunReader(ctx context.Context, r io.Reader, policy logfmt.Err
 }
 
 func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink) error {
-	// One Request and one verdict slab reused for the whole run (and across
-	// runs): the sink contract says both are only valid during the call, so
-	// nothing outlives the loop and the steady-state decision path performs
-	// no allocations.
-	dets := p.shardDets[0]
-	if p.seqVerdicts == nil {
-		p.seqVerdicts = make([]detector.Verdict, len(dets))
-	}
-	verdicts := p.seqVerdicts
+	// One Request and the shard's verdict slab reused for the whole run
+	// (and across runs): the sink contract says both are only valid during
+	// the call, so nothing outlives the loop and the steady-state decision
+	// path performs no allocations.
 	var req detector.Request
+	d := Decision{Req: &req, Verdicts: p.shards[0].Verdicts()}
 	tr := p.cfg.Trace
 	n := 0
 	for {
@@ -375,13 +396,10 @@ func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink
 		}
 		ts = tr.Lap(trace.StageParse, ts)
 		p.enricher.EnrichInto(&req, entry)
-		p.maybeEvict(&p.seqEvictLast, req.Entry.Time, dets)
-		ts = tr.Lap(trace.StageEnrich, ts) // span includes the eviction-cadence check
-		for i, d := range dets {
-			d.InspectInto(&req, &verdicts[i])
-			ts = tr.LapDetector(i, ts)
-		}
-		if err := sink(Decision{Req: &req, Verdicts: verdicts}); err != nil {
+		tr.Lap(trace.StageEnrich, ts)
+		p.step(0, &req, &d.Outcome)
+		ts = tr.Now()
+		if err := sink(d); err != nil {
 			return fmt.Errorf("pipeline: sink: %w", err)
 		}
 		tr.Lap(trace.StageSink, ts)

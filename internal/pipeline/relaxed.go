@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"divscrape/internal/detector"
-	"divscrape/internal/fnvhash"
+	"divscrape/internal/shard"
 	"divscrape/internal/spsc"
 	"divscrape/internal/trace"
 )
@@ -22,7 +21,7 @@ import (
 // after the hand-off.
 //
 // Ordering contract: all requests from one client hash to one shard
-// (shardOf), the producer enriches in input order, and the ring is FIFO,
+// (shard.Of), the producer enriches in input order, and the ring is FIFO,
 // so each client's decision sequence is byte-identical to Sequential —
 // which is the only order the detectors, sessions and the mitigation
 // ladder depend on. Across clients, the interleaving is a permutation of
@@ -35,14 +34,6 @@ import (
 // pipeline's reqPool and return to it after the sink call, so the
 // steady-state stream performs no allocations.
 type relaxedRing = spsc.Ring[*detector.Request]
-
-// shardOf hashes a client address onto a shard with FNV-1a over the four
-// bytes of the numeric IP. All requests from one client land on one shard,
-// which is what keeps per-client detector state shard-local and every
-// client's verdicts identical to Sequential's.
-func shardOf(ip uint32, shards int) int {
-	return int(fnvhash.IP32(ip) % uint32(shards))
-}
 
 // reopen empties a ring whose two sides are quiescent and readies it for
 // another stream. What it drops — Requests an aborted run left queued —
@@ -66,9 +57,9 @@ func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 	if p.cfg.Mode != Sharded {
 		return fmt.Errorf("pipeline: RunRelaxed requires Sharded mode (have mode %d)", int(p.cfg.Mode))
 	}
-	if len(sinks) != len(p.shardDets) {
+	if len(sinks) != len(p.shards) {
 		return fmt.Errorf("pipeline: RunRelaxed needs one sink per shard: %d sinks for %d shards",
-			len(sinks), len(p.shardDets))
+			len(sinks), len(p.shards))
 	}
 	for i, s := range sinks {
 		if s == nil {
@@ -87,7 +78,7 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 	defer cancel()
 	done := ctx.Done()
 
-	shards := len(p.shardDets)
+	shards := len(p.shards)
 	tr := p.cfg.Trace
 	reqPool := &p.reqPool
 
@@ -116,37 +107,32 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if emitErr = ord.emit(done, tr, reqPool, total); emitErr != nil {
+			if emitErr = ord.emit(done, tr, p.names, reqPool, total); emitErr != nil {
 				cancel()
 			}
 		}()
 	}
 
-	// Shard workers: private detector instances, a private reused verdict
-	// slab, a private sink. Each worker also paces its own windowed
-	// eviction sweeps on the event time of the requests it judges — a
-	// shard only holds state for clients that hash to it, and eviction is
-	// verdict-neutral, so per-shard cadence drift is invisible.
+	// Shard workers: each judges on its shard's private decision core
+	// (step) and hands the result to a private sink.
 	for i := 0; i < shards; i++ {
+		// Under ordered delivery the flight record is the emitter's to
+		// capture, in stream order.
+		p.shards[i].DeferCapture = ord != nil
 		wg.Add(1)
-		go func(i int, ring *relaxedRing, dets []detector.Detector, sink Sink) {
+		go func(i int, ring *relaxedRing, sink Sink) {
 			defer wg.Done()
-			verdicts := p.relaxedVerdicts[i]
-			var evictLast time.Time
+			d := Decision{Verdicts: p.shards[i].Verdicts()}
 			for {
 				req, ok := ring.Pop(done)
 				if !ok {
 					return
 				}
+				d.Req = req
+				p.step(i, req, &d.Outcome)
 				ts := tr.Now()
-				for di, d := range dets {
-					d.InspectInto(req, &verdicts[di])
-					ts = tr.LapDetector(di, ts)
-				}
-				now := req.Entry.Time
-				err := sink(Decision{Req: req, Verdicts: verdicts})
+				err := sink(d)
 				tr.Lap(sinkStage, ts)
-				p.maybeEvict(&evictLast, now, dets)
 				if ord == nil {
 					// (A park keeps the Request; the emitter recycles it.)
 					reqPool.Put(req)
@@ -157,7 +143,7 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 					return
 				}
 			}
-		}(i, rings[i], p.shardDets[i], sinks[i])
+		}(i, rings[i], sinks[i])
 	}
 
 	// Producer on the caller's goroutine: parse + enrich in input order
@@ -182,7 +168,7 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 		req := reqPool.Get().(*detector.Request)
 		p.enricher.EnrichInto(req, entry)
 		tr.Lap(trace.StageEnrich, ts)
-		s := shardOf(req.IP, shards)
+		s := shard.Of(req.IP, shards)
 		if !rings[s].Push(done, req) {
 			// Cancelled (a sink error or the caller's context); the
 			// request never entered the ring.

@@ -63,7 +63,7 @@ func newRelaxed(t testing.TB, shards, buffer int) *Pipeline {
 // and returns each shard's decision stream in arrival order.
 func runRelaxedCollect(t *testing.T, p *Pipeline, src EntrySource) [][]rxDecision {
 	t.Helper()
-	out := make([][]rxDecision, len(p.shardDets))
+	out := make([][]rxDecision, p.Shards())
 	sinks := make([]Sink, len(out))
 	for i := range sinks {
 		i := i

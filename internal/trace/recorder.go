@@ -208,7 +208,7 @@ func newRecorder(cfg RecorderConfig) *Recorder {
 }
 
 // Sample counts one decision and says whether the head/rate policy
-// selects it. Capture upgrades the result for escalations
+// selects it. Capture overrides the result for escalations
 // (SampleEscalation) and watched clients (WantClient → SampleClient);
 // the unsampled fast path stays one atomic add.
 func (r *Recorder) Sample() SampleKind {
@@ -238,8 +238,8 @@ func (r *Recorder) WantClient(client string) bool {
 	return false
 }
 
-// Judged is one judged request as its host — a guard shard under its
-// lock, the CLI's sink — offers it to the recorder. The slices align
+// Judged is one judged request as the decision step (internal/shard)
+// offers it to the recorder. The slices align
 // index for index with the host's detector list and are only read during
 // Capture.
 type Judged struct {
@@ -248,32 +248,37 @@ type Judged struct {
 	Verdicts []detector.Verdict
 	// Detectors are the instances that produced Verdicts, asked for their
 	// feature vectors through detector.Explainer. Nil when the caller is no
-	// longer synchronous with their scratch (any sink but the sequential
-	// pipeline's): records then carry verdicts and reasons only.
+	// longer synchronous with their scratch (the ordered delivery's
+	// emitter): records then carry verdicts and reasons only.
 	Detectors []detector.Detector
 	// Skipped marks sides that sat out (quarantined); nil means none did.
 	Skipped []bool
 	// Ladder is the mitigation outcome and RungBefore the client's rung
-	// before it; nil when no engine judged the request (none attached, or
-	// a challenge-exempt request in a replay).
+	// before it; nil when no engine judged the request — none attached, the
+	// challenge flow's own requests, a fail-closed refusal — and the record
+	// then carries no ladder fields.
 	Ladder     *mitigate.Decision
 	RungBefore mitigate.Action
 }
 
 // Capture offers one judged request to the recorder: it is kept when the
-// head/rate sampler selects it, when the ladder rung rose, or when the
-// client is watched, and then copied out of the host's reusable storage
-// into a complete Record.
+// ladder rung rose, when the client is watched, or when the head/rate
+// sampler selects it — the record names the first of those that holds —
+// and then copied out of the host's reusable storage into a complete
+// Record.
 func (r *Recorder) Capture(j *Judged) {
 	kind := r.Sample()
-	if j.Ladder != nil && j.Ladder.Level > j.RungBefore {
-		kind = SampleEscalation
-	}
 	client := j.Req.Entry.RemoteAddr
-	if kind == SampleNone && r.WantClient(client) {
+	// A cause that is the request's own outranks the sampler's: head and
+	// rate depend on how many decisions were offered first, which under
+	// per-shard delivery is the scheduler's doing, and a watched client's
+	// timeline must read the same however the stream was delivered.
+	switch {
+	case j.Ladder != nil && j.Ladder.Level > j.RungBefore:
+		kind = SampleEscalation
+	case r.WantClient(client):
 		kind = SampleClient
-	}
-	if kind == SampleNone {
+	case kind == SampleNone:
 		return
 	}
 	vote := ensemble.Assess(j.Verdicts)
