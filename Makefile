@@ -5,8 +5,8 @@
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR18.json so the performance
 # trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
-# targets, the id set against its map model, and the byte log parser
-# against the string one, for a short bounded pass.
+# targets, the id set and the session store against their models, and the
+# byte log parser against the string one, for a short bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
 # checked-in record: non-zero exit when req/s regresses >20% or allocs/op
 # rises on any shared benchmark. Both targets share the bench.out recipe,
@@ -27,8 +27,9 @@
 # against it on every verify (≈ 10 s). `make profile`
 # CPU-profiles BenchmarkE2EReplay — log bytes on disk through detection,
 # the path bench/ times but cannot profile — and prints the cumulative
-# top 30 with input generation left out; the profile and test binary stay
-# under .bench_build/. `make lines` prints the tracked non-test Go lines
+# top 30 with input generation left out; PROFILE_KIND=allocs counts every
+# allocation instead and prints who made the most objects; the profile
+# and test binary stay under .bench_build/. `make lines` prints the tracked non-test Go lines
 # outside bench/, per package and in total — the figure a simplicity PR
 # reports before and after (stage new files first: it counts what git
 # tracks).
@@ -90,12 +91,21 @@ benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # PROFILE_BENCH narrows the profile to one path: E2EReplay/paper or /wide.
+# PROFILE_KIND is cpu (cumulative time) or allocs (objects allocated, every
+# allocation sampled): the allocs_per_req the end-to-end benchmark reports,
+# by call site.
 PROFILE_BENCH ?= E2EReplay
+PROFILE_KIND ?= cpu
+
+profile_flags_cpu := -cpuprofile .bench_build/e2e.prof
+profile_flags_allocs := -memprofile .bench_build/e2e.prof -memprofilerate 1
+pprof_flags_cpu := -cum
+pprof_flags_allocs := -sample_index=alloc_objects
 
 profile:
 	@mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 20x -cpuprofile .bench_build/e2e.prof -o .bench_build/e2e.test .
-	$(GO) tool pprof -top -cum -nodecount 30 -ignore e2eMix .bench_build/e2e.test .bench_build/e2e.prof
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 20x $(profile_flags_$(PROFILE_KIND)) -o .bench_build/e2e.test .
+	$(GO) tool pprof -top $(pprof_flags_$(PROFILE_KIND)) -nodecount 30 -ignore e2eMix .bench_build/e2e.test .bench_build/e2e.prof
 
 # The chaos suite under -race: injected detector panics, overload stalls,
 # torn/ENOSPC checkpoint writes, follower read errors, kill-and-restore,
@@ -112,6 +122,7 @@ fuzz:
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats/ -run xxx -fuzz FuzzIDSet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sessions/ -run xxx -fuzz FuzzStore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfmt/ -run xxx -fuzz FuzzParseCombinedBytes -fuzztime $(FUZZTIME)
 
 bench.out:

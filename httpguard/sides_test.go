@@ -35,7 +35,7 @@ const (
 func newHitCounter() (detector.Detector, error) {
 	store, err := sessions.NewStore(sessions.Config[uint64]{
 		IdleTimeout: 30 * time.Minute,
-		New:         func(time.Time) *uint64 { return new(uint64) },
+		Init:        func(*uint64, time.Time) {},
 		Snapshot:    func(w *statecodec.Writer, n *uint64) { w.Uint64(*n) },
 		Restore: func(r *statecodec.Reader, n *uint64) error {
 			*n = r.Uint64()

@@ -43,7 +43,7 @@ func TestInspectAllocGuard(t *testing.T) {
 }
 
 // A client that comes back after its session ended starts a new one in the
-// record the old one left on the store's free list. The record is plain
+// slab slot the old one left free. The record is plain
 // values — its product set holds a human's few 64-id blocks inline — so the
 // whole visit, product views included, allocates nothing.
 func TestRecycledSessionAllocGuard(t *testing.T) {

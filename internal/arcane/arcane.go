@@ -152,14 +152,10 @@ type session struct {
 	claims          uaparse.Class
 }
 
-// freshSession is a session nothing has been observed in.
-func freshSession() session {
-	return session{
-		lastProduct:  -1,
-		lastCategory: -1,
-		lastPage:     -1,
-		rate:         stats.NewDecayRate(2 * time.Minute),
-	}
+// initSession makes a zero record a session nothing has been observed in.
+func initSession(st *session, _ time.Time) {
+	st.lastProduct, st.lastCategory, st.lastPage = -1, -1, -1
+	st.rate = stats.NewDecayRate(2 * time.Minute)
 }
 
 // Detector is the behavioural detector. Not safe for concurrent use.
@@ -216,16 +212,9 @@ func New(cfg Config) (*Detector, error) {
 func newStore(cfg Config) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: cfg.IdleTimeout,
-		New: func(time.Time) *session {
-			st := freshSession()
-			return &st
-		},
-		// Recycle overwrites an ended session's record, so session churn
-		// does not allocate in steady state; a product table the old
-		// session grew is let go, not kept for the next client.
-		Recycle:  func(st *session) { *st = freshSession() },
-		Snapshot: snapshotSession,
-		Restore:  restoreSession,
+		Init:        initSession,
+		Snapshot:    snapshotSession,
+		Restore:     restoreSession,
 	})
 }
 

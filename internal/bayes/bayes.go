@@ -279,9 +279,7 @@ func New(cfg Config) (*Detector, error) {
 func newStore(idle time.Duration) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: idle,
-		New: func(now time.Time) *session {
-			return &session{first: now}
-		},
+		Init:        func(st *session, now time.Time) { st.first = now },
 	})
 }
 
@@ -290,11 +288,7 @@ func (d *Detector) Name() string { return "bayes" }
 
 // Reset implements detector.Detector.
 func (d *Detector) Reset() {
-	store, err := newStore(d.cfg.IdleTimeout)
-	if err != nil {
-		panic(fmt.Sprintf("bayes: impossible store config: %v", err))
-	}
-	d.store = store
+	d.store.Reset()
 }
 
 // Inspect implements detector.Detector.

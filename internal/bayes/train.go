@@ -57,11 +57,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	}
 	store, err := sessions.NewStore(sessions.Config[trainSession]{
 		IdleTimeout: cfg.IdleTimeout,
-		New: func(now time.Time) *trainSession {
-			ts := &trainSession{}
-			ts.first = now
-			return ts
-		},
+		Init:        func(ts *trainSession, now time.Time) { ts.first = now },
 		OnEvict: func(_ sessions.Key, ts *trainSession) {
 			if ts.count >= 3 {
 				sample(ts)

@@ -1,25 +1,16 @@
 package logfmt
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// ParseError describes a malformed access-log line. It records the zero-based
-// byte offset where parsing failed and a short description of what was
-// expected, so that operators can locate corruption in multi-gigabyte logs.
-type ParseError struct {
-	// Offset is the byte position in the line where parsing stopped.
-	Offset int
-	// Reason describes what the parser expected at Offset.
-	Reason string
-}
-
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("logfmt: parse error at offset %d: %s", e.Offset, e.Reason)
-}
+// The string parser: the byte parser's oracle. It was the package's first
+// parser and is kept for what it is — written independently, on
+// time.Parse and strings, and easy to read — now that nothing outside
+// the tests calls it: FuzzParseCombinedBytes and the table tests hold
+// ParseCombinedBytes to it line for line.
 
 // ParseCombined parses one line in Apache Combined Log Format:
 //

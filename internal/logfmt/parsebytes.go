@@ -2,10 +2,25 @@ package logfmt
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// ParseError describes a malformed access-log line. It records the zero-based
+// byte offset where parsing failed and a short description of what was
+// expected, so that operators can locate corruption in multi-gigabyte logs.
+type ParseError struct {
+	// Offset is the byte position in the line where parsing stopped.
+	Offset int
+	// Reason describes what the parser expected at Offset.
+	Reason string
+}
+
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("logfmt: parse error at offset %d: %s", e.Offset, e.Reason)
+}
 
 // Interner gives the string fields of access-log records storage that
 // matches how long they are kept, so that steady-state parsing allocates
@@ -150,12 +165,17 @@ func (in *Interner) location(offset int) *time.Location {
 	return loc
 }
 
-// ParseCombinedBytes parses one Combined Log Format line into *e, the
-// allocation-free counterpart of ParseCombined: the timestamp is decoded
-// without time.Parse and string fields get their storage from in (which
-// may be nil, to allocate each one). On error the contents of *e are
-// unspecified. Fields of *e left over from a previous record are fully
-// overwritten, so one Entry can be reused across calls.
+// ParseCombinedBytes parses one line in Apache Combined Log Format into *e:
+//
+//	remote identity authuser [time] "request" status bytes "referer" "user-agent"
+//
+// Quoted fields may contain backslash-escaped quotes and backslashes, as
+// produced by Apache's log escaping. Steady-state parsing does not
+// allocate: the timestamp is decoded without time.Parse and string fields
+// get their storage from in (which may be nil, to allocate each one). On
+// error the contents of *e are unspecified. Fields of *e left over from a
+// previous record are fully overwritten, so one Entry can be reused across
+// calls.
 func ParseCombinedBytes(line []byte, e *Entry, in *Interner) error {
 	p := bparser{s: line, in: in}
 	if err := p.common(e); err != nil {
@@ -229,8 +249,9 @@ func (p *bparser) common(e *Entry) error {
 	return nil
 }
 
-// splitRequest mirrors the string parser's request-line split. The path
-// (or the raw request) is transient; method and protocol are constants in
+// splitRequest fills Method/Path/Proto from the quoted request line, or
+// RawRequest when the line does not have the canonical three-part shape.
+// The path (or the raw request) is transient; method and protocol are constants in
 // all but hand-made requests.
 func (p *bparser) splitRequest(req []byte, e *Entry) {
 	e.Method, e.Path, e.Proto, e.RawRequest = "", "", "", ""
@@ -406,8 +427,8 @@ func (in *Interner) dayStart(date, zone []byte) (time.Time, bool) {
 	}
 	offset := sign * (zh*3600 + zm*60)
 	t := time.Date(year, time.Month(month), day, 0, 0, 0, 0, in.location(offset))
-	// time.Date normalizes calendar-invalid dates (31/Feb → 3/Mar); the
-	// string parser's time.Parse rejects them, so reject here too. Only
+	// time.Date normalizes calendar-invalid dates (31/Feb → 3/Mar);
+	// time.Parse (the test oracle's parser) rejects them, so reject here too. Only
 	// the day can overflow — every other component is range-checked.
 	if t.Day() != day {
 		return time.Time{}, false

@@ -1,6 +1,10 @@
 package mitigate
 
-import "time"
+import (
+	"time"
+
+	"divscrape/internal/instant"
+)
 
 // Cluster replication support. A ClientDigest is one client's complete
 // ladder position — the same fields the snapshot codec serialises — in a
@@ -34,8 +38,10 @@ type ClientDigest struct {
 // still in the future of since). A zero since streams every client —
 // the full-state form a joining or healing peer reconciles from.
 func (e *Engine) DigestsSince(since time.Time, fn func(ClientDigest)) {
-	for k, st := range e.clients {
-		if st.lastSeen.Before(since) && !st.passUntil.After(since) {
+	from := instant.Of(since)
+	for k, id := range e.ids {
+		st := e.states.At(id)
+		if st.lastSeen < from && st.passUntil <= from {
 			continue
 		}
 		fn(ClientDigest{
@@ -43,8 +49,8 @@ func (e *Engine) DigestsSince(since time.Time, fn func(ClientDigest)) {
 			Score:      st.score,
 			Level:      st.level,
 			Challenged: st.challenged,
-			PassUntil:  st.passUntil,
-			LastSeen:   st.lastSeen,
+			PassUntil:  instant.Time(st.passUntil),
+			LastSeen:   instant.Time(st.lastSeen),
 		})
 	}
 }
@@ -59,25 +65,17 @@ func (e *Engine) MergeDigest(d ClientDigest) bool {
 	if d.Level > Block || d.Key == "" {
 		return false
 	}
-	st := e.clients[d.Key]
-	if st == nil {
-		e.clients[d.Key] = &clientState{
-			score:      d.Score,
-			level:      d.Level,
-			challenged: d.Challenged,
-			passUntil:  d.PassUntil,
-			lastSeen:   d.LastSeen,
-		}
-		return true
-	}
-	if !d.LastSeen.After(st.lastSeen) {
+	lastSeen := instant.Of(d.LastSeen)
+	if id, known := e.ids[d.Key]; known && lastSeen <= e.states.At(id).lastSeen {
 		return false
 	}
-	st.score = d.Score
-	st.level = d.Level
-	st.challenged = d.Challenged
-	st.passUntil = d.PassUntil
-	st.lastSeen = d.LastSeen
+	*e.client(d.Key, lastSeen) = clientState{
+		score:      d.Score,
+		level:      d.Level,
+		challenged: d.Challenged,
+		passUntil:  instant.Of(d.PassUntil),
+		lastSeen:   lastSeen,
+	}
 	return true
 }
 

@@ -1,9 +1,13 @@
 package mitigate
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"divscrape/internal/statecodec"
 )
 
 // EvictBefore with a cutoff at least IdleTTL behind stream time must be
@@ -126,5 +130,65 @@ func TestEvictBeforeKeepsHotAndPassedClients(t *testing.T) {
 	obs.Apply("x", base, Assessment{})
 	if n := obs.EvictBefore(base.Add(time.Hour)); n != 0 {
 		t.Errorf("observe engine evicted %d", n)
+	}
+}
+
+// A sweep that leaves the slab mostly free slots rebuilds it and the key
+// map around the clients that remain: a ladder that survived a flood of
+// one-request addresses holds memory for its survivors, not for the
+// flood, and the survivors' state is untouched — it snapshots to the bytes
+// of a ladder that never saw the flood and decides the same afterwards.
+func TestSweepGivesAFloodBack(t *testing.T) {
+	base := time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC)
+	hot := Assessment{Alerted: true, Confirmed: true, Score: 0.9}
+	regulars := func(e *Engine, at time.Time) (actions []Action) {
+		for i := 0; i < 10; i++ {
+			actions = append(actions, e.Apply(fmt.Sprintf("192.0.2.%d", i), at, hot).Action)
+		}
+		return actions
+	}
+	build := func(flood int) *Engine {
+		e, err := New(Graduated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		regulars(e, base)
+		for i := 0; i < flood; i++ {
+			e.Apply(fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255), base, Assessment{Score: 0.05})
+		}
+		for m := 1; m <= 5; m++ { // the regulars climb the ladder
+			regulars(e, base.Add(time.Duration(m)*time.Minute))
+		}
+		return e
+	}
+	snapshot := func(e *Engine) []byte {
+		w := statecodec.NewWriter()
+		e.SnapshotInto(w)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+
+	const flood = 5000
+	flooded, calm := build(flood), build(0)
+	if got := flooded.states.Cap(); got < flood {
+		t.Fatalf("the flooded ladder's slab has %d slots, want at least %d", got, flood)
+	}
+	// The regulars were last seen five minutes after the flood: a sweep
+	// one minute past the flood's IdleTTL drops the flood alone.
+	at := base.Add(Graduated().IdleTTL + time.Minute)
+	if n := flooded.Sweep(at); n != flood {
+		t.Fatalf("sweep dropped %d clients, want the %d of the flood", n, flood)
+	}
+	if flooded.Len() != 10 || flooded.states.Cap() > 16 {
+		t.Errorf("after the sweep: %d clients in a slab of %d slots, want 10 in at most 16", flooded.Len(), flooded.states.Cap())
+	}
+	calm.counts = flooded.counts // the tally is lifetime, flood included
+	if !bytes.Equal(snapshot(flooded), snapshot(calm)) {
+		t.Error("the survivors' state differs from a ladder that never saw the flood")
+	}
+	if got, want := regulars(flooded, at), regulars(calm, at); !slices.Equal(got, want) {
+		t.Errorf("after the sweep the survivors are judged %v, without the flood %v", got, want)
 	}
 }

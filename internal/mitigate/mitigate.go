@@ -41,6 +41,9 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"divscrape/internal/instant"
+	"divscrape/internal/slab"
 )
 
 // Action is one rung of the enforcement ladder, ordered by severity.
@@ -284,13 +287,15 @@ func (p *Policy) threshold(level Action) float64 {
 	}
 }
 
-// clientState is one client's position on the ladder.
+// clientState is one client's position on the ladder: plain values, forty
+// bytes, kept in the engine's slab. The instants are integer nanoseconds
+// (internal/instant).
 type clientState struct {
 	score      float64
 	level      Action
-	challenged int       // consecutive unanswered challenged requests
-	passUntil  time.Time // solved-challenge exemption window
-	lastSeen   time.Time
+	challenged int   // consecutive unanswered challenged requests
+	passUntil  int64 // solved-challenge exemption window; instant.Never when none was opened
+	lastSeen   int64
 }
 
 // ActionCounts tallies emitted actions by kind.
@@ -330,9 +335,14 @@ func (c *ActionCounts) Count(a Action) {
 // (clients hash to exactly one shard, so sharded state equals global
 // state, the same argument the detection pipeline makes).
 type Engine struct {
-	policy  Policy
-	clients map[string]*clientState
-	counts  ActionCounts
+	policy Policy
+	// ids finds a client's slot in states. A ladder client is not a heap
+	// object: an address-rotating flood costs a map entry and forty bytes
+	// of a slab chunk per address, and a sweep that leaves most of that
+	// free rebuilds both (see shrink).
+	ids    map[string]uint32
+	states slab.Slab[clientState]
+	counts ActionCounts
 	// frozen suppresses rung climbs (see SetEscalationFrozen): the
 	// cluster's fail-closed degraded mode for a node deciding on state it
 	// knows is stale.
@@ -345,8 +355,8 @@ func New(policy Policy) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		policy:  policy,
-		clients: make(map[string]*clientState),
+		policy: policy,
+		ids:    make(map[string]uint32),
 	}, nil
 }
 
@@ -357,7 +367,43 @@ func (e *Engine) Policy() Policy { return e.policy }
 func (e *Engine) Counts() ActionCounts { return e.counts }
 
 // Len reports how many clients currently hold enforcement state.
-func (e *Engine) Len() int { return len(e.clients) }
+func (e *Engine) Len() int { return len(e.ids) }
+
+// client returns key's state, starting it at now if the client is new.
+// The pointer is valid until the next client starts or is dropped.
+func (e *Engine) client(key string, now int64) *clientState {
+	if id, ok := e.ids[key]; ok {
+		return e.states.At(id)
+	}
+	id, st := e.states.Alloc()
+	st.passUntil, st.lastSeen = instant.Never, now
+	e.ids[key] = id
+	return st
+}
+
+// drop forgets a client; ranging over ids while dropping is safe.
+func (e *Engine) drop(key string, id uint32) {
+	delete(e.ids, key)
+	e.states.Release(id)
+}
+
+// shrink gives memory back after a sweep: a Go map never returns its
+// buckets and a slab only grows, so once most of the slab is free slots
+// both are rebuilt around the clients that are left.
+func (e *Engine) shrink() {
+	if !e.states.Sparse(len(e.ids)) {
+		return
+	}
+	old := e.states
+	ids := make(map[string]uint32, len(e.ids))
+	e.states.Reset(len(e.ids))
+	for key, id := range e.ids {
+		nid, st := e.states.Alloc()
+		*st = *old.At(id)
+		ids[key] = nid
+	}
+	e.ids = ids
+}
 
 // Level returns the client's current ladder rung without touching its
 // state (Allow for unknown clients). The provenance plane reads it just
@@ -365,8 +411,8 @@ func (e *Engine) Len() int { return len(e.clients) }
 // reports the rung as of the client's last Apply — decay since then is
 // only materialised by the next Apply.
 func (e *Engine) Level(key string) Action {
-	if st := e.clients[key]; st != nil {
-		return st.level
+	if id, ok := e.ids[key]; ok {
+		return e.states.At(id).level
 	}
 	return Allow
 }
@@ -380,7 +426,7 @@ func (e *Engine) Apply(key string, now time.Time, a Assessment) Decision {
 	return d
 }
 
-func (e *Engine) apply(key string, now time.Time, a Assessment) Decision {
+func (e *Engine) apply(key string, at time.Time, a Assessment) Decision {
 	switch e.policy.Mode {
 	case ModeObserve:
 		return Decision{Action: Allow}
@@ -394,11 +440,8 @@ func (e *Engine) apply(key string, now time.Time, a Assessment) Decision {
 	}
 
 	p := &e.policy
-	st := e.clients[key]
-	if st == nil {
-		st = &clientState{lastSeen: now}
-		e.clients[key] = st
-	}
+	now := instant.Of(at)
+	st := e.client(key, now)
 
 	// Leaky integral: decay since the client's last request, then fold in
 	// this request's suspicion.
@@ -433,7 +476,7 @@ func (e *Engine) apply(key string, now time.Time, a Assessment) Decision {
 		st.challenged = 0
 	}
 
-	exempt := st.passUntil.After(now)
+	exempt := st.passUntil > now
 	action := st.level
 	if st.level == Challenge {
 		if exempt {
@@ -466,9 +509,9 @@ func (e *Engine) apply(key string, now time.Time, a Assessment) Decision {
 // may evict, which is what makes eviction enforcement-neutral: a swept
 // client and an idle survivor are indistinguishable from their next
 // request onward.
-func (e *Engine) touch(st *clientState, now time.Time) {
+func (e *Engine) touch(st *clientState, now int64) {
 	p := &e.policy
-	dt := now.Sub(st.lastSeen)
+	dt := instant.Sub(now, st.lastSeen)
 	if dt > 0 {
 		st.score *= math.Exp2(-float64(dt) / float64(p.ScoreHalfLife))
 	}
@@ -490,20 +533,17 @@ func (e *Engine) touch(st *clientState, now time.Time) {
 // bare beacon from one proves nothing and is ignored; and inside an
 // already-open pass window a repeat beacon is a no-op, so relief is
 // rate-limited to once per ChallengeTTL.
-func (e *Engine) ChallengePassed(key string, now time.Time) {
+func (e *Engine) ChallengePassed(key string, at time.Time) {
 	if e.policy.Mode != ModeGraduated {
 		return
 	}
-	st := e.clients[key]
-	if st == nil {
-		st = &clientState{lastSeen: now}
-		e.clients[key] = st
-	}
+	now := instant.Of(at)
+	st := e.client(key, now)
 	e.touch(st, now)
-	if st.level == Block || st.passUntil.After(now) {
+	if st.level == Block || st.passUntil > now {
 		return
 	}
-	st.passUntil = now.Add(e.policy.ChallengeTTL)
+	st.passUntil = instant.Add(now, e.policy.ChallengeTTL)
 	st.challenged = 0
 	st.score /= 2
 	if st.level == Challenge {
@@ -518,20 +558,32 @@ func (e *Engine) ChallengePassed(key string, now time.Time) {
 // state a swept client restarts from, so sweeping earlier or later (or
 // on a differently sharded guard) never changes an action sequence.
 func (e *Engine) Sweep(now time.Time) int {
+	return e.evictIdle(instant.Of(now), e.policy.IdleTTL)
+}
+
+// evictIdle drops every client idle for at least idle as of now whose
+// suspicion, decayed to now, has fallen into the Allow band with no live
+// challenge pass.
+func (e *Engine) evictIdle(now int64, idle time.Duration) int {
 	if e.policy.Mode != ModeGraduated {
 		return 0
 	}
 	p := &e.policy
 	evicted := 0
-	for key, st := range e.clients {
-		if now.Sub(st.lastSeen) < p.IdleTTL {
+	for key, id := range e.ids {
+		st := e.states.At(id)
+		dt := instant.Sub(now, st.lastSeen)
+		if dt < idle {
 			continue
 		}
-		score := st.score * math.Exp2(-float64(now.Sub(st.lastSeen))/float64(p.ScoreHalfLife))
-		if score < p.TarpitThreshold-p.Hysteresis && !st.passUntil.After(now) {
-			delete(e.clients, key)
+		score := st.score * math.Exp2(-float64(dt)/float64(p.ScoreHalfLife))
+		if score < p.TarpitThreshold-p.Hysteresis && st.passUntil <= now {
+			e.drop(key, id)
 			evicted++
 		}
+	}
+	if evicted > 0 {
+		e.shrink()
 	}
 	return evicted
 }
@@ -551,26 +603,12 @@ func (e *Engine) Sweep(now time.Time) int {
 // rather than at stream time is conservative — a borderline client is
 // kept one more window, never dropped early.
 func (e *Engine) EvictBefore(cutoff time.Time) int {
-	if e.policy.Mode != ModeGraduated {
-		return 0
-	}
-	p := &e.policy
-	evicted := 0
-	for key, st := range e.clients {
-		if !st.lastSeen.Before(cutoff) {
-			continue
-		}
-		score := st.score * math.Exp2(-float64(cutoff.Sub(st.lastSeen))/float64(p.ScoreHalfLife))
-		if score < p.TarpitThreshold-p.Hysteresis && !st.passUntil.After(cutoff) {
-			delete(e.clients, key)
-			evicted++
-		}
-	}
-	return evicted
+	return e.evictIdle(instant.Of(cutoff), 1) // idle a nanosecond: last seen before cutoff
 }
 
 // Reset clears all per-client state and counters.
 func (e *Engine) Reset() {
-	clear(e.clients)
+	clear(e.ids)
+	e.states.Reset(0)
 	e.counts = ActionCounts{}
 }

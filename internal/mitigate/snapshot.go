@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"divscrape/internal/instant"
 	"divscrape/internal/statecodec"
 )
 
@@ -39,18 +40,18 @@ func SnapshotMerged(w *statecodec.Writer, engines []*Engine) {
 	total := 0
 	var counts ActionCounts
 	for _, e := range engines {
-		total += len(e.clients)
+		total += len(e.ids)
 		counts.Add(e.counts)
 	}
 	keys := make([]string, 0, total)
 	owner := make(map[string]*clientState, total)
 	for _, e := range engines {
-		for k, st := range e.clients {
+		for k, id := range e.ids {
 			if _, dup := owner[k]; dup {
 				w.Fail(fmt.Errorf("mitigate: client %q held by two engines; shards are not key-disjoint", k))
 				return
 			}
-			owner[k] = st
+			owner[k] = e.states.At(id)
 			keys = append(keys, k)
 		}
 	}
@@ -68,8 +69,8 @@ func SnapshotMerged(w *statecodec.Writer, engines []*Engine) {
 		w.Float64(st.score)
 		w.Uint8(uint8(st.level))
 		w.Int(st.challenged)
-		w.Time(st.passUntil)
-		w.Time(st.lastSeen)
+		w.Time(instant.Time(st.passUntil))
+		w.Time(instant.Time(st.lastSeen))
 	}
 }
 
@@ -105,12 +106,12 @@ func restorePartitioned(r *statecodec.Reader, engines []*Engine, part func(key s
 	n := r.Count(4 + 8 + 1 + 8 + 12 + 12)
 	for i := 0; i < n; i++ {
 		k := r.String()
-		st := &clientState{
+		st := clientState{
 			score:      r.Float64(),
 			level:      Action(r.Uint8()),
 			challenged: r.Int(),
-			passUntil:  r.Time(),
-			lastSeen:   r.Time(),
+			passUntil:  instant.Of(r.Time()),
+			lastSeen:   instant.Of(r.Time()),
 		}
 		if r.Err() != nil {
 			return r.Err()
@@ -123,10 +124,10 @@ func restorePartitioned(r *statecodec.Reader, engines []*Engine, part func(key s
 			return fmt.Errorf("mitigate: partition function returned %d for %d engines", idx, len(engines))
 		}
 		e := engines[idx]
-		if _, dup := e.clients[k]; dup {
+		if _, dup := e.ids[k]; dup {
 			return fmt.Errorf("%w: duplicate client %q", statecodec.ErrCorrupt, k)
 		}
-		e.clients[k] = st
+		*e.client(k, st.lastSeen) = st
 	}
 	return r.Err()
 }

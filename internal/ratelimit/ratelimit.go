@@ -2,14 +2,17 @@
 // admission primitives: sliding-window counters and GCRA. The
 // commercial-style detector uses them to judge per-client request rates.
 // Both are plain values with no pointers inside, so a per-client record
-// embeds them and stays one allocation. All methods take explicit
-// time.Time arguments — there is no hidden wall clock — so simulated traces
-// replay deterministically.
+// embeds them and stays pointer-free; the instants they keep are integer
+// nanoseconds (internal/instant). All methods take explicit time.Time
+// arguments — there is no hidden wall clock — so simulated traces replay
+// deterministically.
 package ratelimit
 
 import (
 	"fmt"
 	"time"
+
+	"divscrape/internal/instant"
 )
 
 // SlidingWindow counts events over a trailing window using fixed sub-bucket
@@ -20,8 +23,8 @@ type SlidingWindow struct {
 	slot    time.Duration
 	buckets [maxSlots]uint64 // the first slots are in use
 	slots   int
-	head    int       // index of the bucket covering slotStart
-	start   time.Time // start of the head slot
+	head    int   // index of the bucket covering slotStart
+	start   int64 // start of the head slot; instant.Never until an event
 	seen    bool
 	total   uint64
 }
@@ -39,7 +42,7 @@ func NewSlidingWindow(window time.Duration, slots int) (SlidingWindow, error) {
 	if slots < 2 || slots > maxSlots {
 		return SlidingWindow{}, fmt.Errorf("ratelimit: need 2 to %d slots, got %d", maxSlots, slots)
 	}
-	return SlidingWindow{window: window, slot: window / time.Duration(slots), slots: slots}, nil
+	return SlidingWindow{window: window, slot: window / time.Duration(slots), slots: slots, start: instant.Never}, nil
 }
 
 // Observe counts one event at time now and returns the windowed count
@@ -63,29 +66,33 @@ func (w *SlidingWindow) Rate(now time.Time) float64 {
 	return float64(w.Count(now)) / w.window.Seconds()
 }
 
+// advance rotates the buckets up to now. Slot boundaries are multiples of
+// the slot since the zero time, not since the Unix epoch (the two differ
+// for a slot that does not divide the 62 135 596 800 s between them), so
+// the two places that anchor a window truncate the time.Time itself.
 func (w *SlidingWindow) advance(now time.Time) {
 	if !w.seen {
 		w.seen = true
-		w.start = now.Truncate(w.slot)
+		w.start = instant.Of(now.Truncate(w.slot))
 		return
 	}
-	steps := int(now.Sub(w.start) / w.slot)
+	steps := int64(instant.Sub(instant.Of(now), w.start) / w.slot)
 	if steps <= 0 {
 		return
 	}
-	if steps >= w.slots {
+	if steps >= int64(w.slots) {
 		w.buckets = [maxSlots]uint64{}
 		w.total = 0
 		w.head = 0
-		w.start = now.Truncate(w.slot)
+		w.start = instant.Of(now.Truncate(w.slot))
 		return
 	}
-	for i := 0; i < steps; i++ {
+	for i := int64(0); i < steps; i++ {
 		w.head = (w.head + 1) % w.slots
 		w.total -= w.buckets[w.head]
 		w.buckets[w.head] = 0
 	}
-	w.start = w.start.Add(time.Duration(steps) * w.slot)
+	w.start += steps * int64(w.slot)
 }
 
 // GCRA implements the Generic Cell Rate Algorithm (virtual scheduling
@@ -96,7 +103,7 @@ func (w *SlidingWindow) advance(now time.Time) {
 type GCRA struct {
 	increment time.Duration // emission interval T = 1/rate
 	tolerance time.Duration // burst tolerance tau
-	tat       time.Time     // theoretical arrival time
+	tat       int64         // theoretical arrival time; instant.Never until an event
 	seen      bool
 }
 
@@ -113,22 +120,21 @@ func NewGCRA(rate float64, burst float64) (GCRA, error) {
 	return GCRA{
 		increment: inc,
 		tolerance: time.Duration(float64(inc) * (burst - 1)),
+		tat:       instant.Never,
 	}, nil
 }
 
 // Allow reports whether an event at time now conforms.
 func (g *GCRA) Allow(now time.Time) bool {
+	at := instant.Of(now)
 	if !g.seen {
 		g.seen = true
-		g.tat = now.Add(g.increment)
+		g.tat = instant.Add(at, g.increment)
 		return true
 	}
-	if now.Before(g.tat.Add(-g.tolerance)) {
+	if at < instant.Add(g.tat, -g.tolerance) {
 		return false
 	}
-	if g.tat.Before(now) {
-		g.tat = now
-	}
-	g.tat = g.tat.Add(g.increment)
+	g.tat = instant.Add(max(g.tat, at), g.increment)
 	return true
 }

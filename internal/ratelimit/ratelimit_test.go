@@ -1,9 +1,12 @@
 package ratelimit
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"divscrape/internal/instant"
 )
 
 var base = time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
@@ -216,5 +219,67 @@ func BenchmarkSlidingWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now = now.Add(50 * time.Millisecond)
 		w.Observe(now)
+	}
+}
+
+// refWindow is the sliding window on time.Time, as it was before the
+// window kept its slot start as integer nanoseconds: the reference for
+// where slot boundaries fall.
+type refWindow struct {
+	slot    time.Duration
+	buckets []uint64
+	head    int
+	start   time.Time
+	seen    bool
+	total   uint64
+}
+
+func (w *refWindow) Observe(now time.Time) uint64 {
+	switch steps := int(now.Sub(w.start) / w.slot); {
+	case !w.seen, steps >= len(w.buckets):
+		clear(w.buckets)
+		w.seen, w.total, w.head, w.start = true, 0, 0, now.Truncate(w.slot)
+	case steps > 0:
+		for i := 0; i < steps; i++ {
+			w.head = (w.head + 1) % len(w.buckets)
+			w.total -= w.buckets[w.head]
+			w.buckets[w.head] = 0
+		}
+		w.start = w.start.Add(time.Duration(steps) * w.slot)
+	}
+	w.buckets[w.head]++
+	w.total++
+	return w.total
+}
+
+// Slot boundaries are multiples of the slot since the zero time.Time —
+// what Truncate rounds to — not since the Unix epoch. For the 10 s slot in
+// use the two agree; a 7 s slot tells them apart (the epochs are
+// 62 135 596 800 s apart, 4 more than a multiple of 7), so it pins the
+// anchor: counts and slot starts must match the time.Time reference.
+func TestSlidingWindowSlotsAnchorAtTheZeroTime(t *testing.T) {
+	w, err := NewSlidingWindow(42*time.Second, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refWindow{slot: 7 * time.Second, buckets: make([]uint64, 6)}
+	rng := rand.New(rand.NewPCG(7, 42))
+	now := base
+	for i := 0; i < 5000; i++ {
+		switch rng.IntN(10) {
+		case 0: // a gap longer than the window: the window re-anchors
+			now = now.Add(42*time.Second + time.Duration(rng.Int64N(int64(time.Minute))))
+		default:
+			now = now.Add(time.Duration(rng.Int64N(int64(5 * time.Second))))
+		}
+		if got, want := w.Observe(now), ref.Observe(now); got != want {
+			t.Fatalf("event %d at %v: count %d, reference %d", i, now, got, want)
+		}
+		if got := instant.Time(w.start); !got.Equal(ref.start) {
+			t.Fatalf("event %d at %v: head slot starts %v, reference %v", i, now, got, ref.start)
+		}
+	}
+	if epoch := time.Unix(0, 0); epoch.Truncate(7 * time.Second).Equal(epoch) {
+		t.Fatal("the Unix epoch is a 7 s boundary: this slot no longer tells the two anchors apart")
 	}
 }

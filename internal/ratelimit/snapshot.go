@@ -3,6 +3,7 @@ package ratelimit
 import (
 	"fmt"
 
+	"divscrape/internal/instant"
 	"divscrape/internal/statecodec"
 )
 
@@ -26,7 +27,7 @@ func (w *SlidingWindow) SnapshotInto(sw *statecodec.Writer) {
 		sw.Uint64(c)
 	}
 	sw.Int(w.head)
-	sw.Time(w.start)
+	sw.Time(instant.Time(w.start))
 	sw.Bool(w.seen)
 }
 
@@ -52,7 +53,7 @@ func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader) error {
 		w.total += w.buckets[i]
 	}
 	w.head = r.Int()
-	w.start = r.Time()
+	w.start = instant.Of(r.Time())
 	w.seen = r.Bool()
 	if r.Err() != nil {
 		return r.Err()
@@ -66,7 +67,7 @@ func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader) error {
 // SnapshotInto implements statecodec.Snapshotter.
 func (g *GCRA) SnapshotInto(w *statecodec.Writer) {
 	w.Tag(tagGCRA)
-	w.Time(g.tat)
+	w.Time(instant.Time(g.tat))
 	w.Bool(g.seen)
 }
 
@@ -75,7 +76,7 @@ func (g *GCRA) RestoreFrom(r *statecodec.Reader) error {
 	if err := r.Expect(tagGCRA); err != nil {
 		return err
 	}
-	g.tat = r.Time()
+	g.tat = instant.Of(r.Time())
 	g.seen = r.Bool()
 	return r.Err()
 }

@@ -120,8 +120,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// ipState is the per-client-address memory: plain values, so one tracked
-// address is one allocation.
+// ipState is the per-client-address memory: plain values, kept inline in
+// the store's slab, so a tracked address is no heap object of its own.
 type ipState struct {
 	limiter         ratelimit.GCRA
 	window          ratelimit.SlidingWindow
@@ -192,16 +192,9 @@ func New(cfg Config) (*Detector, error) {
 	}
 	d.store, err = sessions.NewStore(sessions.Config[ipState]{
 		IdleTimeout: cfg.IdleTimeout,
-		New: func(time.Time) *ipState {
-			st := fresh
-			return &st
-		},
-		// Recycle overwrites an evicted client's record, so the store hands
-		// it to the next new client without allocating and it keeps no
-		// User-Agent of the old one.
-		Recycle:  func(st *ipState) { *st = fresh },
-		Snapshot: snapshotIPState,
-		Restore:  restoreIPState,
+		Init:        func(st *ipState, _ time.Time) { *st = fresh },
+		Snapshot:    snapshotIPState,
+		Restore:     restoreIPState,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sentinel: build store: %w", err)

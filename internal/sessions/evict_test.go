@@ -1,15 +1,19 @@
 package sessions
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
+
+	"divscrape/internal/statecodec"
 )
 
 func evictStore(t *testing.T, onEvict func(Key, *int)) *Store[int] {
 	t.Helper()
 	s, err := NewStore(Config[int]{
 		IdleTimeout: 30 * time.Minute,
-		New:         func(time.Time) *int { v := 0; return &v },
+		Init:        func(*int, time.Time) {},
 		OnEvict:     onEvict,
 	})
 	if err != nil {
@@ -90,5 +94,44 @@ func TestEvictBeforeMatchesLazyExpiry(t *testing.T) {
 		if lazy[i] != swept[i] {
 			t.Fatalf("touch %d: fresh=%v with sweeps, %v without", i, swept[i], lazy[i])
 		}
+	}
+}
+
+// Stamps outside what an int64 of nanoseconds can hold clamp to its ends:
+// order is kept (at worst made equal), so sessions still end oldest first,
+// and the clamped stamps survive a snapshot.
+func TestOutOfRangeStampsKeepEvictionOrder(t *testing.T) {
+	var evicted []uint32
+	s := snapStore(t, 30*time.Minute)
+	s.onEvict = func(k Key, _ *snapState) { evicted = append(evicted, k.IP) }
+	stamps := []time.Time{
+		time.Date(1, 1, 1, 0, 0, 1, 0, time.UTC),
+		time.Date(1, 6, 1, 0, 0, 0, 0, time.UTC), // clamps to the same instant: not idle yet
+		time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC),
+	}
+	for i, at := range stamps {
+		s.Touch(IPOnlyKey(uint32(i)), at)
+	}
+	if want := []uint32{0, 1, 2, 3}; !slices.Equal(evicted, want) {
+		t.Fatalf("evicted %v so far, want %v", evicted, want)
+	}
+
+	w := statecodec.NewWriter()
+	s.SnapshotInto(w)
+	restored := snapStore(t, 30*time.Minute)
+	if err := restored.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	again := statecodec.NewWriter()
+	restored.SnapshotInto(again)
+	if !bytes.Equal(w.Bytes(), again.Bytes()) {
+		t.Error("clamped stamps did not survive a snapshot round trip")
+	}
+	s.FlushAll()
+	if want := []uint32{0, 1, 2, 3, 4, 5}; !slices.Equal(evicted, want) {
+		t.Errorf("evicted %v, want %v", evicted, want)
 	}
 }

@@ -1,11 +1,14 @@
 package sessions
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"divscrape/internal/slab"
 	"divscrape/internal/statecodec"
 )
 
@@ -97,145 +100,302 @@ func (m *modelStore) restored() *modelStore {
 	return r
 }
 
+// snapshot is the bytes the documented format gives a restored model.
+func (m *modelStore) snapshot() []byte {
+	w := statecodec.NewWriter()
+	w.Tag(tagStore)
+	w.Uint32(uint32(len(m.order)))
+	for _, k := range m.order {
+		w.Uint32(k.IP)
+		w.Uint64(k.UAHash)
+		w.Time(m.live[k].lastSeen)
+		w.Uint64(m.live[k].id)
+	}
+	return w.Bytes()
+}
+
 // modelValue is the session value under test: the id the test stamped when
 // the session started, so a pointer into the wrong session is visible by
-// content as well as by address.
+// content.
 type modelValue struct{ id uint64 }
 
-func modelledStore(t *testing.T, idle time.Duration, recycle bool, evicted *[]Key) *Store[modelValue] {
+func modelledStore(t testing.TB, idle time.Duration, evicted *[]Key) *Store[modelValue] {
 	t.Helper()
-	cfg := Config[modelValue]{
+	s, err := NewStore(Config[modelValue]{
 		IdleTimeout: idle,
-		New:         func(time.Time) *modelValue { return &modelValue{} },
-		OnEvict:     func(k Key, _ *modelValue) { *evicted = append(*evicted, k) },
-		Snapshot:    func(w *statecodec.Writer, v *modelValue) { w.Uint64(v.id) },
+		Init: func(v *modelValue, _ time.Time) {
+			if v.id != 0 {
+				t.Fatalf("Init was handed a slot still holding id %d", v.id)
+			}
+		},
+		OnEvict:  func(k Key, _ *modelValue) { *evicted = append(*evicted, k) },
+		Snapshot: func(w *statecodec.Writer, v *modelValue) { w.Uint64(v.id) },
 		Restore: func(r *statecodec.Reader, v *modelValue) error {
 			v.id = r.Uint64()
 			return r.Err()
 		},
-	}
-	if recycle {
-		cfg.Recycle = func(v *modelValue) { *v = modelValue{} }
-	}
-	s, err := NewStore(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// Random operation sequences — shaped like the traffic the store's tail
-// shortcut is for: runs of one key, with the clock jumping past the idle
-// timeout between two touches of the same key — must leave the store and
-// the naive model indistinguishable after every step.
-func TestStoreMatchesNaiveModel(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, rand.Int63(), rand.Int63()}
-	for i, seed := range seeds {
-		runStoreAgainstModel(t, seed, i%2 == 0)
+const modelIdle = 30 * time.Minute
+
+// modelRun holds the naive model beside two stores that differ only in
+// their hash seeds, and applies every operation to all three. The stores
+// must stay indistinguishable from the model — and so from each other:
+// nothing observable may depend on the seed — after every step.
+type modelRun struct {
+	t       testing.TB
+	name    string
+	step    int
+	stores  [2]*Store[modelValue]
+	evicted [2][]Key
+	model   *modelStore
+	now     time.Time
+	nextID  uint64
+	// compactions counts the slab rebuilds the stores did on their own.
+	compactions int
+}
+
+func newModelRun(t testing.TB, name string) *modelRun {
+	r := &modelRun{t: t, name: name, now: base, nextID: 1,
+		model: &modelStore{idle: modelIdle, live: make(map[Key]*modelSession)}}
+	for i := range r.stores {
+		r.stores[i] = modelledStore(t, modelIdle, &r.evicted[i])
+	}
+	return r
+}
+
+func (r *modelRun) fatalf(format string, args ...any) {
+	r.t.Helper()
+	r.t.Fatalf("%s step %d: "+format, append([]any{r.name, r.step}, args...)...)
+}
+
+// mutate applies fn to both stores, counting the compactions it causes.
+func (r *modelRun) mutate(fn func(s *Store[modelValue])) {
+	for _, s := range r.stores {
+		before := s.nodes.Cap()
+		fn(s)
+		if s.nodes.Cap() < before && s.Len() > 0 {
+			r.compactions++
+		}
 	}
 }
 
-func runStoreAgainstModel(t *testing.T, seed int64, recycle bool) {
-	t.Helper()
-	const idle = 30 * time.Minute
-	rng := rand.New(rand.NewSource(seed))
-	var evicted []Key
-	store := modelledStore(t, idle, recycle, &evicted)
-	model := &modelStore{idle: idle, live: make(map[Key]*modelSession)}
-	ptrs := make(map[Key]*modelValue) // the address each live session was last returned at
-	now := base
-	nextID := uint64(1)
-	key := func() Key { return Key{IP: uint32(rng.Intn(4)), UAHash: uint64(rng.Intn(3))} }
-
-	touch := func(step int, k Key) {
-		got, started := store.Touch(k, now)
-		want, wantStarted := model.touch(k, now)
+func (r *modelRun) touch(k Key) {
+	want, wantStarted := r.model.touch(k, r.now)
+	if wantStarted {
+		want.id = r.nextID
+		r.nextID++
+	}
+	r.mutate(func(s *Store[modelValue]) {
+		got, started := s.Touch(k, r.now)
 		if started != wantStarted {
-			t.Fatalf("seed %d step %d: Touch(%v) started = %v, model says %v", seed, step, k, started, wantStarted)
+			r.fatalf("Touch(%v) started = %v, model says %v", k, started, wantStarted)
 		}
 		if started {
-			if got.id != 0 {
-				t.Fatalf("seed %d step %d: new session for %v carries id %d of an earlier one", seed, step, k, got.id)
-			}
-			got.id, want.id = nextID, nextID
-			nextID++
-		} else if got != ptrs[k] || got.id != want.id {
-			t.Fatalf("seed %d step %d: Touch(%v) returned %p (id %d), want %p (id %d)", seed, step, k, got, got.id, ptrs[k], want.id)
+			got.id = want.id
+		} else if got.id != want.id {
+			r.fatalf("Touch(%v) returned the session with id %d, want %d", k, got.id, want.id)
 		}
-		ptrs[k] = got
+	})
+}
+
+func (r *modelRun) evictBefore(cutoff time.Time) {
+	want := r.model.evictBefore(cutoff)
+	r.mutate(func(s *Store[modelValue]) {
+		if got := s.EvictBefore(cutoff); got != want {
+			r.fatalf("EvictBefore evicted %d, model %d", got, want)
+		}
+	})
+}
+
+func (r *modelRun) flushAll() {
+	r.model.flushAll()
+	r.mutate((*Store[modelValue]).FlushAll)
+}
+
+func (r *modelRun) reset() {
+	r.model.reset()
+	r.mutate((*Store[modelValue]).Reset)
+}
+
+// compact rebuilds the slabs whether or not they are sparse: whatever
+// the layout, a rebuild is invisible.
+func (r *modelRun) compact() {
+	for _, s := range r.stores {
+		s.compact()
 	}
+}
 
-	for step := 0; step < 3000; step++ {
-		switch op := rng.Intn(100); {
-		case op < 55: // a run of one key, the clock creeping or standing still
-			k := key()
-			for n := 1 + rng.Intn(5); n > 0; n-- {
-				now = now.Add(time.Duration(rng.Intn(3)) * time.Minute)
-				touch(step, k)
-			}
-		case op < 70: // the same key on both sides of a jump around the idle timeout
-			k := key()
-			touch(step, k)
-			now = now.Add(idle + time.Duration(rng.Intn(3)-1)*time.Nanosecond)
-			touch(step, k)
-		case op < 80: // interleaved keys
-			for n := 2 + rng.Intn(6); n > 0; n-- {
-				now = now.Add(time.Duration(rng.Intn(200)) * time.Second)
-				touch(step, key())
-			}
-		case op < 88:
-			cutoff := now.Add(-time.Duration(rng.Int63n(int64(idle * 3 / 2))))
-			if got, want := store.EvictBefore(cutoff), model.evictBefore(cutoff); got != want {
-				t.Fatalf("seed %d step %d: EvictBefore evicted %d, model %d", seed, step, got, want)
-			}
-		case op < 91:
-			store.FlushAll()
-			model.flushAll()
-		case op < 94:
-			store.Reset()
-			model.reset()
-		default: // snapshot, and carry on in a store restored from it
-			w := statecodec.NewWriter()
-			store.SnapshotInto(w)
-			if err := w.Err(); err != nil {
-				t.Fatal(err)
-			}
-			model = model.restored()
-			store = modelledStore(t, idle, recycle, &evicted)
-			if err := store.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
-				t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
-			}
-			for k := range model.live {
-				ptrs[k] = store.Peek(k)
-			}
+// snapshot checks the stores' bytes against the format applied to the
+// model, and carries on in stores restored from them.
+func (r *modelRun) snapshot() {
+	r.model = r.model.restored()
+	want := r.model.snapshot()
+	for i, s := range r.stores {
+		w := statecodec.NewWriter()
+		s.SnapshotInto(w)
+		if err := w.Err(); err != nil {
+			r.t.Fatal(err)
 		}
+		if !bytes.Equal(w.Bytes(), want) {
+			r.fatalf("store %d snapshot differs from the model's:\n got %x\nwant %x", i, w.Bytes(), want)
+		}
+		r.stores[i] = modelledStore(r.t, modelIdle, &r.evicted[i])
+		if err := r.stores[i].RestoreFrom(statecodec.NewReader(want)); err != nil {
+			r.fatalf("restore: %v", err)
+		}
+	}
+}
 
-		if store.Len() != len(model.order) || store.Evictions() != model.evictions {
-			t.Fatalf("seed %d step %d: Len %d Evictions %d, model %d and %d",
-				seed, step, store.Len(), store.Evictions(), len(model.order), model.evictions)
+// check compares everything observable.
+func (r *modelRun) check() {
+	m := r.model
+	for n, s := range r.stores {
+		if s.Len() != len(m.order) || s.Evictions() != m.evictions {
+			r.fatalf("store %d: Len %d Evictions %d, model %d and %d", n, s.Len(), s.Evictions(), len(m.order), m.evictions)
 		}
-		i := len(model.order)
-		store.RangeNewest(func(k Key, lastSeen time.Time) bool {
+		i := len(m.order)
+		s.RangeNewest(func(k Key, lastSeen time.Time) bool {
 			i--
-			if i < 0 || k != model.order[i] || !lastSeen.Equal(model.live[k].lastSeen) {
-				t.Fatalf("seed %d step %d: RangeNewest position %d from oldest is %v at %v, model order %v", seed, step, i, k, lastSeen, model.order)
+			if i < 0 || k != m.order[i] || !lastSeen.Equal(m.live[k].lastSeen) {
+				r.fatalf("store %d: RangeNewest position %d from oldest is %v at %v, model order %v", n, i, k, lastSeen, m.order)
 			}
-			if v := store.Peek(k); v == nil || v.id != model.live[k].id {
-				t.Fatalf("seed %d step %d: session %v holds %+v, model id %d", seed, step, k, v, model.live[k].id)
+			if v := s.Peek(k); v == nil || v.id != m.live[k].id {
+				r.fatalf("store %d: session %v holds %+v, model id %d", n, k, v, m.live[k].id)
 			}
 			return true
 		})
 		if i != 0 {
-			t.Fatalf("seed %d step %d: RangeNewest visited %d of %d sessions", seed, step, len(model.order)-i, len(model.order))
+			r.fatalf("store %d: RangeNewest visited %d of %d sessions", n, len(m.order)-i, len(m.order))
 		}
-		if len(evicted) != len(model.evicted) {
-			t.Fatalf("seed %d step %d: %d sessions reached OnEvict, model %d", seed, step, len(evicted), len(model.evicted))
+		if len(r.evicted[n]) != len(m.evicted) {
+			r.fatalf("store %d: %d sessions reached OnEvict, model %d", n, len(r.evicted[n]), len(m.evicted))
 		}
-		for j := range evicted {
-			if evicted[j] != model.evicted[j] {
-				t.Fatalf("seed %d step %d: eviction %d was %v, model %v", seed, step, j, evicted[j], model.evicted[j])
+		for j, k := range r.evicted[n] {
+			if k != m.evicted[j] {
+				r.fatalf("store %d: eviction %d was %v, model %v", n, j, k, m.evicted[j])
 			}
 		}
-		evicted, model.evicted = evicted[:0], model.evicted[:0]
+		// Never much more than four slots a session, give or take a chunk.
+		if live, cap := s.Len(), s.nodes.Cap(); cap > 2*slab.ChunkLen && cap > 4*live+slab.ChunkLen {
+			r.fatalf("store %d: %d live sessions in a slab of %d slots", n, live, cap)
+		}
+		r.evicted[n] = r.evicted[n][:0]
 	}
+	m.evicted = m.evicted[:0]
+	r.step++
+}
+
+// Random operation sequences — shaped like the traffic the store's tail
+// shortcut is for: runs of one key, with the clock jumping past the idle
+// timeout between two touches of the same key, and now and then a crowd
+// of one-request clients whose expiry leaves the slab sparse — must leave
+// the stores and the naive model indistinguishable after every step.
+func TestStoreMatchesNaiveModel(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, rand.Int63(), rand.Int63()}
+	compactions := 0
+	for _, seed := range seeds {
+		compactions += runStoreAgainstModel(t, seed)
+	}
+	if compactions == 0 {
+		t.Error("no run ever left a slab sparse: compaction went unexercised")
+	}
+}
+
+func runStoreAgainstModel(t *testing.T, seed int64) (compactions int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	r := newModelRun(t, fmt.Sprintf("seed %d", seed))
+	key := func() Key { return Key{IP: uint32(rng.Intn(4)), UAHash: uint64(rng.Intn(3))} }
+
+	for r.step < 3000 {
+		switch op := rng.Intn(100); {
+		case op < 52: // a run of one key, the clock creeping or standing still
+			k := key()
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				r.now = r.now.Add(time.Duration(rng.Intn(3)) * time.Minute)
+				r.touch(k)
+			}
+		case op < 67: // the same key on both sides of a jump around the idle timeout
+			k := key()
+			r.touch(k)
+			r.now = r.now.Add(modelIdle + time.Duration(rng.Intn(3)-1)*time.Nanosecond)
+			r.touch(k)
+		case op < 77: // interleaved keys
+			for n := 2 + rng.Intn(6); n > 0; n-- {
+				r.now = r.now.Add(time.Duration(rng.Intn(200)) * time.Second)
+				r.touch(key())
+			}
+		case op < 79: // a crowd of one-request clients
+			for n, ip := 100+rng.Intn(300), uint32(rng.Intn(1<<20)); n > 0; n-- {
+				r.now = r.now.Add(time.Duration(rng.Intn(2)) * time.Second)
+				r.touch(Key{IP: 1000 + ip + uint32(n), UAHash: uint64(rng.Intn(2))})
+			}
+		case op < 86:
+			r.evictBefore(r.now.Add(-time.Duration(rng.Int63n(int64(modelIdle * 3 / 2)))))
+		case op < 89:
+			r.flushAll()
+		case op < 91:
+			r.reset()
+		case op < 95:
+			r.compact()
+		default:
+			r.snapshot()
+		}
+		r.check()
+	}
+	return r.compactions
+}
+
+// FuzzStore turns bytes into an operation sequence and holds the stores
+// to the model after every operation.
+func FuzzStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 1, 0, 3, 40, 0, 1, 0})
+	f.Add([]byte{2, 200, 7, 3, 31, 5, 6, 4})
+	f.Add([]byte{2, 255, 1, 2, 255, 2, 3, 29, 2, 100, 3, 3, 31, 6, 5, 0, 9, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		r := newModelRun(t, "fuzz")
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		for len(ops) > 0 && r.step < 400 {
+			switch next() % 8 {
+			case 0, 1: // touch one of 16 keys after 0–255 s
+				r.now = r.now.Add(time.Duration(next()) * time.Second)
+				b := next()
+				r.touch(Key{IP: uint32(b & 7), UAHash: uint64(b >> 3 & 1)})
+			case 2: // a crowd: up to 255 new clients from a base address
+				n, ip := int(next()), uint32(next())<<8
+				for i := 0; i < n; i++ {
+					r.touch(Key{IP: 1000 + ip + uint32(i)})
+				}
+			case 3: // the clock jumps 0–255 minutes
+				r.now = r.now.Add(time.Duration(next()) * time.Minute)
+			case 4:
+				r.evictBefore(r.now.Add(-time.Duration(next()) * time.Minute))
+			case 5:
+				r.flushAll()
+			case 6:
+				r.snapshot()
+			default:
+				if next()%4 == 0 {
+					r.reset()
+				} else {
+					r.compact()
+				}
+			}
+			r.check()
+		}
+	})
 }

@@ -3,8 +3,8 @@ package sessions
 import (
 	"fmt"
 	"sort"
-	"time"
 
+	"divscrape/internal/instant"
 	"divscrape/internal/statecodec"
 )
 
@@ -39,18 +39,19 @@ import (
 // tagStore opens a session-store block in a snapshot.
 const tagStore uint16 = 0x5501
 
-// snapshotEntry is one live session flattened for sorting.
+// snapshotEntry is one live session flattened for sorting; value points
+// into its store's slab, which nothing touches until the entry is written.
 type snapshotEntry[T any] struct {
 	key      Key
-	lastSeen time.Time
+	lastSeen int64
 	value    *T
 }
 
 // entryLess orders snapshot entries canonically: by last activity, then
 // by key for determinism among equal timestamps.
 func entryLess[T any](a, b *snapshotEntry[T]) bool {
-	if !a.lastSeen.Equal(b.lastSeen) {
-		return a.lastSeen.Before(b.lastSeen)
+	if a.lastSeen != b.lastSeen {
+		return a.lastSeen < b.lastSeen
 	}
 	if a.key.IP != b.key.IP {
 		return a.key.IP < b.key.IP
@@ -89,14 +90,14 @@ func SnapshotMerged[T any](w *statecodec.Writer, stores []*Store[T]) {
 		w.Uint32(0)
 		return
 	}
-	var latest time.Time
+	latest := instant.Never
 	for _, s := range stores {
 		if s.snapshotV == nil {
 			w.Fail(fmt.Errorf("sessions: store has no Snapshot hook"))
 			return
 		}
-		if s.tail != nil && s.tail.lastSeen.After(latest) {
-			latest = s.tail.lastSeen
+		if s.tail != 0 {
+			latest = max(latest, s.nodes.At(s.tail).lastSeen)
 		}
 	}
 	total := 0
@@ -107,13 +108,15 @@ func SnapshotMerged[T any](w *statecodec.Writer, stores []*Store[T]) {
 	entries := make([]snapshotEntry[T], 0, total)
 	seen := make(map[Key]struct{}, total)
 	for _, s := range stores {
-		for n := s.head; n != nil; n = n.next {
+		for id := s.head; id != 0; {
+			n := s.nodes.At(id)
 			if _, dup := seen[n.key]; dup {
 				w.Fail(fmt.Errorf("sessions: key %v held by two stores; shards are not key-disjoint", n.key))
 				return
 			}
 			seen[n.key] = struct{}{}
-			entries = append(entries, snapshotEntry[T]{key: n.key, lastSeen: n.lastSeen, value: n.value})
+			entries = append(entries, snapshotEntry[T]{key: n.key, lastSeen: n.lastSeen, value: &n.value})
+			id = n.next
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entryLess(&entries[i], &entries[j]) })
@@ -123,7 +126,7 @@ func SnapshotMerged[T any](w *statecodec.Writer, stores []*Store[T]) {
 	for i := range entries {
 		w.Uint32(entries[i].key.IP)
 		w.Uint64(entries[i].key.UAHash)
-		w.Time(entries[i].lastSeen)
+		w.Time(instant.Time(entries[i].lastSeen))
 		snap(w, entries[i].value)
 	}
 }
@@ -155,14 +158,14 @@ func restorePartitioned[T any](r *statecodec.Reader, stores []*Store[T], part fu
 	}
 	// Minimum entry size: key (4+8) + timestamp (8+4).
 	n := r.Count(4 + 8 + 8 + 4)
-	prev := time.Time{}
+	prev := instant.Never
 	for i := 0; i < n; i++ {
 		key := Key{IP: r.Uint32(), UAHash: r.Uint64()}
-		last := r.Time()
+		last := instant.Of(r.Time())
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if i > 0 && last.Before(prev) {
+		if last < prev {
 			return fmt.Errorf("%w: session entries out of order", statecodec.ErrCorrupt)
 		}
 		prev = last
@@ -179,23 +182,14 @@ func restorePartitioned[T any](r *statecodec.Reader, stores []*Store[T], part fu
 
 // restoreEntry appends one restored session at the LRU tail. Callers feed
 // entries in ascending lastSeen order, so the tail is always the right
-// position.
-func (s *Store[T]) restoreEntry(key Key, lastSeen time.Time, r *statecodec.Reader) error {
-	if _, ok := s.m[key]; ok {
+// position; on an error the caller resets the store.
+func (s *Store[T]) restoreEntry(key Key, lastSeen int64, r *statecodec.Reader) error {
+	tag := s.tag(key)
+	slot, id := s.find(key, tag)
+	if id != 0 {
 		return fmt.Errorf("%w: duplicate session key %v", statecodec.ErrCorrupt, key)
 	}
-	n := s.newNode()
-	n.key, n.lastSeen = key, lastSeen
-	if n.value == nil {
-		n.value = s.newT(lastSeen)
-	}
-	if err := s.restoreV(r, n.value); err != nil {
-		// Put the node back on the free list; its value was Recycle-reset
-		// or will be dropped, and the caller resets the store anyway.
-		s.recycle(n)
-		return err
-	}
-	s.m[key] = n
-	s.pushTail(n)
-	return nil
+	v := &s.admit(key, tag, slot, lastSeen).value
+	s.init(v, instant.Time(lastSeen))
+	return s.restoreV(r, v)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"divscrape/internal/slab"
 	"divscrape/internal/statecodec"
 )
 
@@ -16,7 +17,7 @@ func snapStore(t *testing.T, idle time.Duration) *Store[snapState] {
 	t.Helper()
 	s, err := NewStore(Config[snapState]{
 		IdleTimeout: idle,
-		New:         func(time.Time) *snapState { return &snapState{} },
+		Init:        func(*snapState, time.Time) {},
 		Snapshot:    func(w *statecodec.Writer, v *snapState) { w.Uint64(v.hits) },
 		Restore: func(r *statecodec.Reader, v *snapState) error {
 			v.hits = r.Uint64()
@@ -222,14 +223,20 @@ func TestRestoreRejectsOutOfOrderEntries(t *testing.T) {
 	}
 }
 
-// --- Recycle × FlushAll × free-list bound interaction ---------------------
+// --- slot reuse × FlushAll × Reset × what the slab keeps ----------------
 
-func recycleStore(t *testing.T) *Store[snapState] {
+// payload is a session value that grows something on the heap, as a
+// detector's record grows a product table.
+type payload struct {
+	hits  uint64
+	table []byte
+}
+
+func payloadStore(t *testing.T, onInit func(*payload)) *Store[payload] {
 	t.Helper()
-	s, err := NewStore(Config[snapState]{
+	s, err := NewStore(Config[payload]{
 		IdleTimeout: 30 * time.Minute,
-		New:         func(time.Time) *snapState { return &snapState{} },
-		Recycle:     func(v *snapState) { v.hits = 0 },
+		Init:        func(v *payload, _ time.Time) { onInit(v) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,115 +244,87 @@ func recycleStore(t *testing.T) *Store[snapState] {
 	return s
 }
 
-// TestFlushAllRecyclesUpToFreeListBound drives more live sessions than
-// the free list may hold, flushes them all, and checks the bound: at most
-// maxFreeNodes nodes are retained, every retained value is Recycle-reset,
-// and the store remains fully usable afterwards.
-func TestFlushAllRecyclesUpToFreeListBound(t *testing.T) {
-	s := recycleStore(t)
-	total := maxFreeNodes + 512
+// TestFlushAllGivesTheSlabBack: a flushed flood leaves nothing behind —
+// no chunk, no index sized for it — and a flushed handful keeps at most
+// the one chunk it had, so what a store retains is bounded by a constant.
+func TestFlushAllGivesTheSlabBack(t *testing.T) {
+	s := payloadStore(t, func(*payload) {})
+	const total = 4608
 	for i := 0; i < total; i++ {
 		st, _ := s.Touch(KeyFor(uint32(i), "ua"), base)
 		st.hits = uint64(i + 1)
 	}
-	if s.Len() != total {
-		t.Fatalf("Len = %d, want %d", s.Len(), total)
+	if s.Len() != total || s.nodes.Cap() < total {
+		t.Fatalf("Len = %d, slab %d slots, want %d", s.Len(), s.nodes.Cap(), total)
 	}
 	s.FlushAll()
 	if s.Len() != 0 {
 		t.Fatalf("Len after FlushAll = %d", s.Len())
 	}
-	if s.freeLen != maxFreeNodes {
-		t.Fatalf("free list holds %d nodes, want bound %d", s.freeLen, maxFreeNodes)
+	if s.nodes.Cap() != 0 || len(s.index) != minIndex {
+		t.Fatalf("after flushing %d sessions the store keeps %d slots and %d index entries", total, s.nodes.Cap(), len(s.index))
 	}
-	// Nodes beyond the bound must have dropped their values for the GC;
-	// nodes within it must carry Recycle-reset values.
-	withValue := 0
-	for n := s.free; n != nil; n = n.next {
-		if n.value != nil {
-			withValue++
-			if n.value.hits != 0 {
-				t.Fatal("recycled value not reset")
-			}
-		}
-	}
-	if withValue != maxFreeNodes {
-		t.Errorf("%d free nodes carry values, want %d", withValue, maxFreeNodes)
-	}
-	// New sessions drain the free list before allocating.
 	st, fresh := s.Touch(KeyFor(1, "reborn"), base.Add(time.Hour))
 	if !fresh || st.hits != 0 {
 		t.Error("session after flush not fresh")
 	}
-	if s.freeLen != maxFreeNodes-1 {
-		t.Errorf("freeLen = %d after one Touch, want %d", s.freeLen, maxFreeNodes-1)
-	}
-}
 
-// TestFlushAllWithoutRecycleDropsValues pins the contrasting behaviour:
-// without a Recycle hook the free list keeps nodes but never values.
-func TestFlushAllWithoutRecycleDropsValues(t *testing.T) {
-	s := newStore(t, 30*time.Minute, nil)
-	for i := 0; i < 64; i++ {
-		s.Touch(KeyFor(uint32(i), "ua"), base)
+	for i := 0; i < 40; i++ {
+		s.Touch(KeyFor(uint32(i), "ua"), base.Add(time.Hour))
 	}
 	s.FlushAll()
-	if s.freeLen != 64 {
-		t.Fatalf("freeLen = %d, want 64", s.freeLen)
-	}
-	for n := s.free; n != nil; n = n.next {
-		if n.value != nil {
-			t.Fatal("free node kept a value without a Recycle hook")
-		}
+	if got := s.nodes.Cap(); got > slab.ChunkLen {
+		t.Errorf("a flushed handful keeps %d slots, want at most one chunk", got)
 	}
 }
 
-// TestTouchAfterResetReusesRecycledNodes proves Reset pushes live nodes
-// through the same Recycle path eviction uses, and that the next replay's
-// sessions are built from those recycled nodes (no fresh allocations for
-// the node or, with a Recycle hook, the value).
-func TestTouchAfterResetReusesRecycledNodes(t *testing.T) {
-	s := recycleStore(t)
-	values := make(map[*snapState]bool)
+// TestReusedSlotHoldsNothingOfTheClientBefore: an evicted session's slot
+// is zeroed when it is freed — not when it is next used — and Init sees
+// a zero value.
+func TestReusedSlotHoldsNothingOfTheClientBefore(t *testing.T) {
+	dirty := 0
+	s := payloadStore(t, func(v *payload) {
+		if v.hits != 0 || v.table != nil {
+			dirty++
+		}
+	})
+	// 70 sessions end, 30 stay: too many for the store to rebuild its slab.
 	for i := 0; i < 100; i++ {
-		st, _ := s.Touch(KeyFor(uint32(i), "ua"), base)
-		st.hits = 99
-		values[st] = true
+		st, _ := s.Touch(KeyFor(uint32(i), "ua"), base.Add(time.Duration(i/70)*time.Minute))
+		st.hits, st.table = 99, make([]byte, 1<<10)
 	}
-	s.Reset()
-	if s.Len() != 0 || s.freeLen != 100 {
-		t.Fatalf("after Reset: Len=%d freeLen=%d", s.Len(), s.freeLen)
+	slots := s.nodes.Cap()
+	if n := s.EvictBefore(base.Add(time.Second)); n != 70 {
+		t.Fatalf("evicted %d of 70", n)
 	}
-	reused := 0
-	for i := 0; i < 100; i++ {
-		st, fresh := s.Touch(KeyFor(uint32(1000+i), "ua"), base.Add(time.Minute))
-		if !fresh {
-			t.Fatal("post-Reset touch not fresh")
-		}
-		if st.hits != 0 {
-			t.Fatal("recycled value not reset by Reset")
-		}
-		if values[st] {
-			reused++
+	for id := uint32(1); id <= 70; id++ {
+		if n := s.nodes.At(id); n.value.table != nil || n.value.hits != 0 || n.key != (Key{}) {
+			t.Fatalf("free slot %d still holds %+v", id, *n)
 		}
 	}
-	if reused != 100 {
-		t.Errorf("reused %d recycled values, want 100", reused)
+	for i := 0; i < 70; i++ {
+		st, fresh := s.Touch(KeyFor(uint32(1000+i), "ua"), base.Add(2*time.Minute))
+		if !fresh || st.hits != 0 || st.table != nil {
+			t.Fatalf("session %d: fresh=%v value=%+v", i, fresh, *st)
+		}
 	}
-	if s.freeLen != 0 {
-		t.Errorf("freeLen = %d after reusing all nodes", s.freeLen)
+	if dirty != 0 {
+		t.Errorf("Init was handed %d slots still holding an earlier client's state", dirty)
+	}
+	if s.nodes.Cap() != slots {
+		t.Errorf("slab went %d → %d slots across evict-70, admit-70", slots, s.nodes.Cap())
 	}
 }
 
 // TestRecycleFlushResetInterleaved stresses the three paths against each
 // other across several generations; the invariant is conservation: every
-// session is observable exactly once per generation and the free list
-// never exceeds its bound.
+// session is observable exactly once per generation, starts from nothing,
+// and neither FlushAll nor Reset leaves a generation's slab behind.
 func TestRecycleFlushResetInterleaved(t *testing.T) {
-	s := recycleStore(t)
+	s := payloadStore(t, func(*payload) {})
 	now := base
 	for gen := 0; gen < 5; gen++ {
-		n := 2000 + gen*1500 // crosses maxFreeNodes by the third generation
+		n := 2000 + gen*1500
 		for i := 0; i < n; i++ {
 			st, fresh := s.Touch(KeyFor(uint32(i), fmt.Sprintf("gen%d", gen)), now)
 			if !fresh {
@@ -364,8 +343,8 @@ func TestRecycleFlushResetInterleaved(t *testing.T) {
 		} else {
 			s.Reset()
 		}
-		if s.freeLen > maxFreeNodes {
-			t.Fatalf("gen %d: free list %d exceeds bound", gen, s.freeLen)
+		if s.Len() != 0 || s.nodes.Cap() != 0 {
+			t.Fatalf("gen %d: %d sessions in %d slots after the store was emptied", gen, s.Len(), s.nodes.Cap())
 		}
 		now = now.Add(time.Hour)
 	}

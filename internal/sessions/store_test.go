@@ -14,7 +14,7 @@ func newStore(t *testing.T, idle time.Duration, onEvict func(Key, *counter)) *St
 	t.Helper()
 	s, err := NewStore(Config[counter]{
 		IdleTimeout: idle,
-		New:         func(time.Time) *counter { return &counter{} },
+		Init:        func(*counter, time.Time) {},
 		OnEvict:     onEvict,
 	})
 	if err != nil {
@@ -24,11 +24,11 @@ func newStore(t *testing.T, idle time.Duration, onEvict func(Key, *counter)) *St
 }
 
 func TestNewStoreValidation(t *testing.T) {
-	if _, err := NewStore(Config[counter]{IdleTimeout: 0, New: func(time.Time) *counter { return nil }}); err == nil {
+	if _, err := NewStore(Config[counter]{IdleTimeout: 0, Init: func(*counter, time.Time) {}}); err == nil {
 		t.Error("zero idle timeout accepted")
 	}
 	if _, err := NewStore(Config[counter]{IdleTimeout: time.Minute}); err == nil {
-		t.Error("nil constructor accepted")
+		t.Error("nil Init accepted")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestTouchCreatesOnce(t *testing.T) {
 	if fresh2 {
 		t.Error("second touch should not be fresh")
 	}
-	if c2 != c1 || c2.n != 1 {
+	if c2.n != 1 {
 		t.Error("state not preserved across touches")
 	}
 	if s.Len() != 1 {
@@ -139,7 +139,7 @@ func TestSessionConservationProperty(t *testing.T) {
 	}) bool {
 		s, err := NewStore(Config[counter]{
 			IdleTimeout: 10 * time.Minute,
-			New:         func(time.Time) *counter { return &counter{} },
+			Init:        func(*counter, time.Time) {},
 		})
 		if err != nil {
 			return false
@@ -165,7 +165,7 @@ func TestEvictionOrderProperty(t *testing.T) {
 	lastSeen := make(map[Key]time.Time)
 	s, err := NewStore(Config[counter]{
 		IdleTimeout: 5 * time.Minute,
-		New:         func(time.Time) *counter { return &counter{} },
+		Init:        func(*counter, time.Time) {},
 		OnEvict: func(k Key, _ *counter) {
 			evictedAt = append(evictedAt, lastSeen[k])
 		},
@@ -192,7 +192,7 @@ func TestEvictionOrderProperty(t *testing.T) {
 func BenchmarkStoreTouch(b *testing.B) {
 	s, err := NewStore(Config[counter]{
 		IdleTimeout: 30 * time.Minute,
-		New:         func(time.Time) *counter { return &counter{} },
+		Init:        func(*counter, time.Time) {},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -211,7 +211,7 @@ func TestResetClearsInPlace(t *testing.T) {
 	evicted := 0
 	s, err := NewStore(Config[int]{
 		IdleTimeout: time.Minute,
-		New:         func(time.Time) *int { return new(int) },
+		Init:        func(*int, time.Time) {},
 		OnEvict:     func(Key, *int) { evicted++ },
 	})
 	if err != nil {
@@ -241,13 +241,11 @@ func TestResetClearsInPlace(t *testing.T) {
 	}
 }
 
-// Evicted nodes are recycled: session churn must not allocate a new list
-// node per session once the free list is primed (the state itself still
-// allocates via New, by design).
+// Evicted nodes are recycled: session churn must not grow the slab.
 func TestNodeRecycling(t *testing.T) {
 	s, err := NewStore(Config[int]{
 		IdleTimeout: time.Second,
-		New:         func(time.Time) *int { return new(int) },
+		Init:        func(*int, time.Time) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,12 +253,12 @@ func TestNodeRecycling(t *testing.T) {
 	now := time.Unix(0, 0)
 	key := KeyFor(7, "ua")
 	// Churn one key through create → expire → recreate many times: each
-	// Touch evicts the previous generation's node into the free list and
-	// immediately reuses it, so the list never grows beyond one node.
+	// Touch evicts the previous generation's node and immediately reuses
+	// its slot, so the slab never grows beyond one node.
 	for i := 0; i < 1000; i++ {
 		s.Touch(key, now)
-		if s.freeLen > 1 {
-			t.Fatalf("free list grew to %d during churn", s.freeLen)
+		if s.nodes.Cap() > 1 {
+			t.Fatalf("slab grew to %d slots during churn", s.nodes.Cap())
 		}
 		now = now.Add(2 * time.Second) // expires the previous generation
 	}
@@ -268,22 +266,54 @@ func TestNodeRecycling(t *testing.T) {
 		t.Errorf("evictions = %d, want 999", s.Evictions())
 	}
 	s.FlushAll()
-	if s.freeLen != 1 {
-		t.Errorf("free list holds %d nodes after flush, want 1 (the recycled node)", s.freeLen)
+	if s.nodes.Cap() != 1 {
+		t.Errorf("slab holds %d slots after flush, want 1 (the recycled node)", s.nodes.Cap())
 	}
 }
 
-func TestSizeHintAccepted(t *testing.T) {
-	s, err := NewStore(Config[int]{
-		IdleTimeout: time.Minute,
-		New:         func(time.Time) *int { return new(int) },
-		SizeHint:    1 << 14,
-	})
-	if err != nil {
-		t.Fatal(err)
+// longestRun is the longest stretch of consecutive occupied index slots:
+// the most probes a lookup can need.
+func longestRun(index []uint64) int {
+	longest, run := 0, 0
+	for i := 0; i < 2*len(index); i++ {
+		if index[i%len(index)] == 0 {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, run)
 	}
-	if s.Len() != 0 {
-		t.Error("fresh store not empty")
+	return min(longest, len(index))
+}
+
+// A client chooses its addresses and User-Agents. Knowing a store's seed
+// it can choose keys that all want one index slot; the same keys in a
+// store with another seed — every store draws its own — spread like any
+// others.
+func TestChosenKeysDoNotPileUp(t *testing.T) {
+	const crowd, chosen, mask = 3000, 400, 8192 - 1 // 3400 keys end in an 8192-slot index
+	known, other := newStore(t, time.Hour, nil), newStore(t, time.Hour, nil)
+	for _, s := range []*Store[counter]{known, other} {
+		for i := uint32(0); i < crowd; i++ {
+			s.Touch(IPOnlyKey(i), base)
+		}
+	}
+	picked := 0
+	for ip := uint32(1 << 20); picked < chosen; ip++ {
+		if k := IPOnlyKey(ip); known.tag(k)&mask == 0 {
+			known.Touch(k, base)
+			other.Touch(k, base)
+			picked++
+		}
+	}
+	if len(known.index) != mask+1 || len(other.index) != mask+1 {
+		t.Fatalf("index lengths %d and %d, test assumes %d", len(known.index), len(other.index), mask+1)
+	}
+	if run := longestRun(known.index); run < chosen {
+		t.Errorf("keys chosen with the seed form a run of %d slots, want at least %d", run, chosen)
+	}
+	if run := longestRun(other.index); run > 64 {
+		t.Errorf("the same keys under another seed form a run of %d slots", run)
 	}
 }
 

@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"time"
+
+	"divscrape/internal/instant"
 )
 
 // EWMA is an exponentially weighted moving average with a fixed smoothing
@@ -53,7 +55,7 @@ func (e *EWMA) Reset() { e.value, e.seen = 0, false }
 type DecayRate struct {
 	halfLife time.Duration
 	rate     float64 // events per second
-	last     time.Time
+	last     int64   // instant of the last decay; instant.Never until an event
 	seen     bool
 }
 
@@ -64,7 +66,7 @@ func NewDecayRate(halfLife time.Duration) DecayRate {
 	if halfLife <= 0 {
 		halfLife = time.Minute
 	}
-	return DecayRate{halfLife: halfLife}
+	return DecayRate{halfLife: halfLife, last: instant.Never}
 }
 
 // Observe records one event at time now and returns the decayed rate
@@ -75,14 +77,15 @@ func (d *DecayRate) Observe(now time.Time) float64 {
 
 // ObserveN records n simultaneous events at time now.
 func (d *DecayRate) ObserveN(now time.Time, n float64) float64 {
+	at := instant.Of(now)
 	if !d.seen {
 		d.seen = true
-		d.last = now
+		d.last = at
 		d.rate = 0
-	} else if dt := now.Sub(d.last).Seconds(); dt > 0 {
+	} else if dt := instant.Sub(at, d.last).Seconds(); dt > 0 {
 		decay := math.Exp2(-dt / d.halfLife.Seconds())
 		d.rate *= decay
-		d.last = now
+		d.last = at
 	}
 	// An event contributes weight spread over the half-life window.
 	d.rate += n * math.Ln2 / d.halfLife.Seconds()
@@ -94,7 +97,7 @@ func (d *DecayRate) Rate(now time.Time) float64 {
 	if !d.seen {
 		return 0
 	}
-	dt := now.Sub(d.last).Seconds()
+	dt := instant.Sub(instant.Of(now), d.last).Seconds()
 	if dt <= 0 {
 		return d.rate
 	}
@@ -102,4 +105,4 @@ func (d *DecayRate) Rate(now time.Time) float64 {
 }
 
 // Reset clears the estimator.
-func (d *DecayRate) Reset() { *d = DecayRate{halfLife: d.halfLife} }
+func (d *DecayRate) Reset() { *d = NewDecayRate(d.halfLife) }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"divscrape/internal/instant"
 	"divscrape/internal/statecodec"
 )
 
@@ -139,7 +140,7 @@ func (s *IDSet) RestoreFrom(r *statecodec.Reader) error {
 func (d *DecayRate) SnapshotInto(w *statecodec.Writer) {
 	w.Tag(tagDecayRate)
 	w.Float64(d.rate)
-	w.Time(d.last)
+	w.Time(instant.Time(d.last))
 	w.Bool(d.seen)
 }
 
@@ -150,7 +151,7 @@ func (d *DecayRate) RestoreFrom(r *statecodec.Reader) error {
 		return err
 	}
 	d.rate = r.Float64()
-	d.last = r.Time()
+	d.last = instant.Of(r.Time())
 	d.seen = r.Bool()
 	return r.Err()
 }

@@ -62,9 +62,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	acc := &counts{}
 	store, err := sessions.NewStore(sessions.Config[trainSession]{
 		IdleTimeout: cfg.IdleTimeout,
-		New: func(time.Time) *trainSession {
-			return &trainSession{prev: -1}
-		},
+		Init:        func(ts *trainSession, _ time.Time) { ts.prev = -1 },
 		OnEvict: func(_ sessions.Key, ts *trainSession) {
 			if ts.count >= uint64(cfg.MinSessionRequests) {
 				acc.entropySum += kindEntropy(&ts.kinds)

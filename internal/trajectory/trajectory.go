@@ -200,13 +200,9 @@ func New(cfg Config) (*Detector, error) {
 func newStore(cfg Config) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: cfg.IdleTimeout,
-		New:         func(time.Time) *session { return &session{prevKind: -1} },
-		// Recycle overwrites an ended session's record, so session churn
-		// does not allocate in steady state; a product table the old
-		// session grew is let go, not kept for the next client.
-		Recycle:  func(st *session) { *st = session{prevKind: -1} },
-		Snapshot: snapshotSession,
-		Restore:  restoreSession,
+		Init:        func(st *session, _ time.Time) { st.prevKind = -1 },
+		Snapshot:    snapshotSession,
+		Restore:     restoreSession,
 	})
 }
 

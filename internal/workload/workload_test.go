@@ -111,8 +111,8 @@ func TestEntriesAreValidCombinedLogFormat(t *testing.T) {
 	events := generate(t, smallConfig(7, 2))
 	for i := range events {
 		line := logfmt.FormatCombined(&events[i].Entry)
-		back, err := logfmt.ParseCombined(line)
-		if err != nil {
+		var back logfmt.Entry
+		if err := logfmt.ParseCombinedBytes([]byte(line), &back, nil); err != nil {
 			t.Fatalf("event %d does not round-trip: %v\n%s", i, err, line)
 		}
 		if !back.Equal(&events[i].Entry) {

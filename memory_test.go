@@ -10,14 +10,16 @@ import (
 	"divscrape"
 	"divscrape/internal/bayes"
 	"divscrape/internal/detector"
-	"divscrape/internal/sessions"
+	"divscrape/internal/mitigate"
+	"divscrape/internal/slab"
 )
 
-// The memory a detector holds per tracked client is gated here, in tier-1,
-// not only read off the benchmark: per-client state is what a hostile
-// client inflates cheapest, and a change that puts a map (or any second
-// heap object) back into a client record fails `go test`. Every figure is
-// live heap after two forced collections, as bench/ reads it.
+// The memory a detector — and the ladder — holds per tracked client is
+// gated here, in tier-1, not only read off the benchmark: per-client state
+// is what a hostile client inflates cheapest, and a change that makes a
+// client record a heap object again (or puts a map into one) fails
+// `go test`. Every figure is live heap after two forced collections, as
+// bench/ reads it.
 
 // heldHeap forces two collections (the second frees what finalizers of the
 // first released) and returns the bytes and objects still reachable.
@@ -38,7 +40,22 @@ func grown(fn func()) (bytes, objects float64) {
 	return max(float64(b1)-float64(b0), 0), max(float64(o1)-float64(o0), 0)
 }
 
+// heldAfter is what remains of held bytes once fn has let some go.
+func heldAfter(held float64, fn func()) float64 {
+	b0, _ := heldHeap()
+	fn()
+	b1, _ := heldHeap()
+	return held - (float64(b0) - float64(b1))
+}
+
 const (
+	// maxObjectsPerClient is the gate on "a tracked client is not a heap
+	// object": slab chunks, index and map growth come to about 0.02.
+	maxObjectsPerClient = 0.05
+	// retainedChunk is how many records an emptied store or ladder may
+	// still hold memory for: one slab chunk.
+	retainedChunk = slab.ChunkLen
+
 	floodClients = 20_000
 	sweepIDs     = 5_000
 	memUA        = "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0"
@@ -86,15 +103,15 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		name  string
 		build func() (detector.Detector, error)
 		// floodCeiling bounds the bytes one one-request client may hold:
-		// about 1.5× what the record, its store node and its share of the
-		// session index measure.
+		// what the record inline in its slab node and its share of the
+		// session index measure, plus a tenth.
 		floodCeiling float64
 		// products: the detector keeps the set of product ids a session saw.
 		products bool
 	}{
-		{"sentinel", registry("sentinel"), 520, false},
-		{"arcane", registry("arcane"), 730, true},
-		{"trajectory", registry("trajectory"), 640, true},
+		{"sentinel", registry("sentinel"), 300, false},
+		{"arcane", registry("arcane"), 485, true},
+		{"trajectory", registry("trajectory"), 440, true},
 		{"bayes", func() (detector.Detector, error) {
 			if model == nil {
 				var err error
@@ -103,7 +120,7 @@ func TestHeldMemoryPerClient(t *testing.T) {
 				}
 			}
 			return bayes.New(bayes.Config{Model: model})
-		}, 640, true},
+		}, 440, true},
 	}
 
 	flood := memRequests(floodClients,
@@ -112,17 +129,6 @@ func TestHeldMemoryPerClient(t *testing.T) {
 	sweep := memRequests(sweepIDs, oneClient, func(i int) string { return fmt.Sprintf("/product/%d", i) })
 	rng := rand.New(rand.NewPCG(1, 2))
 	sparse := memRequests(sweepIDs, oneClient, func(int) string { return fmt.Sprintf("/product/%d", rng.Uint64()>>24) })
-
-	// What an emptied session index of the flood's size still holds: Go
-	// maps keep their buckets. It is the "empty" the eviction check allows.
-	var index map[sessions.Key]*int
-	emptiedIndex, _ := grown(func() {
-		index = make(map[sessions.Key]*int, 1024)
-		for i := range flood {
-			index[flood[i].SessionKey()] = nil
-		}
-		clear(index)
-	})
 
 	for _, tc := range detectors {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,20 +151,22 @@ func TestHeldMemoryPerClient(t *testing.T) {
 			if perClient > tc.floodCeiling {
 				t.Errorf("a %d-address flood holds %.0f B per client, ceiling %.0f B", floodClients, perClient, tc.floodCeiling)
 			}
+			if objects > maxObjectsPerClient*floodClients {
+				t.Errorf("a %d-address flood holds %.2f heap objects per client: a tracked client is a heap object again", floodClients, objects/floodClients)
+			}
 
 			if ev, ok := d.(detector.Evictable); ok {
-				// Past every idle timeout, all of it goes but the store's
-				// bounded free list (4096 recycled records).
-				b0, _ := heldHeap()
-				if n := ev.EvictBefore(memStart.Add(48 * time.Hour)); n != floodClients {
-					t.Fatalf("evicted %d of %d clients", n, floodClients)
-				}
-				b1, _ := heldHeap()
+				// Past every idle timeout all of it goes: the store rebuilds
+				// a slab the sweep left sparse, index included, and keeps at
+				// most one chunk.
+				left := heldAfter(held, func() {
+					if n := ev.EvictBefore(memStart.Add(48 * time.Hour)); n != floodClients {
+						t.Fatalf("evicted %d of %d clients", n, floodClients)
+					}
+				})
 				runtime.KeepAlive(d)
-				left := held - (float64(b0) - float64(b1))
-				allowed := 1.10 * (emptiedIndex + 4096*perClient)
-				t.Logf("%s: after eviction the flood still holds %.0f B (allowed %.0f B: emptied index %.0f B + 4096 free records, +10%%)",
-					tc.name, left, allowed, emptiedIndex)
+				allowed := retainedChunk * perClient
+				t.Logf("%s: after eviction the flood still holds %.0f B (allowed %.0f B: one chunk of records)", tc.name, left, allowed)
 				if left > allowed {
 					t.Errorf("after eviction the flood still holds %.0f B, want at most %.0f B", left, allowed)
 				}
@@ -179,8 +187,41 @@ func TestHeldMemoryPerClient(t *testing.T) {
 			}
 		})
 	}
+
+	// The ladder under the same flood: one rung record per address, keyed
+	// by the address string the request already holds.
+	t.Run("mitigate", func(t *testing.T) {
+		const ceiling = 95 // 40 B of slab and a map[string]uint32 entry measure 86
+		engine, err := mitigate.New(mitigate.Graduated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, objects := grown(func() {
+			for i := range flood {
+				engine.Apply(flood[i].Entry.RemoteAddr, flood[i].Entry.Time, mitigate.Assessment{Score: 0.1})
+			}
+		})
+		perClient := held / floodClients
+		t.Logf("mitigate: a one-request client costs %.0f B in %.2f heap objects (ceiling %d B)", perClient, objects/floodClients, ceiling)
+		if perClient > ceiling {
+			t.Errorf("a %d-address flood holds %.0f B per client, ceiling %d B", floodClients, perClient, ceiling)
+		}
+		if objects > maxObjectsPerClient*floodClients {
+			t.Errorf("a %d-address flood holds %.2f heap objects per client: a ladder client is a heap object again", floodClients, objects/floodClients)
+		}
+		left := heldAfter(held, func() {
+			if n := engine.Sweep(memStart.Add(48 * time.Hour)); n != floodClients {
+				t.Fatalf("swept %d of %d clients", n, floodClients)
+			}
+		})
+		runtime.KeepAlive(engine)
+		allowed := retainedChunk * perClient
+		t.Logf("mitigate: after the sweep the flood still holds %.0f B (allowed %.0f B: one chunk of records)", left, allowed)
+		if left > allowed {
+			t.Errorf("after the sweep the flood still holds %.0f B, want at most %.0f B", left, allowed)
+		}
+	})
 	runtime.KeepAlive(flood)
 	runtime.KeepAlive(sweep)
 	runtime.KeepAlive(sparse)
-	runtime.KeepAlive(index)
 }
