@@ -5,8 +5,10 @@
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR18.json so the performance
 # trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
-# targets, the id set and the session store against their models, and the
-# byte log parser against the string one, for a short bounded pass.
+# targets, the id set and the session store against their models, the
+# byte log parser against the string one (line by line, and over line
+# sequences through one interner) and the User-Agent parser, for a short
+# bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
 # checked-in record: non-zero exit when req/s regresses >20% or allocs/op
 # rises on any shared benchmark. Both targets share the bench.out recipe,
@@ -123,7 +125,9 @@ fuzz:
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats/ -run xxx -fuzz FuzzIDSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sessions/ -run xxx -fuzz FuzzStore -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logfmt/ -run xxx -fuzz FuzzParseCombinedBytes -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfmt/ -run xxx -fuzz 'FuzzParseCombinedBytes$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfmt/ -run xxx -fuzz FuzzParseCombinedLines -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/uaparse/ -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
 
 bench.out:
 	@rm -f bench.out

@@ -41,6 +41,26 @@ func TestEnrichZeroAllocsSteadyState(t *testing.T) {
 		}
 	}
 
+	// A client alternating between two agents the tables know is answered
+	// from them on every line, without a write.
+	alternate := []logfmt.Entry{entry, entry}
+	alternate[1].UserAgent = "python-requests/2.18.4"
+	for name, enrichInto := range map[string]func(*Request, logfmt.Entry){
+		"Enricher":       plain.EnrichInto,
+		"SharedEnricher": shared.EnrichInto,
+	} {
+		var req Request
+		both := func() {
+			for _, e := range alternate {
+				enrichInto(&req, e)
+			}
+		}
+		both()
+		if allocs := testing.AllocsPerRun(200, both); allocs != 0 {
+			t.Errorf("%s: a client alternating two known agents allocates %.1f per pair, want 0", name, allocs)
+		}
+	}
+
 	// The by-value variant must stay allocation-free too (the Request
 	// does not escape).
 	var req Request

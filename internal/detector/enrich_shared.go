@@ -10,29 +10,29 @@ import (
 
 // SharedEnricher is the concurrency-safe counterpart of Enricher, built
 // for the live middleware where requests from many connections enrich in
-// parallel. Cache hits — the overwhelming steady state, since UA strings
-// and client addresses repeat heavily — take only a read lock, so
-// enrichment no longer serialises behind the per-shard detector lock; the
-// write lock is taken briefly on misses to install the parsed result.
-// One instance is shared by every shard: a UA parsed for one client is a
-// hit for all.
+// parallel. It keeps the same clients table — a 16-byte record per
+// address, the agents' facts by value, both started over together when
+// either is full — and resolves in the same three steps. A line whose
+// address and agent the tables both hold — the steady state, whether the
+// client repeats its agent (one address hash and a compare) or rotates
+// among known ones (a hash of each) — takes only the read lock and writes
+// nothing, so enrichment does not serialise behind the per-shard detector
+// lock. A new address or an unseen agent is derived (the User-Agent parse,
+// the reputation lookup) with no lock held; the write lock is taken only to
+// install the result. One instance is shared by every shard: an agent
+// parsed for one client is known to all.
 type SharedEnricher struct {
 	rep *iprep.DB
 	seq atomic.Uint64
 
-	mu      sync.RWMutex
-	uaCache map[string]uaFacts
-	ipCache map[string]ipInfo
+	mu sync.RWMutex
+	t  clients
 }
 
 // NewSharedEnricher returns a concurrency-safe enricher resolving
 // reputation against rep (nil disables reputation enrichment).
 func NewSharedEnricher(rep *iprep.DB) *SharedEnricher {
-	return &SharedEnricher{
-		rep:     rep,
-		uaCache: make(map[string]uaFacts, 1024),
-		ipCache: make(map[string]ipInfo, 4096),
-	}
+	return &SharedEnricher{rep: rep, t: newClients()}
 }
 
 // EnrichInto overwrites every field of *req with the enriched view of
@@ -40,31 +40,30 @@ func NewSharedEnricher(rep *iprep.DB) *SharedEnricher {
 // but, unlike Enricher's, not guaranteed to match arrival order under
 // concurrency.
 func (e *SharedEnricher) EnrichInto(req *Request, entry logfmt.Entry) {
+	addr, agent := entry.RemoteAddr, entry.UserAgent
+	var ua uaFacts
 	e.mu.RLock()
-	ua, uaHit := e.uaCache[entry.UserAgent]
-	info, ipHit := e.ipCache[entry.RemoteAddr]
+	f := e.t.lookup(addr, agent)
+	if f.known && f.seen {
+		ua = e.t.agents[f.c.agent]
+	}
 	e.mu.RUnlock()
 
-	if !uaHit {
-		ua = deriveUA(entry.UserAgent)
+	c := f.c
+	if !f.known || !f.seen {
+		d := deriveMissing(e.rep, addr, agent, f)
 		e.mu.Lock()
-		admit(e.uaCache, maxCachedUAs, entry.UserAgent, ua)
+		c = e.t.install(e.rep, addr, agent, e.t.lookup(addr, agent), &d)
+		ua = e.t.agents[c.agent]
 		e.mu.Unlock()
 	}
-	if !ipHit {
-		info = deriveIP(e.rep, entry.RemoteAddr)
-		e.mu.Lock()
-		admit(e.ipCache, maxCachedIPs, entry.RemoteAddr, info)
-		e.mu.Unlock()
-	}
-	derive(req, e.seq.Add(1)-1, &entry, &ua, info)
+	derive(req, e.seq.Add(1)-1, &entry, &ua, c)
 }
 
-// Reset clears the caches in place and restarts the sequence counter.
+// Reset clears the tables in place and restarts the sequence counter.
 func (e *SharedEnricher) Reset() {
 	e.mu.Lock()
-	clear(e.uaCache)
-	clear(e.ipCache)
+	e.t.reset()
 	e.mu.Unlock()
 	e.seq.Store(0)
 }

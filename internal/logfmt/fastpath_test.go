@@ -68,6 +68,29 @@ var fastPathCases = []struct {
 	{fastPathLine("28/Feb/2025:10:00:06 +0000", "GET GET GET"), true},
 	{fastPathLine("28/Feb/2025:10:00:06 +0000", "-"), true},
 	{`- -- GET [28/Feb/2025:10:00:07 +0000] "GET - HTTP/1.1" 200 - "GET" "HTTP/1.1"`, true},
+	// "GET <path> HTTP/1.1" is split by its ends: requests a byte off that
+	// shape, or with the path empty or holding spaces.
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET  HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET   HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET /a b HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET  / HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET /  HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET / HTTP/1.1 "), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", " GET / HTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET / xHTTP/1.1"), true},
+	{fastPathLine("28/Feb/2025:10:00:08 +0000", "GET\t/ HTTP/1.1"), true},
+	// " - - " after the address is taken without scanning: lines a space
+	// or a byte off it, and lines that end inside it.
+	{`10.1.2.3  - - [28/Feb/2025:10:00:09 +0000] "GET / HTTP/1.1" 200 512 "-" "UA/1.0"`, true},
+	{`10.1.2.3 - -  [28/Feb/2025:10:00:09 +0000] "GET / HTTP/1.1" 200 512 "-" "UA/1.0"`, true},
+	{`10.1.2.3 - - - [28/Feb/2025:10:00:09 +0000] "GET / HTTP/1.1" 200 512 "-" "UA/1.0"`, false},
+	{`10.1.2.3 - -[28/Feb/2025:10:00:09 +0000] "GET / HTTP/1.1" 200 512 "-" "UA/1.0"`, false},
+	{`10.1.2.3 -- - [28/Feb/2025:10:00:09 +0000] "GET / HTTP/1.1" 200 512 "-" "UA/1.0"`, true},
+	{`10.1.2.3 - -- [28/Feb/2025:10:00:09 +0000] "GET / HTTP/1.1" 200 512 "-" "UA/1.0"`, true},
+	{`10.1.2.3 - - `, false},
+	{`10.1.2.3 - -`, false},
+	{`10.1.2.3 - `, false},
 }
 
 // The byte parser answers "-", the common methods and protocols from

@@ -1,6 +1,7 @@
 package logfmt
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,24 +71,86 @@ func FuzzParseCombinedBytes(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		want, wantErr := ParseCombined(string(line))
-		for _, in := range []*Interner{fuzzInterner, nil} {
-			var got Entry
-			err := ParseCombinedBytes(line, &got, in)
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("interner %v: byte parser error %v, string parser error %v", in != nil, err, wantErr)
+		checkAgainstOracle(t, line, fuzzInterner)
+	})
+}
+
+// checkAgainstOracle parses line through in and through no interner and
+// holds both to the string parser: both accept or both reject, with the
+// same error text, and an accepted line reads the same field for field, to
+// the instant and the zone offset.
+func checkAgainstOracle(t *testing.T, line []byte, in *Interner) {
+	t.Helper()
+	want, wantErr := ParseCombined(string(line))
+	for _, in := range []*Interner{in, nil} {
+		var got Entry
+		err := ParseCombinedBytes(line, &got, in)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("interner %v, %q: byte parser error %v, string parser error %v", in != nil, line, err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("interner %v, %q: byte parser error %q, string parser error %q", in != nil, line, err, wantErr)
 			}
-			if err != nil {
-				continue
-			}
-			if !got.Equal(&want) {
-				t.Fatalf("interner %v:\n bytes:  %+v\n string: %+v", in != nil, got, want)
-			}
-			_, gotOff := got.Time.Zone()
-			_, wantOff := want.Time.Zone()
-			if !got.Time.Equal(want.Time) || gotOff != wantOff {
-				t.Fatalf("interner %v: time %v (offset %d), want %v (offset %d)", in != nil, got.Time, gotOff, want.Time, wantOff)
-			}
+			continue
+		}
+		if !got.Equal(&want) {
+			t.Fatalf("interner %v, %q:\n bytes:  %+v\n string: %+v", in != nil, line, got, want)
+		}
+		_, gotOff := got.Time.Zone()
+		_, wantOff := want.Time.Zone()
+		if !got.Time.Equal(want.Time) || gotOff != wantOff {
+			t.Fatalf("interner %v, %q: time %v (offset %d), want %v (offset %d)", in != nil, line, got.Time, gotOff, want.Time, wantOff)
+		}
+	}
+}
+
+// FuzzParseCombinedLines parses its input's lines in order through one
+// fresh, small interner, as a Reader parses a log: each address's table
+// entry remembers an agent it sent, so a line's result depends on
+// the lines before it — an agent repeated, changed, changed back, sent
+// from the constant "-", or met after the table started over. Every line
+// is held to the string parser, which has no such memory.
+func FuzzParseCombinedLines(f *testing.F) {
+	const stamp = "11/Mar/2018:06:25:14 +0000"
+	line := func(addr, referer, ua string) string {
+		return fmt.Sprintf(`%s - - [%s] "GET / HTTP/1.1" 200 5 "%s" "%s"`, addr, stamp, referer, ua)
+	}
+	lines := func(ls ...string) []byte { return []byte(strings.Join(ls, "\n")) }
+	// One address sending A, A, B, A.
+	f.Add(lines(line("10.0.0.1", "-", "A"), line("10.0.0.1", "-", "A"), line("10.0.0.1", "-", "B"), line("10.0.0.1", "-", "A")))
+	// An address switching agent on every line, beside a steady one.
+	var rotating []string
+	for i := 0; i < 8; i++ {
+		rotating = append(rotating, line("10.0.0.2", "-", fmt.Sprintf("agent/%d", i%3)), line("10.0.0.3", "-", "steady"))
+	}
+	f.Add(lines(rotating...))
+	// "-" as the address, which has no table entry to remember in.
+	f.Add(lines(line("-", "-", "A"), line("-", "-", "B"), line("-", "-", "A"), line("10.0.0.1", "-", "A")))
+	// An escape in the agent only, then in the referer only: the line's
+	// no-escape flag either way, around the same client's plain lines.
+	f.Add(lines(line("10.0.0.4", "-", "A"), line("10.0.0.4", "-", `A\"B`), line("10.0.0.4", `/r\"x`, "A"),
+		line("10.0.0.4", "-", `A"B`), line("10.0.0.4", "-", "A")))
+	// A ']' where a valid stamp ends, behind an invalid stamp; stamps a
+	// byte short and a byte long.
+	for _, s := range []string{"11/Mxr/2018:06:25:14 +0000", "11/Mar/2018:06:25:14 +000", "11/Mar/2018:06:25:14 +00000", "11/Mar/2018:06:25:1] +0000"} {
+		f.Add(lines(line("10.0.0.5", "-", "A"), strings.Replace(line("10.0.0.5", "-", "B"), stamp, s, 1), line("10.0.0.5", "-", "B")))
+	}
+	// More distinct strings than the table holds: it starts over mid-input
+	// while early addresses come back with and without their agent.
+	var crowd []string
+	for i := 0; i < 300; i++ {
+		crowd = append(crowd, line(fmt.Sprintf("10.1.%d.%d", i/250, i%250), "-", fmt.Sprintf("crowd/%d", i%5)))
+	}
+	for i := 0; i < 10; i++ {
+		crowd = append(crowd, line(fmt.Sprintf("10.1.0.%d", i), "-", fmt.Sprintf("crowd/%d", i%2)))
+	}
+	f.Add(lines(crowd...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := NewInterner(256)
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			checkAgainstOracle(t, l, in)
 		}
 	})
 }

@@ -120,6 +120,58 @@ func TestEarlyEntriesSurviveLaterLines(t *testing.T) {
 	}
 }
 
+// An address's entry remembers an agent, learns a new one only on a line
+// that admitted something, answers a repeat without the table, and never
+// re-adds an address a start-over in the same line dropped.
+func TestAgentMemo(t *testing.T) {
+	in := NewInterner(256)
+	var e Entry
+	parse := func(addr, ua string) {
+		t.Helper()
+		if err := ParseCombinedBytes(interLine(addr, "/", "-", ua), &e, in); err != nil {
+			t.Fatal(err)
+		}
+		if e.UserAgent != ua {
+			t.Fatalf("%s sent %q, parsed %q", addr, ua, e.UserAgent)
+		}
+	}
+	remembers := func(addr, want string) {
+		t.Helper()
+		if got := in.m[addr].agent; got != want {
+			t.Fatalf("%s remembers %q, want %q", addr, got, want)
+		}
+	}
+	parse("10.0.0.1", "agent-x") // both admitted
+	remembers("10.0.0.1", "agent-x")
+	parse("10.0.0.2", "agent-x") // the address admitted
+	remembers("10.0.0.2", "agent-x")
+	parse("10.0.0.1", "agent-y") // the agent admitted
+	remembers("10.0.0.1", "agent-y")
+	parse("10.0.0.1", "agent-x") // nothing admitted: a lookup, no store
+	remembers("10.0.0.1", "agent-y")
+
+	// A repeat is answered from the entry: with the agent's own entry gone
+	// the line admits nothing.
+	delete(in.m, "agent-y")
+	n := len(in.m)
+	parse("10.0.0.1", "agent-y")
+	if len(in.m) != n {
+		t.Fatalf("a repeated agent reached the table: %d entries, want %d", len(in.m), n)
+	}
+
+	// The table one short of full: the line's address fills it, its agent
+	// starts it over, and the address is not written back.
+	for i := 0; len(in.m) < in.max-1; i++ {
+		in.Intern([]byte(fmt.Sprint("fill-", i)))
+	}
+	parse("10.0.0.3", "agent-z")
+	if _, ok := in.m["agent-z"]; len(in.m) != 1 || !ok {
+		t.Fatalf("after the start-over the table holds %d entries (agent-z: %v), want agent-z alone", len(in.m), ok)
+	}
+	parse("10.0.0.3", "agent-z") // admitted again, remembering its agent
+	remembers("10.0.0.3", "agent-z")
+}
+
 // A flood of one-shot addresses and User-Agents fills the table several
 // times over. The table starts over rather than closing, so a population
 // that returns afterwards is admitted again and parses without allocating.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -85,6 +86,7 @@ type rawChunk struct {
 	data      []byte
 	buf       *[]byte // backing buffer, recycled by the worker
 	startLine int     // 1-based global line number of data's first line
+	lines     int     // lines in data, the most entries it can yield
 }
 
 // parsedChunk is the worker→consumer unit.
@@ -127,10 +129,7 @@ func NewParallelReader(r io.Reader, cfg ParallelConfig) *ParallelReader {
 		b := make([]byte, 0, sz)
 		return &b
 	}
-	pr.entryPool.New = func() any {
-		es := make([]Entry, 0, 64)
-		return &es
-	}
+	pr.entryPool.New = func() any { return new([]Entry) } // the worker sizes it
 
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
@@ -201,17 +200,18 @@ func (pr *ParallelReader) split(r io.Reader) {
 			continue
 		}
 		*bp = b
-		rc := rawChunk{seq: seq, data: data, buf: bp, startLine: line}
+		lines := bytes.Count(data, nl)
+		if data[len(data)-1] != '\n' {
+			lines++ // final unterminated line
+		}
+		rc := rawChunk{seq: seq, data: data, buf: bp, startLine: line, lines: lines}
 		select {
 		case pr.work <- rc:
 		case <-pr.stop:
 			return
 		}
 		seq++
-		line += bytes.Count(data, nl)
-		if data[len(data)-1] != '\n' {
-			line++ // final unterminated line
-		}
+		line += lines
 	}
 	if rerr != io.EOF {
 		pr.readErr = rerr
@@ -232,7 +232,9 @@ func (pr *ParallelReader) worker() {
 		}
 		pc := parsedChunk{seq: rc.seq}
 		esp := pr.entryPool.Get().(*[]Entry)
-		entries := (*esp)[:0]
+		// Sized for the chunk at once: a new slab is one allocation, not
+		// a doubling ladder from the pool's 64.
+		entries := slices.Grow((*esp)[:0], rc.lines)
 		lineNo := rc.startLine
 		data := rc.data
 		for len(data) > 0 {

@@ -65,7 +65,8 @@ var memStart = time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC)
 
 // memRequests enriches n requests, a millisecond apart (the whole flood
 // falls inside every idle timeout), before anything is measured: the
-// enricher's own caches are not the detector's state.
+// enricher's own table is not the detector's state (the "enricher"
+// subtest measures it on its own).
 func memRequests(n int, ip func(i int) string, path func(i int) string) []detector.Request {
 	enr := detector.NewEnricher(nil)
 	reqs := make([]detector.Request, n)
@@ -219,6 +220,28 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		t.Logf("mitigate: after the sweep the flood still holds %.0f B (allowed %.0f B: one chunk of records)", left, allowed)
 		if left > allowed {
 			t.Errorf("after the sweep the flood still holds %.0f B, want at most %.0f B", left, allowed)
+		}
+	})
+	// The enricher under the same flood: one 16-byte record per address in
+	// its clients table, keyed by the address string the entry already
+	// holds, and one agent.
+	t.Run("enricher", func(t *testing.T) {
+		const ceiling = 54 // 49.2 B of map slot and growth slack measure, plus a tenth
+		enr := detector.NewEnricher(nil)
+		var req detector.Request
+		held, objects := grown(func() {
+			for i := range flood {
+				enr.EnrichInto(&req, flood[i].Entry)
+			}
+		})
+		runtime.KeepAlive(enr)
+		perAddr := held / floodClients
+		t.Logf("enricher: a one-request address costs %.1f B in %.3f heap objects (ceiling %d B)", perAddr, objects/floodClients, ceiling)
+		if perAddr > ceiling {
+			t.Errorf("a %d-address flood holds %.1f B per address in the enricher, ceiling %d B", floodClients, perAddr, ceiling)
+		}
+		if objects > maxObjectsPerClient*floodClients {
+			t.Errorf("a %d-address flood holds %.3f heap objects per address in the enricher", floodClients, objects/floodClients)
 		}
 	})
 	runtime.KeepAlive(flood)
