@@ -4,10 +4,8 @@
 # streaming-ingest benchmarks (five iterations each, enough to catch
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR18.json so the performance
-# trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
-# targets, the id set and the session store against their models, the
-# byte log parser against the string one (line by line, and over line
-# sequences through one interner) and the User-Agent parser, for a short
+# trajectory survives the CI log. `make fuzz` gives every Fuzz target in
+# the module — found by `go test -list`, never listed by hand — a short
 # bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
 # checked-in record: non-zero exit when req/s regresses >20% or allocs/op
@@ -115,19 +113,20 @@ profile:
 chaos:
 	$(GO) test -race -run 'TestChaos' ./httpguard/ ./internal/checkpoint/ ./internal/stream/ ./internal/cluster/ ./cmd/scrapedetect/
 
-# Each target gets a short native-fuzz pass over the committed seed corpus
-# plus fresh mutations; `go test -fuzz` accepts one target per invocation.
+# Every Fuzz target in the module gets a short native-fuzz pass over its
+# committed seed corpus plus fresh mutations, one after another: `go test
+# -fuzz` accepts one target per invocation. The list is what `go test
+# -list` finds, package by package, so a new target joins without an edit
+# here or in CI.
 FUZZTIME ?= 15s
 
 fuzz:
-	$(GO) test ./internal/statecodec/ -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats/ -run xxx -fuzz FuzzIDSet -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sessions/ -run xxx -fuzz FuzzStore -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logfmt/ -run xxx -fuzz 'FuzzParseCombinedBytes$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logfmt/ -run xxx -fuzz FuzzParseCombinedLines -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/uaparse/ -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
+	@$(GO) test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ { n[++c] = $$1; next } /^ok/ { for (i = 1; i <= c; i++) print $$2, n[i]; c = 0 }' | \
+		while read -r pkg target; do \
+			echo "$(GO) test $$pkg -run xxx -fuzz '^$$target\$$' -fuzztime $(FUZZTIME)"; \
+			$(GO) test $$pkg -run xxx -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) </dev/null || exit 1; \
+		done
 
 bench.out:
 	@rm -f bench.out

@@ -52,6 +52,10 @@ func (t trustedNets) contains(host string) bool {
 	if err != nil {
 		return false
 	}
+	return t.containsAddr(a)
+}
+
+func (t trustedNets) containsAddr(a netip.Addr) bool {
 	a = a.Unmap()
 	for _, p := range t {
 		if p.Contains(a) {
@@ -67,6 +71,10 @@ func (t trustedNets) contains(host string) bool {
 // any further trusted hops; the first untrusted address is the client.
 // X-Real-IP is the fallback for proxies that only set that header. A
 // malformed or absent forwarding chain falls back to the peer address.
+//
+// The chain is the client's to write, so its length must cost nothing:
+// the walk reads the header values where net/http put them, and the
+// address it returns is a substring of one, as the value would be.
 func (g *Guard) clientIP(r *http.Request) string {
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -75,32 +83,8 @@ func (g *Guard) clientIP(r *http.Request) string {
 	if !g.trusted.contains(host) {
 		return host
 	}
-	if xff := strings.Join(r.Header.Values("X-Forwarded-For"), ","); xff != "" {
-		raw := strings.Split(xff, ",")
-		// Empty elements — a trailing comma, doubled separators, an empty
-		// header instance — are separator artefacts, not forged hops; drop
-		// them rather than letting the malformed-chain break below discard
-		// the valid client address to their left.
-		hops := raw[:0]
-		for _, h := range raw {
-			if s := strings.TrimSpace(h); s != "" {
-				hops = append(hops, s)
-			}
-		}
-		for i := len(hops) - 1; i >= 0; i-- {
-			hop := hops[i]
-			if _, err := netip.ParseAddr(hop); err != nil {
-				break // forged or malformed chain: trust nothing to its left
-			}
-			if !g.trusted.contains(hop) {
-				return hop
-			}
-			if i == 0 {
-				// Every hop is a trusted proxy; the leftmost entry is the
-				// closest thing to a client the chain names.
-				return hop
-			}
-		}
+	if hop, ok := g.trusted.forwardedClient(r.Header.Values("X-Forwarded-For")); ok {
+		return hop
 	}
 	if xr := strings.TrimSpace(r.Header.Get("X-Real-IP")); xr != "" {
 		if _, err := netip.ParseAddr(xr); err == nil {
@@ -108,4 +92,38 @@ func (g *Guard) clientIP(r *http.Request) string {
 		}
 	}
 	return host
+}
+
+// forwardedClient walks the X-Forwarded-For header instances — one chain,
+// as if joined with commas — from the right, cutting each hop off with
+// LastIndexByte, and returns the first hop t does not trust. Empty hops —
+// a trailing comma, doubled separators, an empty header instance — are
+// separator artefacts, not forged hops, and are skipped rather than
+// discarding the valid client address to their left. A malformed hop ends
+// the walk with no answer: a forged chain is trusted no further. When
+// every hop is trusted the leftmost is the closest thing to a client the
+// chain names.
+func (t trustedNets) forwardedClient(values []string) (string, bool) {
+	leftmost := ""
+	for v := len(values) - 1; v >= 0; v-- {
+		rest := values[v]
+		for {
+			cut := strings.LastIndexByte(rest, ',')
+			if hop := strings.TrimSpace(rest[cut+1:]); hop != "" {
+				a, err := netip.ParseAddr(hop)
+				if err != nil {
+					return "", false
+				}
+				if !t.containsAddr(a) {
+					return hop, true
+				}
+				leftmost = hop
+			}
+			if cut < 0 {
+				break
+			}
+			rest = rest[:cut]
+		}
+	}
+	return leftmost, leftmost != ""
 }

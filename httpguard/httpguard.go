@@ -586,10 +586,34 @@ const challengeScript = `(function(){var x=new XMLHttpRequest();x.open("POST","`
 `
 
 // Response bodies as byte slices, written directly (fmt would allocate on
-// the hot path's interface boxing).
+// the hot path's interface boxing). A refusal body is what http.Error
+// writes: the message and a newline.
 var (
 	challengeScriptBytes = []byte(challengeScript)
 	challengeBodyBytes   = []byte(challengeBody)
+	degradedBody         = []byte("detection degraded, retry shortly\n")
+	blockedBody          = []byte("automated scraping detected\n")
+)
+
+// Response header values, shared by every response that carries them:
+// answer assigns them into the header map, where Header().Set would build
+// a one-element slice per call — an object per refused request, the
+// traffic a scraper makes most of. Each has len == cap, so an application
+// or middleware that Adds to such a header appends into a copy of its own
+// and never writes into the shared array; Set replaces the slice.
+var (
+	verdictDegraded    = []string{"degraded"}
+	verdictBlocked     = []string{"blocked"}
+	verdictChallenge   = []string{"challenge"}
+	verdictConfirmed   = []string{"confirmed"}
+	verdictCommercial  = []string{"commercial"}
+	verdictBehavioural = []string{"behavioural"}
+	verdictTrajectory  = []string{"trajectory"}
+	retryAfter         = []string{"1"}
+	contentTypeHTML    = []string{"text/html; charset=utf-8"}
+	contentTypeJS      = []string{"text/javascript; charset=utf-8"}
+	contentTypeText    = []string{"text/plain; charset=utf-8"}
+	noSniff            = []string{"nosniff"}
 )
 
 // Wrap returns a handler that judges every request before delegating to
@@ -614,7 +638,10 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 }
 
 // answer writes the response the outcome calls for — reaching next only
-// for a request let through — and returns its status.
+// for a request let through — and returns its status. Every header it
+// writes takes one of the shared, len == cap values above, and a refusal
+// is written by refuse, not http.Error: the response is byte for byte the
+// same, and costs no allocation.
 func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler, verdicts Verdicts, out shard.Outcome) int {
 	dec := out.Ladder
 	switch {
@@ -624,7 +651,7 @@ func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler
 	// those are is the shard's call (shard.FlowOf, the path class the
 	// detectors see), never a second reading of the URL here.
 	case out.Flow == shard.FlowScript:
-		w.Header().Set("Content-Type", "text/javascript; charset=utf-8")
+		w.Header()["Content-Type"] = contentTypeJS
 		w.Write(challengeScriptBytes)
 		return http.StatusOK
 	case out.Flow == shard.FlowVerify:
@@ -634,18 +661,20 @@ func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler
 	// the client did nothing wrong; the guard is impaired. Under FailOpen
 	// (the default) the request is served on whatever judgement remained.
 	case out.Degraded && g.cfg.Degraded == FailClosed:
-		w.Header().Set("X-Scrape-Verdict", "degraded")
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "detection degraded, retry shortly", http.StatusServiceUnavailable)
+		h := w.Header()
+		h["X-Scrape-Verdict"] = verdictDegraded
+		h["Retry-After"] = retryAfter
+		refuse(w, http.StatusServiceUnavailable, degradedBody)
 		return http.StatusServiceUnavailable
 	case dec.Action == mitigate.Block:
-		w.Header().Set("X-Scrape-Verdict", "blocked")
-		http.Error(w, "automated scraping detected", http.StatusForbidden)
+		w.Header()["X-Scrape-Verdict"] = verdictBlocked
+		refuse(w, http.StatusForbidden, blockedBody)
 		return http.StatusForbidden
 	case dec.Action == mitigate.Challenge:
-		w.Header().Set("X-Scrape-Verdict", "challenge")
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Header().Set("Retry-After", "1")
+		h := w.Header()
+		h["X-Scrape-Verdict"] = verdictChallenge
+		h["Content-Type"] = contentTypeHTML
+		h["Retry-After"] = retryAfter
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write(challengeBodyBytes)
 		return http.StatusServiceUnavailable
@@ -653,7 +682,7 @@ func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler
 		g.tarpit(r.Context(), dec.Delay)
 	}
 	if dec.Tagged {
-		w.Header().Set("X-Scrape-Verdict", verdictLabel(verdicts))
+		w.Header()["X-Scrape-Verdict"] = verdictHeader(verdicts)
 	}
 	// The recorder is pooled: it is the only per-request heap object the
 	// guard would otherwise create on the allow path.
@@ -800,16 +829,29 @@ func headerOrDash(r *http.Request, name string) string {
 	return "-"
 }
 
-func verdictLabel(v Verdicts) string {
+// refuse writes what http.Error(w, msg, code) does for a body of msg and
+// a newline: the same status, header set and bytes, from shared values.
+func refuse(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	delete(h, "Content-Length")
+	h["Content-Type"] = contentTypeText
+	h["X-Content-Type-Options"] = noSniff
+	w.WriteHeader(code)
+	w.Write(body)
+}
+
+// verdictHeader is the X-Scrape-Verdict value of a request let through
+// tagged.
+func verdictHeader(v Verdicts) []string {
 	switch {
 	case v.Confirmed():
-		return "confirmed"
+		return verdictConfirmed
 	case v.Commercial.Alert:
-		return "commercial"
+		return verdictCommercial
 	case v.Behavioural.Alert:
-		return "behavioural"
+		return verdictBehavioural
 	default:
-		return "trajectory"
+		return verdictTrajectory
 	}
 }
 

@@ -26,9 +26,11 @@ const ApacheTime = "02/Jan/2006:15:04:05 -0700"
 //
 // In an entry from a Reader (or any parse through an Interner) RemoteAddr
 // and UserAgent are interned — one copy per distinct value, safe to keep
-// and to key maps by — while Path, RawRequest and Referer are carved from
-// a chunk shared with neighbouring lines: valid forever, but strings.Clone
-// one you keep for long, or it pins up to 4 KiB.
+// and to key maps by, carved from a 4 KiB chunk of other addresses and
+// agents that a kept one pins — while Path, RawRequest and Referer are
+// carved from a chunk shared with neighbouring lines: valid forever, but
+// strings.Clone one you keep for long, or it pins up to 4 KiB of request
+// text.
 type Entry struct {
 	// RemoteAddr is the client IP address (the %h field).
 	RemoteAddr string

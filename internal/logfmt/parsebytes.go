@@ -24,7 +24,7 @@ func (e *ParseError) Error() string {
 
 // Interner gives the string fields of access-log records storage that
 // matches how long they are kept, so that steady-state parsing allocates
-// once per chunkBytes of request text and nothing else.
+// once per chunkBytes of text and nothing else — whatever the lines hold.
 //
 // Keyed, low-cardinality fields — RemoteAddr, UserAgent, Identity,
 // AuthUser, and the odd method or protocol — are deduplicated through one
@@ -34,6 +34,18 @@ func (e *ParseError) Error() string {
 // maps by. A full table starts over: a table that stopped admitting would
 // make every client that arrives after one flood of distinct values pay an
 // allocation per field per line for the life of the process.
+//
+// The table's copies are carved from a kept chunk, written front to back
+// like the transient one below and never reset, so a flood of one-shot
+// addresses costs one allocation per chunkBytes of addresses, not one per
+// address, and a start-over clears the table but leaves every string it
+// handed out valid. A kept string pins its whole chunk and nothing else:
+// the kept chunk holds table copies only, never request text. Once a flood
+// has been evicted, each surviving client therefore holds at most one
+// chunk, chunkBytes; one survivor in 256 of a flood of dotted-quad
+// addresses holds about 2.6 KiB each (the "interner" case of
+// TestHeldMemoryPerClient gates it), where a copy of its own would cost
+// 16 B.
 //
 // A line costs one hash for its address, always, and one for its
 // User-Agent only when that is not the agent the address's table entry
@@ -50,12 +62,12 @@ func (e *ParseError) Error() string {
 // the compare, and a write-back never adds an entry.
 //
 // Transient, high-cardinality fields — Path, RawRequest, a Referer other
-// than "-" — are copied into an append-only chunk instead. Nothing keeps
-// them past the decision, a table of them is mostly entries nobody asks
-// for twice, and a cache-busting query string per request would fill it.
-// A chunk is written front to back once and replaced when the next field
-// does not fit, never reset or rewritten, so every string carved from it
-// stays valid; one that is kept pins its chunk.
+// than "-" — are copied into an append-only chunk of their own instead.
+// Nothing keeps them past the decision, a table of them is mostly entries
+// nobody asks for twice, and a cache-busting query string per request
+// would fill it. A chunk is written front to back once and replaced when
+// the next field does not fit, never reset or rewritten, so every string
+// carved from it stays valid; one that is kept pins its chunk.
 //
 // Fields that hardly vary reach neither: "-", the common methods and the
 // HTTP protocol versions come back as constants.
@@ -75,8 +87,9 @@ type Interner struct {
 	// starts counts the table's start-overs.
 	starts uint32
 
-	// chunk is the transient-field chunk being filled.
-	chunk strings.Builder
+	// kept is the chunk table copies are carved from, chunk the one
+	// transient fields are; see carve.
+	kept, chunk strings.Builder
 
 	// day and dayZone are the "02/Jan/2006" and "-0700" bytes of the last
 	// calendar-valid timestamp decoded, midnight that day's 00:00:00 in
@@ -86,8 +99,8 @@ type Interner struct {
 	midnight time.Time
 }
 
-// chunkBytes is the size of a transient-field chunk. A field longer than a
-// quarter of it is allocated on its own, so a chunk is never abandoned
+// chunkBytes is the size of a kept or transient chunk. A field longer than
+// a quarter of it is allocated on its own, so a chunk is never abandoned
 // more than a quarter empty.
 const chunkBytes = 4096
 
@@ -160,31 +173,50 @@ func (in *Interner) entry(b []byte) (interned, bool) {
 	if e, ok := in.m[string(b)]; ok {
 		return e, false
 	}
+	return in.admit(b), true
+}
+
+// admit adds b to the table, a copy carved from the kept chunk, and
+// returns its entry. Kept out of entry, which a hit leaves small enough to
+// inline into the per-line address lookup.
+func (in *Interner) admit(b []byte) interned {
 	if len(in.m) >= in.max {
 		clear(in.m) // start over; strings already handed out stay valid
 		in.starts++
 	}
-	e := interned{s: string(b)}
+	e := interned{s: carve(&in.kept, b)}
 	in.m[e.s] = e
-	return e, true
+	return e
 }
 
-// transient returns a copy of b carved from the current chunk, "-" as the
-// constant. A nil receiver allocates.
+// transient returns a copy of b carved from the transient chunk, "-" as
+// the constant. A nil receiver allocates. Small enough to inline into the
+// field parsers, so a field costs one call, carve's.
 func (in *Interner) transient(b []byte) string {
-	switch {
-	case len(b) == 1 && b[0] == '-':
+	if string(b) == "-" {
 		return "-"
-	case in == nil || len(b) > chunkBytes/4:
+	}
+	if in == nil {
 		return string(b)
 	}
-	if in.chunk.Cap()-in.chunk.Len() < len(b) {
-		in.chunk = strings.Builder{}
-		in.chunk.Grow(chunkBytes)
+	return carve(&in.chunk, b)
+}
+
+// carve returns a copy of b written at the end of chunk c, which is
+// replaced by a fresh one when b does not fit. A b longer than a quarter
+// chunk is allocated on its own, so a chunk is never abandoned more than a
+// quarter empty.
+func carve(c *strings.Builder, b []byte) string {
+	if len(b) > chunkBytes/4 {
+		return string(b)
 	}
-	start := in.chunk.Len()
-	in.chunk.Write(b)
-	return in.chunk.String()[start:]
+	if c.Cap()-c.Len() < len(b) {
+		*c = strings.Builder{}
+		c.Grow(chunkBytes)
+	}
+	start := c.Len()
+	c.Write(b)
+	return c.String()[start:]
 }
 
 // location returns a cached fixed-offset zone for the given offset in

@@ -66,8 +66,8 @@ func (r *Reader) Next() (Entry, error) {
 // NextInto decodes the next well-formed entry into *e, the allocation-free
 // counterpart of Next: the line buffer is not copied, string fields take
 // their storage from the reader's Interner (one allocation per 4 KiB of
-// request text in steady state), and *e may be reused call after call. On
-// a non-nil error the contents of *e are unspecified.
+// request text or of new addresses and agents), and *e may be reused call
+// after call. On a non-nil error the contents of *e are unspecified.
 func (r *Reader) NextInto(e *Entry) error {
 	if r.err != nil {
 		return r.err

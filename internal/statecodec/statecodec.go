@@ -110,6 +110,10 @@ type Snapshotter interface {
 type Writer struct {
 	buf []byte
 	err error
+	// ints and strs are sort space lent out by IntScratch and
+	// StringScratch; never part of the payload.
+	ints []int
+	strs []string
 }
 
 // NewWriter returns an empty writer.
@@ -139,6 +143,17 @@ func (w *Writer) Fail(err error) {
 		w.err = err
 	}
 }
+
+// IntScratch returns the writer's reusable []int, for a Snapshotter that
+// writes a set in sorted order: it empties the slice, fills and sorts it,
+// and stores it back, so a writer that snapshots many sessions — every
+// periodic checkpoint — sorts them all in one buffer rather than
+// allocating one per session. The contents are valid until the next
+// Snapshotter borrows it.
+func (w *Writer) IntScratch() *[]int { return &w.ints }
+
+// StringScratch is IntScratch for sets of strings.
+func (w *Writer) StringScratch() *[]string { return &w.strs }
 
 // Uint8 writes one byte.
 func (w *Writer) Uint8(v uint8) { w.buf = append(w.buf, v) }

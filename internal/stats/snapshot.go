@@ -47,10 +47,12 @@ func (w *Welford) RestoreFrom(r *statecodec.Reader) error {
 
 // SnapshotInto implements statecodec.Snapshotter. Categories are written
 // in sorted order, so equal count sets always serialise to equal bytes
-// regardless of map iteration order.
+// regardless of map iteration order; they are sorted in the writer's
+// scratch.
 func (s *CountSet) SnapshotInto(w *statecodec.Writer) {
 	w.Tag(tagCountSet)
-	keys := make([]string, 0, s.Distinct())
+	scratch := w.StringScratch()
+	keys := (*scratch)[:0]
 	if s.firstCount > 0 {
 		keys = append(keys, s.first)
 	}
@@ -58,6 +60,7 @@ func (s *CountSet) SnapshotInto(w *statecodec.Writer) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
+	*scratch = keys
 	w.Uint32(uint32(len(keys)))
 	for _, k := range keys {
 		c, ok := s.more[k]
@@ -67,6 +70,7 @@ func (s *CountSet) SnapshotInto(w *statecodec.Writer) {
 		w.String(k)
 		w.Uint64(c)
 	}
+	clear(keys) // the scratch outlives this set: hold none of its keys
 }
 
 // RestoreFrom implements statecodec.Snapshotter, replacing the current
@@ -99,17 +103,22 @@ func (s *CountSet) RestoreFrom(r *statecodec.Reader) error {
 // SnapshotInto writes the id count and then every id in ascending order,
 // so equal sets serialise to equal bytes. It writes no section tag: the set
 // is always a field inside a session record, and this is the encoding those
-// records had when the field was a map.
+// records had when the field was a map. The blocks are ordered by sorting
+// their slot numbers in the writer's scratch.
 func (s *IDSet) SnapshotInto(w *statecodec.Writer) {
-	blocks := make([]idBlock, 0, s.used)
-	for _, b := range s.slots() {
+	slots := s.slots()
+	scratch := w.IntScratch()
+	order := (*scratch)[:0]
+	for i, b := range slots {
 		if b.bits != 0 {
-			blocks = append(blocks, b)
+			order = append(order, i)
 		}
 	}
-	slices.SortFunc(blocks, func(a, b idBlock) int { return cmp.Compare(a.key, b.key) })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(slots[a].key, slots[b].key) })
+	*scratch = order
 	w.Uint32(uint32(s.n))
-	for _, b := range blocks {
+	for _, i := range order {
+		b := slots[i]
 		for rest := b.bits; rest != 0; rest &= rest - 1 {
 			w.Int(int(b.key<<6) | bits.TrailingZeros64(rest))
 		}

@@ -95,6 +95,47 @@ func TestCountSetSnapshotDeterministicAndRoundTrips(t *testing.T) {
 	}
 }
 
+// One writer snapshots many sessions' sets in turn, as a checkpoint does:
+// the sort scratch it lends carries nothing from one set into the next —
+// each writes the bytes it writes through a writer of its own — and, once
+// grown, costs no allocation.
+func TestSnapshotScratchReuse(t *testing.T) {
+	sizes := []int{40, 3, 0, 120, 1}
+	counts, ids := make([]CountSet, len(sizes)), make([]IDSet, len(sizes))
+	var sets []interface{ SnapshotInto(*statecodec.Writer) }
+	for i, n := range sizes {
+		for j := 0; j < n; j++ {
+			counts[i].Add(fmt.Sprintf("ua-%d", j*7%n))
+			ids[i].Add(j * 97 % 10007)
+		}
+		sets = append(sets, &counts[i], &ids[i])
+	}
+	shared := statecodec.NewWriter()
+	snapshotAll := func() {
+		shared.Reset()
+		for _, s := range sets {
+			s.SnapshotInto(shared)
+		}
+	}
+	snapshotAll()
+	at := 0
+	for i, s := range sets {
+		alone := statecodec.NewWriter()
+		s.SnapshotInto(alone)
+		got := shared.Bytes()[at : at+alone.Len()]
+		if string(got) != string(alone.Bytes()) {
+			t.Errorf("set %d snapshots differently through a shared writer", i)
+		}
+		at += alone.Len()
+	}
+	if at != shared.Len() {
+		t.Errorf("shared writer holds %d bytes, the sets alone %d", shared.Len(), at)
+	}
+	if n := testing.AllocsPerRun(20, snapshotAll); n != 0 {
+		t.Errorf("snapshotting %d sets through one grown writer allocates %.1f times, want 0", len(sets), n)
+	}
+}
+
 // TestCountSetRestoreRejectsWhatNoWriterEmits: a repeated key used to be
 // counted twice into the total; unsorted keys and zero counts are equally
 // impossible output. All are corrupt.

@@ -203,8 +203,9 @@ func (f *Follower) Next() (logfmt.Entry, error) {
 // polling) until one is available. It returns io.EOF after Stop once the
 // buffered complete lines are drained, or the first parse error under the
 // Strict policy. Like logfmt.Reader.NextInto it allocates in steady state
-// only a chunk per 4 KiB of request text: the line buffer is reused and
-// string fields take their storage from a logfmt.Interner.
+// only a chunk per 4 KiB of request text or of new addresses and agents:
+// the line buffer is reused and string fields take their storage from a
+// logfmt.Interner.
 func (f *Follower) NextInto(e *logfmt.Entry) error {
 	if f.err != nil {
 		return f.err

@@ -1,6 +1,7 @@
 package divscrape_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"divscrape"
 	"divscrape/internal/bayes"
 	"divscrape/internal/detector"
+	"divscrape/internal/logfmt"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/slab"
 )
@@ -243,6 +245,62 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		if objects > maxObjectsPerClient*floodClients {
 			t.Errorf("a %d-address flood holds %.3f heap objects per address in the enricher", floodClients, objects/floodClients)
 		}
+	})
+	// The log reader under the same flood, one line per address: the
+	// Interner carves each address from its kept chunk, so the flood costs
+	// allocations per chunk, not per address. Once it is over, an address
+	// a detector still holds pins the chunk it was carved from; one
+	// survivor in 256 is the sparse case that pins the most per survivor.
+	t.Run("interner", func(t *testing.T) {
+		const (
+			maxObjectsPerAddr = 0.02
+			survivorEvery     = 256
+			// pinCeiling is the 2 644 B one survivor in 256 measures, plus a
+			// tenth.
+			pinCeiling = 2910
+		)
+		var log bytes.Buffer
+		for i := range flood {
+			fmt.Fprintf(&log, "%s - - [11/Mar/2018:12:00:00 +0000] \"GET / HTTP/1.1\" 200 1000 \"-\" \"%s\"\n", flood[i].Entry.RemoteAddr, memUA)
+		}
+		read := func(keep func(i int, e *logfmt.Entry)) {
+			r := logfmt.NewReader(bytes.NewReader(log.Bytes()), logfmt.ReaderConfig{})
+			var e logfmt.Entry
+			for i := 0; ; i++ {
+				if err := r.NextInto(&e); err != nil {
+					if i != floodClients {
+						t.Fatalf("read %d of %d lines: %v", i, floodClients, err)
+					}
+					return
+				}
+				keep(i, &e)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(func(int, *logfmt.Entry) {})
+		runtime.ReadMemStats(&after)
+		perAddr := float64(after.Mallocs-before.Mallocs) / floodClients
+		t.Logf("interner: reading a one-line address costs %.4f heap objects (gate %.2f)", perAddr, maxObjectsPerAddr)
+		if perAddr > maxObjectsPerAddr {
+			t.Errorf("reading a %d-address flood allocates %.4f heap objects per address, want at most %.2f", floodClients, perAddr, maxObjectsPerAddr)
+		}
+
+		survivors := make([]string, 0, floodClients/survivorEvery+1)
+		held, _ := grown(func() {
+			read(func(i int, e *logfmt.Entry) {
+				if i%survivorEvery == 0 {
+					survivors = append(survivors, e.RemoteAddr)
+				}
+			})
+		})
+		perSurvivor := held / float64(len(survivors))
+		t.Logf("interner: one survivor in %d pins %.0f B of kept chunk (ceiling %d B)", survivorEvery, perSurvivor, pinCeiling)
+		if perSurvivor > pinCeiling {
+			t.Errorf("one survivor in %d pins %.0f B, ceiling %d B", survivorEvery, perSurvivor, pinCeiling)
+		}
+		runtime.KeepAlive(survivors)
+		runtime.KeepAlive(&log)
 	})
 	runtime.KeepAlive(flood)
 	runtime.KeepAlive(sweep)
