@@ -1,7 +1,10 @@
 # Developer entry points. `make verify` is the tier-1 gate CI runs on every
 # push (vet, gofmt over the tracked .go files, build, test, the no-sleep
-# grep, and the bench/ smoke); `make bench` smoke-runs the pipeline, guard, state-plane and
-# streaming-ingest benchmarks (five iterations each, enough to catch
+# grep, the examples, and the bench/ smoke); `make examples` builds and
+# runs every program under examples/ and fails on the first non-zero exit
+# — `go test ./...` only compiles them (≈ 20 s with the builds, 6 s of
+# it the cluster demo's run); `make bench` smoke-runs the pipeline,
+# guard, state-plane and streaming-ingest benchmarks (five iterations each, enough to catch
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR18.json so the performance
 # trajectory survives the CI log. `make fuzz` gives every Fuzz target in
@@ -43,9 +46,9 @@ SHELL := /bin/bash
 
 BENCH_RECORD := BENCH_PR18.json
 
-.PHONY: verify build test vet fmtcheck bench benchcmp benchsmoke profile race chaos fuzz nosleep lines cover bench.out
+.PHONY: verify build test vet fmtcheck examples bench benchcmp benchsmoke profile race chaos fuzz nosleep lines cover bench.out
 
-verify: vet fmtcheck build test nosleep benchsmoke
+verify: vet fmtcheck build test nosleep examples benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -61,6 +64,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Each example is a program with its own checks (the cluster demo, for
+# one, exits non-zero when failover misses); their stdout is not kept.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Flaky-test firewall: wall-clock sleeping in tests is the #1 source of
 # order- and load-dependent flakes. Tests coordinate through injected

@@ -129,13 +129,6 @@ func buildDetectors(names []string) ([]detector.Detector, []detector.Factory, er
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("-detectors must name at least one detector")
 	}
-	seen := make(map[string]bool, len(names))
-	for _, name := range names {
-		if seen[name] {
-			return nil, nil, fmt.Errorf("duplicate detector %q in -detectors", name)
-		}
-		seen[name] = true
-	}
 	facts, err := divscrape.FactoriesFor(names...)
 	if err != nil {
 		return nil, nil, err

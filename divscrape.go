@@ -10,38 +10,41 @@
 //
 // This package is the public facade: it re-exports the main workflow so
 // applications can generate traffic, run any set of the detectors and
-// compute the paper's tables without importing internal packages. The
-// paper's two tools remain the default (DetectorPair and the no-name
-// forms of every entry point are that pair); NewDetectorSet selects
-// detectors by name. Specialised use (custom detectors, topologies, ROC
-// sweeps) goes through the same types, which alias the implementation
-// packages.
+// compute the paper's tables without importing internal packages.
+// NewDetectorSet selects detectors by name; no names is the paper's pair,
+// DefaultDetectors, and DetectorPair is the two-verdict view of that set.
+// Specialised use (custom detectors, topologies, ROC sweeps) goes through
+// the same types, which alias the implementation packages.
 //
 // Quickstart (sequential, byte-for-byte deterministic):
 //
 //	gen, _ := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 1, Duration: 6 * time.Hour})
-//	pair, _ := divscrape.NewDetectorPair()
-//	summary, _ := divscrape.Analyze(gen, pair)
+//	summary, _ := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{})
 //	fmt.Println(summary.Contingency.Both, summary.Contingency.Neither)
 //
-// Multi-core quickstart (sharded; same results, higher throughput):
+// Multi-core quickstart (sharded, all three detectors; same results,
+// higher throughput):
 //
 //	gen, _ := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 1, Duration: 6 * time.Hour})
-//	summary, _ := divscrape.AnalyzeSharded(gen, 0) // 0 → GOMAXPROCS shards
+//	summary, _ := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{
+//		Detectors: []string{"sentinel", "arcane", "trajectory"},
+//		Shards:    runtime.GOMAXPROCS(0),
+//	})
 //
-// The detection pipeline has two engines. Sequential runs on one
-// goroutine and is the reference; pick it for debugging and single-core
-// replays. Sharded partitions traffic by client IP across GOMAXPROCS
-// worker shards with private detector instances, and delivers in one of
-// two ways: restored to stream order in front of one sink —
-// byte-identical to Sequential — or straight off every shard into a sink
-// of its own, preserving per-client order and the whole-stream verdict
-// multiset but not the cross-client interleaving. The second is the
-// faster one, and every aggregate the paper reports is order-free, so it
-// is what the AnalyzeSharded family uses: it reproduces Analyze's tables
-// exactly. Because all per-client state follows the client onto one
-// shard, every engine and delivery judges every request identically —
-// they trade delivery-order guarantees for throughput, never accuracy.
+// Analyze runs one of the detection pipeline's two engines. Sequential
+// (Options.Shards ≤ 1) runs on one goroutine and is the reference; pick
+// it for debugging and single-core replays. Sharded partitions traffic by
+// client IP across worker shards with private detector instances, and
+// delivers in one of two ways: restored to stream order in front of one
+// sink — byte-identical to Sequential — or straight off every shard into
+// a sink of its own, preserving per-client order and the whole-stream
+// verdict multiset but not the cross-client interleaving. The second is
+// the faster one, and every aggregate the paper reports is order-free, so
+// it is what Analyze uses: every shard counts into a partial Summary and
+// the partials merge into exactly the sequential tables. Because all
+// per-client state follows the client onto one shard, every engine and
+// delivery judges every request identically — they trade delivery-order
+// guarantees for throughput, never accuracy.
 package divscrape
 
 import (
@@ -49,6 +52,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
+	"slices"
 	"sort"
 	"time"
 
@@ -142,7 +147,8 @@ func DetectorNames() []string {
 }
 
 // FactoriesFor resolves detector names (see DetectorNames) to factories,
-// preserving order. No names selects DefaultDetectors.
+// preserving order. No names selects DefaultDetectors. A name may appear
+// once: a Summary finds a detector's table by its name.
 func FactoriesFor(names ...string) ([]Factory, error) {
 	if len(names) == 0 {
 		names = DefaultDetectors
@@ -153,6 +159,9 @@ func FactoriesFor(names ...string) ([]Factory, error) {
 		if !ok {
 			return nil, fmt.Errorf("divscrape: unknown detector %q (have %v)", name, DetectorNames())
 		}
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("divscrape: duplicate detector %q", name)
+		}
 		fs[i] = f
 	}
 	return fs, nil
@@ -160,13 +169,17 @@ func FactoriesFor(names ...string) ([]Factory, error) {
 
 // DetectorSet is an ordered list of detectors sharing one enricher, ready
 // to inspect a request stream in timestamp order. Index i of every
-// verdict slice in the API refers to Detectors[i]. DetectorPair is the
-// fixed two-detector view of the same machinery.
+// verdict slice in the API refers to Detectors[i].
 type DetectorSet struct {
 	// Detectors are inspected in order on every request.
 	Detectors []Detector
 
 	enricher *detector.Enricher
+	// req and verdicts are the per-call scratch: a Request passed through
+	// the Detector interface escapes, so a stack one would cost a heap
+	// object per call.
+	req      Request
+	verdicts []Verdict
 }
 
 // NewDetectorSet builds the named detectors (see DetectorNames) with
@@ -184,6 +197,7 @@ func NewDetectorSet(names ...string) (*DetectorSet, error) {
 	return &DetectorSet{
 		Detectors: dets,
 		enricher:  detector.NewEnricher(iprep.BuildFeed()),
+		verdicts:  make([]Verdict, len(dets)),
 	}, nil
 }
 
@@ -204,10 +218,9 @@ func (s *DetectorSet) Names() []string {
 // in timestamp order. Every consumed verdict slot is fully overwritten;
 // the call performs no allocations in steady state.
 func (s *DetectorSet) InspectInto(entry Entry, out []Verdict) {
-	var req Request
-	s.enricher.EnrichInto(&req, entry)
+	s.enricher.EnrichInto(&s.req, entry)
 	for i, d := range s.Detectors {
-		d.InspectInto(&req, &out[i])
+		d.InspectInto(&s.req, &out[i])
 	}
 }
 
@@ -219,7 +232,8 @@ func (s *DetectorSet) Inspect(entry Entry) []Verdict {
 }
 
 // Enrich converts one log entry into the Request form detectors consume,
-// for callers that drive the detectors individually.
+// for callers that drive the detectors individually (e.g. to build serial
+// deployment topologies).
 func (s *DetectorSet) Enrich(entry Entry) Request {
 	return s.enricher.Enrich(entry)
 }
@@ -233,17 +247,55 @@ func (s *DetectorSet) Reset() {
 }
 
 // EvictBefore proactively drops every detector's per-client state
-// untouched since cutoff, returning the number of sessions evicted.
-// Verdict-neutral while cutoff trails stream time by at least the
-// detectors' idle timeouts.
+// untouched since cutoff, returning the number of sessions evicted — the
+// set-level face of the windowed eviction hook. Verdict-neutral while
+// cutoff trails stream time by at least the detectors' idle timeouts.
 func (s *DetectorSet) EvictBefore(cutoff time.Time) int {
 	return detector.EvictBefore(s.Detectors, cutoff)
 }
 
-// SnapshotInto serialises the set's state through a statecodec.Writer.
-// The frame is the one DetectorPair has always written — a tagged block
-// holding the enricher followed by each detector's name and state — so a
-// pair snapshot and a (sentinel, arcane) set snapshot are the same bytes.
+// DetectorPair is the paper's two tools — the commercial
+// fingerprint/reputation/challenge detector (Distil role) at
+// Detectors[0], the session-analysis detector (Arcane role) at
+// Detectors[1] — with a two-verdict Inspect. Everything else is the
+// embedded set's.
+type DetectorPair struct{ *DetectorSet }
+
+// NewDetectorPair builds DefaultDetectors with their calibrated defaults
+// and a shared reputation feed.
+func NewDetectorPair() (*DetectorPair, error) {
+	set, err := NewDetectorSet(DefaultDetectors...)
+	if err != nil {
+		return nil, err
+	}
+	return &DetectorPair{set}, nil
+}
+
+// MaxReasons is the number of explanation slots a Verdict carries inline.
+const MaxReasons = detector.MaxReasons
+
+// Inspect enriches one log entry and returns both verdicts. Entries must
+// arrive in timestamp order. It performs no allocations in steady state.
+func (p *DetectorPair) Inspect(entry Entry) (commercial, behavioural Verdict) {
+	p.InspectInto(entry, p.verdicts)
+	return p.verdicts[0], p.verdicts[1]
+}
+
+// Durable state plane: a set's full detection state — every detector's
+// per-client histories plus the enrichment sequence counter — serialises
+// through the versioned state codec, so session memory survives process
+// restarts and long-running campaigns are judged across them. See
+// internal/statecodec for the format and internal/pipeline for the
+// equivalent Checkpoint/ResumeFrom on pipelines.
+
+// tagPair opens a detector-set block in a snapshot. The name is the
+// format's: the block was first written for the pair.
+const tagPair uint16 = 0x5041
+
+// SnapshotInto serialises the set's state through a statecodec.Writer,
+// for callers composing larger snapshots; most callers want Snapshot. The
+// frame is a tagged block holding the enricher followed by each
+// detector's name and state.
 func (s *DetectorSet) SnapshotInto(w *statecodec.Writer) error {
 	w.Tag(tagPair)
 	s.enricher.SnapshotInto(w)
@@ -297,139 +349,12 @@ func (s *DetectorSet) restoreFrom(r *statecodec.Reader) error {
 	return r.Err()
 }
 
-// DetectorPair is the paper's two tools, ready to inspect a request
-// stream in timestamp order.
-type DetectorPair struct {
-	// Commercial is the fingerprint/reputation/challenge detector
-	// (Distil role).
-	Commercial Detector
-	// Behavioural is the session-analysis detector (Arcane role).
-	Behavioural Detector
-
-	enricher *detector.Enricher
-}
-
-// NewDetectorPair builds both detectors with their calibrated defaults
-// and a shared reputation feed.
-func NewDetectorPair() (*DetectorPair, error) {
-	set, err := NewDetectorSet()
-	if err != nil {
-		return nil, err
-	}
-	return &DetectorPair{
-		Commercial:  set.Detectors[0],
-		Behavioural: set.Detectors[1],
-		enricher:    set.enricher,
-	}, nil
-}
-
-// asSet returns the set view of the pair, sharing detectors and enricher.
-func (p *DetectorPair) asSet() *DetectorSet {
-	return &DetectorSet{
-		Detectors: []Detector{p.Commercial, p.Behavioural},
-		enricher:  p.enricher,
-	}
-}
-
-// MaxReasons is the number of explanation slots a Verdict carries inline.
-const MaxReasons = detector.MaxReasons
-
-// Inspect enriches one log entry and returns both verdicts. Entries must
-// arrive in timestamp order.
-func (p *DetectorPair) Inspect(entry Entry) (commercial, behavioural Verdict) {
-	var req Request
-	p.enricher.EnrichInto(&req, entry)
-	p.Commercial.InspectInto(&req, &commercial)
-	p.Behavioural.InspectInto(&req, &behavioural)
-	return commercial, behavioural
-}
-
-// InspectInto is Inspect writing into caller-owned verdicts, the
-// allocation-free form hot loops use. Every field of both verdicts is
-// overwritten.
-func (p *DetectorPair) InspectInto(entry Entry, commercial, behavioural *Verdict) {
-	var req Request
-	p.enricher.EnrichInto(&req, entry)
-	p.Commercial.InspectInto(&req, commercial)
-	p.Behavioural.InspectInto(&req, behavioural)
-}
-
-// Enrich converts one log entry into the Request form detectors consume,
-// for callers that drive the detectors individually (e.g. to build serial
-// deployment topologies).
-func (p *DetectorPair) Enrich(entry Entry) Request {
-	return p.enricher.Enrich(entry)
-}
-
-// Reset clears all detector state.
-func (p *DetectorPair) Reset() {
-	p.Commercial.Reset()
-	p.Behavioural.Reset()
-	p.enricher.Reset()
-}
-
-// Durable state plane: the pair's full detection state — both detectors'
-// per-client histories plus the enrichment sequence counter — serialises
-// through the versioned state codec, so session memory survives process
-// restarts and long-running campaigns are judged across them. See
-// internal/statecodec for the format and internal/pipeline for the
-// equivalent Checkpoint/ResumeFrom on pipelines.
-
-// tagPair opens a detector-pair block in a snapshot.
-const tagPair uint16 = 0x5041
-
-// SnapshotInto serialises the pair's state through a statecodec.Writer,
-// for callers composing larger snapshots. Most callers want Snapshot.
-func (p *DetectorPair) SnapshotInto(w *statecodec.Writer) error {
-	return p.asSet().SnapshotInto(w)
-}
-
-// RestoreFrom rebuilds the pair's state from a snapshot written by a
-// pair with the same detectors (names and configuration). On failure the
-// pair is Reset — empty state, never a half-restored mix of one restored
-// and one fresh detector.
-func (p *DetectorPair) RestoreFrom(r *statecodec.Reader) error {
-	return p.asSet().RestoreFrom(r)
-}
-
-// Snapshot writes the pair's full detection state to w as a versioned,
-// checksummed container. The snapshot captures every per-client session
-// history, so a replay resumed from it continues exactly where this
-// process stopped.
-func Snapshot(w io.Writer, pair *DetectorPair) error {
-	sw := statecodec.NewWriter()
-	if err := pair.SnapshotInto(sw); err != nil {
-		return fmt.Errorf("divscrape: snapshot: %w", err)
-	}
-	if err := statecodec.Encode(w, sw); err != nil {
-		return fmt.Errorf("divscrape: snapshot: %w", err)
-	}
-	return nil
-}
-
-// Resume builds a calibrated detector pair and restores the state
-// Snapshot wrote. Wrong-version snapshots fail with a typed
-// *statecodec.VersionError; corrupt ones with statecodec.ErrCorrupt or
-// statecodec.ErrChecksum — never a panic.
-func Resume(r io.Reader) (*DetectorPair, error) {
-	pair, err := NewDetectorPair()
-	if err != nil {
-		return nil, err
-	}
-	sr, err := statecodec.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: resume: %w", err)
-	}
-	if err := pair.RestoreFrom(sr); err != nil {
-		return nil, fmt.Errorf("divscrape: resume: %w", err)
-	}
-	return pair, nil
-}
-
-// SnapshotSet writes a detector set's full detection state to w in the
-// same container format Snapshot uses; a default set's snapshot is
-// byte-identical to the pair's.
-func SnapshotSet(w io.Writer, set *DetectorSet) error {
+// Snapshot writes a detector set's full detection state to w as a
+// versioned, checksummed container. The snapshot captures every
+// per-client session history, so a replay resumed from it continues
+// exactly where this process stopped. Pass a DetectorPair's embedded set
+// for the pair.
+func Snapshot(w io.Writer, set *DetectorSet) error {
 	sw := statecodec.NewWriter()
 	if err := set.SnapshotInto(sw); err != nil {
 		return fmt.Errorf("divscrape: snapshot: %w", err)
@@ -440,10 +365,12 @@ func SnapshotSet(w io.Writer, set *DetectorSet) error {
 	return nil
 }
 
-// ResumeSet builds a calibrated detector set for names (default set when
-// empty) and restores the state SnapshotSet — or, for the default pair of
-// detectors, Snapshot — wrote. Failure modes match Resume.
-func ResumeSet(r io.Reader, names ...string) (*DetectorSet, error) {
+// Resume builds the named detectors with their calibrated defaults (no
+// names selects DefaultDetectors, and DetectorPair{set} is then the pair)
+// and restores the state Snapshot wrote. Wrong-version snapshots fail
+// with a typed *statecodec.VersionError; corrupt ones with
+// statecodec.ErrCorrupt or statecodec.ErrChecksum — never a panic.
+func Resume(r io.Reader, names ...string) (*DetectorSet, error) {
 	set, err := NewDetectorSet(names...)
 	if err != nil {
 		return nil, err
@@ -552,9 +479,9 @@ func (s *Summary) ConfusionOf(name string) (Confusion, bool) {
 
 // Merge folds another summary's counts into s: totals and every
 // per-detector table add, position by position (Labelled is the caller's
-// call — it describes the stream, not the counts). The relaxed analysis
-// entry points use it to combine per-shard partial summaries; every
-// counted field is commutative, so the fold order does not matter.
+// call — it describes the stream, not the counts). Analyze uses it to
+// combine per-shard partial summaries; every counted field is
+// commutative, so the fold order does not matter.
 // Detector slots s does not yet have are adopted wholesale, so merging
 // into a zero Summary copies o — the property the reflection test in
 // divscrape_merge_test.go pins for every counted field.
@@ -570,85 +497,69 @@ func (s *Summary) Merge(o *Summary) {
 	}
 }
 
-// AnalyzeSet streams a generator's traffic through a detector set and
-// summarises alerting diversity and labelled accuracy.
-func AnalyzeSet(gen *Generator, set *DetectorSet) (*Summary, error) {
-	s := newSummary(set.Names(), true)
-	verdicts := make([]Verdict, set.Len())
-	err := gen.Run(func(ev Event) error {
-		set.InspectInto(ev.Entry, verdicts)
-		s.record(verdicts, ev.Label.Malicious())
-		return nil
-	})
+// Source is a request stream Analyze reads: generated traffic, which
+// carries ground truth, or an access log, which does not. Build one with
+// Generated or Log.
+type Source struct {
+	gen *Generator
+	log io.Reader
+}
+
+// Generated reads a generator's traffic; the Summary is labelled.
+func Generated(gen *Generator) Source { return Source{gen: gen} }
+
+// Log reads an access log in Combined Log Format, skipping malformed
+// lines. A raw log carries no labels, so the Summary's confusion matrices
+// stay zero.
+func Log(r io.Reader) Source { return Source{log: r} }
+
+// Options selects what Analyze runs.
+type Options struct {
+	// Detectors names the detectors (see DetectorNames) in inspection
+	// order; none selects DefaultDetectors.
+	Detectors []string
+	// Shards ≤ 1 runs the sequential engine; more partitions the stream
+	// across that many shards, each counting into a partial summary of its
+	// own. The merged Summary is the sequential one.
+	Shards int
+}
+
+// Analyze streams src through freshly built detectors and summarises
+// alerting diversity and, for generated traffic, labelled accuracy.
+//
+// Each engine reads each source at the cost it needs: a sequential run
+// pulls generated events one at a time and holds none of them; a sharded
+// run materialises generated events so every shard can join its
+// requests' labels back by sequence number, and parses a log on parallel
+// workers.
+func Analyze(src Source, opts Options) (*Summary, error) {
+	s, err := analyze(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("divscrape: analyze: %w", err)
 	}
 	return s, nil
 }
 
-// Analyze is AnalyzeSet on the paper's pair.
-func Analyze(gen *Generator, pair *DetectorPair) (*Summary, error) {
-	return AnalyzeSet(gen, pair.asSet())
-}
-
-// AnalyzeLogSet streams an access-log file through a detector set.
-// Malformed lines are skipped. No labels are available from a raw log,
-// so the summary's confusion matrices stay zero.
-func AnalyzeLogSet(r io.Reader, set *DetectorSet) (*Summary, error) {
-	s := newSummary(set.Names(), false)
-	verdicts := make([]Verdict, set.Len())
-	lr := logfmt.NewReader(r, logfmt.ReaderConfig{Policy: logfmt.Skip})
-	var e Entry
-	for {
-		if err := lr.NextInto(&e); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("divscrape: analyze log: %w", err)
-		}
-		set.InspectInto(e, verdicts)
-		s.record(verdicts, false)
-	}
-	return s, nil
-}
-
-// AnalyzeLog is AnalyzeLogSet on the paper's pair.
-func AnalyzeLog(r io.Reader, pair *DetectorPair) (*Summary, error) {
-	return AnalyzeLogSet(r, pair.asSet())
-}
-
-// DefaultFactories returns one Factory per detector of the calibrated pair
-// (commercial first, behavioural second) — the detector list the sharded
-// analysis entry points and cmd/scrapedetect hand to the pipeline.
-func DefaultFactories() []Factory {
-	fs, err := FactoriesFor()
-	if err != nil {
-		panic(err) // unreachable: DefaultDetectors are always registered
-	}
-	return fs
-}
-
-// analyzeSharded runs src through a sharded pipeline of the named
-// detectors with per-shard delivery: every shard records into a private
-// partial summary and the partials are folded together at the end. Every
-// accumulated quantity is a commutative count, so the result equals the
-// one an in-order pass accumulates — delivery order trades away only the
-// cross-client interleaving, which no table depends on. malicious joins
-// ground truth back by sequence number; nil leaves the summary unlabelled.
-func analyzeSharded(shards int, names []string, src pipeline.EntrySource, malicious func(seq uint64) bool) (*Summary, error) {
-	factories, err := FactoriesFor(names...)
+func analyze(src Source, opts Options) (*Summary, error) {
+	factories, err := FactoriesFor(opts.Detectors...)
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := pipeline.New(pipeline.Config{
-		Factories:  factories,
-		Reputation: iprep.BuildFeed(),
-		Mode:       pipeline.Sharded,
-		Shards:     shards,
-	})
+	sharded := opts.Shards > 1
+	cfg := pipeline.Config{Factories: factories, Reputation: iprep.BuildFeed()}
+	if sharded {
+		cfg.Mode, cfg.Shards = pipeline.Sharded, opts.Shards
+	}
+	pipe, err := pipeline.New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	entries, malicious, closeSrc, err := src.open(sharded)
+	if err != nil {
+		return nil, err
+	}
+	defer closeSrc()
+
 	labelled := malicious != nil
 	partials := make([]*Summary, pipe.Shards())
 	sinks := make([]pipeline.Sink, pipe.Shards())
@@ -660,7 +571,12 @@ func analyzeSharded(shards int, names []string, src pipeline.EntrySource, malici
 			return nil
 		}
 	}
-	if err := pipe.RunRelaxed(context.Background(), src, sinks); err != nil {
+	if sharded {
+		err = pipe.RunRelaxed(context.Background(), entries, sinks)
+	} else {
+		err = pipe.Run(context.Background(), entries, sinks[0])
+	}
+	if err != nil {
 		return nil, err
 	}
 	s := newSummary(pipe.Detectors(), labelled)
@@ -670,64 +586,66 @@ func analyzeSharded(shards int, names []string, src pipeline.EntrySource, malici
 	return s, nil
 }
 
-// AnalyzeShardedSet is AnalyzeSet on the sharded pipeline: the generated
-// stream is partitioned by client IP across shards (0 selects
-// GOMAXPROCS), each with private instances of the named detectors (none
-// selects DefaultDetectors) and a partial summary of its own — the
-// merged summary is identical to AnalyzeSet's, only faster on multi-core
-// hosts. The events are materialised first so ground-truth labels can be
-// joined back by sequence number.
-func AnalyzeShardedSet(gen *Generator, shards int, names ...string) (*Summary, error) {
-	events, err := gen.Generate()
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze sharded: generate: %w", err)
+// open returns src as the pipeline's entry source, the ground truth by
+// sequence number (nil for a log) and what to call when the run is over.
+func (src Source) open(sharded bool) (pipeline.EntrySource, func(seq uint64) bool, func(), error) {
+	switch {
+	case src.log != nil && sharded:
+		lr := logfmt.NewParallelReader(src.log, logfmt.ParallelConfig{Policy: logfmt.Skip})
+		entries := func() (Entry, error) {
+			var e Entry
+			err := lr.NextInto(&e)
+			return e, err
+		}
+		return entries, nil, func() { lr.Close() }, nil
+	case src.log != nil:
+		lr := logfmt.NewReader(src.log, logfmt.ReaderConfig{Policy: logfmt.Skip})
+		return lr.Next, nil, func() {}, nil
+	case src.gen == nil:
+		return nil, nil, nil, errors.New("empty Source: build one with Generated or Log")
+	case sharded:
+		events, err := src.gen.Generate()
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("generate: %w", err)
+		}
+		i := 0
+		entries := func() (Entry, error) {
+			if i >= len(events) {
+				return Entry{}, io.EOF
+			}
+			i++
+			return events[i-1].Entry, nil
+		}
+		return entries, func(seq uint64) bool { return events[seq].Label.Malicious() }, func() {}, nil
 	}
-	i := 0
-	src := func() (Entry, error) {
-		if i >= len(events) {
+	// Sequential: the sink runs right after the source yields, so the
+	// label of the event just pulled is the one it needs.
+	var genErr error
+	next, stop := iter.Pull(func(yield func(Event) bool) {
+		genErr = src.gen.Run(func(ev Event) error {
+			if !yield(ev) {
+				return errStopped
+			}
+			return nil
+		})
+	})
+	var last Event
+	entries := func() (Entry, error) {
+		ev, ok := next()
+		if !ok {
+			if genErr != nil {
+				return Entry{}, fmt.Errorf("generate: %w", genErr)
+			}
 			return Entry{}, io.EOF
 		}
-		e := events[i].Entry
-		i++
-		return e, nil
+		last = ev
+		return ev.Entry, nil
 	}
-	s, err := analyzeSharded(shards, names, src, func(seq uint64) bool { return events[seq].Label.Malicious() })
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze sharded: %w", err)
-	}
-	return s, nil
+	return entries, func(uint64) bool { return last.Label.Malicious() }, stop, nil
 }
 
-// AnalyzeSharded is AnalyzeShardedSet on the paper's pair.
-func AnalyzeSharded(gen *Generator, shards int) (*Summary, error) {
-	return AnalyzeShardedSet(gen, shards)
-}
-
-// AnalyzeLogShardedSet is AnalyzeLogSet end to end on the parallel plane
-// (0 shards selects GOMAXPROCS, no names selects DefaultDetectors): a
-// chunked ParallelReader fans the parse across cores (malformed lines
-// skipped), the sharded pipeline fans detection across shards, and
-// per-shard partial summaries merge at the end. The contingency table is
-// identical to AnalyzeLogSet's.
-func AnalyzeLogShardedSet(r io.Reader, shards int, names ...string) (*Summary, error) {
-	lr := logfmt.NewParallelReader(r, logfmt.ParallelConfig{Policy: logfmt.Skip})
-	defer lr.Close()
-	src := func() (Entry, error) {
-		var e Entry
-		err := lr.NextInto(&e)
-		return e, err
-	}
-	s, err := analyzeSharded(shards, names, src, nil)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze log sharded: %w", err)
-	}
-	return s, nil
-}
-
-// AnalyzeLogSharded is AnalyzeLogShardedSet on the paper's pair.
-func AnalyzeLogSharded(r io.Reader, shards int) (*Summary, error) {
-	return AnalyzeLogShardedSet(r, shards)
-}
+// errStopped ends a generator run whose consumer stopped pulling.
+var errStopped = errors.New("stopped")
 
 // WriteDataset streams a generation run to an access log and label
 // sidecar, returning the request count.
@@ -801,15 +719,6 @@ func NewSweeper(window, every time.Duration) (*Sweeper, error) {
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// EvictBefore proactively drops both detectors' per-client state
-// untouched since cutoff, returning the number of sessions evicted —
-// the pair-level face of the windowed eviction hook. Verdict-neutral
-// while cutoff trails stream time by at least the detectors' idle
-// timeouts.
-func (p *DetectorPair) EvictBefore(cutoff time.Time) int {
-	return p.asSet().EvictBefore(cutoff)
-}
 
 // NewMitigationEngine validates the policy and builds an engine. Engines
 // are single-threaded; shard them alongside detector state.

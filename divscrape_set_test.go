@@ -2,6 +2,8 @@ package divscrape_test
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +17,35 @@ func setGen(t *testing.T, seed uint64, dur time.Duration) *divscrape.Generator {
 		t.Fatal(err)
 	}
 	return gen
+}
+
+// TestAnalyzeThreeWaySharded runs all three detectors through both
+// engines and compares every detector's confusion matrix.
+func TestAnalyzeThreeWaySharded(t *testing.T) {
+	names := []string{"sentinel", "arcane", "trajectory"}
+	seq, err := divscrape.Analyze(divscrape.Generated(setGen(t, 42, 4*time.Hour)), divscrape.Options{Detectors: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Detectors) != 3 {
+		t.Fatalf("summary holds %d detectors, want 3", len(seq.Detectors))
+	}
+	if _, ok := seq.ConfusionOf("trajectory"); !ok {
+		t.Fatal("summary missing trajectory confusion")
+	}
+	sharded, err := divscrape.Analyze(divscrape.Generated(setGen(t, 42, 4*time.Hour)), divscrape.Options{Detectors: names, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharded.Total != seq.Total || sharded.Contingency != seq.Contingency {
+		t.Fatalf("mode summary differs: %+v vs %+v", sharded, seq)
+	}
+	for i := range seq.Detectors {
+		if sharded.Detectors[i] != seq.Detectors[i] {
+			t.Fatalf("detector %d confusion differs: %+v vs %+v",
+				i, sharded.Detectors[i], seq.Detectors[i])
+		}
+	}
 }
 
 // TestTrajectoryNonInterference is the metamorphic guarantee behind the
@@ -53,44 +84,10 @@ func TestTrajectoryNonInterference(t *testing.T) {
 	}
 }
 
-// TestAnalyzeThreeWaySharded: the three-detector set reports identical
-// summaries from the sequential and sharded entry points — the same
-// mode-equivalence contract the pair has always had, now covering a
-// detector whose state includes a trained model shared across shards.
-func TestAnalyzeThreeWaySharded(t *testing.T) {
-	names := []string{"sentinel", "arcane", "trajectory"}
-	set, err := divscrape.NewDetectorSet(names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := divscrape.AnalyzeSet(setGen(t, 42, 4*time.Hour), set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Detectors) != 3 {
-		t.Fatalf("summary holds %d detectors, want 3", len(seq.Detectors))
-	}
-	if _, ok := seq.ConfusionOf("trajectory"); !ok {
-		t.Fatal("summary missing trajectory confusion")
-	}
-	sharded, err := divscrape.AnalyzeShardedSet(setGen(t, 42, 4*time.Hour), 3, names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Total != seq.Total || sharded.Contingency != seq.Contingency {
-		t.Fatalf("mode summary differs: %+v vs %+v", sharded, seq)
-	}
-	for i := range seq.Detectors {
-		if sharded.Detectors[i] != seq.Detectors[i] {
-			t.Fatalf("detector %d confusion differs: %+v vs %+v",
-				i, sharded.Detectors[i], seq.Detectors[i])
-		}
-	}
-}
-
-// TestSetSnapshotPairCompatible: a DetectorPair snapshot and a default
-// DetectorSet snapshot are the same bytes, and each restores into the
-// other — the set generalisation did not fork the state format.
+// TestSetSnapshotPairCompatible: a DetectorPair driven through its
+// two-verdict Inspect and a default DetectorSet driven through
+// InspectInto hold the same state — their snapshots are the same bytes —
+// and a resumed default set is a pair again.
 func TestSetSnapshotPairCompatible(t *testing.T) {
 	pair, err := divscrape.NewDetectorPair()
 	if err != nil {
@@ -100,29 +97,34 @@ func TestSetSnapshotPairCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verdicts := make([]divscrape.Verdict, set.Len())
 	err = setGen(t, 43, 90*time.Minute).Run(func(ev divscrape.Event) error {
-		pair.Inspect(ev.Entry)
-		set.InspectInto(ev.Entry, make([]divscrape.Verdict, set.Len()))
+		c, b := pair.Inspect(ev.Entry)
+		set.InspectInto(ev.Entry, verdicts)
+		if c != verdicts[0] || b != verdicts[1] {
+			t.Fatalf("pair verdicts %+v %+v, set verdicts %+v", c, b, verdicts)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fromPair, fromSet bytes.Buffer
-	if err := divscrape.Snapshot(&fromPair, pair); err != nil {
+	if err := divscrape.Snapshot(&fromPair, pair.DetectorSet); err != nil {
 		t.Fatal(err)
 	}
-	if err := divscrape.SnapshotSet(&fromSet, set); err != nil {
+	if err := divscrape.Snapshot(&fromSet, set); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fromPair.Bytes(), fromSet.Bytes()) {
 		t.Error("pair and default-set snapshots are not byte-identical")
 	}
-	if _, err := divscrape.ResumeSet(bytes.NewReader(fromPair.Bytes())); err != nil {
-		t.Fatalf("set resume from pair snapshot: %v", err)
+	resumed, err := divscrape.Resume(bytes.NewReader(fromPair.Bytes()))
+	if err != nil {
+		t.Fatalf("resume from pair snapshot: %v", err)
 	}
-	if _, err := divscrape.Resume(bytes.NewReader(fromSet.Bytes())); err != nil {
-		t.Fatalf("pair resume from set snapshot: %v", err)
+	if got := (&divscrape.DetectorPair{DetectorSet: resumed}).Names(); !reflect.DeepEqual(got, divscrape.DefaultDetectors) {
+		t.Fatalf("resumed pair holds %v", got)
 	}
 }
 
@@ -134,5 +136,63 @@ func TestUnknownDetectorName(t *testing.T) {
 	}
 	if _, err := divscrape.FactoriesFor("nope"); err == nil {
 		t.Fatal("unknown factory name accepted")
+	}
+}
+
+// TestDuplicateDetectorName: a detector may be named once — a Summary
+// finds a detector's table by its name, so a second slot of the same name
+// could never be read. Every entry point resolves names through
+// FactoriesFor and refuses the list.
+func TestDuplicateDetectorName(t *testing.T) {
+	dup := []string{"sentinel", "arcane", "sentinel"}
+	if _, err := divscrape.FactoriesFor(dup...); err == nil || !strings.Contains(err.Error(), `duplicate detector "sentinel"`) {
+		t.Fatalf("FactoriesFor(%v): err = %v, want a duplicate error", dup, err)
+	}
+	if _, err := divscrape.NewDetectorSet(dup...); err == nil {
+		t.Fatal("NewDetectorSet accepted a duplicate name")
+	}
+	if _, err := divscrape.Analyze(divscrape.Generated(setGen(t, 44, time.Hour)), divscrape.Options{Detectors: dup, Shards: 3}); err == nil {
+		t.Fatal("Analyze accepted a duplicate name")
+	}
+}
+
+// TestInspectAllocatesNothing pins the zero-allocation promise of the
+// per-entry calls: after warm-up, neither DetectorSet.InspectInto nor
+// DetectorPair.Inspect costs a heap object per entry (the set keeps the
+// Request it hands its detectors, so no stack copy escapes through the
+// Detector interface).
+func TestInspectAllocatesNothing(t *testing.T) {
+	events, err := setGen(t, 45, 3*time.Hour).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := len(events) / 2
+	set, err := divscrape.NewDetectorSet("sentinel", "arcane", "trajectory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := divscrape.NewDetectorPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := make([]divscrape.Verdict, set.Len())
+	for _, ev := range events[:warm] {
+		set.InspectInto(ev.Entry, verdicts)
+		pair.Inspect(ev.Entry)
+	}
+	runs := len(events) - warm - 1 // AllocsPerRun calls f once more to warm up
+	i := warm
+	if got := testing.AllocsPerRun(runs, func() {
+		set.InspectInto(events[i].Entry, verdicts)
+		i++
+	}); got != 0 {
+		t.Errorf("DetectorSet.InspectInto: %v allocs/op, want 0", got)
+	}
+	i = warm
+	if got := testing.AllocsPerRun(runs, func() {
+		pair.Inspect(events[i].Entry)
+		i++
+	}); got != 0 {
+		t.Errorf("DetectorPair.Inspect: %v allocs/op, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package divscrape_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,11 +17,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := divscrape.NewDetectorPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	summary, err := divscrape.Analyze(gen, pair)
+	summary, err := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +37,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 // The file-based path must agree exactly with the in-memory path: write a
-// dataset, re-read it through AnalyzeLog, and compare contingency tables.
+// dataset, re-read it as a Log source, and compare contingency tables.
 func TestAnalyzeLogMatchesInMemory(t *testing.T) {
 	cfg := divscrape.GeneratorConfig{Seed: 23, Duration: 90 * time.Minute}
 
@@ -48,11 +45,7 @@ func TestAnalyzeLogMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairA, err := divscrape.NewDetectorPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inMemory, err := divscrape.Analyze(genA, pairA)
+	inMemory, err := divscrape.Analyze(divscrape.Generated(genA), divscrape.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +59,7 @@ func TestAnalyzeLogMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairB, err := divscrape.NewDetectorPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromLog, err := divscrape.AnalyzeLog(&logBuf, pairB)
+	fromLog, err := divscrape.Analyze(divscrape.Log(&logBuf), divscrape.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,34 +77,95 @@ func TestAnalyzeLogMatchesInMemory(t *testing.T) {
 	}
 }
 
-// The sharded facade entry points must agree exactly with the sequential
-// ones at any shard count: same contingency, same confusion matrices.
-// Shards deliver into partial summaries without restoring stream order —
-// every aggregate is a commutative count, so that changes nothing — which
-// makes this the facade-level face of the pipeline's relaxed-equivalence
-// suite.
+// TestAnalyzeEquivalence holds every engine to the sequential one: for
+// both source kinds, the default pair and all three detectors, the
+// sharded engine's merged Summary must equal the sequential Summary field
+// for field, every detector's confusion matrix included. Shards deliver
+// into partial summaries without restoring stream order — every
+// aggregate is a commutative count, so that changes nothing. A log
+// replay's Summary is the generated one's without the labels.
+func TestAnalyzeEquivalence(t *testing.T) {
+	cfg := divscrape.GeneratorConfig{Seed: 9, Duration: 6 * time.Hour}
+	gen := func() *divscrape.Generator {
+		g, err := divscrape.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	var logBuf, labelBuf bytes.Buffer
+	if _, err := divscrape.WriteDataset(gen(), &logBuf, &labelBuf); err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		src  func() divscrape.Source
+	}{
+		{"generated", func() divscrape.Source { return divscrape.Generated(gen()) }},
+		{"log", func() divscrape.Source { return divscrape.Log(bytes.NewReader(logBuf.Bytes())) }},
+	}
+	for _, names := range [][]string{nil, {"sentinel", "arcane", "trajectory"}} {
+		var generated *divscrape.Summary
+		for _, source := range sources {
+			var want *divscrape.Summary
+			for _, shards := range []int{1, 3, 8} {
+				got, err := divscrape.Analyze(source.src(), divscrape.Options{Detectors: names, Shards: shards})
+				if err != nil {
+					t.Fatalf("%v %s shards=%d: %v", names, source.name, shards, err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v %s shards=%d: summary differs from the sequential one:\n got:  %+v\n want: %+v",
+						names, source.name, shards, got, want)
+				}
+			}
+			if generated == nil {
+				generated = want
+				if !want.Labelled || len(want.Detectors) != max(len(names), 2) {
+					t.Fatalf("%v: generated summary is %+v", names, want)
+				}
+				for _, name := range names {
+					if c, ok := want.ConfusionOf(name); !ok || c.Total() != want.Total {
+						t.Errorf("%v: confusion of %s is %+v (found %v)", names, name, c, ok)
+					}
+				}
+				continue
+			}
+			unlabelled := *generated
+			unlabelled.Labelled = false
+			unlabelled.Detectors = make([]divscrape.DetectorConfusion, len(generated.Detectors))
+			for i, d := range generated.Detectors {
+				unlabelled.Detectors[i].Name = d.Name
+			}
+			if !reflect.DeepEqual(want, &unlabelled) {
+				t.Errorf("%v: log summary %+v, want the generated one unlabelled %+v", names, want, &unlabelled)
+			}
+		}
+	}
+}
+
+// TestAnalyzeShardedMatchesSequential holds the sharded engine to the
+// sequential one on generated traffic at several shard counts, and a
+// sharded log replay to the same totals and contingency without labels.
 func TestAnalyzeShardedMatchesSequential(t *testing.T) {
 	cfg := divscrape.GeneratorConfig{Seed: 29, Duration: 2 * time.Hour}
-
-	genA, err := divscrape.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
+	gen := func() *divscrape.Generator {
+		g, err := divscrape.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	pair, err := divscrape.NewDetectorPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := divscrape.Analyze(genA, pair)
+	seq, err := divscrape.Analyze(divscrape.Generated(gen()), divscrape.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, shards := range []int{1, 3, 4, 8} {
-		genB, err := divscrape.NewGenerator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := divscrape.AnalyzeSharded(genB, shards)
+		sharded, err := divscrape.Analyze(divscrape.Generated(gen()), divscrape.Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,15 +186,11 @@ func TestAnalyzeShardedMatchesSequential(t *testing.T) {
 
 	// Log replay — parallel parse feeding the sharded pipeline — must
 	// agree too.
-	genC, err := divscrape.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var logBuf, labelBuf bytes.Buffer
-	if _, err := divscrape.WriteDataset(genC, &logBuf, &labelBuf); err != nil {
+	if _, err := divscrape.WriteDataset(gen(), &logBuf, &labelBuf); err != nil {
 		t.Fatal(err)
 	}
-	fromLog, err := divscrape.AnalyzeLogSharded(&logBuf, 4)
+	fromLog, err := divscrape.Analyze(divscrape.Log(&logBuf), divscrape.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

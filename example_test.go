@@ -8,7 +8,7 @@ import (
 )
 
 // ExampleAnalyze generates a short labelled traffic window, runs the
-// detector pair over it and prints the alert-agreement structure of the
+// paper's detector pair over it and prints the alert-agreement structure of the
 // paper's Table 2. Everything is deterministic in the seed.
 func ExampleAnalyze() {
 	gen, err := divscrape.NewGenerator(divscrape.GeneratorConfig{
@@ -19,12 +19,7 @@ func ExampleAnalyze() {
 		fmt.Println("error:", err)
 		return
 	}
-	pair, err := divscrape.NewDetectorPair()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	summary, err := divscrape.Analyze(gen, pair)
+	summary, err := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -66,7 +66,7 @@ func run() error {
 		head.Inspect(events[i].Entry)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, head); err != nil {
+	if err := divscrape.Snapshot(&state, head.DetectorSet); err != nil {
 		return err
 	}
 	fmt.Printf("snapshot at crash point: %d bytes of per-client session state\n\n", state.Len())
@@ -85,10 +85,11 @@ func run() error {
 	}
 
 	// Durable restart: resume from the snapshot.
-	resumed, err := divscrape.Resume(bytes.NewReader(state.Bytes()))
+	set, err := divscrape.Resume(bytes.NewReader(state.Bytes()))
 	if err != nil {
 		return err
 	}
+	resumed := &divscrape.DetectorPair{DetectorSet: set}
 	resumedDiverged := 0
 	for i := k; i < len(events); i++ {
 		c, b := resumed.Inspect(events[i].Entry)

@@ -18,6 +18,7 @@ import (
 
 	"divscrape/httpguard"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/mitigate"
 )
 
 func main() {
@@ -39,8 +40,9 @@ func run() error {
 	}
 
 	var alerts int
+	block := mitigate.StaticBlock(false)
 	guard, err := httpguard.New(httpguard.Config{
-		Action: httpguard.Block,
+		Policy: &block,
 		Now: func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()

@@ -26,12 +26,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pair, err := divscrape.NewDetectorPair()
-	if err != nil {
-		return err
-	}
-
-	summary, err := divscrape.Analyze(gen, pair)
+	summary, err := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{})
 	if err != nil {
 		return err
 	}

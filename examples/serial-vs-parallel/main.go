@@ -95,13 +95,15 @@ func buildArrangements() ([]*arrangement, error) {
 		return nil, err
 	}
 
+	// Each pair's Detectors[0] is the commercial tool, Detectors[1] the
+	// behavioural one.
 	return []*arrangement{
 		{
 			name: "parallel (1-out-of-2)",
 			pair: parallel,
 			decide: func(req *divscrape.Request) (bool, bool) {
-				vc := parallel.Commercial.Inspect(req)
-				vb := parallel.Behavioural.Inspect(req)
+				vc := parallel.Detectors[0].Inspect(req)
+				vb := parallel.Detectors[1].Inspect(req)
 				return vc.Alert || vb.Alert, true
 			},
 		},
@@ -109,11 +111,11 @@ func buildArrangements() ([]*arrangement, error) {
 			name: "serial commercial→behavioural AND",
 			pair: serialAND,
 			decide: func(req *divscrape.Request) (bool, bool) {
-				vc := serialAND.Commercial.Inspect(req)
+				vc := serialAND.Detectors[0].Inspect(req)
 				if !vc.Alert {
 					return false, false
 				}
-				vb := serialAND.Behavioural.Inspect(req)
+				vb := serialAND.Detectors[1].Inspect(req)
 				return vb.Alert, true
 			},
 		},
@@ -121,11 +123,11 @@ func buildArrangements() ([]*arrangement, error) {
 			name: "serial commercial→behavioural OR",
 			pair: serialOR,
 			decide: func(req *divscrape.Request) (bool, bool) {
-				vc := serialOR.Commercial.Inspect(req)
+				vc := serialOR.Detectors[0].Inspect(req)
 				if vc.Alert {
 					return true, false
 				}
-				vb := serialOR.Behavioural.Inspect(req)
+				vb := serialOR.Detectors[1].Inspect(req)
 				return vb.Alert, true
 			},
 		},

@@ -260,7 +260,6 @@ func TestSharedHeaderValuesDoNotAlias(t *testing.T) {
 func TestMetricsScrapeZeroAllocsLiveGuard(t *testing.T) {
 	var now time.Time
 	g, err := New(Config{
-		Action: Observe,
 		Shards: 4,
 		Now:    func() time.Time { return now },
 		Sleep:  func(time.Duration) {},

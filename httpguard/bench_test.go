@@ -109,7 +109,6 @@ func BenchmarkHTTPGuardTrajectory(b *testing.B) {
 func BenchmarkHTTPGuardShed(b *testing.B) {
 	var now time.Time
 	g, err := New(Config{
-		Action:      Observe,
 		Shards:      1,
 		MaxInFlight: 1,
 		Now:         func() time.Time { return now },

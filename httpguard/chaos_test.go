@@ -26,7 +26,6 @@ func chaosGuard(t *testing.T, mut func(*Config)) (*Guard, *time.Time) {
 	t.Cleanup(faultinject.Reset)
 	now := time.Date(2018, 3, 12, 10, 0, 0, 0, time.UTC)
 	cfg := Config{
-		Action:            Observe,
 		Shards:            1,
 		MaxInFlight:       -1,
 		QuarantineBackoff: 10 * time.Second,

@@ -35,7 +35,7 @@ func TestClientIPMalformedAndEmptyForwardedEntries(t *testing.T) {
 		{"port suffix is malformed", []string{"203.0.113.9:443"}, "10.0.0.1"},
 		{"ipv6 client", []string{"2001:db8::7,"}, "2001:db8::7"},
 	}
-	g := newGuard(t, Config{Action: Observe, TrustedProxies: []string{"10.0.0.0/8"}})
+	g := newGuard(t, Config{TrustedProxies: []string{"10.0.0.0/8"}})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest(http.MethodGet, "/", nil)
@@ -142,7 +142,7 @@ func FuzzClientIP(f *testing.F) {
 // net/http left it, to the client on its far left or, all trusted, to its
 // leftmost hop.
 func TestClientIPLongChainAllocatesNothing(t *testing.T) {
-	g := newGuard(t, Config{Action: Observe, TrustedProxies: []string{"10.0.0.0/8"}})
+	g := newGuard(t, Config{TrustedProxies: []string{"10.0.0.0/8"}})
 	for _, c := range []struct{ client, want string }{
 		{"203.0.113.9", "203.0.113.9"},
 		{"", "10.0.0.0"},

@@ -13,7 +13,7 @@ func TestDegradedModeNames(t *testing.T) {
 }
 
 func TestFailureConfigDefaults(t *testing.T) {
-	g := newGuard(t, Config{Action: Observe})
+	g := newGuard(t, Config{})
 	if g.cfg.MaxInFlight != 256 {
 		t.Fatalf("MaxInFlight default %d, want 256", g.cfg.MaxInFlight)
 	}
@@ -24,7 +24,7 @@ func TestFailureConfigDefaults(t *testing.T) {
 		t.Fatalf("Degraded default %v, want fail-open", g.cfg.Degraded)
 	}
 	// Negative disables the admission gate entirely.
-	g = newGuard(t, Config{Action: Observe, MaxInFlight: -1})
+	g = newGuard(t, Config{MaxInFlight: -1})
 	if g.cfg.MaxInFlight != 0 {
 		t.Fatalf("negative MaxInFlight normalised to %d, want 0", g.cfg.MaxInFlight)
 	}
@@ -34,7 +34,7 @@ func TestTarpitObservesContextCancellation(t *testing.T) {
 	// No injected Sleep: the tarpit runs its real timer path, but the
 	// context is already cancelled, so it must return immediately — a
 	// disconnected client's goroutine is never pinned for the delay.
-	g := newGuard(t, Config{Action: Observe})
+	g := newGuard(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	done := make(chan struct{})
@@ -52,8 +52,7 @@ func TestTarpitObservesContextCancellation(t *testing.T) {
 func TestTarpitUsesInjectedSleep(t *testing.T) {
 	var slept []time.Duration
 	g := newGuard(t, Config{
-		Action: Observe,
-		Sleep:  func(d time.Duration) { slept = append(slept, d) },
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	g.tarpit(context.Background(), 3*time.Second)
 	if len(slept) != 1 || slept[0] != 3*time.Second {
@@ -62,6 +61,6 @@ func TestTarpitUsesInjectedSleep(t *testing.T) {
 }
 
 func TestTarpitZeroDelayReturns(t *testing.T) {
-	g := newGuard(t, Config{Action: Observe})
+	g := newGuard(t, Config{})
 	g.tarpit(context.Background(), 0) // must not touch a timer
 }

@@ -9,11 +9,11 @@
 // Enforcement is driven by a mitigate.Engine per shard rather than a
 // static action switch: the adjudicated verdicts feed a per-client
 // suspicion integral that climbs the Allow → Tarpit → Challenge → Block
-// ladder and decays back. The legacy static behaviours (Observe, Tag,
-// Block) remain available as Config.Action and are implemented as static
-// mitigation policies. When the graduated policy is active the guard also
-// hosts the challenge flow itself: it serves the challenge script, and a
-// POST to the verify endpoint marks the client's challenge solved.
+// ladder and decays back. The static behaviours are policies too
+// (mitigate.Observe, the default; mitigate.Tag; mitigate.StaticBlock).
+// When the graduated policy is active the guard also hosts the challenge
+// flow itself: it serves the challenge script, and a POST to the verify
+// endpoint marks the client's challenge solved.
 //
 // The middleware observes the *response* status via a recording writer,
 // so its log view matches what Apache would have written. The detectors
@@ -73,20 +73,6 @@ import (
 	"divscrape/internal/trajectory"
 )
 
-// Action is the legacy static policy selector, kept for compatibility;
-// Config.Policy supersedes it.
-type Action int
-
-const (
-	// Observe lets everything through and only records verdicts.
-	Observe Action = iota + 1
-	// Tag forwards alerted requests with X-Scrape-Verdict headers set, so
-	// the application can degrade (serve cached prices, hide inventory).
-	Tag
-	// Block answers alerted requests with 403 without reaching the app.
-	Block
-)
-
 // Verdicts is the set of per-request judgements exposed to callbacks, one
 // named slot per judging side in side-list order — which is why three
 // sides is the guard's ceiling. Trajectory stays zero on pair guards
@@ -133,16 +119,11 @@ func (v Verdicts) Confirmed() bool {
 
 // Config parameterises the guard.
 type Config struct {
-	// Action selects a legacy static policy. Default Observe. Ignored
-	// when Policy is set.
-	Action Action
-	// BlockOnConfirmedOnly, with Action Block, blocks only confirmed
-	// requests — two sides alerting; single-tool alerts are tagged
-	// instead. This is the serial-confirmation deployment the paper
-	// sketches.
-	BlockOnConfirmedOnly bool
-	// Policy, when non-nil, selects the mitigation policy directly —
-	// typically mitigate.Graduated() for the full escalation ladder.
+	// Policy selects the mitigation policy: typically mitigate.Graduated()
+	// for the full escalation ladder, or a static one — mitigate.Tag(), or
+	// mitigate.StaticBlock(true) for the serial-confirmation deployment the
+	// paper sketches, blocking only when two sides alert. Nil observes:
+	// everything passes and verdicts are only recorded.
 	Policy *mitigate.Policy
 	// TrustedProxies lists the peers (IPs or CIDR prefixes) allowed to
 	// assert the client address via X-Forwarded-For / X-Real-IP. When the
@@ -402,18 +383,9 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 	if len(sides) < 2 || len(sides) > maxSides {
 		return nil, fmt.Errorf("httpguard: %d judging sides, need 2 to %d", len(sides), maxSides)
 	}
-	var policy mitigate.Policy
-	switch {
-	case cfg.Policy != nil:
+	policy := mitigate.Observe()
+	if cfg.Policy != nil {
 		policy = *cfg.Policy
-	case cfg.Action == 0, cfg.Action == Observe:
-		policy = mitigate.Observe()
-	case cfg.Action == Tag:
-		policy = mitigate.Tag()
-	case cfg.Action == Block:
-		policy = mitigate.StaticBlock(cfg.BlockOnConfirmedOnly)
-	default:
-		return nil, fmt.Errorf("httpguard: invalid action %d", int(cfg.Action))
 	}
 	trusted, err := parseTrustedProxies(cfg.TrustedProxies)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"divscrape/internal/logfmt"
+	"divscrape/internal/mitigate"
 )
 
 // fakeClock hands out strictly increasing instants.
@@ -64,9 +65,12 @@ func do(t *testing.T, h http.Handler, ip, ua, path string) *httptest.ResponseRec
 const toolUA = "python-requests/2.18.4"
 const browserUA = "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/64.0.3282.186 Safari/537.36"
 
+// policyOf returns a pointer to p, for Config.Policy.
+func policyOf(p mitigate.Policy) *mitigate.Policy { return &p }
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Action: Action(99)}); err == nil {
-		t.Error("invalid action accepted")
+	if _, err := New(Config{Policy: &mitigate.Policy{}}); err == nil {
+		t.Error("invalid policy accepted")
 	}
 }
 
@@ -74,8 +78,7 @@ func TestObserveModeNeverInterferes(t *testing.T) {
 	clock := newFakeClock()
 	var verdicts []Verdicts
 	g := newGuard(t, Config{
-		Action: Observe,
-		Now:    func() time.Time { return clock.tick(100 * time.Millisecond) },
+		Now: func() time.Time { return clock.tick(100 * time.Millisecond) },
 		OnVerdict: func(_ logfmt.Entry, v Verdicts) {
 			verdicts = append(verdicts, v)
 		},
@@ -107,7 +110,7 @@ func TestObserveModeNeverInterferes(t *testing.T) {
 func TestTagMode(t *testing.T) {
 	clock := newFakeClock()
 	g := newGuard(t, Config{
-		Action: Tag,
+		Policy: policyOf(mitigate.Tag()),
 		Now:    func() time.Time { return clock.tick(time.Second) },
 	})
 	h := g.Wrap(okHandler())
@@ -129,7 +132,7 @@ func TestTagMode(t *testing.T) {
 func TestBlockMode(t *testing.T) {
 	clock := newFakeClock()
 	g := newGuard(t, Config{
-		Action: Block,
+		Policy: policyOf(mitigate.StaticBlock(false)),
 		Now:    func() time.Time { return clock.tick(time.Second) },
 	})
 	h := g.Wrap(okHandler())
@@ -155,9 +158,8 @@ func TestBlockMode(t *testing.T) {
 func TestBlockOnConfirmedOnly(t *testing.T) {
 	clock := newFakeClock()
 	g := newGuard(t, Config{
-		Action:               Block,
-		BlockOnConfirmedOnly: true,
-		Now:                  func() time.Time { return clock.tick(time.Second) },
+		Policy: policyOf(mitigate.StaticBlock(true)),
+		Now:    func() time.Time { return clock.tick(time.Second) },
 	})
 	h := g.Wrap(okHandler())
 
@@ -226,7 +228,7 @@ func TestBasicAuthBecomesAuthUser(t *testing.T) {
 func TestGuardAgainstLiveServer(t *testing.T) {
 	clock := newFakeClock()
 	g := newGuard(t, Config{
-		Action: Block,
+		Policy: policyOf(mitigate.StaticBlock(false)),
 		Now:    func() time.Time { return clock.tick(500 * time.Millisecond) },
 	})
 	srv := httptest.NewServer(g.Wrap(okHandler()))

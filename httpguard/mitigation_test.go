@@ -171,8 +171,7 @@ func TestChallengeBeaconIsWhatTheDetectorsSee(t *testing.T) {
 func TestStaticPoliciesServeNoChallengeFlow(t *testing.T) {
 	clock := newFakeClock()
 	g := newGuard(t, Config{
-		Action: Observe,
-		Now:    func() time.Time { return clock.tick(time.Second) },
+		Now: func() time.Time { return clock.tick(time.Second) },
 	})
 	marker := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)

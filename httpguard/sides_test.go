@@ -153,7 +153,6 @@ func unknownSideScenario(t *testing.T, slot int) {
 	var last Verdicts
 	var events []DegradedEvent
 	cfg := Config{
-		Action:            Observe,
 		Shards:            2,
 		MaxInFlight:       -1,
 		QuarantineBackoff: 10 * time.Second,

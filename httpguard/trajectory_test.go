@@ -86,7 +86,6 @@ func browse(t *testing.T, h http.Handler, clients, requests int) {
 
 func TestTrajectoryGuardSurfaces(t *testing.T) {
 	g := newGuard(t, Config{
-		Action:           Observe,
 		EnableTrajectory: true,
 		Shards:           2,
 		Sleep:            func(time.Duration) {},
@@ -134,7 +133,7 @@ func TestTrajectoryGuardSurfaces(t *testing.T) {
 // is merely compiled in: no trajectory metrics, health entries or state
 // fields.
 func TestPairGuardSurfacesUnchanged(t *testing.T) {
-	g := newGuard(t, Config{Action: Observe, Shards: 2, Sleep: func(time.Duration) {}})
+	g := newGuard(t, Config{Shards: 2, Sleep: func(time.Duration) {}})
 	h := g.Wrap(okHandler())
 	browse(t, h, 3, 10)
 
@@ -201,7 +200,6 @@ func TestChaosTrajectoryQuarantineAndRestore(t *testing.T) {
 func tripleGuard(t *testing.T, shards int) *Guard {
 	t.Helper()
 	return newGuard(t, Config{
-		Action:           Observe,
 		EnableTrajectory: true,
 		Shards:           shards,
 		Sleep:            func(time.Duration) {},
@@ -240,7 +238,7 @@ func TestTrajectorySnapshotRoundTrip(t *testing.T) {
 // a trajectory snapshot and vice versa — silently dropping or zeroing a
 // side's state would be worse than refusing.
 func TestTrajectorySnapshotLayoutMismatch(t *testing.T) {
-	pair := newGuard(t, Config{Action: Observe, Shards: 2, Sleep: func(time.Duration) {}})
+	pair := newGuard(t, Config{Shards: 2, Sleep: func(time.Duration) {}})
 	triple := tripleGuard(t, 2)
 	browse(t, pair.Wrap(okHandler()), 2, 10)
 	browse(t, triple.Wrap(okHandler()), 2, 10)

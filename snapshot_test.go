@@ -47,14 +47,15 @@ func TestSnapshotResumePair(t *testing.T) {
 		head.Inspect(events[i].Entry)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, head); err != nil {
+	if err := divscrape.Snapshot(&state, head.DetectorSet); err != nil {
 		t.Fatal(err)
 	}
 
-	resumed, err := divscrape.Resume(bytes.NewReader(state.Bytes()))
+	set, err := divscrape.Resume(bytes.NewReader(state.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	resumed := &divscrape.DetectorPair{DetectorSet: set}
 	for i := k; i < len(events); i++ {
 		c, b := resumed.Inspect(events[i].Entry)
 		if c != want[i-k].c || b != want[i-k].b {
@@ -81,7 +82,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, pair); err != nil {
+	if err := divscrape.Snapshot(&state, pair.DetectorSet); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +125,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 		})
 	}
 	state.Reset()
-	if err := divscrape.Snapshot(&state, pair); err != nil {
+	if err := divscrape.Snapshot(&state, pair.DetectorSet); err != nil {
 		t.Fatal(err)
 	}
 	payload := state.Bytes()[14 : state.Len()-8] // between the header and the checksum
@@ -171,7 +172,7 @@ func TestFailedRestoreLeavesPairReset(t *testing.T) {
 		warm.Inspect(events[i].Entry)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, warm); err != nil {
+	if err := divscrape.Snapshot(&state, warm.DetectorSet); err != nil {
 		t.Fatal(err)
 	}
 
