@@ -31,7 +31,10 @@
 # CPU-profiles BenchmarkE2EReplay — log bytes on disk through detection,
 # the path bench/ times but cannot profile — and prints the cumulative
 # top 30 with input generation left out; PROFILE_KIND=allocs counts every
-# allocation instead and prints who made the most objects; the profile
+# allocation instead and prints who made the most objects;
+# PROFILE_KIND=heap prints the in-use bytes by call site of what the last
+# replay of each case still holds (the benchmark keeps it reachable until
+# the profile is written) — where a heap_bytes_per_req goes; the profile
 # and test binary stay under .bench_build/. `make lines` prints the tracked non-test Go lines
 # outside bench/, per package and in total — the figure a simplicity PR
 # reports before and after (stage new files first: it counts what git
@@ -102,16 +105,19 @@ benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # PROFILE_BENCH narrows the profile to one path: E2EReplay/paper or /wide.
-# PROFILE_KIND is cpu (cumulative time) or allocs (objects allocated, every
+# PROFILE_KIND is cpu (cumulative time), allocs (objects allocated, every
 # allocation sampled): the allocs_per_req the end-to-end benchmark reports,
-# by call site.
+# by call site — or heap (bytes still in use when the profile is written,
+# every allocation sampled): its heap_bytes_per_req, by call site.
 PROFILE_BENCH ?= E2EReplay
 PROFILE_KIND ?= cpu
 
 profile_flags_cpu := -cpuprofile .bench_build/e2e.prof
 profile_flags_allocs := -memprofile .bench_build/e2e.prof -memprofilerate 1
+profile_flags_heap := $(profile_flags_allocs)
 pprof_flags_cpu := -cum
 pprof_flags_allocs := -sample_index=alloc_objects
+pprof_flags_heap := -sample_index=inuse_space
 
 profile:
 	@mkdir -p .bench_build

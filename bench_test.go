@@ -437,6 +437,12 @@ func (m *e2eMix) file(b *testing.B) string {
 	return path
 }
 
+// e2eHeld keeps each BenchmarkE2EReplay case's last pipeline reachable
+// until the process exits, so the -memprofile written after the last
+// benchmark (a collection first) shows what one replay holds: `make
+// profile PROFILE_KIND=heap`.
+var e2eHeld = map[string]*pipeline.Pipeline{}
+
 // BenchmarkE2EReplay takes log bytes on disk through detection — the path
 // scrapedetect runs, in-process — so `make profile` shows where a replay
 // spends its time without a hand-written harness. Every iteration builds
@@ -476,6 +482,7 @@ func BenchmarkE2EReplay(b *testing.B) {
 			if decisions != mix.lines {
 				b.Fatalf("%d decisions for %d lines", decisions, mix.lines)
 			}
+			e2eHeld[b.Name()] = pipe
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&mem[1])

@@ -18,7 +18,10 @@ import (
 // and the timeline with its feature vectors, at one, three and eight
 // shards, for the paper's pair and for three detectors. (Shard mode used
 // to refuse -checkpoint and -explain and to serialise -mitigate through
-// the ordered delivery.)
+// the ordered delivery.) Under -window each shard sweeps its own enricher
+// and detectors on its own cadence, and the same holds — without the
+// ladder, whose block keeps a client idle past its IdleTTL until its own
+// shard sweeps, so its bytes follow the shard count.
 func TestShardModeLadderCheckpointsAndExplainEqualSequential(t *testing.T) {
 	// Six hours from midnight: long enough for browsers to be challenged.
 	gen, err := workload.NewGenerator(workload.Config{Seed: 9, Duration: 6 * time.Hour})
@@ -65,7 +68,7 @@ func TestShardModeLadderCheckpointsAndExplainEqualSequential(t *testing.T) {
 		if err := os.Mkdir(out, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		args := append([]string{"-log", logPath, "-detectors", detectors, "-mitigate", "graduated",
+		args := append([]string{"-log", logPath, "-detectors", detectors,
 			"-save-state", filepath.Join(out, "final.state"),
 			"-checkpoint", filepath.Join(out, "ck"), "-checkpoint-every", "5000", "-checkpoint-retain", "10",
 			"-explain", client}, mode...)
@@ -88,21 +91,30 @@ func TestShardModeLadderCheckpointsAndExplainEqualSequential(t *testing.T) {
 		}
 		return res
 	}
-	for _, detectors := range []string{"sentinel,arcane", "sentinel,arcane,trajectory"} {
-		want := replay("seq-"+detectors, detectors, "-mode", "seq")
+	for _, c := range []struct {
+		detectors string
+		flags     []string
+	}{
+		{"sentinel,arcane", []string{"-mitigate", "graduated"}},
+		{"sentinel,arcane,trajectory", []string{"-mitigate", "graduated"}},
+		{"sentinel,arcane,trajectory", []string{"-window", "2h"}},
+	} {
+		detectors, label := c.detectors, c.detectors+strings.Join(c.flags, "")
+		mitigating := c.flags[0] == "-mitigate"
+		want := replay("seq-"+label, detectors, append(c.flags, "-mode", "seq")...)
 		// 27 655 lines cut every 5 000: five periodic generations and the final one.
 		if len(want.generations) != 6 {
-			t.Fatalf("%s: the sequential run kept %d checkpoint generations, want 6", detectors, len(want.generations))
+			t.Fatalf("%s: the sequential run kept %d checkpoint generations, want 6", label, len(want.generations))
 		}
-		if !strings.Contains(want.timeline, "features:") || !strings.Contains(want.timeline, "[escalation]") {
-			t.Fatalf("%s: the sequential timeline has no feature vectors or no escalation:\n%s", detectors, want.timeline)
+		if !strings.Contains(want.timeline, "features:") || mitigating && !strings.Contains(want.timeline, "[escalation]") {
+			t.Fatalf("%s: the sequential timeline has no feature vectors or no escalation:\n%s", label, want.timeline)
 		}
-		if !strings.Contains(want.tables, "Mitigation replay") {
-			t.Fatalf("%s: no mitigation table:\n%s", detectors, want.tables)
+		if mitigating != strings.Contains(want.tables, "Mitigation replay") {
+			t.Fatalf("%s: mitigation table present = %v:\n%s", label, !mitigating, want.tables)
 		}
 		for _, shards := range []string{"1", "3", "8"} {
-			name := "shard" + shards + "-" + detectors
-			got := replay(name, detectors, "-mode", "shard", "-parallel", shards)
+			name := "shard" + shards + "-" + label
+			got := replay(name, detectors, append(c.flags, "-mode", "shard", "-parallel", shards)...)
 			if got.tables != want.tables {
 				t.Errorf("%s: tables differ from the sequential run's:\n%s\nsequential:\n%s", name, got.tables, want.tables)
 			}

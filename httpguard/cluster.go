@@ -40,13 +40,13 @@ func (g *Guard) MergeLadderDigest(d mitigate.ClientDigest) bool {
 
 // OverlayEntries streams the live temporary reputation-overlay entries.
 func (g *Guard) OverlayEntries(fn func(iprep.TempEntry)) {
-	g.enricher.Reputation().TempEntries(fn)
+	g.rep.TempEntries(fn)
 }
 
 // MergeOverlayEntry folds a replicated overlay entry into the shared
 // reputation DB, longest-lease-wins.
 func (g *Guard) MergeOverlayEntry(e iprep.TempEntry) bool {
-	return g.enricher.Reputation().MergeTemporary(e)
+	return g.rep.MergeTemporary(e)
 }
 
 // SessionDigestsSince streams detector-session digests for sessions

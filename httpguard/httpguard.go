@@ -20,12 +20,12 @@
 // are single-threaded by design (per-client state machines), so the guard
 // partitions traffic by client IP across Config.Shards internal shards —
 // the same key-partitioning, by the same function, as the offline
-// pipeline's Sharded mode — behind one enricher all shards share. Each
-// shard is an internal/shard decision core (its own instance of every
-// judging side, mitigation engine and mutex) running the one Judge step
-// the pipeline's shards run; the guard adds what only an inline host
-// needs: the panic barrier and quarantine round every side, last-good
-// snapshots, admission control, counters, and the answer on the wire. A
+// pipeline's Sharded mode. Each shard is an internal/shard decision core
+// (its own enricher, instance of every judging side, mitigation engine and
+// mutex) running the Enrich and Judge steps the pipeline's shards run; the
+// guard adds what only an inline host needs: the panic barrier and
+// quarantine round every side, last-good snapshots, admission control,
+// counters, and the answer on the wire. A
 // client's requests always hash to the same shard, so per-client detection
 // and enforcement state is exactly what a single serialised detector set
 // would hold, while unrelated clients no longer contend on one lock.
@@ -261,15 +261,15 @@ type sessionHolder interface {
 	SessionsSince(since time.Time, fn func(key sessions.Key, lastSeen time.Time))
 }
 
-// guardShard is one key-partition of detection and enforcement state: the
-// decision core the pipeline's shards run too (internal/shard — a private
-// instance of every side, a mitigation engine, the judging step and its
-// lock) plus what only an inline deployment needs: the failure plane's
-// health and last-good snapshots, admission control and the counters. The
-// lock guards only detector and engine mutation; counters are atomics
-// updated outside it, and enrichment happens before the lock is ever
-// taken, so the critical section is exactly the per-client state machines
-// and nothing else.
+// guardShard is one key-partition of enrichment, detection and
+// enforcement state: the decision core the pipeline's shards run too
+// (internal/shard — a private enricher and instance of every side, a
+// mitigation engine, the judging step and its lock) plus what only an
+// inline deployment needs: the failure plane's health and last-good
+// snapshots, admission control and the counters. The lock guards the
+// enricher's tables and detector and engine mutation; counters are
+// atomics updated outside it, so the critical section is exactly the
+// per-client state and nothing else.
 type guardShard struct {
 	*shard.Shard
 	g *Guard
@@ -324,11 +324,15 @@ type Guard struct {
 	policy mitigate.Policy
 	// sides is the judging side list every shard is built from; names is
 	// its name column, shared with the tracer and every flight record.
-	sides    []side
-	names    []string
-	trusted  trustedNets
-	enricher *detector.SharedEnricher
-	recPool  sync.Pool // *statusRecorder
+	sides   []side
+	names   []string
+	trusted trustedNets
+	// rep is the reputation DB every shard's enricher resolves against;
+	// the cluster plane merges replicated overlay entries into it, and
+	// lookups stay lock-free. seq numbers the requests in arrival order.
+	rep     *iprep.DB
+	seq     atomic.Uint64
+	recPool sync.Pool // *statusRecorder
 
 	// Observability surface (debug.go): the registry reads the atomic
 	// counters below and on the shards; latency lands in the histogram on
@@ -423,9 +427,7 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 		sides:   sides,
 		names:   names,
 		trusted: trusted,
-		// One shared, concurrency-safe enricher: cache hits cost a read
-		// lock, and a UA parsed for one shard's client is a hit for all.
-		enricher: detector.NewSharedEnricher(iprep.BuildFeed()),
+		rep:     iprep.BuildFeed(),
 	}
 	g.recPool.New = func() any { return new(statusRecorder) }
 	// The registry and the tracer come first: every shard's decision core
@@ -466,7 +468,7 @@ func (g *Guard) newShards(n int) ([]*guardShard, error) {
 				return nil, fmt.Errorf("httpguard: %s detector exposes no session view", g.sides[j].name)
 			}
 		}
-		core, err := shard.New(dets, &g.policy)
+		core, err := shard.New(dets, &g.policy, g.rep)
 		if err != nil {
 			return nil, fmt.Errorf("httpguard: %w", err)
 		}
@@ -667,31 +669,30 @@ func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler
 	return status
 }
 
-// decide runs the decision step on the client's shard. Only detector-state
-// and engine mutation sit inside the shard lock: enrichment happens first
-// through the shared read-mostly enricher, and all counters are atomics
-// updated outside the critical section. An unjudged outcome — the
-// challenge flow's own requests, a fail-closed refusal, a request shed by
-// admission control (Degraded, like one a quarantined side sat out of) —
-// carries the zero Allow decision.
+// decide runs the decision step on the client's shard. Only enrichment,
+// detector-state and engine mutation sit inside the shard lock; all
+// counters are atomics updated outside the critical section. An unjudged
+// outcome — the challenge flow's own requests, a fail-closed refusal, a
+// request shed by admission control (Degraded, like one a quarantined side
+// sat out of) — carries the zero Allow decision.
 func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
-	var req detector.Request
-	ts := g.trace.Now()
-	g.enricher.EnrichInto(&req, entry)
-	g.trace.Lap(trace.StageEnrich, ts)
+	seq := g.seq.Add(1) - 1
 	// The shard set is held shared for the whole decision (including the
 	// counter updates), so a concurrent Rebalance observes either all of
 	// this request's effects on the old topology or none: requests are
 	// never dropped, only briefly delayed while the swap runs.
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s := g.shards[shard.Of(req.IP, len(g.shards))]
+	i, _ := shard.OfKey(entry.RemoteAddr, len(g.shards))
+	s := g.shards[i]
 
 	// Admission control: the in-flight gauge is checked before the shard
 	// lock is ever taken, so a shed decision costs two atomic ops and no
 	// queueing — the point of the gate is that overload never reaches
-	// the lock. Challenge-flow requests are exempt.
-	gated := g.cfg.MaxInFlight > 0 && s.FlowOf(&req) == shard.FlowNone
+	// the lock. Challenge-flow requests are exempt; the path class that
+	// tells them apart is pure, so it is read here, before enrichment.
+	gated := g.cfg.MaxInFlight > 0 &&
+		s.FlowOf(sitemodel.ClassifyPath(entry.Path).Kind, entry.Method) == shard.FlowNone
 	if gated && s.inflight.Add(1) > int64(g.cfg.MaxInFlight) {
 		s.inflight.Add(-1)
 		s.total.Add(1)
@@ -711,7 +712,7 @@ func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 	if gated {
 		defer s.inflight.Add(-1)
 	}
-	v, out := s.judge(&req, sweep)
+	v, out := s.judge(&entry, seq, sweep)
 
 	if out.Degraded {
 		g.degradedReqs.Add(1)
@@ -726,28 +727,31 @@ func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 	return v, out
 }
 
-// judge is the shard-locked portion of a decision: the periodic sweep,
-// then the step itself. The unlock is deferred: the detector calls sit
-// behind their own panic barrier, but a panic escaping the sweep or
-// engine path — the same corrupted-state-machine failure, just surfacing
-// in Snapshot or Apply instead of Inspect — must not leave the shard
-// mutex held forever and the shard hung. The flight record is captured
+// judge is the shard-locked portion of a decision: enrichment on the
+// shard, the periodic sweep, then the step itself. The unlock is
+// deferred: the detector calls sit behind their own panic barrier, but a
+// panic escaping the enricher, the sweep or the engine path — the same
+// corrupted-state-machine failure, just surfacing in Snapshot or Apply
+// instead of Inspect — must not leave the shard mutex held forever and
+// the shard hung. The flight record is captured
 // inside the step, so under the lock: its feature snapshot aliases the
 // detectors' scratch vectors, which the next request on this shard
 // overwrites.
-func (s *guardShard) judge(enriched *detector.Request, sweep bool) (v Verdicts, out shard.Outcome) {
+func (s *guardShard) judge(entry *logfmt.Entry, seq uint64, sweep bool) (v Verdicts, out shard.Outcome) {
 	s.Lock()
 	defer s.Unlock()
-	// Copied, not aliased: handing the caller's pointer to InspectInto
-	// would move its Request to the heap.
-	s.req = *enriched
+	s.req.Seq, s.req.Entry = seq, *entry
+	ts := s.Tracer.Now()
+	s.Enrich(&s.req)
+	s.Tracer.Lap(trace.StageEnrich, ts)
 	// Periodic eviction bounds state growth: hostile traffic rotates
 	// through fresh addresses, and idle, decayed clients would otherwise
 	// accumulate forever. The same slot sweeps the shard's detector
-	// session stores on the configured retention window, so a long-lived
-	// guard's memory stays O(clients active in the window), and
-	// re-snapshots each healthy detector as its quarantine-restore
-	// point — the state a panicking side comes back from.
+	// session stores and its enricher's addresses on the configured
+	// retention window, so a long-lived guard's memory stays O(clients
+	// active in the window), and re-snapshots each healthy detector as
+	// its quarantine-restore point — the state a panicking side comes back
+	// from.
 	if sweep {
 		n := s.Sweep(s.req.Entry.Time)
 		for i := range s.Dets {

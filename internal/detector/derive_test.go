@@ -51,18 +51,12 @@ func benchStream(t *testing.T) []logfmt.Entry {
 
 // The derived fields are the same values the detectors used to compute
 // for themselves — session keys, and with them checkpoints, stay
-// bit-identical — and the two enrichers, which share only the derive
-// functions, fill a Request identically.
+// bit-identical.
 func TestDerivedFieldsMatchTheirDefinitions(t *testing.T) {
-	feed := iprep.BuildFeed()
-	plain, shared := detector.NewEnricher(feed), detector.NewSharedEnricher(feed)
-	var a, b detector.Request
+	plain := detector.NewEnricher(iprep.BuildFeed())
+	var a detector.Request
 	for i, entry := range benchStream(t) {
 		plain.EnrichInto(&a, entry)
-		shared.EnrichInto(&b, entry)
-		if a != b {
-			t.Fatalf("entry %d: Enricher and SharedEnricher disagree:\n %+v\n %+v", i, a, b)
-		}
 		if got, want := a.SessionKey(), sessions.KeyFor(a.IP, a.Entry.UserAgent); got != want {
 			t.Fatalf("entry %d (%q): SessionKey = %+v, KeyFor = %+v", i, entry.UserAgent, got, want)
 		}

@@ -24,7 +24,7 @@ import (
 // monitored "the same application layer interactions".
 //
 // Everything below Entry is derived from it, and only enrichment
-// (Enricher, SharedEnricher) derives it: detectors read these fields
+// (Enricher) derives it: detectors read these fields
 // instead of re-hashing the User-Agent or re-classifying the path, so a
 // Request assembled by hand — derived fields left zero — is not a valid
 // detector input. Build one with an Enricher.

@@ -1,6 +1,9 @@
 package detector
 
 import (
+	"math"
+	"time"
+
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/sessions"
@@ -12,19 +15,25 @@ import (
 // parses: User-Agent strings repeat heavily (a handful of browser strings
 // cover most human traffic) and reputation lookups repeat per client.
 //
-// What it caches is a clients table (below): one 16-byte record per
-// address — its numeric form, its reputation category and the index of an
-// agent it sent — and a table of the agents' facts by value. A line whose
-// client sends the agent its record points at costs one hash of the
-// address and a compare of the agent (95 % of the paper mix's lines, 90 %
-// of the wide mix's); the agent table is read only for any other agent.
-// An address costs ≈ 49 B of map at the 20 000-address flood
-// memory_test.go gates; a full table (maxCachedIPs,
-// 1 << 20 addresses, each keeping its 16-byte address string alive) holds
-// ≈ 100 MB, which is what an address-rotating flood can make a -follow
-// process keep until the table starts over.
+// What it caches is a clients table (below): one 12-byte record per IPv4
+// address, keyed by the address's number — its reputation category, the
+// agent it sent last and the minute it was last seen — and a table of the
+// agents' facts by value. A line whose client repeats its last agent
+// (98.8 % of the paper mix's lines, 93.4 % of the wide mix's) costs the
+// parse of its address, one hash of the number and a compare of the agent;
+// the agent table is read only for any other agent. The table holds no
+// address string, and an address that is not IPv4 is derived on its line
+// and leaves nothing behind.
 //
-// Enricher is not safe for concurrent use; the pipeline owns one.
+// The table is bounded two ways. A host that sweeps (EvictBefore, which
+// shard.Shard.Sweep calls on the window its detectors are swept on) keeps
+// only the addresses seen inside the window, and rebuilds the table when
+// the sweep leaves it well below its peak, so the memory is returned; an
+// address costs ≈ 29 B of map at the 20 000-address flood memory_test.go
+// gates. Without sweeps the table starts over when full (maxCachedIPs
+// addresses, maxCachedUAs agents).
+//
+// Enricher is not safe for concurrent use; each shard owns one.
 type Enricher struct {
 	rep *iprep.DB
 	t   clients
@@ -44,75 +53,56 @@ func deriveUA(ua string) uaFacts {
 	return uaFacts{info: uaparse.Parse(ua), hash: sessions.KeyFor(0, ua).UAHash}
 }
 
-// client is what enrichment keeps per address: 16 bytes, no pointer.
+// client is what enrichment keeps per address: 12 bytes, no pointer, so
+// a map slot with its key is 16.
 type client struct {
-	ip uint32
-	// agent indexes clients.agents: the agent the address sent on the
-	// last line that installed something for it.
+	// agent indexes clients.agents: the agent the address sent last.
 	agent uint32
-	cat   iprep.Category
+	// last is the stamp of the newest line that touched the record.
+	last uint32
+	cat  uint8
 }
 
-// deriveIP resolves a client address; an unparsable one keeps the zero
-// address and category.
-func deriveIP(rep *iprep.DB, addr string) client {
-	var c client
-	if ip, err := iprep.ParseIPv4(addr); err == nil {
-		c.ip = ip
-		if rep != nil {
-			c.cat, _ = rep.Lookup(ip)
-		}
-	}
-	return c
+// stamp is t as a record keeps it: the 64-second tick since 1970, clamped
+// at zero. A returning client's record is rewritten once a tick, not once
+// a line, and the floor can only keep a record past its cutoff — by under
+// a tick, beside windows of hours — never drop one early.
+func stamp(t time.Time) uint32 {
+	return uint32(min(max(t.Unix()>>6, 0), math.MaxUint32))
 }
 
-// derive is the one place a Request is assembled. Both enrichers resolve
-// the per-agent and per-address facts through clients.resolve and hand
-// them here, so they cannot drift apart in what they fill; the path facts
-// are computed here, once, for every detector. Every field of *req is
-// overwritten.
-func derive(req *Request, seq uint64, entry *logfmt.Entry, ua *uaFacts, c client) {
-	req.Seq = seq
-	req.Entry = *entry
-	req.UA = ua.info
-	req.UAHash = ua.hash
-	req.IP = c.ip
-	req.IPCat = c.cat
-	req.Target = sitemodel.ClassifyPath(entry.Path)
-	req.RobotsDisallowed = sitemodel.DisallowedByRobots(entry.PathOnly())
-}
-
-// Table bounds shared by both enrichers.
+// Table bounds: the hard bound, which a host that never sweeps relies on.
 const (
 	maxCachedUAs = 1 << 16
 	maxCachedIPs = 1 << 20
 )
 
-// clients is both enrichers' memory: a record per address and the facts
-// of every agent those records point at, stored by value (info.Raw is
-// the agent's key) and found by string through byAgent when a line's
+// firstAddrs sizes a new address table: ≈ 18 KB, what a shard of the
+// paper mix grows to anyway (≈ 600 of its 1 176 clients at two shards),
+// so a fresh two-shard replay does not pay a tenth more allocations per
+// request for the table's first growth steps. Past it the table grows
+// with the clients the shard sees; a rebuild sizes it to the survivors.
+const firstAddrs = 512
+
+// clients is the enricher's memory: a record per IPv4 address and the
+// facts of every agent those records point at, stored by value (info.Raw
+// is the agent's key) and found by string through byAgent when a line's
 // agent is not its record's or its address is new.
 //
 // When either table is full both start over — records index the agent
-// table, so neither can be cleared alone. The bound holds against
-// adversarial churn, and a table that stopped admitting instead would
-// leave every client arriving after one flood uncached — a full
-// User-Agent parse per line — for good. Clearing keeps the maps' buckets
-// and the agent slice's capacity, so nothing is allocated per agent once
-// they have grown.
-//
-// A line resolves in three steps, the same in both enrichers: lookup
-// reads the tables and changes nothing; deriveMissing derives what it did
-// not find, outside the tables (and so outside the SharedEnricher's
-// lock); install adds that. A line that finds both its address and its
-// agent is answered without a write, so a client rotating among agents
-// the tables hold costs a hash of its address and one of its agent, as
-// two caches did, plus the compare. A record therefore learns its
-// address's latest agent only on a line that installs something.
+// table, so neither can be cleared alone. A table that stopped admitting
+// instead would leave every client arriving after one flood uncached — a
+// full User-Agent parse per line — for good. Every line from an IPv4
+// address stamps its record (a write once a tick) and writes the agent it
+// sent when that changed; a client rotating among agents the tables hold costs a
+// hash of its address and one of its agent.
 type clients struct {
-	byAddr  map[string]client
+	byAddr  map[uint32]client
 	agents  []uaFacts
 	byAgent map[string]uint32
+	// peak is the most records byAddr has held since it was built: Go maps
+	// never shrink, so a sweep that leaves well under it rebuilds.
+	peak int
 	// maxAddrs and maxAgents are maxCachedIPs and maxCachedUAs, except in
 	// the tests, which start small tables over.
 	maxAddrs, maxAgents int
@@ -120,92 +110,92 @@ type clients struct {
 
 func newClients() clients {
 	return clients{
-		byAddr:    make(map[string]client, 4096),
-		agents:    make([]uaFacts, 0, 1024),
-		byAgent:   make(map[string]uint32, 1024),
+		byAddr:    make(map[uint32]client, firstAddrs),
+		byAgent:   map[string]uint32{},
 		maxAddrs:  maxCachedIPs,
 		maxAgents: maxCachedUAs,
 	}
 }
 
-// found is what lookup found for a line: addr's record when known (the
-// zero record otherwise), its agent field indexing the line's agent when
-// seen.
-type found struct {
-	c           client
-	known, seen bool
-}
-
-// lookup reads the tables for a line from addr sending agent. The agent
-// table is read only when the record's own agent is not agent.
-func (t *clients) lookup(addr, agent string) found {
-	c, known := t.byAddr[addr]
+// resolve returns the facts of a line from addr sending agent at now,
+// installing what the tables lack. ua points into the agent table, or at
+// *derived for a line that installs nothing of its agent.
+func (t *clients) resolve(rep *iprep.DB, addr, agent string, now uint32, derived *uaFacts) (ip uint32, cat iprep.Category, ua *uaFacts) {
+	ip, ok := iprep.IPv4(addr)
+	if !ok {
+		if i, seen := t.byAgent[agent]; seen {
+			return 0, iprep.Unknown, &t.agents[i]
+		}
+		*derived = deriveUA(agent)
+		return 0, iprep.Unknown, derived
+	}
+	c, known := t.byAddr[ip]
 	if known && t.agents[c.agent].info.Raw == agent {
-		return found{c, true, true}
+		if c.last != now {
+			c.last = now
+			t.byAddr[ip] = c
+		}
+		return ip, iprep.Category(c.cat), &t.agents[c.agent]
 	}
 	i, seen := t.byAgent[agent]
-	c.agent = i
-	return found{c, known, seen}
-}
-
-// derived holds the facts of what the lookup f did not find: the
-// address's when it was not known, the agent's when it was not seen.
-type derived struct {
-	f  found
-	ip client
-	ua uaFacts
-}
-
-func deriveMissing(rep *iprep.DB, addr, agent string, f found) derived {
-	d := derived{f: f}
-	if !f.known {
-		d.ip = deriveIP(rep, addr)
-	}
-	if !f.seen {
-		d.ua = deriveUA(agent)
-	}
-	return d
-}
-
-// install adds what the lookup f did not find and returns addr's record,
-// written back pointing at agent's facts. f must be read under the same
-// hold of the tables; d may come from an earlier lookup (the
-// SharedEnricher derives outside its lock), so what d's lookup found and a
-// start-over has since dropped is derived here.
-func (t *clients) install(rep *iprep.DB, addr, agent string, f found, d *derived) client {
-	c, known, seen := f.c, f.known, f.seen
 	if !seen && len(t.agents) >= t.maxAgents || !known && len(t.byAddr) >= t.maxAddrs {
 		t.reset()
 		known, seen = false, false
 	}
 	if !seen {
-		ua := d.ua
-		if d.f.seen {
-			ua = deriveUA(agent)
-		}
-		c.agent = uint32(len(t.agents))
-		t.agents = append(t.agents, ua)
-		t.byAgent[agent] = c.agent
+		i = uint32(len(t.agents))
+		t.agents = append(t.agents, deriveUA(agent))
+		t.byAgent[agent] = i
 	}
-	if !known {
-		ip := d.ip
-		if d.f.known {
-			ip = deriveIP(rep, addr)
-		}
-		c.ip, c.cat = ip.ip, ip.cat
+	if !known && rep != nil {
+		cat, _ := rep.Lookup(ip)
+		c.cat = uint8(cat)
 	}
-	t.byAddr[addr] = c
-	return c
+	c.agent, c.last = i, now
+	t.byAddr[ip] = c
+	t.peak = max(t.peak, len(t.byAddr))
+	return ip, iprep.Category(c.cat), &t.agents[i]
 }
 
-// resolve is the three steps back to back: the Enricher's whole step.
-func (t *clients) resolve(rep *iprep.DB, addr, agent string) client {
-	f := t.lookup(addr, agent)
-	if f.known && f.seen {
-		return f.c
+// evictBefore drops the records no line has touched since cut and
+// returns how many. When fewer than half the peak survive, both tables
+// are rebuilt holding only the survivors and their agents.
+func (t *clients) evictBefore(cut uint32) int {
+	n := 0
+	for ip, c := range t.byAddr {
+		if c.last < cut {
+			delete(t.byAddr, ip)
+			n++
+		}
 	}
-	d := deriveMissing(rep, addr, agent, f)
-	return t.install(rep, addr, agent, f, &d)
+	if len(t.byAddr) < t.peak/2 {
+		t.rebuild()
+	}
+	return n
+}
+
+// rebuild copies the live records into fresh tables, re-indexing the
+// agents they point at and dropping the rest.
+func (t *clients) rebuild() {
+	fresh := clients{
+		byAddr:    make(map[uint32]client, len(t.byAddr)),
+		byAgent:   map[string]uint32{},
+		peak:      len(t.byAddr),
+		maxAddrs:  t.maxAddrs,
+		maxAgents: t.maxAgents,
+	}
+	for ip, c := range t.byAddr {
+		ua := &t.agents[c.agent]
+		i, seen := fresh.byAgent[ua.info.Raw]
+		if !seen {
+			i = uint32(len(fresh.agents))
+			fresh.agents = append(fresh.agents, *ua)
+			fresh.byAgent[ua.info.Raw] = i
+		}
+		c.agent = i
+		fresh.byAddr[ip] = c
+	}
+	*t = fresh
 }
 
 // reset empties both tables in place; the agent slots are zeroed so they
@@ -234,9 +224,32 @@ func (e *Enricher) Enrich(entry logfmt.Entry) Request {
 // reuse one Request (or a pooled one) instead of allocating per record.
 // Every field of *req is overwritten.
 func (e *Enricher) EnrichInto(req *Request, entry logfmt.Entry) {
-	c := e.t.resolve(e.rep, entry.RemoteAddr, entry.UserAgent)
-	derive(req, e.seq, &entry, &e.t.agents[c.agent], c)
+	req.Seq, req.Entry = e.seq, entry
+	e.Fill(req)
 	e.seq++
+}
+
+// Fill overwrites every field of *req below Entry with what enrichment
+// derives from req.Entry; Seq and Entry are the caller's. It is how a host
+// that numbers the stream itself — the pipeline, the guard — enriches on
+// the shard that judges the request, and it does not advance Seq.
+func (e *Enricher) Fill(req *Request) {
+	var derived uaFacts
+	entry := &req.Entry
+	ip, cat, ua := e.t.resolve(e.rep, entry.RemoteAddr, entry.UserAgent, stamp(entry.Time), &derived)
+	req.UA = ua.info
+	req.UAHash = ua.hash
+	req.IP = ip
+	req.IPCat = cat
+	req.Target = sitemodel.ClassifyPath(entry.Path)
+	req.RobotsDisallowed = sitemodel.DisallowedByRobots(entry.PathOnly())
+}
+
+// EvictBefore drops the records of addresses no line has touched since
+// cutoff, freeing the table's memory once most of it is gone, and returns
+// how many it dropped. Enrichment is memoisation, so no Request changes.
+func (e *Enricher) EvictBefore(cutoff time.Time) int {
+	return e.t.evictBefore(stamp(cutoff))
 }
 
 // Seq returns the number of entries enriched so far.

@@ -3,19 +3,33 @@ package detector
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"testing"
+	"time"
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/sessions"
+	"divscrape/internal/sitemodel"
+	"divscrape/internal/uaparse"
 )
 
-// refRequest is what enriching entry as request seq must give: derive fed
-// by facts derived afresh for this line, no table in between.
+// refRequest is what enriching entry as request seq must give: every
+// field derived afresh from its definition, no table in between.
 func refRequest(rep *iprep.DB, seq uint64, entry logfmt.Entry) Request {
-	var req Request
-	ua := deriveUA(entry.UserAgent)
-	derive(&req, seq, &entry, &ua, deriveIP(rep, entry.RemoteAddr))
+	req := Request{
+		Seq:              seq,
+		Entry:            entry,
+		UA:               uaparse.Parse(entry.UserAgent),
+		Target:           sitemodel.ClassifyPath(entry.Path),
+		RobotsDisallowed: sitemodel.DisallowedByRobots(entry.PathOnly()),
+	}
+	if ip, err := iprep.ParseIPv4(entry.RemoteAddr); err == nil {
+		req.IP = ip
+		if rep != nil {
+			req.IPCat, _ = rep.Lookup(ip)
+		}
+	}
+	req.UAHash = sessions.KeyFor(req.IP, entry.UserAgent).UAHash
 	return req
 }
 
@@ -31,11 +45,10 @@ type refPhase struct {
 // mostly keep their agent and now and then switch, one client rotating its
 // agent on every line, addresses in reputation ranges and unparsable ones;
 // then every client rotating among the known agents on every line, with
-// one-shot agents and new addresses (each on four lines in a row, so
-// concurrent callers install it together) mixed in; then a flood of
-// one-shot agents from a handful of addresses, past maxCachedUAs, which
-// forces a start-over mid-phase; then, after a Reset, the returning and
-// the rotating clients again.
+// one-shot agents and new addresses (each on four lines in a row) mixed
+// in; then a flood of one-shot agents from a handful of addresses, past
+// maxCachedUAs, which forces a start-over mid-phase; then, after a Reset,
+// the returning and the rotating clients again.
 func refPhases(seed uint64) []refPhase {
 	rng := rand.New(rand.NewPCG(seed, 25))
 	agents := []string{
@@ -103,85 +116,102 @@ func refPhases(seed uint64) []refPhase {
 	}
 }
 
-// Both enrichers, whatever their tables hold, give the Request derive
-// gives from facts derived afresh per line — field for field, through
-// returning clients, agent changes and rotation, a start-over forced by a
-// one-shot-agent flood, and a Reset mid-stream.
+// The enricher, whatever its tables hold, gives the Request refRequest
+// derives afresh per line — field for field, through returning clients,
+// agent changes and rotation, a start-over forced by a one-shot-agent
+// flood, and a Reset mid-stream.
 func TestEnrichersMatchFreshDerivation(t *testing.T) {
 	rep := iprep.BuildFeed()
-	phases := refPhases(1)
-	plain, shared := NewEnricher(rep), NewSharedEnricher(rep)
-	for _, tt := range []struct {
-		name       string
-		enrichInto func(*Request, logfmt.Entry)
-		reset      func()
-	}{
-		{"Enricher", plain.EnrichInto, plain.Reset},
-		{"SharedEnricher", shared.EnrichInto, shared.Reset},
-	} {
-		var got Request
-		seq := uint64(0)
-		for _, phase := range phases {
-			if phase.reset {
-				tt.reset()
-				seq = 0
+	enr := NewEnricher(rep)
+	var got Request
+	seq := uint64(0)
+	for _, phase := range refPhases(1) {
+		if phase.reset {
+			enr.Reset()
+			seq = 0
+		}
+		for i, e := range phase.lines {
+			enr.EnrichInto(&got, e)
+			if want := refRequest(rep, seq, e); got != want {
+				t.Fatalf("%s line %d (%s, %q):\n got  %+v\n want %+v", phase.name, i, e.RemoteAddr, e.UserAgent, got, want)
 			}
-			for i, e := range phase.lines {
-				tt.enrichInto(&got, e)
-				if want := refRequest(rep, seq, e); got != want {
-					t.Fatalf("%s: %s line %d (%s, %q):\n got  %+v\n want %+v", tt.name, phase.name, i, e.RemoteAddr, e.UserAgent, got, want)
-				}
-				seq++
-			}
+			seq++
 		}
 	}
 }
 
-// The same stream split over four goroutines sharing one SharedEnricher
-// (meaningful under -race): every Request is the fresh derivation but for
-// its sequence number, and each phase's numbers are each handed out once.
-// Line i goes to goroutine i mod 4, so in the rotating phases one client's
-// successive agents are enriched at once by different goroutines, and a
-// new address's four lines are installed by all four together.
-func TestSharedEnricherMatchesFreshDerivationConcurrently(t *testing.T) {
-	const workers = 4
+// FuzzEnricherEviction holds the enricher to refRequest on random streams
+// of (address, agent, event time) with sweeps at random cutoffs, through
+// tables small enough to start over: eviction, the rebuild it triggers and
+// a start-over change what the tables hold, never a Request. Addresses
+// include reputation ranges, IPv6 and garbage; after every sweep no record
+// older than its cutoff survives, and the tables stay consistent.
+func FuzzEnricherEviction(f *testing.F) {
+	f.Add([]byte{3, 2, 0x10, 0x21, 0x32, 0x43, 0xf0, 0x54, 0x65, 0xff, 0x76})
+	f.Add([]byte{1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 0xf8, 0xf9, 0xfa})
+	f.Add([]byte("a stream of addresses, agents and sweeps"))
+	// Six addresses, one kept busy past a sweep that drops the rest: a rebuild.
+	f.Add([]byte{5, 3, 66, 67, 68, 69, 70, 71, 198, 198, 198, 198, 0xff, 67, 0xf0})
 	rep := iprep.BuildFeed()
-	enr := NewSharedEnricher(rep)
-	for _, phase := range refPhases(2) {
-		if phase.reset {
-			enr.Reset()
-		}
-		lines := phase.lines
-		base := enr.seq.Load()
-		seqs := make([][]uint64, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var got Request
-				for i := w; i < len(lines); i += workers {
-					enr.EnrichInto(&got, lines[i])
-					if want := refRequest(rep, got.Seq, lines[i]); got != want {
-						t.Errorf("%s line %d (%s, %q):\n got  %+v\n want %+v", phase.name, i, lines[i].RemoteAddr, lines[i].UserAgent, got, want)
-						return
-					}
-					seqs[w] = append(seqs[w], got.Seq)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if t.Failed() {
+	addrs := []string{
+		"10.0.0.1", "10.0.0.2", "10.0.0.3", "192.168.1.9",
+		iprep.FormatIPv4(iprep.DatacenterRanges[0].Nth(5)), iprep.FormatIPv4(iprep.KnownScraperRanges[0].Nth(9)),
+		"2001:db8::1", "not-an-address", "", "+1.-0.00.9", "1.2.3.999",
+	}
+	agents := []string{"curl/7.58.0", "python-requests/2.18.4", "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0", "", "-"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
 			return
 		}
-		seen := make([]bool, len(lines))
-		for _, s := range seqs {
-			for _, n := range s {
-				if n < base || n-base >= uint64(len(lines)) || seen[n-base] {
-					t.Fatalf("%s: sequence number %d out of [%d, %d) or handed out twice", phase.name, n, base, base+uint64(len(lines)))
+		enr := NewEnricher(rep)
+		enr.t.maxAddrs, enr.t.maxAgents = 1+int(data[0]%6), 1+int(data[1]%4)
+		now := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
+		var got Request
+		seq := uint64(0)
+		for i, b := range data[2:] {
+			if b >= 0xf0 {
+				cut := now.Add(-time.Duration(b&0x0f) * 30 * time.Second)
+				enr.EvictBefore(cut)
+				checkTables(t, &enr.t)
+				for ip, c := range enr.t.byAddr {
+					if c.last < stamp(cut) {
+						t.Fatalf("op %d: %s survived a sweep to %v (last seen %d)", i, iprep.FormatIPv4(ip), cut, c.last)
+					}
 				}
-				seen[n-base] = true
+				continue
 			}
+			now = now.Add(time.Duration(b>>6) * 40 * time.Second)
+			e := entry(addrs[int(b)%len(addrs)], agents[int(b>>3)%len(agents)])
+			if b%7 == 0 {
+				e.UserAgent = fmt.Sprintf("one-shot/%d", i)
+			}
+			e.Time = now
+			enr.EnrichInto(&got, e)
+			if want := refRequest(rep, seq, e); got != want {
+				t.Fatalf("op %d (%s, %q):\n got  %+v\n want %+v", i, e.RemoteAddr, e.UserAgent, got, want)
+			}
+			checkTables(t, &enr.t)
+			seq++
+		}
+	})
+}
+
+// checkTables fails unless the tables are within their bounds and every
+// record and index entry points at a live agent slot of its own string.
+func checkTables(t *testing.T, tab *clients) {
+	t.Helper()
+	if len(tab.byAddr) > tab.maxAddrs || len(tab.agents) > tab.maxAgents || len(tab.byAgent) != len(tab.agents) {
+		t.Fatalf("%d addresses, %d agents (%d indexed), bounds %d and %d",
+			len(tab.byAddr), len(tab.agents), len(tab.byAgent), tab.maxAddrs, tab.maxAgents)
+	}
+	for agent, i := range tab.byAgent {
+		if int(i) >= len(tab.agents) || tab.agents[i].info.Raw != agent {
+			t.Fatalf("agent %q indexed at %d of %d", agent, i, len(tab.agents))
+		}
+	}
+	for ip, c := range tab.byAddr {
+		if int(c.agent) >= len(tab.agents) {
+			t.Fatalf("%s points at agent %d of %d", iprep.FormatIPv4(ip), c.agent, len(tab.agents))
 		}
 	}
 }

@@ -44,17 +44,28 @@ const tagEnricher uint16 = 0x4501
 // state: the parse caches are pure memoisation, rebuilt on demand with
 // identical results, so serialising them would bloat snapshots without
 // changing a single decision.
-func (e *Enricher) SnapshotInto(w *statecodec.Writer) {
-	w.Tag(tagEnricher)
-	w.Uint64(e.seq)
-}
+func (e *Enricher) SnapshotInto(w *statecodec.Writer) { SnapshotSeq(w, e.seq) }
 
 // RestoreFrom implements Snapshotter. The caches are left as they are —
 // a warm cache is never wrong, only possibly absent.
-func (e *Enricher) RestoreFrom(r *statecodec.Reader) error {
+func (e *Enricher) RestoreFrom(r *statecodec.Reader) (err error) {
+	e.seq, err = RestoreSeq(r)
+	return err
+}
+
+// SnapshotSeq writes a stream position as the enricher block: the bytes
+// Enricher.SnapshotInto writes for its own, which a host that numbers the
+// stream itself writes in the same place.
+func SnapshotSeq(w *statecodec.Writer, seq uint64) {
+	w.Tag(tagEnricher)
+	w.Uint64(seq)
+}
+
+// RestoreSeq reads the position SnapshotSeq wrote.
+func RestoreSeq(r *statecodec.Reader) (uint64, error) {
 	if err := r.Expect(tagEnricher); err != nil {
-		return err
+		return 0, err
 	}
-	e.seq = r.Uint64()
-	return r.Err()
+	seq := r.Uint64()
+	return seq, r.Err()
 }

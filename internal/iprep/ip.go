@@ -14,29 +14,57 @@ import (
 
 // ParseIPv4 parses dotted-quad notation into a big-endian uint32.
 func ParseIPv4(s string) (uint32, error) {
-	var ip uint32
-	rest := s
-	for octet := 0; octet < 4; octet++ {
-		var part string
-		if octet < 3 {
-			dot := strings.IndexByte(rest, '.')
-			if dot < 0 {
-				return 0, fmt.Errorf("iprep: invalid IPv4 %q: missing octet %d", s, octet+2)
-			}
-			part, rest = rest[:dot], rest[dot+1:]
-		} else {
-			part = rest
-		}
-		if len(part) == 0 || len(part) > 3 {
-			return 0, fmt.Errorf("iprep: invalid IPv4 %q: bad octet %q", s, part)
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 || n > 255 {
-			return 0, fmt.Errorf("iprep: invalid IPv4 %q: bad octet %q", s, part)
-		}
-		ip = ip<<8 | uint32(n)
+	ip, ok := IPv4(s)
+	if !ok {
+		return 0, fmt.Errorf("iprep: invalid IPv4 %q", s)
 	}
 	return ip, nil
+}
+
+// IPv4 is ParseIPv4 for the per-request paths: one pass over s, and no
+// allocation, so a client whose address is not IPv4 costs no error value
+// per line. Each octet is what strconv.Atoi accepts in at most three bytes
+// — a sign is allowed — valued 0–255.
+func IPv4(s string) (ip uint32, ok bool) {
+	i := 0
+	for octet := 0; octet < 4; octet++ {
+		if octet > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, false
+			}
+			i++
+		}
+		first := i
+		n, j := digits(s, i, i+3)
+		if j == i && i < len(s) && (s[i] == '+' || s[i] == '-') {
+			first++
+			if n, j = digits(s, first, i+3); s[i] == '-' && n != 0 {
+				return 0, false
+			}
+		}
+		if j == first || n > 255 {
+			return 0, false
+		}
+		ip, i = ip<<8|n, j
+	}
+	if i != len(s) {
+		return 0, false
+	}
+	return ip, true
+}
+
+// digits reads the decimal digits of s from i up to end, returning their
+// value and where they stop.
+func digits(s string, i, end int) (uint32, int) {
+	n := uint32(0)
+	for ; i < len(s) && i < end; i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			break
+		}
+		n = n*10 + uint32(d)
+	}
+	return n, i
 }
 
 // FormatIPv4 renders a big-endian uint32 as dotted-quad notation.

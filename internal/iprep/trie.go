@@ -99,8 +99,8 @@ type node struct {
 // The static trie is immutable once built; the overlay mutates behind an
 // atomic pointer with mutators serialised on tempMu. Lookup is therefore
 // safe to call concurrently with InsertTemporary/EvictBefore (and those
-// with each other), which is how the shared enricher uses one DB across
-// every guard shard.
+// with each other), which is how every guard shard's enricher uses one
+// DB.
 type DB struct {
 	root   *node
 	count  int

@@ -10,7 +10,7 @@ import (
 
 // Checkpoint-resume: a pipeline can serialise everything a future
 // process needs to continue a replay exactly where this one stopped —
-// the enricher's sequence counter and every detector's per-client state
+// the stream position and every detector's per-client state
 // — and a freshly constructed pipeline can restore it and produce a
 // decision stream byte-identical to the run that was never interrupted.
 //
@@ -32,7 +32,9 @@ const tagPipeline uint16 = 0x5043
 // pipeline ready to continue.
 func (p *Pipeline) Checkpoint(w *statecodec.Writer) error {
 	w.Tag(tagPipeline)
-	p.enricher.SnapshotInto(w)
+	// The stream position, in the block an Enricher writes its own
+	// sequence counter in.
+	detector.SnapshotSeq(w, p.seq)
 	roles := p.shards.Roles()
 	w.Uint16(uint16(len(roles)))
 	for j, role := range roles {
@@ -44,11 +46,12 @@ func (p *Pipeline) Checkpoint(w *statecodec.Writer) error {
 	return w.Err()
 }
 
-// ResumeFrom restores a checkpoint into this pipeline, replacing all
-// detector and enricher state. The pipeline must be idle and built with
-// the same detectors (same names, same order, same configuration) as the
-// one that wrote the checkpoint; the shard count may differ freely. On
-// error the pipeline's detectors are left reset, never half-restored.
+// ResumeFrom restores a checkpoint into this pipeline, replacing the
+// stream position and all detector state. The pipeline must be idle and
+// built with the same detectors (same names, same order, same
+// configuration) as the one that wrote the checkpoint; the shard count may
+// differ freely. On error the pipeline's detectors are left reset, never
+// half-restored.
 func (p *Pipeline) ResumeFrom(r *statecodec.Reader) error {
 	if err := p.resumeFrom(r); err != nil {
 		p.ResetDetectors()
@@ -61,9 +64,11 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 	if err := r.Expect(tagPipeline); err != nil {
 		return err
 	}
-	if err := p.enricher.RestoreFrom(r); err != nil {
+	seq, err := detector.RestoreSeq(r)
+	if err != nil {
 		return err
 	}
+	p.seq = seq
 	roles := p.shards.Roles()
 	if got := int(r.Uint16()); got != len(roles) {
 		if err := r.Err(); err != nil {

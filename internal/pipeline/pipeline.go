@@ -1,8 +1,10 @@
 // Package pipeline wires the detection system together as a streaming
-// dataflow: parse → enrich → judge → collect. Judging is internal/shard's
-// step — every detector, then, with Config.Mitigation, the ladder, then the
-// flight record — and the pipeline is its host for replays and tails: it
-// owns the source, the enricher, the shard set and when each shard sweeps.
+// dataflow: parse → enrich → judge → collect. Enriching and judging are
+// internal/shard's steps — the shard's enricher, every detector, then, with
+// Config.Mitigation, the ladder, then the flight record — and the pipeline
+// is their host for replays and tails: it owns the source, the stream
+// position each request is stamped with, the shard set and when each shard
+// sweeps.
 // It has two engines:
 //
 //   - Sequential runs everything on the caller's goroutine over one
@@ -12,15 +14,16 @@
 //     detectors). Pick it for single-core replays, live tails, debugging,
 //     and as the equivalence oracle.
 //
-//   - Sharded partitions the enriched stream by client IP (shard.Of)
-//     across N worker shards, each a private instance of every detector
-//     built from detector.Factory values, and of the engine. Requests
-//     stream through one bounded SPSC ring per shard (internal/spsc) from
-//     pooled Requests, so the steady-state hot path performs no
-//     allocations. Because every detector and the ladder key all state by
-//     client, and session expiry is decidable from a key's own touch
-//     times alone, a client's verdicts and actions are identical
-//     whichever shard serves it. See relaxed.go.
+//   - Sharded partitions the stream by client IP (shard.OfKey) across N
+//     worker shards, each a private instance of the enricher, of every
+//     detector built from detector.Factory values, and of the engine. The
+//     producer only stamps and routes; each shard enriches what it judges.
+//     Requests stream through one bounded SPSC ring per shard
+//     (internal/spsc) from pooled Requests, so the steady-state hot path
+//     performs no allocations. Because the enricher, every detector and
+//     the ladder key all state by client, and session expiry is decidable
+//     from a key's own touch times alone, a client's verdicts and actions
+//     are identical whichever shard serves it. See relaxed.go.
 //
 // The sharded engine delivers its decisions in one of two ways, chosen by
 // the method called rather than by a mode. RunRelaxed takes one sink per
@@ -42,7 +45,7 @@
 // per-client-preserving permutation of that order. Only the internal
 // schedule differs.
 //
-// Pipelines are also durable: Checkpoint serialises the enricher position
+// Pipelines are also durable: Checkpoint serialises the stream position
 // and every detector's per-client state — SnapshotLadder the engines' —
 // in a canonical, shard-agnostic form, and ResumeFrom / RestoreLadder
 // restore it into a fresh pipeline of any mode or shard count, continuing
@@ -162,12 +165,13 @@ type Config struct {
 // (detector state carries over; call ResetDetectors between independent
 // datasets).
 type Pipeline struct {
-	cfg      Config
-	enricher *detector.Enricher
-	names    []string
-	// shards holds each shard's decision core — private detector
-	// instances and, with Config.Mitigation, a private engine — built once
-	// at New so state persists across runs; Sequential mode is the
+	cfg   Config
+	names []string
+	// seq is the stream position: the next request's Seq.
+	seq uint64
+	// shards holds each shard's decision core — a private enricher and
+	// detector instances and, with Config.Mitigation, a private engine —
+	// built once at New so state persists across runs; Sequential mode is the
 	// one-shard case, its detectors Config.Detectors (or built from
 	// Factories). evictLast is each shard's sweep-cadence anchor, kept
 	// here and not on the run so that a stream cut into segments (a
@@ -221,7 +225,7 @@ func New(cfg Config) (*Pipeline, error) {
 			cfg.EvictEvery = time.Second
 		}
 	}
-	p := &Pipeline{cfg: cfg, enricher: detector.NewEnricher(cfg.Reputation)}
+	p := &Pipeline{cfg: cfg}
 	if cfg.Mode == Sequential {
 		dets := cfg.Detectors
 		if len(dets) == 0 {
@@ -276,7 +280,7 @@ func (p *Pipeline) addShard(dets []detector.Detector) error {
 			p.names = append(p.names, d.Name())
 		}
 	}
-	sh, err := shard.New(dets, p.cfg.Mitigation)
+	sh, err := shard.New(dets, p.cfg.Mitigation, p.cfg.Reputation)
 	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
@@ -294,30 +298,25 @@ func (p *Pipeline) Shards() int { return len(p.shards) }
 // Detectors returns the registered detector names in order.
 func (p *Pipeline) Detectors() []string { return append([]string(nil), p.names...) }
 
-// ResetDetectors clears all detector, ladder and enricher state,
-// preparing the pipeline for an independent dataset.
+// ResetDetectors clears all detector, ladder and enricher state and the
+// stream position, preparing the pipeline for an independent dataset.
 func (p *Pipeline) ResetDetectors() {
 	for i, sh := range p.shards {
-		for _, d := range sh.Dets {
-			d.Reset()
-		}
-		if sh.Engine != nil {
-			sh.Engine.Reset()
-		}
+		sh.Reset()
 		// The next dataset may start earlier than this one ended; an anchor
 		// left in its future would hold every sweep off until event time
 		// passed it again.
 		p.evictLast[i] = time.Time{}
 	}
-	p.enricher.Reset()
+	p.seq = 0
 }
 
-// step is one request on shard i: the windowed sweep when the shard's
-// cadence says one is due, then the judgement. Each worker paces its own
-// sweeps on the event time of the requests it judges — a shard only holds
-// state for clients that hash to it, and sweeping is decision-neutral, so
-// per-shard cadence drift is invisible; the cost when no sweep is due is
-// one time comparison.
+// step is one stamped request on shard i: the windowed sweep when the
+// shard's cadence says one is due, then enrichment and the judgement. Each
+// worker paces its own sweeps on the event time of the requests it judges
+// — a shard only holds state for clients that hash to it, and sweeping is
+// decision-neutral, so per-shard cadence drift is invisible; the cost when
+// no sweep is due is one time comparison.
 func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
 	sh := p.shards[i]
 	if p.shared {
@@ -332,6 +331,10 @@ func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
 			p.evicted.Add(uint64(sh.Sweep(now)))
 		}
 	}
+	tr := p.cfg.Trace
+	ts := tr.Now()
+	sh.Enrich(req)
+	tr.Lap(trace.StageEnrich, ts)
 	sh.Judge(req, out)
 	if p.shared {
 		sh.Unlock()
@@ -394,9 +397,9 @@ func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink
 		if err != nil {
 			return fmt.Errorf("pipeline: source: %w", err)
 		}
-		ts = tr.Lap(trace.StageParse, ts)
-		p.enricher.EnrichInto(&req, entry)
-		tr.Lap(trace.StageEnrich, ts)
+		tr.Lap(trace.StageParse, ts)
+		req.Seq, req.Entry = p.seq, entry
+		p.seq++
 		p.step(0, &req, &d.Outcome)
 		ts = tr.Now()
 		if err := sink(d); err != nil {

@@ -13,15 +13,16 @@ import (
 	"divscrape/internal/trace"
 )
 
-// The sharded engine. The producer parses and enriches on one goroutine —
-// sequence numbers stay in input order — and partitions by client IP;
-// requests travel one at a time through a bounded SPSC ring per shard,
-// and each shard judges them on private detector instances and drains
-// straight into its own sink. No batches, no cross-shard synchronisation
-// after the hand-off.
+// The sharded engine. The producer reads on one goroutine, stamps each
+// entry with its stream position — sequence numbers stay in input order —
+// and partitions by client IP; requests travel one at a time through a
+// bounded SPSC ring per shard, and each shard enriches and judges them on
+// its private enricher and detector instances and drains straight into
+// its own sink. No batches, no cross-shard synchronisation after the
+// hand-off.
 //
 // Ordering contract: all requests from one client hash to one shard
-// (shard.Of), the producer enriches in input order, and the ring is FIFO,
+// (shard.OfKey), the producer stamps in input order, and the ring is FIFO,
 // so each client's decision sequence is byte-identical to Sequential —
 // which is the only order the detectors, sessions and the mitigation
 // ladder depend on. Across clients, the interleaving is a permutation of
@@ -146,9 +147,8 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 		}(i, rings[i], sinks[i])
 	}
 
-	// Producer on the caller's goroutine: parse + enrich in input order
-	// (the enricher owns the sequence counter), route by client hash,
-	// push into the shard's ring — and, under ordered delivery, append the
+	// Producer on the caller's goroutine: parse and stamp in input order,
+	// route by client hash, push into the shard's ring — and, under ordered delivery, append the
 	// shard to the routing record the emitter replays. A full ring blocks
 	// the producer — that is the backpressure path; the ring parks on a
 	// wake channel rather than spinning, so a saturated shard never
@@ -164,18 +164,21 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 			cancel()
 			break
 		}
-		ts = tr.Lap(trace.StageParse, ts)
+		tr.Lap(trace.StageParse, ts)
 		req := reqPool.Get().(*detector.Request)
-		p.enricher.EnrichInto(req, entry)
-		tr.Lap(trace.StageEnrich, ts)
-		s := shard.Of(req.IP, shards)
+		req.Seq, req.Entry = p.seq, entry
+		p.seq++
+		s, _ := shard.OfKey(entry.RemoteAddr, shards)
 		if !rings[s].Push(done, req) {
 			// Cancelled (a sink error or the caller's context); the
 			// request never entered the ring.
 			reqPool.Put(req)
 			break
 		}
-		tr.RingDepth(s, rings[s].Len())
+		if tr != nil {
+			// Len loads both of the consumer's indices: only when traced.
+			tr.RingDepth(s, rings[s].Len())
+		}
 		if ord != nil && !ord.route.Push(done, int32(s)) {
 			break
 		}

@@ -1,10 +1,11 @@
 // Package shard is the decision core every deployment shape wraps: one
-// key-partition's detectors, its optional mitigation engine, and the step
-// that strings them together — run the sides, classify the challenge
-// flow, vote, apply the ladder, capture the flight record. The inline
-// guard's shards and both pipeline loops call the same Judge and the same
-// Sweep; a host owns only when to sweep, what to do with the outcome, and
-// whether anything but its judging loop can reach the shard (the lock).
+// key-partition's enricher, detectors and optional mitigation engine, and
+// the step that strings them together — run the sides, classify the
+// challenge flow, vote, apply the ladder, capture the flight record. The
+// inline guard's shards and both pipeline loops call the same Enrich, the
+// same Judge and the same Sweep; a host owns only how it numbers the
+// stream, when to sweep, what to do with the outcome, and whether anything
+// but its judging loop can reach the shard (the lock).
 package shard
 
 import (
@@ -28,12 +29,13 @@ import (
 // Addresses that are not IPv4 are 0 after enrichment and share Of(0, n).
 func Of(ip uint32, n int) int { return int(fnvhash.IP32(ip) % uint32(n)) }
 
-// OfKey routes a mitigation-engine key — the client address as text — to
-// the shard that client's requests reach; ok is false when the key is not
-// an IPv4 address (the index is then Of(0, n), as for its requests).
+// OfKey routes a client address as text — a log line's, or a
+// mitigation-engine key — to its shard, before any enrichment; ok is false
+// when the key is not an IPv4 address (the index is then Of(0, n), as for
+// its requests). It allocates nothing.
 func OfKey(key string, n int) (i int, ok bool) {
-	ip, err := iprep.ParseIPv4(key) // 0 on error
-	return Of(ip, n), err == nil
+	ip, ok := iprep.IPv4(key) // 0 unless ok
+	return Of(ip, n), ok
 }
 
 // Flow is a request's role in the challenge protocol a challenge-capable
@@ -64,11 +66,11 @@ type Outcome struct {
 	RungBefore mitigate.Action
 }
 
-// Shard is one key-partition of detection and enforcement state. It is
-// single-threaded: a host that lets anything but its own judging loop
-// reach it (the guard's handlers, the cluster plane's merges) brackets
-// every use with Lock and Unlock. The exported fields below Engine are the
-// host's to set before the first Judge.
+// Shard is one key-partition of enrichment, detection and enforcement
+// state. It is single-threaded: a host that lets anything but its own
+// judging loop reach it (the guard's handlers, the cluster plane's merges)
+// brackets every use with Lock and Unlock. The exported fields below
+// Engine are the host's to set before the first Judge.
 type Shard struct {
 	sync.Mutex
 	// Dets are the judging sides; Engine the ladder, nil without a policy.
@@ -94,6 +96,9 @@ type Shard struct {
 	// the ordered delivery records in stream order at its emitter.
 	DeferCapture bool
 
+	// enr enriches the requests this shard judges: only its own clients'
+	// addresses reach its tables, and Sweep bounds them.
+	enr *detector.Enricher
 	// challenge: only a challenge-capable policy hosts, and so exempts,
 	// the challenge flow; under the others it is ordinary traffic.
 	challenge bool
@@ -101,9 +106,11 @@ type Shard struct {
 	skipped   []bool
 }
 
-// New builds a shard judging with dets, under policy when non-nil.
-func New(dets []detector.Detector, policy *mitigate.Policy) (*Shard, error) {
-	s := &Shard{Dets: dets, verdicts: make([]detector.Verdict, len(dets)), skipped: make([]bool, len(dets))}
+// New builds a shard enriching against rep (nil: no reputation) and
+// judging with dets, under policy when non-nil.
+func New(dets []detector.Detector, policy *mitigate.Policy, rep *iprep.DB) (*Shard, error) {
+	s := &Shard{Dets: dets, enr: detector.NewEnricher(rep),
+		verdicts: make([]detector.Verdict, len(dets)), skipped: make([]bool, len(dets))}
 	if policy != nil {
 		engine, err := mitigate.New(*policy)
 		if err != nil {
@@ -118,15 +125,20 @@ func New(dets []detector.Detector, policy *mitigate.Policy) (*Shard, error) {
 // overwritten by the next.
 func (s *Shard) Verdicts() []detector.Verdict { return s.verdicts }
 
-// FlowOf classifies req against the challenge protocol by what the
-// enricher derived — the path class sentinel judges by too, so the ladder
-// and the detectors never disagree on what a beacon is.
-func (s *Shard) FlowOf(req *detector.Request) Flow {
+// Enrich overwrites every field of *req below Entry with what the shard's
+// enricher derives from req.Entry; the host has set Entry and Seq, the
+// request's position in its stream.
+func (s *Shard) Enrich(req *detector.Request) { s.enr.Fill(req) }
+
+// FlowOf classifies a request against the challenge protocol by its path
+// class and method — the class the enricher derives and sentinel judges
+// by, so the ladder and the detectors never disagree on what a beacon is.
+func (s *Shard) FlowOf(kind sitemodel.PageKind, method string) Flow {
 	switch {
 	case !s.challenge:
-	case req.Target.Kind == sitemodel.KindChallengeScript && req.Entry.Method == "GET":
+	case kind == sitemodel.KindChallengeScript && method == "GET":
 		return FlowScript
-	case req.Target.Kind == sitemodel.KindChallengeVerify && req.Entry.Method == "POST":
+	case kind == sitemodel.KindChallengeVerify && method == "POST":
 		return FlowVerify
 	}
 	return FlowNone
@@ -141,7 +153,7 @@ func (s *Shard) FlowOf(req *detector.Request) Flow {
 // as InspectInto's verdict is: the hot loops pass one they reuse). Steady
 // state allocates nothing.
 func (s *Shard) Judge(req *detector.Request, out *Outcome) {
-	*out = Outcome{Flow: s.FlowOf(req)}
+	*out = Outcome{Flow: s.FlowOf(req.Target.Kind, req.Entry.Method)}
 	tr := s.Tracer
 	ts := tr.Now()
 	for i := range s.verdicts {
@@ -190,17 +202,33 @@ func Capture(rec *trace.Recorder, names []string, req *detector.Request, verdict
 }
 
 // Sweep bounds the shard's state: the engine drops clients idle past its
-// policy's IdleTTL, the detectors sessions untouched for Window. Both are
-// decision-neutral — a swept client and an idle survivor are
-// indistinguishable from their next request on — so when to sweep is the
-// host's to choose. It returns the number of entries dropped.
+// policy's IdleTTL, the detectors sessions and the enricher addresses
+// untouched for Window. All are decision-neutral — a swept client and an
+// idle survivor are indistinguishable from their next request on — so when
+// to sweep is the host's to choose. It returns the number of detector and
+// ladder entries dropped; the enricher's records, a cache, are not
+// counted.
 func (s *Shard) Sweep(now time.Time) int {
 	n := 0
 	if s.Engine != nil {
 		n = s.Engine.Sweep(now)
 	}
 	if s.Window > 0 {
-		n += detector.EvictBefore(s.Dets, now.Add(-s.Window))
+		cut := now.Add(-s.Window)
+		n += detector.EvictBefore(s.Dets, cut)
+		s.enr.EvictBefore(cut)
 	}
 	return n
+}
+
+// Reset clears the shard's enricher, detector and ladder state, for an
+// independent dataset.
+func (s *Shard) Reset() {
+	s.enr.Reset()
+	for _, d := range s.Dets {
+		d.Reset()
+	}
+	if s.Engine != nil {
+		s.Engine.Reset()
+	}
 }

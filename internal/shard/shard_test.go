@@ -72,7 +72,7 @@ func TestJudgeLadderOrNone(t *testing.T) {
 						Detectors: []string{"a", "b"},
 						Recorder:  trace.RecorderConfig{Sink: func(r trace.Record) { recs = append(recs, r) }},
 					})
-					s, err := New([]detector.Detector{alarm{"a"}, alarm{"b"}}, pol.policy)
+					s, err := New([]detector.Detector{alarm{"a"}, alarm{"b"}}, pol.policy, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -125,7 +125,7 @@ func TestJudgeLadderOrNone(t *testing.T) {
 // request: the client's pass window opens and nothing is tallied.
 func TestJudgeBeaconPassesTheChallenge(t *testing.T) {
 	graduated := mitigate.Graduated()
-	s, err := New([]detector.Detector{alarm{"a"}, alarm{"b"}}, &graduated)
+	s, err := New([]detector.Detector{alarm{"a"}, alarm{"b"}}, &graduated, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func realShard(t testing.TB, policy *mitigate.Policy, window time.Duration) *Sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New([]detector.Detector{sen, arc}, policy)
+	s, err := New([]detector.Detector{sen, arc}, policy, iprep.BuildFeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,10 @@ func realShard(t testing.TB, policy *mitigate.Policy, window time.Duration) *Sha
 	return s
 }
 
-// Sweep drops what Engine.Sweep and detector.EvictBefore drop: twin shards
-// fed one stream, one swept whole and one by hand.
+// Sweep drops what Engine.Sweep, detector.EvictBefore and the enricher's
+// EvictBefore drop: twin shards fed one stream through their own Enrich,
+// one swept whole and one by hand. Shard enrichment is the plain
+// enricher's, sequence number aside.
 func TestSweepIsEngineSweepPlusEvictBefore(t *testing.T) {
 	graduated := mitigate.Graduated()
 	const window = 30 * time.Minute
@@ -177,13 +179,22 @@ func TestSweepIsEngineSweepPlusEvictBefore(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		// Forty clients, each quiet after its tenth request.
 		req := request(enr, fmt.Sprintf("10.0.%d.9", i%40), "GET", fmt.Sprintf("/product/%d", i), base.Add(time.Duration(i)*time.Second))
-		a.Judge(&req, new(Outcome))
-		b.Judge(&req, new(Outcome))
+		for _, s := range []*Shard{a, b} {
+			own := detector.Request{Seq: req.Seq, Entry: req.Entry}
+			if s.Enrich(&own); own != req {
+				t.Fatalf("request %d: shard enriched\n %+v\nthe enricher\n %+v", i, own, req)
+			}
+			s.Judge(&own, new(Outcome))
+		}
 	}
 	now := base.Add(5 * time.Hour)
-	want := b.Engine.Sweep(now) + detector.EvictBefore(b.Dets, now.Add(-window))
+	cut := now.Add(-window)
+	want := b.Engine.Sweep(now) + detector.EvictBefore(b.Dets, cut)
 	if got := a.Sweep(now); got != want || got == 0 {
 		t.Fatalf("Sweep dropped %d entries, by hand %d", got, want)
+	}
+	if byHand, left := b.enr.EvictBefore(cut), a.enr.EvictBefore(cut); byHand != 40 || left != 0 {
+		t.Fatalf("the enricher held %d idle addresses, and %d after Sweep; want 40 and 0", byHand, left)
 	}
 	if a.Engine.Len() != b.Engine.Len() {
 		t.Errorf("engines hold %d and %d clients after the sweep", a.Engine.Len(), b.Engine.Len())

@@ -224,11 +224,17 @@ func TestHeldMemoryPerClient(t *testing.T) {
 			t.Errorf("after the sweep the flood still holds %.0f B, want at most %.0f B", left, allowed)
 		}
 	})
-	// The enricher under the same flood: one 16-byte record per address in
-	// its clients table, keyed by the address string the entry already
-	// holds, and one agent.
+	// The enricher under the same flood: one 12-byte record per address in
+	// its clients table, keyed by the address's number, and one agent.
+	// Past the window the sweep drops every record and rebuilds the table,
+	// so the map's memory goes back.
 	t.Run("enricher", func(t *testing.T) {
-		const ceiling = 54 // 49.2 B of map slot and growth slack measure, plus a tenth
+		const (
+			ceiling = 33 // 28.6 B of map slot and growth slack measure, plus a tenth
+			// evictedCeiling bounds what the emptied tables keep. The rebuild
+			// frees the starting table too: −18 424 B measure.
+			evictedCeiling = 4096
+		)
 		enr := detector.NewEnricher(nil)
 		var req detector.Request
 		held, objects := grown(func() {
@@ -236,7 +242,6 @@ func TestHeldMemoryPerClient(t *testing.T) {
 				enr.EnrichInto(&req, flood[i].Entry)
 			}
 		})
-		runtime.KeepAlive(enr)
 		perAddr := held / floodClients
 		t.Logf("enricher: a one-request address costs %.1f B in %.3f heap objects (ceiling %d B)", perAddr, objects/floodClients, ceiling)
 		if perAddr > ceiling {
@@ -244,6 +249,16 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		}
 		if objects > maxObjectsPerClient*floodClients {
 			t.Errorf("a %d-address flood holds %.3f heap objects per address in the enricher", floodClients, objects/floodClients)
+		}
+		left := heldAfter(held, func() {
+			if n := enr.EvictBefore(memStart.Add(48 * time.Hour)); n != floodClients {
+				t.Fatalf("evicted %d of %d addresses", n, floodClients)
+			}
+		})
+		runtime.KeepAlive(enr)
+		t.Logf("enricher: after the sweep the flood still holds %.0f B (allowed %d B)", left, evictedCeiling)
+		if left > evictedCeiling {
+			t.Errorf("after the sweep the flood still holds %.0f B in the enricher, want at most %d B", left, evictedCeiling)
 		}
 	})
 	// The log reader under the same flood, one line per address: the
