@@ -449,7 +449,9 @@ var e2eHeld = map[string]*pipeline.Pipeline{}
 // a fresh pipeline and a fresh source and counts decisions into a sink:
 // /paper is file → logfmt.Reader → Sequential sentinel+arcane, /wide is a
 // stream.Follower draining the file as a backlog → three detectors with a
-// 2 h eviction window.
+// 2 h eviction window. held-B/line is the live heap the last pipeline
+// holds after two forced collections, less the reading taken before it
+// was built, per line: bench/'s heap_bytes_per_req without the harness.
 func BenchmarkE2EReplay(b *testing.B) {
 	trio := []detector.Factory{
 		func() (detector.Detector, error) { return sentinel.New(sentinel.Config{}) },
@@ -460,9 +462,16 @@ func BenchmarkE2EReplay(b *testing.B) {
 		path := mix.file(b)
 		cfg.Reputation, cfg.Mode = iprep.BuildFeed(), pipeline.Sequential
 		var mem [2]runtime.MemStats
+		var before uint64
 		runtime.ReadMemStats(&mem[0])
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if i == b.N-1 {
+				b.StopTimer()
+				delete(e2eHeld, b.Name())
+				before, _ = heldHeap()
+				b.StartTimer()
+			}
 			pipe, err := pipeline.New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -486,10 +495,12 @@ func BenchmarkE2EReplay(b *testing.B) {
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&mem[1])
+		held, _ := heldHeap()
 		lines := float64(mix.lines) * float64(b.N)
 		b.SetBytes(int64(len(mix.log)))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines, "ns/line")
 		b.ReportMetric(float64(mem[1].Mallocs-mem[0].Mallocs)/lines, "allocs/line")
+		b.ReportMetric((float64(held)-float64(before))/float64(mix.lines), "held-B/line")
 	}
 	b.Run("paper", func(b *testing.B) {
 		run(b, &e2ePaper, pipeline.Config{Factories: trio[:2]}, func(path string) (pipeline.EntrySource, func() error) {

@@ -184,14 +184,21 @@ func (s *guardShard) refreshLastGood(i int) {
 	if h.quarantined {
 		return
 	}
-	if h.snapW == nil {
-		h.snapW = statecodec.NewWriter()
+	w := h.snapW
+	if w == nil {
+		w = statecodec.NewWriter()
 	}
-	h.snapW.Reset()
-	if err := detector.SnapshotRole(h.snapW, s.Dets[i:i+1]); err != nil {
-		h.snapW.Fail(err)
+	w.Reset()
+	w.Fail(detector.SnapshotRole(w, s.Dets[i:i+1]))
+	// A writer four times the size of its payload last held a flood that
+	// has since been evicted: write into a fresh one and let it go. Once
+	// only — a fresh writer of a one-byte payload is oversized too.
+	if 4*w.Len() < cap(w.Bytes()) {
+		w = statecodec.NewWriter()
+		w.Fail(detector.SnapshotRole(w, s.Dets[i:i+1]))
 	}
-	if h.hasGood = h.snapW.Err() == nil; h.hasGood {
+	h.snapW = w
+	if h.hasGood = w.Err() == nil; h.hasGood {
 		h.backoff = 0
 	}
 }

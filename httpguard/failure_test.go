@@ -2,8 +2,15 @@ package httpguard
 
 import (
 	"context"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
+
+	"divscrape/internal/detector"
+	"divscrape/internal/shard"
+	"divscrape/internal/slab"
+	"divscrape/internal/statecodec"
 )
 
 func TestDegradedModeNames(t *testing.T) {
@@ -63,4 +70,115 @@ func TestTarpitUsesInjectedSleep(t *testing.T) {
 func TestTarpitZeroDelayReturns(t *testing.T) {
 	g := newGuard(t, Config{})
 	g.tarpit(context.Background(), 0) // must not touch a timer
+}
+
+// A flood the window has evicted must not live on in the shards' restore
+// buffers: a guard fed a 20 000-address flood, then traffic past
+// EvictWindow across a sweep slot, holds no more than a guard that saw
+// only that traffic plus a chunk of records per side per shard — and every
+// side still has a snapshot to restore from.
+func TestRestoreBuffersGiveAFloodBack(t *testing.T) {
+	const (
+		shards, window = 2, 10 * time.Minute
+		// recordCeiling is above every side's bytes per client in
+		// TestHeldMemoryPerClient, index share included.
+		recordCeiling = 512
+	)
+	base := time.Date(2018, 3, 11, 6, 0, 0, 0, time.UTC)
+	build := func(flood bool) *Guard {
+		now := base
+		g := newGuard(t, Config{Shards: shards, EvictWindow: window, MaxInFlight: -1,
+			Now: func() time.Time { return now }, Sleep: func(time.Duration) {}})
+		h := g.Wrap(okHandler())
+		// Every minute 64 browsing clients make a request each; a round
+		// can be made to draw every shard's sweep ticket.
+		round := func(at time.Time, sweep bool) {
+			if sweep {
+				for _, s := range g.shards {
+					s.total.Store(sweepEvery - 1)
+				}
+			}
+			now = at
+			before := g.sweeps.Load()
+			for c := 0; c < 64; c++ {
+				do(t, h, "10.0.0."+strconv.Itoa(c), browserUA, "/product/"+strconv.Itoa(c))
+			}
+			if sweep && g.sweeps.Load() != before+shards {
+				t.Fatalf("a round drew %d sweep slots, want %d", g.sweeps.Load()-before, shards)
+			}
+		}
+		round(base, false)
+		if flood {
+			for i := 0; i < 20_000; i++ {
+				now = base.Add(time.Duration(i) * time.Millisecond)
+				do(t, h, "172.16."+strconv.Itoa(i>>8)+"."+strconv.Itoa(i&255), toolUA, "/product/"+strconv.Itoa(i))
+			}
+		}
+		round(base.Add(time.Minute), true) // the flood is in every restore buffer
+		for m := 2; m <= 12; m++ {
+			round(base.Add(time.Duration(m)*time.Minute), m == 12) // past the window: the flood goes
+		}
+		return g
+	}
+	held := func(flood bool) (float64, *Guard) {
+		b0 := heapInUse()
+		g := build(flood)
+		return float64(heapInUse()) - float64(b0), g
+	}
+	quiet, qg := held(false)
+	flooded, fg := held(true)
+	if fg.evicted.Load() < 20_000 {
+		t.Fatalf("the window evicted %d clients of a 20 000-address flood", fg.evicted.Load())
+	}
+	for _, sh := range fg.Health().PerShard {
+		if !sh.Sentinel.HasSnapshot || !sh.Arcane.HasSnapshot {
+			t.Errorf("shard %d lost a restore point: %+v", sh.Shard, sh)
+		}
+	}
+	limit := quiet + shards*2*slab.ChunkLen*recordCeiling
+	t.Logf("held: quiet guard %.0f B, flooded guard %.0f B, limit %.0f B", quiet, flooded, limit)
+	if flooded > limit {
+		t.Errorf("after the flood was evicted the guard holds %.0f B, a quiet one %.0f B: more than a chunk of records per side per shard", flooded, quiet)
+	}
+	runtime.KeepAlive(qg)
+}
+
+// oneByte is a side whose snapshot is a single byte: a fresh writer of it
+// is already four times its payload.
+type oneByte struct{}
+
+func (oneByte) Name() string                                         { return "one-byte" }
+func (oneByte) Inspect(*detector.Request) detector.Verdict           { return detector.Verdict{} }
+func (oneByte) InspectInto(_ *detector.Request, v *detector.Verdict) { *v = detector.Verdict{} }
+func (oneByte) Reset()                                               {}
+func (oneByte) SnapshotInto(w *statecodec.Writer)                    { w.Uint8(7) }
+func (oneByte) RestoreFrom(r *statecodec.Reader) error               { r.Uint8(); return r.Err() }
+
+// A restore buffer that outgrew its payload is replaced once, even when
+// the replacement is oversized too.
+func TestRefreshLastGoodReplacesAnOversizedBufferOnce(t *testing.T) {
+	s := &guardShard{Shard: &shard.Shard{Dets: []detector.Detector{oneByte{}}}, health: make([]detectorHealth, 1)}
+	flood := statecodec.NewWriter()
+	for i := 0; i < 4096; i++ {
+		flood.Uint8(0)
+	}
+	s.health[0].snapW = flood
+	s.refreshLastGood(0)
+	h := s.health[0]
+	if !h.hasGood || h.snapW == flood || string(h.snapW.Bytes()) != "\x07" {
+		t.Fatalf("after a refresh: hasGood %v, kept the flood's writer %v, payload %q", h.hasGood, h.snapW == flood, h.snapW.Bytes())
+	}
+	s.refreshLastGood(0)
+	if !s.health[0].hasGood || string(s.health[0].snapW.Bytes()) != "\x07" {
+		t.Fatalf("a second refresh left payload %q", s.health[0].snapW.Bytes())
+	}
+}
+
+// heapInUse forces two collections and returns the live heap.
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -388,8 +388,9 @@ func (e *Engine) drop(key string, id uint32) {
 }
 
 // shrink gives memory back after a sweep: a Go map never returns its
-// buckets and a slab only grows, so once most of the slab is free slots
-// both are rebuilt around the clients that are left.
+// buckets and a slab whose slots are Released never shrinks, so once most
+// of the slab is free slots both are rebuilt around the clients that are
+// left.
 func (e *Engine) shrink() {
 	if !e.states.Sparse(len(e.ids)) {
 		return

@@ -156,8 +156,9 @@ type modelRun struct {
 	model   *modelStore
 	now     time.Time
 	nextID  uint64
-	// compactions counts the slab rebuilds the stores did on their own.
-	compactions int
+	// moves counts evictions that moved a surviving node to another id,
+	// drops the ones that gave a chunk back while sessions stayed.
+	moves, drops int
 }
 
 func newModelRun(t testing.TB, name string) *modelRun {
@@ -174,13 +175,25 @@ func (r *modelRun) fatalf(format string, args ...any) {
 	r.t.Fatalf("%s step %d: "+format, append([]any{r.name, r.step}, args...)...)
 }
 
-// mutate applies fn to both stores, counting the compactions it causes.
+// mutate applies fn to both stores, counting the moves and chunk drops it
+// causes. A batch that empties a store of more than a chunk must leave no
+// slab behind.
 func (r *modelRun) mutate(fn func(s *Store[modelValue])) {
 	for _, s := range r.stores {
-		before := s.nodes.Cap()
+		live, slots := s.Len(), s.nodes.Cap()
+		var newest Key // the key holding the highest id
+		if live > 0 {
+			newest = s.nodes.At(uint32(live)).key
+		}
 		fn(s)
-		if s.nodes.Cap() < before && s.Len() > 0 {
-			r.compactions++
+		if _, id := s.find(newest, s.tag(newest)); live > 0 && id != 0 && int(id) != live {
+			r.moves++
+		}
+		if s.nodes.Cap() < slots && s.Len() > 0 {
+			r.drops++
+		}
+		if live > slab.ChunkLen && s.Len() == 0 && s.nodes.Cap() != 0 {
+			r.fatalf("a store emptied of %d sessions keeps %d slots", live, s.nodes.Cap())
 		}
 	}
 }
@@ -221,14 +234,6 @@ func (r *modelRun) flushAll() {
 func (r *modelRun) reset() {
 	r.model.reset()
 	r.mutate((*Store[modelValue]).Reset)
-}
-
-// compact rebuilds the slabs whether or not they are sparse: whatever
-// the layout, a rebuild is invisible.
-func (r *modelRun) compact() {
-	for _, s := range r.stores {
-		s.compact()
-	}
 }
 
 // snapshot checks the stores' bytes against the format applied to the
@@ -285,29 +290,74 @@ func (r *modelRun) check() {
 		if live, cap := s.Len(), s.nodes.Cap(); cap > 2*slab.ChunkLen && cap > 4*live+slab.ChunkLen {
 			r.fatalf("store %d: %d live sessions in a slab of %d slots", n, live, cap)
 		}
+		r.checkDense(n, s)
 		r.evicted[n] = r.evicted[n][:0]
 	}
 	m.evicted = m.evicted[:0]
 	r.step++
 }
 
-// Random operation sequences — shaped like the traffic the store's tail
-// shortcut is for: runs of one key, with the clock jumping past the idle
-// timeout between two touches of the same key, and now and then a crowd
-// of one-request clients whose expiry leaves the slab sparse — must leave
-// the stores and the naive model indistinguishable after every step.
-func TestStoreMatchesNaiveModel(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, rand.Int63(), rand.Int63()}
-	compactions := 0
-	for _, seed := range seeds {
-		compactions += runStoreAgainstModel(t, seed)
+// checkDense holds s to its layout: node ids are exactly 1..live, every
+// index entry and list link names one of them, the list visits each once,
+// every slot above live is zero and the slab holds at most one chunk more
+// than live rounds up to.
+func (r *modelRun) checkDense(n int, s *Store[modelValue]) {
+	live := uint32(s.Len())
+	entries := 0
+	for _, e := range s.index {
+		if e != 0 {
+			entries++
+			if id := uint32(e); id == 0 || id > live {
+				r.fatalf("store %d: index entry %x names id %d of %d", n, e, id, live)
+			}
+		}
 	}
-	if compactions == 0 {
-		t.Error("no run ever left a slab sparse: compaction went unexercised")
+	if entries != int(live) {
+		r.fatalf("store %d: %d index entries for %d sessions", n, entries, live)
+	}
+	seen := make([]bool, live+1)
+	walked, prev := uint32(0), uint32(0)
+	for id := s.head; id != 0; id = s.nodes.At(id).next {
+		if id > live || seen[id] {
+			r.fatalf("store %d: the list walk reaches id %d again or past live %d", n, id, live)
+		}
+		if back := s.nodes.At(id).prev; back != prev {
+			r.fatalf("store %d: id %d links back to %d, the walk came from %d", n, id, back, prev)
+		}
+		seen[id], prev = true, id
+		walked++
+	}
+	if walked != live || s.tail != prev {
+		r.fatalf("store %d: the walk visited %d of %d ids and ended at %d, tail %d", n, walked, live, prev, s.tail)
+	}
+	for id := live + 1; int(id) <= s.nodes.Cap(); id++ {
+		if *s.nodes.At(id) != (node[modelValue]{}) {
+			r.fatalf("store %d: slot %d above live %d holds %+v", n, id, live, *s.nodes.At(id))
+		}
+	}
+	if limit := (int(live)+slab.ChunkLen-1)/slab.ChunkLen*slab.ChunkLen + slab.ChunkLen; s.nodes.Cap() > limit {
+		r.fatalf("store %d: %d sessions in %d slots, more than %d", n, live, s.nodes.Cap(), limit)
 	}
 }
 
-func runStoreAgainstModel(t *testing.T, seed int64) (compactions int) {
+// Random operation sequences — shaped like the traffic the store's tail
+// shortcut is for: runs of one key, with the clock jumping past the idle
+// timeout between two touches of the same key, and now and then a crowd
+// of one-request clients whose expiry empties chunks — must leave the
+// stores and the naive model indistinguishable after every step.
+func TestStoreMatchesNaiveModel(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, rand.Int63(), rand.Int63()}
+	moves, drops := 0, 0
+	for _, seed := range seeds {
+		r := runStoreAgainstModel(t, seed)
+		moves, drops = moves+r.moves, drops+r.drops
+	}
+	if moves == 0 || drops == 0 {
+		t.Errorf("%d evictions moved a node and %d dropped a chunk: the dense layout went unexercised", moves, drops)
+	}
+}
+
+func runStoreAgainstModel(t *testing.T, seed int64) *modelRun {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	r := newModelRun(t, fmt.Sprintf("seed %d", seed))
@@ -342,14 +392,14 @@ func runStoreAgainstModel(t *testing.T, seed int64) (compactions int) {
 			r.flushAll()
 		case op < 91:
 			r.reset()
-		case op < 95:
-			r.compact()
+		case op < 95: // the clock jumps past every session
+			r.now = r.now.Add(modelIdle + time.Duration(rng.Intn(60))*time.Minute)
 		default:
 			r.snapshot()
 		}
 		r.check()
 	}
-	return r.compactions
+	return r
 }
 
 // FuzzStore turns bytes into an operation sequence and holds the stores
@@ -389,10 +439,44 @@ func FuzzStore(f *testing.F) {
 			case 6:
 				r.snapshot()
 			default:
-				if next()%4 == 0 {
-					r.reset()
+				r.reset()
+			}
+			r.check()
+		}
+	})
+}
+
+// FuzzStoreAgainstModel drives the model with traffic FuzzStore's crowds
+// do not make: up to 256 keys touched in any order, so list order and id
+// order disagree and every eviction can move a node from the middle of
+// the list. Each pair of bytes is one operation and its argument.
+func FuzzStoreAgainstModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 8, 2, 16, 1, 5, 40, 0, 2})
+	f.Add([]byte{0, 0, 0, 100, 0, 200, 0, 70, 8, 100, 5, 29, 0, 7, 6, 1, 0, 200})
+	f.Add([]byte{0, 3, 0, 130, 0, 66, 0, 3, 5, 31, 7, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		r := newModelRun(t, "fuzz")
+		for ; len(ops) >= 2 && r.step < 1000; ops = ops[2:] {
+			op, arg := ops[0], ops[1]
+			switch op % 8 {
+			case 0, 1, 2, 3: // touch key arg, the clock creeping 0–31 s
+				r.now = r.now.Add(time.Duration(op>>3) * time.Second)
+				r.touch(Key{IP: uint32(arg), UAHash: uint64(op & 1)})
+			case 4: // a run of arg keys from op's base, one a second
+				for i := 0; i < int(arg); i++ {
+					r.now = r.now.Add(time.Second)
+					r.touch(Key{IP: uint32(op>>3)<<8 + uint32(i)})
+				}
+			case 5: // the clock jumps 0–255 minutes
+				r.now = r.now.Add(time.Duration(arg) * time.Minute)
+			case 6:
+				r.evictBefore(r.now.Add(-time.Duration(arg) * time.Minute))
+			default:
+				if arg%4 == 0 {
+					r.snapshot()
 				} else {
-					r.compact()
+					r.flushAll()
 				}
 			}
 			r.check()

@@ -85,11 +85,6 @@ func (s *Store[T]) RestoreFrom(r *statecodec.Reader) error {
 // its own lastSeen) but makes the snapshot canonical: the same traffic
 // prefix serialises to the same bytes at any shard count.
 func SnapshotMerged[T any](w *statecodec.Writer, stores []*Store[T]) {
-	if len(stores) == 0 {
-		w.Tag(tagStore)
-		w.Uint32(0)
-		return
-	}
 	latest := instant.Never
 	for _, s := range stores {
 		if s.snapshotV == nil {
@@ -122,12 +117,11 @@ func SnapshotMerged[T any](w *statecodec.Writer, stores []*Store[T]) {
 	sort.Slice(entries, func(i, j int) bool { return entryLess(&entries[i], &entries[j]) })
 	w.Tag(tagStore)
 	w.Uint32(uint32(len(entries)))
-	snap := stores[0].snapshotV
 	for i := range entries {
 		w.Uint32(entries[i].key.IP)
 		w.Uint64(entries[i].key.UAHash)
 		w.Time(instant.Time(entries[i].lastSeen))
-		snap(w, entries[i].value)
+		stores[0].snapshotV(w, entries[i].value)
 	}
 }
 

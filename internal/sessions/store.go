@@ -11,8 +11,7 @@
 // so a tracked client is not a heap object. Sessions live in a slab
 // (internal/slab): chunks of nodes, each node {key, last touch, LRU links,
 // value} with the record T inline, the links as node ids and the last
-// touch as integer nanoseconds (internal/instant). An evicted node's slot
-// is zeroed and reused, so session churn allocates nothing.
+// touch as integer nanoseconds (internal/instant).
 //
 // Nodes are found through the store's own open-addressed index: a
 // power-of-two []uint64 of hashTag<<32|nodeID, linear probing, kept at
@@ -23,20 +22,22 @@
 // was seeded by the runtime, and a fixed mix would let one client build a
 // probe chain as long as it cared to send requests.
 //
-// # Compaction
+// # Density
 //
-// A Go map never gives its buckets back, and neither would a slab that
-// only recycled: after a flood is evicted the store would hold its peak
-// forever. Whenever expiry, EvictBefore or FlushAll leaves the slab more
-// than one chunk long and under a quarter full (slab.Sparse), the store
-// rebuilds it: live nodes are copied in LRU order into fresh chunks, the
-// index is re-sized to the live set and the old chunks are dropped.
+// A Go map never gives its buckets back: after a flood is evicted it
+// holds its peak forever. Node ids are instead always 1..live. Evicting a
+// node moves the newest one into its slot, re-pointing its index entry and
+// links, and pops the last slot (slab.Pop), so a store holds its live
+// sessions plus at most two chunks. A batch of evictions that empties a
+// store of more than a chunk drops the slab, and the index is re-sized
+// once it falls under an eighth full.
 //
 // # Pointer validity
 //
 // A *T returned by Touch or Peek points into the slab and is valid only
 // until the next call on the store: the next Touch may grow the first
-// chunk or compact. Every caller uses the record and lets go.
+// chunk, or evict and move another node into the slot (slab.Pop). Every
+// caller uses the record and lets go.
 //
 // Stores are durable: with per-value Snapshot/Restore hooks configured,
 // a store serialises its live session set through internal/statecodec,
@@ -168,8 +169,8 @@ func (s *Store[T]) Touch(key Key, now time.Time) (*T, bool) {
 	if id != 0 {
 		n := s.nodes.At(id)
 		n.lastSeen = at
-		s.unlink(n)
-		s.pushTail(id, n)
+		s.link(n.prev, n.next)
+		s.pushTail(id)
 		return &n.value, false
 	}
 	n := s.admit(key, tag, slot, at)
@@ -189,7 +190,7 @@ func (s *Store[T]) admit(key Key, tag, slot uint32, at int64) *node[T] {
 	n.key, n.lastSeen = key, at
 	s.index[slot] = uint64(tag)<<32 | uint64(id)
 	s.live++
-	s.pushTail(id, n)
+	s.pushTail(id)
 	return n
 }
 
@@ -289,68 +290,59 @@ func (s *Store[T]) EvictBefore(cutoff time.Time) int {
 // expire evicts sessions idle longer than the timeout as of now. The LRU
 // list keeps entries in last-touch order, so expiry pops from the head.
 func (s *Store[T]) expire(now int64) {
-	if s.head == 0 {
-		return
-	}
-	if deadline := instant.Add(now, -s.idle); s.nodes.At(s.head).lastSeen < deadline {
+	if deadline := instant.Add(now, -s.idle); s.head != 0 && s.nodes.At(s.head).lastSeen < deadline {
 		s.evictBefore(deadline)
 	}
 }
 
 // evictBefore pops the head while it was last touched before cutoff, then
-// gives the slab back if that emptied most of it.
+// gives memory back if that emptied the store or most of the index.
 func (s *Store[T]) evictBefore(cutoff int64) int {
+	flood := s.live > slab.ChunkLen
 	evicted := 0
 	for s.head != 0 {
-		n := s.nodes.At(s.head)
+		id, n := s.head, s.nodes.At(s.head)
 		if n.lastSeen >= cutoff {
 			break
 		}
-		id := s.head
-		s.unlink(n)
+		s.link(n.prev, n.next)
 		slot, _ := s.find(n.key, s.tag(n.key))
 		s.unindex(slot)
-		s.live--
 		s.evicts++
 		if s.onEvict != nil {
 			s.onEvict(n.key, &n.value)
 		}
-		s.nodes.Release(id)
+		s.fill(id, n)
 		evicted++
 	}
-	if evicted > 0 && s.nodes.Sparse(s.live) {
-		s.compact()
+	if s.live == 0 && flood {
+		s.nodes.Reset(0)
+	}
+	if len(s.index) > minIndex && s.live*8 < len(s.index) {
+		s.reindex(1 << bits.Len(uint(max(minIndex, 2*s.live)-1)))
 	}
 	return evicted
 }
 
-// compact rebuilds the slab around the live sessions: nodes are copied in
-// LRU order into new chunks (so ids run 1..live from oldest to newest),
-// the index is sized for them at no more than half full, and the old
-// chunks and index go to the collector.
-func (s *Store[T]) compact() {
-	old := *s
-	s.release(old.live)
-	for id := old.head; id != 0; {
-		from := old.nodes.At(id)
-		tag := s.tag(from.key)
-		slot, _ := s.find(from.key, tag)
-		s.admit(from.key, tag, slot, from.lastSeen).value = from.value
-		id = from.next
+// fill keeps ids dense once node id, already unlinked and unindexed, is
+// gone: the newest node moves into its slot, the index entry and list
+// links naming that node are re-pointed, and the last slot is popped.
+func (s *Store[T]) fill(id uint32, hole *node[T]) {
+	last := uint32(s.live)
+	s.live--
+	if id != last {
+		*hole = *s.nodes.At(last)
+		tag := s.tag(hole.key)
+		mask := uint32(len(s.index) - 1)
+		slot := tag & mask
+		for uint32(s.index[slot]) != last {
+			slot = (slot + 1) & mask
+		}
+		s.index[slot] = uint64(tag)<<32 | uint64(id)
+		s.link(hole.prev, id)
+		s.link(id, hole.next)
 	}
-}
-
-// release forgets every session and lets the slab and index go for ones
-// sized to admit live sessions without growing; configuration, seed and
-// the eviction count stay.
-func (s *Store[T]) release(live int) {
-	length := minIndex
-	for length < 2*live {
-		length *= 2
-	}
-	s.nodes.Reset(live)
-	s.index = make([]uint64, length)
-	s.live, s.head, s.tail = 0, 0, 0
+	s.nodes.Pop()
 }
 
 // RangeNewest walks live sessions from most to least recently touched
@@ -372,29 +364,26 @@ func (s *Store[T]) RangeNewest(fn func(key Key, lastSeen time.Time) bool) {
 // just-constructed condition without invoking OnEvict — a reset is an
 // operator action, not session expiry.
 func (s *Store[T]) Reset() {
-	s.release(0)
-	s.evicts = 0
+	s.nodes.Reset(0)
+	s.index = make([]uint64, minIndex)
+	s.live, s.head, s.tail, s.evicts = 0, 0, 0, 0
 }
 
-func (s *Store[T]) pushTail(id uint32, n *node[T]) {
-	n.prev, n.next = s.tail, 0
-	if s.tail != 0 {
-		s.nodes.At(s.tail).next = id
-	} else {
-		s.head = id
-	}
-	s.tail = id
+func (s *Store[T]) pushTail(id uint32) {
+	s.link(s.tail, id)
+	s.nodes.At(id).next, s.tail = 0, id
 }
 
-func (s *Store[T]) unlink(n *node[T]) {
-	if n.prev != 0 {
-		s.nodes.At(n.prev).next = n.next
+// link makes node b follow node a; 0 on either side is the list's end.
+func (s *Store[T]) link(a, b uint32) {
+	if a != 0 {
+		s.nodes.At(a).next = b
 	} else {
-		s.head = n.next
+		s.head = b
 	}
-	if n.next != 0 {
-		s.nodes.At(n.next).prev = n.prev
+	if b != 0 {
+		s.nodes.At(b).prev = a
 	} else {
-		s.tail = n.prev
+		s.tail = a
 	}
 }

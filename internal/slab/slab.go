@@ -4,15 +4,15 @@
 // hundred allocations instead of ten thousand and a record can be linked
 // to by a uint32. The first chunk starts at one slot and doubles up to
 // ChunkLen, so an owner with a handful of clients holds a handful of
-// slots. Released slots are zeroed — a free slot pins nothing its client
-// grew — and reused before the slab grows, so churn allocates nothing.
+// slots. A slot given back is zeroed: it pins nothing its client grew.
 //
-// A slab only grows. Its owner knows what is live: when Sparse says most
-// of the slab is free slots, the owner copies the live values into a slab
-// Reset for them and lets the old chunks go.
+// An owner gives slots back either by Release, which Alloc reuses before
+// the slab grows, rebuilding the slab when Sparse says it is mostly free
+// slots; or by Pop, moving its last value into each hole so that ids stay
+// 1..live and chunks go as the slab shrinks.
 //
-// A *T from At or Alloc is valid until the next Alloc or Reset: growing
-// the first chunk moves it.
+// A *T from At or Alloc is valid until the next Alloc, Pop or Reset:
+// growing the first chunk moves it.
 package slab
 
 import "math/bits"
@@ -69,6 +69,21 @@ func (s *Slab[T]) Release(id uint32) {
 	var zero T
 	*s.At(id) = zero
 	s.free = append(s.free, id)
+}
+
+// Pop zeroes the last slot handed out and takes it back; an owner that
+// pops does not Release. Chunks beyond those in use and one spare are
+// dropped, and the chunk table is reallocated once under a quarter used.
+func (s *Slab[T]) Pop() {
+	*s.At(s.used) = *new(T)
+	s.used--
+	if keep := int(s.used+ChunkLen-1)>>chunkShift + 1; keep < len(s.chunks) {
+		clear(s.chunks[keep:])
+		s.chunks = s.chunks[:keep]
+		if 4*keep < cap(s.chunks) {
+			s.chunks = append([][]T(nil), s.chunks...)
+		}
+	}
 }
 
 // Cap returns how many slots the slab holds memory for.

@@ -112,3 +112,33 @@ func TestResetSizesForLive(t *testing.T) {
 		}
 	}
 }
+
+// Pop zeroes the last slot, keeps at most one spare chunk beyond the ones
+// in use and lets the chunk table go once it is mostly empty: a slab popped down
+// from a flood holds what its values need plus a chunk.
+func TestPopShrinksAChunkAtATime(t *testing.T) {
+	var s Slab[rec]
+	const flood = 300 * ChunkLen
+	for i := 1; i <= flood; i++ {
+		_, v := s.Alloc()
+		v.id, v.table = i, make([]int, 1)
+	}
+	for live := flood - 1; live >= 0; live-- {
+		s.Pop()
+		if live > 0 && s.At(uint32(live)).id != live {
+			t.Fatalf("popping to %d disturbed slot %d", live, live)
+		}
+		if most := (live+ChunkLen-1)/ChunkLen*ChunkLen + ChunkLen; s.Cap() > most || s.Cap() < live {
+			t.Fatalf("%d values in %d slots, want at most %d", live, s.Cap(), most)
+		}
+		if v := s.At(uint32(live + 1)); v.id != 0 || v.table != nil {
+			t.Fatalf("popped slot %d still holds %+v", live+1, *v)
+		}
+	}
+	if cap(s.chunks) > 4 {
+		t.Errorf("an emptied slab keeps a table of %d chunks", cap(s.chunks))
+	}
+	if id, v := s.Alloc(); id != 1 || v.id != 0 {
+		t.Errorf("Alloc after popping everything = id %d %+v, want a zero slot 1", id, *v)
+	}
+}
