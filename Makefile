@@ -15,8 +15,11 @@
 # rises on any shared benchmark. Both targets share the bench.out recipe,
 # so a benchmark added to the record is automatically in the gate.
 # `make chaos` runs the fault-injection suite under the race detector:
-# detector panics, torn checkpoint writes, ENOSPC, follower read errors —
-# every failure the failure plane claims to absorb, injected on purpose.
+# detector panics (through the guard, both pipeline modes, the facade and
+# the CLI), torn checkpoint writes, ENOSPC, follower read errors — every
+# failure the failure plane claims to absorb, injected on purpose. It runs
+# every TestChaos* test in the module, so no package list is kept: a
+# chaos test joins by its name.
 # `make nosleep` greps tests for time.Sleep — deterministic tests drive
 # time through injected clocks and hooks (internal/clockwork,
 # faultinject.SetSleep, the Sleep hooks on configs), never the wall clock.
@@ -126,9 +129,10 @@ profile:
 
 # The chaos suite under -race: injected detector panics, overload stalls,
 # torn/ENOSPC checkpoint writes, follower read errors, kill-and-restore,
-# dropped/delayed/exhausted cluster delta frames and mid-rebalance faults.
+# dropped/delayed/exhausted cluster delta frames and mid-rebalance faults —
+# every TestChaos* test in the module, wherever it lives.
 chaos:
-	$(GO) test -race -run 'TestChaos' ./httpguard/ ./internal/checkpoint/ ./internal/stream/ ./internal/cluster/ ./cmd/scrapedetect/
+	$(GO) test -race -run '^TestChaos' ./...
 
 # Every Fuzz target in the module gets a short native-fuzz pass over its
 # committed seed corpus plus fresh mutations, one after another: `go test

@@ -1,12 +1,23 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"divscrape/internal/checkpoint"
+	"divscrape/internal/faultinject"
+	"divscrape/internal/shard"
 )
 
 // TestChaosKillAndRestoreResumesFromIntactGeneration is the CLI-level
@@ -112,5 +123,129 @@ func TestChaosKillWithAllGenerationsDamagedFailsLoudly(t *testing.T) {
 	}
 	if err := run(&sb, []string{"-log", logPath, "-parallel", "0", "-load-state", state}); err == nil {
 		t.Fatal("resume succeeded with every generation damaged")
+	}
+}
+
+// sentinelColumns keeps each verdict CSV row's sequence number and the
+// sentinel's two columns.
+func sentinelColumns(t *testing.T, path string) []string {
+	t.Helper()
+	rows := strings.Split(strings.TrimSuffix(readFileT(t, path), "\n"), "\n")
+	for i, row := range rows {
+		fields := strings.Split(row, ",")
+		rows[i] = strings.Join(fields[:3], ",")
+	}
+	return rows
+}
+
+// A replay whose arcane panics finishes the log in every mode: the report
+// is printed, the verdict CSV holds every request with sentinel's columns
+// those of a clean run, the state files are written, periodic checkpoints
+// go on past the panic — and then the run fails, naming the panic.
+func TestChaosReplayExitsNamingTheDetectorPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	logPath, _ := writeDataset(t, dir)
+	cleanCSV := filepath.Join(dir, "clean.csv")
+	if err := run(io.Discard, []string{"-log", logPath, "-out", cleanCSV, "-parallel", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	want := sentinelColumns(t, cleanCSV)
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"seq", []string{"-parallel", "0"}},
+		{"shard", []string{"-parallel", "3"}},
+		{"per-shard", []string{"-parallel", "3", "-out", ""}},
+		{"segments", []string{"-parallel", "0", "-checkpoint", filepath.Join(dir, "ck"), "-checkpoint-every", "40"}},
+	} {
+		args := c.args
+		t.Run(c.name, func(t *testing.T) {
+			csv, state := filepath.Join(dir, "v.csv"), filepath.Join(dir, "s.state")
+			os.Remove(state)
+			faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "arcane bug", After: 30, Times: 1})
+			var out strings.Builder
+			err := run(&out, append([]string{"-log", logPath, "-out", csv, "-save-state", state}, args...))
+			var pe *shard.PanicError
+			if !errors.As(err, &pe) || pe.Side != "arcane" || pe.Value != "arcane bug" || !strings.Contains(err.Error(), "detector arcane panicked") {
+				t.Fatalf("run returned %v", err)
+			}
+			if !strings.Contains(out.String(), "Alert diversity") {
+				t.Fatalf("no report:\n%s", out.String())
+			}
+			if _, err := os.Stat(state); err != nil {
+				t.Fatalf("no state file: %v", err)
+			}
+			if args[len(args)-1] == "" {
+				return
+			}
+			if got := sentinelColumns(t, csv); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("sentinel's verdicts differ from a clean run's (%d vs %d rows)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// -follow keeps serving through a detector that panics on every request:
+// while it sits out, the health document names it and divscrape_degraded
+// reads 1; the tail goes on to its event bound, and the run then fails
+// naming the panics.
+func TestChaosFollowKeepsServingThroughADetectorPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	logPath, _ := writeDataset(t, dir)
+	lines := countLines(t, logPath)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "arcane bug", After: 30})
+	csv := filepath.Join(dir, "v.csv")
+	done := make(chan error, 1)
+	go func() {
+		done <- run(io.Discard, []string{"-follow", "-log", logPath, "-out", csv, "-parallel", "0",
+			"-metrics-addr", addr, "-max-events", strconv.Itoa(lines + 1)})
+	}()
+	get := func(path string) string {
+		res, err := http.Get("http://" + addr + path)
+		if err != nil {
+			return ""
+		}
+		defer res.Body.Close()
+		return bodyString(t, res.Body)
+	}
+	for {
+		var doc healthDoc
+		if json.Unmarshal([]byte(get("/debug/divscrape/health")), &doc) == nil && !doc.Healthy &&
+			doc.Detectors != nil && slices.Equal(doc.Detectors.Quarantined, []string{"arcane"}) &&
+			strings.Contains(get("/debug/divscrape/metrics"), "\ndivscrape_degraded 1\n") {
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("the follower stopped before reporting the quarantine: %v", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	// One more line reaches the event bound.
+	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(readFileT(t, logPath), "\n")
+	fmt.Fprintln(f, first)
+	f.Close()
+	err = <-done
+	var pe *shard.PanicError
+	if !errors.As(err, &pe) || pe.Side != "arcane" {
+		t.Fatalf("run returned %v", err)
+	}
+	if n := countLines(t, csv); n != lines+2 {
+		t.Fatalf("%d verdict rows for %d lines", n-1, lines+1)
 	}
 }

@@ -196,12 +196,8 @@ func TestClusterHTTPReplication(t *testing.T) {
 // TestHealthEndpointClusterSection: wiring a node into the live-metrics
 // surface surfaces its membership snapshot at /debug/divscrape/health.
 func TestHealthEndpointClusterSection(t *testing.T) {
-	sen, err := sentinel.New(sentinel.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pipe, err := pipeline.New(pipeline.Config{
-		Detectors:  []detector.Detector{sen},
+		Factories:  []detector.Factory{func() (detector.Detector, error) { return sentinel.New(sentinel.Config{}) }},
 		Reputation: iprep.BuildFeed(),
 	})
 	if err != nil {

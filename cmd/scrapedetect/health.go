@@ -6,17 +6,20 @@ import (
 
 	"divscrape/internal/checkpoint"
 	"divscrape/internal/cluster"
+	"divscrape/internal/pipeline"
 	"divscrape/internal/stream"
 )
 
 // The follow-mode failure plane's operator surface: a watchdog that
-// notices the state plane or the tail degrading — checkpoint saves
-// failing, log reads erroring — and logs + counts each healthy ↔
-// degraded transition, plus the /debug/divscrape/health document
-// reporting both alongside the checkpoint generation age. The process
-// keeps running through either failure (a missed checkpoint degrades
-// durability, not detection; a read error is retried with backoff), so
-// the watchdog is how an operator learns the service is limping.
+// notices the state plane, the tail or a detector degrading — checkpoint
+// saves failing, log reads erroring, a side panicking into quarantine —
+// and logs + counts each healthy ↔ degraded transition, plus the
+// /debug/divscrape/health document reporting all three alongside the
+// checkpoint generation age. The process keeps running through each
+// failure (a missed checkpoint degrades durability, not detection; a read
+// error is retried with backoff; a quarantined side sits out on its shard
+// until it is rebuilt), so the watchdog is how an operator learns the
+// service is limping.
 
 // watchdogEvery is the sink-event period between watchdog polls.
 const watchdogEvery = 256
@@ -25,26 +28,30 @@ const watchdogEvery = 256
 // poll runs on the sink goroutine, the health endpoint reads
 // concurrently.
 type watchdog struct {
-	saver *checkpoint.Saver // nil without -checkpoint
-	fl    *stream.Follower  // nil without -follow
+	saver *checkpoint.Saver  // nil without -checkpoint
+	fl    *stream.Follower   // nil without -follow
+	pipe  *pipeline.Pipeline // its sides' quarantine counters
+	names []string           // its sides' names
 	logf  func(format string, args ...any)
 
 	degraded    atomic.Bool
 	transitions atomic.Uint64
 	seenFails   atomic.Uint64
 	seenReads   atomic.Uint64
+	seenPanics  atomic.Uint64
 }
 
-func newWatchdog(saver *checkpoint.Saver, fl *stream.Follower, logf func(string, ...any)) *watchdog {
+func newWatchdog(saver *checkpoint.Saver, fl *stream.Follower, pipe *pipeline.Pipeline, logf func(string, ...any)) *watchdog {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &watchdog{saver: saver, fl: fl, logf: logf}
+	return &watchdog{saver: saver, fl: fl, pipe: pipe, names: pipe.Detectors(), logf: logf}
 }
 
 // poll compares the failure counters against the previous poll: new
 // failures flip the watchdog degraded (logged and counted once per
-// transition), a quiet interval flips it back.
+// transition), a quiet interval flips it back — but not while a side sits
+// out on some shard.
 func (w *watchdog) poll() {
 	var fails, reads uint64
 	if w.saver != nil {
@@ -53,21 +60,35 @@ func (w *watchdog) poll() {
 	if w.fl != nil {
 		reads = w.fl.Stats().ReadErrors
 	}
-	// Both swaps run unconditionally: short-circuiting the second would
-	// skip recording read errors whenever checkpoint failures already
-	// tripped the watchdog, and the stale baseline would re-detect them
-	// next poll — a spurious extra degraded interval.
+	panics, out := w.sides()
+	// Every swap runs unconditionally: short-circuiting one would skip
+	// recording its failures whenever another already tripped the
+	// watchdog, and the stale baseline would re-detect them next poll — a
+	// spurious extra degraded interval.
 	newFails := fails > w.seenFails.Swap(fails)
 	newReads := reads > w.seenReads.Swap(reads)
-	unhealthy := newFails || newReads
+	newPanics := panics > w.seenPanics.Swap(panics)
+	unhealthy := newFails || newReads || newPanics || len(out) > 0
 	was := w.degraded.Swap(unhealthy)
 	switch {
 	case unhealthy && !was:
 		w.transitions.Add(1)
-		w.logf("degraded: checkpoint failures=%d, follower read errors=%d", fails, reads)
+		w.logf("degraded: checkpoint failures=%d, follower read errors=%d, detector panics=%d, quarantined=%v", fails, reads, panics, out)
 	case !unhealthy && was:
-		w.logf("recovered: state plane and tail healthy")
+		w.logf("recovered: state plane, tail and detectors healthy")
 	}
+}
+
+// sides totals the pipeline's detector panics and names the sides
+// quarantined on some shard now; lock-free, like the other counters.
+func (w *watchdog) sides() (panics uint64, quarantined []string) {
+	for i, name := range w.names {
+		p, r := w.pipe.Quarantines(i)
+		if panics += p; p > r {
+			quarantined = append(quarantined, name)
+		}
+	}
+	return panics, quarantined
 }
 
 // checkpointHealth is the state-plane section of the health document.
@@ -91,6 +112,14 @@ type followerHealth struct {
 	Skipped     uint64 `json:"skipped"`
 }
 
+// detectorsHealth is the failure-plane section of the health document.
+type detectorsHealth struct {
+	// Quarantined names the sides sitting out on some shard now.
+	Quarantined []string `json:"quarantined,omitempty"`
+	// Panics counts every side's lifetime quarantines, across shards.
+	Panics uint64 `json:"panics"`
+}
+
 // healthDoc is the JSON served at /debug/divscrape/health. Healthy is
 // mirrored in the HTTP status (200/503) so a load-balancer check needs
 // no parsing.
@@ -99,6 +128,7 @@ type healthDoc struct {
 	DegradedTransitions uint64            `json:"degraded_transitions"`
 	Checkpoint          *checkpointHealth `json:"checkpoint,omitempty"`
 	Follower            *followerHealth   `json:"follower,omitempty"`
+	Detectors           *detectorsHealth  `json:"detectors,omitempty"`
 	// Cluster is the replication plane's membership and delta-flow
 	// snapshot; nil without -cluster-listen. A degraded cluster node does
 	// not flip Healthy — it keeps enforcing on local state by design, and
@@ -127,6 +157,8 @@ func (w *watchdog) health(retain int) healthDoc {
 		}
 		doc.Checkpoint = ch
 	}
+	doc.Detectors = &detectorsHealth{}
+	doc.Detectors.Panics, doc.Detectors.Quarantined = w.sides()
 	if w.fl != nil {
 		fs := w.fl.Stats()
 		doc.Follower = &followerHealth{

@@ -16,12 +16,8 @@ import (
 )
 
 func TestLiveMetricsHandler(t *testing.T) {
-	sen, err := sentinel.New(sentinel.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pipe, err := pipeline.New(pipeline.Config{
-		Detectors:  []detector.Detector{sen},
+		Factories:  []detector.Factory{func() (detector.Detector, error) { return sentinel.New(sentinel.Config{}) }},
 		Reputation: iprep.BuildFeed(),
 	})
 	if err != nil {

@@ -64,6 +64,13 @@
 // SIGINT/SIGTERM stop the tail, drain buffered lines, write a final
 // checkpoint and print the summary tables.
 //
+// A detector that panics does not stop either mode: its shard quarantines
+// it, the other detectors go on judging, and it is rebuilt cold once a
+// backoff of event time has passed. -follow keeps serving and reports the
+// quarantined detector on the health document and the divscrape_degraded
+// gauge; either mode, once its report and state files are written, exits
+// non-zero naming every detector that panicked, the shard and the request.
+//
 // # Tracing and provenance
 //
 // -trace records per-stage latency histograms (parse, enrich, per-detector
@@ -631,7 +638,7 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 	}
-	wd := newWatchdog(ckSaver, follower, func(format string, args ...any) {
+	wd := newWatchdog(ckSaver, follower, pipe, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "scrapedetect: watchdog: "+format+"\n", args...)
 	})
 
@@ -762,6 +769,10 @@ func run(w io.Writer, args []string) error {
 		parts[i] = newTally(len(dets))
 		sinks[i] = newSink(parts[i], i == 0)
 	}
+	// A side that panics is quarantined and the run goes on; each run
+	// reports its quarantines, which the process exits with once the
+	// report and the state are written.
+	var panics []error
 	started := time.Now()
 	for {
 		if perShard {
@@ -769,6 +780,9 @@ func run(w io.Writer, args []string) error {
 		} else {
 			err = pipe.Run(context.Background(), src, sinks[0])
 		}
+		var lost []error
+		err, lost = pipeline.SplitPanics(err)
+		panics = append(panics, lost...)
 		if err != nil || seg == nil || !seg.cut {
 			break
 		}
@@ -902,5 +916,5 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 		printExplain(w, tracer.Recorder().Explain(*explainClient))
 	}
-	return nil
+	return errors.Join(panics...)
 }

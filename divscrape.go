@@ -67,6 +67,7 @@ import (
 	"divscrape/internal/mitigate"
 	"divscrape/internal/pipeline"
 	"divscrape/internal/sentinel"
+	"divscrape/internal/shard"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/stream"
 	"divscrape/internal/trajectory"
@@ -107,6 +108,10 @@ type (
 // pipeline uses one factory per detector to give every shard private
 // state.
 type Factory = detector.Factory
+
+// PanicError reports a detector that panicked: the side, the shard, the
+// request's stream position and the panic value (see Analyze).
+type PanicError = shard.PanicError
 
 // Generator produces labelled synthetic traffic.
 type Generator = workload.Generator
@@ -527,6 +532,11 @@ type Options struct {
 // Analyze streams src through freshly built detectors and summarises
 // alerting diversity and, for generated traffic, labelled accuracy.
 //
+// A detector that panics is quarantined on its shard and the stream still
+// runs to its end: Analyze then returns the Summary — the panicking side's
+// verdicts zero while it sat out — together with an error joining one
+// *PanicError per quarantine, naming the side, the shard and the request.
+//
 // Each engine reads each source at the cost it needs: a sequential run
 // pulls generated events one at a time and holds none of them; a sharded
 // run materialises generated events so every shard can join its
@@ -535,7 +545,7 @@ type Options struct {
 func Analyze(src Source, opts Options) (*Summary, error) {
 	s, err := analyze(src, opts)
 	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze: %w", err)
+		return s, fmt.Errorf("divscrape: analyze: %w", err)
 	}
 	return s, nil
 }
@@ -576,14 +586,15 @@ func analyze(src Source, opts Options) (*Summary, error) {
 	} else {
 		err = pipe.Run(context.Background(), entries, sinks[0])
 	}
-	if err != nil {
-		return nil, err
+	failure, panics := pipeline.SplitPanics(err)
+	if failure != nil {
+		return nil, failure
 	}
 	s := newSummary(pipe.Detectors(), labelled)
 	for _, part := range partials {
 		s.Merge(part)
 	}
-	return s, nil
+	return s, errors.Join(panics...)
 }
 
 // open returns src as the pipeline's entry source, the ground truth by

@@ -2,12 +2,14 @@ package divscrape_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"divscrape"
+	"divscrape/internal/faultinject"
 )
 
 func setGen(t *testing.T, seed uint64, dur time.Duration) *divscrape.Generator {
@@ -194,5 +196,28 @@ func TestInspectAllocatesNothing(t *testing.T) {
 		i++
 	}); got != 0 {
 		t.Errorf("DetectorPair.Inspect: %v allocs/op, want 0", got)
+	}
+}
+
+// A detector that panics costs Analyze that detector's verdicts while it
+// sits out, never the run: the sharded engine finishes the stream, the
+// Summary comes back with an error naming the panic, and the other
+// detectors' tables are those of a run without it.
+func TestChaosAnalyzeSurvivesADetectorPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	opts := divscrape.Options{Detectors: []string{"sentinel", "arcane", "trajectory"}, Shards: 3}
+	clean, err := divscrape.Analyze(divscrape.Generated(setGen(t, 42, 2*time.Hour)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable("shard.inspect.trajectory", faultinject.Fault{Panic: "trajectory bug", After: 500, Times: 1})
+	got, err := divscrape.Analyze(divscrape.Generated(setGen(t, 42, 2*time.Hour)), opts)
+	var pe *divscrape.PanicError
+	if !errors.As(err, &pe) || pe.Side != "trajectory" || pe.Value != "trajectory bug" || pe.Shard >= 3 || pe.Seq >= clean.Total {
+		t.Fatalf("Analyze returned %v", err)
+	}
+	if got == nil || got.Total != clean.Total || got.Contingency != clean.Contingency ||
+		got.Detectors[0] != clean.Detectors[0] || got.Detectors[1] != clean.Detectors[1] {
+		t.Fatalf("summary with the panic %+v, without %+v", got, clean)
 	}
 }

@@ -62,7 +62,7 @@ func TestChaosPanicQuarantinesAndFailOpenKeepsServing(t *testing.T) {
 
 	// The sentinel panics once mid-inspect. Fail-open: the request is
 	// still served on the behavioural detector alone.
-	faultinject.Enable("httpguard.inspect.sentinel", faultinject.Fault{Panic: "injected detector bug", Times: 1})
+	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Panic: "injected detector bug", Times: 1})
 	if rec := do(t, h, "172.16.0.9", browserUA, "/page"); rec.Code != http.StatusOK {
 		t.Fatalf("fail-open served %d during panic, want 200", rec.Code)
 	}
@@ -118,7 +118,7 @@ func TestChaosFailClosedRefusesUntilRestore(t *testing.T) {
 		t.Fatalf("healthy fail-closed guard served %d", rec.Code)
 	}
 
-	faultinject.Enable("httpguard.inspect.arcane", faultinject.Fault{Panic: "behavioural bug", Times: 1})
+	faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "behavioural bug", Times: 1})
 	rec := do(t, h, "10.1.1.1", browserUA, "/")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("fail-closed served %d during panic, want 503", rec.Code)
@@ -159,7 +159,7 @@ func TestChaosFailClosedRefusalRecordsNoLadder(t *testing.T) {
 	})
 	h := g.Wrap(okHandler())
 	do(t, h, "10.1.1.1", browserUA, "/")
-	faultinject.Enable("httpguard.inspect.arcane", faultinject.Fault{Panic: "behavioural bug", Times: 1})
+	faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "behavioural bug", Times: 1})
 	if rec := do(t, h, "10.1.1.1", browserUA, "/"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("fail-closed served %d during panic, want 503", rec.Code)
 	}
@@ -187,7 +187,7 @@ func TestChaosRepeatPanicsDoubleTheBackoff(t *testing.T) {
 	// Every sentinel inspect panics: each restore attempt immediately
 	// re-quarantines, and the backoff must double instead of hot-looping
 	// rebuilds.
-	faultinject.Enable("httpguard.inspect.sentinel", faultinject.Fault{Panic: "persistent bug"})
+	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Panic: "persistent bug"})
 	do(t, h, "10.2.2.2", browserUA, "/")
 	first := g.Health().PerShard[0].Sentinel.RetryAt
 	if want := now.Add(10 * time.Second); !first.Equal(want) {
@@ -215,7 +215,7 @@ func TestChaosPanicPastDetectorBarrierReleasesShard(t *testing.T) {
 		c.OnDegraded = func(DegradedEvent) { panic("observer bug") }
 	})
 	h := g.Wrap(okHandler())
-	faultinject.Enable("httpguard.inspect.sentinel", faultinject.Fault{Panic: "injected detector bug", Times: 1})
+	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Panic: "injected detector bug", Times: 1})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -254,7 +254,7 @@ func TestChaosOverloadShedsToDegradedPolicy(t *testing.T) {
 		close(entered)
 		<-release
 	})
-	faultinject.Enable("httpguard.inspect.sentinel", faultinject.Fault{Delay: time.Second, Times: 1})
+	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Delay: time.Second, Times: 1})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -294,7 +294,7 @@ func TestChaosOverloadFailClosedRefuses(t *testing.T) {
 		close(entered)
 		<-release
 	})
-	faultinject.Enable("httpguard.inspect.sentinel", faultinject.Fault{Delay: time.Second, Times: 1})
+	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Delay: time.Second, Times: 1})
 
 	var wg sync.WaitGroup
 	wg.Add(1)

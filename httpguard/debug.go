@@ -8,6 +8,7 @@ import (
 
 	"divscrape/internal/metrics"
 	"divscrape/internal/mitigate"
+	"divscrape/internal/shard"
 )
 
 // Observability surface: every guard carries a metrics.Registry whose
@@ -82,6 +83,22 @@ func (g *Guard) buildMetrics() {
 	r.MustCounterFunc("divscrape_guard_sweeps_total",
 		"Windowed eviction sweeps run.", g.sweeps.Load)
 
+	// Live-state gauges take the shard locks briefly; scrapes are rare
+	// relative to requests, so the contention is noise.
+	sumLocked := func(read func(*guardShard) int) func() int64 {
+		return func() int64 {
+			g.mu.RLock()
+			defer g.mu.RUnlock()
+			var total int64
+			for _, s := range g.shards {
+				s.Lock()
+				total += int64(read(s))
+				s.Unlock()
+			}
+			return total
+		}
+	}
+
 	// Failure plane: shed and degraded request tallies, per-detector
 	// panic/restore counts, and a quarantine gauge an alert can sit on.
 	r.MustCounterFunc("divscrape_guard_shed_total",
@@ -98,25 +115,9 @@ func (g *Guard) buildMetrics() {
 	}
 	r.MustGaugeFunc("divscrape_guard_quarantined_detectors",
 		"Detector slots currently quarantined across all shards.",
-		func() int64 { return int64(g.quarantinedCount()) })
-
-	// Live-state gauges take the shard locks briefly; scrapes are rare
-	// relative to requests, so the contention is noise.
+		sumLocked(func(s *guardShard) int { return s.Quarantined() }))
 	r.MustGaugeFunc("divscrape_guard_shards",
 		"Detection-state partitions.", func() int64 { return int64(g.Shards()) })
-	sumLocked := func(read func(*guardShard) int) func() int64 {
-		return func() int64 {
-			g.mu.RLock()
-			defer g.mu.RUnlock()
-			var total int64
-			for _, s := range g.shards {
-				s.Lock()
-				total += int64(read(s))
-				s.Unlock()
-			}
-			return total
-		}
-	}
 	r.MustGaugeFunc("divscrape_guard_engine_clients",
 		"Clients holding enforcement-ladder state.",
 		sumLocked(func(s *guardShard) int { return s.Engine.Len() }))
@@ -213,18 +214,8 @@ func (g *Guard) State() State {
 }
 
 // DetectorHealth is one detector slot's failure-plane state in the
-// health endpoint.
-type DetectorHealth struct {
-	// Quarantined reports the slot is out of service after a panic.
-	Quarantined bool `json:"quarantined"`
-	// Reason is the panic value that quarantined the slot.
-	Reason string `json:"reason,omitempty"`
-	// RetryAt is when a restore will next be attempted.
-	RetryAt time.Time `json:"retry_at,omitzero"`
-	// HasSnapshot reports a last-good snapshot exists to restore from;
-	// without one the slot comes back cold.
-	HasSnapshot bool `json:"has_snapshot"`
-}
+// health endpoint: its shard's view of the side.
+type DetectorHealth = shard.Health
 
 // ShardHealth is one shard's failure-plane state, one slot per side in
 // side-list order. Trajectory — the third slot — is nil on pair guards,
@@ -259,30 +250,11 @@ type GuardHealth struct {
 	PerShard    []ShardHealth `json:"per_shard"`
 }
 
-// quarantinedCount reports how many detector slots are currently out of
-// service across all shards.
-func (g *Guard) quarantinedCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := 0
-	for _, s := range g.shards {
-		s.Lock()
-		for i := range s.health {
-			if s.health[i].quarantined {
-				n++
-			}
-		}
-		s.Unlock()
-	}
-	return n
-}
-
 // Health captures the guard's failure-plane state: per-shard detector
 // quarantines, admission-control pressure and degraded-request totals.
 // Like State it allocates freely — a diagnostic page, not a poll target.
 func (g *Guard) Health() GuardHealth {
 	h := GuardHealth{
-		Healthy:          true,
 		DegradedMode:     g.cfg.Degraded.String(),
 		MaxInFlight:      g.cfg.MaxInFlight,
 		Shed:             g.shed.Load(),
@@ -299,26 +271,18 @@ func (g *Guard) Health() GuardHealth {
 	for i, s := range g.shards {
 		var slots [maxSides]DetectorHealth
 		s.Lock()
-		for j := range s.health {
-			dh := &s.health[j]
-			slots[j] = DetectorHealth{
-				Quarantined: dh.quarantined,
-				Reason:      dh.reason,
-				HasSnapshot: dh.hasGood,
-			}
-			if dh.quarantined {
-				slots[j].RetryAt = dh.retryAt
-				h.Healthy = false
-				h.Quarantined++
-			}
+		for j := range s.Dets {
+			slots[j] = s.Health(j)
 		}
+		h.Quarantined += s.Quarantined()
 		s.Unlock()
 		sh := ShardHealth{Shard: i, InFlight: s.inflight.Load(), Sentinel: slots[0], Arcane: slots[1]}
-		if len(s.health) == maxSides {
+		if len(s.Dets) == maxSides {
 			sh.Trajectory = &slots[2]
 		}
 		h.PerShard = append(h.PerShard, sh)
 	}
+	h.Healthy = h.Quarantined == 0
 	return h
 }
 

@@ -7,10 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"divscrape/internal/detector"
-	"divscrape/internal/shard"
 	"divscrape/internal/slab"
-	"divscrape/internal/statecodec"
 )
 
 func TestDegradedModeNames(t *testing.T) {
@@ -141,37 +138,6 @@ func TestRestoreBuffersGiveAFloodBack(t *testing.T) {
 		t.Errorf("after the flood was evicted the guard holds %.0f B, a quiet one %.0f B: more than a chunk of records per side per shard", flooded, quiet)
 	}
 	runtime.KeepAlive(qg)
-}
-
-// oneByte is a side whose snapshot is a single byte: a fresh writer of it
-// is already four times its payload.
-type oneByte struct{}
-
-func (oneByte) Name() string                                         { return "one-byte" }
-func (oneByte) Inspect(*detector.Request) detector.Verdict           { return detector.Verdict{} }
-func (oneByte) InspectInto(_ *detector.Request, v *detector.Verdict) { *v = detector.Verdict{} }
-func (oneByte) Reset()                                               {}
-func (oneByte) SnapshotInto(w *statecodec.Writer)                    { w.Uint8(7) }
-func (oneByte) RestoreFrom(r *statecodec.Reader) error               { r.Uint8(); return r.Err() }
-
-// A restore buffer that outgrew its payload is replaced once, even when
-// the replacement is oversized too.
-func TestRefreshLastGoodReplacesAnOversizedBufferOnce(t *testing.T) {
-	s := &guardShard{Shard: &shard.Shard{Dets: []detector.Detector{oneByte{}}}, health: make([]detectorHealth, 1)}
-	flood := statecodec.NewWriter()
-	for i := 0; i < 4096; i++ {
-		flood.Uint8(0)
-	}
-	s.health[0].snapW = flood
-	s.refreshLastGood(0)
-	h := s.health[0]
-	if !h.hasGood || h.snapW == flood || string(h.snapW.Bytes()) != "\x07" {
-		t.Fatalf("after a refresh: hasGood %v, kept the flood's writer %v, payload %q", h.hasGood, h.snapW == flood, h.snapW.Bytes())
-	}
-	s.refreshLastGood(0)
-	if !s.health[0].hasGood || string(s.health[0].snapW.Bytes()) != "\x07" {
-		t.Fatalf("a second refresh left payload %q", s.health[0].snapW.Bytes())
-	}
 }
 
 // heapInUse forces two collections and returns the live heap.

@@ -21,22 +21,22 @@
 // partitions traffic by client IP across Config.Shards internal shards —
 // the same key-partitioning, by the same function, as the offline
 // pipeline's Sharded mode. Each shard is an internal/shard decision core
-// (its own enricher, instance of every judging side, mitigation engine and
-// mutex) running the Enrich and Judge steps the pipeline's shards run; the
-// guard adds what only an inline host needs: the panic barrier and
-// quarantine round every side, last-good snapshots, admission control,
-// counters, and the answer on the wire. A
+// (its own enricher, instance of every judging side, mitigation engine,
+// failure plane and mutex) running the Enrich and Judge steps the
+// pipeline's shards run; the guard adds what only an inline host needs:
+// last-good snapshots in its sweep slot, the degraded-mode answer,
+// admission control, counters, and the answer on the wire. A
 // client's requests always hash to the same shard, so per-client detection
 // and enforcement state is exactly what a single serialised detector set
 // would hold, while unrelated clients no longer contend on one lock.
 //
 // Which detectors judge is decided in one place: resolveSides turns Config
 // into the side list, every shard builds its []detector.Detector from that
-// list's factories, and everything else — the panic barrier, sweeps,
-// snapshots, metrics, health, flight records — loops over the list by
-// index. Note the guard delivers per shard: responses leave in whatever
-// order shards finish, stats, tracing and eviction are shard-local, and
-// nothing ever merges the streams back into arrival order —
+// list's factories, and everything else — sweeps, snapshots, metrics,
+// health, flight records — loops over the list by index. Note the guard
+// delivers per shard: responses leave in whatever order shards finish,
+// stats, tracing and eviction are shard-local, and nothing ever merges the
+// streams back into arrival order —
 // pipeline.RunRelaxed is this deployment shape replayed offline, and the
 // facts proven for it (per-client total order, order-free aggregate
 // equality) are what make the guard's inline judgements equivalent to the
@@ -60,7 +60,6 @@ import (
 	"divscrape/internal/arcane"
 	"divscrape/internal/cluster"
 	"divscrape/internal/detector"
-	"divscrape/internal/faultinject"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/metrics"
@@ -216,9 +215,6 @@ type side struct {
 	// idle is the side's effective idle timeout; the default EvictWindow
 	// is twice the largest.
 	idle time.Duration
-	// fault is the chaos suite's httpguard.inspect.<name> point on the
-	// side's inspect path; disarmed it costs one atomic load per request.
-	fault *faultinject.Point
 	// digest tags the side's session digests on the cluster plane.
 	digest uint8
 }
@@ -231,8 +227,7 @@ func newSide(name string, digest uint8, idle, defaultIdle time.Duration, factory
 	if idle <= 0 {
 		idle = defaultIdle
 	}
-	return side{name: name, factory: factory, idle: idle, digest: digest,
-		fault: faultinject.At("httpguard.inspect." + name)}
+	return side{name: name, factory: factory, idle: idle, digest: digest}
 }
 
 // resolveSides turns Config into the side list — the one place that knows
@@ -264,27 +259,20 @@ type sessionHolder interface {
 // guardShard is one key-partition of enrichment, detection and
 // enforcement state: the decision core the pipeline's shards run too
 // (internal/shard — a private enricher and instance of every side, a
-// mitigation engine, the judging step and its lock) plus what only an
-// inline deployment needs: the failure plane's health and last-good
-// snapshots, admission control and the counters. The lock guards the
-// enricher's tables and detector and engine mutation; counters are
-// atomics updated outside it, so the critical section is exactly the
-// per-client state and nothing else.
+// mitigation engine, the judging step, its failure plane and its lock)
+// plus what only an inline deployment needs: admission control and the
+// counters. The lock guards the enricher's tables and detector and engine
+// mutation; counters are atomics updated outside it, so the critical
+// section is exactly the per-client state and nothing else.
 type guardShard struct {
 	*shard.Shard
 	g *Guard
-	// health, aligned with Dets, is the failure-plane state of each side
-	// (failure.go).
-	health []detectorHealth
 
 	// req is judging scratch, guarded by the lock. The detectors are
 	// reached through an interface, so a request on judge's stack would
 	// escape to the heap on every call; the shard owns one instead.
 	req detector.Request
 
-	// index is the shard's position in the current topology, recorded so
-	// failure-plane events can name the shard without holding g.mu.
-	index int
 	// inflight is the admission-control gauge: incremented before the
 	// shard lock is taken, so the shed decision itself never queues.
 	inflight atomic.Int64
@@ -322,11 +310,11 @@ const sweepEvery = 4096
 type Guard struct {
 	cfg    Config
 	policy mitigate.Policy
-	// sides is the judging side list every shard is built from; names is
-	// its name column, shared with the tracer and every flight record.
-	sides   []side
-	names   []string
-	trusted trustedNets
+	// sides is the judging side list; names and factories its columns.
+	sides     []side
+	names     []string
+	factories []detector.Factory
+	trusted   trustedNets
 	// rep is the reputation DB every shard's enricher resolves against;
 	// the cluster plane merges replicated overlay entries into it, and
 	// lookups stay lock-free. seq numbers the requests in arrival order.
@@ -410,10 +398,10 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 	case cfg.MaxInFlight < 0:
 		cfg.MaxInFlight = 0 // gate disabled
 	}
-	names := make([]string, len(sides))
+	names, factories := make([]string, len(sides)), make([]detector.Factory, len(sides))
 	var maxIdle time.Duration
 	for i, sd := range sides {
-		names[i] = sd.name
+		names[i], factories[i] = sd.name, sd.factory
 		maxIdle = max(maxIdle, sd.idle)
 	}
 	if cfg.EvictWindow == 0 {
@@ -422,12 +410,13 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 		cfg.EvictWindow = 2 * maxIdle
 	}
 	g := &Guard{
-		cfg:     cfg,
-		policy:  policy,
-		sides:   sides,
-		names:   names,
-		trusted: trusted,
-		rep:     iprep.BuildFeed(),
+		cfg:       cfg,
+		policy:    policy,
+		sides:     sides,
+		names:     names,
+		factories: factories,
+		trusted:   trusted,
+		rep:       iprep.BuildFeed(),
 	}
 	g.recPool.New = func() any { return new(statusRecorder) }
 	// The registry and the tracer come first: every shard's decision core
@@ -451,31 +440,23 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 
 // newShards builds a fresh shard set: per shard, one instance of every
 // side from its factory and a mitigation engine, all configured alike,
-// with the failure plane as the barrier round every side.
+// each shard reporting its failure plane's transitions to the guard.
 func (g *Guard) newShards(n int) ([]*guardShard, error) {
-	factories := make([]detector.Factory, len(g.sides))
-	for i, sd := range g.sides {
-		factories[i] = sd.factory
-	}
 	shards := make([]*guardShard, n)
 	for i := range shards {
-		dets, err := detector.Build(factories)
+		core, err := shard.New(g.factories, nil, &g.policy, g.rep)
 		if err != nil {
 			return nil, fmt.Errorf("httpguard: %w", err)
 		}
-		for j, d := range dets {
+		for j, d := range core.Dets {
 			if _, ok := d.(sessionHolder); !ok {
 				return nil, fmt.Errorf("httpguard: %s detector exposes no session view", g.sides[j].name)
 			}
 		}
-		core, err := shard.New(dets, &g.policy, g.rep)
-		if err != nil {
-			return nil, fmt.Errorf("httpguard: %w", err)
-		}
-		s := &guardShard{Shard: core, g: g, health: make([]detectorHealth, len(dets)), index: i}
-		s.Names, s.Window, s.Tracer = g.names, g.cfg.EvictWindow, g.trace
-		s.Barrier, s.RefuseDegraded = s.runDetector, g.cfg.Degraded == FailClosed
-		shards[i] = s
+		core.Index, core.Window, core.Tracer = i, g.cfg.EvictWindow, g.trace
+		core.Backoff, core.RefuseDegraded = g.cfg.QuarantineBackoff, g.cfg.Degraded == FailClosed
+		core.OnHealth = func(side int, at time.Time, p *shard.PanicError) { g.notifyDegraded(i, side, at, p) }
+		shards[i] = &guardShard{Shard: core, g: g}
 	}
 	return shards, nil
 }
@@ -729,7 +710,7 @@ func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 
 // judge is the shard-locked portion of a decision: enrichment on the
 // shard, the periodic sweep, then the step itself. The unlock is
-// deferred: the detector calls sit behind their own panic barrier, but a
+// deferred: the detector calls sit behind the shard's failure plane, but a
 // panic escaping the enricher, the sweep or the engine path — the same
 // corrupted-state-machine failure, just surfacing in Snapshot or Apply
 // instead of Inspect — must not leave the shard mutex held forever and
@@ -749,14 +730,11 @@ func (s *guardShard) judge(entry *logfmt.Entry, seq uint64, sweep bool) (v Verdi
 	// accumulate forever. The same slot sweeps the shard's detector
 	// session stores and its enricher's addresses on the configured
 	// retention window, so a long-lived guard's memory stays O(clients
-	// active in the window), and re-snapshots each healthy detector as
-	// its quarantine-restore point — the state a panicking side comes back
-	// from.
+	// active in the window), and refreshes every healthy side's restore
+	// point — the state a panicking side comes back from.
 	if sweep {
 		n := s.Sweep(s.req.Entry.Time)
-		for i := range s.Dets {
-			s.refreshLastGood(i)
-		}
+		s.RefreshLastGood()
 		s.g.sweeps.Add(1)
 		s.g.evicted.Add(uint64(n))
 	}

@@ -187,7 +187,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 	}
 
 	// Quarantine and restore, through the side's own fault point.
-	faultinject.Enable("httpguard.inspect."+hitsName, faultinject.Fault{Panic: "hits bug", Times: 1})
+	faultinject.Enable("shard.inspect."+hitsName, faultinject.Fault{Panic: "hits bug", Times: 1})
 	if rec := do(t, h, client, browserUA, "/page"); rec.Code != http.StatusOK {
 		t.Fatalf("fail-open served %d during the side's panic", rec.Code)
 	}

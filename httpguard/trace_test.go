@@ -156,7 +156,7 @@ func TestQuarantineEventsOnTimeline(t *testing.T) {
 		Trace:  &trace.RecorderConfig{},
 	})
 	h := g.Wrap(okHandler())
-	faultinject.Enable("httpguard.inspect.sentinel", faultinject.Fault{Panic: "injected detector bug", Times: 1})
+	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Panic: "injected detector bug", Times: 1})
 	const ip = "10.1.2.3"
 	for i := 0; i < 40; i++ {
 		do(t, h, ip, toolUA, "/api/item/"+strconv.Itoa(i))

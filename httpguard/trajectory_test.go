@@ -164,7 +164,7 @@ func TestChaosTrajectoryQuarantineAndRestore(t *testing.T) {
 		t.Fatal("no trajectory last-good snapshot after a sweep slot")
 	}
 
-	faultinject.Enable("httpguard.inspect.trajectory", faultinject.Fault{Panic: "trajectory bug", Times: 1})
+	faultinject.Enable("shard.inspect.trajectory", faultinject.Fault{Panic: "trajectory bug", Times: 1})
 	if rec := do(t, h, "172.16.0.9", browserUA, "/page"); rec.Code != http.StatusOK {
 		t.Fatalf("fail-open served %d during trajectory panic", rec.Code)
 	}

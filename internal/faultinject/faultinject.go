@@ -111,8 +111,15 @@ func (p *Point) take() *Fault {
 
 // Fire consumes one passage: it sleeps the fault's Delay, panics with
 // its Panic value, or returns its Err. A disarmed point returns nil at
-// the cost of one atomic load.
+// the cost of one atomic load, inlined into the caller.
 func (p *Point) Fire() error {
+	if p.state.Load() == nil {
+		return nil
+	}
+	return p.fire()
+}
+
+func (p *Point) fire() error {
 	f := p.take()
 	if f == nil {
 		return nil

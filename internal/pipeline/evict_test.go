@@ -140,6 +140,7 @@ func TestEvictionEquivalenceMetamorphic(t *testing.T) {
 	}
 	manualPipe, err := New(Config{
 		Detectors:  []detector.Detector{sen, arc},
+		Factories:  pairFactories(),
 		Reputation: iprep.BuildFeed(),
 		Mode:       Sequential,
 	})
@@ -331,6 +332,7 @@ func TestSoakBoundedMemoryUnderEviction(t *testing.T) {
 	}
 	p, err := New(Config{
 		Detectors:   []detector.Detector{sen, arc},
+		Factories:   pairFactories(),
 		Reputation:  iprep.BuildFeed(),
 		Mode:        Sequential,
 		EvictWindow: window,

@@ -48,6 +48,7 @@ func TestHostileInstantsThroughTheSequentialPipeline(t *testing.T) {
 		policy := mitigate.Graduated()
 		p, err := New(Config{
 			Detectors:   []detector.Detector{sen, arc},
+			Factories:   pairFactories(),
 			Reputation:  iprep.BuildFeed(),
 			Mode:        Sequential,
 			EvictWindow: 2 * time.Hour,

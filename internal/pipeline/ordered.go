@@ -28,12 +28,13 @@ import (
 
 // parked is one finished decision waiting for its turn at the sink. The
 // Request changes hands — the worker gives it up, the emitter returns it
-// to the pool after the sink call — and the verdicts are a copy, because
-// the worker's own slab is overwritten by its next request. The outcome
-// is a value.
+// to the pool after the sink call — and the verdicts and which sides sat
+// out are copies, because the worker's own slabs are overwritten by its
+// next request. The outcome is a value.
 type parked struct {
 	req      *detector.Request
 	verdicts []detector.Verdict
+	skipped  []bool
 	out      shard.Outcome
 }
 
@@ -44,10 +45,12 @@ type orderedDelivery struct {
 	// order, written by the producer and replayed by the emitter.
 	route *spsc.Ring[int32]
 	// fifos[i] carries shard i's parked decisions from its worker to the
-	// emitter; verdicts[i] is the slab their verdicts are copied into, one
-	// detector-count-sized window per decision, used round-robin.
+	// emitter; verdicts[i] and skipped[i] are the slabs their verdicts and
+	// sat-out sides are copied into, one detector-count-sized window per
+	// decision, used round-robin.
 	fifos    []*spsc.Ring[parked]
 	verdicts [][]detector.Verdict
+	skipped  [][]bool
 }
 
 // orderedDelivery returns the pipeline's ordered delivery ready for a run,
@@ -62,6 +65,7 @@ func (p *Pipeline) orderedDelivery() *orderedDelivery {
 		o = &orderedDelivery{
 			fifos:    make([]*spsc.Ring[parked], shards),
 			verdicts: make([][]detector.Verdict, shards),
+			skipped:  make([][]bool, shards),
 		}
 		inflight := 0
 		for i := range o.fifos {
@@ -71,6 +75,7 @@ func (p *Pipeline) orderedDelivery() *orderedDelivery {
 			// the worker is already filling the next one.
 			n := o.fifos[i].Cap() + 2
 			o.verdicts[i] = make([]detector.Verdict, n*nd)
+			o.skipped[i] = make([]bool, n*nd)
 			// Parked decisions hold on to their Requests, so that many more
 			// are in flight than New filled the pool for.
 			reqs := make([]detector.Request, n)
@@ -93,19 +98,21 @@ func (p *Pipeline) orderedDelivery() *orderedDelivery {
 
 // parks returns the shard workers' sinks under ordered delivery: sink i
 // queues the decision for the emitter — the Request itself, the verdicts
-// copied into shard i's next window — blocking while the FIFO is full (the
-// emitter's backpressure). A park the run's cancellation interrupts drops
-// its decision, Request included; the worker then drains its ring as it
-// would after another shard's sink error.
-func (o *orderedDelivery) parks(done <-chan struct{}) []Sink {
+// and shard i's sat-out sides copied into its next window — blocking while
+// the FIFO is full (the emitter's backpressure). A park the run's
+// cancellation interrupts drops its decision, Request included; the worker
+// then drains its ring as it would after another shard's sink error.
+func (o *orderedDelivery) parks(done <-chan struct{}, shards shard.Set) []Sink {
 	sinks := make([]Sink, len(o.fifos))
 	for i := range sinks {
-		fifo, slab, k := o.fifos[i], o.verdicts[i], 0
+		fifo, slab, skipSlab, k := o.fifos[i], o.verdicts[i], o.skipped[i], 0
+		skipped := shards[i].Skipped()
 		sinks[i] = func(d Decision) error {
 			nd := len(d.Verdicts)
-			window := slab[k : k+nd : k+nd]
+			window, skipWindow := slab[k:k+nd:k+nd], skipSlab[k:k+nd:k+nd]
 			copy(window, d.Verdicts)
-			if fifo.Push(done, parked{req: d.Req, verdicts: window, out: d.Outcome}) {
+			copy(skipWindow, skipped)
+			if fifo.Push(done, parked{req: d.Req, verdicts: window, skipped: skipWindow, out: d.Outcome}) {
 				if k += nd; k == len(slab) {
 					k = 0
 				}
@@ -153,7 +160,7 @@ func (o *orderedDelivery) emit(done <-chan struct{}, tr *trace.Tracer, names []s
 			}
 		}
 		if tr != nil {
-			shard.Capture(tr.Recorder(), names, next.req, next.verdicts, nil, nil, &next.out)
+			shard.Capture(tr.Recorder(), names, next.req, next.verdicts, nil, next.skipped, &next.out)
 		}
 		ts := tr.Now()
 		err := sink(Decision{Req: next.req, Verdicts: next.verdicts, Outcome: next.out})

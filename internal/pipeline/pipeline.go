@@ -1,10 +1,11 @@
 // Package pipeline wires the detection system together as a streaming
 // dataflow: parse → enrich → judge → collect. Enriching and judging are
-// internal/shard's steps — the shard's enricher, every detector, then, with
-// Config.Mitigation, the ladder, then the flight record — and the pipeline
-// is their host for replays and tails: it owns the source, the stream
-// position each request is stamped with, the shard set and when each shard
-// sweeps.
+// internal/shard's steps — the shard's enricher, every detector behind the
+// shard's failure plane, then, with Config.Mitigation, the ladder, then the
+// flight record — and the pipeline is their host for replays and tails: it
+// owns the source, the stream position each request is stamped with, the
+// shard set, when each shard sweeps, and what a run reports of a side that
+// panicked.
 // It has two engines:
 //
 //   - Sequential runs everything on the caller's goroutine over one
@@ -45,6 +46,18 @@
 // per-client-preserving permutation of that order. Only the internal
 // schedule differs.
 //
+// A detector that panics never ends a run. Its shard quarantines it — the
+// request is judged by the other sides, its verdict zeroed and the
+// Outcome Degraded — and rebuilds it from its factory once a backoff of
+// event time has passed. The pipeline keeps no last-good snapshot, so the
+// side comes back cold: a copy of every side's state per shard would cost
+// what the state itself costs. The run finishes the stream and returns one
+// *shard.PanicError per quarantine, joined (SplitPanics parts them from a
+// failure of the run itself), so a finite replay never loses a side
+// silently; Quarantines counts them while a run is in flight. A panic
+// anywhere else — the enricher, a sweep, the ladder, a sink — reaches the
+// caller of Run or RunRelaxed, whichever goroutine it was raised on.
+//
 // Pipelines are also durable: Checkpoint serialises the stream position
 // and every detector's per-client state — SnapshotLadder the engines' —
 // in a canonical, shard-agnostic form, and ResumeFrom / RestoreLadder
@@ -54,11 +67,13 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,9 +95,10 @@ type Decision struct {
 	// and only valid during the sink call; copy what you keep, and
 	// strings.Clone a kept Path, RawRequest or Referer (see logfmt.Entry).
 	Req *detector.Request
-	// Verdicts aligns with the pipeline's detector list. Like Req, the
-	// slice is owned by the pipeline and reused after the sink returns;
-	// copy what you keep.
+	// Verdicts aligns with the pipeline's detector list; a quarantined
+	// side's is zero, and Outcome.Degraded set. Like Req, the slice is
+	// owned by the pipeline and reused after the sink returns; copy what
+	// you keep.
 	Verdicts []detector.Verdict
 	// Outcome is the challenge-flow role and, with Config.Mitigation, the
 	// ladder's decision. A value, valid after the sink returns.
@@ -110,13 +126,12 @@ const (
 
 // Config parameterises New.
 type Config struct {
-	// Detectors is the ordered detector list. Required for Sequential mode
-	// unless Factories is set, in which case the list is built from the
-	// factories.
-	Detectors []detector.Detector
-	// Factories builds private detector instances per shard, in the same
-	// order as Detectors. Required for Sharded mode.
+	// Factories builds every shard's detector instances, in inspection
+	// order, and rebuilds a side its shard quarantined. Required.
 	Factories []detector.Factory
+	// Detectors, when set, are the Sequential shard's instances, one per
+	// factory; a Sharded pipeline builds all of its own.
+	Detectors []detector.Detector
 	// Reputation enriches requests with IP categories; nil disables.
 	Reputation *iprep.DB
 	// Mitigation, when non-nil, gives every shard a mitigation engine
@@ -195,20 +210,27 @@ type Pipeline struct {
 	// sweeps and evicted are atomics because shard workers update them.
 	sweeps  atomic.Uint64
 	evicted atomic.Uint64
+	// panics and restores count each side's quarantines and restores over
+	// the pipeline's life; runPanics[i] collects shard i's panics during a
+	// run, for its error. Each is written by the shard's judging goroutine.
+	panics, restores []atomic.Uint64
+	runPanics        [][]*shard.PanicError
 }
 
 // New validates cfg and builds a pipeline.
 func New(cfg Config) (*Pipeline, error) {
-	for i, d := range cfg.Detectors {
-		if d == nil {
-			return nil, fmt.Errorf("pipeline: detector %d is nil", i)
-		}
-	}
 	if cfg.Mode == 0 {
 		cfg.Mode = Sequential
 	}
 	if cfg.Mode != Sequential && cfg.Mode != Sharded {
 		return nil, fmt.Errorf("pipeline: invalid mode %d", int(cfg.Mode))
+	}
+	if len(cfg.Factories) == 0 {
+		return nil, fmt.Errorf("pipeline: Factories is required: it builds every shard's detectors and rebuilds a quarantined one")
+	}
+	if len(cfg.Detectors) > 0 && len(cfg.Factories) != len(cfg.Detectors) {
+		return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
+			len(cfg.Factories), len(cfg.Detectors))
 	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 256
@@ -227,24 +249,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{cfg: cfg}
 	if cfg.Mode == Sequential {
-		dets := cfg.Detectors
-		if len(dets) == 0 {
-			var err error
-			if dets, err = detector.Build(cfg.Factories); err != nil {
-				return nil, fmt.Errorf("pipeline: %w", err)
-			}
-		}
-		if len(dets) == 0 {
-			return nil, fmt.Errorf("pipeline: need at least one detector")
-		}
-		return p, p.addShard(dets)
-	}
-	if len(cfg.Factories) == 0 {
-		return nil, fmt.Errorf("pipeline: mode %d requires Factories", int(cfg.Mode))
-	}
-	if len(cfg.Detectors) > 0 && len(cfg.Factories) != len(cfg.Detectors) {
-		return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
-			len(cfg.Factories), len(cfg.Detectors))
+		return p, p.addShard(cfg.Detectors)
 	}
 	// No run touches cfg.Detectors in this mode: every shard judges on
 	// instances of its own.
@@ -257,11 +262,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.rings = make([]*relaxedRing, cfg.Shards)
 	inflight := cfg.Shards + 1
 	for i := range p.rings {
-		dets, err := detector.Build(cfg.Factories)
-		if err == nil {
-			err = p.addShard(dets)
-		}
-		if err != nil {
+		if err := p.addShard(nil); err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
 		p.rings[i] = spsc.New[*detector.Request](cfg.Buffer)
@@ -273,21 +274,81 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// addShard appends the decision core judging on dets.
+// addShard appends a decision core judging on dets, or on instances built
+// from the factories when dets is nil.
 func (p *Pipeline) addShard(dets []detector.Detector) error {
-	if p.names == nil {
-		for _, d := range dets {
-			p.names = append(p.names, d.Name())
-		}
-	}
-	sh, err := shard.New(dets, p.cfg.Mitigation, p.cfg.Reputation)
+	sh, err := shard.New(p.cfg.Factories, dets, p.cfg.Mitigation, p.cfg.Reputation)
 	if err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
-	sh.Names, sh.Window, sh.Tracer = p.names, p.cfg.EvictWindow, p.cfg.Trace
+	i := len(p.shards)
+	if i == 0 {
+		p.names = sh.Names
+		p.panics, p.restores = make([]atomic.Uint64, len(sh.Names)), make([]atomic.Uint64, len(sh.Names))
+	}
+	sh.Index, sh.Window, sh.Tracer = i, p.cfg.EvictWindow, p.cfg.Trace
+	sh.OnHealth = func(side int, _ time.Time, pe *shard.PanicError) { p.observe(i, side, pe) }
 	p.shards = append(p.shards, sh)
 	p.evictLast = append(p.evictLast, time.Time{})
+	p.runPanics = append(p.runPanics, nil)
 	return nil
+}
+
+// observe is shard i's failure-plane observer, on its judging goroutine:
+// side quarantined by pe, or restored when pe is nil.
+func (p *Pipeline) observe(i, side int, pe *shard.PanicError) {
+	if pe == nil {
+		p.restores[side].Add(1)
+		return
+	}
+	p.panics[side].Add(1)
+	p.runPanics[i] = append(p.runPanics[i], pe)
+}
+
+// Quarantines reports how often side i (in Detectors order) has been
+// quarantined and restored over the pipeline's life, across shards; the
+// difference is the number of shards it sits out on now. It reads atomics
+// only: a watchdog may call it while a run is in flight.
+func (p *Pipeline) Quarantines(i int) (panics, restores uint64) {
+	return p.panics[i].Load(), p.restores[i].Load()
+}
+
+// withPanics joins err — the run's own failure, or nil — with one
+// *shard.PanicError per quarantine of the run that just ended, in stream
+// order, and empties the shards' lists for the next run.
+func (p *Pipeline) withPanics(err error) error {
+	var panics []*shard.PanicError
+	for i, l := range p.runPanics {
+		panics = append(panics, l...)
+		p.runPanics[i] = l[:0]
+	}
+	if len(panics) == 0 {
+		return err
+	}
+	slices.SortStableFunc(panics, func(a, b *shard.PanicError) int { return cmp.Compare(a.Seq, b.Seq) })
+	errs := []error{err}
+	for _, pe := range panics {
+		errs = append(errs, pe)
+	}
+	return errors.Join(errs...)
+}
+
+// SplitPanics parts what Run or RunRelaxed returned into the run's own
+// failure — nil when it delivered every decision — and the sides it lost
+// on the way, one *shard.PanicError each.
+func SplitPanics(err error) (failure error, panics []error) {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return err, nil
+	}
+	for _, e := range joined.Unwrap() {
+		if _, ok := e.(*shard.PanicError); ok {
+			panics = append(panics, e)
+		} else {
+			failure = e // withPanics joins at most one
+		}
+	}
+	return failure, panics
 }
 
 // Shards returns the effective worker-shard count: the configured (or
@@ -302,6 +363,12 @@ func (p *Pipeline) Detectors() []string { return append([]string(nil), p.names..
 // stream position, preparing the pipeline for an independent dataset.
 func (p *Pipeline) ResetDetectors() {
 	for i, sh := range p.shards {
+		// A side quarantined here comes back with the reset, cold.
+		for j := range p.restores {
+			if sh.Health(j).Quarantined {
+				p.restores[j].Add(1)
+			}
+		}
 		sh.Reset()
 		// The next dataset may start earlier than this one ended; an anchor
 		// left in its future would hold every sweep off until event time
@@ -320,7 +387,10 @@ func (p *Pipeline) ResetDetectors() {
 func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
 	sh := p.shards[i]
 	if p.shared {
+		// Deferred: a panic past the failure plane must not leave the
+		// cluster plane's merges waiting on this shard forever.
 		sh.Lock()
+		defer sh.Unlock()
 	}
 	if now := req.Entry.Time; p.cfg.EvictWindow > 0 && !now.IsZero() {
 		if last := &p.evictLast[i]; last.IsZero() {
@@ -336,9 +406,6 @@ func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
 	sh.Enrich(req)
 	tr.Lap(trace.StageEnrich, ts)
 	sh.Judge(req, out)
-	if p.shared {
-		sh.Unlock()
-	}
 }
 
 // EvictionStats reports how many windowed sweeps have run and how many
@@ -359,8 +426,10 @@ type Sink func(Decision) error
 // one goroutine at a time with the decisions in stream order — in Sharded
 // mode through the ordered delivery of ordered.go. A consumer that only
 // needs per-client order should use RunRelaxed with one sink per shard
-// instead, which skips the serial emitter.
-func (p *Pipeline) Run(ctx context.Context, src EntrySource, sink Sink) error {
+// instead, which skips the serial emitter. A side that panicked is in the
+// returned error (see the package documentation).
+func (p *Pipeline) Run(ctx context.Context, src EntrySource, sink Sink) (err error) {
+	defer func() { err = p.withPanics(err) }()
 	if p.cfg.Mode == Sharded {
 		return p.runRelaxed(ctx, src, nil, sink)
 	}

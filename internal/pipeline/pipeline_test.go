@@ -87,6 +87,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Detectors: []detector.Detector{sen}, Mode: Mode(42)}); err == nil {
 		t.Error("invalid mode accepted")
 	}
+	// The factories are how a quarantined side is rebuilt, so every mode
+	// needs them, one per detector given.
+	for _, mode := range []Mode{Sequential, Sharded} {
+		if _, err := New(Config{Detectors: []detector.Detector{sen}, Mode: mode}); err == nil {
+			t.Errorf("mode %d: detectors without factories accepted", mode)
+		}
+		if _, err := New(Config{Detectors: []detector.Detector{sen}, Factories: pairFactories(), Mode: mode}); err == nil {
+			t.Errorf("mode %d: 2 factories for 1 detector accepted", mode)
+		}
+	}
 }
 
 // The engine that runs shards concurrently must produce byte-identical

@@ -53,8 +53,9 @@ func reopen[T any](r *spsc.Ring[T]) {
 // count. Each sink is called from exactly one goroutine (no sink needs to
 // be concurrency-safe), in that shard's stream order; across sinks there
 // is no ordering. The usual Decision contract holds per call: Req and
-// Verdicts are only valid during the call.
-func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink) error {
+// Verdicts are only valid during the call. A side that panicked is in the
+// returned error, as for Run.
+func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink) (err error) {
 	if p.cfg.Mode != Sharded {
 		return fmt.Errorf("pipeline: RunRelaxed requires Sharded mode (have mode %d)", int(p.cfg.Mode))
 	}
@@ -67,13 +68,16 @@ func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 			return fmt.Errorf("pipeline: RunRelaxed sink %d is nil", i)
 		}
 	}
+	defer func() { err = p.withPanics(err) }()
 	return p.runRelaxed(ctx, src, sinks, nil)
 }
 
 // runRelaxed is the one sharded run loop. With total nil, shard i drains
 // into sinks[i]; with total set, the shards' sinks are the ordered
 // delivery's parks and an emitter goroutine replays them into total in
-// stream order.
+// stream order. A panic on a worker or the emitter cancels the run and is
+// raised again on the caller's goroutine once every goroutine has exited,
+// where Sequential mode raises it too.
 func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink, total Sink) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -95,6 +99,15 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 	sinkErrs := make([]error, shards)
 	var srcErr, emitErr error
 	var wg sync.WaitGroup
+	// escaped[i] is the panic that ended worker i, escaped[shards] the
+	// emitter's.
+	escaped := make([]any, shards+1)
+	recoverInto := func(slot *any) {
+		if *slot = recover(); *slot != nil {
+			cancel()
+		}
+		wg.Done()
+	}
 
 	// Under ordered delivery a worker's "sink" parks the decision for the
 	// emitter, which is a hand-off, not the caller's sink: its span is
@@ -103,11 +116,11 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 	var ord *orderedDelivery
 	if total != nil {
 		ord = p.orderedDelivery()
-		sinks = ord.parks(done)
+		sinks = ord.parks(done, p.shards)
 		sinkStage = trace.StageMerge
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer recoverInto(&escaped[shards])
 			if emitErr = ord.emit(done, tr, p.names, reqPool, total); emitErr != nil {
 				cancel()
 			}
@@ -122,7 +135,7 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 		p.shards[i].DeferCapture = ord != nil
 		wg.Add(1)
 		go func(i int, ring *relaxedRing, sink Sink) {
-			defer wg.Done()
+			defer recoverInto(&escaped[i])
 			d := Decision{Verdicts: p.shards[i].Verdicts()}
 			for {
 				req, ok := ring.Pop(done)
@@ -195,6 +208,11 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 	}
 	wg.Wait()
 
+	for _, v := range escaped {
+		if v != nil {
+			panic(v)
+		}
+	}
 	if srcErr != nil {
 		return srcErr
 	}

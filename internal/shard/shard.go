@@ -1,11 +1,12 @@
 // Package shard is the decision core every deployment shape wraps: one
 // key-partition's enricher, detectors and optional mitigation engine, and
-// the step that strings them together — run the sides, classify the
-// challenge flow, vote, apply the ladder, capture the flight record. The
-// inline guard's shards and both pipeline loops call the same Enrich, the
-// same Judge and the same Sweep; a host owns only how it numbers the
-// stream, when to sweep, what to do with the outcome, and whether anything
-// but its judging loop can reach the shard (the lock).
+// the step that strings them together — run the sides behind the failure
+// plane (failure.go), classify the challenge flow, vote, apply the ladder,
+// capture the flight record. The inline guard's shards and both pipeline
+// loops call the same Enrich, Judge and Sweep; a host owns only how it
+// numbers the stream, when to sweep, what to do with the outcome and a
+// quarantine, and whether anything but its judging loop can reach the
+// shard (the lock).
 package shard
 
 import (
@@ -15,6 +16,7 @@ import (
 
 	"divscrape/internal/detector"
 	"divscrape/internal/ensemble"
+	"divscrape/internal/faultinject"
 	"divscrape/internal/fnvhash"
 	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
@@ -53,7 +55,7 @@ type Outcome struct {
 	// Flow is FlowNone unless the shard's policy can challenge.
 	Flow Flow
 	// Degraded reports that the request was not fully judged: a side sat
-	// out behind the barrier (or the host never reached Judge at all).
+	// out, quarantined (or the host never reached Judge at all).
 	Degraded bool
 	// Judged reports that the engine judged the request. It did not when
 	// the shard has none, for the challenge flow's own requests, and for a
@@ -73,21 +75,22 @@ type Outcome struct {
 // Engine are the host's to set before the first Judge.
 type Shard struct {
 	sync.Mutex
-	// Dets are the judging sides; Engine the ladder, nil without a policy.
+	// Dets are the judging sides, Names their names; Engine the ladder,
+	// nil without a policy.
 	Dets   []detector.Detector
-	Engine *mitigate.Engine
-	// Names labels the sides in flight records, aligned with Dets; Window
-	// is the detector retention Sweep applies (non-positive: none); Tracer
-	// records the detect and ensemble spans and owns the flight recorder
-	// (nil: the disabled plane).
 	Names  []string
-	Window time.Duration
-	Tracer *trace.Tracer
-	// Barrier, when set, runs side i in place of a direct InspectInto and
-	// reports whether a verdict was produced — where the guard's panic
-	// barrier and quarantine plug in; it may replace Dets[i]. A side that
-	// produced none sits out: its verdict is zeroed, the outcome Degraded.
-	Barrier func(i int, req *detector.Request, v *detector.Verdict) bool
+	Engine *mitigate.Engine
+	// Index is the shard's place in its host's set; Window the detector
+	// retention Sweep applies (non-positive: none); Tracer records the
+	// detect and ensemble spans and owns the flight recorder (nil: the
+	// disabled plane); Backoff the quarantine backoff base (New: 30 s).
+	Index   int
+	Window  time.Duration
+	Tracer  *trace.Tracer
+	Backoff time.Duration
+	// OnHealth, when set, hears side i quarantined by p at event time at,
+	// or restored (p nil), under the shard's exclusion.
+	OnHealth func(i int, at time.Time, p *PanicError)
 	// RefuseDegraded keeps a degraded judgement away from the engine: the
 	// host refuses such requests, and a partial vote would charge the
 	// client with verdicts one side never cast.
@@ -104,13 +107,37 @@ type Shard struct {
 	challenge bool
 	verdicts  []detector.Verdict
 	skipped   []bool
+	// factories rebuild a quarantined side; faults are the sides'
+	// shard.inspect.<name> points; health is the failure plane's slab.
+	factories []detector.Factory
+	faults    []*faultinject.Point
+	health    []sideHealth
 }
 
 // New builds a shard enriching against rep (nil: no reputation) and
-// judging with dets, under policy when non-nil.
-func New(dets []detector.Detector, policy *mitigate.Policy, rep *iprep.DB) (*Shard, error) {
-	s := &Shard{Dets: dets, enr: detector.NewEnricher(rep),
-		verdicts: make([]detector.Verdict, len(dets)), skipped: make([]bool, len(dets))}
+// judging under policy (nil: none) with dets, one per factory, or when nil
+// with instances the factories build — as they rebuild a quarantined side.
+func New(factories []detector.Factory, dets []detector.Detector, policy *mitigate.Policy, rep *iprep.DB) (*Shard, error) {
+	if dets == nil {
+		var err error
+		if dets, err = detector.Build(factories); err != nil {
+			return nil, err
+		}
+	}
+	if len(dets) == 0 || len(dets) != len(factories) {
+		return nil, fmt.Errorf("%d detectors for %d factories, need one each and at least one", len(dets), len(factories))
+	}
+	n := len(dets)
+	s := &Shard{Dets: dets, Names: make([]string, n), Backoff: 30 * time.Second, enr: detector.NewEnricher(rep),
+		verdicts: make([]detector.Verdict, n), skipped: make([]bool, n),
+		factories: factories, faults: make([]*faultinject.Point, n), health: make([]sideHealth, n)}
+	for i, d := range dets {
+		if d == nil {
+			return nil, fmt.Errorf("detector %d is nil", i)
+		}
+		s.Names[i] = d.Name()
+		s.faults[i] = faultinject.At("shard.inspect." + s.Names[i])
+	}
 	if policy != nil {
 		engine, err := mitigate.New(*policy)
 		if err != nil {
@@ -124,6 +151,9 @@ func New(dets []detector.Detector, policy *mitigate.Policy, rep *iprep.DB) (*Sha
 // Verdicts is the verdict slab, one per side: the last Judge's,
 // overwritten by the next.
 func (s *Shard) Verdicts() []detector.Verdict { return s.verdicts }
+
+// Skipped marks the sides that sat out the last Judge, as Verdicts.
+func (s *Shard) Skipped() []bool { return s.skipped }
 
 // Enrich overwrites every field of *req below Entry with what the shard's
 // enricher derives from req.Entry; the host has set Entry and Seq, the
@@ -144,26 +174,20 @@ func (s *Shard) FlowOf(kind sitemodel.PageKind, method string) Flow {
 	return FlowNone
 }
 
-// Judge is the decision step: every side inspects req, the vote feeds the
-// ladder — unless the request is the challenge flow's own, which must
-// stay reachable and still updates detector state (sentinel's challenge
-// tracking depends on seeing the beacon) — and the flight recorder is
-// offered the result while the detectors' feature scratch still describes
-// this request. Every field of *out is overwritten (a caller-owned value,
-// as InspectInto's verdict is: the hot loops pass one they reuse). Steady
-// state allocates nothing.
+// Judge is the decision step: every side inspects req behind the failure
+// plane, the vote feeds the ladder — unless the request is the challenge
+// flow's own, which must stay reachable and still updates detector state
+// (sentinel's challenge tracking depends on seeing the beacon) — and the
+// flight recorder is offered the result while the detectors' feature
+// scratch still describes this request. Every field of *out is
+// overwritten (a caller-owned value, as InspectInto's verdict is: the hot
+// loops pass one they reuse). Steady state allocates nothing.
 func (s *Shard) Judge(req *detector.Request, out *Outcome) {
 	*out = Outcome{Flow: s.FlowOf(req.Target.Kind, req.Entry.Method)}
 	tr := s.Tracer
 	ts := tr.Now()
-	for i := range s.verdicts {
-		if s.Barrier == nil {
-			s.Dets[i].InspectInto(req, &s.verdicts[i])
-		} else if s.skipped[i] = !s.Barrier(i, req, &s.verdicts[i]); s.skipped[i] {
-			s.verdicts[i] = detector.Verdict{}
-			out.Degraded = true
-		}
-		ts = tr.LapDetector(i, ts)
+	for i := 0; i < len(s.verdicts); {
+		i = s.inspect(req, out, i, &ts)
 	}
 	if e := &req.Entry; s.Engine != nil {
 		switch {
@@ -221,10 +245,12 @@ func (s *Shard) Sweep(now time.Time) int {
 	return n
 }
 
-// Reset clears the shard's enricher, detector and ladder state, for an
-// independent dataset.
+// Reset clears the shard's enricher, detector, ladder and failure-plane
+// state, restore points included, for an independent dataset.
 func (s *Shard) Reset() {
 	s.enr.Reset()
+	clear(s.health)
+	clear(s.skipped)
 	for _, d := range s.Dets {
 		d.Reset()
 	}

@@ -15,8 +15,13 @@ import (
 	"divscrape/internal/trace"
 )
 
-// alarm is a side that always alerts with a fixed score.
-type alarm struct{ name string }
+// alarm is a side that always alerts with a fixed score; a faulty one
+// writes its verdict and then panics, as a side that fails mid-inspect
+// does.
+type alarm struct {
+	name   string
+	faulty bool
+}
 
 func (a alarm) Name() string { return a.name }
 func (a alarm) Reset()       {}
@@ -26,6 +31,18 @@ func (a alarm) Inspect(req *detector.Request) (v detector.Verdict) {
 }
 func (a alarm) InspectInto(_ *detector.Request, out *detector.Verdict) {
 	*out = detector.Verdict{Alert: true, Score: 0.9}
+	if a.faulty {
+		panic(a.name + " bug")
+	}
+}
+
+// factoriesOf is one factory per detector, each handing out that instance.
+func factoriesOf(dets ...detector.Detector) []detector.Factory {
+	factories := make([]detector.Factory, len(dets))
+	for i, d := range dets {
+		factories[i] = func() (detector.Detector, error) { return d, nil }
+	}
+	return factories
 }
 
 var base = time.Date(2018, 3, 11, 9, 0, 0, 0, time.UTC)
@@ -37,9 +54,9 @@ func request(enr *detector.Enricher, ip, method, path string, at time.Time) dete
 	})
 }
 
-// Every flow × engine × barrier outcome × refusal setting: the engine
-// judges exactly the requests it should, the outcome and the flight record
-// carry ladder fields exactly then, and a side that sat out leaves a zero
+// Every flow × engine × side outcome × refusal setting: the engine judges
+// exactly the requests it should, the outcome and the flight record carry
+// ladder fields exactly then, and a side that panicked leaves a zero
 // verdict behind.
 func TestJudgeLadderOrNone(t *testing.T) {
 	static, graduated := mitigate.StaticBlock(false), mitigate.Graduated()
@@ -72,17 +89,11 @@ func TestJudgeLadderOrNone(t *testing.T) {
 						Detectors: []string{"a", "b"},
 						Recorder:  trace.RecorderConfig{Sink: func(r trace.Record) { recs = append(recs, r) }},
 					})
-					s, err := New([]detector.Detector{alarm{"a"}, alarm{"b"}}, pol.policy, nil)
+					s, err := New(factoriesOf(alarm{name: "a"}, alarm{name: "b", faulty: skip}), nil, pol.policy, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.Names, s.RefuseDegraded, s.Tracer = []string{"a", "b"}, refuse, tr
-					if skip {
-						s.Barrier = func(i int, req *detector.Request, v *detector.Verdict) bool {
-							s.Dets[i].InspectInto(req, v) // what a side leaves behind before it panics
-							return i != 1
-						}
-					}
+					s.RefuseDegraded, s.Tracer = refuse, tr
 					req := request(enr, "10.0.0.1", fl.method, fl.path, base)
 					var out Outcome
 					s.Judge(&req, &out)
@@ -125,7 +136,7 @@ func TestJudgeLadderOrNone(t *testing.T) {
 // request: the client's pass window opens and nothing is tallied.
 func TestJudgeBeaconPassesTheChallenge(t *testing.T) {
 	graduated := mitigate.Graduated()
-	s, err := New([]detector.Detector{alarm{"a"}, alarm{"b"}}, &graduated, nil)
+	s, err := New(factoriesOf(alarm{name: "a"}, alarm{name: "b"}), nil, &graduated, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +159,18 @@ func TestJudgeBeaconPassesTheChallenge(t *testing.T) {
 	}
 }
 
+// pairFactories builds the paper's pair.
+func pairFactories() []detector.Factory {
+	return []detector.Factory{
+		func() (detector.Detector, error) { return sentinel.New(sentinel.Config{}) },
+		func() (detector.Detector, error) { return arcane.New(arcane.Config{}) },
+	}
+}
+
 // realShard builds a shard on the paper's pair.
 func realShard(t testing.TB, policy *mitigate.Policy, window time.Duration) *Shard {
 	t.Helper()
-	sen, err := sentinel.New(sentinel.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arc, err := arcane.New(arcane.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New([]detector.Detector{sen, arc}, policy, iprep.BuildFeed())
+	s, err := New(pairFactories(), nil, policy, iprep.BuildFeed())
 	if err != nil {
 		t.Fatal(err)
 	}
