@@ -37,7 +37,10 @@
 # allocation instead and prints who made the most objects;
 # PROFILE_KIND=heap prints the in-use bytes by call site of what the last
 # replay of each case still holds (the benchmark keeps it reachable until
-# the profile is written) — where a heap_bytes_per_req goes; the profile
+# the profile is written; /wide runs the graduated ladder, a majority
+# quorum and a 2 h sweeper in its sink as bench/'s follow-wide does, so its
+# held-B/line reads what heap_bytes_per_req reads) — where a
+# heap_bytes_per_req goes; the profile
 # and test binary stay under .bench_build/. `make lines` prints the tracked non-test Go lines
 # outside bench/, per package and in total — the figure a simplicity PR
 # reports before and after (stage new files first: it counts what git

@@ -19,11 +19,14 @@ import (
 
 	"divscrape/internal/arcane"
 	"divscrape/internal/detector"
+	"divscrape/internal/ensemble"
 	"divscrape/internal/experiments"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/mitigate"
 	"divscrape/internal/pipeline"
 	"divscrape/internal/sentinel"
+	"divscrape/internal/sitemodel"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/stream"
 	"divscrape/internal/trace"
@@ -437,11 +440,57 @@ func (m *e2eMix) file(b *testing.B) string {
 	return path
 }
 
-// e2eHeld keeps each BenchmarkE2EReplay case's last pipeline reachable
-// until the process exits, so the -memprofile written after the last
-// benchmark (a collection first) shows what one replay holds: `make
+// e2eHeld keeps each BenchmarkE2EReplay case's last pipeline (and ladder)
+// reachable until the process exits, so the -memprofile written after the
+// last benchmark (a collection first) shows what one replay holds: `make
 // profile PROFILE_KIND=heap`.
-var e2eHeld = map[string]*pipeline.Pipeline{}
+var e2eHeld = map[string][2]any{}
+
+// e2eLadder is the mitigation half of the sink bench/'s follow-wide
+// replays, as scrapedetect -mitigate graduated wires it: a majority vote
+// confirms, the graduated engine escalates, and an event-time sweeper
+// bounds the engine's state on the pipeline's eviction window. Script
+// fetches never count against a client; a verify beacon marks the
+// challenge solved.
+type e2eLadder struct {
+	engine  *mitigate.Engine
+	sweeper *stream.Sweeper
+	quorum  ensemble.KOutOfN
+}
+
+func newE2ELadder(b *testing.B, detectors int, window time.Duration) *e2eLadder {
+	l := &e2eLadder{quorum: ensemble.KOutOfN{K: detectors/2 + 1}}
+	var err error
+	if l.engine, err = mitigate.New(mitigate.Graduated()); err != nil {
+		b.Fatal(err)
+	}
+	if l.sweeper, err = stream.NewSweeper(window, 0, nil); err != nil {
+		b.Fatal(err)
+	}
+	l.sweeper.Register("mitigate", l.engine)
+	return l
+}
+
+func (l *e2eLadder) judge(d pipeline.Decision) {
+	e := &d.Req.Entry
+	l.sweeper.Observe(e.Time)
+	switch {
+	case e.Path == sitemodel.ChallengeScriptPath:
+	case e.Path == sitemodel.ChallengeVerifyPath && e.Method == "POST":
+		l.engine.ChallengePassed(e.RemoteAddr, e.Time)
+	default:
+		alerted, sum := false, 0.0
+		for i := range d.Verdicts {
+			alerted = alerted || d.Verdicts[i].Alert
+			sum += d.Verdicts[i].Score
+		}
+		l.engine.Apply(e.RemoteAddr, e.Time, mitigate.Assessment{
+			Alerted:   alerted,
+			Confirmed: l.quorum.Decide(d.Verdicts).Alert,
+			Score:     sum / float64(len(d.Verdicts)),
+		})
+	}
+}
 
 // BenchmarkE2EReplay takes log bytes on disk through detection — the path
 // scrapedetect runs, in-process — so `make profile` shows where a replay
@@ -449,7 +498,8 @@ var e2eHeld = map[string]*pipeline.Pipeline{}
 // a fresh pipeline and a fresh source and counts decisions into a sink:
 // /paper is file → logfmt.Reader → Sequential sentinel+arcane, /wide is a
 // stream.Follower draining the file as a backlog → three detectors with a
-// 2 h eviction window. held-B/line is the live heap the last pipeline
+// 2 h eviction window, and a sink that runs the graduated ladder as
+// bench/'s follow-wide does (e2eLadder). held-B/line is the live heap the last pipeline
 // holds after two forced collections, less the reading taken before it
 // was built, per line: bench/'s heap_bytes_per_req without the harness.
 func BenchmarkE2EReplay(b *testing.B) {
@@ -458,7 +508,7 @@ func BenchmarkE2EReplay(b *testing.B) {
 		func() (detector.Detector, error) { return arcane.New(arcane.Config{}) },
 		func() (detector.Detector, error) { return trajectory.New(trajectory.Config{}) },
 	}
-	run := func(b *testing.B, mix *e2eMix, cfg pipeline.Config, open func(path string) (pipeline.EntrySource, func() error)) {
+	run := func(b *testing.B, mix *e2eMix, cfg pipeline.Config, ladder bool, open func(path string) (pipeline.EntrySource, func() error)) {
 		path := mix.file(b)
 		cfg.Reputation, cfg.Mode = iprep.BuildFeed(), pipeline.Sequential
 		var mem [2]runtime.MemStats
@@ -476,10 +526,17 @@ func BenchmarkE2EReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var l *e2eLadder
+			if ladder {
+				l = newE2ELadder(b, len(cfg.Factories), cfg.EvictWindow)
+			}
 			src, done := open(path)
 			decisions := 0
-			err = pipe.Run(context.Background(), src, func(pipeline.Decision) error {
+			err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
 				decisions++
+				if l != nil {
+					l.judge(d)
+				}
 				return nil
 			})
 			if err != nil {
@@ -491,7 +548,7 @@ func BenchmarkE2EReplay(b *testing.B) {
 			if decisions != mix.lines {
 				b.Fatalf("%d decisions for %d lines", decisions, mix.lines)
 			}
-			e2eHeld[b.Name()] = pipe
+			e2eHeld[b.Name()] = [2]any{pipe, l}
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&mem[1])
@@ -503,7 +560,7 @@ func BenchmarkE2EReplay(b *testing.B) {
 		b.ReportMetric((float64(held)-float64(before))/float64(mix.lines), "held-B/line")
 	}
 	b.Run("paper", func(b *testing.B) {
-		run(b, &e2ePaper, pipeline.Config{Factories: trio[:2]}, func(path string) (pipeline.EntrySource, func() error) {
+		run(b, &e2ePaper, pipeline.Config{Factories: trio[:2]}, false, func(path string) (pipeline.EntrySource, func() error) {
 			f, err := os.Open(path)
 			if err != nil {
 				b.Fatal(err)
@@ -512,7 +569,7 @@ func BenchmarkE2EReplay(b *testing.B) {
 		})
 	})
 	b.Run("wide", func(b *testing.B) {
-		run(b, &e2eWide, pipeline.Config{Factories: trio, EvictWindow: 2 * time.Hour}, func(path string) (pipeline.EntrySource, func() error) {
+		run(b, &e2eWide, pipeline.Config{Factories: trio, EvictWindow: 2 * time.Hour}, true, func(path string) (pipeline.EntrySource, func() error) {
 			// A backlog already on disk with Stop set: the follower reads
 			// to the end and reports EOF, as a restarted -follow catches up.
 			fol, err := stream.NewFollower(stream.FollowerConfig{Path: path})

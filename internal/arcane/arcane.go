@@ -155,7 +155,7 @@ type session struct {
 // initSession makes a zero record a session nothing has been observed in.
 func initSession(st *session, _ time.Time) {
 	st.lastProduct, st.lastCategory, st.lastPage = -1, -1, -1
-	st.rate = stats.NewDecayRate(2 * time.Minute)
+	st.rate = stats.NewDecayRate()
 }
 
 // Detector is the behavioural detector. Not safe for concurrent use.
@@ -163,6 +163,8 @@ type Detector struct {
 	cfg    Config
 	scorer *anomaly.Composite
 	store  *sessions.Store[session]
+	// rateHalfLife is every session's rate estimator's parameter.
+	rateHalfLife stats.HalfLife
 
 	// Per-request scratch, reused to keep Inspect allocation-free.
 	vec      []float64
@@ -198,10 +200,11 @@ func New(cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("arcane: build scorer: %w", err)
 	}
 	d := &Detector{
-		cfg:      cfg,
-		scorer:   scorer,
-		vec:      featIndex.NewVector(),
-		contribs: make([]anomaly.Contribution, 0, featIndex.Len()),
+		cfg:          cfg,
+		scorer:       scorer,
+		rateHalfLife: stats.NewHalfLife(2 * time.Minute),
+		vec:          featIndex.NewVector(),
+		contribs:     make([]anomaly.Contribution, 0, featIndex.Len()),
 	}
 	if d.store, err = newStore(cfg); err != nil {
 		return nil, fmt.Errorf("arcane: build store: %w", err)
@@ -295,7 +298,7 @@ func (d *Detector) observe(st *session, req *detector.Request, now time.Time, fr
 	}
 	st.lastTime = now
 	st.count++
-	st.rate.Observe(now)
+	st.rate.Observe(&d.rateHalfLife, now)
 	st.claims = req.UA.Class
 
 	info := &req.Target
@@ -355,7 +358,7 @@ func (d *Detector) fillFeatures(st *session, now time.Time) {
 			vec[idxRegularity] = (d.cfg.RegularityCV - cv) / d.cfg.RegularityCV * 2
 		}
 	}
-	vec[idxRate] = st.rate.Rate(now) / d.cfg.RateKnee
+	vec[idxRate] = st.rate.Rate(&d.rateHalfLife, now) / d.cfg.RateKnee
 	vec[idxVolume] = float64(st.count) / d.cfg.VolumeKnee
 	if contentReqs := st.pages + st.apiCalls; contentReqs > 0 {
 		vec[idxEnumeration] = float64(st.seqRuns) / float64(contentReqs) * 2

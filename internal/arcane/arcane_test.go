@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
@@ -242,6 +243,18 @@ func TestResetClearsSessions(t *testing.T) {
 	d.Reset()
 	if d.Sessions() != 0 {
 		t.Error("Reset left sessions")
+	}
+}
+
+// A record holds its client's state and no copy of the detector's
+// parameters: the limiter, window and decay parameters are one value on
+// the detector, so a session costs its counters and stamps only.
+func TestRecordHoldsStateOnly(t *testing.T) {
+	const ceiling = 360
+	size := unsafe.Sizeof(session{})
+	t.Logf("session is %d B (ceiling %d B)", size, ceiling)
+	if size > ceiling {
+		t.Errorf("session is %d B, ceiling %d B", size, ceiling)
 	}
 }
 

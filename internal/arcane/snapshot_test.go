@@ -11,7 +11,7 @@ import (
 	"divscrape/internal/workload"
 )
 
-func snapEvents(t *testing.T, seed uint64) []workload.Event {
+func snapEvents(t testing.TB, seed uint64) []workload.Event {
 	t.Helper()
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed:     seed,
@@ -168,4 +168,31 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	codectest.RejectRewrites(t, w.Bytes(), func(p []byte) error {
 		return newDet(t).RestoreFrom(statecodec.NewReader(p))
 	}, find, rewrites)
+}
+
+// A restore of any bytes either fails or leaves a state that re-snapshots
+// to canonical bytes, holding no more sessions than the payload names;
+// none panics. Seeded from the state of a short mixed replay.
+func FuzzRestoreFrom(f *testing.F) {
+	build := func() *Detector {
+		d, err := New(Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return d
+	}
+	d := build()
+	enr := detector.NewEnricher(iprep.BuildFeed())
+	var req detector.Request
+	for _, ev := range snapEvents(f, 7)[:30] {
+		enr.EnrichInto(&req, ev.Entry)
+		d.Inspect(&req)
+	}
+	w := statecodec.NewWriter()
+	d.SnapshotInto(w)
+	// The payload names its sessions after the detector's and the store's
+	// tags.
+	named := func(p []byte) int { return codectest.NamedAt(p, 4) }
+	sessions := func(r codectest.Restorer) int { return r.(*Detector).Sessions() }
+	codectest.FuzzRestore(f, [][]byte{w.Bytes()}, build(), build(), sessions, named)
 }

@@ -53,6 +53,31 @@ func IPv4(s string) (ip uint32, ok bool) {
 	return ip, true
 }
 
+// CanonicalIPv4 is IPv4 for the strings FormatIPv4 renders and no
+// others: ok holds exactly when FormatIPv4(ip) == s, so "01.2.3.4",
+// "+1.2.3.4" and every other spelling IPv4 admits are refused. One pass
+// over s, and no allocation.
+func CanonicalIPv4(s string) (ip uint32, ok bool) {
+	i := 0
+	for octet := 0; octet < 4; octet++ {
+		if octet > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, false
+			}
+			i++
+		}
+		n, j := digits(s, i, i+3)
+		if j == i || n > 255 || (j-i > 1 && s[i] == '0') {
+			return 0, false
+		}
+		ip, i = ip<<8|n, j
+	}
+	if i != len(s) {
+		return 0, false
+	}
+	return ip, true
+}
+
 // digits reads the decimal digits of s from i up to end, returning their
 // value and where they stop.
 func digits(s string, i, end int) (uint32, int) {

@@ -53,6 +53,30 @@ func FuzzIPv4(f *testing.F) {
 	})
 }
 
+// CanonicalIPv4 admits exactly the strings FormatIPv4 renders, reads the
+// address IPv4 reads from them, and allocates nothing.
+func FuzzCanonicalIPv4(f *testing.F) {
+	for _, s := range []string{
+		"10.0.0.1", "0.0.0.0", "255.255.255.255", "01.2.3.4", "1.2.3.04", "+1.2.3.4", "-0.0.0.0",
+		"1.2.3.00", "256.0.0.1", "1.2.3.4.", "1.2.3", "2001:db8::1", "", "1.2.3.4 ", "001.2.3.4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ip, ok := CanonicalIPv4(s)
+		v, parsed := IPv4(s)
+		if canonical := parsed && FormatIPv4(v) == s; ok != canonical {
+			t.Fatalf("CanonicalIPv4(%q) ok = %v; IPv4 reads %#x, %v, which FormatIPv4 renders %q", s, ok, v, parsed, FormatIPv4(v))
+		}
+		if ok && ip != v {
+			t.Fatalf("CanonicalIPv4(%q) = %#x, IPv4 reads %#x", s, ip, v)
+		}
+		if allocs := testing.AllocsPerRun(1, func() { CanonicalIPv4(s) }); allocs != 0 {
+			t.Fatalf("CanonicalIPv4(%q) allocates %.0f", s, allocs)
+		}
+	})
+}
+
 func TestIPv4RefusesWithoutAllocating(t *testing.T) {
 	for _, s := range []string{"2001:db8::1", "not-an-address", "1.2.3.999", "-1.0.0.0"} {
 		if allocs := testing.AllocsPerRun(100, func() { IPv4(s) }); allocs != 0 {

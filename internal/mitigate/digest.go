@@ -39,20 +39,20 @@ type ClientDigest struct {
 // the full-state form a joining or healing peer reconciles from.
 func (e *Engine) DigestsSince(since time.Time, fn func(ClientDigest)) {
 	from := instant.Of(since)
-	for k, id := range e.ids {
+	e.ids.each(func(k clientKey, id uint32) {
 		st := e.states.At(id)
 		if st.lastSeen < from && st.passUntil <= from {
-			continue
+			return
 		}
 		fn(ClientDigest{
-			Key:        k,
+			Key:        k.String(),
 			Score:      st.score,
 			Level:      st.level,
 			Challenged: st.challenged,
 			PassUntil:  instant.Time(st.passUntil),
 			LastSeen:   instant.Time(st.lastSeen),
 		})
-	}
+	})
 }
 
 // MergeDigest folds a replicated digest into the engine with
@@ -66,7 +66,7 @@ func (e *Engine) MergeDigest(d ClientDigest) bool {
 		return false
 	}
 	lastSeen := instant.Of(d.LastSeen)
-	if id, known := e.ids[d.Key]; known && lastSeen <= e.states.At(id).lastSeen {
+	if id, known := e.ids.get(d.Key); known && lastSeen <= e.states.At(id).lastSeen {
 		return false
 	}
 	*e.client(d.Key, lastSeen) = clientState{

@@ -337,10 +337,10 @@ func (c *ActionCounts) Count(a Action) {
 type Engine struct {
 	policy Policy
 	// ids finds a client's slot in states. A ladder client is not a heap
-	// object: an address-rotating flood costs a map entry and forty bytes
-	// of a slab chunk per address, and a sweep that leaves most of that
-	// free rebuilds both (see shrink).
-	ids    map[string]uint32
+	// object: an address-rotating flood costs a map[uint32]uint32 entry
+	// and forty bytes of a slab chunk per IPv4 address, and a sweep that
+	// leaves most of that free rebuilds both (see shrink).
+	ids    index
 	states slab.Slab[clientState]
 	counts ActionCounts
 	// frozen suppresses rung climbs (see SetEscalationFrozen): the
@@ -356,7 +356,7 @@ func New(policy Policy) (*Engine, error) {
 	}
 	return &Engine{
 		policy: policy,
-		ids:    make(map[string]uint32),
+		ids:    newIndex(0, 0),
 	}, nil
 }
 
@@ -367,24 +367,18 @@ func (e *Engine) Policy() Policy { return e.policy }
 func (e *Engine) Counts() ActionCounts { return e.counts }
 
 // Len reports how many clients currently hold enforcement state.
-func (e *Engine) Len() int { return len(e.ids) }
+func (e *Engine) Len() int { return e.ids.len() }
 
 // client returns key's state, starting it at now if the client is new.
 // The pointer is valid until the next client starts or is dropped.
 func (e *Engine) client(key string, now int64) *clientState {
-	if id, ok := e.ids[key]; ok {
+	if id, ok := e.ids.get(key); ok {
 		return e.states.At(id)
 	}
 	id, st := e.states.Alloc()
 	st.passUntil, st.lastSeen = instant.Never, now
-	e.ids[key] = id
+	e.ids.put(key, id)
 	return st
-}
-
-// drop forgets a client; ranging over ids while dropping is safe.
-func (e *Engine) drop(key string, id uint32) {
-	delete(e.ids, key)
-	e.states.Release(id)
 }
 
 // shrink gives memory back after a sweep: a Go map never returns its
@@ -392,18 +386,16 @@ func (e *Engine) drop(key string, id uint32) {
 // of the slab is free slots both are rebuilt around the clients that are
 // left.
 func (e *Engine) shrink() {
-	if !e.states.Sparse(len(e.ids)) {
+	if !e.states.Sparse(e.ids.len()) {
 		return
 	}
 	old := e.states
-	ids := make(map[string]uint32, len(e.ids))
-	e.states.Reset(len(e.ids))
-	for key, id := range e.ids {
+	e.states.Reset(e.ids.len())
+	e.ids.rebuild(func(id uint32) uint32 {
 		nid, st := e.states.Alloc()
 		*st = *old.At(id)
-		ids[key] = nid
-	}
-	e.ids = ids
+		return nid
+	})
 }
 
 // Level returns the client's current ladder rung without touching its
@@ -412,7 +404,7 @@ func (e *Engine) shrink() {
 // reports the rung as of the client's last Apply — decay since then is
 // only materialised by the next Apply.
 func (e *Engine) Level(key string) Action {
-	if id, ok := e.ids[key]; ok {
+	if id, ok := e.ids.get(key); ok {
 		return e.states.At(id).level
 	}
 	return Allow
@@ -570,19 +562,19 @@ func (e *Engine) evictIdle(now int64, idle time.Duration) int {
 		return 0
 	}
 	p := &e.policy
-	evicted := 0
-	for key, id := range e.ids {
+	evicted := e.ids.dropIf(func(id uint32) bool {
 		st := e.states.At(id)
 		dt := instant.Sub(now, st.lastSeen)
 		if dt < idle {
-			continue
+			return false
 		}
 		score := st.score * math.Exp2(-float64(dt)/float64(p.ScoreHalfLife))
-		if score < p.TarpitThreshold-p.Hysteresis && st.passUntil <= now {
-			e.drop(key, id)
-			evicted++
+		if score >= p.TarpitThreshold-p.Hysteresis || st.passUntil > now {
+			return false
 		}
-	}
+		e.states.Release(id)
+		return true
+	})
 	if evicted > 0 {
 		e.shrink()
 	}
@@ -609,7 +601,7 @@ func (e *Engine) EvictBefore(cutoff time.Time) int {
 
 // Reset clears all per-client state and counters.
 func (e *Engine) Reset() {
-	clear(e.ids)
+	e.ids.reset()
 	e.states.Reset(0)
 	e.counts = ActionCounts{}
 }

@@ -123,18 +123,26 @@ func partOf(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
+// keySpellings are the kinds of key an engine indexes: a canonical dotted
+// quad (filed by number) and spellings it files by string — the same
+// address written with a leading zero or a sign, IPv6, and a name. The
+// model keeps all of them as strings, so a merge of two kinds shows.
+var keySpellings = []string{"10.0.%d.%d", "10.0.%d.0%d", "+10.0.%d.%d", "2001:db8::%x:%x", "client-%d-%d"}
+
 // Random sequences of observe, decay, challenge pass and fail, sweep,
 // snapshot-restore and rebalance across 1–4 engines must leave the engines
-// and the model agreeing on every decision, rung, client count and tally.
-// Crowds of one-request clients that a sweep then drops take the engines'
-// slabs through the free list and their rebuilds.
+// and the model agreeing on every decision, rung, client count and tally,
+// over every kind of key. Crowds of one-request clients that a sweep then
+// drops take the engines' slabs through the free list and their rebuilds.
 func TestEngineMatchesLadderModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := &ladderModel{p: Graduated(), clients: make(map[string]*modelClient)}
 		engines := newEngines(t, 1+rng.Intn(4))
 		now := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
-		key := func() string { return fmt.Sprintf("10.0.0.%d", rng.Intn(24)) }
+		key := func() string {
+			return fmt.Sprintf(keySpellings[rng.Intn(len(keySpellings))], 0, rng.Intn(24))
+		}
 		for step := 0; step < 4000; step++ {
 			fail := func(format string, args ...any) {
 				t.Helper()
@@ -157,8 +165,8 @@ func TestEngineMatchesLadderModel(t *testing.T) {
 			case op < 73: // decay: the clock moves minutes to hours
 				now = now.Add(time.Duration(rng.Int63n(int64(3 * time.Hour))))
 			case op < 76: // a crowd of one-request benign clients
-				for n, base := 50+rng.Intn(250), rng.Intn(1<<20); n > 0; n-- {
-					k := fmt.Sprintf("172.16.%d", base+n)
+				for n, base := 50+rng.Intn(250), rng.Intn(1<<16); n > 0; n-- {
+					k := fmt.Sprintf(keySpellings[rng.Intn(len(keySpellings))], 1+(base+n)>>8&255, (base+n)&255)
 					m.apply(k, now, Assessment{})
 					engines[partOf(k, len(engines))].Apply(k, now, Assessment{})
 				}
@@ -217,7 +225,7 @@ func TestEngineMatchesLadderModel(t *testing.T) {
 	}
 }
 
-func newEngines(t *testing.T, n int) []*Engine {
+func newEngines(t testing.TB, n int) []*Engine {
 	engines := make([]*Engine, n)
 	for i := range engines {
 		e, err := New(Graduated())

@@ -40,20 +40,25 @@ func SnapshotMerged(w *statecodec.Writer, engines []*Engine) {
 	total := 0
 	var counts ActionCounts
 	for _, e := range engines {
-		total += len(e.ids)
+		total += e.ids.len()
 		counts.Add(e.counts)
 	}
 	keys := make([]string, 0, total)
 	owner := make(map[string]*clientState, total)
+	var dup string
 	for _, e := range engines {
-		for k, id := range e.ids {
-			if _, dup := owner[k]; dup {
-				w.Fail(fmt.Errorf("mitigate: client %q held by two engines; shards are not key-disjoint", k))
-				return
+		e.ids.each(func(ck clientKey, id uint32) {
+			k := ck.String()
+			if _, held := owner[k]; held {
+				dup = k
 			}
 			owner[k] = e.states.At(id)
 			keys = append(keys, k)
-		}
+		})
+	}
+	if len(keys) != len(owner) {
+		w.Fail(fmt.Errorf("mitigate: client %q held by two engines; shards are not key-disjoint", dup))
+		return
 	}
 	sort.Strings(keys)
 
@@ -124,7 +129,7 @@ func restorePartitioned(r *statecodec.Reader, engines []*Engine, part func(key s
 			return fmt.Errorf("mitigate: partition function returned %d for %d engines", idx, len(engines))
 		}
 		e := engines[idx]
-		if _, dup := e.ids[k]; dup {
+		if _, dup := e.ids.get(k); dup {
 			return fmt.Errorf("%w: duplicate client %q", statecodec.ErrCorrupt, k)
 		}
 		*e.client(k, st.lastSeen) = st

@@ -33,69 +33,80 @@ func (b *refBucket) Allow(now time.Time) bool {
 	return true
 }
 
+// newWindow returns a fresh counter and the shape it counts over.
+func newWindow(t testing.TB, span time.Duration, slots int) (*Window, SlidingWindow) {
+	t.Helper()
+	p, err := NewWindow(span, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &p, NewSlidingWindow()
+}
+
+// newGCRA returns a fresh limiter and its parameters.
+func newGCRA(t testing.TB, rate, burst float64) (*Limit, GCRA) {
+	t.Helper()
+	l, err := NewLimit(rate, burst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &l, NewGCRA()
+}
+
 func TestSlidingWindowValidation(t *testing.T) {
-	if _, err := NewSlidingWindow(0, 6); err == nil {
+	if _, err := NewWindow(0, 6); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := NewSlidingWindow(time.Minute, 1); err == nil {
+	if _, err := NewWindow(time.Minute, 1); err == nil {
 		t.Error("single slot accepted")
 	}
 	// The buckets are a fixed array inside the value.
-	if _, err := NewSlidingWindow(time.Minute, maxSlots); err != nil {
+	if _, err := NewWindow(time.Minute, maxSlots); err != nil {
 		t.Errorf("%d slots rejected: %v", maxSlots, err)
 	}
-	if _, err := NewSlidingWindow(time.Minute, maxSlots+1); err == nil {
+	if _, err := NewWindow(time.Minute, maxSlots+1); err == nil {
 		t.Errorf("%d slots accepted, the array holds %d", maxSlots+1, maxSlots)
 	}
 }
 
 func TestSlidingWindowCounts(t *testing.T) {
-	w, err := NewSlidingWindow(time.Minute, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, w := newWindow(t, time.Minute, 6)
 	now := base
 	for i := 0; i < 30; i++ {
-		w.Observe(now)
+		w.Observe(p, now)
 		now = now.Add(time.Second)
 	}
-	if got := w.Count(now); got != 30 {
+	if got := w.Count(p, now); got != 30 {
 		t.Errorf("count after 30 events in 30s = %d, want 30", got)
 	}
 	// After the full window passes with no traffic, the count drains.
-	if got := w.Count(now.Add(2 * time.Minute)); got != 0 {
+	if got := w.Count(p, now.Add(2*time.Minute)); got != 0 {
 		t.Errorf("count after idle window = %d, want 0", got)
 	}
 }
 
 func TestSlidingWindowExpiryGranularity(t *testing.T) {
-	w, err := NewSlidingWindow(time.Minute, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Observe(base)
+	p, w := newWindow(t, time.Minute, 6)
+	w.Observe(p, base)
 	// 61 seconds later the event must be gone (granularity 10s slots).
-	if got := w.Count(base.Add(61 * time.Second)); got != 0 {
+	if got := w.Count(p, base.Add(61*time.Second)); got != 0 {
 		t.Errorf("expired event still counted: %d", got)
 	}
 	// Within the same slot nothing expires.
-	w.Observe(base.Add(2 * time.Minute))
-	if got := w.Count(base.Add(2*time.Minute + 5*time.Second)); got != 1 {
+	w.Observe(p, base.Add(2*time.Minute))
+	if got := w.Count(p, base.Add(2*time.Minute+5*time.Second)); got != 1 {
 		t.Errorf("fresh event lost: %d", got)
 	}
 }
 
 func TestSlidingWindowRate(t *testing.T) {
-	w, err := NewSlidingWindow(time.Minute, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, w := newWindow(t, time.Minute, 6)
 	now := base
 	for i := 0; i < 60; i++ {
-		w.Observe(now)
+		w.Observe(p, now)
 		now = now.Add(time.Second)
 	}
-	got := w.Rate(now)
+	got := w.Rate(p, now)
 	if got < 0.8 || got > 1.2 {
 		t.Errorf("1/s stream measured as %g/s", got)
 	}
@@ -104,41 +115,35 @@ func TestSlidingWindowRate(t *testing.T) {
 // A window is a plain value: a copy is a second, independent counter, which
 // is what lets sentinel start every client from one template record.
 func TestSlidingWindowCopyIsIndependent(t *testing.T) {
-	a, err := NewSlidingWindow(time.Minute, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Observe(base)
+	p, a := newWindow(t, time.Minute, 6)
+	a.Observe(p, base)
 	b := a
 	for i := 1; i <= 5; i++ {
-		b.Observe(base.Add(time.Duration(i) * 11 * time.Second))
+		b.Observe(p, base.Add(time.Duration(i)*11*time.Second))
 	}
-	if got := a.Count(base); got != 1 {
+	if got := a.Count(p, base); got != 1 {
 		t.Errorf("original counts %d after its copy observed 5 more, want 1", got)
 	}
-	if got := b.Count(base.Add(55 * time.Second)); got != 6 {
+	if got := b.Count(p, base.Add(55*time.Second)); got != 6 {
 		t.Errorf("copy counts %d, want 6", got)
 	}
 }
 
 func TestGCRAValidation(t *testing.T) {
-	if _, err := NewGCRA(0, 5); err == nil {
+	if _, err := NewLimit(0, 5); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := NewGCRA(1, 0.5); err == nil {
+	if _, err := NewLimit(1, 0.5); err == nil {
 		t.Error("burst < 1 accepted")
 	}
 }
 
 func TestGCRABurstAndSustained(t *testing.T) {
-	g, err := NewGCRA(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, g := newGCRA(t, 1, 5)
 	now := base
 	admitted := 0
 	for i := 0; i < 10; i++ {
-		if g.Allow(now) {
+		if g.Allow(l, now) {
 			admitted++
 		}
 	}
@@ -148,7 +153,7 @@ func TestGCRABurstAndSustained(t *testing.T) {
 	// At exactly the sustained rate every event conforms.
 	for i := 0; i < 20; i++ {
 		now = now.Add(time.Second)
-		if !g.Allow(now) {
+		if !g.Allow(l, now) {
 			t.Fatalf("on-rate event %d rejected", i)
 		}
 	}
@@ -156,7 +161,7 @@ func TestGCRABurstAndSustained(t *testing.T) {
 	rejected := 0
 	for i := 0; i < 100; i++ {
 		now = now.Add(500 * time.Millisecond)
-		if !g.Allow(now) {
+		if !g.Allow(l, now) {
 			rejected++
 		}
 	}
@@ -169,16 +174,13 @@ func TestGCRABurstAndSustained(t *testing.T) {
 // steady stream their admission counts agree within one burst.
 func TestGCRATokenBucketAgreementProperty(t *testing.T) {
 	f := func(gapsMs []uint16) bool {
-		g, err := NewGCRA(2, 8)
-		if err != nil {
-			return false
-		}
+		l, g := newGCRA(t, 2, 8)
 		b := refBucket{rate: 2, burst: 8}
 		now := base
 		ga, ba := 0, 0
 		for _, gap := range gapsMs {
 			now = now.Add(time.Duration(gap%3000) * time.Millisecond)
-			if g.Allow(now) {
+			if g.Allow(l, now) {
 				ga++
 			}
 			if b.Allow(now) {
@@ -197,28 +199,22 @@ func TestGCRATokenBucketAgreementProperty(t *testing.T) {
 }
 
 func BenchmarkGCRA(b *testing.B) {
-	g, err := NewGCRA(1.5, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
+	l, g := newGCRA(b, 1.5, 40)
 	now := base
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now = now.Add(100 * time.Millisecond)
-		g.Allow(now)
+		g.Allow(l, now)
 	}
 }
 
 func BenchmarkSlidingWindow(b *testing.B) {
-	w, err := NewSlidingWindow(time.Minute, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, w := newWindow(b, time.Minute, 6)
 	now := base
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now = now.Add(50 * time.Millisecond)
-		w.Observe(now)
+		w.Observe(p, now)
 	}
 }
 
@@ -258,10 +254,7 @@ func (w *refWindow) Observe(now time.Time) uint64 {
 // 62 135 596 800 s apart, 4 more than a multiple of 7), so it pins the
 // anchor: counts and slot starts must match the time.Time reference.
 func TestSlidingWindowSlotsAnchorAtTheZeroTime(t *testing.T) {
-	w, err := NewSlidingWindow(42*time.Second, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, w := newWindow(t, 42*time.Second, 6)
 	ref := &refWindow{slot: 7 * time.Second, buckets: make([]uint64, 6)}
 	rng := rand.New(rand.NewPCG(7, 42))
 	now := base
@@ -272,7 +265,7 @@ func TestSlidingWindowSlotsAnchorAtTheZeroTime(t *testing.T) {
 		default:
 			now = now.Add(time.Duration(rng.Int64N(int64(5 * time.Second))))
 		}
-		if got, want := w.Observe(now), ref.Observe(now); got != want {
+		if got, want := w.Observe(p, now), ref.Observe(now); got != want {
 			t.Fatalf("event %d at %v: count %d, reference %d", i, now, got, want)
 		}
 		if got := instant.Time(w.start); !got.Equal(ref.start) {

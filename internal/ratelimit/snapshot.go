@@ -7,11 +7,12 @@ import (
 	"divscrape/internal/statecodec"
 )
 
-// Snapshot support: the limiters serialise only their dynamic state
-// (timestamps, window counts); rates, bursts and window shapes
-// are configuration and must match between the snapshotting and the
-// restoring instance. SlidingWindow verifies the bucket count and rejects
-// a mismatched snapshot rather than silently reinterpreting it.
+// Snapshot support: the limiters serialise only their state (timestamps,
+// window counts); rates, bursts and window shapes are parameters and must
+// match between the snapshotting and the restoring instance. SlidingWindow
+// writes its Window's bucket count and rejects a snapshot whose count
+// differs from the restoring Window's rather than silently reinterpreting
+// it.
 
 // Section tags.
 const (
@@ -19,23 +20,22 @@ const (
 	tagGCRA          uint16 = 0x5203
 )
 
-// SnapshotInto implements statecodec.Snapshotter.
-func (w *SlidingWindow) SnapshotInto(sw *statecodec.Writer) {
+// SnapshotInto writes the counter, shaped by p.
+func (w *SlidingWindow) SnapshotInto(sw *statecodec.Writer, p *Window) {
 	sw.Tag(tagSlidingWindow)
-	sw.Uint32(uint32(w.slots))
-	for _, c := range w.buckets[:w.slots] {
+	sw.Uint32(uint32(p.slots))
+	for _, c := range w.buckets[:p.slots] {
 		sw.Uint64(c)
 	}
-	sw.Int(w.head)
+	sw.Int(int(w.head))
 	sw.Time(instant.Time(w.start))
 	sw.Bool(w.seen)
 }
 
-// RestoreFrom implements statecodec.Snapshotter. The window total is
+// RestoreFrom reads a counter SnapshotInto wrote. The window total is
 // recomputed from the restored buckets so the rotation invariant holds
-// even against a corrupt payload, and the bucket count must match the
-// receiver's configuration.
-func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader) error {
+// even against a corrupt payload, and the bucket count must be p's.
+func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader, p *Window) error {
 	if err := r.Expect(tagSlidingWindow); err != nil {
 		return err
 	}
@@ -43,24 +43,25 @@ func (w *SlidingWindow) RestoreFrom(r *statecodec.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n != w.slots {
+	if n != p.slots {
 		return fmt.Errorf("%w: sliding window has %d slots, snapshot has %d",
-			statecodec.ErrCorrupt, w.slots, n)
+			statecodec.ErrCorrupt, p.slots, n)
 	}
 	w.total = 0
 	for i := 0; i < n; i++ {
 		w.buckets[i] = r.Uint64()
 		w.total += w.buckets[i]
 	}
-	w.head = r.Int()
+	head := r.Int()
 	w.start = instant.Of(r.Time())
 	w.seen = r.Bool()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if w.head < 0 || w.head >= w.slots {
-		return fmt.Errorf("%w: sliding window head %d out of range", statecodec.ErrCorrupt, w.head)
+	if head < 0 || head >= p.slots {
+		return fmt.Errorf("%w: sliding window head %d out of range", statecodec.ErrCorrupt, head)
 	}
+	w.head = uint8(head)
 	return nil
 }
 

@@ -121,7 +121,9 @@ func (c *Config) applyDefaults() {
 }
 
 // ipState is the per-client-address memory: plain values, kept inline in
-// the store's slab, so a tracked address is no heap object of its own.
+// the store's slab, so a tracked address is no heap object of its own. It
+// holds state only: the limiter's and the window's parameters are the
+// detector's, one value for every client.
 type ipState struct {
 	limiter         ratelimit.GCRA
 	window          ratelimit.SlidingWindow
@@ -135,6 +137,8 @@ type ipState struct {
 // Detector is the commercial-style detector. Not safe for concurrent use.
 type Detector struct {
 	cfg     Config
+	limit   ratelimit.Limit  // the rate every client's limiter admits
+	window  ratelimit.Window // the span every client's rate window counts
 	checker *uaparse.Checker
 	scorer  *anomaly.Composite
 	store   *sessions.Store[ipState]
@@ -181,20 +185,19 @@ func New(cfg Config) (*Detector, error) {
 		contribs: make([]anomaly.Contribution, 0, featIndex.Len()),
 		viols:    make([]uaparse.Violation, 0, 4),
 	}
-	// fresh is what every new client starts from: the configured limiter
-	// and window, nothing observed.
-	var fresh ipState
-	if fresh.limiter, err = ratelimit.NewGCRA(cfg.SustainedRate, cfg.BurstSize); err != nil {
+	if d.limit, err = ratelimit.NewLimit(cfg.SustainedRate, cfg.BurstSize); err != nil {
 		return nil, fmt.Errorf("sentinel: rate limiter: %w", err)
 	}
-	if fresh.window, err = ratelimit.NewSlidingWindow(time.Minute, 6); err != nil {
+	if d.window, err = ratelimit.NewWindow(time.Minute, 6); err != nil {
 		return nil, fmt.Errorf("sentinel: rate window: %w", err)
 	}
+	// fresh is what every new client starts from: nothing observed.
+	fresh := ipState{limiter: ratelimit.NewGCRA(), window: ratelimit.NewSlidingWindow()}
 	d.store, err = sessions.NewStore(sessions.Config[ipState]{
 		IdleTimeout: cfg.IdleTimeout,
 		Init:        func(st *ipState, _ time.Time) { *st = fresh },
-		Snapshot:    snapshotIPState,
-		Restore:     restoreIPState,
+		Snapshot:    d.snapshotIPState,
+		Restore:     d.restoreIPState,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sentinel: build store: %w", err)
@@ -277,11 +280,11 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 		vec[idxReputation] = s
 	}
 	// Rate conformance: count recent violations, decaying with the window.
-	if !st.limiter.Allow(now) {
+	if !st.limiter.Allow(&d.limit, now) {
 		st.violations++
-		vec[idxRate] = 1 + float64(st.window.Observe(now))/60
+		vec[idxRate] = 1 + float64(st.window.Observe(&d.window, now))/60
 	} else {
-		st.window.Observe(now)
+		st.window.Observe(&d.window, now)
 	}
 	// Challenge flow: browser-claiming clients that keep fetching pages
 	// without ever executing the challenge script.

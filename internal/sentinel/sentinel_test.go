@@ -3,6 +3,7 @@ package sentinel
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
@@ -248,6 +249,18 @@ func TestScoreThresholdConsistency(t *testing.T) {
 	}
 	if v.Score <= 0 {
 		t.Error("score should still be reported")
+	}
+}
+
+// A record holds its client's state and no copy of the detector's
+// parameters: the limiter, window and decay parameters are one value on
+// the detector, so an address costs its counters and stamps only.
+func TestRecordHoldsStateOnly(t *testing.T) {
+	const ceiling = 160
+	size := unsafe.Sizeof(ipState{})
+	t.Logf("ipState is %d B (ceiling %d B)", size, ceiling)
+	if size > ceiling {
+		t.Errorf("ipState is %d B, ceiling %d B", size, ceiling)
 	}
 }
 

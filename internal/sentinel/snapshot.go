@@ -14,10 +14,11 @@ const tagSentinel uint16 = 0x5E01
 var _ detector.ShardedSnapshotter = (*Detector)(nil)
 
 // snapshotIPState and restoreIPState are the sessions value hooks; they
-// must stay symmetric field for field.
-func snapshotIPState(w *statecodec.Writer, st *ipState) {
+// must stay symmetric field for field. The window's slot count is the
+// detector's.
+func (d *Detector) snapshotIPState(w *statecodec.Writer, st *ipState) {
 	st.limiter.SnapshotInto(w)
-	st.window.SnapshotInto(w)
+	st.window.SnapshotInto(w, &d.window)
 	st.uaSeen.SnapshotInto(w)
 	w.Bool(st.challengeSolved)
 	w.Int(st.pagesNoSolve)
@@ -25,11 +26,11 @@ func snapshotIPState(w *statecodec.Writer, st *ipState) {
 	w.Uint64(st.requests)
 }
 
-func restoreIPState(r *statecodec.Reader, st *ipState) error {
+func (d *Detector) restoreIPState(r *statecodec.Reader, st *ipState) error {
 	if err := st.limiter.RestoreFrom(r); err != nil {
 		return err
 	}
-	if err := st.window.RestoreFrom(r); err != nil {
+	if err := st.window.RestoreFrom(r, &d.window); err != nil {
 		return err
 	}
 	if err := st.uaSeen.RestoreFrom(r); err != nil {

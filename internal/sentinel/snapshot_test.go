@@ -13,7 +13,7 @@ import (
 
 // snapEvents generates a deterministic mixed workload for the snapshot
 // equivalence tests.
-func snapEvents(t *testing.T, seed uint64) []workload.Event {
+func snapEvents(t testing.TB, seed uint64) []workload.Event {
 	t.Helper()
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed:     seed,
@@ -181,4 +181,31 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 		"descending keys": entries("agent-zz/1.0", 2, "agent-aa/1.0", 1),
 		"zero count":      entries("agent-aa/1.0", 1, "agent-zz/1.0", 0),
 	})
+}
+
+// A restore of any bytes either fails or leaves a state that re-snapshots
+// to canonical bytes, holding no more sessions than the payload names;
+// none panics. Seeded from the state of a short mixed replay.
+func FuzzRestoreFrom(f *testing.F) {
+	build := func() *Detector {
+		d, err := New(Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return d
+	}
+	d := build()
+	enr := detector.NewEnricher(iprep.BuildFeed())
+	var req detector.Request
+	for _, ev := range snapEvents(f, 41)[:30] {
+		enr.EnrichInto(&req, ev.Entry)
+		d.Inspect(&req)
+	}
+	w := statecodec.NewWriter()
+	d.SnapshotInto(w)
+	// The payload names its sessions after the detector's and the store's
+	// tags.
+	named := func(p []byte) int { return codectest.NamedAt(p, 4) }
+	sessions := func(r codectest.Restorer) int { return r.(*Detector).Sessions() }
+	codectest.FuzzRestore(f, [][]byte{w.Bytes()}, build(), build(), sessions, named)
 }

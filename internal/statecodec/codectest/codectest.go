@@ -6,6 +6,7 @@ package codectest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -60,4 +61,58 @@ func BadIDLists(a, b int) (find []byte, rewrites map[string][]byte) {
 		"repeated id":    Ints(a, a),
 		"descending ids": Ints(b, a),
 	}
+}
+
+// Restorer is state a snapshot restores into: a detector, or a set of
+// engines behind one restore.
+type Restorer interface {
+	SnapshotInto(w *statecodec.Writer)
+	RestoreFrom(r *statecodec.Reader) error
+}
+
+// FuzzRestore fuzzes a restore from real snapshots. Every seed is added
+// whole, cut in half and with one bit flipped. For each input, into and
+// again (two instances, reused across inputs: a restore replaces all
+// state) must either refuse it, or take it into a state that holds at
+// most as many clients as the input names, and re-snapshots to canonical
+// bytes: bytes that restore into again and snapshot back unchanged. A
+// panic fails the target.
+func FuzzRestore(f *testing.F, seeds [][]byte, into, again Restorer, clients func(Restorer) int, named func(payload []byte) int) {
+	for _, s := range seeds {
+		f.Add(s)
+		f.Add(s[:len(s)/2])
+		flipped := bytes.Clone(s)
+		flipped[len(flipped)*2/3] ^= 0x10
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if into.RestoreFrom(statecodec.NewReader(payload)) != nil {
+			return
+		}
+		if n, max := clients(into), named(payload); n > max {
+			t.Fatalf("restore holds %d clients, the payload names %d", n, max)
+		}
+		first := statecodec.NewWriter()
+		into.SnapshotInto(first)
+		if first.Err() != nil {
+			t.Fatalf("re-snapshot of an accepted payload: %v", first.Err())
+		}
+		if err := again.RestoreFrom(statecodec.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("re-snapshot of an accepted payload does not restore: %v", err)
+		}
+		second := statecodec.NewWriter()
+		again.SnapshotInto(second)
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-snapshot is not canonical: %d bytes restore and snapshot to %d different bytes", first.Len(), second.Len())
+		}
+	})
+}
+
+// NamedAt reads the uint32 client count a payload names at offset off, or
+// 0 when the payload is shorter.
+func NamedAt(payload []byte, off int) int {
+	if len(payload) < off+4 {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(payload[off:]))
 }

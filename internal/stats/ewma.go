@@ -48,52 +48,65 @@ func (e *EWMA) Warm() bool { return e.seen }
 // Reset clears the average.
 func (e *EWMA) Reset() { e.value, e.seen = 0, false }
 
-// DecayRate is a time-decayed event-rate estimator: it answers "how many
-// events per second is this client generating right now?" with exponential
-// decay over a configurable half-life, so bursts age out smoothly. It is
-// the rate signal the behavioural detector feeds into CUSUM.
-type DecayRate struct {
-	halfLife time.Duration
-	rate     float64 // events per second
-	last     int64   // instant of the last decay; instant.Never until an event
-	seen     bool
+// HalfLife is a DecayRate's parameter: how long it takes a historical
+// burst to lose half its weight. One value serves every estimator its
+// owner keeps.
+type HalfLife struct {
+	d time.Duration
 }
 
-// NewDecayRate returns an estimator with the given half-life (how long it
-// takes a historical burst to lose half its weight). Non-positive half-life
+// NewHalfLife returns the parameter for half-life d. Non-positive d
 // defaults to one minute.
-func NewDecayRate(halfLife time.Duration) DecayRate {
-	if halfLife <= 0 {
-		halfLife = time.Minute
+func NewHalfLife(d time.Duration) HalfLife {
+	if d <= 0 {
+		d = time.Minute
 	}
-	return DecayRate{halfLife: halfLife, last: instant.Never}
+	return HalfLife{d: d}
+}
+
+// DecayRate is a time-decayed event-rate estimator: it answers "how many
+// events per second is this client generating right now?" with exponential
+// decay over a half-life, so bursts age out smoothly. It is the rate
+// signal the behavioural detector feeds into CUSUM. It holds only its
+// state, so a per-client record embeds it at 24 bytes; the half-life is
+// passed to every call and must be the same on every call on one
+// estimator.
+type DecayRate struct {
+	rate float64 // events per second
+	last int64   // instant of the last decay; instant.Never until an event
+	seen bool
+}
+
+// NewDecayRate returns an estimator that has seen no event.
+func NewDecayRate() DecayRate {
+	return DecayRate{last: instant.Never}
 }
 
 // Observe records one event at time now and returns the decayed rate
 // estimate in events per second.
-func (d *DecayRate) Observe(now time.Time) float64 {
-	return d.ObserveN(now, 1)
+func (d *DecayRate) Observe(h *HalfLife, now time.Time) float64 {
+	return d.ObserveN(h, now, 1)
 }
 
 // ObserveN records n simultaneous events at time now.
-func (d *DecayRate) ObserveN(now time.Time, n float64) float64 {
+func (d *DecayRate) ObserveN(h *HalfLife, now time.Time, n float64) float64 {
 	at := instant.Of(now)
 	if !d.seen {
 		d.seen = true
 		d.last = at
 		d.rate = 0
 	} else if dt := instant.Sub(at, d.last).Seconds(); dt > 0 {
-		decay := math.Exp2(-dt / d.halfLife.Seconds())
+		decay := math.Exp2(-dt / h.d.Seconds())
 		d.rate *= decay
 		d.last = at
 	}
 	// An event contributes weight spread over the half-life window.
-	d.rate += n * math.Ln2 / d.halfLife.Seconds()
+	d.rate += n * math.Ln2 / h.d.Seconds()
 	return d.rate
 }
 
 // Rate returns the decayed rate as of time now without recording an event.
-func (d *DecayRate) Rate(now time.Time) float64 {
+func (d *DecayRate) Rate(h *HalfLife, now time.Time) float64 {
 	if !d.seen {
 		return 0
 	}
@@ -101,8 +114,8 @@ func (d *DecayRate) Rate(now time.Time) float64 {
 	if dt <= 0 {
 		return d.rate
 	}
-	return d.rate * math.Exp2(-dt/d.halfLife.Seconds())
+	return d.rate * math.Exp2(-dt/h.d.Seconds())
 }
 
 // Reset clears the estimator.
-func (d *DecayRate) Reset() { *d = NewDecayRate(d.halfLife) }
+func (d *DecayRate) Reset() { *d = NewDecayRate() }

@@ -153,8 +153,8 @@ func (d *DecayRate) SnapshotInto(w *statecodec.Writer) {
 	w.Bool(d.seen)
 }
 
-// RestoreFrom implements statecodec.Snapshotter. The half-life stays as
-// configured on the receiver.
+// RestoreFrom implements statecodec.Snapshotter. The half-life is a
+// parameter, not state: the snapshot never held it.
 func (d *DecayRate) RestoreFrom(r *statecodec.Reader) error {
 	if err := r.Expect(tagDecayRate); err != nil {
 		return err

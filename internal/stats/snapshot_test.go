@@ -176,20 +176,20 @@ func TestCountSetRestoreRejectsWhatNoWriterEmits(t *testing.T) {
 
 func TestDecayRateSnapshotRoundTrip(t *testing.T) {
 	now := time.Date(2018, 3, 11, 10, 0, 0, 0, time.UTC)
-	a := NewDecayRate(2 * time.Minute)
+	h, a := NewHalfLife(2*time.Minute), NewDecayRate()
 	for i := 0; i < 30; i++ {
 		now = now.Add(time.Duration(i) * time.Second)
-		a.Observe(now)
+		a.Observe(&h, now)
 	}
 	w := statecodec.NewWriter()
 	a.SnapshotInto(w)
-	b := NewDecayRate(2 * time.Minute)
+	b := NewDecayRate()
 	if err := b.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	later := now.Add(45 * time.Second)
-	if a.Rate(later) != b.Rate(later) {
-		t.Errorf("rates diverged: %g vs %g", a.Rate(later), b.Rate(later))
+	if a.Rate(&h, later) != b.Rate(&h, later) {
+		t.Errorf("rates diverged: %g vs %g", a.Rate(&h, later), b.Rate(&h, later))
 	}
 }
 

@@ -149,30 +149,30 @@ func TestEWMA(t *testing.T) {
 }
 
 func TestDecayRateHalfLife(t *testing.T) {
-	d := NewDecayRate(time.Minute)
+	h, d := NewHalfLife(time.Minute), NewDecayRate()
 	base := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
 	// Feed a steady 2 req/s for 5 minutes; the estimate should converge
 	// near 2.
 	now := base
 	for i := 0; i < 600; i++ {
 		now = now.Add(500 * time.Millisecond)
-		d.Observe(now)
+		d.Observe(&h, now)
 	}
-	got := d.Rate(now)
+	got := d.Rate(&h, now)
 	if !almost(got, 2, 0.3) {
 		t.Errorf("steady 2/s estimated as %g", got)
 	}
 	// After one idle half-life the estimate halves.
-	later := d.Rate(now.Add(time.Minute))
+	later := d.Rate(&h, now.Add(time.Minute))
 	if !almost(later, got/2, 0.05) {
 		t.Errorf("after one half-life: %g, want about %g", later, got/2)
 	}
 	// Rate() is read-only.
-	if d.Rate(now.Add(time.Minute)) != later {
+	if d.Rate(&h, now.Add(time.Minute)) != later {
 		t.Error("Rate mutated state")
 	}
 	d.Reset()
-	if d.Rate(now) != 0 {
+	if d.Rate(&h, now) != 0 {
 		t.Error("Reset did not clear")
 	}
 }
