@@ -44,7 +44,11 @@
 # and test binary stay under .bench_build/. `make lines` prints the tracked non-test Go lines
 # outside bench/, per package and in total — the figure a simplicity PR
 # reports before and after (stage new files first: it counts what git
-# tracks).
+# tracks). `make sizes` prints every per-client record's unsafe.Sizeof (each
+# side's TestRecordHoldsStateOnly, and stats' TestIDSetSize for the product
+# set three of them embed) and what a tracked client holds in each detector,
+# the ladder, the enricher and the interner (TestHeldMemoryPerClient) — the
+# figures a memory PR reports before and after.
 
 GO ?= go
 
@@ -55,7 +59,7 @@ SHELL := /bin/bash
 
 BENCH_RECORD := BENCH_PR18.json
 
-.PHONY: verify build test vet fmtcheck examples bench benchcmp benchsmoke profile race chaos fuzz nosleep lines cover bench.out
+.PHONY: verify build test vet fmtcheck examples bench benchcmp benchsmoke profile race chaos fuzz nosleep lines sizes cover bench.out
 
 verify: vet fmtcheck build test nosleep examples benchsmoke
 
@@ -97,6 +101,11 @@ lines:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+sizes:
+	@$(GO) test -count=1 -v -run '^(TestRecordHoldsStateOnly|TestIDSetSize)$$' ./internal/... | \
+		sed -n 's/^ *\([a-z]*\)_test\.go:[0-9]*: /\1: /p'
+	@$(GO) test -count=1 -v -run '^TestHeldMemoryPerClient$$' . | sed -n 's/^ *memory_test\.go:[0-9]*: //p'
 
 # Per-package coverage summary; CI publishes cover.out + the function
 # table as a workflow artifact.

@@ -146,10 +146,13 @@ type session struct {
 	lastCategory    int
 	lastPage        int
 	pageRuns        uint64 // consecutive pagination steps
-	lastTime        time.Time
-	interarrival    stats.Welford
-	rate            stats.DecayRate
-	claims          uaparse.Class
+	// lastSec and lastNsec are the last request's time as time.Unix takes
+	// it back: a time.Time less its location and monotonic reading.
+	lastSec      int64
+	lastNsec     int32
+	interarrival stats.Welford
+	rate         stats.DecayRate
+	claims       uaparse.Class
 }
 
 // initSession makes a zero record a session nothing has been observed in.
@@ -292,11 +295,11 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 // observe folds one request into the session state.
 func (d *Detector) observe(st *session, req *detector.Request, now time.Time, fresh bool) {
 	if !fresh {
-		if dt := now.Sub(st.lastTime).Seconds(); dt >= 0 {
+		if dt := now.Sub(time.Unix(st.lastSec, int64(st.lastNsec))).Seconds(); dt >= 0 {
 			st.interarrival.Add(dt)
 		}
 	}
-	st.lastTime = now
+	st.lastSec, st.lastNsec = now.Unix(), int32(now.Nanosecond())
 	st.count++
 	st.rate.Observe(&d.rateHalfLife, now)
 	st.claims = req.UA.Class

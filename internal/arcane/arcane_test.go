@@ -250,7 +250,7 @@ func TestResetClearsSessions(t *testing.T) {
 // parameters: the limiter, window and decay parameters are one value on
 // the detector, so a session costs its counters and stamps only.
 func TestRecordHoldsStateOnly(t *testing.T) {
-	const ceiling = 360
+	const ceiling = 264
 	size := unsafe.Sizeof(session{})
 	t.Logf("session is %d B (ceiling %d B)", size, ceiling)
 	if size > ceiling {

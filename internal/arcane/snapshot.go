@@ -2,6 +2,7 @@ package arcane
 
 import (
 	"fmt"
+	"time"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/sessions"
@@ -31,7 +32,7 @@ func snapshotSession(w *statecodec.Writer, st *session) {
 	w.Int(st.lastCategory)
 	w.Int(st.lastPage)
 	w.Uint64(st.pageRuns)
-	w.Time(st.lastTime)
+	w.Time(time.Unix(st.lastSec, int64(st.lastNsec)))
 	st.interarrival.SnapshotInto(w)
 	st.rate.SnapshotInto(w)
 	w.Uint8(uint8(st.claims))
@@ -54,7 +55,8 @@ func restoreSession(r *statecodec.Reader, st *session) error {
 	st.lastCategory = r.Int()
 	st.lastPage = r.Int()
 	st.pageRuns = r.Uint64()
-	st.lastTime = r.Time()
+	last := r.Time()
+	st.lastSec, st.lastNsec = last.Unix(), int32(last.Nanosecond())
 	if err := st.interarrival.RestoreFrom(r); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package bayes
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/ensemble"
@@ -229,5 +230,17 @@ func TestBinThresholds(t *testing.T) {
 		if got := binThresholds(tt.x, 0.3, 0.7, 1.2); got != tt.want {
 			t.Errorf("binThresholds(%g) = %d, want %d", tt.x, got, tt.want)
 		}
+	}
+}
+
+// A record holds its client's state and no copy of the detector's
+// parameters: the trained model is the detector's, so a session costs its
+// counters, stamps and product set only.
+func TestRecordHoldsStateOnly(t *testing.T) {
+	const ceiling = 224
+	size := unsafe.Sizeof(session{})
+	t.Logf("session is %d B (ceiling %d B)", size, ceiling)
+	if size > ceiling {
+		t.Errorf("session is %d B, ceiling %d B", size, ceiling)
 	}
 }

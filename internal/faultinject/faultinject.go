@@ -195,8 +195,18 @@ func At(name string) *Point {
 // Enable arms the named point with f, replacing any previous fault and
 // restarting its After/Times accounting.
 func Enable(name string, f Fault) {
+	enabled.Store(true)
 	At(name).state.Store(&armed{f: f})
 }
+
+// enabled is set by Enable and cleared by Reset: see Armed.
+var enabled atomic.Bool
+
+// Armed reports whether any point may be armed: false until the first
+// Enable, and again after Reset. A site that passes several points in a
+// row loads it once and fires its points only when it is true — one
+// atomic load for all of them in production, which never arms a point.
+func Armed() bool { return enabled.Load() }
 
 // Disable disarms the named point.
 func Disable(name string) {
@@ -212,5 +222,6 @@ func Reset() {
 	for _, p := range points {
 		p.state.Store(nil)
 	}
+	enabled.Store(false)
 	sleepFn.Store(nil)
 }

@@ -118,8 +118,18 @@ func TestSkewAndPartial(t *testing.T) {
 func TestResetDisarmsEverything(t *testing.T) {
 	Enable("test.reset.a", Fault{Err: errors.New("a")})
 	Enable("test.reset.b", Fault{Err: errors.New("b")})
+	if !Armed() {
+		t.Fatal("Armed is false with two points armed")
+	}
+	Disable("test.reset.a")
+	if !Armed() {
+		t.Fatal("Armed is false with a point still armed")
+	}
 	Reset()
 	if At("test.reset.a").Enabled() || At("test.reset.b").Enabled() {
 		t.Fatal("Reset left a point armed")
+	}
+	if Armed() {
+		t.Fatal("Armed is true after Reset")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/faultinject"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/trace"
 )
@@ -49,18 +50,13 @@ type sideHealth struct {
 func (s *Shard) Health(i int) Health { return s.health[i].Health }
 
 // Quarantined counts the sides out of service.
-func (s *Shard) Quarantined() (n int) {
-	for i := range s.health {
-		if s.health[i].Quarantined {
-			n++
-		}
-	}
-	return n
-}
+func (s *Shard) Quarantined() int { return s.sick }
 
 // inspect runs the sides from i on behind one recover: it returns after a
 // side that panicked, quarantined, and Judge resumes with the next. A
 // quarantined side sits out unless its backoff has passed and it restores.
+// While no side is quarantined and no fault point is armed — always, in
+// production — the sides run with no per-side check at all.
 func (s *Shard) inspect(req *detector.Request, out *Outcome, i int, ts *time.Time) (next int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -70,18 +66,23 @@ func (s *Shard) inspect(req *detector.Request, out *Outcome, i int, ts *time.Tim
 			next++
 		}
 	}()
+	tr, checked := s.Tracer, s.sick > 0 || faultinject.Armed()
 	for next = i; next < len(s.verdicts); next++ {
 		// A side sitting out keeps the zero verdict and skipped mark from its
 		// quarantine: per-request writes false-shared a line across shards.
-		if s.health[next].Quarantined && !s.restore(next, req.Entry.Time) {
+		if checked && s.health[next].Quarantined && !s.restore(next, req.Entry.Time) {
 			out.Degraded = true
 		} else {
-			if err := s.faults[next].Fire(); err != nil {
-				panic(err)
+			if checked {
+				if err := s.faults[next].Fire(); err != nil {
+					panic(err)
+				}
 			}
 			s.Dets[next].InspectInto(req, &s.verdicts[next])
 		}
-		*ts = s.Tracer.LapDetector(next, *ts)
+		if tr != nil {
+			*ts = tr.LapDetector(next, *ts)
+		}
 	}
 	return next
 }
@@ -92,6 +93,7 @@ func (s *Shard) inspect(req *detector.Request, out *Outcome, i int, ts *time.Tim
 func (s *Shard) quarantine(i int, cause any, req *detector.Request) {
 	h, now := &s.health[i], req.Entry.Time
 	h.Quarantined, h.Reason = true, fmt.Sprint(cause)
+	s.sick++
 	if h.backoff <= 0 {
 		h.backoff = s.Backoff
 	} else if h.backoff < maxBackoffFactor*s.Backoff {
@@ -122,6 +124,7 @@ func (s *Shard) restore(i int, now time.Time) bool {
 	}
 	s.Dets[i], s.skipped[i] = fresh, false
 	h.Quarantined, h.Reason, h.RetryAt = false, "", time.Time{}
+	s.sick--
 	s.notify(i, now, nil)
 	return true
 }

@@ -108,10 +108,12 @@ type Shard struct {
 	verdicts  []detector.Verdict
 	skipped   []bool
 	// factories rebuild a quarantined side; faults are the sides'
-	// shard.inspect.<name> points; health is the failure plane's slab.
+	// shard.inspect.<name> points; health is the failure plane's slab and
+	// sick the number of its sides out of service.
 	factories []detector.Factory
 	faults    []*faultinject.Point
 	health    []sideHealth
+	sick      int
 }
 
 // New builds a shard enriching against rep (nil: no reputation) and
@@ -250,6 +252,7 @@ func (s *Shard) Sweep(now time.Time) int {
 func (s *Shard) Reset() {
 	s.enr.Reset()
 	clear(s.health)
+	s.sick = 0
 	clear(s.skipped)
 	for _, d := range s.Dets {
 		d.Reset()

@@ -252,3 +252,19 @@ func TestOfKeyFollowsEnrichment(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkJudge is Judge's fixed cost: three sides that only write a
+// fixed verdict, no engine and no tracer, so what it times is the failure
+// plane and the loop.
+func BenchmarkJudge(b *testing.B) {
+	s, err := New(factoriesOf(alarm{name: "a"}, alarm{name: "b"}, alarm{name: "c"}), nil, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := request(detector.NewEnricher(nil), "10.0.0.1", "GET", "/product/7", base)
+	var out Outcome
+	b.ReportAllocs()
+	for range b.N {
+		s.Judge(&req, &out)
+	}
+}

@@ -101,14 +101,27 @@ func (s *CountSet) RestoreFrom(r *statecodec.Reader) error {
 }
 
 // SnapshotInto writes the id count and then every id in ascending order,
-// so equal sets serialise to equal bytes. It writes no section tag: the set
-// is always a field inside a session record, and this is the encoding those
-// records had when the field was a map. The blocks are ordered by sorting
-// their slot numbers in the writer's scratch.
+// so equal sets serialise to equal bytes whichever form holds them. It
+// writes no section tag: the set is always a field inside a session record,
+// and this is the encoding those records had when the field was a map.
+// Inline ids, or the table's block slot numbers, are sorted in the writer's
+// scratch.
 func (s *IDSet) SnapshotInto(w *statecodec.Writer) {
-	slots := s.slots()
 	scratch := w.IntScratch()
 	order := (*scratch)[:0]
+	w.Uint32(uint32(s.Len()))
+	if s.table == nil {
+		for _, id := range s.ids[:s.n] {
+			order = append(order, int(id))
+		}
+		slices.Sort(order)
+		for _, id := range order {
+			w.Int(id)
+		}
+		*scratch = order
+		return
+	}
+	slots := s.table
 	for i, b := range slots {
 		if b.bits != 0 {
 			order = append(order, i)
@@ -116,7 +129,6 @@ func (s *IDSet) SnapshotInto(w *statecodec.Writer) {
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(slots[a].key, slots[b].key) })
 	*scratch = order
-	w.Uint32(uint32(s.n))
 	for _, i := range order {
 		b := slots[i]
 		for rest := b.bits; rest != 0; rest &= rest - 1 {

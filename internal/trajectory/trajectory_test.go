@@ -3,6 +3,7 @@ package trajectory
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
@@ -227,5 +228,17 @@ func TestDefaultModelShape(t *testing.T) {
 	}
 	if m.Surprise(sitemodel.KindPrice, sitemodel.KindPrice) <= m.Surprise(sitemodel.KindProduct, sitemodel.KindStatic) {
 		t.Error("price->price self-loop should be more surprising than product->static")
+	}
+}
+
+// A record holds its client's state and no copy of the detector's
+// parameters: the navigation model and the scorer are the detector's, so a
+// session costs its counters, its kind histogram and its product set only.
+func TestRecordHoldsStateOnly(t *testing.T) {
+	const ceiling = 224
+	size := unsafe.Sizeof(session{})
+	t.Logf("session is %d B (ceiling %d B)", size, ceiling)
+	if size > ceiling {
+		t.Errorf("session is %d B, ceiling %d B", size, ceiling)
 	}
 }

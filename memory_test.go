@@ -111,10 +111,14 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		floodCeiling float64
 		// products: the detector keeps the set of product ids a session saw.
 		products bool
+		// largeCeiling bounds the same for a client whose one request is for
+		// a product id of 2³² or more, which moves its set to a table early:
+		// what that measures, plus a tenth.
+		largeCeiling float64
 	}{
-		{"sentinel", registry("sentinel"), 250, false},
-		{"arcane", registry("arcane"), 485, true},
-		{"trajectory", registry("trajectory"), 440, true},
+		{"sentinel", registry("sentinel"), 250, false, 0},      // 226 measured
+		{"arcane", registry("arcane"), 343, true, 378},         // 312 and 344 measured
+		{"trajectory", registry("trajectory"), 332, true, 367}, // 302 and 334 measured
 		{"bayes", func() (detector.Detector, error) {
 			if model == nil {
 				var err error
@@ -123,12 +127,15 @@ func TestHeldMemoryPerClient(t *testing.T) {
 				}
 			}
 			return bayes.New(bayes.Config{Model: model})
-		}, 440, true},
+		}, 332, true, 367}, // 302 and 334 measured
 	}
 
 	flood := memRequests(floodClients,
 		func(i int) string { return fmt.Sprintf("10.%d.%d.%d", 1+i>>16, i>>8&255, i&255) },
 		func(i int) string { return fmt.Sprintf("/product/%d", i%5000) })
+	large := memRequests(floodClients,
+		func(i int) string { return fmt.Sprintf("10.%d.%d.%d", 1+i>>16, i>>8&255, i&255) },
+		func(i int) string { return fmt.Sprintf("/product/%d", 1<<32+i) })
 	sweep := memRequests(sweepIDs, oneClient, func(i int) string { return fmt.Sprintf("/product/%d", i) })
 	rng := rand.New(rand.NewPCG(1, 2))
 	sparse := memRequests(sweepIDs, oneClient, func(int) string { return fmt.Sprintf("/product/%d", rng.Uint64()>>24) })
@@ -177,6 +184,11 @@ func TestHeldMemoryPerClient(t *testing.T) {
 
 			if !tc.products {
 				return
+			}
+			if _, b, _ := heldBy(large); b/floodClients > tc.largeCeiling {
+				t.Errorf("a %d-address flood of ids from 2³² holds %.0f B per client, ceiling %.0f B", floodClients, b/floodClients, tc.largeCeiling)
+			} else {
+				t.Logf("%s: a one-request client whose id is 2³² or more costs %.0f B (ceiling %.0f B)", tc.name, b/floodClients, tc.largeCeiling)
 			}
 			if _, b, _ := heldBy(sweep); b > 4096 {
 				t.Errorf("one session sweeping %d sequential product ids holds %.0f B, want at most 4096", sweepIDs, b)
