@@ -45,10 +45,12 @@
 # outside bench/, per package and in total — the figure a simplicity PR
 # reports before and after (stage new files first: it counts what git
 # tracks). `make sizes` prints every per-client record's unsafe.Sizeof (each
-# side's TestRecordHoldsStateOnly, and stats' TestIDSetSize for the product
-# set three of them embed) and what a tracked client holds in each detector,
-# the ladder, the enricher and the interner (TestHeldMemoryPerClient) — the
-# figures a memory PR reports before and after.
+# side's and the ladder's TestRecordHoldsStateOnly, and stats' TestIDSetSize
+# for the product set three of them embed) and what a tracked client holds
+# in each detector, the ladder, the enricher — swept, and past its horizon
+# with no sweep — a surviving sentinel client and the interner
+# (TestHeldMemoryPerClient) — the figures a memory PR reports before and
+# after; CI prints them on every run.
 
 GO ?= go
 

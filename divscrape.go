@@ -201,7 +201,7 @@ func NewDetectorSet(names ...string) (*DetectorSet, error) {
 	}
 	return &DetectorSet{
 		Detectors: dets,
-		enricher:  detector.NewEnricher(iprep.BuildFeed()),
+		enricher:  detector.NewEnricher(iprep.BuildFeed(), dets...),
 		verdicts:  make([]Verdict, len(dets)),
 	}, nil
 }

@@ -164,26 +164,33 @@ type FeatureVector [numFeatures]uint8
 
 // session accumulates the raw per-session feature signals.
 type session struct {
-	count        uint64
-	pages        uint64
-	assets       uint64
-	apiCalls     uint64
-	errors4xx    uint64
-	refererMiss  uint64
-	refererElig  uint64
-	products     stats.IDSet
-	lastTime     time.Time
-	first        time.Time
-	interarrival stats.Welford
-	declared     bool
+	count       uint64
+	pages       uint64
+	assets      uint64
+	apiCalls    uint64
+	errors4xx   uint64
+	refererMiss uint64
+	refererElig uint64
+	products    stats.IDSet
+	// lastSec, lastNsec and firstSec, firstNsec are the last and the first
+	// request's times as time.Unix takes them back: a time.Time less its
+	// location and monotonic reading.
+	lastSec, firstSec   int64
+	lastNsec, firstNsec int32
+	interarrival        stats.Welford
+	declared            bool
 }
+
+// last and first are the session's last and first request times.
+func (s *session) last() time.Time  { return time.Unix(s.lastSec, int64(s.lastNsec)) }
+func (s *session) first() time.Time { return time.Unix(s.firstSec, int64(s.firstNsec)) }
 
 // vector discretises the session's current state.
 func (s *session) vector() FeatureVector {
 	var v FeatureVector
 	v[featDeclaredAutomation] = binBool(s.declared)
 	v[featInterarrivalCV] = binThresholds(s.interarrival.CV(), 0.3, 0.7, 1.2)
-	elapsed := s.lastTime.Sub(s.first).Seconds()
+	elapsed := s.last().Sub(s.first()).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
 		rate = float64(s.count) / elapsed
@@ -279,7 +286,7 @@ func New(cfg Config) (*Detector, error) {
 func newStore(idle time.Duration) (*sessions.Store[session], error) {
 	return sessions.NewStore(sessions.Config[session]{
 		IdleTimeout: idle,
-		Init:        func(st *session, now time.Time) { st.first = now },
+		Init:        func(st *session, now time.Time) { st.firstSec, st.firstNsec = now.Unix(), int32(now.Nanosecond()) },
 	})
 }
 
@@ -290,6 +297,10 @@ func (d *Detector) Name() string { return "bayes" }
 func (d *Detector) Reset() {
 	d.store.Reset()
 }
+
+// IdleTimeout implements detector.Idler: Config.IdleTimeout, defaults
+// applied, after which a silent session is gone.
+func (d *Detector) IdleTimeout() time.Duration { return d.store.IdleTimeout() }
 
 // Inspect implements detector.Detector.
 func (d *Detector) Inspect(req *detector.Request) detector.Verdict {
@@ -330,11 +341,11 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 // training).
 func observe(st *session, req *detector.Request, now time.Time, fresh bool) {
 	if !fresh {
-		if dt := now.Sub(st.lastTime).Seconds(); dt >= 0 {
+		if dt := now.Sub(st.last()).Seconds(); dt >= 0 {
 			st.interarrival.Add(dt)
 		}
 	}
-	st.lastTime = now
+	st.lastSec, st.lastNsec = now.Unix(), int32(now.Nanosecond())
 	st.count++
 	st.declared = req.UA.IsAutomated() || req.UA.Class == uaparse.ClassEmpty
 

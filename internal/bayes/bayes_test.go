@@ -237,7 +237,7 @@ func TestBinThresholds(t *testing.T) {
 // parameters: the trained model is the detector's, so a session costs its
 // counters, stamps and product set only.
 func TestRecordHoldsStateOnly(t *testing.T) {
-	const ceiling = 224
+	const ceiling = 200
 	size := unsafe.Sizeof(session{})
 	t.Logf("session is %d B (ceiling %d B)", size, ceiling)
 	if size > ceiling {

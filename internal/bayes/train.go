@@ -57,7 +57,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	}
 	store, err := sessions.NewStore(sessions.Config[trainSession]{
 		IdleTimeout: cfg.IdleTimeout,
-		Init:        func(ts *trainSession, now time.Time) { ts.first = now },
+		Init:        func(ts *trainSession, now time.Time) { ts.firstSec, ts.firstNsec = now.Unix(), int32(now.Nanosecond()) },
 		OnEvict: func(_ sessions.Key, ts *trainSession) {
 			if ts.count >= 3 {
 				sample(ts)

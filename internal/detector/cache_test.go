@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
@@ -170,11 +171,13 @@ func TestRepeatedAgentSkipsTheAgentTable(t *testing.T) {
 // A sweep drops exactly the records untouched since its cutoff; one that
 // leaves fewer than half the table's peak rebuilds it, keeping only the
 // survivors' agents, re-indexed, and the survivors enrich as before. An
-// address that is not IPv4 leaves no record, and its agent no slot.
+// address that is not IPv4 leaves no record, and its agent no slot. (A
+// table rebuilds only once past its first size: this one's is none.)
 func TestEvictionDropsIdleAddressesAndRebuilds(t *testing.T) {
 	feed := iprep.BuildFeed()
 	enr := NewEnricher(feed)
 	tab := &enr.t
+	tab.first = 0
 	t0 := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
 	var req Request
 	at := func(addr, agent string, d time.Duration) {
@@ -204,5 +207,46 @@ func TestEvictionDropsIdleAddressesAndRebuilds(t *testing.T) {
 	}
 	if n := enr.EvictBefore(t0.Add(time.Hour)); n != 4 || len(tab.byAddr)+len(tab.agents)+len(tab.byAgent) != 0 {
 		t.Fatalf("a sweep past every address dropped %d, left %d records, %d agents, %d indexed", n, len(tab.byAddr), len(tab.agents), len(tab.byAgent))
+	}
+}
+
+// The agent table owns its strings: a line's agent is copied into the
+// enricher's arena, and Fill points Entry.UserAgent at that copy, so what a
+// detector keeps of it holds no memory of the caller's. A rebuild copies
+// the survivors' agents into a fresh arena; a request enriched before it
+// keeps the old copy, still intact.
+func TestAgentTableOwnsItsStrings(t *testing.T) {
+	enr := NewEnricher(nil)
+	enr.t.first = 0
+	var req Request
+	for i := 0; i < 8; i++ {
+		enr.EnrichInto(&req, entry(fmt.Sprintf("10.0.1.%d", i), "other"))
+	}
+	line := []byte("Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0")
+	e := entry("10.0.0.1", string(line))
+	e.Time = e.Time.Add(time.Hour)
+	enr.EnrichInto(&req, e)
+	kept := req.Entry.UserAgent
+	if kept != e.UserAgent || unsafe.StringData(kept) == unsafe.StringData(e.UserAgent) {
+		t.Fatalf("Entry.UserAgent %q is the caller's string, want the table's copy", kept)
+	}
+	if unsafe.StringData(enr.t.agents[1].info.Raw) != unsafe.StringData(kept) || req.UA.Raw != kept {
+		t.Fatal("the request's agent is not the table's copy")
+	}
+	again := e
+	again.UserAgent = string(line)
+	if enr.EnrichInto(&req, again); unsafe.StringData(req.Entry.UserAgent) != unsafe.StringData(kept) {
+		t.Fatal("a repeated agent was not pointed at the table's copy")
+	}
+	// Leaves 10.0.0.1 alone of nine: a rebuild.
+	if n := enr.EvictBefore(e.Time.Add(-time.Minute)); n != 8 || len(enr.t.agents) != 1 {
+		t.Fatalf("the sweep dropped %d and left %d agents, want 8 and 1", n, len(enr.t.agents))
+	}
+	enr.EnrichInto(&req, again)
+	if req.Entry.UserAgent != kept || unsafe.StringData(req.Entry.UserAgent) == unsafe.StringData(kept) {
+		t.Fatal("after the rebuild the agent was not copied afresh")
+	}
+	if kept != string(line) {
+		t.Fatalf("the copy handed out before the rebuild reads %q", kept)
 	}
 }

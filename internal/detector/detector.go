@@ -201,6 +201,14 @@ type Evictable interface {
 	EvictBefore(cutoff time.Time) int
 }
 
+// Idler is implemented by detectors whose per-client state expires on a
+// fixed idle timeout: IdleTimeout is that effective timeout, defaults
+// applied. Past the longest one of the detectors it serves, an enricher
+// forgets an address too (NewEnricher).
+type Idler interface {
+	IdleTimeout() time.Duration
+}
+
 // Factory constructs a fresh, independent Detector instance. The sharded
 // pipeline uses factories to give each worker shard a private instance of
 // every detector, so per-client session state needs no locks: a client's

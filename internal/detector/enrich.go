@@ -2,6 +2,7 @@ package detector
 
 import (
 	"math"
+	"strings"
 	"time"
 
 	"divscrape/internal/iprep"
@@ -25,19 +26,36 @@ import (
 // address string, and an address that is not IPv4 is derived on its line
 // and leaves nothing behind.
 //
-// The table is bounded two ways. A host that sweeps (EvictBefore, which
-// shard.Shard.Sweep calls on the window its detectors are swept on) keeps
-// only the addresses seen inside the window, and rebuilds the table when
-// the sweep leaves it well below its peak, so the memory is returned; an
+// The table is bounded by a horizon: the longest idle timeout of the
+// detectors it serves (NewEnricher). Once that much stream time has passed
+// without a line from an address, every detector has forgotten the client
+// and the enricher forgets it too. The expiry runs from Fill on the
+// enricher's own clock, the 64-second stamps of the lines it enriches, at
+// most once per quarter horizon, so it holds in every host and mode,
+// whether or not anything sweeps. EvictBefore expires records at a cutoff
+// of the caller's on top (shard.Shard.Sweep calls it on a host's window,
+// which may be shorter). A sweep that leaves fewer than half the peak of
+// a table past its first size rebuilds it, so the memory is returned; an
 // address costs ≈ 29 B of map at the 20 000-address flood memory_test.go
-// gates. Without sweeps the table starts over when full (maxCachedIPs
-// addresses, maxCachedUAs agents).
+// gates. Without a horizon — no detectors, or one that reports no idle
+// timeout — only EvictBefore expires records, and the table starts over
+// when full (maxCachedIPs addresses, maxCachedUAs agents).
+//
+// The agent table owns its strings: each agent is copied into an arena of
+// agents only, and Fill points the request's Entry.UserAgent at that copy,
+// equal in content. Whatever a detector keeps of the agent pins the
+// enricher's agents, not the parser's chunk of addresses it arrived in.
 //
 // Enricher is not safe for concurrent use; each shard owns one.
 type Enricher struct {
 	rep *iprep.DB
 	t   clients
 	seq uint64
+	// horizon is how many stamps a record outlives its last line, every
+	// how many pass between expiries; next is the stamp from which a line
+	// expires the table, never reached without a horizon.
+	horizon, every uint32
+	next           uint64
 }
 
 // uaFacts is everything enrichment derives from a User-Agent string. The
@@ -71,23 +89,33 @@ func stamp(t time.Time) uint32 {
 	return uint32(min(max(t.Unix()>>6, 0), math.MaxUint32))
 }
 
-// Table bounds: the hard bound, which a host that never sweeps relies on.
+// stampTick is the span of one stamp.
+const stampTick = 64 * time.Second
+
+// Table bounds: the hard bound, which an enricher without a horizon relies
+// on.
 const (
 	maxCachedUAs = 1 << 16
 	maxCachedIPs = 1 << 20
 )
 
-// firstAddrs sizes a new address table: ≈ 18 KB, what a shard of the
-// paper mix grows to anyway (≈ 600 of its 1 176 clients at two shards),
-// so a fresh two-shard replay does not pay a tenth more allocations per
-// request for the table's first growth steps. Past it the table grows
-// with the clients the shard sees; a rebuild sizes it to the survivors.
-const firstAddrs = 512
+// agentChunk is the size of a chunk of the agent arena. An agent longer
+// than a quarter of it is copied on its own, so a chunk is never abandoned
+// more than a quarter empty.
+const agentChunk = 4096
+
+// firstAddrs sizes a new address table: ≈ 4 KB, room for the clients of
+// an hour, the sides' longest idle timeout, of the paper mix (at most 99
+// of its 1 176), so a replay pays no growth steps for it. Past it the
+// table grows with the clients the shard sees, and a rebuild sizes it to
+// the survivors.
+const firstAddrs = 128
 
 // clients is the enricher's memory: a record per IPv4 address and the
 // facts of every agent those records point at, stored by value (info.Raw
-// is the agent's key) and found by string through byAgent when a line's
-// agent is not its record's or its address is new.
+// is the agent's key, a copy carved from arena) and found by string
+// through byAgent when a line's agent is not its record's or its address
+// is new.
 //
 // When either table is full both start over — records index the agent
 // table, so neither can be cleared alone. A table that stopped admitting
@@ -100,18 +128,24 @@ type clients struct {
 	byAddr  map[uint32]client
 	agents  []uaFacts
 	byAgent map[string]uint32
+	// arena is the chunk agent copies are carved from: written front to
+	// back and replaced, never rewritten, so every copy handed out stays
+	// valid after a start-over or a rebuild.
+	arena strings.Builder
 	// peak is the most records byAddr has held since it was built: Go maps
 	// never shrink, so a sweep that leaves well under it rebuilds.
 	peak int
-	// maxAddrs and maxAgents are maxCachedIPs and maxCachedUAs, except in
-	// the tests, which start small tables over.
-	maxAddrs, maxAgents int
+	// first is firstAddrs, maxAddrs and maxAgents are maxCachedIPs and
+	// maxCachedUAs, except in the tests, which rebuild and start over
+	// small tables.
+	first, maxAddrs, maxAgents int
 }
 
 func newClients() clients {
 	return clients{
 		byAddr:    make(map[uint32]client, firstAddrs),
 		byAgent:   map[string]uint32{},
+		first:     firstAddrs,
 		maxAddrs:  maxCachedIPs,
 		maxAgents: maxCachedUAs,
 	}
@@ -143,9 +177,7 @@ func (t *clients) resolve(rep *iprep.DB, addr, agent string, now uint32, derived
 		known, seen = false, false
 	}
 	if !seen {
-		i = uint32(len(t.agents))
-		t.agents = append(t.agents, deriveUA(agent))
-		t.byAgent[agent] = i
+		i = t.admit(deriveUA(t.own(agent)))
 	}
 	if !known && rep != nil {
 		cat, _ := rep.Lookup(ip)
@@ -157,9 +189,40 @@ func (t *clients) resolve(rep *iprep.DB, addr, agent string, now uint32, derived
 	return ip, iprep.Category(c.cat), &t.agents[i]
 }
 
+// admit appends ua to the agent table, indexed by its own copy of the
+// agent, and returns its slot.
+func (t *clients) admit(ua uaFacts) uint32 {
+	i := uint32(len(t.agents))
+	t.agents = append(t.agents, ua)
+	t.byAgent[ua.info.Raw] = i
+	return i
+}
+
+// own returns a copy of agent carved from the arena, which is replaced by
+// a fresh chunk when agent does not fit.
+func (t *clients) own(agent string) string {
+	switch {
+	case agent == "":
+		return ""
+	case len(agent) > agentChunk/4:
+		return strings.Clone(agent)
+	}
+	a := &t.arena
+	if a.Cap()-a.Len() < len(agent) {
+		*a = strings.Builder{}
+		a.Grow(agentChunk)
+	}
+	start := a.Len()
+	a.WriteString(agent)
+	return a.String()[start:]
+}
+
 // evictBefore drops the records no line has touched since cut and
 // returns how many. When fewer than half the peak survive, both tables
-// are rebuilt holding only the survivors and their agents.
+// are rebuilt holding only the survivors and their agents — once the
+// address table has outgrown its first size: below it a table holds
+// little, and rebuilding it as an hour's clients come and go would cost
+// allocations and return next to nothing.
 func (t *clients) evictBefore(cut uint32) int {
 	n := 0
 	for ip, c := range t.byAddr {
@@ -168,49 +231,67 @@ func (t *clients) evictBefore(cut uint32) int {
 			n++
 		}
 	}
-	if len(t.byAddr) < t.peak/2 {
+	if len(t.byAddr) < t.peak/2 && t.peak > t.first {
 		t.rebuild()
 	}
 	return n
 }
 
-// rebuild copies the live records into fresh tables, re-indexing the
-// agents they point at and dropping the rest.
+// rebuild copies the live records into fresh tables sized to them,
+// re-indexing the agents they point at, copied into a fresh arena, and
+// dropping the rest. It rebuilds in place: the arena must not be copied
+// once written.
 func (t *clients) rebuild() {
-	fresh := clients{
-		byAddr:    make(map[uint32]client, len(t.byAddr)),
-		byAgent:   map[string]uint32{},
-		peak:      len(t.byAddr),
-		maxAddrs:  t.maxAddrs,
-		maxAgents: t.maxAgents,
-	}
-	for ip, c := range t.byAddr {
-		ua := &t.agents[c.agent]
-		i, seen := fresh.byAgent[ua.info.Raw]
+	byAddr, agents := t.byAddr, t.agents
+	t.byAddr, t.peak = make(map[uint32]client, len(byAddr)), len(byAddr)
+	t.agents, t.byAgent, t.arena = nil, map[string]uint32{}, strings.Builder{}
+	for ip, c := range byAddr {
+		ua := agents[c.agent]
+		i, seen := t.byAgent[ua.info.Raw]
 		if !seen {
-			i = uint32(len(fresh.agents))
-			fresh.agents = append(fresh.agents, *ua)
-			fresh.byAgent[ua.info.Raw] = i
+			ua.info.Raw = t.own(ua.info.Raw)
+			i = t.admit(ua)
 		}
 		c.agent = i
-		fresh.byAddr[ip] = c
+		t.byAddr[ip] = c
 	}
-	*t = fresh
 }
 
-// reset empties both tables in place; the agent slots are zeroed so they
-// keep no agent string alive.
+// reset empties both tables in place; the agent slots are zeroed and the
+// arena dropped, so they keep no agent string alive.
 func (t *clients) reset() {
 	clear(t.byAddr)
 	clear(t.byAgent)
 	clear(t.agents)
 	t.agents = t.agents[:0]
+	t.arena = strings.Builder{}
 }
 
 // NewEnricher returns an enricher resolving reputation against rep, which
-// may be nil to disable reputation enrichment.
-func NewEnricher(rep *iprep.DB) *Enricher {
-	return &Enricher{rep: rep, t: newClients()}
+// may be nil to disable reputation enrichment, for requests judged by
+// sides. Its horizon is the longest idle timeout the sides report
+// (Idler): none when there are no sides or one of them reports none.
+func NewEnricher(rep *iprep.DB, sides ...Detector) *Enricher {
+	e := &Enricher{rep: rep, t: newClients(), next: math.MaxUint64}
+	if h := horizon(sides); h > 0 {
+		e.horizon = uint32(min((h-1)/stampTick+1, math.MaxUint32))
+		e.every, e.next = max(e.horizon/4, 1), 0
+	}
+	return e
+}
+
+// horizon is the longest idle timeout of sides, or 0 when one of them
+// does not report a positive one.
+func horizon(sides []Detector) time.Duration {
+	var h time.Duration
+	for _, d := range sides {
+		idler, ok := d.(Idler)
+		if !ok || idler.IdleTimeout() <= 0 {
+			return 0
+		}
+		h = max(h, idler.IdleTimeout())
+	}
+	return h
 }
 
 // Enrich converts one entry, assigning the next sequence number.
@@ -230,13 +311,20 @@ func (e *Enricher) EnrichInto(req *Request, entry logfmt.Entry) {
 }
 
 // Fill overwrites every field of *req below Entry with what enrichment
-// derives from req.Entry; Seq and Entry are the caller's. It is how a host
-// that numbers the stream itself — the pipeline, the guard — enriches on
-// the shard that judges the request, and it does not advance Seq.
+// derives from req.Entry; Seq and Entry are the caller's, except that
+// Entry.UserAgent is pointed at the agent table's copy of itself. It is
+// how a host that numbers the stream itself — the pipeline, the guard —
+// enriches on the shard that judges the request, and it does not advance
+// Seq.
 func (e *Enricher) Fill(req *Request) {
 	var derived uaFacts
 	entry := &req.Entry
-	ip, cat, ua := e.t.resolve(e.rep, entry.RemoteAddr, entry.UserAgent, stamp(entry.Time), &derived)
+	now := stamp(entry.Time)
+	if uint64(now) >= e.next {
+		e.expire(now)
+	}
+	ip, cat, ua := e.t.resolve(e.rep, entry.RemoteAddr, entry.UserAgent, now, &derived)
+	entry.UserAgent = ua.info.Raw
 	req.UA = ua.info
 	req.UAHash = ua.hash
 	req.IP = ip
@@ -245,9 +333,17 @@ func (e *Enricher) Fill(req *Request) {
 	req.RobotsDisallowed = sitemodel.DisallowedByRobots(entry.PathOnly())
 }
 
+// expire drops the records idle past the horizon at now and schedules the
+// next expiry a quarter horizon on.
+func (e *Enricher) expire(now uint32) {
+	e.t.evictBefore(now - min(now, e.horizon))
+	e.next = uint64(now) + uint64(e.every)
+}
+
 // EvictBefore drops the records of addresses no line has touched since
 // cutoff, freeing the table's memory once most of it is gone, and returns
-// how many it dropped. Enrichment is memoisation, so no Request changes.
+// how many it dropped: what the horizon does on its own, at a cutoff of
+// the caller's. Enrichment is memoisation, so no Request changes.
 func (e *Enricher) EvictBefore(cutoff time.Time) int {
 	return e.t.evictBefore(stamp(cutoff))
 }
@@ -255,10 +351,14 @@ func (e *Enricher) EvictBefore(cutoff time.Time) int {
 // Seq returns the number of entries enriched so far.
 func (e *Enricher) Seq() uint64 { return e.seq }
 
-// Reset clears the tables and the sequence counter. The tables are
-// cleared in place — their buckets stay allocated, so replaying a dataset
-// after a reset re-warms without re-growing them.
+// Reset clears the tables and the sequence counter, and restarts the
+// horizon's clock: the next dataset may start earlier than this one
+// ended. The tables are cleared in place — their buckets stay allocated,
+// so replaying a dataset after a reset re-warms without re-growing them.
 func (e *Enricher) Reset() {
 	e.t.reset()
 	e.seq = 0
+	if e.horizon > 0 {
+		e.next = 0
+	}
 }

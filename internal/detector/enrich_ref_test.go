@@ -140,6 +140,95 @@ func TestEnrichersMatchFreshDerivation(t *testing.T) {
 	}
 }
 
+// idleSide is a detector that judges nothing and reports an idle timeout,
+// or none when idle is not positive and it is not an Idler at all.
+type idleSide struct{ idle time.Duration }
+
+func (idleSide) Name() string                         { return "idle" }
+func (idleSide) Inspect(*Request) Verdict             { return Verdict{} }
+func (idleSide) InspectInto(_ *Request, out *Verdict) { *out = Verdict{} }
+func (idleSide) Reset()                               {}
+func (s idleSide) IdleTimeout() time.Duration         { return s.idle }
+
+// silentSide keeps state with no idle timeout to report: of idleSide it
+// has the Detector methods only.
+type silentSide struct{ Detector }
+
+// The horizon is the longest idle timeout the sides report, in whole
+// stamps rounded up, and there is none when any side reports none.
+func TestHorizonIsTheSidesLongestIdleTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sides []Detector
+		want  uint32
+	}{
+		{"no sides", nil, 0},
+		{"one", []Detector{idleSide{30 * time.Minute}}, 29},
+		{"the longest", []Detector{idleSide{30 * time.Minute}, idleSide{time.Hour}, idleSide{64 * time.Second}}, 57},
+		{"a whole stamp", []Detector{idleSide{128 * time.Second}}, 2},
+		{"a side with none", []Detector{idleSide{time.Hour}, silentSide{idleSide{}}}, 0},
+		{"a side with zero", []Detector{idleSide{time.Hour}, idleSide{}}, 0},
+	} {
+		if got := NewEnricher(nil, tc.sides...).horizon; got != tc.want {
+			t.Errorf("%s: horizon %d stamps, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// With a horizon the enricher expires its records on its own, as lines
+// pass, and still gives the Request refRequest derives afresh — on
+// streams whose gaps fall short of the horizon, straddle it and leap far
+// past it, through tables small enough to rebuild and start over. Every
+// record is younger than the horizon plus the quarter between expiries,
+// and one line past the horizon after a quiet stretch leaves only its own
+// record (and, in a table small enough to rebuild, its own agent).
+func TestHorizonMatchesFreshDerivation(t *testing.T) {
+	rep := iprep.BuildFeed()
+	addrs := []string{
+		"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5", "192.168.1.9",
+		iprep.FormatIPv4(iprep.DatacenterRanges[0].Nth(5)), iprep.FormatIPv4(iprep.KnownScraperRanges[0].Nth(9)),
+		"2001:db8::1", "not-an-address",
+	}
+	agents := []string{"curl/7.58.0", "python-requests/2.18.4", "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0", "", "-"}
+	gaps := []time.Duration{0, time.Second, 90 * time.Second, 25 * time.Minute, 55 * time.Minute, 61 * time.Minute, 3 * time.Hour}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 38))
+		enr := NewEnricher(rep, idleSide{30 * time.Minute}, idleSide{time.Hour})
+		small := seed%2 == 0
+		if small {
+			enr.t.first, enr.t.maxAddrs, enr.t.maxAgents = 0, 4, 3
+		}
+		now := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
+		var got Request
+		for i := uint64(0); i < 3000; i++ {
+			now = now.Add(gaps[rng.IntN(len(gaps))] / time.Duration(1+rng.IntN(4)))
+			e := entry(addrs[rng.IntN(len(addrs))], agents[rng.IntN(len(agents))])
+			if rng.IntN(9) == 0 {
+				e.UserAgent = fmt.Sprintf("one-shot/%d", i)
+			}
+			e.Time = now
+			enr.EnrichInto(&got, e)
+			if want := refRequest(rep, i, e); got != want {
+				t.Fatalf("seed %d line %d (%s, %q at %v):\n got  %+v\n want %+v", seed, i, e.RemoteAddr, e.UserAgent, now, got, want)
+			}
+			checkTables(t, &enr.t)
+			oldest := stamp(now) - min(stamp(now), enr.horizon+enr.every)
+			for ip, c := range enr.t.byAddr {
+				if c.last < oldest {
+					t.Fatalf("seed %d line %d: %s last seen at stamp %d survived to %d, past the horizon", seed, i, iprep.FormatIPv4(ip), c.last, stamp(now))
+				}
+			}
+		}
+		now = now.Add(2 * time.Hour)
+		e := entry("10.0.0.1", agents[0])
+		e.Time = now
+		enr.EnrichInto(&got, e)
+		if len(enr.t.byAddr) != 1 || small && len(enr.t.agents) != 1 {
+			t.Fatalf("seed %d: a line two hours on left %d records and %d agents, want its own", seed, len(enr.t.byAddr), len(enr.t.agents))
+		}
+	}
+}
+
 // FuzzEnricherEviction holds the enricher to refRequest on random streams
 // of (address, agent, event time) with sweeps at random cutoffs, through
 // tables small enough to start over: eviction, the rebuild it triggers and
@@ -164,7 +253,7 @@ func FuzzEnricherEviction(f *testing.F) {
 			return
 		}
 		enr := NewEnricher(rep)
-		enr.t.maxAddrs, enr.t.maxAgents = 1+int(data[0]%6), 1+int(data[1]%4)
+		enr.t.first, enr.t.maxAddrs, enr.t.maxAgents = 0, 1+int(data[0]%6), 1+int(data[1]%4)
 		now := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
 		var got Request
 		seq := uint64(0)

@@ -30,7 +30,10 @@ const ApacheTime = "02/Jan/2006:15:04:05 -0700"
 // agents that a kept one pins — while Path, RawRequest and Referer are
 // carved from a chunk shared with neighbouring lines: valid forever, but
 // strings.Clone one you keep for long, or it pins up to 4 KiB of request
-// text.
+// text. Enrichment (detector.Enricher) points UserAgent at the enricher's
+// own copy, equal in content, so the per-client state that keeps an agent
+// (sentinel's rotation count) pins the enricher's chunk of agents, not the
+// parser's chunk of addresses.
 type Entry struct {
 	// RemoteAddr is the client IP address (the %h field).
 	RemoteAddr string

@@ -48,7 +48,7 @@ func (e *Engine) DigestsSince(since time.Time, fn func(ClientDigest)) {
 			Key:        k.String(),
 			Score:      st.score,
 			Level:      st.level,
-			Challenged: st.challenged,
+			Challenged: int(st.challenged),
 			PassUntil:  instant.Time(st.passUntil),
 			LastSeen:   instant.Time(st.lastSeen),
 		})
@@ -60,9 +60,11 @@ func (e *Engine) DigestsSince(since time.Time, fn func(ClientDigest)) {
 // strictly newer (by LastSeen) than the local state, or the client is
 // unknown locally. It reports whether the digest was applied; a stale
 // digest is a no-op, which makes merging commutative and idempotent
-// across any delivery order. Invalid rungs are rejected.
+// across any delivery order. Invalid rungs, and streaks no record holds
+// (negative or past math.MaxInt32), are rejected.
 func (e *Engine) MergeDigest(d ClientDigest) bool {
-	if d.Level > Block || d.Key == "" {
+	challenged, ok := streak(d.Challenged)
+	if d.Level > Block || d.Key == "" || !ok {
 		return false
 	}
 	lastSeen := instant.Of(d.LastSeen)
@@ -72,7 +74,7 @@ func (e *Engine) MergeDigest(d ClientDigest) bool {
 	*e.client(d.Key, lastSeen) = clientState{
 		score:      d.Score,
 		level:      d.Level,
-		challenged: d.Challenged,
+		challenged: challenged,
 		passUntil:  instant.Of(d.PassUntil),
 		lastSeen:   lastSeen,
 	}

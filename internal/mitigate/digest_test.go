@@ -1,6 +1,7 @@
 package mitigate
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -102,6 +103,15 @@ func TestMergeDigestLastWriterWins(t *testing.T) {
 	// Corrupt rung never lands.
 	if e.MergeDigest(ClientDigest{Key: "x", Level: Block + 1, LastSeen: base}) {
 		t.Fatal("invalid rung applied")
+	}
+	// Nor does a streak a record cannot hold.
+	for _, n := range []int{-1, math.MaxInt32 + 1} {
+		if e.MergeDigest(ClientDigest{Key: "y", Level: Challenge, Challenged: n, LastSeen: base}) {
+			t.Fatalf("unanswered-challenge count %d applied", n)
+		}
+	}
+	if !e.MergeDigest(ClientDigest{Key: "y", Level: Challenge, Challenged: math.MaxInt32, LastSeen: base}) {
+		t.Fatal("the largest streak a record holds was refused")
 	}
 }
 

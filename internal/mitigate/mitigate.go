@@ -287,15 +287,24 @@ func (p *Policy) threshold(level Action) float64 {
 	}
 }
 
-// clientState is one client's position on the ladder: plain values, forty
-// bytes, kept in the engine's slab. The instants are integer nanoseconds
-// (internal/instant).
+// clientState is one client's position on the ladder: plain values,
+// thirty-two bytes, kept in the engine's slab. The instants are integer
+// nanoseconds (internal/instant).
 type clientState struct {
-	score      float64
+	score     float64
+	passUntil int64 // solved-challenge exemption window; instant.Never when none was opened
+	lastSeen  int64
+	// challenged is the consecutive unanswered challenged requests. It
+	// passes ChallengeBudget only while escalation is frozen, and then
+	// stops at math.MaxInt32.
+	challenged int32
 	level      Action
-	challenged int   // consecutive unanswered challenged requests
-	passUntil  int64 // solved-challenge exemption window; instant.Never when none was opened
-	lastSeen   int64
+}
+
+// streak is a decoded unanswered-challenge count as a record holds it; ok
+// is false for a count no engine keeps (negative, or past math.MaxInt32).
+func streak(n int) (c int32, ok bool) {
+	return int32(n), n >= 0 && n <= math.MaxInt32
 }
 
 // ActionCounts tallies emitted actions by kind.
@@ -477,8 +486,10 @@ func (e *Engine) apply(key string, at time.Time, a Assessment) Decision {
 			// proved a JavaScript runtime, so keep it merely slowed.
 			action = Tarpit
 		} else {
-			st.challenged++
-			if st.challenged > p.ChallengeBudget && !e.frozen {
+			if st.challenged < math.MaxInt32 {
+				st.challenged++
+			}
+			if int(st.challenged) > p.ChallengeBudget && !e.frozen {
 				// Ignoring the challenge is itself a conviction.
 				st.level = Block
 				if st.score < p.BlockThreshold {

@@ -3,6 +3,7 @@ package mitigate
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(2018, 3, 11, 9, 0, 0, 0, time.UTC)
@@ -425,5 +426,16 @@ func TestActionAndModeNames(t *testing.T) {
 	}
 	if ModeGraduated.String() != "graduated" {
 		t.Error("mode name wrong")
+	}
+}
+
+// A ladder record is its state in 32 bytes: three 8-byte fields, the
+// streak as an int32 and the rung.
+func TestRecordHoldsStateOnly(t *testing.T) {
+	const ceiling = 32
+	size := unsafe.Sizeof(clientState{})
+	t.Logf("clientState is %d B (ceiling %d B)", size, ceiling)
+	if size > ceiling {
+		t.Errorf("clientState is %d B, ceiling %d B", size, ceiling)
 	}
 }

@@ -73,7 +73,7 @@ func SnapshotMerged(w *statecodec.Writer, engines []*Engine) {
 		w.String(k)
 		w.Float64(st.score)
 		w.Uint8(uint8(st.level))
-		w.Int(st.challenged)
+		w.Int(int(st.challenged))
 		w.Time(instant.Time(st.passUntil))
 		w.Time(instant.Time(st.lastSeen))
 	}
@@ -111,18 +111,22 @@ func restorePartitioned(r *statecodec.Reader, engines []*Engine, part func(key s
 	n := r.Count(4 + 8 + 1 + 8 + 12 + 12)
 	for i := 0; i < n; i++ {
 		k := r.String()
+		score, level, count := r.Float64(), Action(r.Uint8()), r.Int()
 		st := clientState{
-			score:      r.Float64(),
-			level:      Action(r.Uint8()),
-			challenged: r.Int(),
-			passUntil:  instant.Of(r.Time()),
-			lastSeen:   instant.Of(r.Time()),
+			score:     score,
+			level:     level,
+			passUntil: instant.Of(r.Time()),
+			lastSeen:  instant.Of(r.Time()),
 		}
 		if r.Err() != nil {
 			return r.Err()
 		}
 		if st.level > Block {
 			return fmt.Errorf("%w: ladder rung %d", statecodec.ErrCorrupt, uint8(st.level))
+		}
+		var ok bool
+		if st.challenged, ok = streak(count); !ok {
+			return fmt.Errorf("%w: unanswered-challenge count %d", statecodec.ErrCorrupt, count)
 		}
 		idx := part(k)
 		if idx < 0 || idx >= len(engines) {

@@ -1,7 +1,9 @@
 package mitigate
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -212,5 +214,24 @@ func TestEngineRestoreRejectsCorruptSnapshot(t *testing.T) {
 	w2.Time(snapBase)
 	if err := newEngine(t, Graduated()).RestoreFrom(statecodec.NewReader(w2.Bytes())); err == nil {
 		t.Error("invalid ladder rung accepted")
+	}
+	// So is an unanswered-challenge count a record cannot hold.
+	for _, count := range []int{-1, math.MaxInt32 + 1} {
+		w3 := statecodec.NewWriter()
+		w3.Tag(0x4D01)
+		for i := 0; i < 4; i++ {
+			w3.Uint64(0)
+		}
+		w3.Uint32(1)
+		w3.String("10.0.0.1")
+		w3.Float64(1.0)
+		w3.Uint8(uint8(Challenge))
+		w3.Int(count)
+		w3.Time(snapBase)
+		w3.Time(snapBase)
+		fresh := newEngine(t, Graduated())
+		if err := fresh.RestoreFrom(statecodec.NewReader(w3.Bytes())); !errors.Is(err, statecodec.ErrCorrupt) || fresh.Len() != 0 {
+			t.Errorf("unanswered-challenge count %d: restore returned %v and left %d clients", count, err, fresh.Len())
+		}
 	}
 }

@@ -328,6 +328,10 @@ func (d *Detector) EvictBefore(cutoff time.Time) int {
 	return d.store.EvictBefore(cutoff)
 }
 
+// IdleTimeout implements detector.Idler: Config.IdleTimeout, defaults
+// applied, after which a silent client's state is gone.
+func (d *Detector) IdleTimeout() time.Duration { return d.store.IdleTimeout() }
+
 // violationSeverity grades fingerprint violations: declared automation is
 // near-definitive; version staleness is only a contributing signal.
 func violationSeverity(v uaparse.Violation) float64 {

@@ -264,6 +264,9 @@ func (s *Store[T]) Peek(key Key) *T {
 	return nil
 }
 
+// IdleTimeout is how long a session outlives its last touch.
+func (s *Store[T]) IdleTimeout() time.Duration { return s.idle }
+
 // Len returns the number of live sessions.
 func (s *Store[T]) Len() int { return s.live }
 

@@ -100,7 +100,8 @@ type Shard struct {
 	DeferCapture bool
 
 	// enr enriches the requests this shard judges: only its own clients'
-	// addresses reach its tables, and Sweep bounds them.
+	// addresses reach its tables, which expire on the sides' longest idle
+	// timeout, and on Window when Sweep runs.
 	enr *detector.Enricher
 	// challenge: only a challenge-capable policy hosts, and so exempts,
 	// the challenge flow; under the others it is ordinary traffic.
@@ -130,7 +131,7 @@ func New(factories []detector.Factory, dets []detector.Detector, policy *mitigat
 		return nil, fmt.Errorf("%d detectors for %d factories, need one each and at least one", len(dets), len(factories))
 	}
 	n := len(dets)
-	s := &Shard{Dets: dets, Names: make([]string, n), Backoff: 30 * time.Second, enr: detector.NewEnricher(rep),
+	s := &Shard{Dets: dets, Names: make([]string, n), Backoff: 30 * time.Second, enr: detector.NewEnricher(rep, dets...),
 		verdicts: make([]detector.Verdict, n), skipped: make([]bool, n),
 		factories: factories, faults: make([]*faultinject.Point, n), health: make([]sideHealth, n)}
 	for i, d := range dets {
@@ -230,10 +231,12 @@ func Capture(rec *trace.Recorder, names []string, req *detector.Request, verdict
 // Sweep bounds the shard's state: the engine drops clients idle past its
 // policy's IdleTTL, the detectors sessions and the enricher addresses
 // untouched for Window. All are decision-neutral — a swept client and an
-// idle survivor are indistinguishable from their next request on — so when
-// to sweep is the host's to choose. It returns the number of detector and
-// ladder entries dropped; the enricher's records, a cache, are not
-// counted.
+// idle survivor are indistinguishable from their next request on — so
+// when to sweep is the host's to choose. It returns the number of detector
+// and ladder entries dropped; the enricher's records, a cache, are not
+// counted. The enricher needs no sweep to stay bounded — it expires its
+// addresses on its own horizon (detector.NewEnricher) — but a Window
+// shorter than that takes them at the sweep, with the detectors' state.
 func (s *Shard) Sweep(now time.Time) int {
 	n := 0
 	if s.Engine != nil {

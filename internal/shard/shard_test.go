@@ -215,6 +215,32 @@ func TestSweepIsEngineSweepPlusEvictBefore(t *testing.T) {
 	}
 }
 
+// A shard that is never swept still forgets its clients' addresses: its
+// enricher expires them once its sides' longest idle timeout (sentinel's
+// hour) has passed without a line from them, on the next line it enriches.
+func TestUnsweptShardForgetsAddressesPastTheSidesIdleTimeout(t *testing.T) {
+	s := realShard(t, nil, 0)
+	enr := detector.NewEnricher(iprep.BuildFeed())
+	enrich := func(ip string, at time.Time) {
+		req := request(enr, ip, "GET", "/", at)
+		s.Enrich(&req)
+	}
+	for i := 0; i < 40; i++ {
+		enrich(fmt.Sprintf("10.0.%d.9", i), base.Add(time.Duration(i)*time.Second))
+	}
+	enrich("10.0.99.9", base.Add(50*time.Minute))
+	if n := s.enr.EvictBefore(base.Add(time.Minute)); n != 40 {
+		t.Fatalf("50 minutes on the enricher held %d of 40 addresses, want all: inside the horizon", n)
+	}
+	for i := 0; i < 40; i++ {
+		enrich(fmt.Sprintf("10.0.%d.9", i), base.Add(50*time.Minute))
+	}
+	enrich("10.0.99.9", base.Add(2*time.Hour))
+	if n := s.enr.EvictBefore(base.Add(3 * time.Hour)); n != 1 {
+		t.Fatalf("an hour past its last line from 40 clients the enricher held %d addresses, want the late one", n)
+	}
+}
+
 // Judge allocates nothing in steady state, with and without an engine.
 func TestJudgeZeroAllocs(t *testing.T) {
 	graduated := mitigate.Graduated()

@@ -238,6 +238,10 @@ func (d *Detector) EvictBefore(cutoff time.Time) int {
 	return d.store.EvictBefore(cutoff)
 }
 
+// IdleTimeout implements detector.Idler: Config.IdleTimeout, defaults
+// applied, after which a silent session is gone.
+func (d *Detector) IdleTimeout() time.Duration { return d.store.IdleTimeout() }
+
 // Inspect implements detector.Detector.
 func (d *Detector) Inspect(req *detector.Request) detector.Verdict {
 	var v detector.Verdict

@@ -127,7 +127,7 @@ func TestHeldMemoryPerClient(t *testing.T) {
 				}
 			}
 			return bayes.New(bayes.Config{Model: model})
-		}, 332, true, 367}, // 302 and 334 measured
+		}, 297, true, 332}, // 270 and 302 measured
 	}
 
 	flood := memRequests(floodClients,
@@ -203,13 +203,13 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		})
 	}
 
-	// The graduated ladder under the same flood: one 40-byte rung record
+	// The graduated ladder under the same flood: one 32-byte rung record
 	// per address in the engine's slab, indexed by the address's number,
 	// so the engine keeps no string of its own and pins none of the
 	// caller's. Past IdleTTL the sweep drops every record and rebuilds
 	// slab and index around the one chunk it may keep.
 	t.Run("ladder", func(t *testing.T) {
-		const ceiling = 64 // 40 B of slab and a map[uint32]uint32 entry measure 58, plus a tenth
+		const ceiling = 53 // 32 B of slab and a map[uint32]uint32 entry measure 48, plus a tenth
 		engine, err := mitigate.New(mitigate.Graduated())
 		if err != nil {
 			t.Fatal(err)
@@ -242,15 +242,16 @@ func TestHeldMemoryPerClient(t *testing.T) {
 	// The enricher under the same flood: one 12-byte record per address in
 	// its clients table, keyed by the address's number, and one agent.
 	// Past the window the sweep drops every record and rebuilds the table,
-	// so the map's memory goes back.
+	// so the map's memory goes back, the starting table's included: what
+	// is left is measured from before the enricher was built.
 	t.Run("enricher", func(t *testing.T) {
 		const (
 			ceiling = 33 // 28.6 B of map slot and growth slack measure, plus a tenth
-			// evictedCeiling bounds what the emptied tables keep. The rebuild
-			// frees the starting table too: −18 424 B measure.
+			// evictedCeiling bounds what the whole emptied enricher keeps.
 			evictedCeiling = 4096
 		)
-		enr := detector.NewEnricher(nil)
+		var enr *detector.Enricher
+		fresh, _ := grown(func() { enr = detector.NewEnricher(nil) })
 		var req detector.Request
 		held, objects := grown(func() {
 			for i := range flood {
@@ -265,15 +266,99 @@ func TestHeldMemoryPerClient(t *testing.T) {
 		if objects > maxObjectsPerClient*floodClients {
 			t.Errorf("a %d-address flood holds %.3f heap objects per address in the enricher", floodClients, objects/floodClients)
 		}
-		left := heldAfter(held, func() {
+		left := heldAfter(fresh+held, func() {
 			if n := enr.EvictBefore(memStart.Add(48 * time.Hour)); n != floodClients {
 				t.Fatalf("evicted %d of %d addresses", n, floodClients)
 			}
 		})
 		runtime.KeepAlive(enr)
-		t.Logf("enricher: after the sweep the flood still holds %.0f B (allowed %d B)", left, evictedCeiling)
+		t.Logf("enricher: after the sweep the enricher holds %.0f B in all (allowed %d B)", left, evictedCeiling)
 		if left > evictedCeiling {
-			t.Errorf("after the sweep the flood still holds %.0f B in the enricher, want at most %d B", left, evictedCeiling)
+			t.Errorf("after the sweep the enricher holds %.0f B, want at most %d B", left, evictedCeiling)
+		}
+	})
+	// The enricher with no sweep at all: built for the paper's pair, it
+	// takes the longest idle timeout of the two (sentinel's hour) as its
+	// horizon, and the first line past it expires the flood on its own and
+	// rebuilds the table. It then holds no more than the floor, a fresh
+	// enricher that has seen only that line.
+	t.Run("enricher, no sweep", func(t *testing.T) {
+		pair, err := divscrape.NewDetectorSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := flood[0].Entry
+		late.Time = memStart.Add(2 * time.Hour)
+		var req detector.Request
+		var floorEnr, enr *detector.Enricher
+		floor, _ := grown(func() {
+			floorEnr = detector.NewEnricher(nil, pair.Detectors...)
+			floorEnr.EnrichInto(&req, late)
+		})
+		held, _ := grown(func() {
+			enr = detector.NewEnricher(nil, pair.Detectors...)
+			for i := range flood {
+				enr.EnrichInto(&req, flood[i].Entry)
+			}
+			enr.EnrichInto(&req, late)
+		})
+		runtime.KeepAlive(floorEnr)
+		runtime.KeepAlive(enr)
+		runtime.KeepAlive(pair)
+		t.Logf("enricher: a %d-address flood and one line two hours on hold %.0f B with no sweep (floor %.0f B)", floodClients, held, floor)
+		if held > floor {
+			t.Errorf("a %d-address flood and one line past the horizon hold %.0f B with no sweep, more than the %.0f B a fresh enricher holds", floodClients, held, floor)
+		}
+	})
+	// A sentinel client keeps the agents it was sent (its rotation count),
+	// as the requests carried them: through an enricher that is the
+	// enricher's own copy, carved from its arena of agents, so a surviving
+	// client pins no chunk of the parser's, which holds addresses. An
+	// interner that starts over every 256 lines copies the agent into the
+	// kept chunk of its time, and one client in 256 survives, each of
+	// another time: a survivor that held the parser's copy would pin a
+	// chunk of its own, as the "interner" case's survivors do.
+	t.Run("sentinel survivor", func(t *testing.T) {
+		const (
+			survivorEvery = 256
+			// ceiling is the 405 B a survivor measures — its record, its
+			// share of the store's growth and of the enricher's one arena
+			// chunk — plus a tenth. Holding the parser's copy, it measured
+			// 3 102 B.
+			ceiling = 446
+		)
+		d, err := registry("sentinel")()
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(d, memRequests(1, func(int) string { return "10.0.0.1" }, func(int) string { return "/" }))
+		lines := make([][]byte, len(flood))
+		for i := range flood {
+			lines[i] = fmt.Appendf(nil, "%s - - [11/Mar/2018:12:00:00 +0000] \"GET / HTTP/1.1\" 200 1000 \"-\" \"%s\"", flood[i].Entry.RemoteAddr, memUA)
+		}
+		survivors := 0
+		held, _ := grown(func() {
+			in := logfmt.NewInterner(survivorEvery)
+			enr := detector.NewEnricher(nil, d)
+			var req detector.Request
+			var v detector.Verdict
+			for i, line := range lines {
+				if err := logfmt.ParseCombinedBytes(line, &req.Entry, in); err != nil {
+					t.Fatal(err)
+				}
+				enr.Fill(&req)
+				if i%survivorEvery == 0 {
+					d.InspectInto(&req, &v)
+					survivors++
+				}
+			}
+		})
+		runtime.KeepAlive(d)
+		runtime.KeepAlive(lines)
+		perSurvivor := held / float64(survivors)
+		t.Logf("sentinel: one survivor in %d holds %.0f B, pinning no parser chunk (ceiling %d B)", survivorEvery, perSurvivor, ceiling)
+		if perSurvivor > ceiling {
+			t.Errorf("one survivor in %d holds %.0f B, ceiling %d B: a kept agent pins the parser's chunk again", survivorEvery, perSurvivor, ceiling)
 		}
 	})
 	// The log reader under the same flood, one line per address: the
