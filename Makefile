@@ -49,8 +49,10 @@
 # for the product set three of them embed) and what a tracked client holds
 # in each detector, the ladder, the enricher — swept, and past its horizon
 # with no sweep — a surviving sentinel client and the interner
-# (TestHeldMemoryPerClient) — the figures a memory PR reports before and
-# after; CI prints them on every run.
+# (TestHeldMemoryPerClient), and what the guard's restore points hold per
+# client of the guard-http traffic, raw and packed (TestRestorePointSize)
+# — the figures a memory PR reports before and after; CI prints them on
+# every run.
 
 GO ?= go
 
@@ -108,6 +110,7 @@ sizes:
 	@$(GO) test -count=1 -v -run '^(TestRecordHoldsStateOnly|TestIDSetSize)$$' ./internal/... | \
 		sed -n 's/^ *\([a-z]*\)_test\.go:[0-9]*: /\1: /p'
 	@$(GO) test -count=1 -v -run '^TestHeldMemoryPerClient$$' . | sed -n 's/^ *memory_test\.go:[0-9]*: //p'
+	@$(GO) test -count=1 -v -run '^TestRestorePointSize$$' ./httpguard | sed -n 's/^ *failure_test\.go:[0-9]*: //p'
 
 # Per-package coverage summary; CI publishes cover.out + the function
 # table as a workflow artifact.

@@ -1,7 +1,9 @@
 package httpguard
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"divscrape/internal/faultinject"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/mitigate"
+	"divscrape/internal/statecodec"
 	"divscrape/internal/trace"
 )
 
@@ -345,5 +348,93 @@ func TestChaosClockSkewDoesNotDisturbService(t *testing.T) {
 	}
 	if !g.Health().Healthy {
 		t.Fatal("clock skew degraded the guard")
+	}
+}
+
+// A snapshot or rebalance taken while a side is still quarantined carries
+// that side as its restore would leave it — warm from its restore point —
+// never the instance that panicked: the guard it lands in decides every
+// later request as a guard whose side restored at that point.
+func TestChaosSnapshotMidQuarantineResumesAsRestored(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	const backoff = 10 * time.Second
+	events := rebalanceEvents(t)
+	refresh, at := len(events)/4, len(events)/2
+	// From cut on every request is past arcane's backoff, so the guard
+	// left alone restores it on its shard's first request.
+	cut := at + 1
+	for events[cut].Entry.Time.Before(events[at].Entry.Time.Add(backoff)) {
+		cut++
+	}
+	// A run serves events[i] at its log time and records every decision.
+	type run struct {
+		g   *Guard
+		i   int
+		out []string
+	}
+	start := func(shards, from int) *run {
+		r := &run{i: from}
+		r.g = newGuard(t, Config{Policy: graduated(), Shards: shards, QuarantineBackoff: backoff, MaxInFlight: -1,
+			Now: func() time.Time { return events[r.i].Entry.Time }, Sleep: func(time.Duration) {},
+			OnDecision: func(_ logfmt.Entry, v Verdicts, d mitigate.Decision) {
+				r.out = append(r.out, fmt.Sprintf("%+v %v", v, d.Action))
+			}})
+		return r
+	}
+	drive := func(r *run, to int) {
+		h := r.g.Wrap(okHandler())
+		for ; r.i < to; r.i++ {
+			e := &events[r.i].Entry
+			req := httptest.NewRequest(e.Method, e.Path, nil)
+			req.RemoteAddr = e.RemoteAddr + ":40000"
+			req.Header.Set("User-Agent", e.UserAgent)
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		}
+	}
+	// quarantined takes a two-shard guard to cut: restore points refreshed
+	// at refresh, arcane panicking on request at and sitting out since.
+	quarantined := func() *run {
+		r := start(2, 0)
+		drive(r, refresh)
+		for _, s := range r.g.shards {
+			s.Lock()
+			s.RefreshLastGood()
+			s.Unlock()
+		}
+		drive(r, at)
+		faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "arcane bug", Times: 1})
+		drive(r, cut)
+		if hs := r.g.Health(); hs.Panics["arcane"] != 1 || hs.Restores["arcane"] != 0 {
+			t.Fatalf("before the cut: panics %v, restores %v", hs.Panics, hs.Restores)
+		}
+		r.out = nil
+		return r
+	}
+	ref := quarantined()
+	drive(ref, len(events))
+	if hs := ref.g.Health(); hs.Restores["arcane"] != 1 {
+		t.Fatalf("the reference restored arcane %d times", hs.Restores["arcane"])
+	}
+
+	rebalanced := quarantined()
+	if err := rebalanced.g.Rebalance(3); err != nil {
+		t.Fatal(err)
+	}
+	w := statecodec.NewWriter()
+	quarantined().g.SnapshotInto(w)
+	restored := start(2, cut)
+	if err := restored.g.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*run{"rebalanced to 3 shards": rebalanced, "restored from a snapshot": restored} {
+		drive(r, len(events))
+		if len(r.out) != len(ref.out) {
+			t.Fatalf("%s: %d decisions after the cut, want %d", name, len(r.out), len(ref.out))
+		}
+		for i, want := range ref.out {
+			if r.out[i] != want {
+				t.Fatalf("%s: request %d decided %s, a guard that restored at the cut %s", name, cut+i, r.out[i], want)
+			}
+		}
 	}
 }

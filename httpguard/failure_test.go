@@ -2,12 +2,16 @@ package httpguard
 
 import (
 	"context"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
+	"divscrape/internal/mitigate"
 	"divscrape/internal/slab"
+	"divscrape/internal/statecodec"
+	"divscrape/internal/workload"
 )
 
 func TestDegradedModeNames(t *testing.T) {
@@ -147,4 +151,54 @@ func heapInUse() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// A restore point holds its side's snapshot zero-packed in a slice of
+// exactly its size. On a seeded two hours of the wide mix (the guard-http
+// traffic: 40 000 visitors, 2 000 stealth bots) through a two-shard guard
+// of three sides, the points hold at most 0.6 of their payload, and none
+// has more than an eighth of spare capacity.
+func TestRestorePointSize(t *testing.T) {
+	p := workload.CalibratedProfile(1)
+	p.HumanVisitors, p.StealthBots = 40_000, 2_000
+	gen, err := workload.NewGenerator(workload.Config{Seed: 1, Duration: 2 * time.Hour, Profile: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now time.Time
+	g := newGuard(t, Config{Policy: policyOf(mitigate.Graduated()), EnableTrajectory: true, Shards: 2,
+		Now: func() time.Time { return now }, Sleep: func(time.Duration) {}})
+	h, clients := g.Wrap(okHandler()), map[string]bool{}
+	for i := range events {
+		e := &events[i].Entry
+		now, clients[e.RemoteAddr] = e.Time, true
+		req := httptest.NewRequest(e.Method, e.Path, nil)
+		req.RemoteAddr = e.RemoteAddr + ":40000"
+		req.Header.Set("User-Agent", e.UserAgent)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	var raw, packed int
+	for _, s := range g.shards {
+		for i, name := range s.Names {
+			point := s.RestorePoint(i)
+			payload, err := statecodec.Unpack(nil, point)
+			if err != nil || len(payload) == 0 {
+				t.Fatalf("shard %d %s: restore point of %d bytes unpacks to %d (%v)", s.Index, name, len(point), len(payload), err)
+			}
+			if cap(point) > len(point)+len(point)/8 {
+				t.Errorf("shard %d %s: restore point len %d cap %d", s.Index, name, len(point), cap(point))
+			}
+			raw, packed = raw+len(payload), packed+len(point)
+		}
+	}
+	n := float64(len(clients))
+	t.Logf("restore points: %d requests, %d clients, %.1f B raw and %.1f B packed per client (%.3f)",
+		len(events), len(clients), float64(raw)/n, float64(packed)/n, float64(packed)/float64(raw))
+	if float64(packed) > 0.6*float64(raw) {
+		t.Errorf("restore points hold %d B packed of %d B payload, more than 0.6", packed, raw)
+	}
 }

@@ -135,7 +135,12 @@ func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 	// One block per side, in side order and untagged by the guard: a pair
 	// guard's snapshots keep their original layout, and restore refuses a
 	// side-list mismatch via the detectors' own tags.
-	for _, role := range g.set.Roles() {
+	roles, err := g.set.Roles()
+	if err != nil {
+		w.Fail(err)
+		return
+	}
+	for _, role := range roles {
 		if err := detector.SnapshotRole(w, role); err != nil {
 			w.Fail(err)
 			return
@@ -158,7 +163,11 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard) error {
 		return err
 	}
 	set := coresOf(shards)
-	for _, role := range set.Roles() {
+	roles, err := set.Roles()
+	if err != nil {
+		return err
+	}
+	for _, role := range roles {
 		if err := detector.RestoreRole(r, role, set.Part); err != nil {
 			return err
 		}

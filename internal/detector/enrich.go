@@ -53,9 +53,11 @@ type Enricher struct {
 	seq uint64
 	// horizon is how many stamps a record outlives its last line, every
 	// how many pass between expiries; next is the stamp from which a line
-	// expires the table, never reached without a horizon.
+	// expires the table, never reached without a horizon, and back the
+	// stamp below which a line — more than a period before the last
+	// expiry, as after a far-future line — re-anchors the expiry on itself.
 	horizon, every uint32
-	next           uint64
+	next, back     uint64
 }
 
 // uaFacts is everything enrichment derives from a User-Agent string. The
@@ -320,7 +322,7 @@ func (e *Enricher) Fill(req *Request) {
 	var derived uaFacts
 	entry := &req.Entry
 	now := stamp(entry.Time)
-	if uint64(now) >= e.next {
+	if uint64(now) >= e.next || uint64(now) < e.back {
 		e.expire(now)
 	}
 	ip, cat, ua := e.t.resolve(e.rep, entry.RemoteAddr, entry.UserAgent, now, &derived)
@@ -334,10 +336,14 @@ func (e *Enricher) Fill(req *Request) {
 }
 
 // expire drops the records idle past the horizon at now and schedules the
-// next expiry a quarter horizon on.
+// next expiry a quarter horizon on; a line more than a quarter horizon
+// before now expires the table again, anchored on itself, so one line
+// stamped far ahead of the stream does not stop the horizon for the rest
+// of it.
 func (e *Enricher) expire(now uint32) {
 	e.t.evictBefore(now - min(now, e.horizon))
 	e.next = uint64(now) + uint64(e.every)
+	e.back = uint64(now - min(now, e.every))
 }
 
 // EvictBefore drops the records of addresses no line has touched since
@@ -359,6 +365,6 @@ func (e *Enricher) Reset() {
 	e.t.reset()
 	e.seq = 0
 	if e.horizon > 0 {
-		e.next = 0
+		e.next, e.back = 0, 0
 	}
 }

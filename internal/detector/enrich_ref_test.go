@@ -229,6 +229,35 @@ func TestHorizonMatchesFreshDerivation(t *testing.T) {
 	}
 }
 
+// One line stamped far ahead of its stream — a hostile or corrupt log's
+// year 2200 — does not stop the horizon: the 2018 lines after it, more
+// than a period before the expiry it set, re-anchor the expiry on
+// themselves. 83 minutes of a new address a second leave no more than a
+// horizon and a quarter of them, and no Request changes.
+func TestFarFutureLineDoesNotStopTheHorizon(t *testing.T) {
+	rep := iprep.BuildFeed()
+	enr := NewEnricher(rep, idleSide{time.Hour})
+	var got Request
+	e := entry("10.255.0.1", "curl/7.58.0")
+	e.Time = time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC)
+	enr.EnrichInto(&got, e)
+	start := time.Date(2018, 3, 11, 0, 0, 0, 0, time.UTC)
+	for i := uint64(1); i <= 5000; i++ {
+		e := entry(fmt.Sprintf("10.0.%d.%d", i>>8, i&255), "curl/7.58.0")
+		e.Time = start.Add(time.Duration(i) * time.Second)
+		enr.EnrichInto(&got, e)
+		if want := refRequest(rep, i, e); got != want {
+			t.Fatalf("line %d:\n got  %+v\n want %+v", i, got, want)
+		}
+	}
+	// The addresses of a horizon and a quarter, a stamp's worth more for
+	// the floor, and the 2200 line's own.
+	limit := int(enr.horizon+enr.every+1)*int(stampTick/time.Second) + 1
+	if n := len(enr.t.byAddr); n > limit {
+		t.Fatalf("after a far-future line and 5 000 addresses a second apart the table holds %d records, more than %d", n, limit)
+	}
+}
+
 // FuzzEnricherEviction holds the enricher to refRequest on random streams
 // of (address, agent, event time) with sweeps at random cutoffs, through
 // tables small enough to start over: eviction, the rebuild it triggers and

@@ -1,14 +1,17 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/faultinject"
 	"divscrape/internal/iprep"
 	"divscrape/internal/shard"
 	"divscrape/internal/trace"
@@ -231,4 +234,76 @@ func TestChaosSinkPanicReachesTheCaller(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A checkpoint taken while a side is still quarantined carries that side
+// as its restore would leave it — cold, in the pipeline, which keeps no
+// restore point — never the instance that panicked: a pipeline resumed
+// from it decides every later request as a run whose side restored at
+// that point, at one shard or three.
+func TestChaosCheckpointMidQuarantineResumesAsRestored(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	events := generate(t, 2)
+	at := len(events) / 3
+	// From cut on every request is past the side's backoff, the shard's
+	// default 30 s of event time, so the run left alone restores the side
+	// on its shard's first request.
+	cut := at + 1
+	for events[cut].Entry.Time.Before(events[at].Entry.Time.Add(30 * time.Second)) {
+		cut++
+	}
+	for _, c := range []struct {
+		mode   Mode
+		shards int
+	}{{Sequential, 1}, {Sharded, 3}} {
+		build := func() *Pipeline {
+			p, err := New(Config{Factories: pairFactories(), Reputation: iprep.BuildFeed(), Mode: c.mode, Shards: c.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		// quarantined runs the stream to cut, arcane panicking on request
+		// at: alone in its run, so at any shard count it is that request.
+		quarantined := func() *Pipeline {
+			p := build()
+			span(t, p, events, 0, at)
+			faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "arcane bug", Times: 1})
+			span(t, p, events, at, at+1)
+			span(t, p, events, at+1, cut)
+			if panics, restores := p.Quarantines(1); panics != 1 || restores != 0 {
+				t.Fatalf("mode %d: %d panics, %d restores before the cut", c.mode, panics, restores)
+			}
+			return p
+		}
+		ref := quarantined()
+		want := span(t, ref, events, cut, len(events))
+		if _, restores := ref.Quarantines(1); restores != 1 {
+			t.Fatalf("mode %d: the reference restored %d times", c.mode, restores)
+		}
+		resumed := build()
+		resume(t, resumed, checkpoint(t, quarantined()))
+		if got := span(t, resumed, events, cut, len(events)); !bytes.Equal(got, want) {
+			t.Fatalf("mode %d shards %d: resumed from a mid-quarantine checkpoint, the pipeline decides otherwise than a run that restored at the cut",
+				c.mode, c.shards)
+		}
+	}
+}
+
+// span streams events[from:to] through p and returns the decisions as
+// bytes, degradation included; a side's panic is not a failure of the run.
+func span(t *testing.T, p *Pipeline, events []workload.Event, from, to int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := p.Run(context.Background(), sourceFrom(events[from:to]), func(d Decision) error {
+		decisionBytes(&buf, d)
+		if d.Outcome.Degraded {
+			buf.WriteByte('!')
+		}
+		return nil
+	})
+	if failure, _ := SplitPanics(err); failure != nil {
+		t.Fatal(failure)
+	}
+	return buf.Bytes()
 }

@@ -35,7 +35,10 @@ func (p *Pipeline) Checkpoint(w *statecodec.Writer) error {
 	// The stream position, in the block an Enricher writes its own
 	// sequence counter in.
 	detector.SnapshotSeq(w, p.seq)
-	roles := p.shards.Roles()
+	roles, err := p.shards.Roles()
+	if err != nil {
+		return fmt.Errorf("pipeline: checkpoint: %w", err)
+	}
 	w.Uint16(uint16(len(roles)))
 	for j, role := range roles {
 		w.String(role[0].Name())
@@ -69,7 +72,10 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 		return err
 	}
 	p.seq = seq
-	roles := p.shards.Roles()
+	roles, err := p.shards.Roles()
+	if err != nil {
+		return err
+	}
 	if got := int(r.Uint16()); got != len(roles) {
 		if err := r.Err(); err != nil {
 			return err

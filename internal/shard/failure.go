@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"divscrape/internal/detector"
@@ -36,18 +38,27 @@ type Health struct {
 	Quarantined bool      `json:"quarantined"`       // out of service after a panic
 	Reason      string    `json:"reason,omitempty"`  // the panic value that quarantined it
 	RetryAt     time.Time `json:"retry_at,omitzero"` // next restore attempt, while quarantined
-	HasSnapshot bool      `json:"has_snapshot"`      // a restore point exists; without one it comes back cold
+	// HasSnapshot reports a restore point: the side's snapshot at the last
+	// RefreshLastGood, held zero-packed. The side comes back warm from it;
+	// without one, or when it fails to unpack or restore (which clears
+	// it), the side comes back cold.
+	HasSnapshot bool `json:"has_snapshot"`
 }
 
-// sideHealth is Health plus the backoff and the last-good buffer.
+// sideHealth is Health plus the backoff and the restore point: the
+// side's last good snapshot, packed, while HasSnapshot.
 type sideHealth struct {
 	Health
 	backoff time.Duration
-	snapW   *statecodec.Writer
+	point   []byte
 }
 
 // Health reports side i's failure-plane state.
 func (s *Shard) Health(i int) Health { return s.health[i].Health }
+
+// RestorePoint is side i's restore point, statecodec.Pack'ed, or nil
+// without one. It is the shard's own: read it, never write it.
+func (s *Shard) RestorePoint(i int) []byte { return s.health[i].point }
 
 // Quarantined counts the sides out of service.
 func (s *Shard) Quarantined() int { return s.sick }
@@ -104,57 +115,104 @@ func (s *Shard) quarantine(i int, cause any, req *detector.Request) {
 	s.notify(i, now, &PanicError{Side: s.Names[i], Shard: s.Index, Seq: req.Seq, Value: cause})
 }
 
-// restore rebuilds quarantined side i once its backoff has passed, from
-// its last good snapshot if it has one that restores, cold otherwise. It
-// fails (and pushes the retry out by one backoff) only if the factory does.
+// restore rebuilds quarantined side i once its backoff has passed, as
+// fresh would: warm from its restore point, cold when it has none or that
+// does not unpack and restore, which also forgets the point. It fails (and
+// pushes the retry out by one backoff) only if the factory does.
 func (s *Shard) restore(i int, now time.Time) bool {
 	h := &s.health[i]
 	if now.Before(h.RetryAt) {
 		return false
 	}
-	fresh, err := s.factories[i]()
-	if err == nil && h.HasSnapshot &&
-		detector.RestoreRole(statecodec.NewReader(h.snapW.Bytes()), []detector.Detector{fresh}, func(uint32) int { return 0 }) != nil {
-		h.HasSnapshot = false
-		fresh, err = s.factories[i]()
-	}
+	d, warm, err := s.fresh(i)
 	if err != nil {
 		h.RetryAt = now.Add(h.backoff)
 		return false
 	}
-	s.Dets[i], s.skipped[i] = fresh, false
+	if !warm {
+		h.HasSnapshot, h.point = false, nil
+	}
+	s.Dets[i], s.skipped[i] = d, false
 	h.Quarantined, h.Reason, h.RetryAt = false, "", time.Time{}
 	s.sick--
 	s.notify(i, now, nil)
 	return true
 }
 
-// RefreshLastGood re-snapshots every healthy side into its last-good
-// buffer (the role-of-one block of detector.SnapshotRole), so a side that
-// panics later restores to a state at most one refresh old; it also
+// fresh builds side i from its factory and restores it from its restore
+// point, if it has one that unpacks and restores (warm); otherwise it
+// builds it again, cold. It leaves the shard as it was.
+func (s *Shard) fresh(i int) (d detector.Detector, warm bool, err error) {
+	if d, err = s.factories[i](); err != nil || s.health[i].point == nil {
+		return d, false, err
+	}
+	raw, err := statecodec.Unpack(nil, s.health[i].point)
+	if err == nil {
+		err = detector.RestoreRole(statecodec.NewReader(raw), []detector.Detector{d}, func(uint32) int { return 0 })
+	}
+	if err == nil {
+		return d, true, nil
+	}
+	d, err = s.factories[i]()
+	return d, false, err
+}
+
+// asRestored is the shard's sides as a host should write them: a
+// quarantined side's instance is presumed corrupt, so in its place stands
+// a fresh one, as its restore would leave it — warm from its restore
+// point, or cold. The shard's own sides are not replaced: the quarantine
+// runs its course. It fails only if a factory does.
+func (s *Shard) asRestored() ([]detector.Detector, error) {
+	if s.sick == 0 {
+		return s.Dets, nil
+	}
+	dets := slices.Clone(s.Dets)
+	for i := range dets {
+		if s.health[i].Quarantined {
+			d, _, err := s.fresh(i)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: rebuild quarantined %s: %w", s.Index, s.Names[i], err)
+			}
+			dets[i] = d
+		}
+	}
+	return dets, nil
+}
+
+// refreshScratch is what a refresh encodes and packs in; pooled, so no
+// shard keeps a buffer the size of its largest snapshot between refreshes.
+type refreshScratch struct {
+	w      statecodec.Writer
+	packed []byte
+}
+
+var refreshPool = sync.Pool{New: func() any { return new(refreshScratch) }}
+
+// RefreshLastGood re-snapshots every healthy side (the role-of-one block
+// of detector.SnapshotRole) into its restore point, packed
+// (statecodec.Pack) and held in a slice of exactly its size, so a side
+// that panics later restores to a state at most one refresh old; it also
 // retires the side's backoff. A host that never calls it restores cold.
 func (s *Shard) RefreshLastGood() {
+	sc := refreshPool.Get().(*refreshScratch)
+	defer refreshPool.Put(sc)
 	for i := range s.health {
 		h := &s.health[i]
 		if h.Quarantined {
 			continue
 		}
-		w := h.snapW
-		if w != nil {
-			w.Reset()
-			w.Fail(detector.SnapshotRole(w, s.Dets[i:i+1]))
+		sc.w.Reset()
+		sc.w.Fail(detector.SnapshotRole(&sc.w, s.Dets[i:i+1]))
+		if h.HasSnapshot = sc.w.Err() == nil; !h.HasSnapshot {
+			h.point = nil
+			continue
 		}
-		// A writer four times the size of its payload last held a flood
-		// that has since been evicted: write into a fresh one and let it
-		// go (once — a fresh writer of a one-byte payload is oversized too).
-		if w == nil || 4*w.Len() < cap(w.Bytes()) {
-			w = statecodec.NewWriter()
-			w.Fail(detector.SnapshotRole(w, s.Dets[i:i+1]))
-		}
-		h.snapW = w
-		if h.HasSnapshot = w.Err() == nil; h.HasSnapshot {
-			h.backoff = 0
-		}
+		// Copied into a slice made to size: an append to nil would round
+		// its capacity up to the allocator's next size class.
+		sc.packed = statecodec.Pack(sc.packed[:0], sc.w.Bytes())
+		h.point = make([]byte, len(sc.packed))
+		copy(h.point, sc.packed)
+		h.backoff = 0
 	}
 }
 

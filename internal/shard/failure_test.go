@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/trace"
+	"divscrape/internal/trajectory"
 )
 
 // A side that panics sits out that request only: the sides after it still
@@ -127,36 +130,114 @@ func TestChaosQuarantineLifecycle(t *testing.T) {
 	}
 }
 
-// oneByte is a side whose snapshot is a single byte: a fresh writer of it
-// is already four times its payload.
-type oneByte struct{}
+// A restore point is exactly its packed bytes: once a flood has been
+// evicted and a refresh has run, each point's capacity is within an eighth
+// of its length, and it unpacks and restores to the side's snapshot, byte
+// for byte.
+func TestRestorePointsAreExactSizeAndRestoreByteForByte(t *testing.T) {
+	const window = 10 * time.Minute
+	s := realShard(t, nil, window)
+	enr := detector.NewEnricher(nil)
+	judge := func(ip string, n int, at time.Time) {
+		req := request(enr, ip, "GET", "/product/"+strconv.Itoa(n), at)
+		var out Outcome
+		s.Judge(&req, &out)
+	}
+	for i := 0; i < 5000; i++ {
+		judge(fmt.Sprintf("172.16.%d.%d", i>>8, i&255), i, base.Add(time.Duration(i)*time.Millisecond))
+	}
+	s.RefreshLastGood()
+	flood := make([]int, len(s.health))
+	for i := range s.health {
+		flood[i] = len(s.RestorePoint(i))
+	}
+	later := base.Add(time.Hour)
+	for c := 0; c < 64; c++ {
+		judge("10.0.0."+strconv.Itoa(c), c, later)
+	}
+	if s.Sweep(later) < 5000 {
+		t.Fatal("the window left the flood")
+	}
+	s.RefreshLastGood()
+	for i, h := range s.health {
+		p := s.RestorePoint(i)
+		if !h.HasSnapshot || len(p) == 0 || 8*len(p) > flood[i] || cap(p) > len(p)+len(p)/8 {
+			t.Fatalf("%s: restore point len %d cap %d after the flood's %d", s.Names[i], len(p), cap(p), flood[i])
+		}
+		want := statecodec.NewWriter()
+		if err := detector.SnapshotRole(want, s.Dets[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err := statecodec.Unpack(nil, p); err != nil || !bytes.Equal(raw, want.Bytes()) {
+			t.Fatalf("%s: restore point unpacks to %d bytes (%v), the side snapshots %d", s.Names[i], len(raw), err, want.Len())
+		}
+		d, warm, err := s.fresh(i)
+		got := statecodec.NewWriter()
+		if err != nil || !warm || detector.SnapshotRole(got, []detector.Detector{d}) != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: restored instance (warm %v, %v) snapshots other bytes", s.Names[i], warm, err)
+		}
+	}
+}
 
-func (oneByte) Name() string                                         { return "one-byte" }
-func (oneByte) Inspect(*detector.Request) detector.Verdict           { return detector.Verdict{} }
-func (oneByte) InspectInto(_ *detector.Request, v *detector.Verdict) { *v = detector.Verdict{} }
-func (oneByte) Reset()                                               {}
-func (oneByte) SnapshotInto(w *statecodec.Writer)                    { w.Uint8(7) }
-func (oneByte) RestoreFrom(r *statecodec.Reader) error               { r.Uint8(); return r.Err() }
+// A restore point that does not unpack is a failed restore: the side comes
+// back cold and forgets the point.
+func TestChaosUnpackErrorRestoresCold(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s := realShard(t, nil, 0)
+	enr := detector.NewEnricher(nil)
+	judge := func(ip string, at time.Time) {
+		req := request(enr, ip, "GET", "/product/1", at)
+		var out Outcome
+		s.Judge(&req, &out)
+	}
+	for i := 0; i < 20; i++ {
+		judge(fmt.Sprintf("10.0.0.%d", i), base.Add(time.Duration(i)*time.Second))
+	}
+	s.RefreshLastGood()
+	s.health[1].point = s.health[1].point[:len(s.health[1].point)-1]
+	faultinject.Enable("shard.inspect.arcane", faultinject.Fault{Panic: "arcane bug", Times: 1})
+	judge("10.0.0.1", base.Add(time.Minute))
+	judge("10.0.0.1", base.Add(time.Hour)) // past the backoff
+	if h := s.Health(1); h.Quarantined || h.HasSnapshot || s.RestorePoint(1) != nil {
+		t.Fatalf("health after a restore from a damaged point %+v", h)
+	}
+	if n := s.Dets[1].(interface{ Sessions() int }).Sessions(); n != 1 {
+		t.Fatalf("arcane came back with %d sessions, want only the restoring request's", n)
+	}
+}
 
-// A restore buffer that outgrew its payload is replaced once, even when
-// the replacement is oversized too.
-func TestRefreshLastGoodReplacesAnOversizedBufferOnce(t *testing.T) {
-	s, err := New(factoriesOf(oneByte{}), nil, nil, iprep.BuildFeed())
+// BenchmarkRefreshLastGood times one refresh of a shard of three sides
+// warmed with 2 000 clients, and reports the sides' snapshot bytes (raw-B)
+// and what their restore points hold (packed-B).
+func BenchmarkRefreshLastGood(b *testing.B) {
+	factories := append(pairFactories(), func() (detector.Detector, error) { return trajectory.New(trajectory.Config{}) })
+	s, err := New(factories, nil, nil, iprep.BuildFeed())
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	flood := statecodec.NewWriter()
-	for i := 0; i < 4096; i++ {
-		flood.Uint8(0)
+	enr := detector.NewEnricher(nil)
+	for i := 0; i < 8000; i++ {
+		c := i % 2000
+		req := request(enr, fmt.Sprintf("10.%d.%d.%d", c>>16, c>>8&255, c&255), "GET",
+			"/product/"+strconv.Itoa(i%301), base.Add(time.Duration(i)*100*time.Millisecond))
+		var out Outcome
+		s.Judge(&req, &out)
 	}
-	s.health[0].snapW = flood
-	s.RefreshLastGood()
-	h := s.health[0]
-	if !h.HasSnapshot || h.snapW == flood || string(h.snapW.Bytes()) != "\x07" {
-		t.Fatalf("after a refresh: has snapshot %v, kept the flood's writer %v, payload %q", h.HasSnapshot, h.snapW == flood, h.snapW.Bytes())
+	raw := statecodec.NewWriter()
+	for i := range s.Dets {
+		if err := detector.SnapshotRole(raw, s.Dets[i:i+1]); err != nil {
+			b.Fatal(err)
+		}
 	}
-	s.RefreshLastGood()
-	if !s.health[0].HasSnapshot || string(s.health[0].snapW.Bytes()) != "\x07" {
-		t.Fatalf("a second refresh left payload %q", s.health[0].snapW.Bytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		s.RefreshLastGood()
 	}
+	packed := 0
+	for i := range s.Dets {
+		packed += len(s.RestorePoint(i))
+	}
+	b.ReportMetric(float64(raw.Len()), "raw-B")
+	b.ReportMetric(float64(packed), "packed-B")
 }

@@ -19,13 +19,20 @@ type Set []*Shard
 
 // Roles is the set's detectors role-major: Roles()[j][i] is side j's
 // instance on shard i — the shape detector.SnapshotRole and RestoreRole
-// move between shard counts.
-func (set Set) Roles() [][]detector.Detector {
+// move between shard counts. A side still quarantined is handed out as its
+// restore would leave it (see asRestored), so a checkpoint or a
+// rebalance carries its restore point, or nothing, never the instance that
+// panicked. State restored into that stand-in is dropped: the side comes
+// back as its restore leaves it anyway. It fails only if a factory does.
+func (set Set) Roles() ([][]detector.Detector, error) {
 	dets := make([][]detector.Detector, len(set))
 	for i, s := range set {
-		dets[i] = s.Dets
+		var err error
+		if dets[i], err = s.asRestored(); err != nil {
+			return nil, err
+		}
 	}
-	return detector.Roles(dets)
+	return detector.Roles(dets), nil
 }
 
 // Part is the partition function over this set, in the form
