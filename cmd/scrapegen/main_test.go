@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,8 +28,15 @@ func TestRunWritesParseableDataset(t *testing.T) {
 	defer lf.Close()
 	reader := logfmt.NewReader(lf, logfmt.ReaderConfig{Policy: logfmt.Strict})
 	var n uint64
-	if err := reader.ForEach(func(logfmt.Entry) error { n++; return nil }); err != nil {
-		t.Fatalf("generated log does not parse strictly: %v", err)
+	for {
+		_, err := reader.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("generated log does not parse strictly: %v", err)
+		}
+		n++
 	}
 	if n == 0 {
 		t.Fatal("empty log")

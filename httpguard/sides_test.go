@@ -173,7 +173,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 	// leaves it a last-good snapshot on the client's shard.
 	browse(t, h, 20, 3)
 	warmToSnapshot(t, h, client)
-	if v := verdictSlot(last, slot); !v.Alert || v.Reasons.Join(",") != hitsName {
+	if v := verdictSlot(last, slot); !v.Alert || strings.Join(v.Reasons.Strings(), ",") != hitsName {
 		t.Fatalf("slot %d verdict after %d requests: %+v", slot, sweepEvery, v)
 	}
 	home := -1

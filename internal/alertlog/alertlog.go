@@ -196,19 +196,3 @@ func (r *Reader) parseRow(text string) (Record, error) {
 	}
 	return rec, nil
 }
-
-// ForEach streams all remaining rows to fn.
-func (r *Reader) ForEach(fn func(Record) error) error {
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}

@@ -110,41 +110,15 @@ func TestReaderErrors(t *testing.T) {
 			if err != nil {
 				return // header-level rejection is fine
 			}
-			if err := r.ForEach(func(Record) error { return nil }); err == nil {
-				t.Error("malformed input accepted")
+			for {
+				_, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					t.Error("malformed input accepted")
+				}
+				if err != nil {
+					return
+				}
 			}
 		})
-	}
-}
-
-func TestForEachEarlyStop(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, []string{"d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := w.Write([]detector.Verdict{{Score: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("stop")
-	n := 0
-	err = r.ForEach(func(Record) error {
-		n++
-		if n == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || n != 2 {
-		t.Errorf("early stop: n=%d err=%v", n, err)
 	}
 }

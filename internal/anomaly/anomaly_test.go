@@ -6,136 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestZScoreWarmup(t *testing.T) {
-	z := NewZScore(10)
-	for i := 0; i < 10; i++ {
-		if got := z.Observe(float64(i % 3)); got != 0 {
-			t.Fatalf("observation %d scored %g during warmup", i, got)
-		}
-	}
-	// A wild outlier after warmup must score high.
-	if got := z.Observe(1000); got < 3 {
-		t.Errorf("outlier scored %g, want >= 3", got)
-	}
-	if z.Score() == 0 {
-		t.Error("Score() should retain the last value")
-	}
-	z.Reset()
-	if z.Score() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestZScoreConstantBaseline(t *testing.T) {
-	z := NewZScore(5)
-	for i := 0; i < 5; i++ {
-		z.Observe(7)
-	}
-	if got := z.Observe(7); got != 0 {
-		t.Errorf("on-baseline observation scored %g", got)
-	}
-	// Zero-variance baseline: any deviation is maximally surprising but
-	// finite.
-	got := z.Observe(8)
-	if got <= 0 || math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Errorf("deviation from constant baseline scored %g", got)
-	}
-}
-
-func TestZScoreFrozenBaseline(t *testing.T) {
-	z := NewZScore(5)
-	z.FreezeBaseline = true
-	for _, x := range []float64{10, 10, 12, 8, 10} {
-		z.Observe(x)
-	}
-	_, _, n0 := z.Baseline()
-	z.Observe(100)
-	z.Observe(100)
-	if _, _, n := z.Baseline(); n != n0 {
-		t.Errorf("frozen baseline grew from %d to %d", n0, n)
-	}
-}
-
-func TestZScoreMinimumWarmup(t *testing.T) {
-	z := NewZScore(0) // clamped to 2
-	z.Observe(1)
-	if got := z.Observe(100); got != 0 {
-		t.Errorf("second observation scored %g, warmup must be >= 2", got)
-	}
-}
-
-func TestCUSUMDriftDetection(t *testing.T) {
-	c := NewCUSUM(1.0, 0.2)
-	// On-target noise accumulates nothing.
-	for i := 0; i < 50; i++ {
-		x := 1.0
-		if i%2 == 0 {
-			x = 0.8
-		} else {
-			x = 1.2
-		}
-		c.Observe(x)
-	}
-	if c.Score() > 0.5 {
-		t.Errorf("symmetric noise accumulated %g", c.Score())
-	}
-	// A sustained shift accumulates linearly.
-	var last float64
-	for i := 0; i < 10; i++ {
-		last = c.Observe(2.0)
-	}
-	if last < 7 {
-		t.Errorf("sustained +1 drift over 10 steps accumulated only %g", last)
-	}
-	c.Reset()
-	if c.Score() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestCUSUMNeverNegative(t *testing.T) {
-	c := NewCUSUM(5, 0)
-	for i := 0; i < 20; i++ {
-		if got := c.Observe(0); got < 0 {
-			t.Fatalf("CUSUM went negative: %g", got)
-		}
-	}
-	c.SetTarget(-10)
-	if got := c.Observe(0); got <= 0 {
-		t.Errorf("after lowering the target, positive deviation scored %g", got)
-	}
-}
-
-func TestIQRFence(t *testing.T) {
-	f := NewIQRFence(1.5, 8)
-	// Tight cluster around 10.
-	for i := 0; i < 100; i++ {
-		f.Observe(10 + float64(i%5)*0.1)
-	}
-	if got := f.Observe(10.2); got != 0 {
-		t.Errorf("in-range value scored %g", got)
-	}
-	if got := f.Observe(50); got <= 0 {
-		t.Errorf("far outlier scored %g", got)
-	}
-	if got := f.Observe(-50); got <= 0 {
-		t.Errorf("low outlier scored %g", got)
-	}
-	f.Reset()
-	if f.Score() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestIQRFenceSilentDuringWarmup(t *testing.T) {
-	f := NewIQRFence(1.5, 8)
-	for i := 0; i < 8; i++ {
-		if got := f.Observe(float64(i * 1000)); got != 0 {
-			t.Fatalf("scored %g during warmup", got)
-		}
-	}
-}
-
 func TestCompositeValidation(t *testing.T) {
 	tests := []struct {
 		name     string

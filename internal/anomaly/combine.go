@@ -1,3 +1,7 @@
+// Package anomaly combines named, weighted per-request signals into one
+// bounded score with per-feature explanations. Sentinel, arcane and
+// trajectory each declare their features once as a Composite and score
+// every request through ScoreVec.
 package anomaly
 
 import (
@@ -101,14 +105,14 @@ func (c *Composite) Score(raw map[string]float64) (float64, []Contribution) {
 }
 
 // ScoreVec is the allocation-free counterpart of Score: raw holds one
-// value per feature in declaration order (length NumFeatures; zero,
-// negative and NaN values contribute nothing), and scratch is a
-// caller-owned contribution buffer reused across calls (its length is
-// ignored; its capacity should be at least NumFeatures to stay
-// allocation-free). The sum is bit-identical to Score's. The returned
-// contributions alias scratch's backing array and are left in declaration
-// order: explanations are read only when a request alerts, so the caller
-// Ranks them there instead of paying the ordering on every request.
+// value per feature in declaration order (zero, negative and NaN values
+// contribute nothing), and scratch is a caller-owned contribution buffer
+// reused across calls (its length is ignored; its capacity should be at
+// least the feature count to stay allocation-free). The sum is
+// bit-identical to Score's. The returned contributions alias scratch's
+// backing array and are left in declaration order: explanations are read
+// only when a request alerts, so the caller Ranks them there instead of
+// paying the ordering on every request.
 func (c *Composite) ScoreVec(raw []float64, scratch []Contribution) (float64, []Contribution) {
 	var sum float64
 	contribs := scratch[:0]
@@ -143,10 +147,6 @@ func contribLess(a, b Contribution) bool {
 	}
 	return a.Name < b.Name
 }
-
-// NumFeatures returns the number of declared features (the required length
-// of ScoreVec's raw argument).
-func (c *Composite) NumFeatures() int { return len(c.features) }
 
 // Features returns the feature names in declaration order.
 func (c *Composite) Features() []string {

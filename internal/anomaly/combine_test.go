@@ -30,8 +30,8 @@ func TestScoreVecMatchesScore(t *testing.T) {
 	// A small palette makes ties, skips and NaNs frequent.
 	palette := []float64{0, 0, -1, math.NaN(), 0.3, 0.3, 1, 2.5, 40, 1e300}
 	rng := rand.New(rand.NewSource(12))
-	raw := make([]float64, c.NumFeatures())
-	scratch := make([]Contribution, 0, c.NumFeatures())
+	raw := make([]float64, len(c.Features()))
+	scratch := make([]Contribution, 0, len(c.Features()))
 	for trial := 0; trial < 5000; trial++ {
 		byName := make(map[string]float64, len(raw))
 		for i := range raw {
@@ -77,7 +77,7 @@ func TestScoreVecZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := []float64{0.2, 7, 0.9}
-	scratch := make([]Contribution, 0, c.NumFeatures())
+	scratch := make([]Contribution, 0, len(c.Features()))
 	allocs := testing.AllocsPerRun(200, func() {
 		_, contribs := c.ScoreVec(raw, scratch)
 		Rank(contribs)

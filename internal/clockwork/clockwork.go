@@ -80,9 +80,6 @@ func (r *Rand) IntN(n int) int { return r.r.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.r.Float64() < p }
 
@@ -116,11 +113,6 @@ func (r *Rand) LogNormal(median time.Duration, sigma float64) time.Duration {
 		return 0
 	}
 	return d
-}
-
-// Normal returns a normally distributed value.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.r.NormFloat64()
 }
 
 // Jitter returns d scaled by a uniform factor in [1-f, 1+f]; f is clamped

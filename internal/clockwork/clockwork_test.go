@@ -183,32 +183,8 @@ func TestDiurnalShape(t *testing.T) {
 	}
 }
 
-func TestNormal(t *testing.T) {
-	r := NewRand(42, 6)
-	var sum, sumSq float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		x := r.Normal(10, 2)
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	sd := math.Sqrt(sumSq/n - mean*mean)
-	if math.Abs(mean-10) > 0.1 || math.Abs(sd-2) > 0.1 {
-		t.Errorf("Normal(10,2) measured mean=%g sd=%g", mean, sd)
-	}
-}
-
 func TestPermIntN(t *testing.T) {
 	r := NewRand(42, 7)
-	p := r.Perm(10)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
 	for i := 0; i < 100; i++ {
 		if v := r.IntN(7); v < 0 || v >= 7 {
 			t.Fatalf("IntN out of range: %d", v)

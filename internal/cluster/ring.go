@@ -30,11 +30,10 @@ const ringVnodes = 64
 type Ring struct {
 	hashes []uint32
 	owners []string
-	nodes  []string
 }
 
 // NewRing builds a ring over nodes (order-insensitive; duplicates
-// collapse). An empty node set yields a ring whose Owner returns "".
+// collapse). An empty node set yields a ring whose OwnerSkip returns "".
 func NewRing(nodes []string) *Ring {
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
@@ -47,7 +46,6 @@ func NewRing(nodes []string) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		hashes: make([]uint32, 0, len(uniq)*ringVnodes),
-		nodes:  uniq,
 	}
 	type point struct {
 		hash uint32
@@ -71,15 +69,6 @@ func NewRing(nodes []string) *Ring {
 		r.owners[i] = p.node
 	}
 	return r
-}
-
-// Nodes returns the ring's member set, sorted.
-func (r *Ring) Nodes() []string { return r.nodes }
-
-// Owner returns the node owning ip, ignoring liveness.
-func (r *Ring) Owner(ip uint32) string {
-	id, _ := r.OwnerSkip(ip, nil)
-	return id
 }
 
 // OwnerSkip returns the node owning ip, walking clockwise past nodes the

@@ -99,11 +99,6 @@ func (r *ReasonList) Len() int { return int(r.n) }
 // At returns the i-th reason (0 ≤ i < Len).
 func (r *ReasonList) At(i int) string { return r.a[i] }
 
-// View returns the recorded reasons as a slice aliasing the list's inline
-// storage: no allocation, but valid only while the Verdict holding the
-// list is live — for pipeline decisions, that means during the sink call.
-func (r *ReasonList) View() []string { return r.a[:r.n] }
-
 // Strings returns an allocated copy of the reasons, for callers that keep
 // them past the decision's lifetime (reports, logs).
 func (r *ReasonList) Strings() []string {
@@ -111,28 +106,6 @@ func (r *ReasonList) Strings() []string {
 		return nil
 	}
 	return append([]string(nil), r.a[:r.n]...)
-}
-
-// Join concatenates the reasons with sep (report formatting; allocates).
-func (r *ReasonList) Join(sep string) string {
-	switch r.n {
-	case 0:
-		return ""
-	case 1:
-		return r.a[0]
-	}
-	n := len(sep) * (int(r.n) - 1)
-	for _, s := range r.a[:r.n] {
-		n += len(s)
-	}
-	b := make([]byte, 0, n)
-	for i, s := range r.a[:r.n] {
-		if i > 0 {
-			b = append(b, sep...)
-		}
-		b = append(b, s...)
-	}
-	return string(b)
 }
 
 // Verdict is one detector's judgement of one request. It is a flat value —

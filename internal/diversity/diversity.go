@@ -182,12 +182,3 @@ func (b *ByArchetype) Table(arch detector.Archetype) Contingency {
 	}
 	return Contingency{}
 }
-
-// Overall sums all per-archetype tables.
-func (b *ByArchetype) Overall() Contingency {
-	var out Contingency
-	for _, t := range b.tables {
-		out.Merge(*t)
-	}
-	return out
-}

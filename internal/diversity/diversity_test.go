@@ -142,7 +142,10 @@ func TestByArchetype(t *testing.T) {
 	if missing.Total() != 0 {
 		t.Error("absent archetype should be a zero table")
 	}
-	overall := b.Overall()
+	var overall Contingency
+	for _, tbl := range b.tables {
+		overall.Merge(*tbl)
+	}
 	if overall.Total() != 3 || overall.Both != 1 {
 		t.Errorf("overall = %+v", overall)
 	}

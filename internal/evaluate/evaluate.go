@@ -53,22 +53,8 @@ func (c *Confusion) Specificity() float64 { return ratio(c.TN, c.TN+c.FP) }
 // Precision (PPV) is TP/(TP+FP).
 func (c *Confusion) Precision() float64 { return ratio(c.TP, c.TP+c.FP) }
 
-// NPV is TN/(TN+FN).
-func (c *Confusion) NPV() float64 { return ratio(c.TN, c.TN+c.FN) }
-
 // FPR is FP/(FP+TN).
 func (c *Confusion) FPR() float64 { return ratio(c.FP, c.FP+c.TN) }
-
-// FNR is FN/(FN+TP).
-func (c *Confusion) FNR() float64 { return ratio(c.FN, c.FN+c.TP) }
-
-// Accuracy is (TP+TN)/total.
-func (c *Confusion) Accuracy() float64 { return ratio(c.TP+c.TN, c.Total()) }
-
-// BalancedAccuracy is the mean of sensitivity and specificity.
-func (c *Confusion) BalancedAccuracy() float64 {
-	return (c.Sensitivity() + c.Specificity()) / 2
-}
 
 // F1 is the harmonic mean of precision and sensitivity.
 func (c *Confusion) F1() float64 {
@@ -77,11 +63,6 @@ func (c *Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// Youden is sensitivity + specificity - 1 (Youden's J).
-func (c *Confusion) Youden() float64 {
-	return c.Sensitivity() + c.Specificity() - 1
 }
 
 // MCC is the Matthews correlation coefficient in [-1, 1], 0 when any

@@ -94,15 +94,9 @@ func TestMustCIDRPanics(t *testing.T) {
 
 func TestTrieLongestPrefixMatch(t *testing.T) {
 	db := NewDB()
-	if err := db.InsertCIDR("10.0.0.0/8", Residential); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertCIDR("10.5.0.0/16", Datacenter); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertCIDR("10.5.7.0/24", KnownScraper); err != nil {
-		t.Fatal(err)
-	}
+	db.Insert(MustCIDR("10.0.0.0/8"), Residential)
+	db.Insert(MustCIDR("10.5.0.0/16"), Datacenter)
+	db.Insert(MustCIDR("10.5.7.0/24"), KnownScraper)
 
 	tests := []struct {
 		ip   string
@@ -115,19 +109,17 @@ func TestTrieLongestPrefixMatch(t *testing.T) {
 		{"11.0.0.1", Unknown, false},
 	}
 	for _, tt := range tests {
-		cat, ok, err := db.LookupString(tt.ip)
+		ip, err := ParseIPv4(tt.ip)
 		if err != nil {
-			t.Fatalf("lookup %s: %v", tt.ip, err)
+			t.Fatalf("parse %s: %v", tt.ip, err)
 		}
+		cat, ok := db.Lookup(ip)
 		if cat != tt.want || ok != tt.ok {
 			t.Errorf("Lookup(%s) = %v/%v, want %v/%v", tt.ip, cat, ok, tt.want, tt.ok)
 		}
 	}
 	if db.Len() != 3 {
 		t.Errorf("Len = %d, want 3", db.Len())
-	}
-	if _, _, err := db.LookupString("bogus"); err == nil {
-		t.Error("LookupString accepted a bogus address")
 	}
 }
 

@@ -9,9 +9,7 @@ import (
 func TestDBSnapshotRoundTrip(t *testing.T) {
 	a := BuildFeed()
 	// Simulate a runtime feed refresh before the snapshot.
-	if err := a.InsertCIDR("203.0.113.0/24", KnownScraper); err != nil {
-		t.Fatal(err)
-	}
+	a.Insert(MustCIDR("203.0.113.0/24"), KnownScraper)
 	w := statecodec.NewWriter()
 	a.SnapshotInto(w)
 

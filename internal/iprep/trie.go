@@ -98,7 +98,7 @@ type node struct {
 //
 // The static trie is immutable once built; the overlay mutates behind an
 // atomic pointer with mutators serialised on tempMu. Lookup is therefore
-// safe to call concurrently with InsertTemporary/EvictBefore (and those
+// safe to call concurrently with MergeTemporary/EvictBefore (and those
 // with each other), which is how every guard shard's enricher uses one
 // DB.
 type DB struct {
@@ -132,16 +132,6 @@ func (db *DB) Insert(p Prefix, c Category) {
 	n.category = c
 }
 
-// InsertCIDR parses and inserts a CIDR string.
-func (db *DB) InsertCIDR(cidr string, c Category) error {
-	p, err := ParseCIDR(cidr)
-	if err != nil {
-		return err
-	}
-	db.Insert(p, c)
-	return nil
-}
-
 // Lookup returns the category of the most specific prefix containing ip,
 // across the static feed and the dynamic overlay (the overlay wins ties —
 // fresher intelligence). The boolean reports whether any prefix matched.
@@ -164,16 +154,6 @@ func (db *DB) Lookup(ip uint32) (Category, bool) {
 		return cat, true
 	}
 	return best, found
-}
-
-// LookupString parses a dotted-quad address and looks it up.
-func (db *DB) LookupString(ip string) (Category, bool, error) {
-	addr, err := ParseIPv4(ip)
-	if err != nil {
-		return Unknown, false, err
-	}
-	cat, ok := db.Lookup(addr)
-	return cat, ok, nil
 }
 
 // Len returns the number of distinct prefixes stored.

@@ -8,7 +8,7 @@ import (
 // Dynamic reputation overlay: real feeds are not static — operators push
 // newly confirmed scraper infrastructure, proxy exits appear and age out,
 // and a long-running deployment must be able to absorb those updates
-// without rebuilding its database. InsertTemporary registers a prefix
+// without rebuilding its database. MergeTemporary registers a prefix
 // with an expiry; EvictBefore (driven by the same windowed sweeper that
 // bounds every other stateful layer) retires entries whose TTL has
 // passed.
@@ -34,27 +34,6 @@ type overlay struct {
 	entries []tempEntry
 }
 
-// InsertTemporary registers a prefix with a category until the given
-// expiry. A more specific overlay match beats a static feed match; at
-// equal specificity the overlay wins (fresher intelligence). Re-inserting
-// an identical prefix replaces its category and expiry. Mutators
-// serialise on an internal lock, so an operator push and a sweeper
-// eviction can run from different goroutines without losing updates;
-// lookups never take the lock.
-func (db *DB) InsertTemporary(p Prefix, c Category, until time.Time) {
-	db.tempMu.Lock()
-	defer db.tempMu.Unlock()
-	old := db.loadOverlay()
-	entries := make([]tempEntry, 0, len(old)+1)
-	for _, e := range old {
-		if e.prefix != p {
-			entries = append(entries, e)
-		}
-	}
-	entries = append(entries, tempEntry{prefix: p, cat: c, until: until})
-	db.temp.Store(&overlay{entries: entries})
-}
-
 // EvictBefore removes overlay entries whose expiry is before cutoff and
 // returns the number removed. It is the iprep face of the sweeper's
 // Evictable contract.
@@ -74,9 +53,6 @@ func (db *DB) EvictBefore(cutoff time.Time) int {
 	}
 	return evicted
 }
-
-// TempLen reports the number of live overlay entries.
-func (db *DB) TempLen() int { return len(db.loadOverlay()) }
 
 // TempEntry is one overlay entry in exported, replicable form — the unit
 // the cluster plane ships between nodes, since the overlay (unlike the

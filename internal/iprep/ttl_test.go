@@ -6,6 +6,10 @@ import (
 	"time"
 )
 
+// tempLen is the number of overlay entries, expired ones included until a
+// sweep drops them.
+func tempLen(db *DB) int { return len(db.loadOverlay()) }
+
 func TestInsertTemporaryOverridesAndExpires(t *testing.T) {
 	db := BuildFeed()
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -16,12 +20,12 @@ func TestInsertTemporaryOverridesAndExpires(t *testing.T) {
 	if cat, _ := db.Lookup(ip); cat != Residential {
 		t.Fatalf("before overlay: %v, want residential", cat)
 	}
-	db.InsertTemporary(p, KnownScraper, base.Add(24*time.Hour))
+	db.MergeTemporary(TempEntry{Prefix: p, Cat: KnownScraper, Until: base.Add(24 * time.Hour)})
 	if cat, ok := db.Lookup(ip); !ok || cat != KnownScraper {
 		t.Errorf("with overlay: %v, want known-scraper", cat)
 	}
-	if db.TempLen() != 1 {
-		t.Errorf("TempLen = %d, want 1", db.TempLen())
+	if tempLen(db) != 1 {
+		t.Errorf("overlay holds %d, want 1", tempLen(db))
 	}
 	// Unrelated addresses are untouched.
 	other, _ := ParseIPv4("10.1.3.3")
@@ -50,21 +54,21 @@ func TestTemporarySpecificityAndReplacement(t *testing.T) {
 
 	// A less specific overlay entry loses to a more specific static one.
 	db.Insert(MustCIDR("10.9.9.0/24"), Corporate)
-	db.InsertTemporary(MustCIDR("10.0.0.0/8"), ProxyVPN, until)
+	db.MergeTemporary(TempEntry{Prefix: MustCIDR("10.0.0.0/8"), Cat: ProxyVPN, Until: until})
 	if cat, _ := db.Lookup(ip); cat != Corporate {
 		t.Errorf("broad overlay beat specific static: %v", cat)
 	}
 
 	// Equal specificity: overlay wins.
-	db.InsertTemporary(MustCIDR("10.9.9.0/24"), KnownScraper, until)
+	db.MergeTemporary(TempEntry{Prefix: MustCIDR("10.9.9.0/24"), Cat: KnownScraper, Until: until})
 	if cat, _ := db.Lookup(ip); cat != KnownScraper {
 		t.Errorf("equal-specificity overlay lost: %v", cat)
 	}
 
 	// Re-inserting the same prefix replaces, not accumulates.
-	db.InsertTemporary(MustCIDR("10.9.9.0/24"), TorExit, until.Add(time.Hour))
-	if db.TempLen() != 2 {
-		t.Errorf("TempLen = %d, want 2", db.TempLen())
+	db.MergeTemporary(TempEntry{Prefix: MustCIDR("10.9.9.0/24"), Cat: TorExit, Until: until.Add(time.Hour)})
+	if tempLen(db) != 2 {
+		t.Errorf("overlay holds %d, want 2", tempLen(db))
 	}
 	if cat, _ := db.Lookup(ip); cat != TorExit {
 		t.Errorf("replacement not visible: %v", cat)
@@ -75,7 +79,7 @@ func TestTemporarySpecificityAndReplacement(t *testing.T) {
 	if _, ok := db.Lookup(outside); ok {
 		t.Fatal("unexpected static match")
 	}
-	db.InsertTemporary(MustCIDR("203.0.113.0/24"), KnownScraper, until)
+	db.MergeTemporary(TempEntry{Prefix: MustCIDR("203.0.113.0/24"), Cat: KnownScraper, Until: until})
 	if cat, ok := db.Lookup(outside); !ok || cat != KnownScraper {
 		t.Errorf("overlay-only lookup = %v, %v", cat, ok)
 	}
@@ -104,7 +108,7 @@ func TestTemporaryConcurrentLookups(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		db.InsertTemporary(Prefix{IP: 0xAC160000 + uint32(i)<<8, Bits: 24}, KnownScraper, until)
+		db.MergeTemporary(TempEntry{Prefix: Prefix{IP: 0xAC160000 + uint32(i)<<8, Bits: 24}, Cat: KnownScraper, Until: until})
 		if i%10 == 0 {
 			db.EvictBefore(until.Add(time.Hour))
 		}
@@ -126,7 +130,7 @@ func TestTemporaryConcurrentMutatorsLoseNothing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				p := Prefix{IP: uint32(wtr)<<24 | uint32(i)<<8, Bits: 24}
-				db.InsertTemporary(p, KnownScraper, until)
+				db.MergeTemporary(TempEntry{Prefix: p, Cat: KnownScraper, Until: until})
 				// Interleave sweeps that can evict nothing (everything
 				// expires later) but do rewrite the overlay.
 				db.EvictBefore(until.Add(-time.Hour))
@@ -134,8 +138,8 @@ func TestTemporaryConcurrentMutatorsLoseNothing(t *testing.T) {
 		}(wtr)
 	}
 	wg.Wait()
-	if got := db.TempLen(); got != writers*perWriter {
-		t.Errorf("TempLen = %d after concurrent inserts, want %d (updates lost)",
+	if got := tempLen(db); got != writers*perWriter {
+		t.Errorf("overlay holds %d after concurrent inserts, want %d (updates lost)",
 			got, writers*perWriter)
 	}
 }
@@ -165,8 +169,8 @@ func TestMergeTemporaryLongestLeaseWins(t *testing.T) {
 	if cat, _ := db.Lookup(p.Nth(1)); cat != KnownScraper {
 		t.Fatalf("lookup after upgrade = %v, want KnownScraper", cat)
 	}
-	if db.TempLen() != 1 {
-		t.Fatalf("TempLen = %d, want 1", db.TempLen())
+	if tempLen(db) != 1 {
+		t.Fatalf("overlay holds %d, want 1", tempLen(db))
 	}
 	// Out-of-range bits never land.
 	if db.MergeTemporary(TempEntry{Prefix: Prefix{Bits: 40}, Cat: ProxyVPN, Until: base.Add(time.Hour)}) {
@@ -185,8 +189,8 @@ func TestTempEntriesRoundTripThroughMerge(t *testing.T) {
 	src := NewDB()
 	dst := NewDB()
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	src.InsertTemporary(MustCIDR("198.51.100.0/24"), KnownScraper, base.Add(time.Hour))
-	src.InsertTemporary(MustCIDR("192.0.2.64/26"), ProxyVPN, base.Add(2*time.Hour))
+	src.MergeTemporary(TempEntry{Prefix: MustCIDR("198.51.100.0/24"), Cat: KnownScraper, Until: base.Add(time.Hour)})
+	src.MergeTemporary(TempEntry{Prefix: MustCIDR("192.0.2.64/26"), Cat: ProxyVPN, Until: base.Add(2 * time.Hour)})
 
 	applied := 0
 	src.TempEntries(func(e TempEntry) {
@@ -194,8 +198,8 @@ func TestTempEntriesRoundTripThroughMerge(t *testing.T) {
 			applied++
 		}
 	})
-	if applied != 2 || dst.TempLen() != 2 {
-		t.Fatalf("applied %d entries, TempLen %d, want 2/2", applied, dst.TempLen())
+	if applied != 2 || tempLen(dst) != 2 {
+		t.Fatalf("applied %d entries, overlay holds %d, want 2/2", applied, tempLen(dst))
 	}
 	// Second delivery of the same window is a no-op.
 	src.TempEntries(func(e TempEntry) {

@@ -7,7 +7,7 @@ import (
 
 // AppendCombined appends the Combined Log Format rendering of e to dst and
 // returns the extended buffer. It is the allocation-free counterpart of
-// FormatCombined for hot generation loops.
+// Entry.String for hot generation loops.
 func AppendCombined(dst []byte, e *Entry) []byte {
 	dst = appendCommon(dst, e)
 	dst = append(dst, ' ')
@@ -15,21 +15,6 @@ func AppendCombined(dst []byte, e *Entry) []byte {
 	dst = append(dst, ' ')
 	dst = appendQuoted(dst, e.UserAgent)
 	return dst
-}
-
-// AppendCommon appends the Common Log Format rendering of e to dst.
-func AppendCommon(dst []byte, e *Entry) []byte {
-	return appendCommon(dst, e)
-}
-
-// FormatCombined renders e in Combined Log Format.
-func FormatCombined(e *Entry) string {
-	return string(AppendCombined(make([]byte, 0, 256), e))
-}
-
-// FormatCommon renders e in Common Log Format.
-func FormatCommon(e *Entry) string {
-	return string(AppendCommon(make([]byte, 0, 192), e))
 }
 
 func appendCommon(dst []byte, e *Entry) []byte {

@@ -168,7 +168,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if e.Bytes < 0 {
 			e.Bytes = -1
 		}
-		line := FormatCombined(&e)
+		line := e.String()
 		got, err := ParseCombined(line)
 		if err != nil {
 			t.Logf("parse %q: %v", line, err)

@@ -46,18 +46,3 @@ func StatusLabel(code int) string {
 	}
 	return strconv.Itoa(code) + " (" + name + ")"
 }
-
-// PaperStatuses lists, in a stable order, the status codes that the paper's
-// Tables 3 and 4 break alerts down by.
-func PaperStatuses() []int {
-	return []int{
-		StatusOK,
-		StatusFound,
-		StatusNoContent,
-		StatusBadRequest,
-		StatusNotModified,
-		StatusNotFound,
-		StatusInternalServerError,
-		StatusForbidden,
-	}
-}

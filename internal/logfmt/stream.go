@@ -2,7 +2,6 @@ package logfmt
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -102,23 +101,6 @@ func (r *Reader) Skipped() int { return r.badLines }
 
 // Lines reports how many lines have been consumed so far.
 func (r *Reader) Lines() int { return r.lineNo }
-
-// ForEach streams all remaining entries to fn, stopping early if fn returns
-// an error. A fn error is returned verbatim; end of input returns nil.
-func (r *Reader) ForEach(fn func(Entry) error) error {
-	for {
-		e, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-}
 
 // Writer streams entries to an underlying writer in Combined Log Format.
 // It reuses an internal buffer; Flush must be called before the underlying

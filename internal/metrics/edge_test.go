@@ -28,7 +28,7 @@ func TestHistogramNonFiniteObservations(t *testing.T) {
 		t.Errorf("Sum = %v, want NaN (poisoned visibly, not silently dropped)", sum)
 	}
 
-	page := string(r.AppendPrometheus(nil))
+	page := promPage(r)
 	// NaN compares false with every bound, so it lands in the +Inf
 	// bucket; -Inf is <= every bound, so it lands in the first.
 	for _, want := range []string{
@@ -53,7 +53,7 @@ func TestJSONSurvivesNonFiniteSums(t *testing.T) {
 	pos.Observe(math.Inf(1))
 	neg.Observe(math.Inf(-1))
 
-	raw := r.AppendJSON(nil)
+	raw := jsonPage(r)
 	var doc map[string]struct {
 		Count   uint64   `json:"count"`
 		Sum     any      `json:"sum"`
@@ -99,7 +99,7 @@ func TestHostileLabelValues(t *testing.T) {
 		c.Add(uint64(i + 1))
 	}
 
-	page := string(r.AppendPrometheus(nil))
+	page := promPage(r)
 	for _, line := range strings.Split(page, "\n") {
 		if strings.Count(line, "\n") != 0 {
 			t.Fatalf("raw newline survived into a sample line: %q", line)
@@ -115,7 +115,7 @@ func TestHostileLabelValues(t *testing.T) {
 		}
 	}
 
-	raw := r.AppendJSON(nil)
+	raw := jsonPage(r)
 	var doc map[string]int64
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("JSON page unparseable with hostile labels: %v\n%s", err, raw)

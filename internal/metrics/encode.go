@@ -118,15 +118,6 @@ func appendJSONFloat(buf []byte, v float64) []byte {
 	return strconv.AppendFloat(buf, v, 'g', -1, 64)
 }
 
-// AppendPrometheus appends the registry's metrics in the Prometheus text
-// exposition format and returns the extended buffer. Appending into a
-// buffer with sufficient capacity performs no allocations.
-func (r *Registry) AppendPrometheus(buf []byte) []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appendPrometheusLocked(buf)
-}
-
 func (r *Registry) appendPrometheusLocked(buf []byte) []byte {
 	for _, f := range r.families {
 		buf = append(buf, f.header...)
@@ -154,15 +145,6 @@ func (r *Registry) appendPrometheusLocked(buf []byte) []byte {
 		}
 	}
 	return buf
-}
-
-// AppendJSON appends the registry's metrics as one JSON object keyed by
-// full sample name and returns the extended buffer. Like AppendPrometheus
-// it is allocation-free once the buffer has grown.
-func (r *Registry) AppendJSON(buf []byte) []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appendJSONLocked(buf)
 }
 
 func (r *Registry) appendJSONLocked(buf []byte) []byte {

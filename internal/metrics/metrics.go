@@ -14,7 +14,7 @@
 //     prefixes are serialised once at registration; an encode pass only
 //     appends those pre-built byte slices and strconv-formatted values
 //     into a reused buffer. After the first scrape has grown the buffer,
-//     AppendPrometheus and AppendJSON perform zero allocations — guarded
+//     WritePrometheus and WriteJSON perform zero allocations — guarded
 //     by an alloc-regression test, because a scraper polling every few
 //     seconds for weeks must not become a garbage source.
 //

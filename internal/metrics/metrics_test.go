@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -10,6 +11,20 @@ import (
 	"sync"
 	"testing"
 )
+
+// promPage is the registry's Prometheus text page as a scrape reads it.
+func promPage(r *Registry) string {
+	var b strings.Builder
+	_ = r.WritePrometheus(&b)
+	return b.String()
+}
+
+// jsonPage is the registry's JSON page as a scrape reads it.
+func jsonPage(r *Registry) []byte {
+	var b bytes.Buffer
+	_ = r.WriteJSON(&b)
+	return b.Bytes()
+}
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
@@ -26,7 +41,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Errorf("gauge = %d, want 5", g.Value())
 	}
 
-	out := string(r.AppendPrometheus(nil))
+	out := promPage(r)
 	for _, want := range []string{
 		"# HELP requests_total Requests seen.",
 		"# TYPE requests_total counter",
@@ -50,7 +65,7 @@ func TestLabelsAndFuncInstruments(t *testing.T) {
 
 	blocked.Add(2)
 	allowed.Add(9)
-	out := string(r.AppendPrometheus(nil))
+	out := promPage(r)
 	for _, want := range []string{
 		`actions_total{action="block"} 2`,
 		`actions_total{action="allow"} 9`,
@@ -79,7 +94,7 @@ func TestHistogram(t *testing.T) {
 	if got, want := h.Sum(), 5.555; math.Abs(got-want) > 1e-9 {
 		t.Errorf("sum = %g, want %g", got, want)
 	}
-	out := string(r.AppendPrometheus(nil))
+	out := promPage(r)
 	for _, want := range []string{
 		`latency_seconds_bucket{le="0.01"} 1`,
 		`latency_seconds_bucket{le="0.1"} 2`,
@@ -98,7 +113,7 @@ func TestHistogramBoundaryGoesToLowerBucket(t *testing.T) {
 	r := NewRegistry()
 	h := r.MustHistogram("h", "", []float64{1, 2})
 	h.Observe(1) // le="1" is inclusive, Prometheus semantics
-	out := string(r.AppendPrometheus(nil))
+	out := promPage(r)
 	if !strings.Contains(out, `h_bucket{le="1"} 1`) {
 		t.Errorf("boundary observation not in inclusive bucket:\n%s", out)
 	}
@@ -112,7 +127,7 @@ func TestJSONEncodingIsValid(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(2)
 
-	raw := r.AppendJSON(nil)
+	raw := jsonPage(r)
 	var m map[string]any
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("invalid JSON %s: %v", raw, err)
@@ -214,9 +229,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []byte
 			for j := 0; j < 100; j++ {
-				buf = r.AppendPrometheus(buf[:0])
+				_ = r.WritePrometheus(io.Discard)
 			}
 		}()
 	}
@@ -244,18 +258,17 @@ func TestEncoderZeroAllocs(t *testing.T) {
 		[]float64{0.001, 0.01, 0.1, 1})
 	h.Observe(0.004)
 
-	var buf []byte
-	buf = r.AppendPrometheus(buf[:0]) // grow once
+	_ = r.WritePrometheus(io.Discard) // grow the buffer once
 	if allocs := testing.AllocsPerRun(200, func() {
-		buf = r.AppendPrometheus(buf[:0])
+		_ = r.WritePrometheus(io.Discard)
 	}); allocs != 0 {
-		t.Errorf("AppendPrometheus allocates %.1f/op, want 0", allocs)
+		t.Errorf("WritePrometheus allocates %.1f/op, want 0", allocs)
 	}
-	buf = r.AppendJSON(buf[:0])
+	_ = r.WriteJSON(io.Discard)
 	if allocs := testing.AllocsPerRun(200, func() {
-		buf = r.AppendJSON(buf[:0])
+		_ = r.WriteJSON(io.Discard)
 	}); allocs != 0 {
-		t.Errorf("AppendJSON allocates %.1f/op, want 0", allocs)
+		t.Errorf("WriteJSON allocates %.1f/op, want 0", allocs)
 	}
 	c := r.MustCounter("hot", "")
 	if allocs := testing.AllocsPerRun(200, func() {

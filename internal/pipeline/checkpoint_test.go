@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"divscrape/internal/detector"
@@ -30,7 +31,7 @@ func decisionBytes(buf *bytes.Buffer, d Decision) {
 		}
 		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.Score))
 		buf.Write(tmp[:])
-		buf.WriteString(v.Reasons.Join(","))
+		buf.WriteString(strings.Join(v.Reasons.Strings(), ","))
 		buf.WriteByte(';')
 	}
 }

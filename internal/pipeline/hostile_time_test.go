@@ -125,3 +125,54 @@ func TestHostileInstantsThroughTheSequentialPipeline(t *testing.T) {
 		t.Error("the original and the restored ladder diverged over the year-9999 lines")
 	}
 }
+
+// One line stamped far ahead of the stream must not stop the windowed
+// sweeps for the rest of it: a line more than a sweep period before the
+// anchor sweeps and re-anchors on itself, as the enricher's expiry does.
+func TestFarFutureLineDoesNotStopSweeps(t *testing.T) {
+	line := func(ip string, at time.Time) string {
+		return fmt.Sprintf(`%s - - [%s] "GET /product/7 HTTP/1.1" 200 512 "-" "Mozilla/5.0 (X11; Linux x86_64; rv:58.0) Gecko/20100101 Firefox/58.0"`+"\n", ip, at.Format(logfmt.ApacheTime))
+	}
+	var stream strings.Builder
+	start := time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 5000; i++ {
+		stream.WriteString(line(fmt.Sprintf("10.%d.%d.%d", i>>16&0xff, i>>8&0xff, i&0xff), start.Add(time.Duration(i)*time.Second)))
+	}
+	replay := func(text string) uint64 {
+		t.Helper()
+		sen, err := sentinel.New(sentinel.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arc, err := arcane.New(arcane.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(Config{
+			Detectors:   []detector.Detector{sen, arc},
+			Factories:   pairFactories(),
+			Reputation:  iprep.BuildFeed(),
+			Mode:        Sequential,
+			EvictWindow: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RunReader(context.Background(), strings.NewReader(text), logfmt.Strict, func(Decision) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		sweeps, _ := p.EvictionStats()
+		return sweeps
+	}
+
+	sweeps := replay(stream.String())
+	if sweeps == 0 {
+		t.Fatal("the plain stream never swept")
+	}
+	// The first 2018 line sweeps and re-anchors; the cadence then runs as
+	// in the plain stream.
+	far := replay(line("10.255.0.1", time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC)) + stream.String())
+	if far != sweeps+1 {
+		t.Errorf("after a line stamped 2200 the stream swept %d times, want %d", far, sweeps+1)
+	}
+}

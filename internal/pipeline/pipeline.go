@@ -383,7 +383,7 @@ func (p *Pipeline) ResetDetectors() {
 // worker paces its own sweeps on the event time of the requests it judges
 // — a shard only holds state for clients that hash to it, and sweeping is
 // decision-neutral, so per-shard cadence drift is invisible; the cost when
-// no sweep is due is one time comparison.
+// no sweep is due is two time comparisons.
 func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
 	sh := p.shards[i]
 	if p.shared {
@@ -393,9 +393,12 @@ func (p *Pipeline) step(i int, req *detector.Request, out *shard.Outcome) {
 		defer sh.Unlock()
 	}
 	if now := req.Entry.Time; p.cfg.EvictWindow > 0 && !now.IsZero() {
+		// A line more than a period before the anchor — as after one
+		// stamped far ahead of the stream — sweeps and re-anchors on
+		// itself, so that one line does not stop the sweeps for good.
 		if last := &p.evictLast[i]; last.IsZero() {
 			*last = now
-		} else if now.Sub(*last) >= p.cfg.EvictEvery {
+		} else if d := now.Sub(*last); d >= p.cfg.EvictEvery || d < -p.cfg.EvictEvery {
 			*last = now
 			p.sweeps.Add(1)
 			p.evicted.Add(uint64(sh.Sweep(now)))

@@ -170,8 +170,8 @@ func TestShardedEquivalenceLargeStream(t *testing.T) {
 				seq:      d.Req.Seq,
 				alerts:   [2]bool{d.Verdicts[0].Alert, d.Verdicts[1].Alert},
 				scores:   [2]float64{d.Verdicts[0].Score, d.Verdicts[1].Score},
-				reasons0: d.Verdicts[0].Reasons.Join(","),
-				reasons1: d.Verdicts[1].Reasons.Join(","),
+				reasons0: strings.Join(d.Verdicts[0].Reasons.Strings(), ","),
+				reasons1: strings.Join(d.Verdicts[1].Reasons.Strings(), ","),
 			})
 			return nil
 		})

@@ -39,8 +39,8 @@ func flatten(d Decision) rxDecision {
 		ip:       d.Req.IP,
 		alerts:   [2]bool{d.Verdicts[0].Alert, d.Verdicts[1].Alert},
 		scores:   [2]float64{d.Verdicts[0].Score, d.Verdicts[1].Score},
-		reasons0: d.Verdicts[0].Reasons.Join(","),
-		reasons1: d.Verdicts[1].Reasons.Join(","),
+		reasons0: strings.Join(d.Verdicts[0].Reasons.Strings(), ","),
+		reasons1: strings.Join(d.Verdicts[1].Reasons.Strings(), ","),
 	}
 }
 
@@ -653,7 +653,9 @@ func TestRelaxedTracingEquivalence50k(t *testing.T) {
 	if tracer.MergeStalls() != 0 {
 		t.Errorf("relaxed run counted %d merge stalls; the mode has no merger", tracer.MergeStalls())
 	}
-	page := string(tracer.Registry().AppendPrometheus(nil))
+	var scrape strings.Builder
+	_ = tracer.Registry().WritePrometheus(&scrape)
+	page := scrape.String()
 	if !strings.Contains(page, "divscrape_shard_ring_depth") {
 		t.Error("relaxed tracer registered no ring occupancy gauges")
 	}

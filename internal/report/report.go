@@ -42,17 +42,6 @@ func (t *Table) AddRow(cells ...string) {
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Cell returns the content at (row, col), or "" when out of range.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.rows) {
-		return ""
-	}
-	if col < 0 || col >= len(t.rows[row]) {
-		return ""
-	}
-	return t.rows[row][col]
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	cols := len(t.Columns)

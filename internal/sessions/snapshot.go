@@ -101,15 +101,22 @@ func SnapshotMerged[T any](w *statecodec.Writer, stores []*Store[T]) {
 		total += s.Len()
 	}
 	entries := make([]snapshotEntry[T], 0, total)
-	seen := make(map[Key]struct{}, total)
+	// One store cannot hold a key twice: only a merge of several needs
+	// the proof that they are key-disjoint.
+	var seen map[Key]struct{}
+	if len(stores) > 1 {
+		seen = make(map[Key]struct{}, total)
+	}
 	for _, s := range stores {
 		for id := s.head; id != 0; {
 			n := s.nodes.At(id)
-			if _, dup := seen[n.key]; dup {
-				w.Fail(fmt.Errorf("sessions: key %v held by two stores; shards are not key-disjoint", n.key))
-				return
+			if seen != nil {
+				if _, dup := seen[n.key]; dup {
+					w.Fail(fmt.Errorf("sessions: key %v held by two stores; shards are not key-disjoint", n.key))
+					return
+				}
+				seen[n.key] = struct{}{}
 			}
-			seen[n.key] = struct{}{}
 			entries = append(entries, snapshotEntry[T]{key: n.key, lastSeen: n.lastSeen, value: &n.value})
 			id = n.next
 		}

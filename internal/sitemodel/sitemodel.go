@@ -79,14 +79,6 @@ func (s *Site) PagesInCategory() int {
 	return (s.cfg.ProductsPerCategory + s.cfg.PageSize - 1) / s.cfg.PageSize
 }
 
-// CategoryOf returns the category of a product id.
-func (s *Site) CategoryOf(productID int) int {
-	if productID < 0 || productID >= s.products {
-		return -1
-	}
-	return productID / s.cfg.ProductsPerCategory
-}
-
 // ProductsOnPage returns the product ids listed on one category page.
 func (s *Site) ProductsOnPage(category, page int) []int {
 	if category < 0 || category >= s.cfg.Categories || page < 0 || page >= s.PagesInCategory() {

@@ -63,9 +63,8 @@ func TestCatalogueGeometry(t *testing.T) {
 					t.Fatalf("product %d listed twice", id)
 				}
 				seen[id] = true
-				if s.CategoryOf(id) != cat {
-					t.Fatalf("product %d on category %d page but CategoryOf = %d",
-						id, cat, s.CategoryOf(id))
+				if got := id / s.cfg.ProductsPerCategory; got != cat {
+					t.Fatalf("product %d on category %d page but belongs to %d", id, cat, got)
 				}
 			}
 		}
@@ -74,12 +73,9 @@ func TestCatalogueGeometry(t *testing.T) {
 		t.Errorf("pagination covers %d products, want %d", len(seen), s.Products())
 	}
 
-	// Out-of-range queries are nil/-1, not panics.
+	// Out-of-range queries are nil, not panics.
 	if s.ProductsOnPage(-1, 0) != nil || s.ProductsOnPage(0, 9999) != nil {
 		t.Error("out-of-range page returned products")
-	}
-	if s.CategoryOf(-1) != -1 || s.CategoryOf(s.Products()) != -1 {
-		t.Error("out-of-range product has a category")
 	}
 }
 

@@ -19,7 +19,6 @@
 package spsc
 
 import (
-	"context"
 	"math/bits"
 	"sync/atomic"
 )
@@ -91,9 +90,6 @@ func (r *Ring[T]) Len() int {
 	return int(t - h)
 }
 
-// Closed reports whether Close has been called.
-func (r *Ring[T]) Closed() bool { return r.closed.Load() }
-
 // TryPush appends v if a slot is free, returning false on a full or
 // closed ring. Producer goroutine only.
 func (r *Ring[T]) TryPush(v T) bool {
@@ -144,11 +140,6 @@ func (r *Ring[T]) Push(done <-chan struct{}, v T) bool {
 	}
 }
 
-// PushCtx is Push against a context.
-func (r *Ring[T]) PushCtx(ctx context.Context, v T) bool {
-	return r.Push(ctx.Done(), v)
-}
-
 // TryPop removes and returns the oldest item; ok is false on an empty
 // ring (closed or not). Consumer goroutine only.
 func (r *Ring[T]) TryPop() (v T, ok bool) {
@@ -196,11 +187,6 @@ func (r *Ring[T]) Pop(done <-chan struct{}) (v T, ok bool) {
 		}
 		r.consWaiting.Store(false)
 	}
-}
-
-// PopCtx is Pop against a context.
-func (r *Ring[T]) PopCtx(ctx context.Context) (T, bool) {
-	return r.Pop(ctx.Done())
 }
 
 // Close marks the stream complete: subsequent pushes fail, and Pop

@@ -1,7 +1,6 @@
 package spsc
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -70,38 +69,35 @@ func TestPopDrainsAfterClose(t *testing.T) {
 	if _, ok := r.Pop(never); ok {
 		t.Fatal("Pop returned ok on a closed, drained ring")
 	}
-	if !r.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 }
 
 func TestDoneUnblocksBothSides(t *testing.T) {
 	r := New[int](2)
-	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
 
 	// Blocked consumer on an empty ring.
 	popped := make(chan bool)
 	go func() {
-		_, ok := r.PopCtx(ctx)
+		_, ok := r.Pop(done)
 		popped <- ok
 	}()
-	cancel()
+	close(done)
 	if ok := <-popped; ok {
-		t.Fatal("PopCtx returned ok=true after cancellation")
+		t.Fatal("Pop returned ok=true after done closed")
 	}
 
 	// Blocked producer on a full ring.
 	r2 := New[int](2)
 	for r2.TryPush(1) {
 	}
-	ctx2, cancel2 := context.WithCancel(context.Background())
+	done2 := make(chan struct{})
 	pushed := make(chan bool)
 	go func() {
-		pushed <- r2.PushCtx(ctx2, 42)
+		pushed <- r2.Push(done2, 42)
 	}()
-	cancel2()
+	close(done2)
 	if ok := <-pushed; ok {
-		t.Fatal("PushCtx returned ok=true after cancellation")
+		t.Fatal("Push returned ok=true after done closed")
 	}
 }
 

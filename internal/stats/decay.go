@@ -7,47 +7,6 @@ import (
 	"divscrape/internal/instant"
 )
 
-// EWMA is an exponentially weighted moving average with a fixed smoothing
-// factor alpha in (0, 1]. Larger alpha tracks the signal faster; smaller
-// alpha smooths more. The zero value is unusable — construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	seen  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. Alpha is clamped
-// to (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 {
-		alpha = 0.01
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates one observation and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.seen {
-		e.value = x
-		e.seen = true
-		return x
-	}
-	e.value += e.alpha * (x - e.value)
-	return e.value
-}
-
-// Value returns the current average, or 0 before any observation.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Warm reports whether at least one observation has been added.
-func (e *EWMA) Warm() bool { return e.seen }
-
-// Reset clears the average.
-func (e *EWMA) Reset() { e.value, e.seen = 0, false }
-
 // HalfLife is a DecayRate's parameter: how long it takes a historical
 // burst to lose half its weight. One value serves every estimator its
 // owner keeps.
@@ -66,11 +25,11 @@ func NewHalfLife(d time.Duration) HalfLife {
 
 // DecayRate is a time-decayed event-rate estimator: it answers "how many
 // events per second is this client generating right now?" with exponential
-// decay over a half-life, so bursts age out smoothly. It is the rate
-// signal the behavioural detector feeds into CUSUM. It holds only its
-// state, so a per-client record embeds it at 24 bytes; the half-life is
-// passed to every call and must be the same on every call on one
-// estimator.
+// decay over a half-life, so bursts age out smoothly. It is the request
+// rate arcane, the behavioural detector, scores as a feature. It holds
+// only its state, so a per-client record embeds it at 24 bytes; the
+// half-life is passed to every call and must be the same on every call
+// on one estimator.
 type DecayRate struct {
 	rate float64 // events per second
 	last int64   // instant of the last decay; instant.Never until an event

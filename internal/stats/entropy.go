@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // CountSet counts occurrences of string categories; the commercial-style
 // detector keeps one per client address to notice User-Agent rotation.
 // Nearly every address sends one agent, so the first category is held in
@@ -48,25 +46,3 @@ func (s *CountSet) Distinct() int {
 // Reset empties the counter and lets go of its strings and map, so a
 // recycled client record pins no User-Agent of the client before it.
 func (s *CountSet) Reset() { *s = CountSet{} }
-
-// EntropyOfCounts computes Shannon entropy (bits) of an arbitrary count
-// vector without building a CountSet.
-func EntropyOfCounts(counts []uint64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	n := float64(total)
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}

@@ -13,17 +13,16 @@ import (
 // Snapshot support: every streaming accumulator detectors embed in
 // per-client state can serialise its dynamic fields through the state
 // codec and restore them into an identically configured instance, so
-// session histories survive process restarts. Configuration (half-lives,
-// quantile targets, smoothing factors) is not serialised — it comes from
-// code — only the accumulated observations are.
+// session histories survive process restarts. Configuration (half-lives)
+// is not serialised — it comes from code — only the accumulated
+// observations are.
 
 // Section tags; Expect on restore catches snapshots spliced out of order.
+// 0x5704 and 0x5705 (EWMA, P2Quantile) are retired: never reuse them.
 const (
-	tagWelford    uint16 = 0x5701
-	tagCountSet   uint16 = 0x5702
-	tagDecayRate  uint16 = 0x5703
-	tagEWMA       uint16 = 0x5704
-	tagP2Quantile uint16 = 0x5705
+	tagWelford   uint16 = 0x5701
+	tagCountSet  uint16 = 0x5702
+	tagDecayRate uint16 = 0x5703
 )
 
 // SnapshotInto implements statecodec.Snapshotter.
@@ -174,58 +173,5 @@ func (d *DecayRate) RestoreFrom(r *statecodec.Reader) error {
 	d.rate = r.Float64()
 	d.last = instant.Of(r.Time())
 	d.seen = r.Bool()
-	return r.Err()
-}
-
-// SnapshotInto implements statecodec.Snapshotter.
-func (e *EWMA) SnapshotInto(w *statecodec.Writer) {
-	w.Tag(tagEWMA)
-	w.Float64(e.value)
-	w.Bool(e.seen)
-}
-
-// RestoreFrom implements statecodec.Snapshotter. Alpha stays as
-// configured on the receiver.
-func (e *EWMA) RestoreFrom(r *statecodec.Reader) error {
-	if err := r.Expect(tagEWMA); err != nil {
-		return err
-	}
-	e.value = r.Float64()
-	e.seen = r.Bool()
-	return r.Err()
-}
-
-// SnapshotInto implements statecodec.Snapshotter.
-func (q *P2Quantile) SnapshotInto(w *statecodec.Writer) {
-	w.Tag(tagP2Quantile)
-	w.Int(q.n)
-	for i := 0; i < 5; i++ {
-		w.Float64(q.heights[i])
-		w.Float64(q.pos[i])
-		w.Float64(q.want[i])
-	}
-	w.Uint32(uint32(len(q.initial)))
-	for _, v := range q.initial {
-		w.Float64(v)
-	}
-}
-
-// RestoreFrom implements statecodec.Snapshotter. The target quantile and
-// its marker increments stay as configured on the receiver.
-func (q *P2Quantile) RestoreFrom(r *statecodec.Reader) error {
-	if err := r.Expect(tagP2Quantile); err != nil {
-		return err
-	}
-	q.n = r.Int()
-	for i := 0; i < 5; i++ {
-		q.heights[i] = r.Float64()
-		q.pos[i] = r.Float64()
-		q.want[i] = r.Float64()
-	}
-	n := r.Count(8)
-	q.initial = q.initial[:0]
-	for i := 0; i < n; i++ {
-		q.initial = append(q.initial, r.Float64())
-	}
 	return r.Err()
 }

@@ -192,44 +192,3 @@ func TestDecayRateSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("rates diverged: %g vs %g", a.Rate(&h, later), b.Rate(&h, later))
 	}
 }
-
-func TestEWMASnapshotRoundTrip(t *testing.T) {
-	a := NewEWMA(0.2)
-	for i := 0; i < 20; i++ {
-		a.Add(float64(i))
-	}
-	w := statecodec.NewWriter()
-	a.SnapshotInto(w)
-	b := NewEWMA(0.2)
-	if err := b.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if a.Add(7) != b.Add(7) {
-		t.Error("EWMA diverged after restore")
-	}
-}
-
-func TestP2QuantileSnapshotRoundTrip(t *testing.T) {
-	for _, n := range []int{3, 5, 200} { // below, at and beyond the init buffer
-		a := NewP2Quantile(0.75)
-		x := 1.0
-		for i := 0; i < n; i++ {
-			x = x*1.1 + float64(i%7)
-			a.Add(x)
-		}
-		w := statecodec.NewWriter()
-		a.SnapshotInto(w)
-		b := NewP2Quantile(0.75)
-		if err := b.RestoreFrom(statecodec.NewReader(w.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		if a.Value() != b.Value() {
-			t.Errorf("n=%d: value %g vs %g", n, a.Value(), b.Value())
-		}
-		a.Add(123.4)
-		b.Add(123.4)
-		if a.Value() != b.Value() {
-			t.Errorf("n=%d: diverged after restore", n)
-		}
-	}
-}

@@ -1,7 +1,7 @@
-// Package stats provides streaming statistics primitives — running moments,
-// exponentially weighted averages, quantile sketches, histograms and entropy
-// — used by the behavioural detector to summarise per-session and population
-// features in a single pass over the traffic.
+// Package stats provides the streaming statistics the detectors keep per
+// client — running moments, decayed event rates, category counts and
+// product-id sets — each summarising its features in one pass over the
+// traffic.
 //
 // All types are plain value types safe for single-goroutine use; detectors
 // own their statistics and the pipeline serialises access.
@@ -39,14 +39,6 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the Bessel-corrected sample variance.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
 }
 
 // StdDev returns the population standard deviation.
@@ -88,59 +80,3 @@ func (w *Welford) Merge(o Welford) {
 
 // Reset returns the accumulator to its empty state.
 func (w *Welford) Reset() { *w = Welford{} }
-
-// Decay scales the accumulator's effective weight by keep in (0, 1),
-// implementing exponential forgetting: the mean and variance are
-// unchanged, but the baseline now weighs as if it had seen keep·N
-// observations, so subsequent observations move it proportionally
-// faster. This is how a long-running detector keeps its population
-// baseline tracking traffic drift instead of being anchored forever to
-// its first days. keep ≥ 1 is a no-op; keep ≤ 0 (or decaying below one
-// observation) resets.
-func (w *Welford) Decay(keep float64) {
-	if keep >= 1 || w.n == 0 {
-		return
-	}
-	n := float64(w.n) * keep
-	if keep <= 0 || n < 1 {
-		w.Reset()
-		return
-	}
-	oldN := w.n
-	w.n = uint64(n + 0.5)
-	// m2 scales with the (rounded) weight so Variance (m2/n) is preserved.
-	w.m2 *= float64(w.n) / float64(oldN)
-}
-
-// MinMax tracks the extremes of a stream. The zero value is empty.
-type MinMax struct {
-	n        uint64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (m *MinMax) Add(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	m.n++
-}
-
-// N returns the number of observations.
-func (m *MinMax) N() uint64 { return m.n }
-
-// Min returns the smallest observation, or 0 when empty.
-func (m *MinMax) Min() float64 { return m.min }
-
-// Max returns the largest observation, or 0 when empty.
-func (m *MinMax) Max() float64 { return m.max }
-
-// Range returns max-min, or 0 when empty.
-func (m *MinMax) Range() float64 { return m.max - m.min }

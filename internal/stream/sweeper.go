@@ -11,7 +11,7 @@ import (
 
 // Sweeper drives windowed TTL eviction across every registered stateful
 // layer from one place: detector session stores, mitigation engines, the
-// reputation overlay, anomaly baselines — anything implementing the
+// reputation overlay — anything implementing the
 // detector.Evictable hook. One sweeper, one window, one cadence, so an
 // operator reasons about a single retention knob instead of one per
 // subsystem.
@@ -42,12 +42,6 @@ type sweepHook struct {
 	name string
 	ev   detector.Evictable
 }
-
-// EvictFunc adapts a plain function to detector.Evictable.
-type EvictFunc func(cutoff time.Time) int
-
-// EvictBefore implements detector.Evictable.
-func (f EvictFunc) EvictBefore(cutoff time.Time) int { return f(cutoff) }
 
 // NewSweeper builds a sweeper with the given retention window and sweep
 // cadence (every <= 0 defaults to window/4, at least one second). src

@@ -132,7 +132,9 @@ func TestShardInstruments(t *testing.T) {
 	// Out-of-range shards must be ignored, not panic.
 	tr.RingDepth(9, 1)
 
-	page := string(tr.Registry().AppendPrometheus(nil))
+	var scrape strings.Builder
+	_ = tr.Registry().WritePrometheus(&scrape)
+	page := scrape.String()
 	for _, want := range []string{
 		`divscrape_shard_ring_depth{shard="0"} 7`,
 		`divscrape_shard_ring_depth{shard="1"} 1`,
@@ -161,7 +163,9 @@ func TestRelaxedTracerInstruments(t *testing.T) {
 	if tr.MergeStalls() != 0 {
 		t.Error("relaxed tracer counted a merge stall")
 	}
-	page := string(tr.Registry().AppendPrometheus(nil))
+	var scrape strings.Builder
+	_ = tr.Registry().WritePrometheus(&scrape)
+	page := scrape.String()
 	for _, want := range []string{
 		`divscrape_shard_ring_depth{shard="0"} 5`,
 		`divscrape_shard_ring_depth{shard="1"} 2`,
@@ -185,7 +189,9 @@ func TestUnshardedTracerHasNoShardInstruments(t *testing.T) {
 	if tr.MergeStalls() != 0 {
 		t.Error("unsharded tracer counted a merge stall")
 	}
-	page := string(tr.Registry().AppendPrometheus(nil))
+	var scrape strings.Builder
+	_ = tr.Registry().WritePrometheus(&scrape)
+	page := scrape.String()
 	for _, absent := range []string{"divscrape_shard_", "divscrape_merge_"} {
 		if strings.Contains(page, absent) {
 			t.Errorf("unsharded registry page contains %q:\n%s", absent, page)

@@ -70,17 +70,6 @@ func (m *Model) Seen(prev, next sitemodel.PageKind) bool {
 	return m.seen[prev][next]
 }
 
-// BaselineSurprise returns the benign cross-entropy in bits/transition.
-func (m *Model) BaselineSurprise() float64 { return m.baselineSurprise }
-
-// BaselineEntropy returns the mean benign session kind-entropy in bits.
-func (m *Model) BaselineEntropy() float64 { return m.baselineEntropy }
-
-// Mix returns the benign (pages, assets, api) shares.
-func (m *Model) Mix() (pages, assets, api float64) {
-	return m.mixPages, m.mixAssets, m.mixAPI
-}
-
 // counts accumulates the sufficient statistics Train gathers before
 // finalising a Model.
 type counts struct {

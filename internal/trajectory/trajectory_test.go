@@ -219,11 +219,11 @@ func TestDefaultModelShape(t *testing.T) {
 	if !m.Trained() {
 		t.Fatal("default model untrained")
 	}
-	pages, assets, api := m.Mix()
+	pages, assets, api := m.mixPages, m.mixAssets, m.mixAPI
 	if assets <= pages || assets <= api {
 		t.Errorf("benign mix should be asset-heavy: pages=%.3f assets=%.3f api=%.3f", pages, assets, api)
 	}
-	if h := m.BaselineEntropy(); h < 1 {
+	if h := m.baselineEntropy; h < 1 {
 		t.Errorf("benign session entropy %.2f bits, want >= 1", h)
 	}
 	if m.Surprise(sitemodel.KindPrice, sitemodel.KindPrice) <= m.Surprise(sitemodel.KindProduct, sitemodel.KindStatic) {

@@ -71,16 +71,11 @@ func NewChecker(era Era) *Checker {
 	return &Checker{era: era}
 }
 
-// Check returns the consistency violations for a parsed UA. An empty
-// result means the string is internally plausible (which does not prove a
-// real browser sent it — that is what the challenge flow is for).
-func (c *Checker) Check(info Info) []Violation {
-	return c.AppendCheck(nil, info)
-}
-
 // AppendCheck appends info's consistency violations to dst and returns the
 // extended slice, letting hot paths reuse one scratch buffer across
 // requests instead of allocating per call.
+// Nothing appended means the string is internally plausible (which does not
+// prove a real browser sent it — that is what the challenge flow is for).
 func (c *Checker) AppendCheck(dst []Violation, info Info) []Violation {
 	out := dst
 	switch info.Class {

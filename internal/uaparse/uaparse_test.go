@@ -235,7 +235,7 @@ func TestCheckerViolations(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := c.Check(Parse(tt.ua))
+			got := c.AppendCheck(nil, Parse(tt.ua))
 			if len(got) != len(tt.want) {
 				t.Fatalf("violations = %v, want %v", got, tt.want)
 			}
@@ -250,7 +250,7 @@ func TestCheckerViolations(t *testing.T) {
 
 func TestCheckerCustomEraDisablesIE(t *testing.T) {
 	c := NewChecker(Era{ChromeMin: 1, ChromeMax: 200, FirefoxMin: 1, FirefoxMax: 200, SafariMin: 1, SafariMax: 200})
-	got := c.Check(Parse("Mozilla/4.0 (compatible; MSIE 7.0; Windows NT 5.1)"))
+	got := c.AppendCheck(nil, Parse("Mozilla/4.0 (compatible; MSIE 7.0; Windows NT 5.1)"))
 	if len(got) != 0 {
 		t.Errorf("IE check should be disabled with zero IEMin, got %v", got)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"divscrape/internal/logfmt"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/sitemodel"
 )
@@ -16,7 +15,7 @@ func render(t *testing.T, events []Event) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, ev := range events {
-		sb.WriteString(logfmt.FormatCombined(&ev.Entry))
+		sb.WriteString(ev.Entry.String())
 		sb.WriteByte('|')
 		sb.WriteString(ev.Label.Archetype.String())
 		sb.WriteByte('\n')

@@ -84,9 +84,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return &Generator{cfg: cfg, end: cfg.Start.Add(cfg.Duration)}, nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Run streams every event in timestamp order to emit. It stops early and
 // returns emit's error if emit fails.
 func (g *Generator) Run(emit func(Event) error) error {

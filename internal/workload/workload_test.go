@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -110,7 +112,7 @@ func TestAllArchetypesPresentInADay(t *testing.T) {
 func TestEntriesAreValidCombinedLogFormat(t *testing.T) {
 	events := generate(t, smallConfig(7, 2))
 	for i := range events {
-		line := logfmt.FormatCombined(&events[i].Entry)
+		line := events[i].Entry.String()
 		var back logfmt.Entry
 		if err := logfmt.ParseCombinedBytes([]byte(line), &back, nil); err != nil {
 			t.Fatalf("event %d does not round-trip: %v\n%s", i, err, line)
@@ -225,7 +227,7 @@ func TestGeneratorConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gen.Config()
+	cfg := gen.cfg
 	if cfg.Start != DefaultStart() {
 		t.Errorf("default start = %v", cfg.Start)
 	}
@@ -259,12 +261,15 @@ func TestWriteDatasetAndReadLabels(t *testing.T) {
 	// Log lines parse and count matches.
 	lr := logfmt.NewReader(&logBuf, logfmt.ReaderConfig{})
 	var logCount uint64
-	err = lr.ForEach(func(logfmt.Entry) error {
+	for {
+		_, err := lr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		logCount++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if logCount != n {
 		t.Fatalf("log line count %d != %d", logCount, n)
