@@ -1,15 +1,14 @@
 package divscrape
 
 // Cluster: the multi-node resilience plane. A Cluster node replicates
-// runtime enforcement state — mitigation ladder digests, dynamic
-// reputation-overlay entries, session digests — between httpguard
-// instances (or scrapedetect followers) as periodic deltas, detects peer
-// failure with a phi-accrual detector, routes clients over a consistent-
-// hash ring that skips suspect and dead peers, and degrades explicitly
-// (fail-open or fail-closed) when quorum is lost. httpguard.Guard
-// implements ClusterBackend directly; `scrapedetect -follow
-// -cluster-listen` is the assembled CLI form. See examples/cluster for a
-// three-node walkthrough including a node kill and heal.
+// runtime enforcement state — the mitigation ladders' digests — between
+// httpguard instances (or scrapedetect followers) as periodic deltas,
+// detects peer failure with a phi-accrual detector, routes clients over a
+// consistent-hash ring that skips suspect and dead peers, and degrades
+// explicitly (fail-open or fail-closed) when quorum is lost.
+// httpguard.Guard implements ClusterBackend directly; `scrapedetect
+// -follow -cluster-listen` is the assembled CLI form. See examples/cluster
+// for a three-node walkthrough including a node kill and heal.
 
 import (
 	"net/http"
@@ -29,8 +28,8 @@ type (
 	// are transport addresses: with the HTTP transport a peer's ID is
 	// dialled directly.
 	ClusterConfig = cluster.Config
-	// ClusterBackend is the local state a node replicates. Implemented by
-	// httpguard.Guard.
+	// ClusterBackend is the local state a node replicates: the ladders.
+	// Implemented by httpguard.Guard.
 	ClusterBackend = cluster.Backend
 	// ClusterStatus is a node's membership/replication snapshot, JSON-
 	// ready for health endpoints.

@@ -15,14 +15,12 @@ import (
 // Cluster plane for follow mode: -cluster-listen turns one follower into
 // a member of a replicated detection cluster. Each node keeps judging its
 // own log locally and ships periodic state deltas — mitigation ladder
-// digests and reputation-overlay entries — to its peers over HTTP, so a
-// client split across nodes (or re-routed after a node failure) is met
-// with the enforcement rung it already earned elsewhere. What replicates is
-// the pipeline's own backend (pipeline.ClusterBackend: every shard's
-// ladder behind that shard's lock, plus the reputation overlay). Detector
-// session stores stay node-local: they rebuild organically from traffic
-// (the embedded httpguard deployment shape ships session digests too; see
-// httpguard/cluster.go).
+// digests — to its peers over HTTP, so a client split across nodes (or
+// re-routed after a node failure) is met with the enforcement rung it
+// already earned elsewhere. What replicates is the pipeline's shard set
+// (pipeline.ClusterBackend: every shard's ladder behind that shard's
+// lock). Detector session stores stay node-local and rebuild from
+// traffic, and every node builds the same reputation feed for itself.
 
 // degradedPolicyOf resolves the -cluster-degraded flag.
 func degradedPolicyOf(name string) (cluster.DegradedPolicy, error) {

@@ -710,7 +710,7 @@ type (
 	Sweeper = stream.Sweeper
 	// Evictable is the hook a sweeper drives: drop state untouched since
 	// the cutoff. Implemented by the detectors, mitigation engines,
-	// session stores and the reputation overlay.
+	// session stores and the enricher.
 	Evictable = detector.Evictable
 	// MetricsRegistry collects counters/gauges/histograms and encodes
 	// them allocation-free.

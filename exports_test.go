@@ -27,6 +27,12 @@ import (
 // in its own; a method by any selector of its name, so two methods that
 // share a name keep each other. References from inside the declaration
 // itself do not count, nor, for a type, those from its own methods.
+//
+// That is the scan's blind spot: a method whose only callers are tests
+// passes whenever any non-test code calls another method of the same
+// name. Common names (Walk, Len, SnapshotInto, RestoreFrom, EvictBefore)
+// hide test-only methods this way — iprep.DB's were found by reading,
+// not by this test — so check such a method's callers by hand.
 
 // unusedExportsAllowed names the exports kept without a non-test caller,
 // keyed "<dir under internal>.<Name>" or "<dir>.<Type>.<Method>".

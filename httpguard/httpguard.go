@@ -58,14 +58,12 @@ import (
 	"time"
 
 	"divscrape/internal/arcane"
-	"divscrape/internal/cluster"
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/metrics"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/sentinel"
-	"divscrape/internal/sessions"
 	"divscrape/internal/shard"
 	"divscrape/internal/sitemodel"
 	"divscrape/internal/trace"
@@ -215,19 +213,17 @@ type side struct {
 	// idle is the side's effective idle timeout; the default EvictWindow
 	// is twice the largest.
 	idle time.Duration
-	// digest tags the side's session digests on the cluster plane.
-	digest uint8
 }
 
 // maxSides is the number of named slots Verdicts, ShardState and
 // ShardHealth have.
 const maxSides = 3
 
-func newSide(name string, digest uint8, idle, defaultIdle time.Duration, factory detector.Factory) side {
+func newSide(name string, idle, defaultIdle time.Duration, factory detector.Factory) side {
 	if idle <= 0 {
 		idle = defaultIdle
 	}
-	return side{name: name, factory: factory, idle: idle, digest: digest}
+	return side{name: name, factory: factory, idle: idle}
 }
 
 // resolveSides turns Config into the side list — the one place that knows
@@ -235,13 +231,13 @@ func newSide(name string, digest uint8, idle, defaultIdle time.Duration, factory
 // side when enabled.
 func resolveSides(cfg Config) []side {
 	sides := []side{
-		newSide("sentinel", cluster.SideSentinel, cfg.Sentinel.IdleTimeout, sentinel.DefaultConfig().IdleTimeout,
+		newSide("sentinel", cfg.Sentinel.IdleTimeout, sentinel.DefaultConfig().IdleTimeout,
 			func() (detector.Detector, error) { return sentinel.New(cfg.Sentinel) }),
-		newSide("arcane", cluster.SideArcane, cfg.Arcane.IdleTimeout, arcane.DefaultConfig().IdleTimeout,
+		newSide("arcane", cfg.Arcane.IdleTimeout, arcane.DefaultConfig().IdleTimeout,
 			func() (detector.Detector, error) { return arcane.New(cfg.Arcane) }),
 	}
 	if cfg.EnableTrajectory {
-		sides = append(sides, newSide("trajectory", cluster.SideTrajectory,
+		sides = append(sides, newSide("trajectory",
 			cfg.Trajectory.IdleTimeout, trajectory.DefaultConfig().IdleTimeout,
 			func() (detector.Detector, error) { return trajectory.New(cfg.Trajectory) }))
 	}
@@ -249,11 +245,9 @@ func resolveSides(cfg Config) []side {
 }
 
 // sessionHolder is what the guard asks of a side's detector beyond
-// judging, snapshots and eviction: its live session count (gauges, State)
-// and its recent sessions (the cluster plane's digests).
+// judging, snapshots and eviction: its live session count (gauges, State).
 type sessionHolder interface {
 	Sessions() int
-	SessionsSince(since time.Time, fn func(key sessions.Key, lastSeen time.Time))
 }
 
 // guardShard is one key-partition of enrichment, detection and
@@ -315,9 +309,9 @@ type Guard struct {
 	names     []string
 	factories []detector.Factory
 	trusted   trustedNets
-	// rep is the reputation DB every shard's enricher resolves against;
-	// the cluster plane merges replicated overlay entries into it, and
-	// lookups stay lock-free. seq numbers the requests in arrival order.
+	// rep is the reputation DB every shard's enricher resolves against,
+	// built once and never mutated, so lookups take no lock. seq numbers
+	// the requests in arrival order.
 	rep     *iprep.DB
 	seq     atomic.Uint64
 	recPool sync.Pool // *statusRecorder

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"divscrape/internal/cluster"
 	"divscrape/internal/detector"
 	"divscrape/internal/faultinject"
 	"divscrape/internal/logfmt"
@@ -67,16 +66,6 @@ func (d *hitCounter) InspectInto(req *detector.Request, out *detector.Verdict) {
 func (d *hitCounter) Sessions() int                    { return d.store.Len() }
 func (d *hitCounter) EvictBefore(cutoff time.Time) int { return d.store.EvictBefore(cutoff) }
 
-func (d *hitCounter) SessionsSince(since time.Time, fn func(sessions.Key, time.Time)) {
-	d.store.RangeNewest(func(k sessions.Key, last time.Time) bool {
-		if last.Before(since) {
-			return false
-		}
-		fn(k, last)
-		return true
-	})
-}
-
 func hitStores(shards []detector.Detector) []*sessions.Store[uint64] {
 	stores := make([]*sessions.Store[uint64], len(shards))
 	for i, s := range shards {
@@ -110,7 +99,7 @@ func (d *hitCounter) RestoreShards(r *statecodec.Reader, shards []detector.Detec
 // the hit counter.
 func sidesWithHits(slot int) []side {
 	sides := resolveSides(Config{EnableTrajectory: true})
-	sides[slot] = newSide(hitsName, sides[slot].digest, 0, 30*time.Minute, newHitCounter)
+	sides[slot] = newSide(hitsName, 0, 30*time.Minute, newHitCounter)
 	return sides
 }
 
@@ -218,7 +207,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 		t.Error("the side came back cold despite a last-good snapshot")
 	}
 
-	// State, metrics and the cluster plane read the side by index.
+	// State and metrics read the side by index.
 	sum := 0
 	for _, ss := range g.State().PerShard {
 		sum += ss.slot(slot)
@@ -240,16 +229,6 @@ func unknownSideScenario(t *testing.T, slot int) {
 	if strings.Contains(body, `detector="`+replaced+`"`) {
 		t.Errorf("metrics still label the replaced %s side", replaced)
 	}
-	digests := 0
-	g.SessionDigestsSince(time.Time{}, func(d cluster.SessionDigest) {
-		if d.Side == g.sides[slot].digest {
-			digests++
-		}
-	})
-	if digests != 21 {
-		t.Errorf("%d session digests carry the side's tag, want 21", digests)
-	}
-
 	// Flight records: three detector records under the side list's names;
 	// the side has no Explainer, so no features, and is marked skipped on
 	// the request it sat out.

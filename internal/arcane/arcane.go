@@ -393,17 +393,3 @@ func (d *Detector) fillFeatures(st *session, now time.Time) {
 		vec[idxRobots] = float64(st.robotsViol) / float64(st.count) * 1.5
 	}
 }
-
-// SessionsSince streams the keys and last-activity stamps of sessions
-// active at or after since, newest first — the session digests the
-// cluster plane ships so peers can gauge replica freshness. The walk
-// rides the store's recency order and stops at the first stale session.
-func (d *Detector) SessionsSince(since time.Time, fn func(key sessions.Key, lastSeen time.Time)) {
-	d.store.RangeNewest(func(k sessions.Key, last time.Time) bool {
-		if last.Before(since) {
-			return false
-		}
-		fn(k, last)
-		return true
-	})
-}

@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"divscrape/internal/cluster"
-	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
 )
 
-// benchDelta builds a delta of realistic mid-size: 64 ladder digests,
-// 16 overlay entries, 128 session digests.
+// benchDelta builds a delta of realistic mid-size: 64 ladder digests.
 func benchDelta() *cluster.Delta {
 	base := time.Unix(1520700000, 0)
 	d := &cluster.Delta{
@@ -27,21 +25,6 @@ func benchDelta() *cluster.Delta {
 			Challenged: i % 9,
 			PassUntil:  base.Add(time.Duration(i) * time.Minute),
 			LastSeen:   base.Add(time.Duration(i) * time.Second),
-		})
-	}
-	for i := 0; i < 16; i++ {
-		d.Overlay = append(d.Overlay, iprep.TempEntry{
-			Prefix: iprep.Prefix{IP: uint32(0xC6336400 + i), Bits: 32},
-			Cat:    iprep.KnownScraper,
-			Until:  base.Add(time.Duration(i) * time.Minute),
-		})
-	}
-	for i := 0; i < 128; i++ {
-		d.Sessions = append(d.Sessions, cluster.SessionDigest{
-			Side:     uint8(i % 2),
-			IP:       uint32(0xCB007100 + i),
-			UAHash:   uint64(i) * 0x9E3779B97F4A7C15,
-			LastSeen: base.UnixNano() + int64(i),
 		})
 	}
 	return d

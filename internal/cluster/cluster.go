@@ -1,9 +1,10 @@
 // Package cluster scales the guard plane past one process: N detector
 // nodes behind a consistent-hash router exchange periodic state deltas —
-// mitigation-ladder digests, reputation-overlay entries, detector-session
-// digests — as statecodec frames, so a scraper that rotates its traffic
-// across the fleet still meets one coherent escalation ladder instead of
-// N fresh ones.
+// the mitigation-ladder digests that changed — as statecodec frames, so a
+// scraper that rotates its traffic across the fleet still meets one
+// coherent escalation ladder instead of N fresh ones. The ladders are all
+// that replicates: the reputation feed is a fixed input every node builds
+// for itself, and detector sessions rebuild from each node's own traffic.
 //
 // The robustness machinery is the point, not an afterthought:
 //
@@ -44,16 +45,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/trace"
 )
 
-// Backend is the replicable state plane a node replicates: implemented
-// by httpguard.Guard across its shards, and by scrapedetect's follow
-// pipeline over its single engine. Merge methods must be safe to call
-// concurrently with the serving path (implementations take their own
-// locks) and must be idempotent — the transport redelivers.
+// Backend is the replicable state plane a node replicates: the ladders of
+// a shard.Set, served by httpguard.Guard under its topology lock and by
+// scrapedetect's follow pipeline directly. Merge methods must be safe to
+// call concurrently with the serving path (implementations take their
+// own locks) and must be idempotent — the transport redelivers.
 type Backend interface {
 	// LadderDigestsSince streams mitigation-ladder digests for clients
 	// active at or after since (zero = full state).
@@ -61,14 +61,6 @@ type Backend interface {
 	// MergeLadderDigest folds a replicated digest in (last-writer-wins);
 	// reports whether it was applied.
 	MergeLadderDigest(d mitigate.ClientDigest) bool
-	// OverlayEntries streams the live reputation-overlay entries.
-	OverlayEntries(fn func(iprep.TempEntry))
-	// MergeOverlayEntry folds a replicated overlay entry in
-	// (longest-lease-wins); reports whether it was applied.
-	MergeOverlayEntry(e iprep.TempEntry) bool
-	// SessionDigestsSince streams detector-session digests for sessions
-	// active at or after since.
-	SessionDigestsSince(since time.Time, fn func(SessionDigest))
 	// SetEscalationFrozen switches ladder escalation off (and back on) —
 	// the fail-closed degraded response to quorum loss.
 	SetEscalationFrozen(frozen bool)
@@ -535,20 +527,10 @@ func (n *Node) encodeDeltaLocked(link *peerLink, now time.Time) ([]byte, time.Ti
 		d.Kind = DeltaFull
 	}
 	mark := link.watermark
-	b := n.cfg.Backend
-	b.LadderDigestsSince(link.watermark, func(cd mitigate.ClientDigest) {
+	n.cfg.Backend.LadderDigestsSince(link.watermark, func(cd mitigate.ClientDigest) {
 		d.Ladders = append(d.Ladders, cd)
 		if cd.LastSeen.After(mark) {
 			mark = cd.LastSeen
-		}
-	})
-	b.OverlayEntries(func(e iprep.TempEntry) {
-		d.Overlay = append(d.Overlay, e)
-	})
-	b.SessionDigestsSince(link.watermark, func(s SessionDigest) {
-		d.Sessions = append(d.Sessions, s)
-		if last := time.Unix(0, s.LastSeen); last.After(mark) {
-			mark = last
 		}
 	})
 	frame, err := d.EncodeFrame()
@@ -664,13 +646,6 @@ func (n *Node) Receive(frame []byte) error {
 	var applied, stale uint64
 	for _, l := range d.Ladders {
 		if n.cfg.Backend.MergeLadderDigest(l) {
-			applied++
-		} else {
-			stale++
-		}
-	}
-	for _, e := range d.Overlay {
-		if n.cfg.Backend.MergeOverlayEntry(e) {
 			applied++
 		} else {
 			stale++

@@ -4,31 +4,30 @@ import (
 	"bytes"
 	"fmt"
 
-	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/statecodec"
 )
 
 // The cluster wire format. A Delta is one node's periodic state
-// announcement: the mitigation-ladder digests, reputation-overlay entries
-// and detector-session digests that changed since the last frame the
-// peer acknowledged, framed as a versioned, checksummed statecodec
-// container — the same codec the checkpoint plane trusts, so a torn,
-// truncated or hostile peer frame fails with a typed error
+// announcement: the mitigation-ladder digests that changed since the last
+// frame the peer acknowledged, framed as a versioned, checksummed
+// statecodec container — the same codec the checkpoint plane trusts, so a
+// torn, truncated or hostile peer frame fails with a typed error
 // (statecodec.ErrCorrupt and friends) and never panics or over-reads.
 // An empty delta is meaningful: it is the heartbeat the failure detector
 // feeds on.
 //
-// Every payload element carries its own last-seen or expiry stamp and
-// merges with last-writer-wins (ladders, sessions) or longest-lease-wins
-// (overlay) semantics, so frames are idempotent and order-tolerant: the
-// transport may retry, duplicate or reorder them and replicas still
-// converge on the owner's state. That is the whole reconciliation
-// protocol — anti-entropy after a partition is just a delta with a zero
-// watermark (DeltaFull), carrying everything.
+// Every digest carries its own last-seen stamp and merges with
+// last-writer-wins semantics, so frames are idempotent and
+// order-tolerant: the transport may retry, duplicate or reorder them and
+// replicas still converge on the owner's state. That is the whole
+// reconciliation protocol — anti-entropy after a partition is just a
+// delta with a zero watermark (DeltaFull), carrying everything.
 
-// tagDelta opens a cluster delta block in a statecodec frame.
-const tagDelta uint16 = 0x434C
+// tagDelta opens a cluster delta block in a statecodec frame. 0x434C, the
+// layout that also carried reputation-overlay entries and session
+// digests, is retired: never reuse it. Its frames fail at the tag.
+const tagDelta uint16 = 0x434D
 
 // Delta kinds.
 const (
@@ -39,32 +38,6 @@ const (
 	// anti-entropy frame sent on join, heal and repartition.
 	DeltaFull uint8 = 2
 )
-
-// Digest side identifiers for session digests.
-const (
-	// SideSentinel marks a commercial-detector session digest.
-	SideSentinel uint8 = 0
-	// SideArcane marks a behavioural-detector session digest.
-	SideArcane uint8 = 1
-	// SideTrajectory marks a semantic-trajectory-detector session digest.
-	SideTrajectory uint8 = 2
-)
-
-// SessionDigest summarises one live detector session: enough for a peer
-// to gauge how much per-client evidence would be lost if it had to take
-// over the client, and for reconcile-lag accounting — not the session
-// state itself, which stays with the owner.
-type SessionDigest struct {
-	// Side is the detector the session belongs to (SideSentinel,
-	// SideArcane or SideTrajectory).
-	Side uint8
-	// IP is the client address component of the session key.
-	IP uint32
-	// UAHash is the user-agent component (zero for IP-only keys).
-	UAHash uint64
-	// LastSeen is the session's last activity.
-	LastSeen int64 // unix nanoseconds
-}
 
 // Delta is one node's state announcement.
 type Delta struct {
@@ -80,10 +53,6 @@ type Delta struct {
 	Kind uint8
 	// Ladders carries mitigation-ladder digests.
 	Ladders []mitigate.ClientDigest
-	// Overlay carries reputation-overlay entries.
-	Overlay []iprep.TempEntry
-	// Sessions carries detector-session digests.
-	Sessions []SessionDigest
 }
 
 // EncodeInto serialises the delta into w as a tagged block.
@@ -101,20 +70,6 @@ func (d *Delta) EncodeInto(w *statecodec.Writer) {
 		w.Int(l.Challenged)
 		w.Time(l.PassUntil)
 		w.Time(l.LastSeen)
-	}
-	w.Uint32(uint32(len(d.Overlay)))
-	for _, e := range d.Overlay {
-		w.Uint32(e.Prefix.IP)
-		w.Uint8(uint8(e.Prefix.Bits))
-		w.Int(int(e.Cat))
-		w.Time(e.Until)
-	}
-	w.Uint32(uint32(len(d.Sessions)))
-	for _, s := range d.Sessions {
-		w.Uint8(s.Side)
-		w.Uint32(s.IP)
-		w.Uint64(s.UAHash)
-		w.Int64(s.LastSeen)
 	}
 }
 
@@ -191,48 +146,6 @@ func decodeDelta(r *statecodec.Reader) (*Delta, error) {
 			return nil, fmt.Errorf("%w: ladder rung %d", statecodec.ErrCorrupt, uint8(l.Level))
 		}
 		d.Ladders = append(d.Ladders, l)
-	}
-	// Minimum overlay entry: ip (4) + bits (1) + category (8) + expiry (12).
-	n = r.Count(4 + 1 + 8 + 12)
-	if n > 0 {
-		d.Overlay = make([]iprep.TempEntry, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		e := iprep.TempEntry{
-			Prefix: iprep.Prefix{IP: r.Uint32(), Bits: int(r.Uint8())},
-			Cat:    iprep.Category(r.Int()),
-			Until:  r.Time(),
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if e.Prefix.Bits > 32 {
-			return nil, fmt.Errorf("%w: prefix length %d", statecodec.ErrCorrupt, e.Prefix.Bits)
-		}
-		if !e.Cat.Valid() {
-			return nil, fmt.Errorf("%w: overlay category %d", statecodec.ErrCorrupt, int(e.Cat))
-		}
-		d.Overlay = append(d.Overlay, e)
-	}
-	// Minimum session digest: side (1) + ip (4) + ua hash (8) + stamp (8).
-	n = r.Count(1 + 4 + 8 + 8)
-	if n > 0 {
-		d.Sessions = make([]SessionDigest, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		s := SessionDigest{
-			Side:     r.Uint8(),
-			IP:       r.Uint32(),
-			UAHash:   r.Uint64(),
-			LastSeen: r.Int64(),
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if s.Side > SideTrajectory {
-			return nil, fmt.Errorf("%w: session digest side %d", statecodec.ErrCorrupt, s.Side)
-		}
-		d.Sessions = append(d.Sessions, s)
 	}
 	return d, r.Err()
 }

@@ -1,12 +1,12 @@
 package cluster_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
 	"divscrape/internal/cluster"
-	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/statecodec"
 )
@@ -22,13 +22,6 @@ func sampleDelta() *cluster.Delta {
 			{Key: "203.0.113.7", Score: 2.5, Level: mitigate.Challenge,
 				Challenged: 3, PassUntil: base.Add(time.Hour), LastSeen: base},
 			{Key: "198.51.100.9", Score: 0.4, Level: mitigate.Allow, LastSeen: base.Add(-time.Minute)},
-		},
-		Overlay: []iprep.TempEntry{
-			{Prefix: iprep.MustCIDR("203.0.113.0/24"), Cat: iprep.KnownScraper, Until: base.Add(10 * time.Minute)},
-		},
-		Sessions: []cluster.SessionDigest{
-			{Side: cluster.SideSentinel, IP: 0xCB007107, LastSeen: base.UnixNano()},
-			{Side: cluster.SideArcane, IP: 0xC6336409, UAHash: 0xDEADBEEF, LastSeen: base.UnixNano()},
 		},
 	}
 }
@@ -50,12 +43,8 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 		got.Ladders[0].Key != "203.0.113.7" || got.Ladders[0].Level != mitigate.Challenge {
 		t.Fatalf("ladders: %+v", got.Ladders)
 	}
-	if len(got.Overlay) != 1 || got.Overlay[0].Cat != iprep.KnownScraper ||
-		!got.Overlay[0].Until.Equal(d.Overlay[0].Until) {
-		t.Fatalf("overlay: %+v", got.Overlay)
-	}
-	if len(got.Sessions) != 2 || got.Sessions[1].UAHash != 0xDEADBEEF {
-		t.Fatalf("sessions: %+v", got.Sessions)
+	if l := got.Ladders[1]; l.Key != "198.51.100.9" || l.Score != 0.4 || !l.LastSeen.Equal(d.Ladders[1].LastSeen) {
+		t.Fatalf("second ladder: %+v", l)
 	}
 }
 
@@ -69,7 +58,7 @@ func TestDeltaEmptyIsValidHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(got.Ladders)+len(got.Overlay)+len(got.Sessions) != 0 {
+	if len(got.Ladders) != 0 {
 		t.Fatalf("empty delta grew payload: %+v", got)
 	}
 }
@@ -106,17 +95,56 @@ func TestDeltaFrameCorruptionTyped(t *testing.T) {
 	}
 }
 
-func TestDeltaDecodeRejectsOutOfRangeCategory(t *testing.T) {
-	for _, cat := range []iprep.Category{-1, iprep.KnownScraper + 1, 99} {
-		d := sampleDelta()
-		d.Overlay[0].Cat = cat
-		frame, err := d.EncodeFrame()
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if _, err := cluster.DecodeFrame(frame); !errors.Is(err, statecodec.ErrCorrupt) {
-			t.Fatalf("category %d decoded with err %v, want ErrCorrupt", cat, err)
-		}
+// A frame in the layout before ladders were all that replicated — tag
+// 0x434C, one ladder, an empty overlay section and one session digest —
+// fails at the tag with a typed error, and the node counts it as bad and
+// merges nothing from it. Nodes on either side of that change do not
+// interoperate.
+func TestDeltaRefusesTheRetiredLayout(t *testing.T) {
+	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	w := statecodec.NewWriter()
+	w.Tag(0x434C)
+	w.String("b")
+	w.Uint64(1)
+	w.Int64(at.UnixNano())
+	w.Uint8(cluster.DeltaIncremental)
+	w.Uint32(1) // one ladder
+	w.String("203.0.113.7")
+	w.Float64(2.5)
+	w.Uint8(uint8(mitigate.Block))
+	w.Int(0)
+	w.Time(time.Time{})
+	w.Time(at)
+	w.Uint32(0) // no overlay entries
+	w.Uint32(1) // one session digest: side, address, agent hash, stamp
+	w.Uint8(0)
+	w.Uint32(0xCB007107)
+	w.Uint64(0)
+	w.Int64(at.UnixNano())
+	var buf bytes.Buffer
+	if err := statecodec.Encode(&buf, w); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	if _, err := cluster.DecodeFrame(frame); !errors.Is(err, statecodec.ErrCorrupt) {
+		t.Fatalf("retired layout decoded with err %v, want ErrCorrupt", err)
+	}
+
+	backend := newMemBackend()
+	n, err := cluster.New(cluster.Config{ID: "a", Peers: []string{"b"}, Backend: backend,
+		Transport: nopTransport{}, Now: func() time.Time { return at }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Receive(frame); !errors.Is(err, statecodec.ErrCorrupt) {
+		t.Fatalf("Receive: %v, want ErrCorrupt", err)
+	}
+	if st := n.Status(); st.BadFrames != 1 || st.DeltasReceived != 0 || st.EntriesApplied != 0 {
+		t.Fatalf("status after a retired frame: %d bad, %d received, %d applied; want 1, 0, 0",
+			st.BadFrames, st.DeltasReceived, st.EntriesApplied)
+	}
+	if _, ok := backend.ladder("203.0.113.7"); ok {
+		t.Fatal("a ladder from a retired frame was merged")
 	}
 }
 

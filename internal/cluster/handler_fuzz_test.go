@@ -8,19 +8,15 @@ import (
 	"time"
 
 	"divscrape/internal/cluster"
-	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
 )
 
 // mergeCounter is a Backend that only counts the merges that reach it.
 type mergeCounter struct{ merges int }
 
-func (*mergeCounter) LadderDigestsSince(time.Time, func(mitigate.ClientDigest))  {}
-func (b *mergeCounter) MergeLadderDigest(mitigate.ClientDigest) bool             { b.merges++; return true }
-func (*mergeCounter) OverlayEntries(func(iprep.TempEntry))                       {}
-func (b *mergeCounter) MergeOverlayEntry(iprep.TempEntry) bool                   { b.merges++; return true }
-func (*mergeCounter) SessionDigestsSince(time.Time, func(cluster.SessionDigest)) {}
-func (*mergeCounter) SetEscalationFrozen(bool)                                   {}
+func (*mergeCounter) LadderDigestsSince(time.Time, func(mitigate.ClientDigest)) {}
+func (b *mergeCounter) MergeLadderDigest(mitigate.ClientDigest) bool            { b.merges++; return true }
+func (*mergeCounter) SetEscalationFrozen(bool)                                  {}
 
 type nopTransport struct{}
 
@@ -35,8 +31,10 @@ func FuzzClusterHandler(f *testing.F) {
 	at := time.Date(2018, 3, 11, 9, 0, 0, 0, time.UTC)
 	frame := func(from string) []byte {
 		d := cluster.Delta{From: from, Seq: 1, SentUnixNano: at.UnixNano(), Kind: cluster.DeltaIncremental,
-			Ladders: []mitigate.ClientDigest{{Key: "10.0.0.1", Score: 2.5, Level: mitigate.Block, LastSeen: at}},
-			Overlay: []iprep.TempEntry{{Prefix: iprep.MustCIDR("10.0.0.0/24"), Cat: iprep.Datacenter, Until: at.Add(time.Hour)}}}
+			Ladders: []mitigate.ClientDigest{
+				{Key: "10.0.0.1", Score: 2.5, Level: mitigate.Block, LastSeen: at},
+				{Key: "10.0.0.2", Score: 1.5, Level: mitigate.Tarpit, LastSeen: at},
+			}}
 		b, err := d.EncodeFrame()
 		if err != nil {
 			f.Fatal(err)

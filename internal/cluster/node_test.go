@@ -2,33 +2,26 @@ package cluster_test
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"divscrape/internal/cluster"
-	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/statecodec"
 )
 
 // memBackend is a minimal in-memory state plane with the same merge
-// semantics as the real ones: last-writer-wins ladders, longest-lease
-// overlay.
+// semantics as the real ones: last-writer-wins ladders.
 type memBackend struct {
 	mu      sync.Mutex
 	ladders map[string]mitigate.ClientDigest
-	overlay map[string]iprep.TempEntry
 	frozen  bool
 	freezes int
 }
 
 func newMemBackend() *memBackend {
-	return &memBackend{
-		ladders: make(map[string]mitigate.ClientDigest),
-		overlay: make(map[string]iprep.TempEntry),
-	}
+	return &memBackend{ladders: make(map[string]mitigate.ClientDigest)}
 }
 
 func (b *memBackend) LadderDigestsSince(since time.Time, fn func(mitigate.ClientDigest)) {
@@ -51,28 +44,6 @@ func (b *memBackend) MergeLadderDigest(d mitigate.ClientDigest) bool {
 	b.ladders[d.Key] = d
 	return true
 }
-
-func (b *memBackend) OverlayEntries(fn func(iprep.TempEntry)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, e := range b.overlay {
-		fn(e)
-	}
-}
-
-func (b *memBackend) MergeOverlayEntry(e iprep.TempEntry) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	k := fmt.Sprintf("%d/%d", e.Prefix.IP, e.Prefix.Bits)
-	cur, ok := b.overlay[k]
-	if ok && !e.Until.After(cur.Until) {
-		return false
-	}
-	b.overlay[k] = e
-	return true
-}
-
-func (b *memBackend) SessionDigestsSince(time.Time, func(cluster.SessionDigest)) {}
 
 func (b *memBackend) SetEscalationFrozen(frozen bool) {
 	b.mu.Lock()
@@ -336,13 +307,13 @@ func (h *cliqueHarness) revive(id string) {
 	h.net.Up(id)
 }
 
-func TestClusterReplicatesLaddersAndOverlay(t *testing.T) {
+// Ladders replicate from every origin: each node's clients reach both
+// of the others.
+func TestClusterReplicatesLadders(t *testing.T) {
 	h := newClique(t, []string{"a", "b", "c"}, nil)
 	base := h.clock.Now()
 	h.backends["a"].touch("203.0.113.7", mitigate.Block, base)
-	h.backends["b"].MergeOverlayEntry(iprep.TempEntry{
-		Prefix: iprep.MustCIDR("198.51.100.0/24"), Cat: iprep.KnownScraper,
-		Until: base.Add(time.Hour)})
+	h.backends["b"].touch("198.51.100.9", mitigate.Tarpit, base)
 	h.run(10, 50*time.Millisecond)
 	for _, id := range []string{"b", "c"} {
 		if d, ok := h.backends[id].ladder("203.0.113.7"); !ok || d.Level != mitigate.Block {
@@ -350,12 +321,8 @@ func TestClusterReplicatesLaddersAndOverlay(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"a", "c"} {
-		b := h.backends[id]
-		b.mu.Lock()
-		n := len(b.overlay)
-		b.mu.Unlock()
-		if n != 1 {
-			t.Fatalf("node %s overlay entries = %d, want 1", id, n)
+		if d, ok := h.backends[id].ladder("198.51.100.9"); !ok || d.Level != mitigate.Tarpit {
+			t.Fatalf("node %s missing replicated ladder: %+v ok=%v", id, d, ok)
 		}
 	}
 }

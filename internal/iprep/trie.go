@@ -1,9 +1,6 @@
 package iprep
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Category classifies the origin of an address range as reputation feeds do.
 type Category int
@@ -42,12 +39,6 @@ var categoryNames = map[Category]string{
 	SearchEngine: "search-engine",
 	KnownScraper: "known-scraper",
 }
-
-// Valid reports whether c is one of the defined feed categories — the
-// bound replication decoders and merge paths enforce on peer-supplied
-// values, so a buggy or hostile peer cannot plant meaningless category
-// numbers in a shared reputation DB.
-func (c Category) Valid() bool { return c >= Unknown && c <= KnownScraper }
 
 // String returns the feed-style name of the category.
 func (c Category) String() string {
@@ -91,21 +82,16 @@ type node struct {
 	terminal bool
 }
 
+// Snapshot tag 0x4902 (a reputation-table block) is retired: never reuse it.
+
 // DB is a longest-prefix-match IP reputation database backed by a binary
-// radix trie, plus a TTL-bounded dynamic overlay (see ttl.go). Inserts
-// are O(prefix length); lookups are O(32). The zero value is not usable —
-// construct with NewDB.
-//
-// The static trie is immutable once built; the overlay mutates behind an
-// atomic pointer with mutators serialised on tempMu. Lookup is therefore
-// safe to call concurrently with MergeTemporary/EvictBefore (and those
-// with each other), which is how every guard shard's enricher uses one
-// DB.
+// radix trie. Inserts are O(prefix length); lookups are O(32). The zero
+// value is not usable — construct with NewDB. Like the commercial
+// product's feed, it is a fixed input: once built (BuildFeed) nothing
+// mutates it, so every guard shard's enricher looks up in one DB with no
+// lock.
 type DB struct {
-	root   *node
-	count  int
-	temp   tempPtr
-	tempMu sync.Mutex
+	root *node
 }
 
 // NewDB returns an empty reputation database.
@@ -125,21 +111,16 @@ func (db *DB) Insert(p Prefix, c Category) {
 		}
 		n = n.children[bit]
 	}
-	if !n.terminal {
-		db.count++
-	}
 	n.terminal = true
 	n.category = c
 }
 
-// Lookup returns the category of the most specific prefix containing ip,
-// across the static feed and the dynamic overlay (the overlay wins ties —
-// fresher intelligence). The boolean reports whether any prefix matched.
+// Lookup returns the category of the most specific prefix containing ip.
+// The boolean reports whether any prefix matched.
 func (db *DB) Lookup(ip uint32) (Category, bool) {
 	n := db.root
 	best := Unknown
 	found := false
-	bits := 0
 	if n.terminal {
 		best, found = n.category, true
 	}
@@ -147,36 +128,8 @@ func (db *DB) Lookup(ip uint32) (Category, bool) {
 		bit := ip >> (31 - uint(depth)) & 1
 		n = n.children[bit]
 		if n != nil && n.terminal {
-			best, found, bits = n.category, true, depth+1
+			best, found = n.category, true
 		}
-	}
-	if cat, ok, _ := db.lookupTemp(ip, bits, found); ok {
-		return cat, true
 	}
 	return best, found
-}
-
-// Len returns the number of distinct prefixes stored.
-func (db *DB) Len() int { return db.count }
-
-// Walk visits every stored prefix in ascending address order, calling fn
-// with the prefix and its category. Walking stops early if fn returns
-// false.
-func (db *DB) Walk(fn func(Prefix, Category) bool) {
-	var visit func(n *node, ip uint32, depth int) bool
-	visit = func(n *node, ip uint32, depth int) bool {
-		if n == nil {
-			return true
-		}
-		if n.terminal {
-			if !fn(Prefix{IP: ip, Bits: depth}, n.category) {
-				return false
-			}
-		}
-		if !visit(n.children[0], ip, depth+1) {
-			return false
-		}
-		return visit(n.children[1], ip|1<<(31-uint(depth)), depth+1)
-	}
-	visit(db.root, 0, 0)
 }

@@ -357,17 +357,3 @@ func violationSeverity(v uaparse.Violation) float64 {
 		return 1.0
 	}
 }
-
-// SessionsSince streams the keys and last-activity stamps of clients
-// active at or after since, newest first — the session digests the
-// cluster plane ships so peers can gauge replica freshness. The walk
-// rides the store's recency order and stops at the first stale session.
-func (d *Detector) SessionsSince(since time.Time, fn func(key sessions.Key, lastSeen time.Time)) {
-	d.store.RangeNewest(func(k sessions.Key, last time.Time) bool {
-		if last.Before(since) {
-			return false
-		}
-		fn(k, last)
-		return true
-	})
-}

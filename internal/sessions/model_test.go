@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"divscrape/internal/instant"
 	"divscrape/internal/slab"
 	"divscrape/internal/statecodec"
 )
@@ -264,19 +265,23 @@ func (r *modelRun) check() {
 		if s.Len() != len(m.order) || s.Evictions() != m.evictions {
 			r.fatalf("store %d: Len %d Evictions %d, model %d and %d", n, s.Len(), s.Evictions(), len(m.order), m.evictions)
 		}
+		// Walk the LRU list newest first: expiry stops at its head, so its
+		// order and stamps must be the model's.
 		i := len(m.order)
-		s.RangeNewest(func(k Key, lastSeen time.Time) bool {
+		for id := s.tail; id != 0; {
+			nd := s.nodes.At(id)
+			k, lastSeen := nd.key, instant.Time(nd.lastSeen)
 			i--
 			if i < 0 || k != m.order[i] || !lastSeen.Equal(m.live[k].lastSeen) {
-				r.fatalf("store %d: RangeNewest position %d from oldest is %v at %v, model order %v", n, i, k, lastSeen, m.order)
+				r.fatalf("store %d: list position %d from oldest is %v at %v, model order %v", n, i, k, lastSeen, m.order)
 			}
 			if v := s.Peek(k); v == nil || v.id != m.live[k].id {
 				r.fatalf("store %d: session %v holds %+v, model id %d", n, k, v, m.live[k].id)
 			}
-			return true
-		})
+			id = nd.prev
+		}
 		if i != 0 {
-			r.fatalf("store %d: RangeNewest visited %d of %d sessions", n, len(m.order)-i, len(m.order))
+			r.fatalf("store %d: the list walk visited %d of %d sessions", n, len(m.order)-i, len(m.order))
 		}
 		if len(r.evicted[n]) != len(m.evicted) {
 			r.fatalf("store %d: %d sessions reached OnEvict, model %d", n, len(r.evicted[n]), len(m.evicted))

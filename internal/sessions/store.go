@@ -348,21 +348,6 @@ func (s *Store[T]) fill(id uint32, hole *node[T]) {
 	s.nodes.Pop()
 }
 
-// RangeNewest walks live sessions from most to least recently touched
-// and stops when fn returns false. The LRU list keeps entries in
-// last-touch order, so a caller collecting "sessions active since T" —
-// the cluster plane's session digests — visits exactly the active ones
-// and stops at the first stale entry instead of scanning the store.
-func (s *Store[T]) RangeNewest(fn func(key Key, lastSeen time.Time) bool) {
-	for id := s.tail; id != 0; {
-		n := s.nodes.At(id)
-		if !fn(n.key, instant.Time(n.lastSeen)) {
-			return
-		}
-		id = n.prev
-	}
-}
-
 // Reset drops every live session, returning the store to its
 // just-constructed condition without invoking OnEvict — a reset is an
 // operator action, not session expiry.

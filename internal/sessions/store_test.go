@@ -316,39 +316,3 @@ func TestChosenKeysDoNotPileUp(t *testing.T) {
 		t.Errorf("the same keys under another seed form a run of %d slots", run)
 	}
 }
-
-func TestRangeNewestOrderAndEarlyStop(t *testing.T) {
-	s := newStore(t, time.Hour, nil)
-	for i := 0; i < 4; i++ {
-		s.Touch(IPOnlyKey(uint32(i)), base.Add(time.Duration(i)*time.Minute))
-	}
-	// Re-touch key 1: it becomes the newest.
-	s.Touch(IPOnlyKey(1), base.Add(10*time.Minute))
-
-	var order []uint32
-	var stamps []time.Time
-	s.RangeNewest(func(k Key, last time.Time) bool {
-		order = append(order, k.IP)
-		stamps = append(stamps, last)
-		return true
-	})
-	want := []uint32{1, 3, 2, 0}
-	if len(order) != len(want) {
-		t.Fatalf("visited %d sessions, want %d", len(order), len(want))
-	}
-	for i, ip := range want {
-		if order[i] != ip {
-			t.Fatalf("visit order = %v, want %v", order, want)
-		}
-		if i > 0 && stamps[i].After(stamps[i-1]) {
-			t.Fatalf("lastSeen not non-increasing: %v", stamps)
-		}
-	}
-
-	// Early stop: a false return ends the walk.
-	n := 0
-	s.RangeNewest(func(Key, time.Time) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("early-stopped walk visited %d, want 2", n)
-	}
-}

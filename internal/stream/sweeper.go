@@ -11,7 +11,7 @@ import (
 
 // Sweeper drives windowed TTL eviction across every registered stateful
 // layer from one place: detector session stores, mitigation engines, the
-// reputation overlay — anything implementing the
+// enricher's address table — anything implementing the
 // detector.Evictable hook. One sweeper, one window, one cadence, so an
 // operator reasons about a single retention knob instead of one per
 // subsystem.

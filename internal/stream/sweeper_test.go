@@ -65,7 +65,7 @@ func TestSweeperTickWithSimulatedClock(t *testing.T) {
 	}
 	rec := &recorder{per: 1}
 	sw.Register("engine", rec)
-	sw.Register("overlay", &recorder{per: 2})
+	sw.Register("sessions", &recorder{per: 2})
 
 	sw.Tick() // anchors
 	clk.Advance(29 * time.Minute)
