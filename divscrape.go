@@ -53,11 +53,8 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"slices"
-	"sort"
 	"time"
 
-	"divscrape/internal/arcane"
 	"divscrape/internal/detector"
 	"divscrape/internal/diversity"
 	"divscrape/internal/evaluate"
@@ -66,11 +63,10 @@ import (
 	"divscrape/internal/metrics"
 	"divscrape/internal/mitigate"
 	"divscrape/internal/pipeline"
-	"divscrape/internal/sentinel"
+	"divscrape/internal/registry"
 	"divscrape/internal/shard"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/stream"
-	"divscrape/internal/trajectory"
 	"divscrape/internal/workload"
 )
 
@@ -128,46 +124,22 @@ func CalibratedProfile(scale float64) Profile {
 	return workload.CalibratedProfile(scale)
 }
 
-// Detector registry: the named, CLI-selectable constructors. Each factory
-// builds a fresh instance with its calibrated defaults.
-var detectorRegistry = map[string]Factory{
-	"sentinel":   func() (Detector, error) { return sentinel.New(sentinel.Config{}) },
-	"arcane":     func() (Detector, error) { return arcane.New(arcane.Config{}) },
-	"trajectory": func() (Detector, error) { return trajectory.New(trajectory.Config{}) },
-}
-
 // DefaultDetectors is the paper's pair in report order: the commercial
 // role first, the behavioural role second. Every entry point that takes
 // no detector names analyses this set.
-var DefaultDetectors = []string{"sentinel", "arcane"}
+var DefaultDetectors = registry.Default
 
 // DetectorNames returns every registered detector name, sorted.
-func DetectorNames() []string {
-	names := make([]string, 0, len(detectorRegistry))
-	for name := range detectorRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func DetectorNames() []string { return registry.Names() }
 
-// FactoriesFor resolves detector names (see DetectorNames) to factories,
-// preserving order. No names selects DefaultDetectors. A name may appear
-// once: a Summary finds a detector's table by its name.
+// FactoriesFor resolves detector names (see DetectorNames) to factories
+// building each with its calibrated defaults, preserving order. No names
+// selects DefaultDetectors. A name may appear once: a Summary finds a
+// detector's table by its name.
 func FactoriesFor(names ...string) ([]Factory, error) {
-	if len(names) == 0 {
-		names = DefaultDetectors
-	}
-	fs := make([]Factory, len(names))
-	for i, name := range names {
-		f, ok := detectorRegistry[name]
-		if !ok {
-			return nil, fmt.Errorf("divscrape: unknown detector %q (have %v)", name, DetectorNames())
-		}
-		if slices.Contains(names[:i], name) {
-			return nil, fmt.Errorf("divscrape: duplicate detector %q", name)
-		}
-		fs[i] = f
+	fs, err := registry.Factories(registry.Config{}, names...)
+	if err != nil {
+		return nil, fmt.Errorf("divscrape: %w", err)
 	}
 	return fs, nil
 }

@@ -41,6 +41,9 @@ func chaosGuard(t *testing.T, mut func(*Config)) (*Guard, *time.Time) {
 	return newGuard(t, cfg), &now
 }
 
+// sentinelHealth is the sentinel side's entry of a shard's health.
+func sentinelHealth(sh ShardHealth) DetectorHealth { return side(sh.Detectors, sh.Sides, "sentinel") }
+
 // warmToSnapshot drives enough distinct-path requests through the guard
 // to cross the sweep slot, so every shard holds a last-good snapshot.
 func warmToSnapshot(t *testing.T, h http.Handler, ip string) {
@@ -59,7 +62,7 @@ func TestChaosPanicQuarantinesAndFailOpenKeepsServing(t *testing.T) {
 	})
 	h := g.Wrap(okHandler())
 	warmToSnapshot(t, h, "172.16.0.9")
-	if hs := g.Health(); !hs.PerShard[0].Sentinel.HasSnapshot {
+	if hs := g.Health(); !sentinelHealth(hs.PerShard[0]).HasSnapshot {
 		t.Fatal("no last-good snapshot after a sweep slot")
 	}
 
@@ -73,7 +76,7 @@ func TestChaosPanicQuarantinesAndFailOpenKeepsServing(t *testing.T) {
 	if hs.Healthy {
 		t.Fatal("guard healthy with a quarantined detector")
 	}
-	if dh := hs.PerShard[0].Sentinel; !dh.Quarantined || dh.Reason != "injected detector bug" {
+	if dh := sentinelHealth(hs.PerShard[0]); !dh.Quarantined || dh.Reason != "injected detector bug" {
 		t.Fatalf("sentinel health %+v", dh)
 	}
 	if hs.Panics["sentinel"] != 1 {
@@ -102,7 +105,7 @@ func TestChaosPanicQuarantinesAndFailOpenKeepsServing(t *testing.T) {
 	}
 	// The restored detector carries its snapshot state: the warmed
 	// clients are still known, not a cold start.
-	if st := g.State(); st.PerShard[0].SentinelClients == 0 {
+	if st := g.State(); side(st.PerShard[0].Detectors, st.PerShard[0].Sessions, "sentinel") == 0 {
 		t.Fatal("restore came back cold despite a last-good snapshot")
 	}
 	// The observer saw exactly one quarantine and one restore.
@@ -192,13 +195,13 @@ func TestChaosRepeatPanicsDoubleTheBackoff(t *testing.T) {
 	// rebuilds.
 	faultinject.Enable("shard.inspect.sentinel", faultinject.Fault{Panic: "persistent bug"})
 	do(t, h, "10.2.2.2", browserUA, "/")
-	first := g.Health().PerShard[0].Sentinel.RetryAt
+	first := sentinelHealth(g.Health().PerShard[0]).RetryAt
 	if want := now.Add(10 * time.Second); !first.Equal(want) {
 		t.Fatalf("first retryAt %v, want %v", first, want)
 	}
 	*now = now.Add(11 * time.Second)
 	do(t, h, "10.2.2.2", browserUA, "/")
-	second := g.Health().PerShard[0].Sentinel.RetryAt
+	second := sentinelHealth(g.Health().PerShard[0]).RetryAt
 	if want := now.Add(20 * time.Second); !second.Equal(want) {
 		t.Fatalf("second retryAt %v, want doubled backoff %v", second, want)
 	}

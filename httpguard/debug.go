@@ -48,35 +48,25 @@ func (g *Guard) buildMetrics() {
 	// Traffic counters: read straight off the shard atomics under the
 	// topology read-lock, so scrapes agree with StatsDetail and survive
 	// Rebalance.
-	sumShards := func(read func(*guardShard) uint64) func() uint64 {
+	sumShards := func(i int) func() uint64 {
 		return func() uint64 {
 			g.mu.RLock()
 			defer g.mu.RUnlock()
 			var total uint64
 			for _, s := range g.shards {
-				total += read(s)
+				total += s.counts[i].Load()
 			}
 			return total
 		}
 	}
-	r.MustCounterFunc("divscrape_guard_requests_total",
-		"Requests judged.", sumShards(func(s *guardShard) uint64 { return s.total.Load() }))
+	r.MustCounterFunc("divscrape_guard_requests_total", "Requests judged.", sumShards(cTotal))
 	r.MustCounterFunc("divscrape_guard_alerted_total",
-		"Requests any detector alerted on (1-out-of-N).", sumShards(func(s *guardShard) uint64 { return s.alerted.Load() }))
-	r.MustCounterFunc("divscrape_guard_challenges_passed_total",
-		"Solved challenge beacons.", sumShards(func(s *guardShard) uint64 { return s.passed.Load() }))
-	for _, a := range []struct {
-		name string
-		read func(*guardShard) uint64
-	}{
-		{"allow", func(s *guardShard) uint64 { return s.allowed.Load() }},
-		{"tarpit", func(s *guardShard) uint64 { return s.tarpitted.Load() }},
-		{"challenge", func(s *guardShard) uint64 { return s.challenged.Load() }},
-		{"block", func(s *guardShard) uint64 { return s.blocked.Load() }},
-	} {
+		"Requests any detector alerted on (1-out-of-N).", sumShards(cAlerted))
+	r.MustCounterFunc("divscrape_guard_challenges_passed_total", "Solved challenge beacons.", sumShards(cPassed))
+	for a := mitigate.Allow; a <= mitigate.Block; a++ {
 		r.MustCounterFunc("divscrape_guard_actions_total",
-			"Enforcement outcomes by action.", sumShards(a.read),
-			metrics.Label{Key: "action", Value: a.name})
+			"Enforcement outcomes by action.", sumShards(cAllowed+int(a)),
+			metrics.Label{Key: "action", Value: a.String()})
 	}
 	r.MustCounterFunc("divscrape_guard_evicted_total",
 		"State entries dropped by windowed sweeps.", g.evicted.Load)
@@ -145,18 +135,53 @@ func (g *Guard) observeLatency(start time.Time) {
 func (g *Guard) Metrics() *metrics.Registry { return g.metrics }
 
 // ShardState is one shard's live-state snapshot in the state endpoint.
-// The three session counts are the sides' slots in side-list order, under
-// the names the documents have always used.
 type ShardState struct {
-	EngineClients   int `json:"engine_clients"`
-	SentinelClients int `json:"sentinel_clients"`
-	ArcaneSessions  int `json:"arcane_sessions"`
-	// TrajectorySessions is reported only on trajectory-enabled guards;
-	// pair guards keep their original document shape.
-	TrajectorySessions int                   `json:"trajectory_sessions,omitempty"`
-	Actions            mitigate.ActionCounts `json:"actions"`
-	Total              uint64                `json:"total"`
-	Alerted            uint64                `json:"alerted"`
+	EngineClients int
+	// Detectors names the sides in side-list order; Sessions holds each
+	// one's live per-client state count.
+	Detectors []string
+	Sessions  []int
+	Actions   mitigate.ActionCounts
+	Total     uint64
+	Alerted   uint64
+}
+
+// MarshalJSON writes each side's count under <name>_sessions (sentinel's,
+// which counts clients, under sentinel_clients) between the engine's
+// count and the actions.
+func (ss ShardState) MarshalJSON() ([]byte, error) {
+	fields := []field{{"engine_clients", ss.EngineClients}}
+	for i, name := range ss.Detectors {
+		key := name + "_sessions"
+		if name == "sentinel" {
+			key = "sentinel_clients"
+		}
+		fields = append(fields, field{key, ss.Sessions[i]})
+	}
+	return object([]byte{'{'}, append(fields, field{"actions", ss.Actions}, field{"total", ss.Total}, field{"alerted", ss.Alerted}))
+}
+
+// field is one member of a JSON object that object writes in order.
+type field struct {
+	key   string
+	value any
+}
+
+// object appends fields, in order, to the JSON object b opens, and closes
+// it.
+func object(b []byte, fields []field) ([]byte, error) {
+	for _, f := range fields {
+		if b[len(b)-1] != '{' {
+			b = append(b, ',')
+		}
+		k, _ := json.Marshal(f.key)
+		v, err := json.Marshal(f.value)
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(append(b, k...), ':'), v...)
+	}
+	return append(b, '}'), nil
 }
 
 // State is the structural snapshot served at DebugStatePath.
@@ -188,26 +213,15 @@ func (g *Guard) State() State {
 	defer g.mu.RUnlock()
 	st.Shards = len(g.shards)
 	for _, s := range g.shards {
-		var live [maxSides]int
+		ss := ShardState{Detectors: g.names, Sessions: make([]int, len(g.names))}
 		s.Lock()
-		for i := range s.Dets {
-			live[i] = s.sessions(i)
+		for i := range ss.Sessions {
+			ss.Sessions[i] = s.sessions(i)
 		}
-		ss := ShardState{
-			EngineClients:      s.Engine.Len(),
-			SentinelClients:    live[0],
-			ArcaneSessions:     live[1],
-			TrajectorySessions: live[2],
-			Total:              s.total.Load(),
-			Alerted:            s.alerted.Load(),
-		}
+		ss.EngineClients = s.Engine.Len()
 		s.Unlock()
-		ss.Actions = mitigate.ActionCounts{
-			Allowed:    s.allowed.Load(),
-			Tarpitted:  s.tarpitted.Load(),
-			Challenged: s.challenged.Load(),
-			Blocked:    s.blocked.Load(),
-		}
+		c := s.load()
+		ss.Total, ss.Alerted, ss.Actions = c[cTotal], c[cAlerted], actionCounts(c)
 		st.PerShard = append(st.PerShard, ss)
 	}
 	return st
@@ -217,15 +231,29 @@ func (g *Guard) State() State {
 // health endpoint: its shard's view of the side.
 type DetectorHealth = shard.Health
 
-// ShardHealth is one shard's failure-plane state, one slot per side in
-// side-list order. Trajectory — the third slot — is nil on pair guards,
-// keeping their health document shape unchanged.
+// ShardHealth is one shard's failure-plane state.
 type ShardHealth struct {
-	Shard      int             `json:"shard"`
-	InFlight   int64           `json:"in_flight"`
-	Sentinel   DetectorHealth  `json:"sentinel"`
-	Arcane     DetectorHealth  `json:"arcane"`
-	Trajectory *DetectorHealth `json:"trajectory,omitempty"`
+	Shard    int   `json:"shard"`
+	InFlight int64 `json:"in_flight"`
+	// Detectors names the sides in side-list order; Sides holds each
+	// one's health.
+	Detectors []string         `json:"-"`
+	Sides     []DetectorHealth `json:"-"`
+}
+
+// MarshalJSON writes each side's health under its name, after the shard's
+// index and in-flight gauge.
+func (sh ShardHealth) MarshalJSON() ([]byte, error) {
+	type plain ShardHealth // the fields above, without this method
+	head, err := json.Marshal(plain(sh))
+	if err != nil {
+		return nil, err
+	}
+	fields := make([]field, len(sh.Sides))
+	for i, name := range sh.Detectors {
+		fields[i] = field{name, sh.Sides[i]}
+	}
+	return object(head[:len(head)-1], fields)
 }
 
 // GuardHealth is the document served at DebugHealthPath.
@@ -269,17 +297,13 @@ func (g *Guard) Health() GuardHealth {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for i, s := range g.shards {
-		var slots [maxSides]DetectorHealth
+		sh := ShardHealth{Shard: i, InFlight: s.inflight.Load(), Detectors: g.names, Sides: make([]DetectorHealth, len(g.names))}
 		s.Lock()
-		for j := range s.Dets {
-			slots[j] = s.Health(j)
+		for j := range sh.Sides {
+			sh.Sides[j] = s.Health(j)
 		}
 		h.Quarantined += s.Quarantined()
 		s.Unlock()
-		sh := ShardHealth{Shard: i, InFlight: s.inflight.Load(), Sentinel: slots[0], Arcane: slots[1]}
-		if len(s.Dets) == maxSides {
-			sh.Trajectory = &slots[2]
-		}
 		h.PerShard = append(h.PerShard, sh)
 	}
 	h.Healthy = h.Quarantined == 0

@@ -90,7 +90,15 @@ func TestDebugStateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st State
+	// The per-shard documents are written, not read back: the test reads
+	// the keys it checks itself.
+	var st struct {
+		State
+		PerShard []struct {
+			Total           uint64 `json:"total"`
+			SentinelClients int    `json:"sentinel_clients"`
+		} `json:"per_shard"`
+	}
 	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestGuardWindowSweepEvicts(t *testing.T) {
 	g.mu.RLock()
 	s := g.shards[0]
 	g.mu.RUnlock()
-	s.total.Store(sweepEvery - 1) // next request draws the sweep ticket
+	s.counts[cTotal].Store(sweepEvery - 1) // next request draws the sweep ticket
 	serve("10.1.1.3:1", base.Add(time.Hour))
 	if got := g.evicted.Load(); got == 0 {
 		t.Error("window sweep evicted nothing")
@@ -165,8 +173,8 @@ func TestGuardWindowSweepEvicts(t *testing.T) {
 		t.Error("sweep counter not advanced")
 	}
 	st := g.State()
-	if st.PerShard[0].SentinelClients != 1 {
-		t.Errorf("sentinel clients after sweep = %d, want 1", st.PerShard[0].SentinelClients)
+	if n := side(st.PerShard[0].Detectors, st.PerShard[0].Sessions, "sentinel"); n != 1 {
+		t.Errorf("sentinel clients after sweep = %d, want 1", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestRestoreBuffersGiveAFloodBack(t *testing.T) {
 		round := func(at time.Time, sweep bool) {
 			if sweep {
 				for _, s := range g.shards {
-					s.total.Store(sweepEvery - 1)
+					s.counts[cTotal].Store(sweepEvery - 1)
 				}
 			}
 			now = at
@@ -132,7 +133,7 @@ func TestRestoreBuffersGiveAFloodBack(t *testing.T) {
 		t.Fatalf("the window evicted %d clients of a 20 000-address flood", fg.evicted.Load())
 	}
 	for _, sh := range fg.Health().PerShard {
-		if !sh.Sentinel.HasSnapshot || !sh.Arcane.HasSnapshot {
+		if slices.ContainsFunc(sh.Sides, func(h DetectorHealth) bool { return !h.HasSnapshot }) {
 			t.Errorf("shard %d lost a restore point: %+v", sh.Shard, sh)
 		}
 	}

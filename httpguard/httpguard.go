@@ -30,10 +30,12 @@
 // and enforcement state is exactly what a single serialised detector set
 // would hold, while unrelated clients no longer contend on one lock.
 //
-// Which detectors judge is decided in one place: resolveSides turns Config
-// into the side list, every shard builds its []detector.Detector from that
-// list's factories, and everything else — sweeps, snapshots, metrics,
-// health, flight records — loops over the list by index. Note the guard
+// Which detectors judge is decided in one place, the detector registry
+// (internal/registry): New resolves Config to one factory per side there,
+// every shard builds its []detector.Detector from those factories, and
+// everything else — verdicts, sweeps, snapshots, metrics, state, health,
+// flight records — loops over the sides by index, under the names the
+// detectors give themselves. Note the guard
 // delivers per shard: responses leave in whatever order shards finish,
 // stats, tracing and eviction are shard-local, and nothing ever merges the
 // streams back into arrival order —
@@ -53,16 +55,19 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"divscrape/internal/arcane"
 	"divscrape/internal/detector"
+	"divscrape/internal/ensemble"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/metrics"
 	"divscrape/internal/mitigate"
+	"divscrape/internal/registry"
 	"divscrape/internal/sentinel"
 	"divscrape/internal/shard"
 	"divscrape/internal/sitemodel"
@@ -70,49 +75,35 @@ import (
 	"divscrape/internal/trajectory"
 )
 
-// Verdicts is the set of per-request judgements exposed to callbacks, one
-// named slot per judging side in side-list order — which is why three
-// sides is the guard's ceiling. Trajectory stays zero on pair guards
-// (Config.EnableTrajectory unset), so the ensemble semantics below reduce
-// to the classic pair schemes.
+// Verdicts is one request's judgement by every side, in side-list order.
+// It is a view over the guard's per-request scratch, valid only during the
+// callback it is passed to, as a pipeline.Decision is: copy what must
+// outlive the call. Alerted and Confirmed read the vote off
+// ensemble.Assess, the assessment the mitigation ladder acts on.
 type Verdicts struct {
-	// Commercial is the fingerprint/reputation detector's verdict.
-	Commercial detector.Verdict
-	// Behavioural is the session-analysis detector's verdict.
-	Behavioural detector.Verdict
-	// Trajectory is the semantic navigation detector's verdict; zero
-	// unless the guard was built with Config.EnableTrajectory.
-	Trajectory detector.Verdict
+	names    []string
+	verdicts []detector.Verdict
 }
 
-// votes counts alerting detectors.
-func (v Verdicts) votes() int {
-	n := 0
-	if v.Commercial.Alert {
-		n++
-	}
-	if v.Behavioural.Alert {
-		n++
-	}
-	if v.Trajectory.Alert {
-		n++
-	}
-	return n
-}
+// Len is the number of judging sides.
+func (v Verdicts) Len() int { return len(v.verdicts) }
 
-// Alerted reports whether any detector alerted (1-out-of-N, the paper's
+// At is side i's verdict: zero when the side sat out the request.
+func (v Verdicts) At(i int) detector.Verdict { return v.verdicts[i] }
+
+// Name is side i's detector name.
+func (v Verdicts) Name(i int) string { return v.names[i] }
+
+// Alerted reports whether any side alerted (1-out-of-N, the paper's
 // maximum-detection scheme).
-func (v Verdicts) Alerted() bool {
-	return v.votes() > 0
-}
+func (v Verdicts) Alerted() bool { return ensemble.Assess(v.verdicts).Alerted }
 
-// Confirmed reports whether at least two detectors alerted. On a pair
-// guard that is 2-out-of-2, the paper's minimum-false-alarm scheme; with
-// the trajectory side enabled it is the 2-out-of-3 majority, which keeps
-// confirmation strict while letting any one detector sit out.
-func (v Verdicts) Confirmed() bool {
-	return v.votes() >= 2
-}
+// Confirmed reports whether a strict majority of the sides alerted. On a
+// pair guard that is 2-out-of-2, the paper's minimum-false-alarm scheme;
+// with the trajectory side it is the 2-out-of-3 majority, which keeps
+// confirmation strict while letting any one detector sit out; four sides
+// confirm at three alerts.
+func (v Verdicts) Confirmed() bool { return ensemble.Assess(v.verdicts).Confirmed }
 
 // Config parameterises the guard.
 type Config struct {
@@ -155,9 +146,11 @@ type Config struct {
 	Shards int
 	// EvictWindow bounds how long idle per-client detector state survives:
 	// the periodic per-shard sweep drops sessions untouched for longer.
-	// Zero selects twice the largest side's idle timeout (verdict-neutral
-	// by the eviction-equivalence argument); negative disables the
-	// detector sweep (the mitigation engine still sweeps by its IdleTTL).
+	// Zero selects twice the longest idle timeout the sides report
+	// (detector.Idler; verdict-neutral by the eviction-equivalence
+	// argument), and no detector sweep when a side reports none; negative
+	// disables the detector sweep (the mitigation engine still sweeps by
+	// its IdleTTL).
 	EvictWindow time.Duration
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
@@ -200,50 +193,6 @@ type Config struct {
 	EnablePprof bool
 }
 
-// side is one judging slot of every shard, resolved once from Config by
-// resolveSides. Slot order is the order of Verdicts' fields and of the
-// ShardState / ShardHealth documents.
-type side struct {
-	// name labels the side in metrics, health, DegradedEvents and flight
-	// records.
-	name string
-	// factory builds one shard's instance, and the replacement a
-	// quarantined side comes back as.
-	factory detector.Factory
-	// idle is the side's effective idle timeout; the default EvictWindow
-	// is twice the largest.
-	idle time.Duration
-}
-
-// maxSides is the number of named slots Verdicts, ShardState and
-// ShardHealth have.
-const maxSides = 3
-
-func newSide(name string, idle, defaultIdle time.Duration, factory detector.Factory) side {
-	if idle <= 0 {
-		idle = defaultIdle
-	}
-	return side{name: name, factory: factory, idle: idle}
-}
-
-// resolveSides turns Config into the side list — the one place that knows
-// which detectors exist: the paper's pair, plus the semantic trajectory
-// side when enabled.
-func resolveSides(cfg Config) []side {
-	sides := []side{
-		newSide("sentinel", cfg.Sentinel.IdleTimeout, sentinel.DefaultConfig().IdleTimeout,
-			func() (detector.Detector, error) { return sentinel.New(cfg.Sentinel) }),
-		newSide("arcane", cfg.Arcane.IdleTimeout, arcane.DefaultConfig().IdleTimeout,
-			func() (detector.Detector, error) { return arcane.New(cfg.Arcane) }),
-	}
-	if cfg.EnableTrajectory {
-		sides = append(sides, newSide("trajectory",
-			cfg.Trajectory.IdleTimeout, trajectory.DefaultConfig().IdleTimeout,
-			func() (detector.Detector, error) { return trajectory.New(cfg.Trajectory) }))
-	}
-	return sides
-}
-
 // sessionHolder is what the guard asks of a side's detector beyond
 // judging, snapshots and eviction: its live session count (gauges, State).
 type sessionHolder interface {
@@ -271,28 +220,34 @@ type guardShard struct {
 	// shard lock is taken, so the shed decision itself never queues.
 	inflight atomic.Int64
 
-	total      atomic.Uint64
-	alerted    atomic.Uint64
-	passed     atomic.Uint64
-	allowed    atomic.Uint64
-	tarpitted  atomic.Uint64
-	challenged atomic.Uint64
-	blocked    atomic.Uint64
+	counts [nCounts]atomic.Uint64
 }
 
-// countAction tallies an enforcement outcome without touching the shard
-// lock.
-func (s *guardShard) countAction(a mitigate.Action) {
-	switch a {
-	case mitigate.Tarpit:
-		s.tarpitted.Add(1)
-	case mitigate.Challenge:
-		s.challenged.Add(1)
-	case mitigate.Block:
-		s.blocked.Add(1)
-	default:
-		s.allowed.Add(1)
+// A shard's counters, in the order a guard snapshot writes them: requests
+// seen and alerted, solved challenge beacons, then one per enforcement
+// action in mitigate.Action's order.
+const (
+	cTotal = iota
+	cAlerted
+	cPassed
+	cAllowed
+	cTarpitted
+	cChallenged
+	cBlocked
+	nCounts
+)
+
+// load reads the shard's counters.
+func (s *guardShard) load() (c [nCounts]uint64) {
+	for i := range c {
+		c[i] = s.counts[i].Load()
 	}
+	return c
+}
+
+// actionCounts is the enforcement tally of a counter set.
+func actionCounts(c [nCounts]uint64) mitigate.ActionCounts {
+	return mitigate.ActionCounts{Allowed: c[cAllowed], Tarpitted: c[cTarpitted], Challenged: c[cChallenged], Blocked: c[cBlocked]}
 }
 
 // sweepEvery is the per-shard request period between enforcement-state
@@ -304,17 +259,18 @@ const sweepEvery = 4096
 type Guard struct {
 	cfg    Config
 	policy mitigate.Policy
-	// sides is the judging side list; names and factories its columns.
-	sides     []side
-	names     []string
+	// factories build each shard's sides; names are the sides' names and
+	// tags their X-Scrape-Verdict values (roleTag).
 	factories []detector.Factory
+	names     []string
+	tags      [][]string
 	trusted   trustedNets
 	// rep is the reputation DB every shard's enricher resolves against,
 	// built once and never mutated, so lookups take no lock. seq numbers
 	// the requests in arrival order.
 	rep     *iprep.DB
 	seq     atomic.Uint64
-	recPool sync.Pool // *statusRecorder
+	recPool sync.Pool // *statusRecorder, one per request in flight
 
 	// Observability surface (debug.go): the registry reads the atomic
 	// counters below and on the shards; latency lands in the histogram on
@@ -335,8 +291,8 @@ type Guard struct {
 	// per-shard so they survive Rebalance.
 	shed         atomic.Uint64
 	degradedReqs atomic.Uint64
-	panics       [maxSides]atomic.Uint64
-	restores     [maxSides]atomic.Uint64
+	panics       []atomic.Uint64
+	restores     []atomic.Uint64
 
 	// escFrozen mirrors the cluster plane's degraded fail-closed state at
 	// the guard level (cluster.go): it survives Rebalance, which rebuilds
@@ -356,19 +312,24 @@ type Guard struct {
 }
 
 // New builds a guard with its own detectors, mitigation engines and
-// reputation feed.
+// reputation feed. Its sides are the registry's: the paper's pair, and the
+// trajectory detector with Config.EnableTrajectory.
 func New(cfg Config) (*Guard, error) {
-	return newWithSides(cfg, resolveSides(cfg))
+	names := registry.Default
+	if cfg.EnableTrajectory {
+		names = append(slices.Clip(names), "trajectory")
+	}
+	factories, err := registry.Factories(registry.Config{
+		Sentinel: cfg.Sentinel, Arcane: cfg.Arcane, Trajectory: cfg.Trajectory}, names...)
+	if err != nil {
+		return nil, fmt.Errorf("httpguard: %w", err)
+	}
+	return newWithFactories(cfg, factories)
 }
 
-// newWithSides builds a guard judging with the given sides; nothing below
-// New knows which detectors they are. Two sides is the floor because
-// Verdicts.Confirmed means two alerts, three the ceiling because Verdicts
-// has three slots.
-func newWithSides(cfg Config, sides []side) (*Guard, error) {
-	if len(sides) < 2 || len(sides) > maxSides {
-		return nil, fmt.Errorf("httpguard: %d judging sides, need 2 to %d", len(sides), maxSides)
-	}
+// newWithFactories builds a guard judging with one side per factory, in
+// order; nothing below New knows which detectors they are.
+func newWithFactories(cfg Config, factories []detector.Factory) (*Guard, error) {
 	policy := mitigate.Observe()
 	if cfg.Policy != nil {
 		policy = *cfg.Policy
@@ -392,27 +353,33 @@ func newWithSides(cfg Config, sides []side) (*Guard, error) {
 	case cfg.MaxInFlight < 0:
 		cfg.MaxInFlight = 0 // gate disabled
 	}
-	names, factories := make([]string, len(sides)), make([]detector.Factory, len(sides))
-	var maxIdle time.Duration
-	for i, sd := range sides {
-		names[i], factories[i] = sd.name, sd.factory
-		maxIdle = max(maxIdle, sd.idle)
+	// One throwaway instance of each side gives its name and idle timeout.
+	dets, err := detector.Build(factories)
+	if err != nil {
+		return nil, fmt.Errorf("httpguard: %w", err)
+	}
+	names, tags := make([]string, len(dets)), make([][]string, len(dets))
+	for i, d := range dets {
+		names[i] = d.Name()
+		tags[i] = roleTag(registry.Role(names[i]))
 	}
 	if cfg.EvictWindow == 0 {
-		// Twice the largest idle timeout: comfortably inside the
+		// Twice the longest idle timeout: comfortably inside the
 		// verdict-neutral regime even with sweeps landing mid-window.
-		cfg.EvictWindow = 2 * maxIdle
+		cfg.EvictWindow = 2 * detector.Horizon(dets)
 	}
 	g := &Guard{
 		cfg:       cfg,
 		policy:    policy,
-		sides:     sides,
-		names:     names,
 		factories: factories,
+		names:     names,
+		tags:      tags,
 		trusted:   trusted,
 		rep:       iprep.BuildFeed(),
+		panics:    make([]atomic.Uint64, len(dets)),
+		restores:  make([]atomic.Uint64, len(dets)),
 	}
-	g.recPool.New = func() any { return new(statusRecorder) }
+	g.recPool.New = func() any { return &statusRecorder{verdicts: make([]detector.Verdict, len(dets))} }
 	// The registry and the tracer come first: every shard's decision core
 	// is built holding the tracer.
 	g.buildMetrics()
@@ -444,7 +411,7 @@ func (g *Guard) newShards(n int) ([]*guardShard, error) {
 		}
 		for j, d := range core.Dets {
 			if _, ok := d.(sessionHolder); !ok {
-				return nil, fmt.Errorf("httpguard: %s detector exposes no session view", g.sides[j].name)
+				return nil, fmt.Errorf("httpguard: %s detector exposes no session view", core.Names[j])
 			}
 		}
 		core.Index, core.Window, core.Tracer = i, g.cfg.EvictWindow, g.trace
@@ -504,19 +471,18 @@ type GuardStats struct {
 func (g *Guard) StatsDetail() GuardStats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out GuardStats
+	c := g.sums()
+	return GuardStats{Total: c[cTotal], Alerted: c[cAlerted], Actions: actionCounts(c), ChallengesPassed: c[cPassed]}
+}
+
+// sums adds up each counter across the shards. The caller holds g.mu.
+func (g *Guard) sums() (c [nCounts]uint64) {
 	for _, s := range g.shards {
-		out.Total += s.total.Load()
-		out.Alerted += s.alerted.Load()
-		out.Actions.Add(mitigate.ActionCounts{
-			Allowed:    s.allowed.Load(),
-			Tarpitted:  s.tarpitted.Load(),
-			Challenged: s.challenged.Load(),
-			Blocked:    s.blocked.Load(),
-		})
-		out.ChallengesPassed += s.passed.Load()
+		for i, n := range s.load() {
+			c[i] += n
+		}
 	}
-	return out
+	return c
 }
 
 // challengeBody is the interstitial served in place of content at the
@@ -574,14 +540,19 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 		// accurate session state. Products make the same compromise: the
 		// block/allow decision cannot wait for the response.
 		entry := g.entryFor(r, http.StatusOK, 0)
-		verdicts, out := g.decide(entry)
+		// The pooled recorder is the request's scratch: it holds the
+		// verdicts the callbacks' Verdicts view, and records the status of
+		// a request let through.
+		rec := g.recPool.Get().(*statusRecorder)
+		verdicts, out := g.decide(entry, rec.verdicts)
 		if g.cfg.OnDecision != nil {
 			g.cfg.OnDecision(entry, verdicts, out.Ladder)
 		}
-		entry.Status = g.answer(w, r, next, verdicts, out)
+		entry.Status = g.answer(w, r, next, rec, verdicts, out)
 		if g.cfg.OnVerdict != nil {
 			g.cfg.OnVerdict(entry, verdicts)
 		}
+		g.recPool.Put(rec)
 		g.observeLatency(entry.Time)
 	})
 }
@@ -591,7 +562,7 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 // writes takes one of the shared, len == cap values above, and a refusal
 // is written by refuse, not http.Error: the response is byte for byte the
 // same, and costs no allocation.
-func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler, verdicts Verdicts, out shard.Outcome) int {
+func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler, rec *statusRecorder, verdicts Verdicts, out shard.Outcome) int {
 	dec := out.Ladder
 	switch {
 	// The challenge flow is hosted by the guard itself and always
@@ -631,26 +602,22 @@ func (g *Guard) answer(w http.ResponseWriter, r *http.Request, next http.Handler
 		g.tarpit(r.Context(), dec.Delay)
 	}
 	if dec.Tagged {
-		w.Header()["X-Scrape-Verdict"] = verdictHeader(verdicts)
+		w.Header()["X-Scrape-Verdict"] = g.verdictTag(verdicts)
 	}
-	// The recorder is pooled: it is the only per-request heap object the
-	// guard would otherwise create on the allow path.
-	rec := g.recPool.Get().(*statusRecorder)
 	rec.ResponseWriter, rec.status = w, http.StatusOK
 	next.ServeHTTP(rec, r)
-	status := rec.status
 	rec.ResponseWriter = nil
-	g.recPool.Put(rec)
-	return status
+	return rec.status
 }
 
-// decide runs the decision step on the client's shard. Only enrichment,
+// decide runs the decision step on the client's shard, copying the sides'
+// verdicts into dst, one per side, which the returned view reads. Only enrichment,
 // detector-state and engine mutation sit inside the shard lock; all
 // counters are atomics updated outside the critical section. An unjudged
 // outcome — the challenge flow's own requests, a fail-closed refusal, a
 // request shed by admission control (Degraded, like one a quarantined side
 // sat out of) — carries the zero Allow decision.
-func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
+func (g *Guard) decide(entry logfmt.Entry, dst []detector.Verdict) (Verdicts, shard.Outcome) {
 	seq := g.seq.Add(1) - 1
 	// The shard set is held shared for the whole decision (including the
 	// counter updates), so a concurrent Rebalance observes either all of
@@ -670,15 +637,16 @@ func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 		s.FlowOf(sitemodel.ClassifyPath(entry.Path).Kind, entry.Method) == shard.FlowNone
 	if gated && s.inflight.Add(1) > int64(g.cfg.MaxInFlight) {
 		s.inflight.Add(-1)
-		s.total.Add(1)
+		s.counts[cTotal].Add(1)
 		g.shed.Add(1)
-		return Verdicts{}, shard.Outcome{Degraded: true}
+		clear(dst)
+		return Verdicts{g.names, dst}, shard.Outcome{Degraded: true}
 	}
 
 	// The count-based sweep cadence stays per-shard and deterministic
 	// under a test clock; the ticket is drawn before the lock so the
 	// sweep itself is the only extra work ever done inside it.
-	sweep := s.total.Add(1)%sweepEvery == 0
+	sweep := s.counts[cTotal].Add(1)%sweepEvery == 0
 
 	// The admission gauge is released on every exit from here on —
 	// including a panic escaping the sweep or engine path below — or a
@@ -687,18 +655,19 @@ func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 	if gated {
 		defer s.inflight.Add(-1)
 	}
-	v, out := s.judge(&entry, seq, sweep)
+	out := s.judge(&entry, seq, sweep, dst)
+	v := Verdicts{g.names, dst}
 
 	if out.Degraded {
 		g.degradedReqs.Add(1)
 	}
 	if v.Alerted() {
-		s.alerted.Add(1)
+		s.counts[cAlerted].Add(1)
 	}
 	if out.Flow == shard.FlowVerify {
-		s.passed.Add(1)
+		s.counts[cPassed].Add(1)
 	}
-	s.countAction(out.Ladder.Action)
+	s.counts[cAllowed+int(out.Ladder.Action)].Add(1)
 	return v, out
 }
 
@@ -712,7 +681,7 @@ func (g *Guard) decide(entry logfmt.Entry) (Verdicts, shard.Outcome) {
 // inside the step, so under the lock: its feature snapshot aliases the
 // detectors' scratch vectors, which the next request on this shard
 // overwrites.
-func (s *guardShard) judge(entry *logfmt.Entry, seq uint64, sweep bool) (v Verdicts, out shard.Outcome) {
+func (s *guardShard) judge(entry *logfmt.Entry, seq uint64, sweep bool, dst []detector.Verdict) (out shard.Outcome) {
 	s.Lock()
 	defer s.Unlock()
 	s.req.Seq, s.req.Entry = seq, *entry
@@ -733,12 +702,8 @@ func (s *guardShard) judge(entry *logfmt.Entry, seq uint64, sweep bool) (v Verdi
 		s.g.evicted.Add(uint64(n))
 	}
 	s.Judge(&s.req, &out)
-	verdicts := s.Verdicts()
-	v.Commercial, v.Behavioural = verdicts[0], verdicts[1]
-	if len(verdicts) == maxSides {
-		v.Trajectory = verdicts[2]
-	}
-	return v, out
+	copy(dst, s.Verdicts())
+	return out
 }
 
 // entryFor converts a live request into the Combined Log Format view,
@@ -788,25 +753,39 @@ func refuse(w http.ResponseWriter, code int, body []byte) {
 	w.Write(body)
 }
 
-// verdictHeader is the X-Scrape-Verdict value of a request let through
-// tagged.
-func verdictHeader(v Verdicts) []string {
-	switch {
-	case v.Confirmed():
+// verdictTag is the X-Scrape-Verdict value of a request let through
+// tagged: confirmed, or else the role of the first side that alerted (the
+// last side's when none before it did).
+func (g *Guard) verdictTag(v Verdicts) []string {
+	if v.Confirmed() {
 		return verdictConfirmed
-	case v.Commercial.Alert:
-		return verdictCommercial
-	case v.Behavioural.Alert:
-		return verdictBehavioural
-	default:
-		return verdictTrajectory
 	}
+	last := len(g.tags) - 1
+	for i := range last {
+		if v.verdicts[i].Alert {
+			return g.tags[i]
+		}
+	}
+	return g.tags[last]
 }
 
-// statusRecorder captures the response status for the post-hoc log view.
+// roleTag is the X-Scrape-Verdict value of a side playing role: the shared
+// value above, or one of its own for a role they do not name.
+func roleTag(role string) []string {
+	for _, v := range [][]string{verdictCommercial, verdictBehavioural, verdictTrajectory} {
+		if v[0] == role {
+			return v
+		}
+	}
+	return []string{role}
+}
+
+// statusRecorder is a request's pooled scratch: the sides' verdicts, and
+// the response status for the post-hoc log view.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status   int
+	verdicts []detector.Verdict
 }
 
 func (r *statusRecorder) WriteHeader(code int) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"divscrape/internal/detector"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/mitigate"
 )
@@ -76,11 +77,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestObserveModeNeverInterferes(t *testing.T) {
 	clock := newFakeClock()
-	var verdicts []Verdicts
+	var commercial []detector.Verdict
 	g := newGuard(t, Config{
 		Now: func() time.Time { return clock.tick(100 * time.Millisecond) },
 		OnVerdict: func(_ logfmt.Entry, v Verdicts) {
-			verdicts = append(verdicts, v)
+			commercial = append(commercial, v.At(0))
 		},
 	})
 	h := g.Wrap(okHandler())
@@ -93,12 +94,12 @@ func TestObserveModeNeverInterferes(t *testing.T) {
 			t.Fatal("observe mode tagged a response")
 		}
 	}
-	if len(verdicts) != 10 {
-		t.Fatalf("OnVerdict called %d times", len(verdicts))
+	if len(commercial) != 10 {
+		t.Fatalf("OnVerdict called %d times", len(commercial))
 	}
 	// A tool UA from a datacenter range must alert the commercial
 	// detector.
-	if !verdicts[0].Commercial.Alert {
+	if !commercial[0].Alert {
 		t.Error("commercial detector silent on tool UA")
 	}
 	total, alerted, blocked := g.Stats()

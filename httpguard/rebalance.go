@@ -119,17 +119,7 @@ func (g *Guard) restoreLocked(r *statecodec.Reader, n int) error {
 // requests count as allowed without ever reaching an engine.
 func (g *Guard) snapshotShardsLocked(w *statecodec.Writer) {
 	w.Tag(tagGuard)
-	var total, alerted, passed, allowed, tarpitted, challenged, blocked uint64
-	for _, s := range g.shards {
-		total += s.total.Load()
-		alerted += s.alerted.Load()
-		passed += s.passed.Load()
-		allowed += s.allowed.Load()
-		tarpitted += s.tarpitted.Load()
-		challenged += s.challenged.Load()
-		blocked += s.blocked.Load()
-	}
-	for _, c := range []uint64{total, alerted, passed, allowed, tarpitted, challenged, blocked} {
+	for _, c := range g.sums() {
 		w.Uint64(c)
 	}
 	// One block per side, in side order and untagged by the guard: a pair
@@ -155,7 +145,7 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard) error {
 	if err := r.Expect(tagGuard); err != nil {
 		return err
 	}
-	var counters [7]uint64
+	var counters [nCounts]uint64
 	for i := range counters {
 		counters[i] = r.Uint64()
 	}
@@ -176,13 +166,8 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard) error {
 		return err
 	}
 	// Fleet counter totals live on the first shard of the restored set.
-	s0 := shards[0]
-	s0.total.Store(counters[0])
-	s0.alerted.Store(counters[1])
-	s0.passed.Store(counters[2])
-	s0.allowed.Store(counters[3])
-	s0.tarpitted.Store(counters[4])
-	s0.challenged.Store(counters[5])
-	s0.blocked.Store(counters[6])
+	for i, c := range counters {
+		shards[0].counts[i].Store(c)
+	}
 	return nil
 }

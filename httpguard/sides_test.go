@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,15 +12,16 @@ import (
 	"divscrape/internal/detector"
 	"divscrape/internal/faultinject"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/registry"
 	"divscrape/internal/sessions"
 	"divscrape/internal/statecodec"
 	"divscrape/internal/trace"
 )
 
-// Nothing outside resolveSides may know which detectors exist. These tests
-// put a detector the guard has never heard of into a side list — in the
-// first slot, then in the third — and walk it through everything a shard
-// does with a side.
+// Nothing outside the registry may know which detectors exist. These tests
+// put a detector the guard has never heard of into the trio's side list —
+// in the first slot, in the third, then as a fourth side beside the trio —
+// and walk it through everything a shard does with a side.
 
 // hitCounter counts each address's requests and alerts from the fifth on.
 // It has its own name, its own snapshot tag and no detector.Explainer.
@@ -64,6 +66,7 @@ func (d *hitCounter) InspectInto(req *detector.Request, out *detector.Verdict) {
 }
 
 func (d *hitCounter) Sessions() int                    { return d.store.Len() }
+func (d *hitCounter) IdleTimeout() time.Duration       { return 30 * time.Minute }
 func (d *hitCounter) EvictBefore(cutoff time.Time) int { return d.store.EvictBefore(cutoff) }
 
 func hitStores(shards []detector.Detector) []*sessions.Store[uint64] {
@@ -95,24 +98,27 @@ func (d *hitCounter) RestoreShards(r *statecodec.Reader, shards []detector.Detec
 	return sessions.RestorePartitioned(r, hitStores(shards), func(k sessions.Key) int { return part(k.IP) })
 }
 
-// sidesWithHits is the triple guard's side list with slot given over to
-// the hit counter.
-func sidesWithHits(slot int) []side {
-	sides := resolveSides(Config{EnableTrajectory: true})
-	sides[slot] = newSide(hitsName, 0, 30*time.Minute, newHitCounter)
-	return sides
+// trio is the trajectory-enabled guard's side names.
+var trio = []string{"sentinel", "arcane", "trajectory"}
+
+// trioWithHits is the trio's factories with the hit counter in slot, or
+// beside them when slot is past the trio.
+func trioWithHits(t *testing.T, slot int) []detector.Factory {
+	t.Helper()
+	factories, err := registry.Factories(registry.Config{}, trio...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot == len(factories) {
+		return append(factories, newHitCounter)
+	}
+	factories[slot] = newHitCounter
+	return factories
 }
 
-func verdictSlot(v Verdicts, slot int) detector.Verdict {
-	return [maxSides]detector.Verdict{v.Commercial, v.Behavioural, v.Trajectory}[slot]
-}
-
-func (sh ShardHealth) slot(i int) DetectorHealth {
-	return [maxSides]DetectorHealth{sh.Sentinel, sh.Arcane, *sh.Trajectory}[i]
-}
-
-func (ss ShardState) slot(i int) int {
-	return [maxSides]int{ss.SentinelClients, ss.ArcaneSessions, ss.TrajectorySessions}[i]
+// side is the named side's entry of a health or state document's shard.
+func side[T any](names []string, values []T, name string) T {
+	return values[slices.Index(names, name)]
 }
 
 // liveSessions sums side slot's live sessions across shards.
@@ -129,7 +135,7 @@ func liveSessions(g *Guard, slot int) int {
 }
 
 func TestGuardJudgesWithAnUnknownSide(t *testing.T) {
-	for _, slot := range []int{0, maxSides - 1} {
+	for _, slot := range []int{0, 2, 3} {
 		t.Run(fmt.Sprintf("slot%d", slot), func(t *testing.T) { unknownSideScenario(t, slot) })
 	}
 }
@@ -137,9 +143,13 @@ func TestGuardJudgesWithAnUnknownSide(t *testing.T) {
 func unknownSideScenario(t *testing.T, slot int) {
 	t.Cleanup(faultinject.Reset)
 	const client = "172.16.0.9"
-	replaced := resolveSides(Config{EnableTrajectory: true})[slot].name
+	replaced := "" // the trio side the hit counter took the place of
+	if slot < len(trio) {
+		replaced = trio[slot]
+	}
+	sides := len(trioWithHits(t, slot))
 	now := time.Date(2018, 3, 12, 10, 0, 0, 0, time.UTC)
-	var last Verdicts
+	var last detector.Verdict
 	var events []DegradedEvent
 	cfg := Config{
 		Shards:            2,
@@ -148,11 +158,16 @@ func unknownSideScenario(t *testing.T, slot int) {
 		EvictWindow:       10 * time.Minute, // inside every side's idle timeout, so sweeps beat lazy expiry
 		Now:               func() time.Time { return now },
 		Sleep:             func(time.Duration) {},
-		OnVerdict:         func(_ logfmt.Entry, v Verdicts) { last = v },
-		OnDegraded:        func(ev DegradedEvent) { events = append(events, ev) },
-		Trace:             &trace.RecorderConfig{Clients: []string{client}},
+		OnVerdict: func(_ logfmt.Entry, v Verdicts) {
+			if v.Len() != sides || v.Name(slot) != hitsName {
+				t.Fatalf("verdicts of %d sides, %q in slot %d", v.Len(), v.Name(slot), slot)
+			}
+			last = v.At(slot)
+		},
+		OnDegraded: func(ev DegradedEvent) { events = append(events, ev) },
+		Trace:      &trace.RecorderConfig{Clients: []string{client}},
 	}
-	g, err := newWithSides(cfg, sidesWithHits(slot))
+	g, err := newWithFactories(cfg, trioWithHits(t, slot))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +177,12 @@ func unknownSideScenario(t *testing.T, slot int) {
 	// leaves it a last-good snapshot on the client's shard.
 	browse(t, h, 20, 3)
 	warmToSnapshot(t, h, client)
-	if v := verdictSlot(last, slot); !v.Alert || strings.Join(v.Reasons.Strings(), ",") != hitsName {
-		t.Fatalf("slot %d verdict after %d requests: %+v", slot, sweepEvery, v)
+	if !last.Alert || strings.Join(last.Reasons.Strings(), ",") != hitsName {
+		t.Fatalf("slot %d verdict after %d requests: %+v", slot, sweepEvery, last)
 	}
 	home := -1
 	for i, sh := range g.Health().PerShard {
-		if sh.slot(slot).HasSnapshot {
+		if side(sh.Detectors, sh.Sides, hitsName).HasSnapshot {
 			home = i
 		}
 	}
@@ -180,11 +195,14 @@ func unknownSideScenario(t *testing.T, slot int) {
 	if rec := do(t, h, client, browserUA, "/page"); rec.Code != http.StatusOK {
 		t.Fatalf("fail-open served %d during the side's panic", rec.Code)
 	}
-	if v := verdictSlot(last, slot); v != (detector.Verdict{}) {
-		t.Errorf("a side that sat out left a verdict: %+v", v)
+	if last != (detector.Verdict{}) {
+		t.Errorf("a side that sat out left a verdict: %+v", last)
 	}
 	hs := g.Health()
-	if dh := hs.PerShard[home].slot(slot); hs.Healthy || !dh.Quarantined || dh.Reason != "hits bug" {
+	if sh := hs.PerShard[home]; sh.Detectors[slot] != hitsName {
+		t.Fatalf("health names %v", sh.Detectors)
+	}
+	if dh := side(hs.PerShard[home].Detectors, hs.PerShard[home].Sides, hitsName); hs.Healthy || !dh.Quarantined || dh.Reason != "hits bug" {
 		t.Fatalf("health after the panic: healthy=%v slot=%+v", hs.Healthy, dh)
 	}
 	now = now.Add(cfg.QuarantineBackoff + time.Second)
@@ -198,19 +216,22 @@ func unknownSideScenario(t *testing.T, slot int) {
 	if _, known := hs.Panics[replaced]; known {
 		t.Errorf("health still counts the replaced %s side", replaced)
 	}
+	if len(hs.Panics) != sides {
+		t.Errorf("health counts panics of %d sides, want %d", len(hs.Panics), sides)
+	}
 	if len(events) != 2 || events[0].Detector != hitsName || events[0].Kind != "quarantine" ||
 		events[1].Detector != hitsName || events[1].Kind != "restore" {
 		t.Fatalf("degraded events %+v", events)
 	}
 	// Restored warm: the client's count carried over, so it still alerts.
-	if v := verdictSlot(last, slot); !v.Alert {
+	if !last.Alert {
 		t.Error("the side came back cold despite a last-good snapshot")
 	}
 
 	// State and metrics read the side by index.
 	sum := 0
 	for _, ss := range g.State().PerShard {
-		sum += ss.slot(slot)
+		sum += side(ss.Detectors, ss.Sessions, hitsName)
 	}
 	if want := liveSessions(g, slot); sum != want || want != 21 {
 		t.Errorf("state reports %d sessions in slot %d, live %d, want 21", sum, slot, want)
@@ -226,10 +247,10 @@ func unknownSideScenario(t *testing.T, slot int) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	if strings.Contains(body, `detector="`+replaced+`"`) {
+	if replaced != "" && strings.Contains(body, `detector="`+replaced+`"`) {
 		t.Errorf("metrics still label the replaced %s side", replaced)
 	}
-	// Flight records: three detector records under the side list's names;
+	// Flight records: a detector record per side under the sides' names;
 	// the side has no Explainer, so no features, and is marked skipped on
 	// the request it sat out.
 	recs := g.FlightRecorder().Recent(0, client, "")
@@ -238,7 +259,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 	}
 	skipped := 0
 	for _, r := range recs {
-		if len(r.Detectors) != maxSides || r.Detectors[slot].Detector != hitsName {
+		if len(r.Detectors) != sides || r.Detectors[slot].Detector != hitsName {
 			t.Fatalf("record detectors %+v", r.Detectors)
 		}
 		if r.Detectors[slot].Features != nil {
@@ -264,7 +285,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 		t.Errorf("%d sessions in slot %d after Rebalance, want 21", got, slot)
 	}
 	cfg.Shards = 4
-	twin, err := newWithSides(cfg, sidesWithHits(slot))
+	twin, err := newWithFactories(cfg, trioWithHits(t, slot))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +296,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 		t.Error("a guard restored from the snapshot writes different bytes")
 	}
 	if err := tripleGuard(t, 2).RestoreFrom(statecodec.NewReader(before)); err == nil {
-		t.Errorf("a guard with the %s side restored a snapshot holding a hits block", replaced)
+		t.Error("the trio guard restored a snapshot holding a hits block")
 	}
 
 	// Sweep: a quarter of an hour later the idle clients' sessions are
@@ -290,7 +311,7 @@ func unknownSideScenario(t *testing.T, slot int) {
 	}
 	swept := false
 	for _, ss := range st.PerShard {
-		swept = swept || ss.slot(slot) == 1
+		swept = swept || side(ss.Detectors, ss.Sessions, hitsName) == 1
 	}
 	if !swept {
 		t.Errorf("no shard swept down to the one live session in slot %d: %+v", slot, st.PerShard)

@@ -3,51 +3,47 @@ package httpguard
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/ensemble"
 	"divscrape/internal/faultinject"
 	"divscrape/internal/statecodec"
 )
 
-// The optional third detector side. These tests pin the triple-guard
-// semantics (1-out-of-3 alert, 2-out-of-3 confirmation), the surfaces
-// that grow a trajectory entry only when the side is enabled, and the
-// failure plane and snapshot layout around the new slot.
+// The optional third detector side. These tests pin the vote rule every
+// guard judges by, the surfaces that grow a trajectory entry only when the
+// side is enabled, and the failure plane and snapshot layout around it.
 
-func alert(score float64) detector.Verdict {
-	return detector.Verdict{Alert: true, Score: score}
-}
-
+// Alerted and Confirmed are the ensemble's assessment — the one the ladder
+// acts on — for every alert pattern of two, three and four sides: any
+// alert is 1-out-of-N, and a strict majority confirms, so a pair confirms
+// at two alerts (2-out-of-2), a trio at two (any one side may sit out) and
+// four sides at three.
 func TestVerdictsEnsembleSemantics(t *testing.T) {
-	cases := []struct {
-		name      string
-		v         Verdicts
-		alerted   bool
-		confirmed bool
-	}{
-		{"none", Verdicts{}, false, false},
-		{"commercial only", Verdicts{Commercial: alert(1)}, true, false},
-		{"behavioural only", Verdicts{Behavioural: alert(1)}, true, false},
-		{"trajectory only", Verdicts{Trajectory: alert(1)}, true, false},
-		// The pair reduction: with Trajectory zero, Confirmed is the
-		// classic 2-out-of-2.
-		{"pair confirmed", Verdicts{Commercial: alert(1), Behavioural: alert(1)}, true, true},
-		// Any two of three confirm; the third may sit out.
-		{"sen+traj", Verdicts{Commercial: alert(1), Trajectory: alert(1)}, true, true},
-		{"arc+traj", Verdicts{Behavioural: alert(1), Trajectory: alert(1)}, true, true},
-		{"all three", Verdicts{Commercial: alert(1), Behavioural: alert(1), Trajectory: alert(1)}, true, true},
-	}
-	for _, tc := range cases {
-		if got := tc.v.Alerted(); got != tc.alerted {
-			t.Errorf("%s: Alerted() = %v, want %v", tc.name, got, tc.alerted)
-		}
-		if got := tc.v.Confirmed(); got != tc.confirmed {
-			t.Errorf("%s: Confirmed() = %v, want %v", tc.name, got, tc.confirmed)
+	names := []string{"sentinel", "arcane", "trajectory", "hits"}
+	for n := 2; n <= len(names); n++ {
+		for pattern := 0; pattern < 1<<n; pattern++ {
+			v := Verdicts{names: names[:n], verdicts: make([]detector.Verdict, n)}
+			for i := range n {
+				if pattern&(1<<i) != 0 {
+					v.verdicts[i] = detector.Verdict{Alert: true, Score: 1}
+				}
+			}
+			want := ensemble.Assess(v.verdicts)
+			if v.Alerted() != want.Alerted || v.Confirmed() != want.Confirmed {
+				t.Errorf("%d sides, alerts %0*b: Alerted %v Confirmed %v, the ensemble %v %v",
+					n, n, pattern, v.Alerted(), v.Confirmed(), want.Alerted, want.Confirmed)
+			}
+			if alerts := bits.OnesCount(uint(pattern)); v.Confirmed() != (alerts >= n/2+1) {
+				t.Errorf("%d sides, %d alerts: Confirmed %v", n, alerts, v.Confirmed())
+			}
 		}
 	}
 }
@@ -59,8 +55,8 @@ func trajSessions(g *Guard) int {
 	n := 0
 	for _, s := range g.shards {
 		s.Lock()
-		if len(s.Dets) == maxSides {
-			n += s.sessions(maxSides - 1)
+		if i := slices.Index(s.Names, "trajectory"); i >= 0 {
+			n += s.sessions(i)
 		}
 		s.Unlock()
 	}
@@ -102,7 +98,7 @@ func TestTrajectoryGuardSurfaces(t *testing.T) {
 	st := g.State()
 	sum := 0
 	for _, ss := range st.PerShard {
-		sum += ss.TrajectorySessions
+		sum += side(ss.Detectors, ss.Sessions, "trajectory")
 	}
 	if sum != trajSessions(g) {
 		t.Errorf("state trajectory sessions %d, live %d", sum, trajSessions(g))
@@ -110,7 +106,7 @@ func TestTrajectoryGuardSurfaces(t *testing.T) {
 
 	// Health grows a trajectory entry on every shard.
 	for i, sh := range g.Health().PerShard {
-		if sh.Trajectory == nil {
+		if !slices.Contains(sh.Detectors, "trajectory") {
 			t.Fatalf("shard %d health has no trajectory entry", i)
 		}
 	}
@@ -156,11 +152,14 @@ func TestPairGuardSurfacesUnchanged(t *testing.T) {
 	}
 }
 
+// trajHealth is the trajectory side's entry of a shard's health.
+func trajHealth(sh ShardHealth) DetectorHealth { return side(sh.Detectors, sh.Sides, "trajectory") }
+
 func TestChaosTrajectoryQuarantineAndRestore(t *testing.T) {
 	g, now := chaosGuard(t, func(c *Config) { c.EnableTrajectory = true })
 	h := g.Wrap(okHandler())
 	warmToSnapshot(t, h, "172.16.0.9")
-	if hs := g.Health(); !hs.PerShard[0].Trajectory.HasSnapshot {
+	if hs := g.Health(); !trajHealth(hs.PerShard[0]).HasSnapshot {
 		t.Fatal("no trajectory last-good snapshot after a sweep slot")
 	}
 
@@ -172,7 +171,7 @@ func TestChaosTrajectoryQuarantineAndRestore(t *testing.T) {
 	if hs.Healthy {
 		t.Fatal("guard healthy with quarantined trajectory side")
 	}
-	if dh := hs.PerShard[0].Trajectory; !dh.Quarantined || dh.Reason != "trajectory bug" {
+	if dh := trajHealth(hs.PerShard[0]); !dh.Quarantined || dh.Reason != "trajectory bug" {
 		t.Fatalf("trajectory health %+v", dh)
 	}
 	if hs.Panics["trajectory"] != 1 {
@@ -192,7 +191,7 @@ func TestChaosTrajectoryQuarantineAndRestore(t *testing.T) {
 		t.Fatalf("after backoff: healthy=%v restores=%v", hs.Healthy, hs.Restores)
 	}
 	// Restored warm from the last-good snapshot, not a cold start.
-	if st := g.State(); st.PerShard[0].TrajectorySessions == 0 {
+	if ss := g.State().PerShard[0]; side(ss.Detectors, ss.Sessions, "trajectory") == 0 {
 		t.Fatal("trajectory restore came back cold despite a snapshot")
 	}
 }

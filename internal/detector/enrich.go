@@ -275,16 +275,16 @@ func (t *clients) reset() {
 // (Idler): none when there are no sides or one of them reports none.
 func NewEnricher(rep *iprep.DB, sides ...Detector) *Enricher {
 	e := &Enricher{rep: rep, t: newClients(), next: math.MaxUint64}
-	if h := horizon(sides); h > 0 {
+	if h := Horizon(sides); h > 0 {
 		e.horizon = uint32(min((h-1)/stampTick+1, math.MaxUint32))
 		e.every, e.next = max(e.horizon/4, 1), 0
 	}
 	return e
 }
 
-// horizon is the longest idle timeout of sides, or 0 when one of them
-// does not report a positive one.
-func horizon(sides []Detector) time.Duration {
+// Horizon is the longest idle timeout of sides, or 0 when one of them
+// does not report a positive one: past it no side remembers a client.
+func Horizon(sides []Detector) time.Duration {
 	var h time.Duration
 	for _, d := range sides {
 		idler, ok := d.(Idler)

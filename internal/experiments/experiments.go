@@ -22,6 +22,7 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/pipeline"
+	"divscrape/internal/registry"
 	"divscrape/internal/sentinel"
 	"divscrape/internal/workload"
 )
@@ -161,24 +162,24 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 		run.ROCB.Add(vb.Score, malicious)
 	}
 
+	factories, err := registry.Factories(registry.Config{Sentinel: opts.Sentinel, Arcane: opts.Arcane})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	if opts.Shards > 0 {
-		return executeSharded(gen, run, opts, accumulate)
+		return executeSharded(gen, run, opts, factories, accumulate)
 	}
-
-	sen, err := sentinel.New(opts.Sentinel)
+	pair, err := detector.Build(factories)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: sentinel: %w", err)
-	}
-	arc, err := arcane.New(opts.Arcane)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: arcane: %w", err)
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 
 	enricher := detector.NewEnricher(iprep.BuildFeed())
 	started := time.Now()
+	var req detector.Request
 	err = gen.Run(func(ev workload.Event) error {
-		req := enricher.Enrich(ev.Entry)
-		accumulate(&ev, sen.Inspect(&req), arc.Inspect(&req))
+		enricher.EnrichInto(&req, ev.Entry)
+		accumulate(&ev, pair[0].Inspect(&req), pair[1].Inspect(&req))
 		return nil
 	})
 	if err != nil {
@@ -191,17 +192,14 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 // executeSharded runs the measurement pass through the key-partitioned
 // pipeline. Events are materialised so labels can be joined back by the
 // enricher's sequence number.
-func executeSharded(gen *workload.Generator, run *Run, opts Options,
+func executeSharded(gen *workload.Generator, run *Run, opts Options, factories []detector.Factory,
 	accumulate func(*workload.Event, detector.Verdict, detector.Verdict)) (*Run, error) {
 	events, err := gen.Generate()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generate: %w", err)
 	}
 	pipe, err := pipeline.New(pipeline.Config{
-		Factories: []detector.Factory{
-			func() (detector.Detector, error) { return sentinel.New(opts.Sentinel) },
-			func() (detector.Detector, error) { return arcane.New(opts.Arcane) },
-		},
+		Factories:  factories,
 		Reputation: iprep.BuildFeed(),
 		Mode:       pipeline.Sharded,
 		Shards:     opts.Shards,
@@ -246,58 +244,37 @@ type TopologyResult struct {
 // state (E7). Parallel results are recomputed (not reused from Execute)
 // so all six rows share identical methodology.
 func ExecuteTopologies(scale Scale) ([]TopologyResult, error) {
-	type build struct {
+	builds := []struct {
 		name string
-		make func() (ensemble.Topology, error)
-	}
-	builds := []build{
-		{"parallel 1oo2", func() (ensemble.Topology, error) {
-			sen, arc, err := freshPair()
-			if err != nil {
-				return nil, err
-			}
+		make func(sen, arc detector.Detector) (ensemble.Topology, error)
+	}{
+		{"parallel 1oo2", func(sen, arc detector.Detector) (ensemble.Topology, error) {
 			return ensemble.NewParallel(ensemble.KOutOfN{K: 1}, sen, arc)
 		}},
-		{"parallel 2oo2", func() (ensemble.Topology, error) {
-			sen, arc, err := freshPair()
-			if err != nil {
-				return nil, err
-			}
+		{"parallel 2oo2", func(sen, arc detector.Detector) (ensemble.Topology, error) {
 			return ensemble.NewParallel(ensemble.KOutOfN{K: 2}, sen, arc)
 		}},
-		{"serial sentinel→arcane OR", func() (ensemble.Topology, error) {
-			sen, arc, err := freshPair()
-			if err != nil {
-				return nil, err
-			}
+		{"serial sentinel→arcane OR", func(sen, arc detector.Detector) (ensemble.Topology, error) {
 			return ensemble.NewSerial(sen, arc, ensemble.CascadeOR)
 		}},
-		{"serial sentinel→arcane AND", func() (ensemble.Topology, error) {
-			sen, arc, err := freshPair()
-			if err != nil {
-				return nil, err
-			}
+		{"serial sentinel→arcane AND", func(sen, arc detector.Detector) (ensemble.Topology, error) {
 			return ensemble.NewSerial(sen, arc, ensemble.CascadeAND)
 		}},
-		{"serial arcane→sentinel OR", func() (ensemble.Topology, error) {
-			sen, arc, err := freshPair()
-			if err != nil {
-				return nil, err
-			}
+		{"serial arcane→sentinel OR", func(sen, arc detector.Detector) (ensemble.Topology, error) {
 			return ensemble.NewSerial(arc, sen, ensemble.CascadeOR)
 		}},
-		{"serial arcane→sentinel AND", func() (ensemble.Topology, error) {
-			sen, arc, err := freshPair()
-			if err != nil {
-				return nil, err
-			}
+		{"serial arcane→sentinel AND", func(sen, arc detector.Detector) (ensemble.Topology, error) {
 			return ensemble.NewSerial(arc, sen, ensemble.CascadeAND)
 		}},
 	}
 
 	results := make([]TopologyResult, 0, len(builds))
 	for _, b := range builds {
-		topo, err := b.make()
+		sen, arc, err := freshPair()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: build %s: %w", b.name, err)
+		}
+		topo, err := b.make(sen, arc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: build %s: %w", b.name, err)
 		}

@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"divscrape/internal/arcane"
 	"divscrape/internal/bayes"
 	"divscrape/internal/detector"
 	"divscrape/internal/ensemble"
 	"divscrape/internal/evaluate"
 	"divscrape/internal/iprep"
 	"divscrape/internal/report"
-	"divscrape/internal/sentinel"
 	"divscrape/internal/workload"
 )
 
@@ -42,13 +40,9 @@ func ExecuteThreeWay(scale Scale) (*ThreeWayRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bayes detector: %w", err)
 	}
-	sen, err := sentinel.New(sentinel.Config{})
+	sen, arc, err := freshPair()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: sentinel: %w", err)
-	}
-	arc, err := arcane.New(arcane.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: arcane: %w", err)
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 
 	gen, err := workload.NewGenerator(workload.Config{

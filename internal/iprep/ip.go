@@ -140,11 +140,6 @@ func MustCIDR(s string) Prefix {
 	return p
 }
 
-// Contains reports whether ip falls inside the prefix.
-func (p Prefix) Contains(ip uint32) bool {
-	return ip&maskFor(p.Bits) == p.IP
-}
-
 // Size returns the number of addresses covered by the prefix.
 func (p Prefix) Size() uint64 {
 	return uint64(1) << (32 - uint(p.Bits))
