@@ -46,7 +46,7 @@ func executeBench(b *testing.B) *experiments.Run {
 		}
 		run = r
 	}
-	b.SetBytes(int64(run.Total))
+	b.SetBytes(int64(run.Table.Total()))
 	return run
 }
 
@@ -58,8 +58,8 @@ func BenchmarkTable1(b *testing.B) {
 	if tbl.Rows() != 3 {
 		b.Fatalf("table 1 rows = %d", tbl.Rows())
 	}
-	b.ReportMetric(float64(run.Cont.TotalA())/float64(run.Total), "alertshareA")
-	b.ReportMetric(float64(run.Cont.TotalB())/float64(run.Total), "alertshareB")
+	b.ReportMetric(float64(run.Table.Pair(0, 1).TotalA())/float64(run.Table.Total()), "alertshareA")
+	b.ReportMetric(float64(run.Table.Pair(0, 1).TotalB())/float64(run.Table.Total()), "alertshareB")
 }
 
 // BenchmarkTable2 regenerates the paper's Table 2: the both/neither/only
@@ -70,9 +70,9 @@ func BenchmarkTable2(b *testing.B) {
 	if tbl.Rows() != 4 {
 		b.Fatalf("table 2 rows = %d", tbl.Rows())
 	}
-	b.ReportMetric(float64(run.Cont.Both)/float64(run.Total), "bothshare")
-	b.ReportMetric(float64(run.Cont.AOnly)/float64(run.Total), "aonlyshare")
-	b.ReportMetric(float64(run.Cont.BOnly)/float64(run.Total), "bonlyshare")
+	b.ReportMetric(float64(run.Table.Pair(0, 1).Both)/float64(run.Table.Total()), "bothshare")
+	b.ReportMetric(float64(run.Table.Pair(0, 1).AOnly)/float64(run.Table.Total()), "aonlyshare")
+	b.ReportMetric(float64(run.Table.Pair(0, 1).BOnly)/float64(run.Table.Total()), "bonlyshare")
 }
 
 // BenchmarkTable3 regenerates the paper's Table 3: alerted requests by
@@ -101,10 +101,10 @@ func BenchmarkLabelledEval(b *testing.B) {
 	if experiments.Table5(run).Rows() == 0 {
 		b.Fatal("table 5 empty")
 	}
-	b.ReportMetric(run.ConfA.Sensitivity(), "sensA")
-	b.ReportMetric(run.ConfB.Sensitivity(), "sensB")
-	b.ReportMetric(run.ConfA.Specificity(), "specA")
-	b.ReportMetric(run.ConfB.Specificity(), "specB")
+	b.ReportMetric(run.Table.Confusion(0).Sensitivity(), "sensA")
+	b.ReportMetric(run.Table.Confusion(1).Sensitivity(), "sensB")
+	b.ReportMetric(run.Table.Confusion(0).Specificity(), "specA")
+	b.ReportMetric(run.Table.Confusion(1).Specificity(), "specB")
 }
 
 // BenchmarkAdjudication regenerates E6: 1-out-of-2 vs 2-out-of-2 vs
@@ -114,10 +114,10 @@ func BenchmarkAdjudication(b *testing.B) {
 	if experiments.Table6(run).Rows() == 0 {
 		b.Fatal("table 6 empty")
 	}
-	b.ReportMetric(run.Conf1oo2.Sensitivity(), "sens1oo2")
-	b.ReportMetric(run.Conf2oo2.Sensitivity(), "sens2oo2")
-	b.ReportMetric(run.Conf1oo2.Specificity(), "spec1oo2")
-	b.ReportMetric(run.Conf2oo2.Specificity(), "spec2oo2")
+	b.ReportMetric(run.Table.Vote(1).Sensitivity(), "sens1oo2")
+	b.ReportMetric(run.Table.Vote(2).Sensitivity(), "sens2oo2")
+	b.ReportMetric(run.Table.Vote(1).Specificity(), "spec1oo2")
+	b.ReportMetric(run.Table.Vote(2).Specificity(), "spec2oo2")
 }
 
 // BenchmarkTopologies regenerates E7: parallel vs serial deployments with
@@ -194,8 +194,8 @@ func BenchmarkAblationNoReputation(b *testing.B) {
 		}
 		run = r
 	}
-	b.SetBytes(int64(run.Total))
-	b.ReportMetric(run.ConfA.Sensitivity(), "sensA")
+	b.SetBytes(int64(run.Table.Total()))
+	b.ReportMetric(run.Table.Confusion(0).Sensitivity(), "sensA")
 }
 
 // BenchmarkAblationArcaneWarmup sweeps the behavioural detector's warm-up
@@ -214,9 +214,9 @@ func BenchmarkAblationArcaneWarmup(b *testing.B) {
 				}
 				run = r
 			}
-			b.SetBytes(int64(run.Total))
-			b.ReportMetric(run.ConfB.Sensitivity(), "sensB")
-			b.ReportMetric(run.ConfB.Specificity(), "specB")
+			b.SetBytes(int64(run.Table.Total()))
+			b.ReportMetric(run.Table.Confusion(1).Sensitivity(), "sensB")
+			b.ReportMetric(run.Table.Confusion(1).Specificity(), "specB")
 		})
 	}
 }
@@ -239,9 +239,9 @@ func BenchmarkAblationThresholds(b *testing.B) {
 				}
 				run = r
 			}
-			b.SetBytes(int64(run.Total))
-			b.ReportMetric(run.Conf1oo2.Sensitivity(), "sens1oo2")
-			b.ReportMetric(run.Conf1oo2.Specificity(), "spec1oo2")
+			b.SetBytes(int64(run.Table.Total()))
+			b.ReportMetric(run.Table.Vote(1).Sensitivity(), "sens1oo2")
+			b.ReportMetric(run.Table.Vote(1).Specificity(), "spec1oo2")
 		})
 	}
 }
@@ -735,7 +735,7 @@ func BenchmarkDetectorInspect(b *testing.B) {
 // semantic trajectory detector — training on a held-out seed, three-way
 // voting and the pairwise diversity panel, every iteration.
 func BenchmarkTrajectory13(b *testing.B) {
-	var run *experiments.TrajectoryRun
+	var run *experiments.TrioRun
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.ExecuteTrajectory(experiments.BenchScale)
 		if err != nil {
@@ -743,17 +743,17 @@ func BenchmarkTrajectory13(b *testing.B) {
 		}
 		run = r
 	}
-	b.SetBytes(int64(run.Total))
-	b.ReportMetric(run.Singles[2].Sensitivity(), "sensTraj")
-	b.ReportMetric(run.Votes[1].Sensitivity(), "sens2oo3")
-	b.ReportMetric(run.Votes[1].Specificity(), "spec2oo3")
+	b.SetBytes(int64(run.Table.Total()))
+	b.ReportMetric(run.Table.Confusion(2).Sensitivity(), "sensTraj")
+	b.ReportMetric(run.Table.Vote(2).Sensitivity(), "sens2oo3")
+	b.ReportMetric(run.Table.Vote(2).Specificity(), "spec2oo3")
 }
 
 // BenchmarkThreeWay regenerates E11: the two-tool study extended with a
 // learned Naive Bayes third detector and r-out-of-3 voting. Each
 // iteration includes model training on an independent seed.
 func BenchmarkThreeWay(b *testing.B) {
-	var run *experiments.ThreeWayRun
+	var run *experiments.TrioRun
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.ExecuteThreeWay(experiments.BenchScale)
 		if err != nil {
@@ -761,7 +761,7 @@ func BenchmarkThreeWay(b *testing.B) {
 		}
 		run = r
 	}
-	b.SetBytes(int64(run.Total))
-	b.ReportMetric(run.Votes[1].Sensitivity(), "sens2oo3")
-	b.ReportMetric(run.Votes[1].Specificity(), "spec2oo3")
+	b.SetBytes(int64(run.Table.Total()))
+	b.ReportMetric(run.Table.Vote(2).Sensitivity(), "sens2oo3")
+	b.ReportMetric(run.Table.Vote(2).Specificity(), "spec2oo3")
 }

@@ -32,6 +32,12 @@ func TestGoldenReportCI(t *testing.T) {
 	checkGolden(t, "report_ci.golden", "-scale", "ci", "-exp", "e1,e2,e3,e4")
 }
 
+// E11 and E13 are the three-detector experiments: k-out-of-3 votes, the
+// weighted fusion row and E13's pairwise diversity table.
+func TestGoldenReportTrio(t *testing.T) {
+	checkGolden(t, "report_trio.golden", "-scale", "bench", "-exp", "e11,e13")
+}
+
 // checkGolden runs divreport with args and compares the report, its
 // wall time scrubbed, with testdata/name.
 func checkGolden(t *testing.T, name string, args ...string) {

@@ -59,7 +59,7 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 	fmt.Fprintf(w, "dataset: %s requests generated and scored in %v\n\n",
-		report.Count(res.Total), res.Elapsed.Round(1000000))
+		report.Count(res.Table.Total()), res.Elapsed.Round(1000000))
 
 	tables := []struct {
 		id    string

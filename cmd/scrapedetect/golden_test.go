@@ -64,6 +64,22 @@ func TestGoldenSummary(t *testing.T) {
 	checkGolden(t, "summary.golden", scrubTiming(sb.String()))
 }
 
+// Three detectors name the agreement table's rows "All tools" and "None"
+// and give every side an "only" row and a labelled column.
+func TestGoldenSummaryThreeDetectors(t *testing.T) {
+	var sb strings.Builder
+	err := run(&sb, []string{
+		"-log", "testdata/access.log",
+		"-labels", "testdata/labels.csv",
+		"-detectors", "sentinel,arcane,trajectory",
+		"-parallel", "0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "summary_trio.golden", scrubTiming(sb.String()))
+}
+
 func TestGoldenSummaryWithMitigation(t *testing.T) {
 	var sb strings.Builder
 	err := run(&sb, []string{

@@ -112,6 +112,7 @@ import (
 	"divscrape/internal/alertlog"
 	"divscrape/internal/checkpoint"
 	"divscrape/internal/detector"
+	"divscrape/internal/diversity"
 	"divscrape/internal/evaluate"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
@@ -155,70 +156,27 @@ func splitDetectorNames(s string) []string {
 	return names
 }
 
-// alertAgreement generalises the pair contingency table to N detectors:
-// how often all alert, none alert, and exactly one alerts (per
-// detector). For two detectors the four cells are exactly the paper's
-// Table 2 — Both, Neither, A-only, B-only.
-type alertAgreement struct {
-	all, none uint64
-	only      []uint64
-}
-
-func newAlertAgreement(n int) *alertAgreement {
-	return &alertAgreement{only: make([]uint64, n)}
-}
-
-// add records one decision.
-func (a *alertAgreement) add(verdicts []detector.Verdict) {
-	votes, last := 0, -1
-	for i := range verdicts {
-		if verdicts[i].Alert {
-			votes++
-			last = i
-		}
-	}
-	switch {
-	case votes == 0:
-		a.none++
-	case votes == len(verdicts):
-		a.all++
-	}
-	if votes == 1 {
-		a.only[last]++
-	}
-}
-
-// merge folds another agreement table (same detector set) into a.
-func (a *alertAgreement) merge(o *alertAgreement) {
-	a.all += o.all
-	a.none += o.none
-	for i := range o.only {
-		a.only[i] += o.only[i]
-	}
-}
-
 // tally is what one decision sink counts. Every field is a commutative
 // count, so the tallies of a per-shard run merge into exactly the totals
 // an ordered run counts.
 type tally struct {
-	agree *alertAgreement
-	confs []evaluate.Confusion
-	total uint64
+	// table counts every request by alert pattern and, with -labels,
+	// ground truth: the diversity table and the labelled metrics read it.
+	table diversity.Table
+	// seen paces the watchdog polls of the sink that polls.
+	seen uint64
 	// tagged and passed are the mitigation table's two rows the engines do
 	// not tally themselves: requests the policy tagged, beacons verified.
 	tagged, passed uint64
 }
 
-func newTally(detectors int) *tally {
-	return &tally{agree: newAlertAgreement(detectors), confs: make([]evaluate.Confusion, detectors)}
+func newTally(detectors int) (*tally, error) {
+	table, err := diversity.NewTable(detectors)
+	return &tally{table: table}, err
 }
 
 func (t *tally) merge(o *tally) {
-	t.agree.merge(o.agree)
-	for i := range t.confs {
-		t.confs[i].Merge(o.confs[i])
-	}
-	t.total += o.total
+	t.table.Merge(&o.table)
 	t.tagged += o.tagged
 	t.passed += o.passed
 }
@@ -708,7 +666,6 @@ func run(w io.Writer, args []string) error {
 	// watchdog.
 	newSink := func(t *tally, polls bool) pipeline.Sink {
 		return func(d pipeline.Decision) error {
-			t.agree.add(d.Verdicts)
 			live.events.Inc()
 			for i := range d.Verdicts {
 				if d.Verdicts[i].Alert {
@@ -727,17 +684,16 @@ func run(w io.Writer, args []string) error {
 					return err
 				}
 			}
+			malicious := false
 			if labels != nil {
 				if d.Req.Seq >= uint64(len(labels)) {
 					return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
 				}
-				malicious := labels[d.Req.Seq].Malicious()
-				for i := range d.Verdicts {
-					t.confs[i].Add(d.Verdicts[i].Alert, malicious)
-				}
+				malicious = labels[d.Req.Seq].Malicious()
 			}
-			t.total++
-			if polls && t.total%watchdogEvery == 0 {
+			t.table.Add(d.Verdicts, malicious)
+			t.seen++
+			if polls && t.seen%watchdogEvery == 0 {
 				wd.poll()
 			}
 			if *maxEvents > 0 && processed.Add(1) >= *maxEvents {
@@ -766,7 +722,9 @@ func run(w io.Writer, args []string) error {
 	}
 	sinks := make([]pipeline.Sink, len(parts))
 	for i := range sinks {
-		parts[i] = newTally(len(dets))
+		if parts[i], err = newTally(len(dets)); err != nil {
+			return err
+		}
 		sinks[i] = newSink(parts[i], i == 0)
 	}
 	// A side that panics is quarantined and the run goes on; each run
@@ -801,11 +759,12 @@ func run(w io.Writer, args []string) error {
 	if err != nil && !errors.Is(err, errMaxEvents) {
 		return err
 	}
-	sum := newTally(len(dets))
+	var sum tally
 	for _, part := range parts {
 		sum.merge(part)
 	}
-	agree, confs, total := sum.agree, sum.confs, sum.total
+	table := &sum.table
+	total := table.Total()
 	if verdictOut != nil {
 		if err := verdictOut.Flush(); err != nil {
 			return err
@@ -856,10 +815,10 @@ func run(w io.Writer, args []string) error {
 	if len(dets) == 2 {
 		allLabel, noneLabel = "Both tools", "Neither"
 	}
-	t.AddRow(allLabel, report.Count(agree.all), report.Percent(agree.all, total))
-	t.AddRow(noneLabel, report.Count(agree.none), report.Percent(agree.none, total))
+	t.AddRow(allLabel, report.Count(table.All()), report.Percent(table.All(), total))
+	t.AddRow(noneLabel, report.Count(table.None()), report.Percent(table.None(), total))
 	for i, name := range detNames {
-		t.AddRow(name+" only", report.Count(agree.only[i]), report.Percent(agree.only[i], total))
+		t.AddRow(name+" only", report.Count(table.Only(i)), report.Percent(table.Only(i), total))
 	}
 	if err := t.Render(w); err != nil {
 		return err
@@ -895,18 +854,18 @@ func run(w io.Writer, args []string) error {
 		for i := range dets {
 			m.Aligns[i+1] = report.Right
 		}
-		row := func(name string, f func(*evaluate.Confusion) float64) {
-			cells := make([]string, 0, len(confs)+1)
+		row := func(name string, f func(evaluate.Confusion) float64) {
+			cells := make([]string, 0, len(dets)+1)
 			cells = append(cells, name)
-			for i := range confs {
-				cells = append(cells, report.Metric(f(&confs[i])))
+			for i := range dets {
+				cells = append(cells, report.Metric(f(table.Confusion(i))))
 			}
 			m.AddRow(cells...)
 		}
-		row("Sensitivity", (*evaluate.Confusion).Sensitivity)
-		row("Specificity", (*evaluate.Confusion).Specificity)
-		row("Precision", (*evaluate.Confusion).Precision)
-		row("F1", (*evaluate.Confusion).F1)
+		row("Sensitivity", evaluate.Confusion.Sensitivity)
+		row("Specificity", evaluate.Confusion.Specificity)
+		row("Precision", evaluate.Confusion.Precision)
+		row("F1", evaluate.Confusion.F1)
 		if err := m.Render(w); err != nil {
 			return err
 		}

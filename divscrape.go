@@ -20,7 +20,7 @@
 //
 //	gen, _ := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 1, Duration: 6 * time.Hour})
 //	summary, _ := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{})
-//	fmt.Println(summary.Contingency.Both, summary.Contingency.Neither)
+//	fmt.Println(summary.Contingency().Both, summary.Contingency().Neither)
 //
 // Multi-core quickstart (sharded, all three detectors; same results,
 // higher throughput):
@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"time"
 
 	"divscrape/internal/detector"
@@ -93,9 +94,13 @@ type (
 	GeneratorConfig = workload.Config
 	// Profile is the traffic mix.
 	Profile = workload.Profile
-	// Contingency is the both/neither/only alert-agreement table
-	// (the paper's Table 2).
+	// Contingency is the both/neither/only agreement table over a pair
+	// of detectors (the paper's Table 2).
 	Contingency = diversity.Contingency
+	// AgreementTable counts requests by every detector's alert decision
+	// and ground truth; pair tables, confusion matrices and votes are its
+	// views.
+	AgreementTable = diversity.Table
 	// Confusion is a labelled confusion matrix with the usual metrics.
 	Confusion = evaluate.Confusion
 )
@@ -376,102 +381,72 @@ var (
 	ErrSnapshotChecksum = statecodec.ErrChecksum
 )
 
-// DetectorConfusion is one detector's labelled confusion matrix inside a
-// Summary, tagged with the detector's name so N-way summaries stay
-// self-describing.
-type DetectorConfusion struct {
-	// Name is the detector's Name().
-	Name string
-	// Confusion is the labelled confusion matrix; it stays zero when the
-	// stream carries no labels.
-	Confusion Confusion
-}
-
 // Summary is the outcome of analysing one traffic stream with a detector
 // set. The zero value is usable only as a Merge target.
 type Summary struct {
-	// Total is the number of requests analysed.
-	Total uint64
-	// Contingency is the paper's Table 2 over the stream for the first
-	// two detectors in inspection order (A = Detectors[0], B =
-	// Detectors[1] — the commercial and behavioural roles of the default
-	// pair). Larger sets still report this leading pair here; the E-series
-	// experiments compute the full pairwise tables.
-	Contingency Contingency
-	// Detectors holds one labelled confusion matrix per detector, in
-	// inspection order.
-	Detectors []DetectorConfusion
+	// Detectors names the detectors in inspection order; bit i of the
+	// table's alert patterns is Detectors[i]'s alert.
+	Detectors []string
+	// Table counts every request by the detectors' alert pattern and
+	// ground truth, so it holds every pair's Table 2 (Pair), every
+	// detector's confusion matrix (Confusion), the k-out-of-n votes
+	// (Vote) and the all, none and only-one buckets — for any number of
+	// detectors, not only the leading pair. Without labels every request
+	// counts as benign.
+	Table AgreementTable
 	// Labelled reports whether ground truth was available.
 	Labelled bool
 }
 
-// newSummary builds an empty summary shaped for the named detectors.
-func newSummary(names []string, labelled bool) *Summary {
-	s := &Summary{Labelled: labelled, Detectors: make([]DetectorConfusion, len(names))}
-	for i, n := range names {
-		s.Detectors[i].Name = n
-	}
-	return s
-}
+// Total returns the number of requests analysed.
+func (s *Summary) Total() uint64 { return s.Table.Total() }
 
-// record folds one request's verdicts (one per detector, in inspection
-// order) into the summary.
-func (s *Summary) record(verdicts []Verdict, malicious bool) {
-	s.Total++
-	if len(verdicts) >= 2 {
-		s.Contingency.Add(verdicts[0].Alert, verdicts[1].Alert)
+// Contingency returns the paper's Table 2 for the first two detectors in
+// inspection order (A = Detectors[0], B = Detectors[1] — the commercial
+// and behavioural roles of the default pair); zero when the summary holds
+// fewer than two. Table.Pair gives any other pair's.
+func (s *Summary) Contingency() Contingency {
+	if len(s.Detectors) < 2 {
+		return Contingency{}
 	}
-	if s.Labelled {
-		for i := range verdicts {
-			s.Detectors[i].Confusion.Add(verdicts[i].Alert, malicious)
-		}
-	}
+	return s.Table.Pair(0, 1)
 }
 
 // Commercial returns the first detector's labelled confusion matrix — the
 // pair-shaped view the reports print. Zero when the summary holds no
-// detectors.
+// detectors or no labels.
 func (s *Summary) Commercial() Confusion { return s.confusionAt(0) }
 
 // Behavioural returns the second detector's labelled confusion matrix.
-// Zero when the summary holds fewer than two detectors.
+// Zero when the summary holds fewer than two detectors or no labels.
 func (s *Summary) Behavioural() Confusion { return s.confusionAt(1) }
 
 func (s *Summary) confusionAt(i int) Confusion {
-	if i < len(s.Detectors) {
-		return s.Detectors[i].Confusion
+	if !s.Labelled || i >= len(s.Detectors) {
+		return Confusion{}
 	}
-	return Confusion{}
+	return s.Table.Confusion(i)
 }
 
 // ConfusionOf returns the named detector's labelled confusion matrix.
 func (s *Summary) ConfusionOf(name string) (Confusion, bool) {
-	for i := range s.Detectors {
-		if s.Detectors[i].Name == name {
-			return s.Detectors[i].Confusion, true
-		}
+	i := slices.Index(s.Detectors, name)
+	if i < 0 {
+		return Confusion{}, false
 	}
-	return Confusion{}, false
+	return s.confusionAt(i), true
 }
 
-// Merge folds another summary's counts into s: totals and every
-// per-detector table add, position by position (Labelled is the caller's
+// Merge folds another summary's table into s (Labelled is the caller's
 // call — it describes the stream, not the counts). Analyze uses it to
-// combine per-shard partial summaries; every counted field is
-// commutative, so the fold order does not matter.
-// Detector slots s does not yet have are adopted wholesale, so merging
-// into a zero Summary copies o — the property the reflection test in
-// divscrape_merge_test.go pins for every counted field.
+// combine per-shard partial summaries; every count is commutative, so the
+// fold order does not matter. A zero s adopts o's detectors, so merging
+// into a zero Summary copies o.
 func (s *Summary) Merge(o *Summary) {
-	s.Total += o.Total
-	s.Contingency.Merge(o.Contingency)
-	for i := range o.Detectors {
-		if i >= len(s.Detectors) {
-			s.Detectors = append(s.Detectors, o.Detectors[i])
-			continue
-		}
-		s.Detectors[i].Confusion.Merge(o.Detectors[i].Confusion)
+	if s.Detectors == nil {
+		s.Detectors = o.Detectors
 	}
+	s.Table.Merge(&o.Table)
 }
 
 // Source is a request stream Analyze reads: generated traffic, which
@@ -546,10 +521,14 @@ func analyze(src Source, opts Options) (*Summary, error) {
 	partials := make([]*Summary, pipe.Shards())
 	sinks := make([]pipeline.Sink, pipe.Shards())
 	for i := range sinks {
-		part := newSummary(pipe.Detectors(), labelled)
+		table, err := diversity.NewTable(len(pipe.Detectors()))
+		if err != nil {
+			return nil, err
+		}
+		part := &Summary{Detectors: pipe.Detectors(), Table: table}
 		partials[i] = part
 		sinks[i] = func(d pipeline.Decision) error {
-			part.record(d.Verdicts, labelled && malicious(d.Req.Seq))
+			part.Table.Add(d.Verdicts, labelled && malicious(d.Req.Seq))
 			return nil
 		}
 	}
@@ -562,7 +541,7 @@ func analyze(src Source, opts Options) (*Summary, error) {
 	if failure != nil {
 		return nil, failure
 	}
-	s := newSummary(pipe.Detectors(), labelled)
+	s := &Summary{Labelled: labelled}
 	for _, part := range partials {
 		s.Merge(part)
 	}

@@ -3,16 +3,20 @@ package divscrape_test
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"divscrape"
 )
 
-// fillCounters walks v and sets every uint64 leaf to a distinct nonzero
-// value, returning how many it set. It recurses through structs, slices
-// and arrays — the shapes Summary is built from.
+// fillCounters walks v and sets every exported uint64 leaf to a distinct
+// nonzero value, returning how many it set. It recurses through structs,
+// slices and arrays — the shapes Summary is built from.
 func fillCounters(v reflect.Value, next *uint64) int {
 	switch v.Kind() {
 	case reflect.Uint64:
+		if !v.CanSet() {
+			return 0
+		}
 		*next++
 		v.SetUint(*next)
 		return 1
@@ -33,7 +37,8 @@ func fillCounters(v reflect.Value, next *uint64) int {
 	}
 }
 
-// sumCounters adds up every uint64 leaf, mirroring fillCounters' walk.
+// sumCounters adds up every uint64 leaf, mirroring fillCounters' walk;
+// it reads unexported leaves too.
 func sumCounters(v reflect.Value) uint64 {
 	switch v.Kind() {
 	case reflect.Uint64:
@@ -55,27 +60,32 @@ func sumCounters(v reflect.Value) uint64 {
 	}
 }
 
-// TestMergeFoldsEveryCountedField pins Summary.Merge against the bug this
-// PR fixed: a counted field added to Summary (or nested inside it) that
-// Merge silently drops. Every uint64 leaf reachable from Summary is set
-// to a distinct nonzero value by reflection; merging into a zero Summary
-// must reproduce all of them, and merging twice must exactly double them.
-// A new counter anywhere in the struct tree is covered automatically —
+// TestMergeFoldsEveryCountedField pins Summary.Merge against a counted
+// field that Merge silently drops. A summary of a real three-detector run
+// holds its counts in its agreement table; any exported counter added
+// beside it is set by reflection to a distinct nonzero value. Merging
+// into a zero Summary must reproduce all of them, and merging twice must
+// exactly double every uint64 leaf, the table's cells included. A new
+// counter anywhere in the struct tree is covered automatically —
 // forgetting it in Merge fails this test, not a production report.
 func TestMergeFoldsEveryCountedField(t *testing.T) {
-	src := &divscrape.Summary{
-		Labelled:  true,
-		Detectors: make([]divscrape.DetectorConfusion, 3),
+	gen, err := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 5, Duration: 30 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range src.Detectors {
-		src.Detectors[i].Name = []string{"sentinel", "arcane", "trajectory"}[i]
+	src, err := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{
+		Detectors: []string{"sentinel", "arcane", "trajectory"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var seq uint64
-	leaves := fillCounters(reflect.ValueOf(src).Elem(), &seq)
-	if leaves < 17 {
-		// 1 Total + 4 Contingency + 3×4 Confusion: the floor for the
-		// current shape; more is fine, fewer means the walk went blind.
-		t.Fatalf("reflection walk found only %d counted fields", leaves)
+	fillCounters(reflect.ValueOf(src).Elem(), &seq)
+	filled := seq * (seq + 1) / 2 // 1 + 2 + … + seq
+	if src.Total() == 0 || sumCounters(reflect.ValueOf(src).Elem()) != src.Total()+filled {
+		// The table's cells sum to Total: anything else means the walk
+		// went blind.
+		t.Fatalf("reflection walk does not reach the table's %d requests", src.Total())
 	}
 
 	dst := &divscrape.Summary{}

@@ -39,13 +39,14 @@ func TestAnalyzeThreeWaySharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Total != seq.Total || sharded.Contingency != seq.Contingency {
+	if sharded.Total() != seq.Total() || sharded.Contingency() != seq.Contingency() {
 		t.Fatalf("mode summary differs: %+v vs %+v", sharded, seq)
 	}
-	for i := range seq.Detectors {
-		if sharded.Detectors[i] != seq.Detectors[i] {
-			t.Fatalf("detector %d confusion differs: %+v vs %+v",
-				i, sharded.Detectors[i], seq.Detectors[i])
+	for _, name := range seq.Detectors {
+		got, _ := sharded.ConfusionOf(name)
+		want, _ := seq.ConfusionOf(name)
+		if got != want {
+			t.Fatalf("%s confusion differs: %+v vs %+v", name, got, want)
 		}
 	}
 }
@@ -213,11 +214,11 @@ func TestChaosAnalyzeSurvivesADetectorPanic(t *testing.T) {
 	faultinject.Enable("shard.inspect.trajectory", faultinject.Fault{Panic: "trajectory bug", After: 500, Times: 1})
 	got, err := divscrape.Analyze(divscrape.Generated(setGen(t, 42, 2*time.Hour)), opts)
 	var pe *divscrape.PanicError
-	if !errors.As(err, &pe) || pe.Side != "trajectory" || pe.Value != "trajectory bug" || pe.Shard >= 3 || pe.Seq >= clean.Total {
+	if !errors.As(err, &pe) || pe.Side != "trajectory" || pe.Value != "trajectory bug" || pe.Shard >= 3 || pe.Seq >= clean.Total() {
 		t.Fatalf("Analyze returned %v", err)
 	}
-	if got == nil || got.Total != clean.Total || got.Contingency != clean.Contingency ||
-		got.Detectors[0] != clean.Detectors[0] || got.Detectors[1] != clean.Detectors[1] {
+	if got == nil || got.Total() != clean.Total() || got.Contingency() != clean.Contingency() ||
+		got.Commercial() != clean.Commercial() || got.Behavioural() != clean.Behavioural() {
 		t.Fatalf("summary with the panic %+v, without %+v", got, clean)
 	}
 }

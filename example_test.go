@@ -24,8 +24,8 @@ func ExampleAnalyze() {
 		fmt.Println("error:", err)
 		return
 	}
-	c := summary.Contingency
-	fmt.Println("cells sum to total:", c.Both+c.Neither+c.AOnly+c.BOnly == summary.Total)
+	c := summary.Contingency()
+	fmt.Println("cells sum to total:", c.Both+c.Neither+c.AOnly+c.BOnly == summary.Total())
 	fmt.Println("labelled:", summary.Labelled)
 	// Output:
 	// cells sum to total: true

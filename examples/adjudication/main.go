@@ -28,26 +28,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pair, err := divscrape.NewDetectorPair()
+	// The summary's agreement table counts every request by both tools'
+	// alerts and its label: each tool's confusion matrix and each vote's
+	// are views of it.
+	summary, err := divscrape.Analyze(divscrape.Generated(gen), divscrape.Options{})
 	if err != nil {
 		return err
 	}
-
-	var single1, single2, oneOfTwo, twoOfTwo divscrape.Confusion
-	var total uint64
-	err = gen.Run(func(ev divscrape.Event) error {
-		vc, vb := pair.Inspect(ev.Entry)
-		malicious := ev.Label.Malicious()
-		single1.Add(vc.Alert, malicious)
-		single2.Add(vb.Alert, malicious)
-		oneOfTwo.Add(vc.Alert || vb.Alert, malicious)
-		twoOfTwo.Add(vc.Alert && vb.Alert, malicious)
-		total++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	total := summary.Total()
+	single1, single2 := summary.Commercial(), summary.Behavioural()
+	oneOfTwo, twoOfTwo := summary.Table.Vote(1), summary.Table.Vote(2)
 
 	fmt.Printf("adjudication schemes over %d labelled requests (24 simulated hours)\n\n", total)
 	fmt.Println("scheme        sensitivity   specificity   precision     F1      missed   false alarms")

@@ -31,8 +31,8 @@ func run() error {
 		return err
 	}
 
-	total := summary.Total
-	c := summary.Contingency
+	total := summary.Total()
+	c := summary.Contingency()
 	fmt.Printf("analysed %d requests over 6 simulated hours\n\n", total)
 	fmt.Println("alert diversity (cf. paper Table 2):")
 	fmt.Printf("  both detectors     %8d  (%5.2f%%)\n", c.Both, pct(c.Both, total))

@@ -59,8 +59,7 @@ var unusedExportsAllowed = map[string]string{
 	"detector.ReasonsOf":                  "builds expected reason lists in adjudication and pipeline tests",
 
 	// Oracles: the readable implementations fast paths are held to.
-	"evaluate.NewROC":    "exact ROC, the oracle of TestGridROCAgreesWithExact",
-	"alertlog.NewReader": "the verdict sidecar's decoder, which TestRoundTrip reads the writer back through",
+	"evaluate.NewROC": "exact ROC, the oracle of TestGridROCAgreesWithExact",
 
 	// Inspection accessors that model and state tests assert through.
 	"sessions.Store.Peek":              "reads a record without touching it, for the store's model tests",

@@ -95,104 +95,3 @@ func (w *Writer) Flush() error {
 	}
 	return nil
 }
-
-// Record is one parsed verdict row.
-type Record struct {
-	// Seq is the request's position in the stream.
-	Seq uint64
-	// Verdicts aligns with the file's detector names.
-	Verdicts []detector.Verdict
-}
-
-// Reader streams rows back.
-type Reader struct {
-	sc        *bufio.Scanner
-	detectors []string
-	line      int
-	next      uint64
-}
-
-// NewReader parses the header and prepares to stream rows.
-func NewReader(r io.Reader) (*Reader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("alertlog: read header: %w", err)
-		}
-		return nil, fmt.Errorf("alertlog: empty input")
-	}
-	fields := strings.Split(sc.Text(), ",")
-	if len(fields) < 3 || fields[0] != "seq" || (len(fields)-1)%2 != 0 {
-		return nil, fmt.Errorf("alertlog: malformed header %q", sc.Text())
-	}
-	var names []string
-	for i := 1; i < len(fields); i += 2 {
-		name, ok := strings.CutSuffix(fields[i], "_alert")
-		if !ok || fields[i+1] != name+"_score" {
-			return nil, fmt.Errorf("alertlog: malformed header columns %q/%q", fields[i], fields[i+1])
-		}
-		names = append(names, name)
-	}
-	return &Reader{sc: sc, detectors: names, line: 1}, nil
-}
-
-// Detectors returns the detector names from the header.
-func (r *Reader) Detectors() []string {
-	out := make([]string, len(r.detectors))
-	copy(out, r.detectors)
-	return out
-}
-
-// Next returns the next row, or io.EOF at end of input.
-func (r *Reader) Next() (Record, error) {
-	for r.sc.Scan() {
-		r.line++
-		text := r.sc.Text()
-		if text == "" {
-			continue
-		}
-		rec, err := r.parseRow(text)
-		if err != nil {
-			return Record{}, fmt.Errorf("alertlog: line %d: %w", r.line, err)
-		}
-		return rec, nil
-	}
-	if err := r.sc.Err(); err != nil {
-		return Record{}, err
-	}
-	return Record{}, io.EOF
-}
-
-func (r *Reader) parseRow(text string) (Record, error) {
-	fields := strings.Split(text, ",")
-	if len(fields) != 1+2*len(r.detectors) {
-		return Record{}, fmt.Errorf("want %d fields, got %d", 1+2*len(r.detectors), len(fields))
-	}
-	seq, err := strconv.ParseUint(fields[0], 10, 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("bad seq %q", fields[0])
-	}
-	if seq != r.next {
-		return Record{}, fmt.Errorf("seq %d out of order (want %d)", seq, r.next)
-	}
-	r.next++
-	rec := Record{Seq: seq, Verdicts: make([]detector.Verdict, len(r.detectors))}
-	for i := range r.detectors {
-		alertField := fields[1+2*i]
-		scoreField := fields[2+2*i]
-		switch alertField {
-		case "0":
-		case "1":
-			rec.Verdicts[i].Alert = true
-		default:
-			return Record{}, fmt.Errorf("bad alert flag %q", alertField)
-		}
-		score, err := strconv.ParseFloat(scoreField, 64)
-		if err != nil || score < 0 {
-			return Record{}, fmt.Errorf("bad score %q", scoreField)
-		}
-		rec.Verdicts[i].Score = score
-	}
-	return rec, nil
-}

@@ -21,13 +21,10 @@ type McNemar struct {
 	Discordant uint64
 }
 
-// McNemarFromCorrectness computes the test from a labelled agreement
-// table.
-func McNemarFromCorrectness(t CorrectnessTable) McNemar {
-	return mcnemar(t.AOnlyCorrect, t.BOnlyCorrect)
-}
-
-func mcnemar(b, c uint64) McNemar {
+// McNemarFromCorrectness computes the test from an
+// agreement-on-correctness table (Table.Correctness).
+func McNemarFromCorrectness(t Contingency) McNemar {
+	b, c := t.AOnly, t.BOnly
 	m := McNemar{Discordant: b + c}
 	if m.Discordant == 0 {
 		m.PValue = 1

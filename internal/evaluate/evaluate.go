@@ -34,30 +34,22 @@ func (c *Confusion) Add(alert, malicious bool) {
 }
 
 // Total returns the number of recorded requests.
-func (c *Confusion) Total() uint64 { return c.TP + c.FP + c.TN + c.FN }
-
-// Merge folds another matrix into this one.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
+func (c Confusion) Total() uint64 { return c.TP + c.FP + c.TN + c.FN }
 
 // Sensitivity (recall, TPR) is TP/(TP+FN); NaN-free: 0 when undefined.
-func (c *Confusion) Sensitivity() float64 { return ratio(c.TP, c.TP+c.FN) }
+func (c Confusion) Sensitivity() float64 { return ratio(c.TP, c.TP+c.FN) }
 
 // Specificity (TNR) is TN/(TN+FP).
-func (c *Confusion) Specificity() float64 { return ratio(c.TN, c.TN+c.FP) }
+func (c Confusion) Specificity() float64 { return ratio(c.TN, c.TN+c.FP) }
 
 // Precision (PPV) is TP/(TP+FP).
-func (c *Confusion) Precision() float64 { return ratio(c.TP, c.TP+c.FP) }
+func (c Confusion) Precision() float64 { return ratio(c.TP, c.TP+c.FP) }
 
 // FPR is FP/(FP+TN).
-func (c *Confusion) FPR() float64 { return ratio(c.FP, c.FP+c.TN) }
+func (c Confusion) FPR() float64 { return ratio(c.FP, c.FP+c.TN) }
 
 // F1 is the harmonic mean of precision and sensitivity.
-func (c *Confusion) F1() float64 {
+func (c Confusion) F1() float64 {
 	p, r := c.Precision(), c.Sensitivity()
 	if p+r == 0 {
 		return 0
@@ -67,7 +59,7 @@ func (c *Confusion) F1() float64 {
 
 // MCC is the Matthews correlation coefficient in [-1, 1], 0 when any
 // marginal is empty.
-func (c *Confusion) MCC() float64 {
+func (c Confusion) MCC() float64 {
 	tp, fp, tn, fn := float64(c.TP), float64(c.FP), float64(c.TN), float64(c.FN)
 	den := math.Sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
 	if den == 0 {

@@ -52,12 +52,6 @@ func TestConfusionDegenerate(t *testing.T) {
 	if c.TP != 1 || c.TN != 1 || c.Total() != 2 {
 		t.Errorf("Add bookkeeping wrong: %+v", c)
 	}
-	var d Confusion
-	d.Merge(c)
-	d.Merge(c)
-	if d.Total() != 4 {
-		t.Errorf("merge total = %d", d.Total())
-	}
 }
 
 func TestROCKnownCurve(t *testing.T) {

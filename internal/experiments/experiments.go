@@ -75,22 +75,16 @@ type Run struct {
 	Scale Scale
 	// Names are the detector names (A = commercial-style, B = behavioural).
 	Names DetectorPair
-	// Total is the number of requests processed.
-	Total uint64
-	// Cont is the E2 contingency table (A = sentinel, B = arcane).
-	Cont diversity.Contingency
-	// Status is the E3/E4 per-status breakdown.
-	Status *diversity.StatusBreakdown
-	// ByArch partitions the contingency by ground-truth archetype (E8).
-	ByArch *diversity.ByArchetype
-	// ConfA and ConfB are the labelled confusion matrices (E5).
-	ConfA, ConfB evaluate.Confusion
-	// Conf1oo2 and Conf2oo2 are the adjudicated matrices (E6).
-	Conf1oo2, Conf2oo2 evaluate.Confusion
+	// Table is the labelled agreement table of the pair (detector 0 =
+	// sentinel, 1 = arcane): E1's totals, E2's cells, E5's and E6's vote
+	// matrices and E9's measures are its views.
+	Table diversity.Table
+	// Status keeps a table per HTTP status (E3/E4).
+	Status *diversity.Partition[int]
+	// ByArch keeps a table per ground-truth archetype (E8).
+	ByArch *diversity.Partition[detector.Archetype]
 	// ConfWeighted is the score-fusion matrix (E6 extension row).
 	ConfWeighted evaluate.Confusion
-	// Corr is the labelled agreement-on-correctness table (E9).
-	Corr diversity.CorrectnessTable
 	// ROCA and ROCB accumulate score distributions for E10.
 	ROCA, ROCB *evaluate.GridROC
 	// Elapsed is the wall-clock cost of the pass.
@@ -138,26 +132,29 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 	}
 
 	run := &Run{
-		Scale:  scale,
-		Names:  DetectorPair{A: "sentinel", B: "arcane"},
-		Status: diversity.NewStatusBreakdown(),
-		ByArch: diversity.NewByArchetype(),
-		ROCA:   evaluate.NewGridROC(200),
-		ROCB:   evaluate.NewGridROC(200),
+		Scale: scale,
+		Names: DetectorPair{A: "sentinel", B: "arcane"},
+		ROCA:  evaluate.NewGridROC(200),
+		ROCB:  evaluate.NewGridROC(200),
 	}
-	// accumulate folds one adjudicated request into every accumulator.
-	accumulate := func(ev *workload.Event, va, vb detector.Verdict) {
+	if run.Table, err = diversity.NewTable(2); err != nil {
+		return nil, err
+	}
+	if run.Status, err = diversity.NewPartition[int](2); err != nil {
+		return nil, err
+	}
+	if run.ByArch, err = diversity.NewPartition[detector.Archetype](2); err != nil {
+		return nil, err
+	}
+	// accumulate folds one request's pair of verdicts into every
+	// accumulator.
+	accumulate := func(ev *workload.Event, verdicts []detector.Verdict) {
 		malicious := ev.Label.Malicious()
-		run.Total++
-		run.Cont.Add(va.Alert, vb.Alert)
-		run.Status.Add(ev.Entry.Status, va.Alert, vb.Alert)
-		run.ByArch.Add(ev.Label.Archetype, va.Alert, vb.Alert)
-		run.ConfA.Add(va.Alert, malicious)
-		run.ConfB.Add(vb.Alert, malicious)
-		run.Conf1oo2.Add(va.Alert || vb.Alert, malicious)
-		run.Conf2oo2.Add(va.Alert && vb.Alert, malicious)
+		va, vb := &verdicts[0], &verdicts[1]
+		run.Table.Add(verdicts, malicious)
+		run.Status.Add(ev.Entry.Status, verdicts, malicious)
+		run.ByArch.Add(ev.Label.Archetype, verdicts, malicious)
 		run.ConfWeighted.Add((va.Score+vb.Score)/2 >= wThreshold, malicious)
-		run.Corr.Add(va.Alert, vb.Alert, malicious)
 		run.ROCA.Add(va.Score, malicious)
 		run.ROCB.Add(vb.Score, malicious)
 	}
@@ -177,9 +174,13 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 	enricher := detector.NewEnricher(iprep.BuildFeed())
 	started := time.Now()
 	var req detector.Request
+	verdicts := make([]detector.Verdict, len(pair))
 	err = gen.Run(func(ev workload.Event) error {
 		enricher.EnrichInto(&req, ev.Entry)
-		accumulate(&ev, pair[0].Inspect(&req), pair[1].Inspect(&req))
+		for i, d := range pair {
+			verdicts[i] = d.Inspect(&req)
+		}
+		accumulate(&ev, verdicts)
 		return nil
 	})
 	if err != nil {
@@ -193,7 +194,7 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 // pipeline. Events are materialised so labels can be joined back by the
 // enricher's sequence number.
 func executeSharded(gen *workload.Generator, run *Run, opts Options, factories []detector.Factory,
-	accumulate func(*workload.Event, detector.Verdict, detector.Verdict)) (*Run, error) {
+	accumulate func(*workload.Event, []detector.Verdict)) (*Run, error) {
 	events, err := gen.Generate()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generate: %w", err)
@@ -219,7 +220,7 @@ func executeSharded(gen *workload.Generator, run *Run, opts Options, factories [
 		return e, nil
 	}
 	err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
-		accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
+		accumulate(&events[d.Req.Seq], d.Verdicts)
 		return nil
 	})
 	if err != nil {

@@ -37,64 +37,52 @@ func TestScaleByName(t *testing.T) {
 
 func TestRunInvariants(t *testing.T) {
 	r := run(t)
-	if r.Total == 0 {
+	total := r.Table.Total()
+	if total == 0 {
 		t.Fatal("empty run")
 	}
-	// The contingency cells partition the request stream.
-	if r.Cont.Total() != r.Total {
-		t.Errorf("contingency total %d != %d", r.Cont.Total(), r.Total)
+	// The per-status and per-archetype tables each partition the stream.
+	// (Every view of one table counts the same stream by construction:
+	// the diversity package's model test holds them to it.)
+	var status, arch diversity.Table
+	for _, s := range r.Status.Ranked((*diversity.Table).Total) {
+		status.Merge(r.Status.Table(s.Key))
 	}
-	// Confusion matrices account for every request.
-	if r.ConfA.Total() != r.Total || r.ConfB.Total() != r.Total {
-		t.Error("confusion totals inconsistent")
+	for _, a := range r.ByArch.Ranked((*diversity.Table).Total) {
+		arch.Merge(r.ByArch.Table(a.Key))
 	}
-	if r.Conf1oo2.Total() != r.Total || r.Conf2oo2.Total() != r.Total {
-		t.Error("adjudicated totals inconsistent")
+	if !reflect.DeepEqual(status, r.Table) || !reflect.DeepEqual(arch, r.Table) {
+		t.Error("per-status or per-archetype tables do not sum to the run's table")
 	}
-	// Correctness table too.
-	if r.Corr.Total() != r.Total {
-		t.Error("correctness total inconsistent")
-	}
-	// ROC accumulators saw every request.
+	// ROC accumulators saw every request, with the table's ground truth.
 	posA, negA := r.ROCA.Totals()
-	if posA+negA != r.Total {
+	if c := r.Table.Confusion(0); posA != c.TP+c.FN || negA != c.FP+c.TN {
 		t.Error("ROC totals inconsistent")
 	}
-	// Marginal identities: alerts by A = TP_A + FP_A.
-	if r.Cont.TotalA() != r.ConfA.TP+r.ConfA.FP {
-		t.Error("A's alert marginal != confusion alerts")
-	}
-	if r.Cont.TotalB() != r.ConfB.TP+r.ConfB.FP {
-		t.Error("B's alert marginal != confusion alerts")
+	if r.ConfWeighted.Total() != total {
+		t.Error("weighted confusion incomplete")
 	}
 }
 
+// TestAdjudicationIdentities checks the votes' set inclusions on the
+// measured detectors: a 1oo2 alert is a superset of each single tool's,
+// a 2oo2 alert a subset.
 func TestAdjudicationIdentities(t *testing.T) {
 	r := run(t)
-	// 1oo2 alerts = Both + AOnly + BOnly; 2oo2 alerts = Both. These are
-	// exact identities between the contingency table and the adjudicated
-	// confusion matrices.
-	alerts1 := r.Conf1oo2.TP + r.Conf1oo2.FP
-	alerts2 := r.Conf2oo2.TP + r.Conf2oo2.FP
-	if alerts1 != r.Cont.Both+r.Cont.AOnly+r.Cont.BOnly {
-		t.Errorf("1oo2 alerts %d != contingency union %d",
-			alerts1, r.Cont.Both+r.Cont.AOnly+r.Cont.BOnly)
-	}
-	if alerts2 != r.Cont.Both {
-		t.Errorf("2oo2 alerts %d != Both %d", alerts2, r.Cont.Both)
-	}
+	confA, confB := r.Table.Confusion(0), r.Table.Confusion(1)
+	vote1, vote2 := r.Table.Vote(1), r.Table.Vote(2)
 	// Sensitivity ordering: 1oo2 >= each single >= 2oo2 (set inclusion).
-	if r.Conf1oo2.Sensitivity() < r.ConfA.Sensitivity()-1e-12 ||
-		r.Conf1oo2.Sensitivity() < r.ConfB.Sensitivity()-1e-12 {
+	if vote1.Sensitivity() < confA.Sensitivity()-1e-12 ||
+		vote1.Sensitivity() < confB.Sensitivity()-1e-12 {
 		t.Error("1oo2 sensitivity below a single tool")
 	}
-	if r.Conf2oo2.Sensitivity() > r.ConfA.Sensitivity()+1e-12 ||
-		r.Conf2oo2.Sensitivity() > r.ConfB.Sensitivity()+1e-12 {
+	if vote2.Sensitivity() > confA.Sensitivity()+1e-12 ||
+		vote2.Sensitivity() > confB.Sensitivity()+1e-12 {
 		t.Error("2oo2 sensitivity above a single tool")
 	}
 	// Specificity ordering is the mirror image.
-	if r.Conf2oo2.Specificity() < r.ConfA.Specificity()-1e-12 ||
-		r.Conf2oo2.Specificity() < r.ConfB.Specificity()-1e-12 {
+	if vote2.Specificity() < confA.Specificity()-1e-12 ||
+		vote2.Specificity() < confB.Specificity()-1e-12 {
 		t.Error("2oo2 specificity below a single tool")
 	}
 }
@@ -104,7 +92,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	// the mix skews even more bot-heavy than the full capture; assert
 	// orderings, not absolute counts).
 	r := run(t)
-	c := r.Cont
+	c := r.Table.Pair(0, 1)
 	if c.Both <= c.Neither {
 		t.Error("shape: Both should dominate Neither")
 	}
@@ -151,7 +139,7 @@ func TestExecuteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Total != b.Total || a.Cont != b.Cont || a.ConfA != b.ConfA || a.ConfB != b.ConfB {
+	if !reflect.DeepEqual(a.Table, b.Table) {
 		t.Error("identical scales produced different results")
 	}
 }
@@ -232,29 +220,30 @@ func TestPaperReferenceConsistency(t *testing.T) {
 	}
 }
 
+// checkVotes holds a three-detector run's votes to monotonicity:
+// sensitivity non-increasing, specificity non-decreasing in k.
+func checkVotes(t *testing.T, run *TrioRun) {
+	t.Helper()
+	if run.Table.Total() == 0 {
+		t.Fatal("empty three-detector run")
+	}
+	for k := 2; k <= 3; k++ {
+		prev, cur := run.Table.Vote(k-1), run.Table.Vote(k)
+		if cur.Sensitivity() > prev.Sensitivity()+1e-12 {
+			t.Errorf("sensitivity increased from %doo3 to %doo3", k-1, k)
+		}
+		if cur.Specificity() < prev.Specificity()-1e-12 {
+			t.Errorf("specificity decreased from %doo3 to %doo3", k-1, k)
+		}
+	}
+}
+
 func TestExecuteThreeWay(t *testing.T) {
 	run, err := ExecuteThreeWay(BenchScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Total == 0 {
-		t.Fatal("empty three-way run")
-	}
-	for i, c := range run.Singles {
-		if c.Total() != run.Total {
-			t.Errorf("detector %d confusion total %d != %d", i, c.Total(), run.Total)
-		}
-	}
-	// Vote monotonicity: sensitivity non-increasing, specificity
-	// non-decreasing in k.
-	for k := 1; k < 3; k++ {
-		if run.Votes[k].Sensitivity() > run.Votes[k-1].Sensitivity()+1e-12 {
-			t.Errorf("sensitivity increased from %doo3 to %doo3", k, k+1)
-		}
-		if run.Votes[k].Specificity() < run.Votes[k-1].Specificity()-1e-12 {
-			t.Errorf("specificity decreased from %doo3 to %doo3", k, k+1)
-		}
-	}
+	checkVotes(t, run)
 	if Table11(run).Rows() == 0 {
 		t.Error("table 11 empty")
 	}
@@ -276,11 +265,8 @@ func TestExecuteShardedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shard.Total != seq.Total {
-			t.Fatalf("shards=%d: totals differ: sharded %d, sequential %d", shards, shard.Total, seq.Total)
-		}
-		if shard.Cont != seq.Cont {
-			t.Errorf("shards=%d: contingency differs: %+v vs %+v", shards, shard.Cont, seq.Cont)
+		if !reflect.DeepEqual(shard.Table, seq.Table) {
+			t.Errorf("shards=%d: agreement table differs: %+v vs %+v", shards, shard.Table, seq.Table)
 		}
 		if !reflect.DeepEqual(shard.Status, seq.Status) {
 			t.Errorf("shards=%d: status breakdown differs", shards)
@@ -288,14 +274,8 @@ func TestExecuteShardedMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(shard.ByArch, seq.ByArch) {
 			t.Errorf("shards=%d: archetype breakdown differs", shards)
 		}
-		if shard.ConfA != seq.ConfA || shard.ConfB != seq.ConfB {
-			t.Errorf("shards=%d: per-tool confusion matrices differ", shards)
-		}
-		if shard.Conf1oo2 != seq.Conf1oo2 || shard.Conf2oo2 != seq.Conf2oo2 || shard.ConfWeighted != seq.ConfWeighted {
-			t.Errorf("shards=%d: adjudicated confusion matrices differ", shards)
-		}
-		if shard.Corr != seq.Corr {
-			t.Errorf("shards=%d: correctness-agreement table differs", shards)
+		if shard.ConfWeighted != seq.ConfWeighted {
+			t.Errorf("shards=%d: weighted confusion matrix differs", shards)
 		}
 		if shard.ROCA.AUC() != seq.ROCA.AUC() || shard.ROCB.AUC() != seq.ROCB.AUC() {
 			t.Errorf("shards=%d: ROC accumulators differ", shards)
@@ -308,39 +288,17 @@ func TestExecuteTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Total == 0 {
-		t.Fatal("empty trajectory run")
-	}
-	for i, c := range run.Singles {
-		if c.Total() != run.Total {
-			t.Errorf("detector %d confusion total %d != %d", i, c.Total(), run.Total)
-		}
-	}
-	if run.Weighted.Total() != run.Total {
+	checkVotes(t, run)
+	if run.Weighted.Total() != run.Table.Total() {
 		t.Error("weighted confusion incomplete")
 	}
-	// Vote monotonicity: sensitivity non-increasing, specificity
-	// non-decreasing in k.
-	for k := 1; k < 3; k++ {
-		if run.Votes[k].Sensitivity() > run.Votes[k-1].Sensitivity()+1e-12 {
-			t.Errorf("sensitivity increased from %doo3 to %doo3", k, k+1)
-		}
-		if run.Votes[k].Specificity() < run.Votes[k-1].Specificity()-1e-12 {
-			t.Errorf("specificity decreased from %doo3 to %doo3", k, k+1)
-		}
-	}
-	// Every pairwise table must partition the stream, and every pair must
-	// exhibit some discordance — three identical channels would make the
-	// whole experiment moot.
-	for i, p := range run.Pairs {
-		if p.Alerts.Total() != run.Total {
-			t.Errorf("pair %d alert table total %d != %d", i, p.Alerts.Total(), run.Total)
-		}
-		if p.Correctness.Total() != run.Total {
-			t.Errorf("pair %d correctness table total %d != %d", i, p.Correctness.Total(), run.Total)
-		}
-		if diversity.McNemarFromCorrectness(p.Correctness).Discordant == 0 {
-			t.Errorf("pair %s/%s never disagrees", p.A, p.B)
+	// Every pair must exhibit some discordance — three identical channels
+	// would make the whole experiment moot.
+	for i := 0; i < 3; i++ {
+		for j := i + 1; j < 3; j++ {
+			if diversity.McNemarFromCorrectness(run.Table.Correctness(i, j)).Discordant == 0 {
+				t.Errorf("pair %s/%s never disagrees", run.Names[i], run.Names[j])
+			}
 		}
 	}
 	if Table13(run).Rows() == 0 || Table13Diversity(run).Rows() == 0 {

@@ -14,25 +14,27 @@ import (
 // paper's numbers alongside for shape comparison. Column naming follows
 // the paper: "Distil" is played by sentinel, "Arcane" by arcane.
 func Table1(run *Run) *report.Table {
+	total, c := run.Table.Total(), run.Table.Pair(0, 1)
 	t := &report.Table{
 		Title:   "Table 1 – HTTP requests alerted by the two tools",
 		Columns: []string{"", "Measured", "Share", "Paper", "Share"},
 		Aligns:  []report.Align{report.Left, report.Right, report.Right, report.Right, report.Right},
 	}
 	t.AddRow("Total HTTP requests",
-		report.Count(run.Total), "",
+		report.Count(total), "",
 		report.Count(PaperTable1.Total), "")
 	t.AddRow(fmt.Sprintf("Alerted by %s (Distil role)", run.Names.A),
-		report.Count(run.Cont.TotalA()), report.Percent(run.Cont.TotalA(), run.Total),
+		report.Count(c.TotalA()), report.Percent(c.TotalA(), total),
 		report.Count(PaperTable1.Distil), report.Percent(PaperTable1.Distil, PaperTable1.Total))
 	t.AddRow(fmt.Sprintf("Alerted by %s (Arcane role)", run.Names.B),
-		report.Count(run.Cont.TotalB()), report.Percent(run.Cont.TotalB(), run.Total),
+		report.Count(c.TotalB()), report.Percent(c.TotalB(), total),
 		report.Count(PaperTable1.Arcane), report.Percent(PaperTable1.Arcane, PaperTable1.Total))
 	return t
 }
 
 // Table2 renders E2: the alerting-diversity contingency table.
 func Table2(run *Run) *report.Table {
+	total, c := run.Table.Total(), run.Table.Pair(0, 1)
 	t := &report.Table{
 		Title:   "Table 2 – Diversity in the alerting behavior by the two tools",
 		Columns: []string{"HTTP requests alerted as malicious by", "Measured", "Share", "Paper", "Share"},
@@ -40,16 +42,16 @@ func Table2(run *Run) *report.Table {
 	}
 	paperTotal := PaperTable1.Total
 	t.AddRow("Both tools",
-		report.Count(run.Cont.Both), report.Percent(run.Cont.Both, run.Total),
+		report.Count(c.Both), report.Percent(c.Both, total),
 		report.Count(PaperTable2.Both), report.Percent(PaperTable2.Both, paperTotal))
 	t.AddRow("Neither",
-		report.Count(run.Cont.Neither), report.Percent(run.Cont.Neither, run.Total),
+		report.Count(c.Neither), report.Percent(c.Neither, total),
 		report.Count(PaperTable2.Neither), report.Percent(PaperTable2.Neither, paperTotal))
 	t.AddRow(fmt.Sprintf("%s only (Arcane role)", run.Names.B),
-		report.Count(run.Cont.BOnly), report.Percent(run.Cont.BOnly, run.Total),
+		report.Count(c.BOnly), report.Percent(c.BOnly, total),
 		report.Count(PaperTable2.ArcaneOnly), report.Percent(PaperTable2.ArcaneOnly, paperTotal))
 	t.AddRow(fmt.Sprintf("%s only (Distil role)", run.Names.A),
-		report.Count(run.Cont.AOnly), report.Percent(run.Cont.AOnly, run.Total),
+		report.Count(c.AOnly), report.Percent(c.AOnly, total),
 		report.Count(PaperTable2.DistilOnly), report.Percent(PaperTable2.DistilOnly, paperTotal))
 	return t
 }
@@ -60,7 +62,7 @@ func Table2(run *Run) *report.Table {
 func Table3(run *Run) *report.Table {
 	return statusTable(
 		"Table 3 – Alerted requests by HTTP status – overall counts",
-		run.Names, run.Status.OverallB(), run.Status.OverallA())
+		run.Names, run.Status.Ranked(alertsOf(1)), run.Status.Ranked(alertsOf(0)))
 }
 
 // Table4 renders E4: per-status counts for requests alerted by exactly
@@ -68,10 +70,23 @@ func Table3(run *Run) *report.Table {
 func Table4(run *Run) *report.Table {
 	return statusTable(
 		"Table 4 – Alerted requests by HTTP status – single-tool alerts",
-		run.Names, run.Status.ExclusiveB(), run.Status.ExclusiveA())
+		run.Names, run.Status.Ranked(onlyOf(1)), run.Status.Ranked(onlyOf(0)))
 }
 
-func statusTable(title string, names DetectorPair, arcaneRows, sentinelRows []diversity.StatusCount) *report.Table {
+// alertsOf and onlyOf count detector i's alerts, and the alerts it
+// raised alone, in a pair table.
+func alertsOf(i int) func(*diversity.Table) uint64 {
+	return func(t *diversity.Table) uint64 {
+		c := t.Confusion(i)
+		return c.TP + c.FP
+	}
+}
+
+func onlyOf(i int) func(*diversity.Table) uint64 {
+	return func(t *diversity.Table) uint64 { return t.Only(i) }
+}
+
+func statusTable(title string, names DetectorPair, arcaneRows, sentinelRows []diversity.KeyCount[int]) *report.Table {
 	t := &report.Table{
 		Title: title,
 		Columns: []string{
@@ -87,11 +102,11 @@ func statusTable(title string, names DetectorPair, arcaneRows, sentinelRows []di
 	for i := 0; i < rows; i++ {
 		var c0, c1, c2, c3 string
 		if i < len(arcaneRows) {
-			c0 = logfmt.StatusLabel(arcaneRows[i].Status)
+			c0 = logfmt.StatusLabel(arcaneRows[i].Key)
 			c1 = report.Count(arcaneRows[i].Count)
 		}
 		if i < len(sentinelRows) {
-			c2 = logfmt.StatusLabel(sentinelRows[i].Status)
+			c2 = logfmt.StatusLabel(sentinelRows[i].Key)
 			c3 = report.Count(sentinelRows[i].Count)
 		}
 		t.AddRow(c0, c1, c2, c3)
@@ -107,7 +122,7 @@ func Table5(run *Run) *report.Table {
 		Columns: []string{"Metric", run.Names.A, run.Names.B},
 		Aligns:  []report.Align{report.Left, report.Right, report.Right},
 	}
-	addConfusionRows(t, []evaluate.Confusion{run.ConfA, run.ConfB})
+	addConfusionRows(t, []evaluate.Confusion{run.Table.Confusion(0), run.Table.Confusion(1)})
 	return t
 }
 
@@ -118,7 +133,7 @@ func Table6(run *Run) *report.Table {
 		Columns: []string{"Metric", "1-out-of-2", "2-out-of-2", "weighted"},
 		Aligns:  []report.Align{report.Left, report.Right, report.Right, report.Right},
 	}
-	addConfusionRows(t, []evaluate.Confusion{run.Conf1oo2, run.Conf2oo2, run.ConfWeighted})
+	addConfusionRows(t, []evaluate.Confusion{run.Table.Vote(1), run.Table.Vote(2), run.ConfWeighted})
 	return t
 }
 
@@ -193,7 +208,7 @@ func Table8(run *Run) *report.Table {
 		},
 	}
 	for _, arch := range detector.Archetypes() {
-		ct := run.ByArch.Table(arch)
+		ct := run.ByArch.Table(arch).Pair(0, 1)
 		if ct.Total() == 0 {
 			continue
 		}
@@ -211,8 +226,9 @@ func Table8(run *Run) *report.Table {
 // Table9 renders E9: the classical diversity statistics over both the
 // raw alert agreement and the labelled correctness agreement.
 func Table9(run *Run) *report.Table {
-	alerting := diversity.MeasuresFromContingency(run.Cont)
-	correctness := diversity.MeasuresFromCorrectness(run.Corr)
+	corr := run.Table.Correctness(0, 1)
+	alerting := diversity.MeasuresFromContingency(run.Table.Pair(0, 1))
+	correctness := diversity.MeasuresFromContingency(corr)
 	t := &report.Table{
 		Title:   "E9 – Pairwise diversity measures",
 		Columns: []string{"Measure", "Alert agreement", "Correctness agreement"},
@@ -221,7 +237,7 @@ func Table9(run *Run) *report.Table {
 	t.AddRow("Yule's Q", report.Metric(alerting.YuleQ), report.Metric(correctness.YuleQ))
 	t.AddRow("Disagreement", report.Metric(alerting.Disagreement), report.Metric(correctness.Disagreement))
 	t.AddRow("Double fault / both-miss", report.Metric(alerting.DoubleFault), report.Metric(correctness.DoubleFault))
-	mcnemar := diversity.McNemarFromCorrectness(run.Corr)
+	mcnemar := diversity.McNemarFromCorrectness(corr)
 	t.AddRow("McNemar chi-squared", "", report.Metric(mcnemar.Statistic))
 	t.AddRow("McNemar p-value", "", report.Metric(mcnemar.PValue))
 	return t

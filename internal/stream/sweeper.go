@@ -74,8 +74,10 @@ func (s *Sweeper) Window() time.Duration { return s.window }
 // Observe advances the sweeper to now (typically an entry's event time)
 // and, if a full cadence interval has elapsed since the last sweep, runs
 // one. It returns the number of entries evicted by this call (0 when no
-// sweep was due). Non-monotonic observations are clamped: time never runs
-// backwards, it just fails to advance.
+// sweep was due). An observation up to one interval before the last
+// sweep is inert; one further back — as after a line stamped far ahead of
+// the stream — sweeps and re-anchors on itself, so that one line does
+// not stop the sweeps for good.
 func (s *Sweeper) Observe(now time.Time) int {
 	if now.IsZero() {
 		return 0
@@ -84,9 +86,10 @@ func (s *Sweeper) Observe(now time.Time) int {
 		s.last = now
 		return 0
 	}
-	if now.Sub(s.last) < s.every {
+	if d := now.Sub(s.last); d < s.every && d >= -s.every {
 		return 0
 	}
+	s.last = now
 	return s.SweepAt(now)
 }
 
@@ -96,7 +99,7 @@ func (s *Sweeper) Observe(now time.Time) int {
 func (s *Sweeper) Tick() int { return s.Observe(s.src.Now()) }
 
 // SweepAt unconditionally sweeps all hooks with cutoff now − window and
-// resets the cadence anchor.
+// resets the cadence anchor. A now before the anchor is clamped up to it.
 func (s *Sweeper) SweepAt(now time.Time) int {
 	if now.Before(s.last) {
 		now = s.last

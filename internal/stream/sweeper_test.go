@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -53,6 +54,44 @@ func TestSweeperObserveCadence(t *testing.T) {
 	sweeps, evicted := sw.Stats()
 	if sweeps != 1 || evicted != 3 {
 		t.Errorf("stats = %d sweeps, %d evicted; want 1, 3", sweeps, evicted)
+	}
+}
+
+// TestFarFutureObservationDoesNotStopSweeps mirrors the pipeline's
+// TestFarFutureLineDoesNotStopSweeps: after one observation stamped 2200,
+// the first 2018 one sweeps and re-anchors, and the cadence then runs as
+// in the plain stream.
+func TestFarFutureObservationDoesNotStopSweeps(t *testing.T) {
+	start := time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC)
+	replay := func(far bool) (sweeps uint64, cutoffs []time.Time) {
+		sw, err := NewSweeper(time.Hour, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recorder{}
+		sw.Register("store", rec)
+		if far {
+			sw.Observe(time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC))
+		}
+		for i := 0; i < 5000; i++ {
+			sw.Observe(start.Add(time.Duration(i) * time.Second))
+		}
+		sweeps, _ = sw.Stats()
+		return sweeps, rec.cutoffs
+	}
+	sweeps, plain := replay(false)
+	if sweeps == 0 {
+		t.Fatal("the plain stream never swept")
+	}
+	far, cutoffs := replay(true)
+	if far != sweeps+1 {
+		t.Errorf("after an observation stamped 2200 the stream swept %d times, want %d", far, sweeps+1)
+	}
+	if want := start.Add(-time.Hour); len(cutoffs) == 0 || !cutoffs[0].Equal(want) {
+		t.Errorf("re-anchoring sweep cut off at %v, want the 2018 line's now − window %v", cutoffs, want)
+	}
+	if len(cutoffs) == len(plain)+1 && !slices.EqualFunc(cutoffs[1:], plain, time.Time.Equal) {
+		t.Errorf("sweeps after re-anchoring cut off at %v, want the plain stream's %v", cutoffs[1:], plain)
 	}
 }
 
