@@ -85,21 +85,13 @@ test:
 
 # Each example is a program with its own checks (the cluster demo, for
 # one, exits non-zero when failover misses), and its stdout must equal
-# examples/<name>/stdout.golden byte for byte. An example whose output
-# differs from run to run is listed here with the reason, and is only run:
-#   tracing — the guard stamps requests with the wall clock, so arcane's
-#             timing scores and the stage latency histograms vary per run.
-EXAMPLES_UNGATED := tracing
-
+# examples/<name>/stdout.golden byte for byte.
 examples:
 	@for d in examples/*/; do \
 		n=$$(basename $$d); \
 		echo "$(GO) run ./$$d"; \
-		case " $(EXAMPLES_UNGATED) " in \
-		*" $$n "*) $(GO) run ./$$d > /dev/null ;; \
-		*) $(GO) run ./$$d | diff -u $${d}stdout.golden - || \
-			{ echo "error: $$n's stdout differs from $${d}stdout.golden"; exit 1; } ;; \
-		esac; \
+		$(GO) run ./$$d | diff -u $${d}stdout.golden - || \
+			{ echo "error: $$n's stdout differs from $${d}stdout.golden"; exit 1; }; \
 	done
 
 # Flaky-test firewall: wall-clock sleeping in tests is the #1 source of

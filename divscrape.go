@@ -11,8 +11,9 @@
 // This package is the public facade: it re-exports the main workflow so
 // applications can generate traffic, run any set of the detectors and
 // compute the paper's tables without importing internal packages.
-// NewDetectorSet selects detectors by name; no names is the paper's pair,
-// DefaultDetectors, and DetectorPair is the two-verdict view of that set.
+// NewDetectorSet selects detectors by name (no names is the paper's pair,
+// DefaultDetectors) and judges with the decision core Analyze, the CLI and
+// the HTTP guard run too.
 // Specialised use (custom detectors, topologies, ROC sweeps) goes through
 // the same types, which alias the implementation packages.
 //
@@ -52,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"slices"
 	"time"
 
@@ -149,19 +149,25 @@ func FactoriesFor(names ...string) ([]Factory, error) {
 	return fs, nil
 }
 
-// DetectorSet is an ordered list of detectors sharing one enricher, ready
-// to inspect a request stream in timestamp order. Index i of every
-// verdict slice in the API refers to Detectors[i].
+// DetectorSet is an ordered list of detectors judging one request stream
+// in timestamp order, through the decision core every host wraps
+// (internal/shard): one enricher, the detectors behind its failure plane.
+// Index i of every verdict slice in the API refers to Detectors[i].
 type DetectorSet struct {
-	// Detectors are inspected in order on every request.
+	// Detectors are inspected in order on every request. A side the
+	// failure plane rebuilds replaces its entry in place.
 	Detectors []Detector
 
-	enricher *detector.Enricher
-	// req and verdicts are the per-call scratch: a Request passed through
-	// the Detector interface escapes, so a stack one would cost a heap
-	// object per call.
-	req      Request
-	verdicts []Verdict
+	sh *shard.Shard
+	// seq is the stream position: the next request's Seq.
+	seq uint64
+	// req and out are the per-call scratch: a Request passed through the
+	// Detector interface escapes, so a stack one would cost a heap object
+	// per call. panics collects the sides that panicked on the request
+	// being judged.
+	req    Request
+	out    shard.Outcome
+	panics []error
 }
 
 // NewDetectorSet builds the named detectors (see DetectorNames) with
@@ -172,60 +178,66 @@ func NewDetectorSet(names ...string) (*DetectorSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	dets, err := detector.Build(factories)
+	sh, err := shard.New(factories, nil, nil, iprep.BuildFeed())
 	if err != nil {
 		return nil, fmt.Errorf("divscrape: %w", err)
 	}
-	return &DetectorSet{
-		Detectors: dets,
-		enricher:  detector.NewEnricher(iprep.BuildFeed(), dets...),
-		verdicts:  make([]Verdict, len(dets)),
-	}, nil
+	s := &DetectorSet{Detectors: sh.Dets, sh: sh}
+	sh.OnHealth = func(_ int, _ time.Time, p *PanicError) {
+		if p != nil {
+			s.panics = append(s.panics, p)
+		}
+	}
+	return s, nil
 }
 
 // Len returns the number of detectors.
 func (s *DetectorSet) Len() int { return len(s.Detectors) }
 
 // Names returns the detectors' names in inspection order.
-func (s *DetectorSet) Names() []string {
-	names := make([]string, len(s.Detectors))
-	for i, d := range s.Detectors {
-		names[i] = d.Name()
-	}
-	return names
-}
+func (s *DetectorSet) Names() []string { return slices.Clone(s.sh.Names) }
+
+// MaxReasons is the number of explanation slots a Verdict carries inline.
+const MaxReasons = detector.MaxReasons
 
 // InspectInto enriches one log entry and writes one verdict per detector
 // into out, which must hold at least Len() elements. Entries must arrive
 // in timestamp order. Every consumed verdict slot is fully overwritten;
 // the call performs no allocations in steady state.
-func (s *DetectorSet) InspectInto(entry Entry, out []Verdict) {
-	s.enricher.EnrichInto(&s.req, entry)
-	for i, d := range s.Detectors {
-		d.InspectInto(&s.req, &out[i])
+//
+// A detector that panics is quarantined, as on every host: its verdict is
+// zero while it sits out, and it is rebuilt cold once a backoff of event
+// time has passed. The call that saw the panic returns an error joining
+// one *PanicError per side that panicked; the set stays usable.
+func (s *DetectorSet) InspectInto(entry Entry, out []Verdict) error {
+	s.req.Seq, s.req.Entry = s.seq, entry
+	s.seq++
+	s.sh.Enrich(&s.req)
+	s.sh.Judge(&s.req, &s.out)
+	copy(out, s.sh.Verdicts())
+	if len(s.panics) == 0 {
+		return nil
 	}
-}
-
-// Inspect is InspectInto with a freshly allocated verdict slice.
-func (s *DetectorSet) Inspect(entry Entry) []Verdict {
-	out := make([]Verdict, len(s.Detectors))
-	s.InspectInto(entry, out)
-	return out
+	err := errors.Join(s.panics...)
+	s.panics = s.panics[:0]
+	return err
 }
 
 // Enrich converts one log entry into the Request form detectors consume,
-// for callers that drive the detectors individually (e.g. to build serial
-// deployment topologies).
+// taking the next stream position, for callers that drive the detectors
+// individually (e.g. to build serial deployment topologies).
 func (s *DetectorSet) Enrich(entry Entry) Request {
-	return s.enricher.Enrich(entry)
+	req := Request{Seq: s.seq, Entry: entry}
+	s.seq++
+	s.sh.Enrich(&req)
+	return req
 }
 
-// Reset clears all detector state.
+// Reset clears all detector, enricher and failure-plane state and the
+// stream position, for an independent dataset.
 func (s *DetectorSet) Reset() {
-	for _, d := range s.Detectors {
-		d.Reset()
-	}
-	s.enricher.Reset()
+	s.sh.Reset()
+	s.seq = 0
 }
 
 // EvictBefore proactively drops every detector's per-client state
@@ -234,33 +246,6 @@ func (s *DetectorSet) Reset() {
 // cutoff trails stream time by at least the detectors' idle timeouts.
 func (s *DetectorSet) EvictBefore(cutoff time.Time) int {
 	return detector.EvictBefore(s.Detectors, cutoff)
-}
-
-// DetectorPair is the paper's two tools — the commercial
-// fingerprint/reputation/challenge detector (Distil role) at
-// Detectors[0], the session-analysis detector (Arcane role) at
-// Detectors[1] — with a two-verdict Inspect. Everything else is the
-// embedded set's.
-type DetectorPair struct{ *DetectorSet }
-
-// NewDetectorPair builds DefaultDetectors with their calibrated defaults
-// and a shared reputation feed.
-func NewDetectorPair() (*DetectorPair, error) {
-	set, err := NewDetectorSet(DefaultDetectors...)
-	if err != nil {
-		return nil, err
-	}
-	return &DetectorPair{set}, nil
-}
-
-// MaxReasons is the number of explanation slots a Verdict carries inline.
-const MaxReasons = detector.MaxReasons
-
-// Inspect enriches one log entry and returns both verdicts. Entries must
-// arrive in timestamp order. It performs no allocations in steady state.
-func (p *DetectorPair) Inspect(entry Entry) (commercial, behavioural Verdict) {
-	p.InspectInto(entry, p.verdicts)
-	return p.verdicts[0], p.verdicts[1]
 }
 
 // Durable state plane: a set's full detection state — every detector's
@@ -276,18 +261,21 @@ const tagPair uint16 = 0x5041
 
 // SnapshotInto serialises the set's state through a statecodec.Writer,
 // for callers composing larger snapshots; most callers want Snapshot. The
-// frame is a tagged block holding the enricher followed by each
-// detector's name and state.
+// frame is a tagged block holding the stream position followed by each
+// detector's name and state. A quarantined side is written as its restore
+// would leave it.
 func (s *DetectorSet) SnapshotInto(w *statecodec.Writer) error {
+	roles, err := shard.Set{s.sh}.Roles()
+	if err != nil {
+		return fmt.Errorf("divscrape: %w", err)
+	}
 	w.Tag(tagPair)
-	s.enricher.SnapshotInto(w)
-	for _, d := range s.Detectors {
-		sn, ok := d.(statecodec.Snapshotter)
-		if !ok {
-			return fmt.Errorf("divscrape: detector %s does not support snapshots", d.Name())
+	detector.SnapshotSeq(w, s.seq)
+	for _, role := range roles {
+		w.String(role[0].Name())
+		if err := detector.SnapshotRole(w, role); err != nil {
+			return fmt.Errorf("divscrape: %w", err)
 		}
-		w.String(d.Name())
-		sn.SnapshotInto(w)
 	}
 	return w.Err()
 }
@@ -308,23 +296,26 @@ func (s *DetectorSet) restoreFrom(r *statecodec.Reader) error {
 	if err := r.Expect(tagPair); err != nil {
 		return err
 	}
-	if err := s.enricher.RestoreFrom(r); err != nil {
+	seq, err := detector.RestoreSeq(r)
+	if err != nil {
 		return err
 	}
-	for _, d := range s.Detectors {
-		sn, ok := d.(statecodec.Snapshotter)
-		if !ok {
-			return fmt.Errorf("divscrape: detector %s does not support snapshots", d.Name())
-		}
+	s.seq = seq
+	set := shard.Set{s.sh}
+	roles, err := set.Roles()
+	if err != nil {
+		return err
+	}
+	for _, role := range roles {
 		name := r.String()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if name != d.Name() {
+		if name != role[0].Name() {
 			return fmt.Errorf("%w: snapshot holds detector %q, set has %q",
-				statecodec.ErrCorrupt, name, d.Name())
+				statecodec.ErrCorrupt, name, role[0].Name())
 		}
-		if err := sn.RestoreFrom(r); err != nil {
+		if err := detector.RestoreRole(r, role, set.Part); err != nil {
 			return err
 		}
 	}
@@ -334,8 +325,7 @@ func (s *DetectorSet) restoreFrom(r *statecodec.Reader) error {
 // Snapshot writes a detector set's full detection state to w as a
 // versioned, checksummed container. The snapshot captures every
 // per-client session history, so a replay resumed from it continues
-// exactly where this process stopped. Pass a DetectorPair's embedded set
-// for the pair.
+// exactly where this process stopped.
 func Snapshot(w io.Writer, set *DetectorSet) error {
 	sw := statecodec.NewWriter()
 	if err := set.SnapshotInto(sw); err != nil {
@@ -348,10 +338,10 @@ func Snapshot(w io.Writer, set *DetectorSet) error {
 }
 
 // Resume builds the named detectors with their calibrated defaults (no
-// names selects DefaultDetectors, and DetectorPair{set} is then the pair)
-// and restores the state Snapshot wrote. Wrong-version snapshots fail
-// with a typed *statecodec.VersionError; corrupt ones with
-// statecodec.ErrCorrupt or statecodec.ErrChecksum — never a panic.
+// names selects DefaultDetectors) and restores the state Snapshot wrote.
+// Wrong-version snapshots fail with a typed *statecodec.VersionError;
+// corrupt ones with statecodec.ErrCorrupt or statecodec.ErrChecksum —
+// never a panic.
 func Resume(r io.Reader, names ...string) (*DetectorSet, error) {
 	set, err := NewDetectorSet(names...)
 	if err != nil {
@@ -565,49 +555,15 @@ func (src Source) open(sharded bool) (pipeline.EntrySource, func(seq uint64) boo
 		return lr.Next, nil, func() {}, nil
 	case src.gen == nil:
 		return nil, nil, nil, errors.New("empty Source: build one with Generated or Log")
-	case sharded:
-		events, err := src.gen.Generate()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("generate: %w", err)
-		}
-		i := 0
-		entries := func() (Entry, error) {
-			if i >= len(events) {
-				return Entry{}, io.EOF
-			}
-			i++
-			return events[i-1].Entry, nil
-		}
-		return entries, func(seq uint64) bool { return events[seq].Label.Malicious() }, func() {}, nil
 	}
-	// Sequential: the sink runs right after the source yields, so the
-	// label of the event just pulled is the one it needs.
-	var genErr error
-	next, stop := iter.Pull(func(yield func(Event) bool) {
-		genErr = src.gen.Run(func(ev Event) error {
-			if !yield(ev) {
-				return errStopped
-			}
-			return nil
-		})
-	})
-	var last Event
-	entries := func() (Entry, error) {
-		ev, ok := next()
-		if !ok {
-			if genErr != nil {
-				return Entry{}, fmt.Errorf("generate: %w", genErr)
-			}
-			return Entry{}, io.EOF
-		}
-		last = ev
-		return ev.Entry, nil
+	// A sharded run judges out of stream order, so it needs every label
+	// held; the sequential one labels the event it pulled last.
+	gs, err := src.gen.Source(sharded)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return entries, func(uint64) bool { return last.Label.Malicious() }, stop, nil
+	return gs.Next, func(seq uint64) bool { return gs.Label(seq).Malicious() }, gs.Stop, nil
 }
-
-// errStopped ends a generator run whose consumer stopped pulling.
-var errStopped = errors.New("stopped")
 
 // WriteDataset streams a generation run to an access log and label
 // sidecar, returning the request count.

@@ -87,12 +87,12 @@ func TestTrajectoryNonInterference(t *testing.T) {
 	}
 }
 
-// TestSetSnapshotPairCompatible: a DetectorPair driven through its
-// two-verdict Inspect and a default DetectorSet driven through
-// InspectInto hold the same state — their snapshots are the same bytes —
-// and a resumed default set is a pair again.
+// TestSetSnapshotPairCompatible: the default set and the pair named
+// explicitly, both driven through InspectInto, give the same verdicts and
+// hold the same state — their snapshots are the same bytes — and a resumed
+// default set is the pair again.
 func TestSetSnapshotPairCompatible(t *testing.T) {
-	pair, err := divscrape.NewDetectorPair()
+	pair, err := divscrape.NewDetectorSet("sentinel", "arcane")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,13 @@ func TestSetSnapshotPairCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pv := make([]divscrape.Verdict, pair.Len())
 	verdicts := make([]divscrape.Verdict, set.Len())
 	err = setGen(t, 43, 90*time.Minute).Run(func(ev divscrape.Event) error {
-		c, b := pair.Inspect(ev.Entry)
-		set.InspectInto(ev.Entry, verdicts)
-		if c != verdicts[0] || b != verdicts[1] {
-			t.Fatalf("pair verdicts %+v %+v, set verdicts %+v", c, b, verdicts)
+		mustInspect(t, pair, ev.Entry, pv)
+		mustInspect(t, set, ev.Entry, verdicts)
+		if pv[0] != verdicts[0] || pv[1] != verdicts[1] {
+			t.Fatalf("pair verdicts %+v, set verdicts %+v", pv, verdicts)
 		}
 		return nil
 	})
@@ -113,7 +114,7 @@ func TestSetSnapshotPairCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fromPair, fromSet bytes.Buffer
-	if err := divscrape.Snapshot(&fromPair, pair.DetectorSet); err != nil {
+	if err := divscrape.Snapshot(&fromPair, pair); err != nil {
 		t.Fatal(err)
 	}
 	if err := divscrape.Snapshot(&fromSet, set); err != nil {
@@ -126,7 +127,7 @@ func TestSetSnapshotPairCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume from pair snapshot: %v", err)
 	}
-	if got := (&divscrape.DetectorPair{DetectorSet: resumed}).Names(); !reflect.DeepEqual(got, divscrape.DefaultDetectors) {
+	if got := resumed.Names(); !reflect.DeepEqual(got, divscrape.DefaultDetectors) {
 		t.Fatalf("resumed pair holds %v", got)
 	}
 }
@@ -160,10 +161,10 @@ func TestDuplicateDetectorName(t *testing.T) {
 }
 
 // TestInspectAllocatesNothing pins the zero-allocation promise of the
-// per-entry calls: after warm-up, neither DetectorSet.InspectInto nor
-// DetectorPair.Inspect costs a heap object per entry (the set keeps the
-// Request it hands its detectors, so no stack copy escapes through the
-// Detector interface).
+// per-entry call: after warm-up, DetectorSet.InspectInto costs no heap
+// object per entry, for three detectors or the default pair (the set
+// keeps the Request it hands its detectors, so no stack copy escapes
+// through the Detector interface).
 func TestInspectAllocatesNothing(t *testing.T) {
 	events, err := setGen(t, 45, 3*time.Hour).Generate()
 	if err != nil {
@@ -174,14 +175,15 @@ func TestInspectAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := divscrape.NewDetectorPair()
+	pair, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	verdicts := make([]divscrape.Verdict, set.Len())
+	pv := make([]divscrape.Verdict, pair.Len())
 	for _, ev := range events[:warm] {
 		set.InspectInto(ev.Entry, verdicts)
-		pair.Inspect(ev.Entry)
+		pair.InspectInto(ev.Entry, pv)
 	}
 	runs := len(events) - warm - 1 // AllocsPerRun calls f once more to warm up
 	i := warm
@@ -193,10 +195,59 @@ func TestInspectAllocatesNothing(t *testing.T) {
 	}
 	i = warm
 	if got := testing.AllocsPerRun(runs, func() {
-		pair.Inspect(events[i].Entry)
+		pair.InspectInto(events[i].Entry, pv)
 		i++
 	}); got != 0 {
-		t.Errorf("DetectorPair.Inspect: %v allocs/op, want 0", got)
+		t.Errorf("default DetectorSet.InspectInto: %v allocs/op, want 0", got)
+	}
+}
+
+// A detector that panics inside a DetectorSet is quarantined as on every
+// host: the set judges every entry to the end, the call that saw the panic
+// returns its *PanicError, and the other detectors' verdicts are those of
+// a set without the fault on every entry.
+func TestChaosDetectorSetSurvivesADetectorPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	names := []string{"sentinel", "arcane", "trajectory"}
+	events, err := setGen(t, 42, 2*time.Hour).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := divscrape.NewDetectorSet(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := divscrape.NewDetectorSet(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fault point is the same for every set, so the clean run comes first.
+	want := make([][]divscrape.Verdict, len(events))
+	for i, ev := range events {
+		want[i] = make([]divscrape.Verdict, clean.Len())
+		mustInspect(t, clean, ev.Entry, want[i])
+	}
+	got := make([]divscrape.Verdict, faulty.Len())
+	faultinject.Enable("shard.inspect.trajectory", faultinject.Fault{Panic: "trajectory bug", After: 500, Times: 1})
+	var panics []*divscrape.PanicError
+	for i, ev := range events {
+		if err := faulty.InspectInto(ev.Entry, got); err != nil {
+			var pe *divscrape.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("entry %d: InspectInto returned %v, want a *PanicError", i, err)
+			}
+			if pe.Seq != uint64(i) {
+				t.Fatalf("entry %d: the panic names request %d", i, pe.Seq)
+			}
+			panics = append(panics, pe)
+		}
+		if got[0] != want[i][0] || got[1] != want[i][1] {
+			t.Fatalf("entry %d: sentinel and arcane judged %+v %+v beside the panic, %+v %+v without it",
+				i, got[0], got[1], want[i][0], want[i][1])
+		}
+	}
+	if len(panics) != 1 || panics[0].Side != "trajectory" || panics[0].Value != "trajectory bug" {
+		t.Fatalf("panics %+v, want trajectory's one", panics)
 	}
 }
 

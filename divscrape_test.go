@@ -223,11 +223,12 @@ func TestAnalyzeShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestDetectorPairInspectAndReset(t *testing.T) {
-	pair, err := divscrape.NewDetectorPair()
+func TestDetectorSetInspectAndReset(t *testing.T) {
+	pair, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := make([]divscrape.Verdict, pair.Len())
 	entry := divscrape.Entry{
 		RemoteAddr: "172.16.0.9", Identity: "-", AuthUser: "-",
 		Time:   time.Date(2018, 3, 11, 12, 0, 0, 0, time.UTC),
@@ -235,7 +236,8 @@ func TestDetectorPairInspectAndReset(t *testing.T) {
 		Status: 200, Bytes: 400, Referer: "-",
 		UserAgent: "python-requests/2.18.4",
 	}
-	vc, vb := pair.Inspect(entry)
+	mustInspect(t, pair, entry, v)
+	vc, vb := v[0], v[1]
 	if !vc.Alert {
 		t.Error("commercial detector should convict a tool UA from a datacenter")
 	}
@@ -247,8 +249,8 @@ func TestDetectorPairInspectAndReset(t *testing.T) {
 		t.Error("Enrich did not parse the address")
 	}
 	pair.Reset()
-	vc2, _ := pair.Inspect(entry)
-	if vc2.Alert != vc.Alert {
+	mustInspect(t, pair, entry, v)
+	if v[0].Alert != vc.Alert {
 		t.Error("reset changed first-request behaviour")
 	}
 }

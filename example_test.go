@@ -32,10 +32,10 @@ func ExampleAnalyze() {
 	// labelled: true
 }
 
-// ExampleDetectorPair_Inspect shows judging a single log record: a
+// ExampleDetectorSet_InspectInto shows judging a single log record: a
 // scraping kit's first request convicts on its declared User-Agent alone.
-func ExampleDetectorPair_Inspect() {
-	pair, err := divscrape.NewDetectorPair()
+func ExampleDetectorSet_InspectInto() {
+	pair, err := divscrape.NewDetectorSet()
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -53,9 +53,13 @@ func ExampleDetectorPair_Inspect() {
 		Referer:    "-",
 		UserAgent:  "python-requests/2.18.4",
 	}
-	commercial, behavioural := pair.Inspect(entry)
-	fmt.Println("commercial alert:", commercial.Alert)
-	fmt.Println("behavioural alert (still warming up):", behavioural.Alert)
+	verdicts := make([]divscrape.Verdict, pair.Len())
+	if err := pair.InspectInto(entry, verdicts); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("commercial alert:", verdicts[0].Alert)
+	fmt.Println("behavioural alert (still warming up):", verdicts[1].Alert)
 	// Output:
 	// commercial alert: true
 	// behavioural alert (still warming up): false

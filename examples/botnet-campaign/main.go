@@ -41,10 +41,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pair, err := divscrape.NewDetectorPair()
+	pair, err := divscrape.NewDetectorSet()
 	if err != nil {
 		return err
 	}
+	verdicts := make([]divscrape.Verdict, pair.Len())
 
 	type hourly struct {
 		botTotal, botCommercial, botBehavioural uint64
@@ -61,7 +62,10 @@ func run() error {
 		if h < 0 || h >= hours {
 			return nil
 		}
-		vc, vb := pair.Inspect(ev.Entry)
+		if err := pair.InspectInto(ev.Entry, verdicts); err != nil {
+			return err
+		}
+		vc, vb := verdicts[0], verdicts[1]
 		b := &buckets[h]
 		if ev.Label.Malicious() {
 			b.botTotal++

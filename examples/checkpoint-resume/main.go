@@ -52,36 +52,29 @@ func run() error {
 	fmt.Printf("workload: %d requests over 24h; process \"crashes\" after request %d\n\n", len(events), k)
 
 	// The uninterrupted run is the ground truth.
-	truth, err := inspectAll(events)
+	truth, err := replay(nil, events)
 	if err != nil {
 		return err
 	}
 
 	// First half, then snapshot at the crash point.
-	head, err := divscrape.NewDetectorPair()
+	head, err := divscrape.NewDetectorSet()
 	if err != nil {
 		return err
 	}
-	for i := 0; i < k; i++ {
-		head.Inspect(events[i].Entry)
+	if _, err := replay(head, events[:k]); err != nil {
+		return err
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, head.DetectorSet); err != nil {
+	if err := divscrape.Snapshot(&state, head); err != nil {
 		return err
 	}
 	fmt.Printf("snapshot at crash point: %d bytes of per-client session state\n\n", state.Len())
 
 	// Naive restart: fresh pair, empty memory.
-	naive, err := divscrape.NewDetectorPair()
+	naive, err := replay(nil, events[k:])
 	if err != nil {
 		return err
-	}
-	naiveDiverged := 0
-	for i := k; i < len(events); i++ {
-		c, b := naive.Inspect(events[i].Entry)
-		if (verdictPair{c, b}) != truth[i] {
-			naiveDiverged++
-		}
 	}
 
 	// Durable restart: resume from the snapshot.
@@ -89,11 +82,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resumed := &divscrape.DetectorPair{DetectorSet: set}
-	resumedDiverged := 0
-	for i := k; i < len(events); i++ {
-		c, b := resumed.Inspect(events[i].Entry)
-		if (verdictPair{c, b}) != truth[i] {
+	resumed, err := replay(set, events[k:])
+	if err != nil {
+		return err
+	}
+	naiveDiverged, resumedDiverged := 0, 0
+	for i := range naive {
+		if naive[i] != truth[k+i] {
+			naiveDiverged++
+		}
+		if resumed[i] != truth[k+i] {
 			resumedDiverged++
 		}
 	}
@@ -112,17 +110,22 @@ func run() error {
 	return nil
 }
 
-// inspectAll replays every event through a fresh pair, recording both
-// verdicts per request.
-func inspectAll(events []divscrape.Event) ([]verdictPair, error) {
-	pair, err := divscrape.NewDetectorPair()
-	if err != nil {
-		return nil, err
+// replay judges events through pair — a fresh pair when nil — recording
+// both verdicts per request.
+func replay(pair *divscrape.DetectorSet, events []divscrape.Event) ([]verdictPair, error) {
+	if pair == nil {
+		var err error
+		if pair, err = divscrape.NewDetectorSet(); err != nil {
+			return nil, err
+		}
 	}
+	v := make([]divscrape.Verdict, pair.Len())
 	out := make([]verdictPair, len(events))
 	for i := range events {
-		c, b := pair.Inspect(events[i].Entry)
-		out[i] = verdictPair{c, b}
+		if err := pair.InspectInto(events[i].Entry, v); err != nil {
+			return nil, err
+		}
+		out[i] = verdictPair{v[0], v[1]}
 	}
 	return out, nil
 }

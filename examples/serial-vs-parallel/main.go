@@ -24,7 +24,7 @@ func main() {
 // arrangement runs one deployment topology over a fresh detector pair.
 type arrangement struct {
 	name string
-	pair *divscrape.DetectorPair
+	pair *divscrape.DetectorSet
 	// decide inspects one request and reports the alarm decision plus
 	// whether the second-stage detector was consulted.
 	decide func(req *divscrape.Request) (alert, usedSecond bool)
@@ -82,15 +82,15 @@ func run() error {
 }
 
 func buildArrangements() ([]*arrangement, error) {
-	parallel, err := divscrape.NewDetectorPair()
+	parallel, err := divscrape.NewDetectorSet()
 	if err != nil {
 		return nil, err
 	}
-	serialAND, err := divscrape.NewDetectorPair()
+	serialAND, err := divscrape.NewDetectorSet()
 	if err != nil {
 		return nil, err
 	}
-	serialOR, err := divscrape.NewDetectorPair()
+	serialOR, err := divscrape.NewDetectorSet()
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"divscrape/httpguard"
@@ -28,8 +29,14 @@ func main() {
 
 func run() error {
 	policy := mitigate.Graduated()
+	// Every clock reading is a fixed step past the last, so request
+	// timestamps, and with them the timing scores and the stage latencies
+	// below, are the same on every run, whatever the machine.
+	var ticks atomic.Int64
+	start := time.Date(2018, 3, 12, 10, 0, 0, 0, time.UTC)
 	guard, err := httpguard.New(httpguard.Config{
 		Policy: &policy,
+		Now:    func() time.Time { return start.Add(time.Duration(ticks.Add(1)) * 50 * time.Millisecond) },
 		// The demo drives the scraper's address via X-Forwarded-For, so
 		// the test server's loopback peer must be a trusted proxy.
 		TrustedProxies: []string{"127.0.0.1", "::1"},
@@ -99,7 +106,9 @@ func run() error {
 	// -------- where does decide time go? --------
 	//
 	// The same spans feed divscrape_stage_seconds on the metrics page;
-	// StageStats is the in-process view.
+	// StageStats is the in-process view. Under this demo's stepping clock
+	// every span reads one step; under the wall clock (Config.Now unset)
+	// they are the measured times.
 	fmt.Println("\nper-stage decide latency:")
 	for _, st := range guard.Tracer().StageStats() {
 		if st.Count == 0 {

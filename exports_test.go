@@ -72,7 +72,6 @@ var unusedExportsAllowed = map[string]string{
 	// Called by the standard library, or kept for planned work.
 	"workload.actorHeap.Less":     "container/heap calls it through sort.Interface",
 	"pipeline.Pipeline.RunReader": "from-bytes entry a log-bytes benchmark builds on",
-	"cluster.Node.SetPeers":       "live membership change, the cluster plane's re-partition call",
 }
 
 func TestInternalExportsHaveCallers(t *testing.T) {

@@ -68,6 +68,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 		return nil, fmt.Errorf("bayes: training store: %w", err)
 	}
 
+	// Training judges nothing, so it enriches without a decision core.
 	enricher := detector.NewEnricher(nil)
 	err = gen.Run(func(ev workload.Event) error {
 		req := enricher.Enrich(ev.Entry)

@@ -18,10 +18,6 @@
 //     silence into suspect → dead transitions; routing walks the ring
 //     past non-alive nodes, so a killed node's clients fail over without
 //     dropping a request.
-//   - Join/leave (SetPeers) re-partitions live: the ring is rebuilt and
-//     every peer link is scheduled a full-state frame (snapshot → rehash
-//     → ship → swap, generalising httpguard's single-process Rebalance
-//     across processes).
 //   - A per-node degraded policy governs quorum loss: the node keeps
 //     deciding on local state, flags the transition as cluster-degraded
 //     on the flight-recorder timeline, and under FailClosed freezes
@@ -96,7 +92,6 @@ const (
 	EventPeerAlive   = "cluster-peer-alive"
 	EventDegraded    = "cluster-degraded"
 	EventHeal        = "cluster-heal"
-	EventRepartition = "cluster-repartition"
 )
 
 // Event is one membership or degradation transition.
@@ -116,8 +111,7 @@ type Config struct {
 	// ID is this node's cluster-unique identifier (the HTTP transport
 	// uses listen addresses as IDs). Required.
 	ID string
-	// Peers lists the other nodes' IDs. May be reshaped later with
-	// SetPeers.
+	// Peers lists the other nodes' IDs.
 	Peers []string
 	// Backend is the replicable state plane. Required.
 	Backend Backend
@@ -219,7 +213,6 @@ type Node struct {
 	entriesApplied atomic.Uint64
 	entriesStale   atomic.Uint64
 	badFrames      atomic.Uint64
-	repartitions   atomic.Uint64
 	degradedCount  atomic.Uint64
 	peersAlive     atomic.Int64
 	peersSuspect   atomic.Int64
@@ -278,18 +271,13 @@ func New(cfg Config) (*Node, error) {
 			n.peers[p] = &peerLink{id: p}
 		}
 	}
-	n.rebuildRingLocked()
-	return n, nil
-}
-
-// rebuildRingLocked recomputes the ring over self + peers.
-func (n *Node) rebuildRingLocked() {
 	members := make([]string, 0, len(n.peers)+1)
-	members = append(members, n.cfg.ID)
+	members = append(members, cfg.ID)
 	for id := range n.peers {
 		members = append(members, id)
 	}
 	n.ring = NewRing(members)
+	return n, nil
 }
 
 // ID returns the node's cluster identifier.
@@ -566,8 +554,8 @@ func (n *Node) dueSendsLocked(now time.Time) []sendJob {
 // window from the unchanged watermark).
 func (n *Node) settleSendLocked(j sendJob, err error, now time.Time) {
 	link := n.peers[j.to]
-	if link == nil || link.builtAt != j.builtAt || link.pending == nil {
-		return // membership or frame changed underneath the send
+	if link.builtAt != j.builtAt || link.pending == nil {
+		return // the frame changed underneath the send
 	}
 	if err == nil {
 		link.pending = nil
@@ -656,54 +644,6 @@ func (n *Node) Receive(frame []byte) error {
 	return nil
 }
 
-// SetPeers reshapes the membership to peers (self excluded
-// automatically) and live-re-partitions: the ring is rebuilt, departed
-// links are forgotten, and every remaining link is scheduled a
-// full-state frame so reassigned clients' ladder state ships to their
-// new owners before the next delta cadence.
-func (n *Node) SetPeers(peers []string, now time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	next := make(map[string]bool, len(peers))
-	for _, p := range peers {
-		if p != "" && p != n.cfg.ID {
-			next[p] = true
-		}
-	}
-	changed := false
-	for id := range n.peers {
-		if !next[id] {
-			delete(n.peers, id)
-			n.fd.Forget(id)
-			delete(n.avoid, id)
-			changed = true
-		}
-	}
-	for id := range next {
-		if n.peers[id] == nil {
-			n.peers[id] = &peerLink{id: id}
-			if n.started {
-				n.fd.Register(id, now)
-			}
-			changed = true
-		}
-	}
-	if !changed {
-		return
-	}
-	n.rebuildRingLocked()
-	n.repartitions.Add(1)
-	n.emitLocked(Event{Time: now, Kind: EventRepartition,
-		Detail: fmt.Sprintf("membership now %d nodes", len(n.peers)+1)})
-	// Ship: every link restarts from a full-state frame, so the new
-	// partition's owners hold the moved clients' ladders.
-	for _, link := range n.peers {
-		link.watermark = time.Time{}
-		link.pending = nil
-		link.attempts = 0
-	}
-}
-
 // lastBuild tracking: the node builds at most one delta wave per
 // DeltaInterval.
 func (n *Node) lastBuildDueLocked(now time.Time) bool {
@@ -744,7 +684,6 @@ type Status struct {
 	EntriesApplied uint64        `json:"entries_applied"`
 	EntriesStale   uint64        `json:"entries_stale"`
 	BadFrames      uint64        `json:"bad_frames"`
-	Repartitions   uint64        `json:"repartitions"`
 	ReconcileLag   time.Duration `json:"reconcile_lag_ns"`
 }
 
@@ -765,7 +704,6 @@ func (n *Node) Status() Status {
 		EntriesApplied: n.entriesApplied.Load(),
 		EntriesStale:   n.entriesStale.Load(),
 		BadFrames:      n.badFrames.Load(),
-		Repartitions:   n.repartitions.Load(),
 		ReconcileLag:   time.Duration(n.reconcileLagNs.Load()),
 	}
 	s.Reachable = 1

@@ -35,7 +35,7 @@ const (
 	// watermark.
 	DeltaIncremental uint8 = 1
 	// DeltaFull carries the sender's complete replicable state — the
-	// anti-entropy frame sent on join, heal and repartition.
+	// anti-entropy frame sent on join and heal.
 	DeltaFull uint8 = 2
 )
 

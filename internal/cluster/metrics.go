@@ -21,8 +21,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		"Replicated entries rejected as stale by merge rules.", n.entriesStale.Load, node)
 	reg.MustCounterFunc("divscrape_cluster_bad_frames_total",
 		"Frames rejected: decode failures or unknown senders.", n.badFrames.Load, node)
-	reg.MustCounterFunc("divscrape_cluster_repartitions_total",
-		"Live membership re-partitions.", n.repartitions.Load, node)
 	reg.MustCounterFunc("divscrape_cluster_degraded_total",
 		"Transitions into degraded (below-quorum) mode.", n.degradedCount.Load, node)
 	reg.MustGaugeFunc("divscrape_cluster_peers_alive",

@@ -501,52 +501,6 @@ func TestClusterPartitionFailClosedFreezesUntilHeal(t *testing.T) {
 	}
 }
 
-func TestClusterSetPeersRepartitionShipsState(t *testing.T) {
-	h := newClique(t, []string{"a", "b"}, nil)
-	h.run(5, 100*time.Millisecond)
-	h.backends["a"].touch("203.0.113.5", mitigate.Challenge, h.clock.Now())
-	h.run(3, 100*time.Millisecond)
-
-	// A third node joins: attach it and reshape everyone's membership.
-	b := newMemBackend()
-	shim := &lateTransport{}
-	joined, err := cluster.New(cluster.Config{
-		ID: "c", Peers: []string{"a", "b"}, Backend: b, Transport: shim,
-		Now: h.clock.Now, Rand: func() float64 { return 0.5 },
-		DeltaInterval: 100 * time.Millisecond,
-		OnEvent:       h.events.add,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim.set(h.net.Attach(joined))
-	h.nodes["c"] = joined
-	h.backends["c"] = b
-	now := h.clock.Now()
-	h.nodes["a"].SetPeers([]string{"b", "c"}, now)
-	h.nodes["b"].SetPeers([]string{"a", "c"}, now)
-	if !h.events.has(cluster.EventRepartition) {
-		t.Fatalf("no repartition event")
-	}
-	if h.nodes["a"].Status().Repartitions != 1 {
-		t.Fatalf("a repartitions = %d", h.nodes["a"].Status().Repartitions)
-	}
-	h.run(10, 100*time.Millisecond)
-	// The joiner holds the pre-join state: full frames shipped it.
-	if d, ok := h.backends["c"].ladder("203.0.113.5"); !ok || d.Level != mitigate.Challenge {
-		t.Fatalf("joiner missing shipped ladder: %+v ok=%v", d, ok)
-	}
-	// All three rings agree on every client.
-	for ip := uint32(1); ip < 1000; ip++ {
-		oa, _ := h.nodes["a"].Route(ip)
-		ob, _ := h.nodes["b"].Route(ip)
-		oc, _ := h.nodes["c"].Route(ip)
-		if oa != ob || ob != oc {
-			t.Fatalf("ip %d routed to %s/%s/%s", ip, oa, ob, oc)
-		}
-	}
-}
-
 func TestNodeReceiveRejectsHostileFrames(t *testing.T) {
 	clock := newSimClock()
 	n, err := cluster.New(cluster.Config{

@@ -98,9 +98,6 @@ func (fd *FailureDetector) Register(id string, now time.Time) {
 	fd.peers[id] = &peerClock{last: now, interval: fd.expected, seen: true}
 }
 
-// Forget drops a peer (explicit leave).
-func (fd *FailureDetector) Forget(id string) { delete(fd.peers, id) }
-
 // Heartbeat records an arrival from id at now.
 func (fd *FailureDetector) Heartbeat(id string, now time.Time) {
 	p := fd.peers[id]

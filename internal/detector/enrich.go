@@ -354,9 +354,6 @@ func (e *Enricher) EvictBefore(cutoff time.Time) int {
 	return e.t.evictBefore(stamp(cutoff))
 }
 
-// Seq returns the number of entries enriched so far.
-func (e *Enricher) Seq() uint64 { return e.seq }
-
 // Reset clears the tables and the sequence counter, and restarts the
 // horizon's clock: the next dataset may start earlier than this one
 // ended. The tables are cleared in place — their buckets stay allocated,

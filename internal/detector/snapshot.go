@@ -37,25 +37,14 @@ type ShardedSnapshotter interface {
 	RestoreShards(r *statecodec.Reader, shards []Detector, part func(ip uint32) int) error
 }
 
-// tagEnricher opens the enricher block in a snapshot.
+// tagEnricher opens the stream-position block in a snapshot; the name is
+// the format's: the enricher once wrote it for its own counter.
 const tagEnricher uint16 = 0x4501
 
-// SnapshotInto implements Snapshotter. Only the sequence counter is
-// state: the parse caches are pure memoisation, rebuilt on demand with
-// identical results, so serialising them would bloat snapshots without
-// changing a single decision.
-func (e *Enricher) SnapshotInto(w *statecodec.Writer) { SnapshotSeq(w, e.seq) }
-
-// RestoreFrom implements Snapshotter. The caches are left as they are —
-// a warm cache is never wrong, only possibly absent.
-func (e *Enricher) RestoreFrom(r *statecodec.Reader) (err error) {
-	e.seq, err = RestoreSeq(r)
-	return err
-}
-
-// SnapshotSeq writes a stream position as the enricher block: the bytes
-// Enricher.SnapshotInto writes for its own, which a host that numbers the
-// stream itself writes in the same place.
+// SnapshotSeq writes a stream position as its block: what a host that
+// numbers the stream — the pipeline, the facade's DetectorSet — writes
+// ahead of its detectors' state. The enricher's caches are not state:
+// they are memoisation, rebuilt on demand with identical results.
 func SnapshotSeq(w *statecodec.Writer, seq uint64) {
 	w.Tag(tagEnricher)
 	w.Uint64(seq)

@@ -2,16 +2,17 @@
 // suite: E1-E4 regenerate the paper's four tables; E5-E10 run the labelled
 // analyses the paper's Section V plans (sensitivity/specificity,
 // adjudication schemes, serial vs parallel deployment, single-tool-alert
-// forensics, diversity statistics, ROC sweeps). One streaming pass over a
-// generated dataset feeds every per-request accumulator; the topology
-// study (E7) runs its own passes because deployment shape changes detector
-// state.
+// forensics, diversity statistics, ROC sweeps). One replay of a generated
+// dataset through the detection pipeline — the decision core the CLI and
+// the guard run — feeds every per-request accumulator, and E11/E13 replay
+// the same way with a third detector; the topology study (E7) and the
+// containment study (E12) run their own passes, because deployment shape
+// and adjudication change what the detectors see and the ladder hears.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"divscrape/internal/arcane"
@@ -20,7 +21,6 @@ import (
 	"divscrape/internal/ensemble"
 	"divscrape/internal/evaluate"
 	"divscrape/internal/iprep"
-	"divscrape/internal/logfmt"
 	"divscrape/internal/pipeline"
 	"divscrape/internal/registry"
 	"divscrape/internal/sentinel"
@@ -91,8 +91,7 @@ type Run struct {
 	Elapsed time.Duration
 }
 
-// buildDetectors constructs the calibrated pair. Exposed through Options
-// for the ablation benches.
+// Options tunes the measurement pass, for the ablation benches.
 type Options struct {
 	// Sentinel overrides the commercial-style detector config.
 	Sentinel sentinel.Config
@@ -104,8 +103,8 @@ type Options struct {
 	// adjudication row. Default 0.24.
 	WeightedThreshold float64
 	// Shards, when positive, runs the measurement pass through the
-	// sharded detection pipeline with that many workers instead of
-	// inspecting inline. Results are identical (the pipeline's ordered
+	// sharded detection pipeline with that many workers instead of the
+	// sequential one. Results are identical (the pipeline's ordered
 	// delivery restores stream order and per-client state is
 	// shard-local); only wall-clock changes.
 	Shards int
@@ -118,25 +117,17 @@ func Execute(scale Scale) (*Run, error) {
 
 // ExecuteOpts is Execute with configuration overrides.
 func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
-	gen, err := workload.NewGenerator(workload.Config{
-		Seed:     scale.Seed,
-		Duration: scale.Duration,
-		Profile:  opts.Profile,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generator: %w", err)
-	}
 	wThreshold := opts.WeightedThreshold
 	if wThreshold <= 0 {
 		wThreshold = 0.24
 	}
-
 	run := &Run{
 		Scale: scale,
 		Names: DetectorPair{A: "sentinel", B: "arcane"},
 		ROCA:  evaluate.NewGridROC(200),
 		ROCB:  evaluate.NewGridROC(200),
 	}
+	var err error
 	if run.Table, err = diversity.NewTable(2); err != nil {
 		return nil, err
 	}
@@ -146,88 +137,64 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 	if run.ByArch, err = diversity.NewPartition[detector.Archetype](2); err != nil {
 		return nil, err
 	}
-	// accumulate folds one request's pair of verdicts into every
-	// accumulator.
-	accumulate := func(ev *workload.Event, verdicts []detector.Verdict) {
-		malicious := ev.Label.Malicious()
-		va, vb := &verdicts[0], &verdicts[1]
-		run.Table.Add(verdicts, malicious)
-		run.Status.Add(ev.Entry.Status, verdicts, malicious)
-		run.ByArch.Add(ev.Label.Archetype, verdicts, malicious)
-		run.ConfWeighted.Add((va.Score+vb.Score)/2 >= wThreshold, malicious)
-		run.ROCA.Add(va.Score, malicious)
-		run.ROCB.Add(vb.Score, malicious)
-	}
-
 	factories, err := registry.Factories(registry.Config{Sentinel: opts.Sentinel, Arcane: opts.Arcane})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	if opts.Shards > 0 {
-		return executeSharded(gen, run, opts, factories, accumulate)
-	}
-	pair, err := detector.Build(factories)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-
-	enricher := detector.NewEnricher(iprep.BuildFeed())
 	started := time.Now()
-	var req detector.Request
-	verdicts := make([]detector.Verdict, len(pair))
-	err = gen.Run(func(ev workload.Event) error {
-		enricher.EnrichInto(&req, ev.Entry)
-		for i, d := range pair {
-			verdicts[i] = d.Inspect(&req)
-		}
-		accumulate(&ev, verdicts)
-		return nil
+	_, err = replay(scale, opts.Profile, opts.Shards, factories, func(label detector.Label, d pipeline.Decision) {
+		malicious := label.Malicious()
+		va, vb := &d.Verdicts[0], &d.Verdicts[1]
+		run.Table.Add(d.Verdicts, malicious)
+		run.Status.Add(d.Req.Entry.Status, d.Verdicts, malicious)
+		run.ByArch.Add(label.Archetype, d.Verdicts, malicious)
+		run.ConfWeighted.Add((va.Score+vb.Score)/2 >= wThreshold, malicious)
+		run.ROCA.Add(va.Score, malicious)
+		run.ROCB.Add(vb.Score, malicious)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: run: %w", err)
+		return nil, err
 	}
 	run.Elapsed = time.Since(started)
 	return run, nil
 }
 
-// executeSharded runs the measurement pass through the key-partitioned
-// pipeline. Events are materialised so labels can be joined back by the
-// enricher's sequence number.
-func executeSharded(gen *workload.Generator, run *Run, opts Options, factories []detector.Factory,
-	accumulate func(*workload.Event, []detector.Verdict)) (*Run, error) {
-	events, err := gen.Generate()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generate: %w", err)
-	}
-	pipe, err := pipeline.New(pipeline.Config{
-		Factories:  factories,
-		Reputation: iprep.BuildFeed(),
-		Mode:       pipeline.Sharded,
-		Shards:     opts.Shards,
+// replay judges the scale's dataset through the detection pipeline built
+// from factories — the sequential engine when shards ≤ 0, the sharded one
+// with its ordered delivery otherwise — and hands every decision, in
+// stream order, to fold with the request's ground truth. It returns the
+// detectors' names in verdict order.
+func replay(scale Scale, profile workload.Profile, shards int, factories []detector.Factory,
+	fold func(detector.Label, pipeline.Decision)) ([]string, error) {
+	gen, err := workload.NewGenerator(workload.Config{
+		Seed:     scale.Seed,
+		Duration: scale.Duration,
+		Profile:  profile,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: generator: %w", err)
+	}
+	cfg := pipeline.Config{Factories: factories, Reputation: iprep.BuildFeed()}
+	if shards > 0 {
+		cfg.Mode, cfg.Shards = pipeline.Sharded, shards
+	}
+	pipe, err := pipeline.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pipeline: %w", err)
 	}
-
-	started := time.Now()
-	i := 0
-	src := func() (logfmt.Entry, error) {
-		if i >= len(events) {
-			return logfmt.Entry{}, io.EOF
-		}
-		e := events[i].Entry
-		i++
-		return e, nil
+	src, err := gen.Source(shards > 0)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
-		accumulate(&events[d.Req.Seq], d.Verdicts)
+	defer src.Stop()
+	err = pipe.Run(context.Background(), src.Next, func(d pipeline.Decision) error {
+		fold(src.Label(d.Req.Seq), d)
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: sharded run: %w", err)
+		return nil, fmt.Errorf("experiments: run: %w", err)
 	}
-	run.Elapsed = time.Since(started)
-	return run, nil
+	return pipe.Detectors(), nil
 }
 
 // TopologyResult is one deployment arrangement's outcome (E7).
@@ -286,6 +253,9 @@ func ExecuteTopologies(scale Scale) ([]TopologyResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: generator: %w", err)
 		}
+		// An enricher of its own, not a pipeline's shard: a serial cascade
+		// skips the second detector on what the first decided, by design,
+		// where shard.Judge runs every side on every request.
 		enricher := detector.NewEnricher(iprep.BuildFeed())
 		var conf evaluate.Confusion
 		err = gen.Run(func(ev workload.Event) error {

@@ -139,6 +139,9 @@ func executeMitigationPass(scale Scale, spec MitigationSpec) (MitigationResult, 
 	if err != nil {
 		return res, err
 	}
+	// An enricher of its own, not a pipeline's shard: the k-out-of-2
+	// adjudicator feeds the ladder an assessment that shard.Judge
+	// (ensemble.Assess) does not produce.
 	enricher := detector.NewEnricher(iprep.BuildFeed())
 
 	type campaign struct {

@@ -8,7 +8,8 @@ import (
 	"divscrape/internal/diversity"
 	"divscrape/internal/ensemble"
 	"divscrape/internal/evaluate"
-	"divscrape/internal/iprep"
+	"divscrape/internal/pipeline"
+	"divscrape/internal/registry"
 	"divscrape/internal/report"
 	"divscrape/internal/trajectory"
 	"divscrape/internal/workload"
@@ -25,7 +26,7 @@ import (
 // detector trains on an offset seed so the evaluation stays held-out.
 type TrioRun struct {
 	// Names are the three detector names in vote order.
-	Names [3]string
+	Names []string
 	// Table is the labelled agreement table of the three: the singles,
 	// the k-out-of-3 votes and every pair's tables are its views.
 	Table diversity.Table
@@ -41,11 +42,9 @@ func ExecuteThreeWay(scale Scale) (*TrioRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train bayes: %w", err)
 	}
-	bay, err := bayes.New(bayes.Config{Model: model})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bayes detector: %w", err)
-	}
-	return executeTrio(scale, bay)
+	return executeTrio(scale, func() (detector.Detector, error) {
+		return bayes.New(bayes.Config{Model: model})
+	})
 }
 
 // ExecuteTrajectory trains the trajectory model on an offset seed, then
@@ -56,48 +55,31 @@ func ExecuteTrajectory(scale Scale) (*TrioRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train trajectory: %w", err)
 	}
-	traj, err := trajectory.New(trajectory.Config{Model: model})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: trajectory detector: %w", err)
-	}
-	return executeTrio(scale, traj)
+	return executeTrio(scale, func() (detector.Detector, error) {
+		return trajectory.New(trajectory.Config{Model: model})
+	})
 }
 
-// executeTrio runs fresh sentinel and arcane detectors and third over
-// the scale's dataset.
-func executeTrio(scale Scale, third detector.Detector) (*TrioRun, error) {
-	sen, arc, err := freshPair()
+// executeTrio judges the scale's dataset with fresh sentinel and arcane
+// detectors and the one third builds, through the sequential pipeline.
+func executeTrio(scale Scale, third detector.Factory) (*TrioRun, error) {
+	factories, err := registry.Factories(registry.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	gen, err := workload.NewGenerator(workload.Config{
-		Seed:     scale.Seed,
-		Duration: scale.Duration,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generator: %w", err)
-	}
-	enricher := detector.NewEnricher(iprep.BuildFeed())
-
-	dets := [3]detector.Detector{sen, arc, third}
-	run := &TrioRun{Names: [3]string{sen.Name(), arc.Name(), third.Name()}}
-	if run.Table, err = diversity.NewTable(len(dets)); err != nil {
+	factories = append(factories, third)
+	run := &TrioRun{}
+	if run.Table, err = diversity.NewTable(len(factories)); err != nil {
 		return nil, err
 	}
 	weighted := ensemble.Weighted{Weights: []float64{1, 1, 1}, Threshold: 0.24}
-	verdicts := make([]detector.Verdict, len(dets))
-	err = gen.Run(func(ev workload.Event) error {
-		req := enricher.Enrich(ev.Entry)
-		for i, d := range dets {
-			verdicts[i] = d.Inspect(&req)
-		}
-		malicious := ev.Label.Malicious()
-		run.Table.Add(verdicts, malicious)
-		run.Weighted.Add(weighted.Decide(verdicts).Alert, malicious)
-		return nil
+	run.Names, err = replay(scale, workload.Profile{}, 0, factories, func(label detector.Label, d pipeline.Decision) {
+		malicious := label.Malicious()
+		run.Table.Add(d.Verdicts, malicious)
+		run.Weighted.Add(weighted.Decide(d.Verdicts).Alert, malicious)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s run: %w", third.Name(), err)
+		return nil, err
 	}
 	return run, nil
 }

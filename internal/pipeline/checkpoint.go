@@ -32,8 +32,6 @@ const tagPipeline uint16 = 0x5043
 // pipeline ready to continue.
 func (p *Pipeline) Checkpoint(w *statecodec.Writer) error {
 	w.Tag(tagPipeline)
-	// The stream position, in the block an Enricher writes its own
-	// sequence counter in.
 	detector.SnapshotSeq(w, p.seq)
 	roles, err := p.shards.Roles()
 	if err != nil {

@@ -74,6 +74,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 		return nil, fmt.Errorf("trajectory: training store: %w", err)
 	}
 
+	// Training judges nothing, so it enriches without a decision core.
 	enricher := detector.NewEnricher(iprep.BuildFeed())
 	err = gen.Run(func(ev workload.Event) error {
 		if ev.Label.Malicious() {

@@ -12,7 +12,10 @@ package workload
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
+	"io"
+	"iter"
 	"time"
 
 	"divscrape/internal/detector"
@@ -125,6 +128,68 @@ func (g *Generator) Generate() ([]Event, error) {
 	}
 	return out, nil
 }
+
+// Source is a generation run as a pipeline's entry source, with every
+// request's ground truth by its stream position: Next yields the entries
+// in timestamp order and io.EOF after the last, Label(seq) is the label of
+// the entry Next yielded seq-th, counted from zero, and Stop ends a run
+// its consumer abandons — call it once the run is over.
+type Source struct {
+	Next  func() (logfmt.Entry, error)
+	Label func(seq uint64) detector.Label
+	Stop  func()
+}
+
+// Source reads the generator's traffic as a Source, in the form a host
+// needs. Without materialise, Next generates one event per call and none
+// is held, and Label answers for the entry Next yielded last, whatever seq
+// it is given: the labels of a host that judges every entry before it
+// pulls the next, as the sequential pipeline does. With it, every event is
+// generated up front and Label looks up any seq: what a host that judges
+// out of stream order, the sharded pipeline, needs.
+func (g *Generator) Source(materialise bool) (Source, error) {
+	if materialise {
+		events, err := g.Generate()
+		if err != nil {
+			return Source{}, fmt.Errorf("generate: %w", err)
+		}
+		i := 0
+		next := func() (logfmt.Entry, error) {
+			if i == len(events) {
+				return logfmt.Entry{}, io.EOF
+			}
+			i++
+			return events[i-1].Entry, nil
+		}
+		label := func(seq uint64) detector.Label { return events[seq].Label }
+		return Source{Next: next, Label: label, Stop: func() {}}, nil
+	}
+	var genErr error
+	pull, stop := iter.Pull(func(yield func(Event) bool) {
+		genErr = g.Run(func(ev Event) error {
+			if !yield(ev) {
+				return errStopped
+			}
+			return nil
+		})
+	})
+	var last detector.Label
+	next := func() (logfmt.Entry, error) {
+		ev, ok := pull()
+		if !ok {
+			if genErr != nil {
+				return logfmt.Entry{}, fmt.Errorf("generate: %w", genErr)
+			}
+			return logfmt.Entry{}, io.EOF
+		}
+		last = ev.Label
+		return ev.Entry, nil
+	}
+	return Source{Next: next, Label: func(uint64) detector.Label { return last }, Stop: stop}, nil
+}
+
+// errStopped ends a generation run whose consumer stopped pulling.
+var errStopped = errors.New("stopped")
 
 // actorHeap orders actors by their next event time, breaking ties by actor
 // id so runs are deterministic regardless of heap internals.

@@ -3,6 +3,7 @@ package divscrape_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // TestSnapshotResumePair proves the facade's durability contract: stop a
-// replay at event k, Snapshot, Resume in a "new process" (a fresh pair),
-// and the verdict stream over the remaining events is identical to an
+// replay at event k, Snapshot, Resume in a "new process" (a fresh pair
+// set), and the verdict stream over the remaining events is identical to an
 // uninterrupted run's.
 func TestSnapshotResumePair(t *testing.T) {
 	gen, err := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 5, Duration: 3 * time.Hour})
@@ -26,41 +27,49 @@ func TestSnapshotResumePair(t *testing.T) {
 	}
 	k := len(events) / 2
 
-	full, err := divscrape.NewDetectorPair()
+	full, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pairVerdict struct{ c, b divscrape.Verdict }
-	var want []pairVerdict
+	var want [][]divscrape.Verdict
 	for i := range events {
-		c, b := full.Inspect(events[i].Entry)
+		v := make([]divscrape.Verdict, full.Len())
+		mustInspect(t, full, events[i].Entry, v)
 		if i >= k {
-			want = append(want, pairVerdict{c, b})
+			want = append(want, v)
 		}
 	}
 
-	head, err := divscrape.NewDetectorPair()
+	head, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := make([]divscrape.Verdict, head.Len())
 	for i := 0; i < k; i++ {
-		head.Inspect(events[i].Entry)
+		mustInspect(t, head, events[i].Entry, v)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, head.DetectorSet); err != nil {
+	if err := divscrape.Snapshot(&state, head); err != nil {
 		t.Fatal(err)
 	}
 
-	set, err := divscrape.Resume(bytes.NewReader(state.Bytes()))
+	resumed, err := divscrape.Resume(bytes.NewReader(state.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := &divscrape.DetectorPair{DetectorSet: set}
 	for i := k; i < len(events); i++ {
-		c, b := resumed.Inspect(events[i].Entry)
-		if c != want[i-k].c || b != want[i-k].b {
+		mustInspect(t, resumed, events[i].Entry, v)
+		if !slices.Equal(v, want[i-k]) {
 			t.Fatalf("verdict %d diverged after resume", i)
 		}
+	}
+}
+
+// mustInspect is InspectInto for a run in which no detector may panic.
+func mustInspect(t *testing.T, set *divscrape.DetectorSet, e divscrape.Entry, out []divscrape.Verdict) {
+	t.Helper()
+	if err := set.InspectInto(e, out); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -71,18 +80,18 @@ func TestResumeRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := divscrape.NewDetectorPair()
+	pair, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := make([]divscrape.Verdict, pair.Len())
 	if err := gen.Run(func(ev divscrape.Event) error {
-		pair.Inspect(ev.Entry)
-		return nil
+		return pair.InspectInto(ev.Entry, v)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, pair.DetectorSet); err != nil {
+	if err := divscrape.Snapshot(&state, pair); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,14 +127,14 @@ func TestResumeRejectsDamage(t *testing.T) {
 		{"agent-zz/1.0", "/"},
 		{"agent-zz/1.0", "/"},
 	} {
-		pair.Inspect(divscrape.Entry{
+		mustInspect(t, pair, divscrape.Entry{
 			RemoteAddr: "10.9.8.7", Identity: "-", AuthUser: "-",
 			Time: at.Add(time.Duration(i) * time.Second), Method: "GET", Path: req.path,
 			Proto: "HTTP/1.1", Status: 200, Bytes: 1000, Referer: "-", UserAgent: req.ua,
-		})
+		}, v)
 	}
 	state.Reset()
-	if err := divscrape.Snapshot(&state, pair.DetectorSet); err != nil {
+	if err := divscrape.Snapshot(&state, pair); err != nil {
 		t.Fatal(err)
 	}
 	payload := state.Bytes()[14 : state.Len()-8] // between the header and the checksum
@@ -164,15 +173,16 @@ func TestFailedRestoreLeavesPairReset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := divscrape.NewDetectorPair()
+	warm, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
+	vv := make([]divscrape.Verdict, warm.Len())
 	for i := range events {
-		warm.Inspect(events[i].Entry)
+		mustInspect(t, warm, events[i].Entry, vv)
 	}
 	var state bytes.Buffer
-	if err := divscrape.Snapshot(&state, warm.DetectorSet); err != nil {
+	if err := divscrape.Snapshot(&state, warm); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,14 +198,15 @@ func TestFailedRestoreLeavesPairReset(t *testing.T) {
 	if err := victim.RestoreFrom(statecodec.NewReader(payload)); err == nil {
 		t.Fatal("corrupt payload accepted")
 	}
-	fresh, err := divscrape.NewDetectorPair()
+	fresh, err := divscrape.NewDetectorSet()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fv := make([]divscrape.Verdict, fresh.Len())
 	for i := 0; i < 500 && i < len(events); i++ {
-		vc, vb := victim.Inspect(events[i].Entry)
-		fc, fb := fresh.Inspect(events[i].Entry)
-		if vc != fc || vb != fb {
+		mustInspect(t, victim, events[i].Entry, vv)
+		mustInspect(t, fresh, events[i].Entry, fv)
+		if !slices.Equal(vv, fv) {
 			t.Fatalf("verdict %d differs from a fresh pair after failed restore", i)
 		}
 	}
