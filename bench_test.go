@@ -121,11 +121,16 @@ func BenchmarkAdjudication(b *testing.B) {
 }
 
 // BenchmarkTopologies regenerates E7: parallel vs serial deployments with
-// inspection-cost accounting (six full passes per iteration).
+// inspection-cost accounting (one E1 pass, whose table holds the parallel
+// rows, and four cascade passes per iteration).
 func BenchmarkTopologies(b *testing.B) {
 	var results []experiments.TopologyResult
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExecuteTopologies(experiments.BenchScale)
+		run, err := experiments.Execute(experiments.BenchScale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := experiments.ExecuteTopologies(run)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,7 +86,7 @@ func run(w io.Writer, args []string) error {
 	}
 
 	if wantExp("e7") {
-		topo, err := experiments.ExecuteTopologies(scale)
+		topo, err := experiments.ExecuteTopologies(res)
 		if err != nil {
 			return err
 		}

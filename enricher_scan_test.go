@@ -15,7 +15,7 @@ import (
 // One decision core judges every stream: internal/shard owns the enricher
 // a host's requests are enriched by, and every host — the pipeline, the
 // guard, the facade's DetectorSet, the experiments that replay through the
-// pipeline — wraps a shard. A host that builds its own enricher has forked
+// pipeline, E12's closed loop — wraps a shard. A host that builds its own enricher has forked
 // that core. This scan fails when a non-test file in the module calls
 // detector.NewEnricher outside the functions listed in enricherAllowed,
 // each with the reason it stays on its own path; an entry that no longer
@@ -32,8 +32,6 @@ var enricherAllowed = map[string]string{
 		"so it has no detector and nothing to judge",
 	"experiments.ExecuteTopologies": "E7's serial cascades skip the second detector on what the first decided, " +
 		"by design; a shard runs every side on every request",
-	"experiments.executeMitigationPass": "E12's k-out-of-2 adjudicator feeds the ladder an assessment that " +
-		"shard.Judge (ensemble.Assess) does not produce",
 }
 
 func TestEnrichersOnlyInTheDecisionCore(t *testing.T) {

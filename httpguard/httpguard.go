@@ -110,7 +110,9 @@ type Config struct {
 	// Policy selects the mitigation policy: typically mitigate.Graduated()
 	// for the full escalation ladder, or a static one — mitigate.Tag(), or
 	// mitigate.StaticBlock(true) for the serial-confirmation deployment the
-	// paper sketches, blocking only when two sides alert. Nil observes:
+	// paper sketches. Its ConfirmedOnly makes any policy act only on
+	// confirmed requests, where a strict majority of the sides alerted
+	// (Verdicts.Confirmed: both of a pair, two of three). Nil observes:
 	// everything passes and verdicts are only recorded.
 	Policy *mitigate.Policy
 	// TrustedProxies lists the peers (IPs or CIDR prefixes) allowed to

@@ -118,33 +118,28 @@ func TestTrainedDetectorGeneralises(t *testing.T) {
 // worse than the weakest member on both axes simultaneously.
 func TestTwoOutOfThreeEnsemble(t *testing.T) {
 	model := trainedModel(t)
-	bay, err := New(Config{Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := ensemble.NewParallel(ensemble.KOutOfN{K: 2}, bay, bay2(t, model), bay3(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = topo // constructed: the integration path in experiments uses real pairs
-
 	// The meaningful 2oo3 check runs sentinel+arcane+bayes via the
 	// experiments integration; here validate vote mechanics on the real
-	// bayes verdicts.
+	// bayes verdicts of three thresholds.
+	var dets [3]*Detector
+	for i, threshold := range []float64{0.85, 0.7, 0.95} {
+		d, err := New(Config{Model: model, AlertThreshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets[i] = d
+	}
 	gen, err := workload.NewGenerator(workload.Config{Seed: 2002, Duration: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	enricher := detector.NewEnricher(iprep.BuildFeed())
 	var single, vote evaluate.Confusion
-	det1, _ := New(Config{Model: model})
-	det2, _ := New(Config{Model: model, AlertThreshold: 0.7})
-	det3, _ := New(Config{Model: model, AlertThreshold: 0.95})
 	adj := ensemble.KOutOfN{K: 2}
 	err = gen.Run(func(ev workload.Event) error {
 		req := enricher.Enrich(ev.Entry)
 		verdicts := []detector.Verdict{
-			det1.Inspect(&req), det2.Inspect(&req), det3.Inspect(&req),
+			dets[0].Inspect(&req), dets[1].Inspect(&req), dets[2].Inspect(&req),
 		}
 		single.Add(verdicts[0].Alert, ev.Label.Malicious())
 		vote.Add(adj.Decide(verdicts).Alert, ev.Label.Malicious())
@@ -159,24 +154,6 @@ func TestTwoOutOfThreeEnsemble(t *testing.T) {
 		vote.Specificity() > single.Specificity()+0.05 {
 		t.Error("vote outcome inconsistent with member thresholds")
 	}
-}
-
-func bay2(t *testing.T, m *Model) *Detector {
-	t.Helper()
-	d, err := New(Config{Model: m, AlertThreshold: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-func bay3(t *testing.T) *Detector {
-	t.Helper()
-	d, err := New(Config{Model: trainedModel(t), AlertThreshold: 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
 
 func TestDetectorReset(t *testing.T) {

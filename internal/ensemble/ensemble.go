@@ -1,8 +1,11 @@
 // Package ensemble combines verdicts from diverse detectors, implementing
 // the adjudication schemes the DSN 2018 paper's Section V proposes to
 // evaluate: r-out-of-n voting (1-out-of-2 "alarm if either", 2-out-of-2
-// "alarm only if both"), weighted score fusion, and the parallel vs serial
-// deployment topologies with their inspection-cost accounting.
+// "alarm only if both"), weighted score fusion, the vote (Assess) every
+// deployment shape feeds its mitigation ladder, and the serial deployment
+// cascades with their inspection-cost accounting. A parallel deployment
+// needs no arrangement of its own: every side sees every request, so its
+// votes are views of the agreement table (diversity.Table.Vote).
 package ensemble
 
 import (

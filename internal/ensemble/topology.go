@@ -6,94 +6,12 @@ import (
 	"divscrape/internal/detector"
 )
 
-// Topology is a deployment arrangement of two detectors over a traffic
-// stream. The paper's Section V distinguishes parallel deployment (both
-// tools monitor all traffic) from serial deployment (one tool filters the
-// traffic the second must analyse); serial deployments trade inspection
-// cost against the adjudication outcome.
-type Topology interface {
-	// Name identifies the topology in reports.
-	Name() string
-	// Inspect runs one request through the arrangement.
-	Inspect(req *detector.Request) detector.Verdict
-	// Cost reports how many requests each detector has inspected.
-	Cost() []DetectorCost
-	// Reset clears detector state and cost counters.
-	Reset()
-}
-
 // DetectorCost is the per-detector inspection count of a topology run.
 type DetectorCost struct {
 	// Detector is the detector name.
 	Detector string
 	// Inspected is the number of requests this detector analysed.
 	Inspected uint64
-}
-
-// Parallel runs every detector on every request and adjudicates. This is
-// the paper's measurement configuration: both tools see all traffic.
-type Parallel struct {
-	detectors  []detector.Detector
-	adjudicate Adjudicator
-	costs      []uint64
-	scratch    []detector.Verdict
-}
-
-var (
-	_ Topology          = (*Parallel)(nil)
-	_ detector.Detector = (*Parallel)(nil)
-)
-
-// NewParallel builds a parallel arrangement of detectors under an
-// adjudication scheme.
-func NewParallel(adj Adjudicator, detectors ...detector.Detector) (*Parallel, error) {
-	if len(detectors) == 0 {
-		return nil, fmt.Errorf("ensemble: parallel topology needs at least one detector")
-	}
-	if adj == nil {
-		return nil, fmt.Errorf("ensemble: parallel topology needs an adjudicator")
-	}
-	return &Parallel{
-		detectors:  detectors,
-		adjudicate: adj,
-		costs:      make([]uint64, len(detectors)),
-		scratch:    make([]detector.Verdict, len(detectors)),
-	}, nil
-}
-
-// Name implements Topology.
-func (p *Parallel) Name() string { return "parallel/" + p.adjudicate.Name() }
-
-// Inspect implements Topology.
-func (p *Parallel) Inspect(req *detector.Request) detector.Verdict {
-	for i, d := range p.detectors {
-		d.InspectInto(req, &p.scratch[i])
-		p.costs[i]++
-	}
-	return p.adjudicate.Decide(p.scratch)
-}
-
-// InspectInto keeps the arrangement usable anywhere a detector.Detector
-// is expected (a cascade can itself feed a pipeline).
-func (p *Parallel) InspectInto(req *detector.Request, out *detector.Verdict) {
-	*out = p.Inspect(req)
-}
-
-// Cost implements Topology.
-func (p *Parallel) Cost() []DetectorCost {
-	out := make([]DetectorCost, len(p.detectors))
-	for i, d := range p.detectors {
-		out[i] = DetectorCost{Detector: d.Name(), Inspected: p.costs[i]}
-	}
-	return out
-}
-
-// Reset implements Topology.
-func (p *Parallel) Reset() {
-	for i, d := range p.detectors {
-		d.Reset()
-		p.costs[i] = 0
-	}
 }
 
 // SerialMode selects the short-circuit semantics of a serial arrangement.
@@ -138,10 +56,7 @@ type Serial struct {
 	costs    [2]uint64
 }
 
-var (
-	_ Topology          = (*Serial)(nil)
-	_ detector.Detector = (*Serial)(nil)
-)
+var _ detector.Detector = (*Serial)(nil)
 
 // NewSerial builds a serial arrangement: filter inspects everything,
 // analyzer inspects the subset selected by mode.
@@ -155,12 +70,12 @@ func NewSerial(filter, analyzer detector.Detector, mode SerialMode) (*Serial, er
 	return &Serial{filter: filter, analyzer: analyzer, mode: mode}, nil
 }
 
-// Name implements Topology.
+// Name implements detector.Detector.
 func (s *Serial) Name() string {
 	return fmt.Sprintf("serial/%s→%s/%s", s.filter.Name(), s.analyzer.Name(), s.mode)
 }
 
-// Inspect implements Topology.
+// Inspect implements detector.Detector.
 func (s *Serial) Inspect(req *detector.Request) detector.Verdict {
 	first := s.filter.Inspect(req)
 	s.costs[0]++
@@ -202,7 +117,7 @@ func (s *Serial) InspectInto(req *detector.Request, out *detector.Verdict) {
 	*out = s.Inspect(req)
 }
 
-// Cost implements Topology.
+// Cost reports how many requests each detector has inspected.
 func (s *Serial) Cost() []DetectorCost {
 	return []DetectorCost{
 		{Detector: s.filter.Name(), Inspected: s.costs[0]},
@@ -210,7 +125,7 @@ func (s *Serial) Cost() []DetectorCost {
 	}
 }
 
-// Reset implements Topology.
+// Reset implements detector.Detector; it clears the cost counters too.
 func (s *Serial) Reset() {
 	s.filter.Reset()
 	s.analyzer.Reset()

@@ -62,43 +62,23 @@ func req(path string, seq int) *detector.Request {
 	return &r
 }
 
-func TestParallelValidation(t *testing.T) {
-	if _, err := NewParallel(KOutOfN{K: 1}); err == nil {
-		t.Error("no detectors accepted")
-	}
-	if _, err := NewParallel(nil, &scriptedDetector{name: "x"}); err == nil {
-		t.Error("nil adjudicator accepted")
-	}
-}
-
+// A parallel deployment runs every detector on every request and votes
+// over the verdicts: 1-out-of-2 alerts on either side, 2-out-of-2 only on
+// both.
 func TestParallelRunsEveryDetector(t *testing.T) {
 	a := &scriptedDetector{name: "a", tag: "/alpha"}
 	b := &scriptedDetector{name: "b", tag: "/beta"}
-	p, err := NewParallel(KOutOfN{K: 1}, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	paths := []string{"/alpha/1", "/beta/2", "/gamma/3", "/alpha/beta"}
-	wantAlerts := []bool{true, true, false, true}
+	want1, want2 := []bool{true, true, false, true}, []bool{false, false, false, true}
 	for i, path := range paths {
-		got := p.Inspect(req(path, i))
-		if got.Alert != wantAlerts[i] {
-			t.Errorf("path %s: alert = %v, want %v", path, got.Alert, wantAlerts[i])
+		r := req(path, i)
+		verdicts := []detector.Verdict{a.Inspect(r), b.Inspect(r)}
+		if got := (KOutOfN{K: 1}).Decide(verdicts); got.Alert != want1[i] {
+			t.Errorf("path %s: 1oo2 alert = %v, want %v", path, got.Alert, want1[i])
 		}
-	}
-	costs := p.Cost()
-	if costs[0].Inspected != 4 || costs[1].Inspected != 4 {
-		t.Errorf("parallel costs = %+v, want 4/4", costs)
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
-	}
-	p.Reset()
-	if a.resets != 1 || b.resets != 1 {
-		t.Error("Reset not propagated")
-	}
-	if c := p.Cost(); c[0].Inspected != 0 {
-		t.Error("Reset left costs")
+		if got := (KOutOfN{K: 2}).Decide(verdicts); got.Alert != want2[i] {
+			t.Errorf("path %s: 2oo2 alert = %v, want %v", path, got.Alert, want2[i])
+		}
 	}
 }
 
@@ -198,26 +178,19 @@ func TestSerialMatchesVoteSemantics(t *testing.T) {
 			paths[i] = "/clean/" + strconv.Itoa(i)
 		}
 	}
-	build := func() (Topology, Topology, Topology, Topology) {
-		mk := func() (detector.Detector, detector.Detector) {
-			return &scriptedDetector{name: "a", tag: "/alpha"},
-				&scriptedDetector{name: "b", tag: "/beta"}
-		}
-		a1, b1 := mk()
-		p1, _ := NewParallel(KOutOfN{K: 1}, a1, b1)
-		a2, b2 := mk()
-		p2, _ := NewParallel(KOutOfN{K: 2}, a2, b2)
-		a3, b3 := mk()
-		sOR, _ := NewSerial(a3, b3, CascadeOR)
-		a4, b4 := mk()
-		sAND, _ := NewSerial(a4, b4, CascadeAND)
-		return p1, p2, sOR, sAND
+	mk := func() (*scriptedDetector, *scriptedDetector) {
+		return &scriptedDetector{name: "a", tag: "/alpha"}, &scriptedDetector{name: "b", tag: "/beta"}
 	}
-	p1, p2, sOR, sAND := build()
+	a, b := mk()
+	a3, b3 := mk()
+	sOR, _ := NewSerial(a3, b3, CascadeOR)
+	a4, b4 := mk()
+	sAND, _ := NewSerial(a4, b4, CascadeAND)
 	for i, path := range paths {
 		r := req(path, i)
-		or1, or2 := p1.Inspect(r).Alert, sOR.Inspect(r).Alert
-		and1, and2 := p2.Inspect(r).Alert, sAND.Inspect(r).Alert
+		verdicts := []detector.Verdict{a.Inspect(r), b.Inspect(r)}
+		or1, or2 := KOutOfN{K: 1}.Decide(verdicts).Alert, sOR.Inspect(r).Alert
+		and1, and2 := KOutOfN{K: 2}.Decide(verdicts).Alert, sAND.Inspect(r).Alert
 		if or1 != or2 {
 			t.Errorf("%s: serial OR %v != parallel 1oo2 %v", path, or2, or1)
 		}

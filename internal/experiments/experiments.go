@@ -5,9 +5,11 @@
 // forensics, diversity statistics, ROC sweeps). One replay of a generated
 // dataset through the detection pipeline — the decision core the CLI and
 // the guard run — feeds every per-request accumulator, and E11/E13 replay
-// the same way with a third detector; the topology study (E7) and the
-// containment study (E12) run their own passes, because deployment shape
-// and adjudication change what the detectors see and the ladder hears.
+// the same way with a third detector. The containment study (E12) runs its
+// closed loop on the same core, a shard with a ladder, because enforcement
+// changes what the actors send next. The topology study (E7) reads its
+// parallel rows from E1's table and runs a pass per serial cascade, which
+// skips the second side and so changes what that side sees.
 package experiments
 
 import (
@@ -207,49 +209,44 @@ type TopologyResult struct {
 	Costs []ensemble.DetectorCost
 }
 
-// ExecuteTopologies measures the four serial arrangements plus the two
-// parallel votes, each over a fresh generator pass and fresh detector
-// state (E7). Parallel results are recomputed (not reused from Execute)
-// so all six rows share identical methodology.
-func ExecuteTopologies(scale Scale) ([]TopologyResult, error) {
-	builds := []struct {
-		name string
-		make func(sen, arc detector.Detector) (ensemble.Topology, error)
-	}{
-		{"parallel 1oo2", func(sen, arc detector.Detector) (ensemble.Topology, error) {
-			return ensemble.NewParallel(ensemble.KOutOfN{K: 1}, sen, arc)
-		}},
-		{"parallel 2oo2", func(sen, arc detector.Detector) (ensemble.Topology, error) {
-			return ensemble.NewParallel(ensemble.KOutOfN{K: 2}, sen, arc)
-		}},
-		{"serial sentinel→arcane OR", func(sen, arc detector.Detector) (ensemble.Topology, error) {
-			return ensemble.NewSerial(sen, arc, ensemble.CascadeOR)
-		}},
-		{"serial sentinel→arcane AND", func(sen, arc detector.Detector) (ensemble.Topology, error) {
-			return ensemble.NewSerial(sen, arc, ensemble.CascadeAND)
-		}},
-		{"serial arcane→sentinel OR", func(sen, arc detector.Detector) (ensemble.Topology, error) {
-			return ensemble.NewSerial(arc, sen, ensemble.CascadeOR)
-		}},
-		{"serial arcane→sentinel AND", func(sen, arc detector.Detector) (ensemble.Topology, error) {
-			return ensemble.NewSerial(arc, sen, ensemble.CascadeAND)
-		}},
+// ExecuteTopologies measures the two parallel votes and the four serial
+// arrangements (E7) over run's dataset, which Execute judged. The
+// parallel rows are views of run's table: both sides saw every request.
+// Each cascade runs its own pass with fresh detectors, because it skips
+// the second side, and that changes the side's state.
+func ExecuteTopologies(run *Run) ([]TopologyResult, error) {
+	parallel := []ensemble.DetectorCost{
+		{Detector: run.Names.A, Inspected: run.Table.Total()},
+		{Detector: run.Names.B, Inspected: run.Table.Total()},
 	}
-
-	results := make([]TopologyResult, 0, len(builds))
-	for _, b := range builds {
-		sen, arc, err := freshPair()
+	results := []TopologyResult{
+		{Name: "parallel 1oo2", Conf: run.Table.Vote(1), Costs: parallel},
+		{Name: "parallel 2oo2", Conf: run.Table.Vote(2), Costs: parallel},
+	}
+	factories, err := registry.Factories(registry.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	cascades := []struct {
+		first int
+		mode  ensemble.SerialMode
+		op    string
+	}{
+		{0, ensemble.CascadeOR, "OR"}, {0, ensemble.CascadeAND, "AND"},
+		{1, ensemble.CascadeOR, "OR"}, {1, ensemble.CascadeAND, "AND"},
+	}
+	for _, c := range cascades {
+		dets, err := detector.Build(factories)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: build %s: %w", b.name, err)
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		topo, err := b.make(sen, arc)
+		filter, analyzer := dets[c.first], dets[1-c.first]
+		name := fmt.Sprintf("serial %s→%s %s", filter.Name(), analyzer.Name(), c.op)
+		topo, err := ensemble.NewSerial(filter, analyzer, c.mode)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: build %s: %w", b.name, err)
+			return nil, fmt.Errorf("experiments: build %s: %w", name, err)
 		}
-		gen, err := workload.NewGenerator(workload.Config{
-			Seed:     scale.Seed,
-			Duration: scale.Duration,
-		})
+		gen, err := workload.NewGenerator(workload.Config{Seed: run.Scale.Seed, Duration: run.Scale.Duration})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: generator: %w", err)
 		}
@@ -260,26 +257,13 @@ func ExecuteTopologies(scale Scale) ([]TopologyResult, error) {
 		var conf evaluate.Confusion
 		err = gen.Run(func(ev workload.Event) error {
 			req := enricher.Enrich(ev.Entry)
-			v := topo.Inspect(&req)
-			conf.Add(v.Alert, ev.Label.Malicious())
+			conf.Add(topo.Inspect(&req).Alert, ev.Label.Malicious())
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: topology %s: %w", b.name, err)
+			return nil, fmt.Errorf("experiments: topology %s: %w", name, err)
 		}
-		results = append(results, TopologyResult{Name: b.name, Conf: conf, Costs: topo.Cost()})
+		results = append(results, TopologyResult{Name: name, Conf: conf, Costs: topo.Cost()})
 	}
 	return results, nil
-}
-
-func freshPair() (*sentinel.Detector, *arcane.Detector, error) {
-	sen, err := sentinel.New(sentinel.Config{})
-	if err != nil {
-		return nil, nil, err
-	}
-	arc, err := arcane.New(arcane.Config{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sen, arc, nil
 }

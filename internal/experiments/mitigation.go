@@ -7,7 +7,9 @@ import (
 	"divscrape/internal/detector"
 	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
+	"divscrape/internal/registry"
 	"divscrape/internal/report"
+	"divscrape/internal/shard"
 	"divscrape/internal/sitemodel"
 	"divscrape/internal/workload"
 )
@@ -24,12 +26,11 @@ import (
 type MitigationSpec struct {
 	// PolicyName labels the response policy in reports.
 	PolicyName string
-	// Policy is the response policy under test.
-	Policy mitigate.Policy
-	// K is the adjudication threshold over the detector pair: 1 alerts on
-	// either tool (maximum detection), 2 requires both (minimum false
+	// Policy is the response policy under test. Its ConfirmedOnly picks
+	// the adjudication over the detector pair: unset acts on either tool
+	// (1oo2, maximum detection), set only on both (2oo2, minimum false
 	// alarms).
-	K int
+	Policy mitigate.Policy
 }
 
 // MitigationResult is one pass's containment-efficacy measurement.
@@ -43,8 +44,6 @@ type MitigationResult struct {
 	MaliciousRequests, BenignRequests uint64
 	// Actions tallies enforcement decisions across all requests.
 	Actions mitigate.ActionCounts
-	// Tagged counts requests forwarded with the verdict header.
-	Tagged uint64
 	// TarpitDelay is the summed stall imposed on tarpitted responses —
 	// the enforcement cost the site pays in held-open connections.
 	TarpitDelay time.Duration
@@ -78,16 +77,29 @@ func (r *MitigationResult) CollateralRate() float64 {
 // DefaultMitigationSpecs enumerates the paper-relevant response policies
 // crossed with both adjudication schemes.
 func DefaultMitigationSpecs() []MitigationSpec {
-	return []MitigationSpec{
-		{PolicyName: "observe", Policy: mitigate.Observe(), K: 1},
-		{PolicyName: "observe", Policy: mitigate.Observe(), K: 2},
-		{PolicyName: "tag", Policy: mitigate.Tag(), K: 1},
-		{PolicyName: "tag", Policy: mitigate.Tag(), K: 2},
-		{PolicyName: "block", Policy: mitigate.StaticBlock(false), K: 1},
-		{PolicyName: "block", Policy: mitigate.StaticBlock(false), K: 2},
-		{PolicyName: "graduated", Policy: mitigate.Graduated(), K: 1},
-		{PolicyName: "graduated", Policy: mitigate.Graduated(), K: 2},
+	var specs []MitigationSpec
+	for _, p := range []struct {
+		name   string
+		policy mitigate.Policy
+	}{
+		{"observe", mitigate.Observe()},
+		{"tag", mitigate.Tag()},
+		{"block", mitigate.StaticBlock(false)},
+		{"graduated", mitigate.Graduated()},
+	} {
+		confirmed := p.policy
+		confirmed.ConfirmedOnly = true
+		specs = append(specs, MitigationSpec{p.name, p.policy}, MitigationSpec{p.name, confirmed})
 	}
+	return specs
+}
+
+// adjudicator labels the scheme a policy acts on.
+func adjudicator(p mitigate.Policy) string {
+	if p.ConfirmedOnly {
+		return "2oo2"
+	}
+	return "1oo2"
 }
 
 // ExecuteMitigation runs the full policy × adjudicator grid at the given
@@ -104,7 +116,7 @@ func ExecuteMitigationSpecs(scale Scale, specs []MitigationSpec) ([]MitigationRe
 	for _, spec := range specs {
 		r, err := executeMitigationPass(scale, spec)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: mitigation %s/%doo2: %w", spec.PolicyName, spec.K, err)
+			return nil, fmt.Errorf("experiments: mitigation %s/%s: %w", spec.PolicyName, adjudicator(spec.Policy), err)
 		}
 		results = append(results, r)
 	}
@@ -125,24 +137,20 @@ func leakedKind(k sitemodel.PageKind) bool {
 func executeMitigationPass(scale Scale, spec MitigationSpec) (MitigationResult, error) {
 	res := MitigationResult{
 		Policy:      spec.PolicyName,
-		Adjudicator: fmt.Sprintf("%doo2", spec.K),
+		Adjudicator: adjudicator(spec.Policy),
 	}
 	gen, err := workload.NewGenerator(workload.Config{Seed: scale.Seed, Duration: scale.Duration})
 	if err != nil {
 		return res, fmt.Errorf("generator: %w", err)
 	}
-	sen, arc, err := freshPair()
+	factories, err := registry.Factories(registry.Config{})
 	if err != nil {
 		return res, err
 	}
-	engine, err := mitigate.New(spec.Policy)
+	sh, err := shard.New(factories, nil, &spec.Policy, iprep.BuildFeed())
 	if err != nil {
 		return res, err
 	}
-	// An enricher of its own, not a pipeline's shard: the k-out-of-2
-	// adjudicator feeds the ladder an assessment that shard.Judge
-	// (ensemble.Assess) does not produce.
-	enricher := detector.NewEnricher(iprep.BuildFeed())
 
 	type campaign struct {
 		first    time.Time
@@ -151,42 +159,24 @@ func executeMitigationPass(scale Scale, spec MitigationSpec) (MitigationResult, 
 	}
 	campaigns := map[int]*campaign{}
 
+	var req detector.Request
+	var out shard.Outcome
 	err = gen.RunClosedLoop(func(ev workload.Event) (workload.Enforcement, error) {
 		// Detection sees the pre-decision view, as the inline guard does:
 		// the block/allow choice cannot wait for the response.
-		req := enricher.Enrich(ev.Entry)
-		va, vb := sen.Inspect(&req), arc.Inspect(&req)
-		confirmed := va.Alert && vb.Alert
-		alerted := va.Alert || vb.Alert
-		if spec.K >= 2 {
-			alerted = confirmed
-		}
-		now := ev.Entry.Time
-		info := sitemodel.ClassifyPath(ev.Entry.Path)
-
-		// The challenge flow itself must stay reachable, or no client
-		// could ever solve its way back down the ladder.
-		var dec mitigate.Decision
-		switch {
-		case info.Kind == sitemodel.KindChallengeScript:
-			dec = mitigate.Decision{Action: mitigate.Allow}
-		case info.Kind == sitemodel.KindChallengeVerify && ev.Entry.Method == "POST":
-			engine.ChallengePassed(ev.Entry.RemoteAddr, now)
+		req.Seq, req.Entry = res.Total, ev.Entry
+		sh.Enrich(&req)
+		sh.Judge(&req, &out)
+		dec := out.Ladder
+		now, kind := ev.Entry.Time, req.Target.Kind
+		// Beacons are counted under every policy: the actors solve the
+		// challenge whether or not the engine hosts it.
+		if kind == sitemodel.KindChallengeVerify && ev.Entry.Method == "POST" {
 			res.ChallengesPassed++
-			dec = mitigate.Decision{Action: mitigate.Allow}
-		default:
-			dec = engine.Apply(ev.Entry.RemoteAddr, now, mitigate.Assessment{
-				Alerted:   alerted,
-				Confirmed: confirmed,
-				Score:     (va.Score + vb.Score) / 2,
-			})
 		}
 
 		res.Total++
 		res.Actions.Count(dec.Action)
-		if dec.Tagged {
-			res.Tagged++
-		}
 		if dec.Action == mitigate.Tarpit {
 			res.TarpitDelay += dec.Delay
 		}
@@ -198,7 +188,7 @@ func executeMitigationPass(scale Scale, spec MitigationSpec) (MitigationResult, 
 				c = &campaign{first: now}
 				campaigns[ev.Label.ActorID] = c
 			}
-			if served && ev.Entry.Status == 200 && leakedKind(info.Kind) {
+			if served && ev.Entry.Status == 200 && leakedKind(kind) {
 				res.Leaked++
 				c.leaked = true
 				c.lastLeak = now

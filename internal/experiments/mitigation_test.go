@@ -131,7 +131,7 @@ func TestMitigationByteReproducible(t *testing.T) {
 // callers that only want one policy.
 func TestMitigationSpecsSubset(t *testing.T) {
 	res, err := ExecuteMitigationSpecs(BenchScale, []MitigationSpec{
-		{PolicyName: "graduated", Policy: mitigate.Graduated(), K: 1},
+		{PolicyName: "graduated", Policy: mitigate.Graduated()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,8 +79,9 @@ func (a Action) String() string {
 type Assessment struct {
 	// Alerted is the adjudicated alert (e.g. K-out-of-N over detectors).
 	Alerted bool
-	// Confirmed reports unanimous agreement (the paper's
-	// minimum-false-alarm scheme); static block policies can require it.
+	// Confirmed reports that a strict majority of the detectors alerted —
+	// both of the paper's pair, its minimum-false-alarm scheme. A policy
+	// with ConfirmedOnly acts on it alone.
 	Confirmed bool
 	// Score is the fused suspicion in [0, 1]; graduated policies
 	// integrate it over time.
@@ -141,10 +142,12 @@ func (m Mode) String() string {
 type Policy struct {
 	// Mode selects the enforcement style.
 	Mode Mode
-	// BlockOnConfirmedOnly, with ModeStaticBlock, blocks only unanimously
-	// confirmed requests and tags single-tool alerts — the serial
-	// confirmation deployment the paper sketches.
-	BlockOnConfirmedOnly bool
+	// ConfirmedOnly makes the engine act only on confirmed alerts — the
+	// paper's 2-out-of-2 scheme over its pair: an alert that is not
+	// confirmed counts as the benign case, so static block allows it and
+	// the graduated ladder weighs it by BenignWeight. Tagging still
+	// follows Alerted.
+	ConfirmedOnly bool
 
 	// Graduated-ladder parameters (ignored by the static modes).
 
@@ -196,7 +199,7 @@ func Tag() Policy { return Policy{Mode: ModeTag} }
 // implemented: 403 on adjudicated alert, or on unanimous confirmation
 // only when confirmedOnly is set (single-tool alerts are then tagged).
 func StaticBlock(confirmedOnly bool) Policy {
-	return Policy{Mode: ModeStaticBlock, BlockOnConfirmedOnly: confirmedOnly}
+	return Policy{Mode: ModeStaticBlock, ConfirmedOnly: confirmedOnly}
 }
 
 // Graduated returns the calibrated escalation-ladder policy.
@@ -435,7 +438,7 @@ func (e *Engine) apply(key string, at time.Time, a Assessment) Decision {
 	case ModeTag:
 		return Decision{Action: Allow, Tagged: a.Alerted}
 	case ModeStaticBlock:
-		if a.Confirmed || (!e.policy.BlockOnConfirmedOnly && a.Alerted) {
+		if a.Confirmed || (!e.policy.ConfirmedOnly && a.Alerted) {
 			return Decision{Action: Block, Level: Block, Tagged: true}
 		}
 		return Decision{Action: Allow, Tagged: a.Alerted}
@@ -449,7 +452,7 @@ func (e *Engine) apply(key string, at time.Time, a Assessment) Decision {
 	// this request's suspicion.
 	e.touch(st, now)
 	contribution := a.Score
-	if !a.Alerted {
+	if !a.Alerted || (p.ConfirmedOnly && !a.Confirmed) {
 		contribution *= p.BenignWeight
 	}
 	st.score += contribution

@@ -75,6 +75,26 @@ func TestStaticModes(t *testing.T) {
 	if d := conf.Apply("c", t0, scraping); d.Action != Block {
 		t.Errorf("confirmed alert not blocked: %+v", d)
 	}
+
+	// On the ladder an unconfirmed alert weighs as a benign request: three
+	// of them stay at Allow, still tagged, where the same stream confirmed
+	// climbs to Tarpit.
+	p := Graduated()
+	p.ConfirmedOnly = true
+	lad := newEngine(t, p)
+	unconfirmed := scraping
+	unconfirmed.Confirmed = false
+	var single, both Decision
+	for i := 0; i < 3; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		single, both = lad.Apply("single", at, unconfirmed), lad.Apply("both", at, scraping)
+	}
+	if single.Action != Allow || single.Level != Allow || !single.Tagged {
+		t.Errorf("unconfirmed alerts under confirmed-only: %+v, want an Allow still tagged", single)
+	}
+	if both.Action != Tarpit {
+		t.Errorf("confirmed alerts under confirmed-only: %+v, want Tarpit", both)
+	}
 }
 
 // TestEscalationLadder drives a sustained scraper through the full ladder

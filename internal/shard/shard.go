@@ -2,8 +2,9 @@
 // key-partition's enricher, detectors and optional mitigation engine, and
 // the step that strings them together — run the sides behind the failure
 // plane (failure.go), classify the challenge flow, vote, apply the ladder,
-// capture the flight record. The inline guard's shards and both pipeline
-// loops call the same Enrich, Judge and Sweep; a host owns only how it
+// capture the flight record. The inline guard's shards, both pipeline
+// loops, the facade's DetectorSet and the containment experiment's closed
+// loop (E12) call the same Enrich, Judge and Sweep; a host owns only how it
 // numbers the stream, when to sweep, what to do with the outcome and a
 // quarantine, and whether anything but its judging loop can reach the
 // shard (the lock).
